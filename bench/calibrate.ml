@@ -12,6 +12,7 @@
    nanoseconds. *)
 
 module H = Harness
+module Json = Holistic_util.Json
 module Cost = Holistic_window.Cost_model
 module Mstw = Holistic_core.Mst_width
 module Inc = Holistic_baselines.Incremental
@@ -197,10 +198,10 @@ let run ~rows () =
   Report.write "BENCH_calibrate.json" ~experiment:"calibrate"
     ~params:
       [
-        ("rows", H.J_int n);
-        ("w_small", H.J_int w_small);
-        ("w_large", H.J_int w_large);
-        ("fanout", H.J_int fanout);
+        ("rows", Json.J_int n);
+        ("w_small", Json.J_int w_small);
+        ("w_large", Json.J_int w_large);
+        ("fanout", Json.J_int fanout);
       ]
     ~metrics:
       (List.map (fun (k, m, _) -> (k, Report.metric ~unit_:"ns" m)) measured

@@ -18,6 +18,8 @@
    [--update] replaces each baseline with the corresponding fresh report
    (used to refresh baselines after an intentional performance change). *)
 
+module Json = Holistic_util.Json
+
 let baselines_dir = ref "bench/baselines"
 let fresh_dir = ref "."
 let update = ref false
@@ -134,9 +136,9 @@ let print_check (c : Report.check) =
 let positive_counters = [ "sort.spill_bytes"; "sort.spill_runs" ]
 
 let counter_of report name =
-  match Report.member "counters" report with
-  | Some (Report.J_obj kvs) -> (
-      match List.assoc_opt name kvs with Some (Report.J_int v) -> Some v | _ -> None)
+  match Json.member "counters" report with
+  | Some (Json.J_obj kvs) -> (
+      match List.assoc_opt name kvs with Some (Json.J_int v) -> Some v | _ -> None)
   | _ -> None
 
 let check_positive_counters ~report_name ~baseline ~fresh violations =

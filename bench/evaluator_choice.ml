@@ -16,6 +16,7 @@ open Holistic_window
 module Wf = Window_func
 module Rng = Holistic_util.Rng
 module H = Harness
+module Json = Holistic_util.Json
 module Obs = Holistic_obs.Obs
 module Ec = Evaluator_choice
 
@@ -143,7 +144,7 @@ let run ~rows () =
     failwith
       (Printf.sprintf "evaluator-choice: cost-based run is %.2fx the pinned defaults" speedup);
   Report.write "BENCH_evaluator_choice.json" ~experiment:"evaluator-choice"
-    ~params:[ ("rows", H.J_int rows); ("partitions", H.J_int partitions); ("clauses", H.J_int 4) ]
+    ~params:[ ("rows", Json.J_int rows); ("partitions", Json.J_int partitions); ("clauses", Json.J_int 4) ]
     ~metrics:
       [
         (* gated: the routing itself is deterministic, and cost-based must
@@ -163,6 +164,6 @@ let run ~rows () =
          Ec.all)
     ~histograms:(Obs.Histogram.snapshot ())
     ~series:
-      (H.J_obj
+      (Json.J_obj
          [ ("cost_based", H.json_of_timing auto_t); ("pinned", H.json_of_timing forced_t) ]);
   H.note "wrote BENCH_evaluator_choice.json"

@@ -9,6 +9,7 @@ module Mst = Holistic_core.Mst
 module Tpch = Holistic_data.Tpch
 module Scenarios = Holistic_data.Scenarios
 module H = Harness
+module Json = Holistic_util.Json
 
 let trailing_rows_frame w =
   Window_spec.rows_between (Window_spec.preceding w) Window_spec.Current_row
@@ -18,7 +19,8 @@ let price_order = [ Sort_spec.asc (Expr.Col "l_extendedprice") ]
 
 let over_ship frame = Window_spec.over ~order_by:ship_order ~frame ()
 
-let run_one table over item = H.time (fun () -> ignore (Executor.run table ~over [ item ]))
+let run_one table over item =
+  H.time (fun () -> ignore (Window_plan.run table [ { Window_plan.spec = over; items = [ item ] } ]))
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 9 — necessity of native support (20 000 rows, 1000-row frame)  *)
@@ -323,7 +325,9 @@ let table1 ~base () =
             (fun n ->
               let table = Tpch.lineitem ~rows:n () in
               (H.time_best ~reps:2 (fun () ->
-                   ignore (Executor.run table ~over:(over_ship default_frame) [ item ])))
+                   ignore
+                     (Window_plan.run table
+                        [ { Window_plan.spec = over_ship default_frame; items = [ item ] } ])))
                 .H.best)
             sizes
         in
@@ -380,11 +384,12 @@ let preflight () =
   let table = Tpch.lineitem ~rows:3_000 () in
   let over = over_ship (trailing_rows_frame 150) in
   let check fn algs =
-    let reference = Executor.run table ~over [ item_for fn Wf.Naive ] in
+    let run alg = Window_plan.run table [ { Window_plan.spec = over; items = [ item_for fn alg ] } ] in
+    let reference = run Wf.Naive in
     let ref_col = Table.column reference "x" in
     List.iter
       (fun alg ->
-        let got = Table.column (Executor.run table ~over [ item_for fn alg ]) "x" in
+        let got = Table.column (run alg) "x" in
         for i = 0 to Table.nrows table - 1 do
           let a = Column.get ref_col i and b = Column.get got i in
           if not (Value.equal a b || (Value.is_null a && Value.is_null b)) then
@@ -589,37 +594,37 @@ let mst_width ~rows () =
           "direct 32-bit vs old build-then-convert: %.2fx faster (%.2fx vs the retuned 64-bit \
            merge + convert; auto picks %d-bit here)"
           (t_legacy /. t_direct32) (t_convert /. t_direct32) (W.bits auto);
-        H.J_obj
+        Json.J_obj
           [
-            ("n", H.J_int n);
-            ("frame", H.J_int w);
-            ("auto_width_bits", H.J_int (W.bits auto));
+            ("n", Json.J_int n);
+            ("frame", Json.J_int w);
+            ("auto_width_bits", Json.J_int (W.bits auto));
             ( "build_seconds",
-              H.J_obj
+              Json.J_obj
                 [
-                  ("legacy_build64_convert32", H.J_float t_legacy);
-                  ("build64", H.J_float t_build64);
-                  ("build64_convert32", H.J_float t_convert);
-                  ("direct32", H.J_float t_direct32);
-                  ("direct16", match t_direct16 with Some t -> H.J_float t | None -> H.J_null);
+                  ("legacy_build64_convert32", Json.J_float t_legacy);
+                  ("build64", Json.J_float t_build64);
+                  ("build64_convert32", Json.J_float t_convert);
+                  ("direct32", Json.J_float t_direct32);
+                  ("direct16", match t_direct16 with Some t -> Json.J_float t | None -> Json.J_null);
                 ] );
             ( "probe_seconds",
-              H.J_obj
+              Json.J_obj
                 [
-                  ("w64", H.J_float p64);
-                  ("w32", H.J_float p32);
-                  ("w16", match p16 with Some t -> H.J_float t | None -> H.J_null);
+                  ("w64", Json.J_float p64);
+                  ("w32", Json.J_float p32);
+                  ("w16", match p16 with Some t -> Json.J_float t | None -> Json.J_null);
                 ] );
             ( "heap_bytes",
-              H.J_obj
+              Json.J_obj
                 [
-                  ("w64", H.J_int b64);
-                  ("w32", H.J_int b32);
-                  ("w16", match b16 with Some b -> H.J_int b | None -> H.J_null);
-                  ("peak_convert_path", H.J_int (b64 + b32));
+                  ("w64", Json.J_int b64);
+                  ("w32", Json.J_int b32);
+                  ("w16", match b16 with Some b -> Json.J_int b | None -> Json.J_null);
+                  ("peak_convert_path", Json.J_int (b64 + b32));
                 ] );
-            ("legacy_over_direct32", H.J_float (t_legacy /. t_direct32));
-            ("convert_over_direct32", H.J_float (t_convert /. t_direct32));
+            ("legacy_over_direct32", Json.J_float (t_legacy /. t_direct32));
+            ("convert_over_direct32", Json.J_float (t_convert /. t_direct32));
           ])
       sizes
   in
@@ -627,14 +632,14 @@ let mst_width ~rows () =
      per-width footprints (deterministic arithmetic in n) *)
   let metrics =
     match List.rev series with
-    | H.J_obj last :: _ ->
-        let f k = match List.assoc_opt k last with Some (H.J_float v) -> Some v | _ -> None in
+    | Json.J_obj last :: _ ->
+        let f k = match List.assoc_opt k last with Some (Json.J_float v) -> Some v | _ -> None in
         let nested k1 k2 =
           match List.assoc_opt k1 last with
-          | Some (H.J_obj inner) -> (
+          | Some (Json.J_obj inner) -> (
               match List.assoc_opt k2 inner with
-              | Some (H.J_int v) -> Some (float_of_int v)
-              | Some (H.J_float v) -> Some v
+              | Some (Json.J_int v) -> Some (float_of_int v)
+              | Some (Json.J_float v) -> Some v
               | _ -> None)
           | _ -> None
         in
@@ -657,8 +662,8 @@ let mst_width ~rows () =
     | _ -> []
   in
   Report.write "BENCH_mst_width.json" ~experiment:"mst-width"
-    ~params:[ ("rows", H.J_int rows) ]
-    ~metrics ~series:(H.J_list series);
+    ~params:[ ("rows", Json.J_int rows) ]
+    ~metrics ~series:(Json.J_list series);
   H.note "wrote BENCH_mst_width.json"
 
 let ablation_task ~rows () =
@@ -681,8 +686,8 @@ let ablation_task ~rows () =
                   let t =
                     H.time (fun () ->
                         ignore
-                          (Executor.run ~task_size table ~over
-                             [ item_for `Median alg ]))
+                          (Window_plan.run ~task_size table
+                             [ { Window_plan.spec = over; items = [ item_for `Median alg ] } ]))
                   in
                   Printf.sprintf "%.3f" t)
                 task_sizes)

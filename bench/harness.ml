@@ -104,32 +104,13 @@ let note fmt = Printf.ksprintf (fun s -> Printf.printf "  %s\n%!" s) fmt
 
 (* Machine-readable artifacts. Experiments that feed plots or regression
    tracking emit their series through [Report] (one schema for every
-   bench, see bench/report.ml); the constructors are re-exported so call
-   sites keep reading [H.J_obj ...]. *)
-type json = Report.json =
-  | J_null
-  | J_bool of bool
-  | J_int of int
-  | J_float of float
-  | J_string of string
-  | J_list of json list
-  | J_obj of (string * json) list
-
+   bench, see bench/report.ml) as [Holistic_util.Json] values. *)
 let json_of_timing t =
-  J_obj
-    [
-      ("best_s", J_float t.best);
-      ("mean_s", J_float t.mean);
-      ("stddev_s", J_float t.stddev);
-      ("runs", J_int t.runs);
-    ]
-
-let json_to_string = Report.json_to_string
-
-let json_of_outcome = function Skipped -> J_null | Time t -> J_float t
-
-let write_json_file path j =
-  let oc = open_out path in
-  output_string oc (json_to_string j);
-  close_out oc;
-  note "wrote %s" path
+  Holistic_util.Json.(
+    J_obj
+      [
+        ("best_s", J_float t.best);
+        ("mean_s", J_float t.mean);
+        ("stddev_s", J_float t.stddev);
+        ("runs", J_int t.runs);
+      ])

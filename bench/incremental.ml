@@ -18,6 +18,7 @@ open Holistic_window
 module Wf = Window_func
 module Rng = Holistic_util.Rng
 module H = Harness
+module Json = Holistic_util.Json
 
 let hot_parts = 2
 
@@ -179,10 +180,10 @@ let run ~rows () =
   Report.write "BENCH_incremental.json" ~experiment:"incremental"
     ~params:
       [
-        ("rows", H.J_int rows);
-        ("partitions", H.J_int partitions);
-        ("delta_rows", H.J_int delta_rows);
-        ("cycles", H.J_int cycles);
+        ("rows", Json.J_int rows);
+        ("partitions", Json.J_int partitions);
+        ("delta_rows", Json.J_int delta_rows);
+        ("cycles", Json.J_int cycles);
       ]
     ~metrics:
       [

@@ -15,6 +15,7 @@ open Holistic_window
 module Wf = Window_func
 module Rng = Holistic_util.Rng
 module H = Harness
+module Json = Holistic_util.Json
 module Sql = Holistic_sql.Sql
 
 (* [ts] is a distinct date-like string key (think ISO timestamps): ordering
@@ -202,9 +203,9 @@ let run ~rows () =
   Report.write "BENCH_sql_multiwindow.json" ~experiment:"sql-multiwindow"
     ~params:
       [
-        ("rows", H.J_int rows);
-        ("partitions", H.J_int partitions);
-        ("clauses", H.J_int 4);
+        ("rows", Json.J_int rows);
+        ("partitions", Json.J_int partitions);
+        ("clauses", Json.J_int 4);
       ]
     ~metrics:
       [
@@ -238,7 +239,7 @@ let run ~rows () =
       ]
     ~histograms:(Holistic_obs.Obs.Histogram.snapshot ())
     ~series:
-      (H.J_obj
+      (Json.J_obj
          [
            ("plan", H.json_of_timing plan_t);
            ("legacy", H.json_of_timing legacy_t);

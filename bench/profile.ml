@@ -5,6 +5,7 @@
    sort.merge, ...) nested below the phases, so besides the printed table we
    can emit the whole execution as a Chrome trace_event file. *)
 
+module Json = Holistic_util.Json
 open Holistic_storage
 module Task_pool = Holistic_parallel.Task_pool
 module Parallel_sort = Holistic_sort.Parallel_sort
@@ -99,7 +100,7 @@ let run ~rows =
          timers);
   Obs.write_chrome_trace trace_file trace;
   Report.write "BENCH_fig14.json" ~experiment:"fig14"
-    ~params:[ ("rows", Report.J_int rows) ]
+    ~params:[ ("rows", Json.J_int rows) ]
     ~metrics:
       ([
          (* gated: the tree footprint is deterministic for a fixed input *)
@@ -112,6 +113,6 @@ let run ~rows =
           timers)
     ~counters:trace.Obs.counters
     ~series:
-      (Report.J_obj (List.map (fun (name, t) -> (name, Report.J_float t)) timers));
+      (Json.J_obj (List.map (fun (name, t) -> (name, Json.J_float t)) timers));
   Harness.note "wrote BENCH_fig14.json";
   timers

@@ -27,264 +27,25 @@
    recorded on.  Gated metrics are machine-independent by construction:
    speedup ratios, build counts, structure bytes.
 
-   The JSON printer and parser are deliberately tiny — objects, arrays
-   and scalars are all the schema needs, and an in-repo parser avoids an
-   external dependency. *)
+   The JSON value type, printer and parser are the shared
+   [Holistic_util.Json] codec. *)
 
 module Obs = Holistic_obs.Obs
+module Json = Holistic_util.Json
+open Json
 
 let schema_id = "holiwin-bench/1"
 
-(* ------------------------------------------------------------------ *)
-(* JSON                                                                *)
-(* ------------------------------------------------------------------ *)
-
-type json =
-  | J_null
-  | J_bool of bool
-  | J_int of int
-  | J_float of float
-  | J_string of string
-  | J_list of json list
-  | J_obj of (string * json) list
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_to_string j =
-  let buf = Buffer.create 1024 in
-  let pad d = Buffer.add_string buf (String.make (2 * d) ' ') in
-  let rec go d = function
-    | J_null -> Buffer.add_string buf "null"
-    | J_bool b -> Buffer.add_string buf (string_of_bool b)
-    | J_int i -> Buffer.add_string buf (string_of_int i)
-    | J_float f ->
-        if not (Float.is_finite f) then Buffer.add_string buf "null"
-        else Buffer.add_string buf (Printf.sprintf "%.9g" f)
-    | J_string s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (json_escape s);
-        Buffer.add_char buf '"'
-    | J_list [] -> Buffer.add_string buf "[]"
-    | J_list xs ->
-        Buffer.add_string buf "[\n";
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_string buf ",\n";
-            pad (d + 1);
-            go (d + 1) x)
-          xs;
-        Buffer.add_char buf '\n';
-        pad d;
-        Buffer.add_char buf ']'
-    | J_obj [] -> Buffer.add_string buf "{}"
-    | J_obj kvs ->
-        Buffer.add_string buf "{\n";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_string buf ",\n";
-            pad (d + 1);
-            Buffer.add_char buf '"';
-            Buffer.add_string buf (json_escape k);
-            Buffer.add_string buf "\": ";
-            go (d + 1) v)
-          kvs;
-        Buffer.add_char buf '\n';
-        pad d;
-        Buffer.add_char buf '}'
-  in
-  go 0 j;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
-
-exception Parse_error of string * int
-
-(* Recursive-descent parser for the subset the printer emits (which is
-   all of JSON except exotic number spellings and \u escapes beyond
-   Latin-1; enough to read our own files back). *)
-let parse s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (msg, !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then advance ()
-    else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" lit)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-            advance ();
-            (if !pos >= n then fail "unterminated escape"
-             else
-               match s.[!pos] with
-               | '"' -> Buffer.add_char buf '"'
-               | '\\' -> Buffer.add_char buf '\\'
-               | '/' -> Buffer.add_char buf '/'
-               | 'n' -> Buffer.add_char buf '\n'
-               | 't' -> Buffer.add_char buf '\t'
-               | 'r' -> Buffer.add_char buf '\r'
-               | 'b' -> Buffer.add_char buf '\b'
-               | 'f' -> Buffer.add_char buf '\012'
-               | 'u' ->
-                   if !pos + 4 >= n then fail "truncated \\u escape";
-                   let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-                   pos := !pos + 4;
-                   if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                   else if code < 0x800 then begin
-                     Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                   end
-                   else begin
-                     Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                     Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                   end
-               | c -> fail (Printf.sprintf "bad escape \\%c" c));
-            advance ();
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            advance ();
-            go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    let lit = String.sub s start (!pos - start) in
-    match int_of_string_opt lit with
-    | Some i -> J_int i
-    | None -> (
-        match float_of_string_opt lit with
-        | Some f -> J_float f
-        | None -> fail (Printf.sprintf "bad number %S" lit))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          J_obj []
-        end
-        else begin
-          let kvs = ref [] in
-          let rec members () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            kvs := (k, v) :: !kvs;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected , or }"
-          in
-          members ();
-          J_obj (List.rev !kvs)
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          J_list []
-        end
-        else begin
-          let xs = ref [] in
-          let rec elements () =
-            let v = parse_value () in
-            xs := v :: !xs;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected , or ]"
-          in
-          elements ();
-          J_list (List.rev !xs)
-        end
-    | Some '"' -> J_string (parse_string ())
-    | Some 't' -> literal "true" (J_bool true)
-    | Some 'f' -> literal "false" (J_bool false)
-    | Some 'n' -> literal "null" J_null
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing input";
-  v
-
 let load path =
   let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  parse s
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> Json.parse (really_input_string ic (in_channel_length ic)))
 
 let save path j =
   let oc = open_out path in
-  output_string oc (json_to_string j);
+  output_string oc (Json.to_string ~pretty:true j);
   close_out oc
-
-(* accessors *)
-let member k = function J_obj kvs -> List.assoc_opt k kvs | _ -> None
-
-let to_float = function
-  | J_int i -> Some (float_of_int i)
-  | J_float f -> Some f
-  | _ -> None
 
 let to_string_opt = function J_string s -> Some s | _ -> None
 

@@ -13,6 +13,7 @@
 
 open Holistic_storage
 module H = Harness
+module Json = Holistic_util.Json
 module Rng = Holistic_util.Rng
 module Task_pool = Holistic_parallel.Task_pool
 module Mstw = Holistic_core.Mst_width
@@ -122,10 +123,10 @@ let run ~rows () =
   Report.write "BENCH_scaling.json" ~experiment:"scaling"
     ~params:
       [
-        ("rows", H.J_int rows);
-        ("partitions", H.J_int partitions);
-        ("domain_counts", H.J_list (List.map (fun d -> H.J_int d) domain_counts));
-        ("host_cores", H.J_int (Domain.recommended_domain_count ()));
+        ("rows", Json.J_int rows);
+        ("partitions", Json.J_int partitions);
+        ("domain_counts", Json.J_list (List.map (fun d -> Json.J_int d) domain_counts));
+        ("host_cores", Json.J_int (Domain.recommended_domain_count ()));
       ]
     ~metrics:
       [
@@ -143,10 +144,10 @@ let run ~rows () =
     ~counters:[ ("parity.domain_counts_checked", List.length domain_counts) ]
     ~histograms:(Holistic_obs.Obs.Histogram.snapshot ())
     ~series:
-      (H.J_obj
+      (Json.J_obj
          (List.map
             (fun (d, _, _, mst_t, e2e_t) ->
               ( Printf.sprintf "domains_%d" d,
-                H.J_obj [ ("mst", H.json_of_timing mst_t); ("e2e", H.json_of_timing e2e_t) ] ))
+                Json.J_obj [ ("mst", H.json_of_timing mst_t); ("e2e", H.json_of_timing e2e_t) ] ))
             per_domain));
   H.note "wrote BENCH_scaling.json"

@@ -15,6 +15,7 @@ module Introsort = Holistic_sort.Introsort
 module Parallel_sort = Holistic_sort.Parallel_sort
 module Multiway = Holistic_sort.Multiway
 module H = Harness
+module Json = Holistic_util.Json
 
 let make_table rng ~rows ~partitions =
   (* an id-like int key, a measure, and a categorical string: the typical
@@ -106,9 +107,9 @@ let run ~rows () =
   Report.write "BENCH_sort_ovc.json" ~experiment:"sort-keys"
     ~params:
       [
-        ("rows", H.J_int rows);
-        ("partitions", H.J_int partitions);
-        ("total_keys", H.J_int kc.Key_codec.total);
+        ("rows", Json.J_int rows);
+        ("partitions", Json.J_int partitions);
+        ("total_keys", Json.J_int kc.Key_codec.total);
       ]
     ~metrics:
       [
@@ -127,7 +128,7 @@ let run ~rows () =
     ~counters:[ ("ovc.decided", ovc_decided); ("ovc.scanned", ovc_scanned) ]
     ~histograms:(Holistic_obs.Obs.Histogram.snapshot ())
     ~series:
-      (H.J_obj
+      (Json.J_obj
          [
            ("comparator", H.json_of_timing comparator_t);
            ("encoded", H.json_of_timing encoded_t);

@@ -22,6 +22,7 @@ open Holistic_window
 module Wf = Window_func
 module Rng = Holistic_util.Rng
 module H = Harness
+module Json = Holistic_util.Json
 module Task_pool = Holistic_parallel.Task_pool
 module Obs = Holistic_obs.Obs
 
@@ -150,9 +151,9 @@ let run ~rows () =
   Report.write "BENCH_spill.json" ~experiment:"spill"
     ~params:
       [
-        ("rows", H.J_int rows);
-        ("partitions", H.J_int partitions);
-        ("ceiling_bytes", H.J_int ceiling);
+        ("rows", Json.J_int rows);
+        ("partitions", Json.J_int partitions);
+        ("ceiling_bytes", Json.J_int ceiling);
       ]
     ~metrics:
       [
@@ -175,6 +176,6 @@ let run ~rows () =
       ]
     ~histograms:(Obs.Histogram.snapshot ())
     ~series:
-      (H.J_obj
+      (Json.J_obj
          [ ("in_memory", H.json_of_timing mem_t); ("capped", H.json_of_timing cap_t) ]);
   H.note "wrote BENCH_spill.json"

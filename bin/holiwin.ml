@@ -11,17 +11,68 @@ open Holistic_storage
 module Wf = Holistic_window.Window_func
 module Ec = Holistic_window.Evaluator_choice
 module Mg = Holistic_window.Mem_governor
+module Qs = Holistic_window.Query_stats
+module Sql = Holistic_sql.Sql
+module Obs = Holistic_obs.Obs
 
-(* --mem-limit: bytes with optional K/M/G suffix, or "spill" (spill every
-   sort regardless of budget — a testing mode). The governor is created
-   here so its spill directory can be cleaned up whatever happens. *)
+(* The HOLIWIN_* environment is read here and nowhere in the libraries:
+   HOLIWIN_MEM_LIMIT stands in for --mem-limit, HOLIWIN_QUERY_LOG for
+   --query-log, and HOLIWIN_QUERY_LOG_BYTES sets the log's rotation size.
+   Unset or empty means absent; a malformed value is an error naming the
+   variable. *)
+let getenv name = match Sys.getenv_opt name with None | Some "" -> None | Some v -> Some v
+
+(* --mem-limit (else HOLIWIN_MEM_LIMIT): bytes with optional K/M/G suffix,
+   or "spill" (spill every sort regardless of budget — a testing mode).
+   The governor is created here so its spill directory is cleaned up
+   whatever happens, and lives for every statement of the run. *)
 let with_governor mem_limit f =
-  match mem_limit with
+  let limit =
+    match mem_limit, getenv "HOLIWIN_MEM_LIMIT" with
+    | Some spec, _ -> Some (Mg.parse_limit spec)
+    | None, Some v -> (
+        try Some (Mg.parse_limit v)
+        with Invalid_argument msg -> failwith ("HOLIWIN_MEM_LIMIT: " ^ msg))
+    | None, None -> None
+  in
+  match limit with
   | None -> f None
-  | Some spec ->
-      let budget, policy = Mg.parse_limit spec in
+  | Some (budget, policy) ->
       let g = Mg.create ?budget ~policy () in
       Fun.protect ~finally:(fun () -> Mg.cleanup g) (fun () -> f (Some g))
+
+(* --query-log (else HOLIWIN_QUERY_LOG), rotating at
+   HOLIWIN_QUERY_LOG_BYTES when set. *)
+let with_query_log path f =
+  let max_bytes =
+    Option.map
+      (fun v ->
+        match int_of_string_opt (String.trim v) with
+        | Some b when b > 0 -> b
+        | _ ->
+            failwith (Printf.sprintf "HOLIWIN_QUERY_LOG_BYTES: %S is not a positive byte count" v))
+      (getenv "HOLIWIN_QUERY_LOG_BYTES")
+  in
+  match if path = None then getenv "HOLIWIN_QUERY_LOG" else path with
+  | None -> f None
+  | Some path ->
+      let sink = Qs.Log.open_ ?max_bytes path in
+      Fun.protect ~finally:(fun () -> Qs.Log.close sink) (fun () -> f (Some sink))
+
+(* Every subcommand reports a failed statement the same way: one line on
+   stderr (and exit status 1 when it ends the run). Other exceptions are
+   bugs and propagate. *)
+let report_errors ~on_error f =
+  let fail msg =
+    prerr_endline msg;
+    on_error
+  in
+  try f () with
+  | Holistic_sql.Parser.Error (msg, off) | Sql.Parse_error (msg, off) ->
+      fail (Printf.sprintf "parse error at offset %d: %s" off msg)
+  | Sql.Semantic_error msg | Mg.Budget_too_small msg | Failure msg | Invalid_argument msg
+  | Sys_error msg ->
+      fail ("error: " ^ msg)
 
 let algorithms =
   [
@@ -139,33 +190,20 @@ let query_cmd =
                  knob as an environment variable.")
   in
   let run sql table_specs algorithm evaluator mem_limit timing max_rows output query_log =
-    try
-      let tables = List.map load_table table_specs in
-      with_governor mem_limit @@ fun governor ->
-      let sink = Option.map (fun p -> Holistic_sql.Sql.Query_stats.Log.open_ p) query_log in
-      let t0 = Unix.gettimeofday () in
-      let result =
-        Holistic_sql.Sql.query ?algorithm ?evaluator ?governor ?query_log:sink ~tables sql
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      Option.iter Holistic_sql.Sql.Query_stats.Log.close sink;
-      (match output with
-      | Some path -> Csv.save path result
-      | None -> Table.print ~max_rows result);
-      if timing then
-        Printf.printf "\n%d rows in %.3f s (%.3g M rows/s)\n" (Table.nrows result) dt
-          (float_of_int (Table.nrows result) /. dt /. 1e6);
-      0
-    with
-    | Holistic_sql.Sql.Parse_error (msg, off) ->
-        Printf.eprintf "parse error at offset %d: %s\n" off msg;
-        1
-    | Holistic_sql.Sql.Semantic_error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        1
-    | Mg.Budget_too_small msg | Failure msg | Invalid_argument msg ->
-        Printf.eprintf "error: %s\n" msg;
-        1
+    report_errors ~on_error:1 @@ fun () ->
+    with_governor mem_limit @@ fun governor ->
+    with_query_log query_log @@ fun query_log ->
+    let tables = List.map load_table table_specs in
+    let t0 = Unix.gettimeofday () in
+    let result = Sql.query ?algorithm ?evaluator ?governor ?query_log ~tables sql in
+    let dt = Unix.gettimeofday () -. t0 in
+    (match output with
+    | Some path -> Csv.save path result
+    | None -> Table.print ~max_rows result);
+    if timing then
+      Printf.printf "\n%d rows in %.3f s (%.3g M rows/s)\n" (Table.nrows result) dt
+        (float_of_int (Table.nrows result) /. dt /. 1e6);
+    0
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Run a SQL query with extended window functions")
@@ -203,31 +241,16 @@ let explain_cmd =
                  the sort spans and the sort.spill_* counters.")
   in
   let run sql table_specs analyze trace_out evaluator mem_limit =
-    try
-      if analyze then begin
-        let tables = List.map load_table table_specs in
-        with_governor mem_limit @@ fun governor ->
-        let result, trace =
-          Holistic_sql.Sql.explain_analyze_trace ?evaluator ?governor ~tables sql
-        in
-        print_string (Holistic_sql.Sql.explain sql);
-        Printf.printf "rows: %d (%s)\n" (Table.nrows result)
-          (Holistic_obs.Obs.human_bytes (Table.footprint_bytes result));
-        print_string (Holistic_obs.Obs.render trace);
-        Option.iter (fun path -> Holistic_obs.Obs.write_chrome_trace path trace) trace_out
-      end
-      else print_string (Holistic_sql.Sql.explain sql);
-      0
-    with
-    | Holistic_sql.Parser.Error (msg, off) | Holistic_sql.Sql.Parse_error (msg, off) ->
-        Printf.eprintf "parse error at offset %d: %s\n" off msg;
-        1
-    | Holistic_sql.Sql.Semantic_error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        1
-    | Mg.Budget_too_small msg | Failure msg | Invalid_argument msg ->
-        Printf.eprintf "error: %s\n" msg;
-        1
+    report_errors ~on_error:1 @@ fun () ->
+    if analyze then begin
+      with_governor mem_limit @@ fun governor ->
+      let tables = List.map load_table table_specs in
+      let run = Sql.explain_analyze_trace ?evaluator ?governor ~tables sql in
+      print_string (Sql.render_analyze sql run);
+      Option.iter (fun path -> Obs.write_chrome_trace path (snd run)) trace_out
+    end
+    else print_string (Sql.explain sql);
+    0
   in
   Cmd.v
     (Cmd.info "explain" ~doc:"Show a query's structure; --analyze executes it with tracing")
@@ -270,45 +293,34 @@ let metrics_cmd =
            ~doc:"Also append one holiwin-qlog/1 record per executed statement.")
   in
   let run sqls table_specs repeat format output query_log =
-    try
-      let tables = List.map load_table table_specs in
-      Holistic_obs.Obs.enable ();
-      let module Sql = Holistic_sql.Sql in
-      let session =
-        match tables with (_, t) :: _ -> Some (Sql.session_create t) | [] -> None
-      in
-      let sink = Option.map (fun p -> Sql.Query_stats.Log.open_ p) query_log in
-      for _ = 1 to max 1 repeat do
-        List.iter (fun sql -> ignore (Sql.query ?session ?query_log:sink ~tables sql)) sqls
-      done;
-      Option.iter Sql.Query_stats.Log.close sink;
-      let snap = Holistic_obs.Obs.Metrics.snapshot () in
-      let stamp_ms = int_of_float (Unix.gettimeofday () *. 1000.) in
-      let text =
-        match format with
-        | `Prom -> Holistic_obs.Obs.Metrics.to_prometheus ~stamp_ms snap
-        | `Json -> Holistic_obs.Obs.Metrics.to_json ~stamp_ms snap ^ "\n"
-        | `Both ->
-            Holistic_obs.Obs.Metrics.to_prometheus ~stamp_ms snap
-            ^ Holistic_obs.Obs.Metrics.to_json ~stamp_ms snap ^ "\n"
-      in
-      (match output with
-      | Some path ->
-          let oc = open_out path in
-          output_string oc text;
-          close_out oc
-      | None -> print_string text);
-      0
-    with
-    | Holistic_sql.Sql.Parse_error (msg, off) ->
-        Printf.eprintf "parse error at offset %d: %s\n" off msg;
-        1
-    | Holistic_sql.Sql.Semantic_error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        1
-    | Failure msg | Invalid_argument msg | Sys_error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        1
+    report_errors ~on_error:1 @@ fun () ->
+    with_governor None @@ fun governor ->
+    with_query_log query_log @@ fun query_log ->
+    let tables = List.map load_table table_specs in
+    Obs.enable ();
+    let session =
+      match tables with (_, t) :: _ -> Some (Sql.session_create t) | [] -> None
+    in
+    for _ = 1 to max 1 repeat do
+      List.iter (fun sql -> ignore (Sql.query ?governor ?session ?query_log ~tables sql)) sqls
+    done;
+    let snap = Obs.Metrics.snapshot () in
+    let stamp_ms = int_of_float (Unix.gettimeofday () *. 1000.) in
+    let text =
+      match format with
+      | `Prom -> Obs.Metrics.to_prometheus ~stamp_ms snap
+      | `Json -> Obs.Metrics.to_json ~stamp_ms snap ^ "\n"
+      | `Both ->
+          Obs.Metrics.to_prometheus ~stamp_ms snap
+          ^ Obs.Metrics.to_json ~stamp_ms snap ^ "\n"
+    in
+    (match output with
+    | Some path ->
+        let oc = open_out path in
+        output_string oc text;
+        close_out oc
+    | None -> print_string text);
+    0
   in
   Cmd.v
     (Cmd.info "metrics"
@@ -337,103 +349,97 @@ let session_cmd =
                  (rotating to FILE.1 by size).")
   in
   let run table_spec script max_rows query_log =
-    try
-      let name, table = load_table table_spec in
-      let module Sql = Holistic_sql.Sql in
-      let session = Sql.session_create table in
-      let sink = Option.map (fun p -> Sql.Query_stats.Log.open_ p) query_log in
-      let interactive = script = None && Unix.isatty Unix.stdin in
-      let ic = match script with Some path -> open_in path | None -> stdin in
-      let stats () =
-        let c = Sql.Session.counters session in
-        Printf.printf "epoch %d: %d rows (%s cached); builds %d+%d, maintained %d, rebuilt %d\n"
-          (Sql.Session.epoch session)
-          (Table.nrows (Sql.session_table session))
-          (Holistic_obs.Obs.human_bytes (Sql.Session.footprint_bytes session))
-          (Atomic.get c.Holistic_window.Build_cache.encode_builds)
-          (Atomic.get c.Holistic_window.Build_cache.tree_builds)
-          (Atomic.get c.Holistic_window.Build_cache.maintained)
-          (Atomic.get c.Holistic_window.Build_cache.rebuilt)
-      in
-      let strip s = String.trim s in
-      let split_cmd line =
-        match String.index_opt line ' ' with
-        | Some i ->
-            (String.sub line 0 i, strip (String.sub line i (String.length line - i)))
-        | None -> (line, "")
-      in
-      let exec line =
-        match split_cmd line with
-        | ("query" | "select"), _ ->
-            (* "select ..." runs verbatim; "query select ..." strips the prefix *)
-            let sql = if String.length line >= 6 && String.sub line 0 6 = "select" then line
-                      else snd (split_cmd line) in
-            let t0 = Unix.gettimeofday () in
-            let result = Sql.session_query ?query_log:sink ~name session sql in
-            let dt = Unix.gettimeofday () -. t0 in
-            Table.print ~max_rows result;
-            Printf.printf "%d rows in %.3f s\n" (Table.nrows result) dt
-        | "explain", sql ->
-            let _, report = Sql.session_explain_analyze ~name session sql in
-            print_string report
-        | "append", src ->
-            let _, delta = load_table (name ^ "=" ^ src) in
-            Sql.session_append session delta;
-            stats ()
-        | "evict", pred ->
-            let before = Table.nrows (Sql.session_table session) in
-            Sql.session_evict session pred;
-            Printf.printf "evicted %d rows\n"
-              (before - Table.nrows (Sql.session_table session));
-            stats ()
-        | "stats", _ ->
-            stats ();
-            print_string (Sql.Session.render_stats (Sql.Session.stats session))
-        | "metrics", _ ->
-            print_string
-              (Holistic_obs.Obs.Metrics.to_prometheus (Holistic_obs.Obs.Metrics.snapshot ()))
-        | ("help" | "?"), _ ->
-            print_string
-              "commands:\n\
-              \  select ...          run a query against the session table\n\
-              \  explain SQL         EXPLAIN ANALYZE with cache provenance tags\n\
-              \  append SRC          append rows (file.csv or generator:rows)\n\
-              \  evict PRED          evict rows matching a predicate\n\
-              \  stats               epoch, rows, footprint, per-key structures, reuse tallies\n\
-              \  metrics             Prometheus snapshot of every registered metric\n\
-              \  quit                exit\n"
-        | cmd, _ -> Printf.eprintf "unknown command %S (try: help)\n" cmd
-      in
-      let rec loop () =
-        if interactive then (print_string (name ^ "> "); flush stdout);
-        match input_line ic with
-        | exception End_of_file -> ()
-        | line ->
-            let line = strip line in
-            if line = "quit" || line = "exit" then ()
-            else begin
-              if line <> "" && not (String.length line >= 2 && String.sub line 0 2 = "--")
-              then begin
-                (try exec line with
-                | Sql.Parse_error (msg, off) ->
-                    Printf.eprintf "parse error at offset %d: %s\n" off msg
-                | Sql.Semantic_error msg -> Printf.eprintf "error: %s\n" msg
-                | Failure msg | Invalid_argument msg -> Printf.eprintf "error: %s\n" msg);
-                flush stdout
-              end;
-              loop ()
-            end
-      in
-      if interactive then
-        Printf.printf "session over %S (%d rows); type 'help' for commands\n" name
-          (Table.nrows table);
-      loop ();
-      Option.iter Sql.Query_stats.Log.close sink;
-      if script <> None then close_in ic;
-      0
-    with Failure msg | Invalid_argument msg | Sys_error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+    report_errors ~on_error:1 @@ fun () ->
+    with_governor None @@ fun governor ->
+    with_query_log query_log @@ fun query_log ->
+    let name, table = load_table table_spec in
+    let session = Sql.session_create table in
+    let tables () = [ (name, Sql.session_table session) ] in
+    let interactive = script = None && Unix.isatty Unix.stdin in
+    let ic = match script with Some path -> open_in path | None -> stdin in
+    let stats () =
+      let c = Sql.Session.counters session in
+      Printf.printf "epoch %d: %d rows (%s cached); builds %d+%d, maintained %d, rebuilt %d\n"
+        (Sql.Session.epoch session)
+        (Table.nrows (Sql.session_table session))
+        (Obs.human_bytes (Sql.Session.footprint_bytes session))
+        (Atomic.get c.Holistic_window.Build_cache.encode_builds)
+        (Atomic.get c.Holistic_window.Build_cache.tree_builds)
+        (Atomic.get c.Holistic_window.Build_cache.maintained)
+        (Atomic.get c.Holistic_window.Build_cache.rebuilt)
+    in
+    let strip s = String.trim s in
+    let split_cmd line =
+      match String.index_opt line ' ' with
+      | Some i ->
+          (String.sub line 0 i, strip (String.sub line i (String.length line - i)))
+      | None -> (line, "")
+    in
+    (* command words match case-insensitively, like SQL keywords *)
+    let exec line =
+      let cmd, arg = split_cmd line in
+      match String.lowercase_ascii cmd, arg with
+      | ("query" | "select"), _ ->
+          (* "select ..." runs verbatim; "query select ..." strips the prefix *)
+          let sql = if String.lowercase_ascii cmd = "select" then line else arg in
+          let t0 = Unix.gettimeofday () in
+          let result = Sql.query ?governor ?query_log ~session ~tables:(tables ()) sql in
+          let dt = Unix.gettimeofday () -. t0 in
+          Table.print ~max_rows result;
+          Printf.printf "%d rows in %.3f s\n" (Table.nrows result) dt
+      | "explain", sql ->
+          let run = Sql.explain_analyze_trace ?governor ~session ~tables:(tables ()) sql in
+          print_string (Sql.render_analyze sql run)
+      | "append", src ->
+          let _, delta = load_table (name ^ "=" ^ src) in
+          Sql.session_append session delta;
+          stats ()
+      | "evict", pred ->
+          let before = Table.nrows (Sql.session_table session) in
+          Sql.session_evict session pred;
+          Printf.printf "evicted %d rows\n"
+            (before - Table.nrows (Sql.session_table session));
+          stats ()
+      | "stats", _ ->
+          stats ();
+          print_string (Sql.Session.render_stats (Sql.Session.stats session))
+      | "metrics", _ ->
+          print_string
+            (Obs.Metrics.to_prometheus (Obs.Metrics.snapshot ()))
+      | ("help" | "?"), _ ->
+          print_string
+            "commands:\n\
+            \  select ...          run a query against the session table\n\
+            \  explain SQL         EXPLAIN ANALYZE with cache provenance tags\n\
+            \  append SRC          append rows (file.csv or generator:rows)\n\
+            \  evict PRED          evict rows matching a predicate\n\
+            \  stats               epoch, rows, footprint, per-key structures, reuse tallies\n\
+            \  metrics             Prometheus snapshot of every registered metric\n\
+            \  quit                exit\n"
+      | cmd, _ -> Printf.eprintf "unknown command %S (try: help)\n" cmd
+    in
+    let rec loop () =
+      if interactive then (print_string (name ^ "> "); flush stdout);
+      match input_line ic with
+      | exception End_of_file -> ()
+      | line ->
+          let line = strip line in
+          if List.mem (String.lowercase_ascii line) [ "quit"; "exit" ] then ()
+          else begin
+            if line <> "" && not (String.length line >= 2 && String.sub line 0 2 = "--")
+            then begin
+              report_errors ~on_error:() (fun () -> exec line);
+              flush stdout
+            end;
+            loop ()
+          end
+    in
+    if interactive then
+      Printf.printf "session over %S (%d rows); type 'help' for commands\n" name
+        (Table.nrows table);
+    loop ();
+    if script <> None then close_in ic;
+    0
   in
   Cmd.v
     (Cmd.info "session"

@@ -27,10 +27,16 @@ let () =
       ()
   in
   let result =
-    Executor.run table ~over
+    Window_plan.run table
       [
-        Wf.count ~distinct:true ~name:"monthly_active_customers" (Expr.Col "o_custkey");
-        Wf.count_star ~name:"monthly_orders" ();
+        {
+          Window_plan.spec = over;
+          items =
+            [
+              Wf.count ~distinct:true ~name:"monthly_active_customers" (Expr.Col "o_custkey");
+              Wf.count_star ~name:"monthly_orders" ();
+            ];
+        };
       ]
   in
   (* Report the trailing-month active-customer count on the first order date

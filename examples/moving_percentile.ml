@@ -29,11 +29,17 @@ let () =
       ()
   in
   let result =
-    Executor.run table ~over
+    Window_plan.run table
       [
-        Wf.percentile_disc ~name:"p99_delay_days" 0.99 [ Sort_spec.asc delivery_delay ];
-        Wf.median ~name:"median_delay_days" delivery_delay;
-        Wf.count_star ~name:"shipments_in_window" ();
+        {
+          Window_plan.spec = over;
+          items =
+            [
+              Wf.percentile_disc ~name:"p99_delay_days" 0.99 [ Sort_spec.asc delivery_delay ];
+              Wf.median ~name:"median_delay_days" delivery_delay;
+              Wf.count_star ~name:"shipments_in_window" ();
+            ];
+        };
       ]
   in
   (* Summarise the moving p99 by year. *)

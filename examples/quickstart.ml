@@ -25,16 +25,22 @@ let () =
       ()
   in
   let result =
-    Executor.run table ~over
+    Window_plan.run table
       [
-        (* median(reading) OVER w — a framed holistic aggregate, the paper's
-           headline capability *)
-        Wf.median ~name:"moving_median" (Expr.Col "reading");
-        (* count(DISTINCT device) OVER w *)
-        Wf.count ~distinct:true ~name:"devices_in_window" (Expr.Col "device");
-        (* rank(ORDER BY reading DESC) OVER w — a framed rank with its own
-           ORDER BY, the paper's proposed SQL extension *)
-        Wf.rank ~name:"rank_in_window" [ Sort_spec.desc (Expr.Col "reading") ];
+        {
+          Window_plan.spec = over;
+          items =
+            [
+              (* median(reading) OVER w — a framed holistic aggregate, the paper's
+                 headline capability *)
+              Wf.median ~name:"moving_median" (Expr.Col "reading");
+              (* count(DISTINCT device) OVER w *)
+              Wf.count ~distinct:true ~name:"devices_in_window" (Expr.Col "device");
+              (* rank(ORDER BY reading DESC) OVER w — a framed rank with its own
+                 ORDER BY, the paper's proposed SQL extension *)
+              Wf.rank ~name:"rank_in_window" [ Sort_spec.desc (Expr.Col "reading") ];
+            ];
+        };
       ]
   in
   print_endline "Moving statistics over the last 5 readings:";

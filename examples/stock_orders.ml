@@ -29,10 +29,16 @@ let () =
       ()
   in
   let result =
-    Executor.run table ~over
+    Window_plan.run table
       [
-        Wf.median ~name:"median_while_valid" (Expr.Col "price");
-        Wf.count_star ~name:"concurrent_orders" ();
+        {
+          Window_plan.spec = over;
+          items =
+            [
+              Wf.median ~name:"median_while_valid" (Expr.Col "price");
+              Wf.count_star ~name:"concurrent_orders" ();
+            ];
+        };
       ]
   in
   let price = Table.column result "price" in

@@ -30,13 +30,19 @@ let () =
       ()
   in
   let result =
-    Executor.run table ~over
+    Window_plan.run table
       [
-        Wf.count ~distinct:true ~name:"competing_systems" (Expr.Col "dbsystem");
-        Wf.rank ~name:"rank_back_then" by_tps_desc;
-        Wf.first_value ~order:by_tps_desc ~name:"best_tps_back_then" (Expr.Col "tps");
-        Wf.first_value ~order:by_tps_desc ~name:"leader_back_then" (Expr.Col "dbsystem");
-        Wf.lead ~order:by_tps_desc ~name:"next_best_tps" (Expr.Col "tps");
+        {
+          Window_plan.spec = over;
+          items =
+            [
+              Wf.count ~distinct:true ~name:"competing_systems" (Expr.Col "dbsystem");
+              Wf.rank ~name:"rank_back_then" by_tps_desc;
+              Wf.first_value ~order:by_tps_desc ~name:"best_tps_back_then" (Expr.Col "tps");
+              Wf.first_value ~order:by_tps_desc ~name:"leader_back_then" (Expr.Col "dbsystem");
+              Wf.lead ~order:by_tps_desc ~name:"next_best_tps" (Expr.Col "tps");
+            ];
+        };
       ]
   in
   (* Show the submissions that were #1 at the time they were published. *)

@@ -1,5 +1,7 @@
 external now_ns : unit -> int = "holistic_obs_now_ns" [@@noalloc]
 
+module Json = Holistic_util.Json
+
 type span = {
   id : int;
   parent : int;
@@ -794,20 +796,6 @@ let render tr =
 
 (* --- Chrome trace_event export --------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_chrome_json tr =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -824,7 +812,7 @@ let to_chrome_json tr =
       Buffer.add_string b
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"holistic\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f"
-           (json_escape s.name) s.tid ts dur);
+           (Json.escape s.name) s.tid ts dur);
       let args =
         s.args
         @ (if s.alloc_w > 0 then [ ("alloc_kw", Printf.sprintf "%.1f" (float_of_int s.alloc_w /. 1e3)) ] else [])
@@ -836,7 +824,7 @@ let to_chrome_json tr =
         List.iteri
           (fun i (k, v) ->
             if i > 0 then Buffer.add_char b ',';
-            Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+            Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
           args;
         Buffer.add_char b '}'
       end;
@@ -848,7 +836,7 @@ let to_chrome_json tr =
       Buffer.add_string b
         (Printf.sprintf
            "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":%.3f,\"args\":{\"value\":%d}}"
-           (json_escape n) !last_ts v))
+           (Json.escape n) !last_ts v))
     tr.counters;
   Buffer.add_string b "]}";
   Buffer.contents b
@@ -983,51 +971,34 @@ module Metrics = struct
     Buffer.contents b
 
   let to_json ?stamp_ms s =
-    let b = Buffer.create 4096 in
-    Buffer.add_string b "{\"schema\":\"holiwin-metrics/1\"";
-    (match stamp_ms with
-    | Some ms -> Buffer.add_string b (Printf.sprintf ",\"taken_unix_ms\":%d" ms)
-    | None -> ());
-    let obj name fields =
-      Buffer.add_string b (Printf.sprintf ",\"%s\":{" (json_escape name));
-      List.iteri
-        (fun i f ->
-          if i > 0 then Buffer.add_char b ',';
-          f ())
-        fields;
-      Buffer.add_char b '}'
+    let open Json in
+    let scalar (n, h, v) = (n, J_obj [ ("help", J_string h); ("value", J_int v) ]) in
+    let summary window (n, h, (sm : Histogram.summary)) =
+      ( n,
+        J_obj
+          ((("help", J_string h) :: Option.to_list (Option.map (fun w -> ("window", J_string w)) window))
+          @ List.map
+              (fun (k, v) -> (k, J_int v))
+              Histogram.
+                [
+                  ("count", sm.count);
+                  ("sum", sm.sum);
+                  ("min", sm.min);
+                  ("max", sm.max);
+                  ("p50", sm.p50);
+                  ("p90", sm.p90);
+                  ("p99", sm.p99);
+                ]) )
     in
-    let scalar_section section items =
-      obj section
-        (List.map
-           (fun (n, h, v) () ->
-             Buffer.add_string b
-               (Printf.sprintf "\"%s\":{\"help\":\"%s\",\"value\":%d}" (json_escape n)
-                  (json_escape h) v))
-           items)
-    in
-    scalar_section "counters" s.counters;
-    scalar_section "gauges" s.gauges;
-    let summary_fields ?window h (sm : Histogram.summary) =
-      Printf.sprintf "\"help\":\"%s\",%s\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"p50\":%d,\"p90\":%d,\"p99\":%d"
-        (json_escape h)
-        (match window with
-        | Some w -> Printf.sprintf "\"window\":\"%s\"," (json_escape w)
-        | None -> "")
-        sm.Histogram.count sm.Histogram.sum sm.Histogram.min sm.Histogram.max sm.Histogram.p50
-        sm.Histogram.p90 sm.Histogram.p99
-    in
-    obj "histograms"
-      (List.map
-         (fun (n, h, sm) () ->
-           Buffer.add_string b (Printf.sprintf "\"%s\":{%s}" (json_escape n) (summary_fields h sm)))
-         s.histograms);
-    obj "windows"
-      (List.map
-         (fun (n, h, wl, sm) () ->
-           Buffer.add_string b
-             (Printf.sprintf "\"%s\":{%s}" (json_escape n) (summary_fields ~window:wl h sm)))
-         s.windows);
-    Buffer.add_char b '}';
-    Buffer.contents b
+    to_string
+      (J_obj
+         ((("schema", J_string "holiwin-metrics/1")
+          :: Option.to_list (Option.map (fun ms -> ("taken_unix_ms", J_int ms)) stamp_ms))
+         @ [
+             ("counters", J_obj (List.map scalar s.counters));
+             ("gauges", J_obj (List.map scalar s.gauges));
+             ("histograms", J_obj (List.map (summary None) s.histograms));
+             ( "windows",
+               J_obj (List.map (fun (n, h, wl, sm) -> summary (Some wl) (n, h, sm)) s.windows) );
+           ]))
 end

@@ -295,10 +295,6 @@ val render : trace -> string
     ["%.1f kw"] so tests can mask them with a regexp; structure bytes are
     deterministic and left unmasked. *)
 
-val json_escape : string -> string
-(** JSON string-content escaping (quotes, backslash, control characters)
-    shared by the Chrome export, the metrics JSON and the query log. *)
-
 val to_chrome_json : trace -> string
 (** Chrome [trace_event] JSON (open in chrome://tracing or Perfetto):
     spans as ph="X" complete events with tid = domain id and

@@ -316,7 +316,7 @@ let parallel_for t ?chunk ?(chunk_max = default_task_size) ~lo ~hi f =
 (* HOLIWIN_DOMAINS overrides the default pool's size (clamped to [1,128]);
    unset or unparsable falls back to the runtime's recommendation.  This is
    the one knob threaded through every entry point that defaults its pool
-   ([Executor.run], [Window_plan.run], [Sql.query], the benches). *)
+   ([Window_plan.run], [Sql.query], the benches). *)
 let domains_from_env () =
   match Sys.getenv_opt "HOLIWIN_DOMAINS" with
   | None -> None

@@ -260,8 +260,7 @@ let lower_call table (c : Ast.window_call) : Wf.func =
 (* Query execution                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let run_with_stats ?pool ?fanout ?sample ?task_size ?algorithm ?evaluator ?governor ?mem_limit
-    ?session ~tables (q : Ast.query) =
+let run_with_stats ?pool ?algorithm ?evaluator ?governor ?session ~tables (q : Ast.query) =
   let table =
     match List.assoc_opt q.Ast.from tables with
     | Some t -> t
@@ -359,8 +358,7 @@ let run_with_stats ?pool ?fanout ?sample ?task_size ?algorithm ?evaluator ?gover
          through to the stateless path untouched. *)
       Obs.span "sql.window" (fun () ->
           let t, st =
-            Window_plan.run_with_stats ?pool ?fanout ?sample ?task_size ?evaluator ?governor
-              ?mem_limit ?session table clauses
+            Window_plan.run_with_stats ?pool ?evaluator ?governor ?session table clauses
           in
           plan_stats := Some st;
           t)
@@ -424,8 +422,5 @@ let run_with_stats ?pool ?fanout ?sample ?task_size ?algorithm ?evaluator ?gover
   in
   (result, !plan_stats)
 
-let run ?pool ?fanout ?sample ?task_size ?algorithm ?evaluator ?governor ?mem_limit ?session
-    ~tables q =
-  fst
-    (run_with_stats ?pool ?fanout ?sample ?task_size ?algorithm ?evaluator ?governor ?mem_limit
-       ?session ~tables q)
+let run ?pool ?algorithm ?evaluator ?governor ?session ~tables q =
+  fst (run_with_stats ?pool ?algorithm ?evaluator ?governor ?session ~tables q)

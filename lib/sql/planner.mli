@@ -14,13 +14,9 @@ val lower_expr : Table.t -> Ast.expr -> Expr.t
 
 val run :
   ?pool:Holistic_parallel.Task_pool.t ->
-  ?fanout:int ->
-  ?sample:int ->
-  ?task_size:int ->
   ?algorithm:Holistic_window.Window_func.algorithm ->
   ?evaluator:Holistic_window.Evaluator_choice.name ->
   ?governor:Holistic_window.Mem_governor.t ->
-  ?mem_limit:int ->
   ?session:Holistic_window.Session.t ->
   tables:(string * Table.t) list ->
   Ast.query ->
@@ -29,10 +25,10 @@ val run :
     every window function (for the CLI's --algorithm flag); [evaluator]
     forces every [Auto] item onto one backend, strictly — an unsupported
     (function, backend) pair raises (for the CLI's --evaluator flag; see
-    {!Holistic_window.Window_plan.run}); [governor]/[mem_limit] bound the
-    window stage's working set, spilling sorts and streaming builds under
-    pressure (for the CLI's --mem-limit flag; see
-    {!Holistic_window.Mem_governor}); [session] is a persistent
+    {!Holistic_window.Window_plan.run}); [governor] bounds the window
+    stage's working set, spilling sorts and streaming builds under
+    pressure (caller-owned; see {!Holistic_window.Mem_governor});
+    [session] is a persistent
     structure store consulted when the query's FROM table is the session's
     table and no WHERE clause filters it (see
     {!Holistic_window.Window_plan.run}).
@@ -40,13 +36,9 @@ val run :
 
 val run_with_stats :
   ?pool:Holistic_parallel.Task_pool.t ->
-  ?fanout:int ->
-  ?sample:int ->
-  ?task_size:int ->
   ?algorithm:Holistic_window.Window_func.algorithm ->
   ?evaluator:Holistic_window.Evaluator_choice.name ->
   ?governor:Holistic_window.Mem_governor.t ->
-  ?mem_limit:int ->
   ?session:Holistic_window.Session.t ->
   tables:(string * Table.t) list ->
   Ast.query ->

@@ -4,23 +4,17 @@ exception Semantic_error of string
 module Session = Holistic_window.Session
 module Query_stats = Holistic_window.Query_stats
 
-(* The environment sink ([HOLIWIN_QUERY_LOG]) is opened once, on the first
-   query, and shared by every call that doesn't pass its own sink. *)
-let env_sink = lazy (Query_stats.Log.of_env ())
+let parse src =
+  try Parser.parse src with Parser.Error (msg, off) -> raise (Parse_error (msg, off))
 
-let query ?pool ?fanout ?sample ?task_size ?algorithm ?evaluator ?governor ?mem_limit ?session
-    ?query_log ~tables src =
-  let ast =
-    try Parser.parse src with Parser.Error (msg, off) -> raise (Parse_error (msg, off))
-  in
-  let run () =
-    try
-      Planner.run_with_stats ?pool ?fanout ?sample ?task_size ?algorithm ?evaluator ?governor
-        ?mem_limit ?session ~tables ast
-    with Planner.Error msg -> raise (Semantic_error msg)
-  in
-  let sink = match query_log with Some _ -> query_log | None -> Lazy.force env_sink in
-  match sink with
+let plan ?pool ?algorithm ?evaluator ?governor ?session ~tables ast =
+  try Planner.run_with_stats ?pool ?algorithm ?evaluator ?governor ?session ~tables ast
+  with Planner.Error msg -> raise (Semantic_error msg)
+
+let query ?pool ?algorithm ?evaluator ?governor ?session ?query_log ~tables src =
+  let ast = parse src in
+  let run () = plan ?pool ?algorithm ?evaluator ?governor ?session ~tables ast in
+  match query_log with
   | Some sink ->
       let rows_in =
         match List.assoc_opt ast.Ast.from tables with
@@ -45,12 +39,6 @@ let query ?pool ?fanout ?sample ?task_size ?algorithm ?evaluator ?governor ?mem_
 
 let session_create ?pool table = Session.create ?pool table
 let session_table = Session.table
-
-let session_query ?fanout ?sample ?task_size ?algorithm ?evaluator ?query_log ?(name = "t")
-    session src =
-  query ?fanout ?sample ?task_size ?algorithm ?evaluator ?query_log ~session
-    ~tables:[ (name, Session.table session) ]
-    src
 
 let session_append = Session.append_rows
 
@@ -214,46 +202,22 @@ let explain_ast q =
 
 let explain src = explain_ast (Parser.parse src)
 
-(* EXPLAIN ANALYZE: run the query under {!Holistic_obs.Obs.with_capture}
-   and render the captured span tree and counters under the static plan
-   description. Everything time-valued prints as "%.3f ms" so tests can
-   mask it; structure, row counts and counters are deterministic for a
-   given pool size. *)
-let explain_analyze ?pool ?fanout ?sample ?task_size ?algorithm ?evaluator ?governor ?mem_limit
-    ?session ~tables src =
-  let ast =
-    try Parser.parse src with Parser.Error (msg, off) -> raise (Parse_error (msg, off))
-  in
-  let result, trace =
-    Holistic_obs.Obs.with_capture (fun () ->
-        Holistic_obs.Obs.span "sql.query" (fun () ->
-            try
-              Planner.run ?pool ?fanout ?sample ?task_size ?algorithm ?evaluator ?governor
-                ?mem_limit ?session ~tables ast
-            with Planner.Error msg -> raise (Semantic_error msg)))
-  in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (explain_ast ast);
-  Buffer.add_string b
-    (Printf.sprintf "rows: %d (%s)\n" (Holistic_storage.Table.nrows result)
-       (Holistic_obs.Obs.human_bytes (Holistic_storage.Table.footprint_bytes result)));
-  Buffer.add_string b (Holistic_obs.Obs.render trace);
-  (result, Buffer.contents b)
-
-let explain_analyze_trace ?pool ?fanout ?sample ?task_size ?algorithm ?evaluator ?governor
-    ?mem_limit ?session ~tables src =
-  let ast =
-    try Parser.parse src with Parser.Error (msg, off) -> raise (Parse_error (msg, off))
-  in
+(* EXPLAIN ANALYZE: one run of the query under
+   {!Holistic_obs.Obs.with_capture}, and one renderer of its span tree and
+   counters under the static plan description. Everything time-valued
+   prints as "%.3f ms" so tests can mask it; structure, row counts and
+   counters are deterministic for a given pool size. *)
+let explain_analyze_trace ?pool ?algorithm ?evaluator ?governor ?session ~tables src =
+  let ast = parse src in
   Holistic_obs.Obs.with_capture (fun () ->
       Holistic_obs.Obs.span "sql.query" (fun () ->
-          try
-            Planner.run ?pool ?fanout ?sample ?task_size ?algorithm ?evaluator ?governor
-              ?mem_limit ?session ~tables ast
-          with Planner.Error msg -> raise (Semantic_error msg)))
+          fst (plan ?pool ?algorithm ?evaluator ?governor ?session ~tables ast)))
 
-let session_explain_analyze ?fanout ?sample ?task_size ?algorithm ?evaluator ?(name = "t")
-    session src =
-  explain_analyze ?fanout ?sample ?task_size ?algorithm ?evaluator ~session
-    ~tables:[ (name, Session.table session) ]
-    src
+let render_analyze src (result, trace) =
+  String.concat ""
+    [
+      explain src;
+      Printf.sprintf "rows: %d (%s)\n" (Holistic_storage.Table.nrows result)
+        (Holistic_obs.Obs.human_bytes (Holistic_storage.Table.footprint_bytes result));
+      Holistic_obs.Obs.render trace;
+    ]

@@ -28,31 +28,29 @@ module Query_stats = Holistic_window.Query_stats
 
 val query :
   ?pool:Holistic_parallel.Task_pool.t ->
-  ?fanout:int ->
-  ?sample:int ->
-  ?task_size:int ->
   ?algorithm:Holistic_window.Window_func.algorithm ->
   ?evaluator:Holistic_window.Evaluator_choice.name ->
   ?governor:Holistic_window.Mem_governor.t ->
-  ?mem_limit:int ->
   ?session:Session.t ->
   ?query_log:Query_stats.Log.sink ->
   tables:(string * Table.t) list ->
   string ->
   Table.t
 (** Parses and executes one SELECT statement against the named tables.
-    [evaluator] forces every [Auto] window item onto one backend (strict;
-    see {!Holistic_window.Window_plan.run}); [governor]/[mem_limit] bound
-    the window stage's working set — sorts spill to disk runs and index
-    builds stream under pressure, with bit-identical results (the CLI's
-    --mem-limit flag and the [HOLIWIN_MEM_LIMIT] environment variable; see
-    {!Holistic_window.Mem_governor}); [session] is a persistent
-    structure store consulted and refilled when the FROM table is the
-    session's table and no WHERE clause filters it; [query_log] (or, when
-    absent, a sink opened once from [HOLIWIN_QUERY_LOG]) receives one
+    [algorithm] overrides the evaluation algorithm of every window
+    function; [evaluator] forces every [Auto] window item onto one backend
+    (strict; see {!Holistic_window.Window_plan.run}); [governor] bounds the
+    window stage's working set — sorts spill to disk runs and index builds
+    stream under pressure, with bit-identical results (caller-owned; see
+    {!Holistic_window.Mem_governor}); [session] is a persistent structure
+    store consulted and refilled when the FROM table is the session's
+    table and no WHERE clause filters it — bind it with
+    [~tables:[ (name, Session.table s) ]]; [query_log] receives one
     {!Query_stats.t} record per statement, collected with
     {!Query_stats.measure}.  Without a sink the statement still feeds the
-    [sql.query_ns] latency histograms whenever tracing is enabled. *)
+    [sql.query_ns] latency histograms whenever tracing is enabled.  The
+    library reads no environment variables here: the CLI turns
+    [HOLIWIN_MEM_LIMIT] and [HOLIWIN_QUERY_LOG] into these arguments. *)
 
 (** {2 Sessions}
 
@@ -69,20 +67,6 @@ val session_create : ?pool:Holistic_parallel.Task_pool.t -> Table.t -> Session.t
 val session_table : Session.t -> Table.t
 (** The session's current table (appends and evictions replace it). *)
 
-val session_query :
-  ?fanout:int ->
-  ?sample:int ->
-  ?task_size:int ->
-  ?algorithm:Holistic_window.Window_func.algorithm ->
-  ?evaluator:Holistic_window.Evaluator_choice.name ->
-  ?query_log:Query_stats.Log.sink ->
-  ?name:string ->
-  Session.t ->
-  string ->
-  Table.t
-(** {!query} with the session's table bound under [name] (default ["t"])
-    and the session's structure store engaged. *)
-
 val session_append : Session.t -> Table.t -> unit
 (** Appends [delta]'s rows (same schema) to the session's table and
     incrementally maintains every cached structure; see
@@ -95,62 +79,36 @@ val session_evict : Session.t -> string -> unit
     see {!Holistic_window.Session.evict_where}.
     @raise Parse_error / Semantic_error on a malformed predicate. *)
 
-val session_explain_analyze :
-  ?fanout:int ->
-  ?sample:int ->
-  ?task_size:int ->
-  ?algorithm:Holistic_window.Window_func.algorithm ->
-  ?evaluator:Holistic_window.Evaluator_choice.name ->
-  ?name:string ->
-  Session.t ->
-  string ->
-  Table.t * string
-(** {!explain_analyze} through the session: the report's sort and build
-    spans carry cache provenance tags — [reused(epoch=k)],
-    [maintained(+n rows)], [rebuilt(stale)] — showing how each structure
-    was obtained. *)
-
 val explain : string -> string
 (** Parses the statement and renders the recognised structure (for the CLI
     and tests). *)
 
-val explain_analyze :
-  ?pool:Holistic_parallel.Task_pool.t ->
-  ?fanout:int ->
-  ?sample:int ->
-  ?task_size:int ->
-  ?algorithm:Holistic_window.Window_func.algorithm ->
-  ?evaluator:Holistic_window.Evaluator_choice.name ->
-  ?governor:Holistic_window.Mem_governor.t ->
-  ?mem_limit:int ->
-  ?session:Session.t ->
-  tables:(string * Table.t) list ->
-  string ->
-  Table.t * string
-(** EXPLAIN ANALYZE: executes the statement with {!Holistic_obs.Obs}
-    tracing captured around it and returns the result together with a
-    report — the {!explain} plan description followed by the executed span
-    tree (per-stage wall time, sort kind/path provenance, rows, partitions,
-    per-item evaluation) and the non-zero counters (cache hits/misses,
-    plan sharing statistics, OVC merge decisions, pool activity). Wall
-    times print as ["%.3f ms"]; on a 1-domain [pool] everything else is
-    deterministic. The previous tracing state is restored afterwards. *)
-
 val explain_analyze_trace :
   ?pool:Holistic_parallel.Task_pool.t ->
-  ?fanout:int ->
-  ?sample:int ->
-  ?task_size:int ->
   ?algorithm:Holistic_window.Window_func.algorithm ->
   ?evaluator:Holistic_window.Evaluator_choice.name ->
   ?governor:Holistic_window.Mem_governor.t ->
-  ?mem_limit:int ->
   ?session:Session.t ->
   tables:(string * Table.t) list ->
   string ->
   Table.t * Holistic_obs.Obs.trace
-(** Like {!explain_analyze} but returning the raw captured trace, e.g. for
-    {!Holistic_obs.Obs.write_chrome_trace}. *)
+(** EXPLAIN ANALYZE's one observed run: executes the statement (arguments
+    as in {!query}) with {!Holistic_obs.Obs} tracing captured around it
+    and returns the result with the captured trace — render it with
+    {!render_analyze}, or export it with
+    {!Holistic_obs.Obs.write_chrome_trace}.  The previous tracing state is
+    restored afterwards.  Through a [session], sort and item spans carry
+    cache provenance tags — [reused(epoch=k)], [maintained(+n rows)],
+    [rebuilt(stale)] — showing how each structure was obtained. *)
+
+val render_analyze : string -> Table.t * Holistic_obs.Obs.trace -> string
+(** [render_analyze sql run] is the EXPLAIN ANALYZE report of [run] (as
+    returned by {!explain_analyze_trace} for [sql]): the {!explain} plan
+    description, a [rows:] line, then the executed span tree (per-stage
+    wall time, sort kind/path provenance, rows, partitions, per-item
+    evaluation) and the non-zero counters (cache hits/misses, plan sharing
+    statistics, OVC merge decisions, pool activity).  Wall times print as
+    ["%.3f ms"]; on a 1-domain pool everything else is deterministic. *)
 
 val print_query : Ast.query -> string
 (** Renders a query AST back to SQL text; [parse (print_query q)] yields a

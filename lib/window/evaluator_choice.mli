@@ -3,7 +3,7 @@
     [Window_plan] classifies every window item with {!classify}, filters
     backends with {!supports}, and resolves [Auto] items through
     {!Cost_model}; forced picks (explicit item algorithm, the [?evaluator]
-    knob, the [HOLIWIN_EVALUATOR] env var) are validated here too. *)
+    knob) are validated here too. *)
 
 (** One evaluation backend. Mirrors {!Window_func.algorithm} minus [Auto]
     — [Auto] is a request for a choice, not a backend. *)

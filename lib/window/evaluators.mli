@@ -3,7 +3,7 @@
     segment tree / competitor state) and the embarrassingly parallel probe
     phase (§4, §5).
 
-    Used by {!Executor}; exposed for tests and the benchmark harness. *)
+    Used by {!Window_plan}; exposed for tests and the benchmark harness. *)
 
 open Holistic_storage
 

@@ -168,10 +168,3 @@ let parse_limit s =
     | Some v when v > 0 -> (Some (v * mult), Auto)
     | _ -> fail ()
   end
-
-let of_env () =
-  match Sys.getenv_opt "HOLIWIN_MEM_LIMIT" with
-  | None | Some "" -> None
-  | Some s ->
-      let budget, policy = parse_limit s in
-      Some (create ?budget ~policy ())

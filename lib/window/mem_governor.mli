@@ -95,6 +95,3 @@ val parse_limit : string -> int option * policy
     (force-spill everything), a byte count, or a count with a [K] / [M] /
     [G] suffix, e.g. ["64K"], ["512M"], ["1G"]. Raises [Invalid_argument]
     with a usage hint otherwise. *)
-
-val of_env : unit -> t option
-(** A governor configured from [HOLIWIN_MEM_LIMIT], if set. *)

@@ -1,5 +1,6 @@
 open Holistic_storage
 module Obs = Holistic_obs.Obs
+module Json = Holistic_util.Json
 
 let schema_version = "holiwin-qlog/1"
 
@@ -128,221 +129,68 @@ let measure ?(sql = "") ?session_epoch ~rows_in f =
 (* holiwin-qlog/1 serialisation                                        *)
 (* ------------------------------------------------------------------ *)
 
-let esc = Obs.json_escape
-
 let to_json_line r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b (Printf.sprintf "{\"schema\":\"%s\"" schema_version);
-  Buffer.add_string b (Printf.sprintf ",\"seq\":%d,\"unix_ms\":%d" r.seq r.unix_ms);
-  Buffer.add_string b (Printf.sprintf ",\"sql\":\"%s\"" (esc r.sql));
-  Buffer.add_string b
-    (Printf.sprintf ",\"wall_ns\":%d,\"rows_in\":%d,\"rows_out\":%d" r.wall_ns r.rows_in
-       r.rows_out);
-  (match r.plan with
-  | None -> Buffer.add_string b ",\"plan\":null"
-  | Some (p : Window_plan.stats) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           ",\"plan\":{\"stages\":%d,\"partition_passes\":%d,\"full_sorts\":%d,\"partial_sorts\":%d,\"reused_sorts\":%d,\"session_sorts\":%d,\"comparator_sorts\":%d,\"encode_builds\":%d,\"tree_builds\":%d}"
-           p.Window_plan.stages p.Window_plan.partition_passes p.Window_plan.full_sorts
-           p.Window_plan.partial_sorts p.Window_plan.reused_sorts p.Window_plan.session_sorts
-           p.Window_plan.comparator_sorts p.Window_plan.encode_builds p.Window_plan.tree_builds));
-  Buffer.add_string b
-    (Printf.sprintf ",\"bytes\":{\"structure\":%d,\"scratch\":%d,\"spill\":%d}"
-       r.structure_bytes r.scratch_bytes r.spill_bytes);
-  Buffer.add_string b (Printf.sprintf ",\"spill_runs\":%d" r.spill_runs);
-  Buffer.add_string b
-    (Printf.sprintf ",\"cache\":{\"hits\":%d,\"misses\":%d,\"maintained\":%d,\"rebuilt\":%d}"
-       r.cache_hits r.cache_misses r.cache_maintained r.cache_rebuilt);
-  Buffer.add_string b ",\"evaluators\":{";
-  List.iteri
-    (fun i (n, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (esc n) v))
-    r.evaluators;
-  Buffer.add_char b '}';
-  Buffer.add_string b
-    (Printf.sprintf ",\"gc\":{\"alloc_w\":%d,\"promoted_w\":%d,\"majors\":%d}" r.alloc_w
-       r.promoted_w r.majors);
-  (match r.session_epoch with
-  | None -> Buffer.add_string b ",\"session_epoch\":null"
-  | Some e -> Buffer.add_string b (Printf.sprintf ",\"session_epoch\":%d" e));
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-(* --- a tiny self-contained JSON reader (same discipline as
-   bench/report.ml: no dependencies, fail loudly, accepts exactly what
-   the writer above and compatible producers emit) ------------------- *)
-
-type json =
-  | J_null
-  | J_bool of bool
-  | J_int of int
-  | J_float of float
-  | J_string of string
-  | J_list of json list
-  | J_obj of (string * json) list
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = failwith (Printf.sprintf "qlog json: %s at offset %d" msg !pos) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some 'n' -> Buffer.add_char b '\n'
-          | Some 't' -> Buffer.add_char b '\t'
-          | Some 'r' -> Buffer.add_char b '\r'
-          | Some '"' -> Buffer.add_char b '"'
-          | Some '\\' -> Buffer.add_char b '\\'
-          | Some '/' -> Buffer.add_char b '/'
-          | Some 'u' ->
-              advance ();
-              if !pos + 3 >= n then fail "bad \\u escape";
-              let hex = String.sub s !pos 4 in
-              pos := !pos + 3;
-              let code = int_of_string ("0x" ^ hex) in
-              if code < 0x80 then Buffer.add_char b (Char.chr code)
-              else if code < 0x800 then begin
-                Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-              end
-              else begin
-                Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-              end
-          | _ -> fail "bad escape");
-          advance ();
-          go ()
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
-      pos := !pos + l;
-      v
-    end
-    else fail ("expected " ^ lit)
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while (match peek () with Some c when is_num c -> true | _ -> false) do
-      advance ()
-    done;
-    let tok = String.sub s start (!pos - start) in
-    match int_of_string_opt tok with
-    | Some i -> J_int i
-    | None -> (
-        match float_of_string_opt tok with
-        | Some f -> J_float f
-        | None -> fail ("bad number " ^ tok))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          J_obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected , or }"
-          in
-          J_obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          J_list []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ]"
-          in
-          J_list (elements [])
-        end
-    | Some '"' -> J_string (parse_string ())
-    | Some 't' -> parse_literal "true" (J_bool true)
-    | Some 'f' -> parse_literal "false" (J_bool false)
-    | Some 'n' -> parse_literal "null" J_null
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member k = function J_obj kvs -> List.assoc_opt k kvs | _ -> None
+  let open Json in
+  let ints kvs = J_obj (List.map (fun (k, v) -> (k, J_int v)) kvs) in
+  let int_opt = function None -> J_null | Some v -> J_int v in
+  to_string
+    (J_obj
+       [
+         ("schema", J_string schema_version);
+         ("seq", J_int r.seq);
+         ("unix_ms", J_int r.unix_ms);
+         ("sql", J_string r.sql);
+         ("wall_ns", J_int r.wall_ns);
+         ("rows_in", J_int r.rows_in);
+         ("rows_out", J_int r.rows_out);
+         ( "plan",
+           match r.plan with
+           | None -> J_null
+           | Some (p : Window_plan.stats) ->
+               ints
+                 [
+                   ("stages", p.Window_plan.stages);
+                   ("partition_passes", p.Window_plan.partition_passes);
+                   ("full_sorts", p.Window_plan.full_sorts);
+                   ("partial_sorts", p.Window_plan.partial_sorts);
+                   ("reused_sorts", p.Window_plan.reused_sorts);
+                   ("session_sorts", p.Window_plan.session_sorts);
+                   ("comparator_sorts", p.Window_plan.comparator_sorts);
+                   ("encode_builds", p.Window_plan.encode_builds);
+                   ("tree_builds", p.Window_plan.tree_builds);
+                 ] );
+         ( "bytes",
+           ints
+             [ ("structure", r.structure_bytes); ("scratch", r.scratch_bytes); ("spill", r.spill_bytes) ]
+         );
+         ("spill_runs", J_int r.spill_runs);
+         ( "cache",
+           ints
+             [
+               ("hits", r.cache_hits);
+               ("misses", r.cache_misses);
+               ("maintained", r.cache_maintained);
+               ("rebuilt", r.cache_rebuilt);
+             ] );
+         ("evaluators", ints r.evaluators);
+         ("gc", ints [ ("alloc_w", r.alloc_w); ("promoted_w", r.promoted_w); ("majors", r.majors) ]);
+         ("session_epoch", int_opt r.session_epoch);
+       ])
 
 let get_int ctx = function
-  | Some (J_int v) -> v
+  | Some (Json.J_int v) -> v
   | _ -> failwith (Printf.sprintf "qlog: missing or non-int %s" ctx)
 
 let get_string ctx = function
-  | Some (J_string v) -> v
+  | Some (Json.J_string v) -> v
   | _ -> failwith (Printf.sprintf "qlog: missing or non-string %s" ctx)
 
 let of_json_line line =
-  let j = parse_json line in
+  let open Json in
+  let j =
+    try parse line
+    with Parse_error (msg, off) -> failwith (Printf.sprintf "qlog json: %s at offset %d" msg off)
+  in
   let schema = get_string "schema" (member "schema" j) in
   if schema <> schema_version then
     failwith (Printf.sprintf "qlog: unsupported schema %S (want %S)" schema schema_version);
@@ -449,26 +297,13 @@ module Log = struct
       close_out s.oc
     end
 
-  let of_env () =
-    match Sys.getenv_opt "HOLIWIN_QUERY_LOG" with
-    | None | Some "" -> None
-    | Some path ->
-        let max_bytes =
-          match Sys.getenv_opt "HOLIWIN_QUERY_LOG_BYTES" with
-          | Some s -> int_of_string_opt (String.trim s)
-          | None -> None
-        in
-        Some (open_ ?max_bytes path)
-
   let load path =
     let ic = open_in path in
     let rec go acc =
       match input_line ic with
       | "" -> go acc
       | line -> go (of_json_line line :: acc)
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
+      | exception End_of_file -> List.rev acc
     in
-    go []
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go [])
 end

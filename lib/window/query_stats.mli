@@ -8,15 +8,15 @@
     registered counters around it, enabling tracing for the duration when
     it was off — the same counter semantics as EXPLAIN ANALYZE) and
     appended to a JSONL query log with the versioned [holiwin-qlog/1]
-    schema: one self-describing JSON object per line, with a
-    self-contained parser ({!of_json_line}) like [bench/report.ml]'s, so
-    SLO tooling needs no JSON dependency.
+    schema: one self-describing JSON object per line, written and read
+    ({!of_json_line}) with the shared {!Holistic_util.Json} codec, so SLO
+    tooling needs no JSON dependency.
 
     The log sink ({!Log}) rotates by size: when a record would push the
     file past [max_bytes], the file is renamed to [PATH.1] (replacing any
     previous [PATH.1]) and a fresh file starts — bounded disk, always
-    line-atomic.  [Sql.query] opens one from [--query-log FILE] or the
-    [HOLIWIN_QUERY_LOG] environment variable. *)
+    line-atomic.  The CLI opens one from [--query-log FILE] or the
+    [HOLIWIN_QUERY_LOG] environment variable and hands it to [Sql.query]. *)
 
 open Holistic_storage
 
@@ -90,10 +90,6 @@ module Log : sig
   val path : sink -> string
   val rotations : sink -> int
   val close : sink -> unit
-
-  val of_env : unit -> sink option
-  (** A sink at [HOLIWIN_QUERY_LOG] (with [HOLIWIN_QUERY_LOG_BYTES]
-      overriding [max_bytes]) — [None] when the variable is unset. *)
 
   val load : string -> t list
   (** Parse every line of a log file (for tests and tooling). *)

@@ -128,16 +128,27 @@ let full_sort ?gov pool table ~pids ~order =
   | Some g -> (
       (* governed: charge the encoded key words, let the governor decide,
          and mirror each path's transient working set (see the model in
-         Mem_governor.plan_sort) so [peak] is the accounted high-water *)
+         Mem_governor.plan_sort) so [peak] is the accounted high-water.
+         [held] tracks what is charged, so a failure anywhere — the
+         budget check, the sort, the spill IO — releases it all. *)
+      let held = ref 0 in
+      let charge b =
+        Mem_governor.charge g b;
+        held := !held + b
+      and release b =
+        Mem_governor.release g b;
+        held := !held - b
+      in
+      Fun.protect ~finally:(fun () -> Mem_governor.release g !held) @@ fun () ->
       let c_words = 8 * nwords * n in
-      Mem_governor.charge g c_words;
+      charge c_words;
       let multi_run = Task_pool.size pool > 1 && n > Task_pool.default_task_size in
       match Mem_governor.plan_sort g ~n ~nwords ~multi_run with
       | Mem_governor.Sort_in_memory ->
           let need = (16 * n) + if multi_run then 16 * n else 0 in
-          Mem_governor.charge g need;
+          charge need;
           let r = in_memory () in
-          Mem_governor.release g (need + c_words);
+          release (need + c_words);
           r
       | Mem_governor.Sort_spill { run_rows; read_entries } ->
           let dir = Mem_governor.spill_dir g in
@@ -145,7 +156,7 @@ let full_sort ?gov pool table ~pids ~order =
           let nruns = ((n - 1) / run_rows) + 1 in
           let c_form = 24 * run_rows in
           let c_merge = (8 * n) + (nruns * read_entries * stride * 8) in
-          Mem_governor.charge g c_form;
+          charge c_form;
           let interior = ref [] in
           let on_key0 =
             match kc.Key_codec.pid_divisor with
@@ -166,11 +177,11 @@ let full_sort ?gov pool table ~pids ~order =
               ~after_runs:(fun () ->
                 (* the key words are on disk now: swap the formation-side
                    charges for the merge-side ones *)
-                Mem_governor.release g (c_form + c_words);
-                Mem_governor.charge g c_merge)
+                release (c_form + c_words);
+                charge c_merge)
               ()
           in
-          Mem_governor.release g c_merge;
+          release c_merge;
           Mem_governor.note_spill g ~runs ~bytes;
           let boundaries =
             if n = 0 then [| 0; 0 |]

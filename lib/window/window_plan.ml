@@ -214,17 +214,6 @@ let c_evaluator =
 (* Per-item evaluator resolution                                       *)
 (* ------------------------------------------------------------------ *)
 
-let parse_env_evaluator () =
-  match Sys.getenv_opt "HOLIWIN_EVALUATOR" with
-  | None | Some "" -> None
-  | Some s -> (
-      match Evaluator_choice.of_string s with
-      | Some n -> Some n
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Window: unknown HOLIWIN_EVALUATOR %S (one of %s)" s
-               (String.concat "/" (List.map Evaluator_choice.to_string Evaluator_choice.all))))
-
 let holed_spec (spec : Window_spec.t) =
   match spec.Window_spec.frame with
   | Some f -> f.Window_spec.exclusion <> Window_spec.Exclude_no_others
@@ -240,11 +229,8 @@ let holed_spec (spec : Window_spec.t) =
    Precedence: an explicit item algorithm always wins and keeps the
    evaluator bodies' historical semantics (including their silent
    fallbacks); the [?evaluator] knob is strict — an unsupported (function,
-   backend) pair is an error; the HOLIWIN_EVALUATOR env var is lenient —
-   it forces the backend where eligible and leaves the cost model to pick
-   elsewhere, so a whole workload (e.g. the CI fuzz leg) can run under one
-   forced backend. *)
-let resolve_item ~evaluator ~env_force ~sunk ~(model : Cost_model.constants) ~rows_avg ~nparts
+   backend) pair is an error; otherwise the cost model picks. *)
+let resolve_item ~evaluator ~sunk ~(model : Cost_model.constants) ~rows_avg ~nparts
     ~task_size ~fanout (spec : Window_spec.t) (item : Window_func.t) =
   let module Ec = Evaluator_choice in
   match Ec.classify item with
@@ -259,51 +245,48 @@ let resolve_item ~evaluator ~env_force ~sunk ~(model : Cost_model.constants) ~ro
             | Some f ->
                 if Ec.supports f cls ~holed then f
                 else invalid_arg (Ec.unsupported_message f cls ~holed)
-            | None -> (
-                match env_force with
-                | Some f when Ec.supports f cls ~holed -> f
-                | _ ->
-                    let frame_rows, monotonic = Cost_model.estimate_frame spec ~rows:rows_avg in
-                    let d =
-                      Cost_model.choose ~sunk model
-                        {
-                          Cost_model.rows = rows_avg;
-                          nparts;
-                          frame_rows;
-                          monotonic;
-                          holed;
-                          cls;
-                          task_size;
-                          fanout;
-                        }
+            | None ->
+                let frame_rows, monotonic = Cost_model.estimate_frame spec ~rows:rows_avg in
+                let d =
+                  Cost_model.choose ~sunk model
+                    {
+                      Cost_model.rows = rows_avg;
+                      nparts;
+                      frame_rows;
+                      monotonic;
+                      holed;
+                      cls;
+                      task_size;
+                      fanout;
+                    }
+                in
+                Obs.span "choose"
+                  ~args:(fun () ->
+                    let total s = s *. float_of_int (max 1 nparts) /. 1000.0 in
+                    let fmt (nm, s) =
+                      Printf.sprintf "%s=%.1fus" (Ec.to_string nm) (total s)
                     in
-                    Obs.span "choose"
-                      ~args:(fun () ->
-                        let total s = s *. float_of_int (max 1 nparts) /. 1000.0 in
-                        let fmt (nm, s) =
-                          Printf.sprintf "%s=%.1fus" (Ec.to_string nm) (total s)
-                        in
-                        [
-                          ("item", item.Window_func.name);
-                          ("evaluator", Ec.to_string d.Cost_model.chosen);
-                          ("cost", fmt (d.Cost_model.chosen,
-                                        List.assoc d.Cost_model.chosen d.Cost_model.scores));
-                          ( "rejected",
-                            String.concat ","
-                              (List.filter_map
-                                 (fun (nm, s) ->
-                                   if nm = d.Cost_model.chosen then None else Some (fmt (nm, s)))
-                                 d.Cost_model.scores) );
-                        ]
-                        @
-                        if sunk = [] then []
-                        else
-                          [
-                            ( "sunk",
-                              String.concat "," (List.map Ec.to_string sunk) );
-                          ])
-                      (fun () -> ());
-                    d.Cost_model.chosen))
+                    [
+                      ("item", item.Window_func.name);
+                      ("evaluator", Ec.to_string d.Cost_model.chosen);
+                      ("cost", fmt (d.Cost_model.chosen,
+                                    List.assoc d.Cost_model.chosen d.Cost_model.scores));
+                      ( "rejected",
+                        String.concat ","
+                          (List.filter_map
+                             (fun (nm, s) ->
+                               if nm = d.Cost_model.chosen then None else Some (fmt (nm, s)))
+                             d.Cost_model.scores) );
+                    ]
+                    @
+                    if sunk = [] then []
+                    else
+                      [
+                        ( "sunk",
+                          String.concat "," (List.map Ec.to_string sunk) );
+                      ])
+                  (fun () -> ());
+                d.Cost_model.chosen)
       in
       Obs.Counter.incr (List.assoc chosen c_evaluator);
       ( { item with Window_func.algorithm = Ec.to_algorithm chosen },
@@ -317,26 +300,12 @@ let order_permutation ?pool table ~over =
   let perm, boundaries, _ = full_sort pool table ~pids ~order:over.Window_spec.order_by in
   (perm, boundaries)
 
+(* [governor] is owned by the caller (spill directory included); without
+   one the plan is the exact historical in-memory plan, with identical
+   spans and goldens. *)
 let run_with_stats ?pool ?(fanout = 32) ?(sample = 32)
-    ?(task_size = Task_pool.default_task_size) ?(width = Holistic_core.Mst_width.Auto) ?evaluator
-    ?governor ?mem_limit ?session table clauses =
+    ?(task_size = Task_pool.default_task_size) ?evaluator ?governor:gov ?session table clauses =
   let pool = match pool with Some p -> p | None -> Task_pool.default () in
-  let env_force = parse_env_evaluator () in
-  (* memory governor: an explicit one wins, then ?mem_limit (bytes), then
-     HOLIWIN_MEM_LIMIT; none → the exact historical in-memory plan, with
-     identical spans and goldens. Governors made here own their spill dir. *)
-  let gov, gov_owned =
-    match governor with
-    | Some g -> (Some g, false)
-    | None -> (
-        match mem_limit with
-        | Some b -> (Some (Mem_governor.create ~budget:b ()), true)
-        | None -> (
-            match Mem_governor.of_env () with Some g -> (Some g, true) | None -> (None, false)))
-  in
-  Fun.protect ~finally:(fun () ->
-      match gov with Some g when gov_owned -> Mem_governor.cleanup g | _ -> ())
-  @@ fun () ->
   let n = Table.nrows table in
   (* a session only applies to queries over exactly its table — a plan over
      any other table (e.g. a WHERE-filtered copy) runs stateless *)
@@ -523,7 +492,7 @@ let run_with_stats ?pool ?(fanout = 32) ?(sample = 32)
                             | _ -> []
                           in
                           let ((item', _) as resolved) =
-                            resolve_item ~evaluator ~env_force ~sunk ~model:Cost_model.default
+                            resolve_item ~evaluator ~sunk ~model:Cost_model.default
                               ~rows_avg:(if nparts = 0 then 0 else n / nparts)
                               ~nparts ~task_size ~fanout c.spec item
                           in
@@ -589,7 +558,7 @@ let run_with_stats ?pool ?(fanout = 32) ?(sample = 32)
                           fanout;
                           sample;
                           task_size;
-                          width;
+                          width = Holistic_core.Mst_width.Auto;
                           cache;
                           gov;
                         }
@@ -709,8 +678,5 @@ let run_with_stats ?pool ?(fanout = 32) ?(sample = 32)
       tree_builds = Build_cache.tree_build_count counters - tree_builds0;
     } )
 
-let run ?pool ?fanout ?sample ?task_size ?width ?evaluator ?governor ?mem_limit ?session table
-    clauses =
-  fst
-    (run_with_stats ?pool ?fanout ?sample ?task_size ?width ?evaluator ?governor ?mem_limit
-       ?session table clauses)
+let run ?pool ?fanout ?sample ?task_size ?evaluator ?governor ?session table clauses =
+  fst (run_with_stats ?pool ?fanout ?sample ?task_size ?evaluator ?governor ?session table clauses)

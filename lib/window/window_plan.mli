@@ -61,37 +61,37 @@ val run :
   ?fanout:int ->
   ?sample:int ->
   ?task_size:int ->
-  ?width:Holistic_core.Mst_width.choice ->
   ?evaluator:Evaluator_choice.name ->
   ?governor:Mem_governor.t ->
-  ?mem_limit:int ->
   ?session:Session.t ->
   Table.t ->
   clause list ->
   Table.t
 (** [run table clauses] evaluates every item of every clause and returns the
     input table extended with one column per item (named by the item), in
-    the original row order. Parameters as in {!Executor.run}.
+    the original row order. A single OVER clause is the one-element list
+    [[ { spec = over; items } ]]. [fanout]/[sample] are the merge-sort-tree
+    parameters (default 32/32, §6.6); [task_size] the morsel size (default
+    {!Holistic_parallel.Task_pool.default_task_size}, §5.5). Merge sort
+    trees use the narrowest storage width the partition's rank encoding
+    fits ({!Holistic_core.Mst_width.Auto}, §5.1).
 
     Items whose algorithm is [Auto] are resolved to a concrete backend per
     (stage, item) through {!Cost_model.choose}; [?evaluator] forces the
     backend instead and rejects unsupported (function, backend) pairs with
-    [Invalid_argument].  The [HOLIWIN_EVALUATOR] environment variable is a
-    lenient version of the same knob: it forces the backend on eligible
-    items only and leaves the rest to the cost model.  Explicit item
-    algorithms always win and keep their historical semantics.  Every
+    [Invalid_argument].  Explicit item algorithms always win and keep
+    their historical semantics.  Every
     resolution bumps the [plan.evaluator.<name>] counter once and is
     surfaced in EXPLAIN ANALYZE ([choose] spans with the rejected
     candidates' predicted costs, and an [evaluator] arg on item spans).
 
-    [?governor] / [?mem_limit] bound the plan's working set: stage sorts
-    spill to disk runs and large MST builds stream their leaves whenever
-    {!Mem_governor} says the in-memory path would overrun the budget.
-    [?mem_limit] (bytes) creates a fresh governor owned by this run (its
-    spill directory is cleaned up on exit, success or failure); an explicit
-    [?governor] wins over it and stays owned by the caller.  When neither
-    is given, [HOLIWIN_MEM_LIMIT] is consulted ({!Mem_governor.of_env}).
-    Results are bit-identical to the unlimited run; spills are surfaced as
+    [?governor] bounds the plan's working set: stage sorts spill to disk
+    runs and large MST builds stream their leaves whenever
+    {!Mem_governor} says the in-memory path would overrun the budget.  The
+    governor stays owned by the caller (create it once, {!Mem_governor.cleanup}
+    it when done); its accounted live bytes are back to their starting
+    value when the run returns or raises.  Without one the plan runs
+    entirely in memory.  Results are bit-identical to the unlimited run; spills are surfaced as
     a [spilled=(runs=n, bytes)] arg on the sort span and the
     [sort.spill_runs] / [sort.spill_bytes] counters.
     @raise Mem_governor.Budget_too_small
@@ -110,10 +110,8 @@ val run_with_stats :
   ?fanout:int ->
   ?sample:int ->
   ?task_size:int ->
-  ?width:Holistic_core.Mst_width.choice ->
   ?evaluator:Evaluator_choice.name ->
   ?governor:Mem_governor.t ->
-  ?mem_limit:int ->
   ?session:Session.t ->
   Table.t ->
   clause list ->

@@ -4,11 +4,12 @@
    must trip the gate while an unmodified report passes. *)
 
 module Report = Report
+module Json = Holistic_util.Json
 module Obs = Holistic_obs.Obs
 
 let baseline_report () =
   Report.make ~experiment:"synthetic"
-    ~params:[ ("rows", Report.J_int 10_000) ]
+    ~params:[ ("rows", Json.J_int 10_000) ]
     ~metrics:
       [
         ("time_s", Report.metric ~unit_:"s" ~tolerance:0.2 1.0);
@@ -42,7 +43,7 @@ let violation_names ~fresh =
 
 let test_roundtrip () =
   let r = baseline_report () in
-  let r' = Report.parse (Report.json_to_string r) in
+  let r' = Json.parse (Json.to_string ~pretty:true r) in
   Alcotest.(check string) "experiment survives" "synthetic" (Report.experiment_of r');
   let ms = Report.metrics_of r and ms' = Report.metrics_of r' in
   Alcotest.(check int) "metric count" (List.length ms) (List.length ms');
@@ -55,14 +56,19 @@ let test_roundtrip () =
     ms ms';
   (* escaped strings, nested arrays, null and exponents survive too *)
   let j =
-    Report.J_obj
+    Json.J_obj
       [
-        ("s", Report.J_string "a\"b\\c\nd\te\r\xe2\x82\xac");
-        ("a", Report.J_list [ Report.J_int (-3); Report.J_float 1.5e-3; Report.J_null ]);
-        ("b", Report.J_bool false);
+        ("s", Json.J_string "a\"b\\c\nd\te\r\xe2\x82\xac");
+        ("a", Json.J_list [ Json.J_int (-3); Json.J_float 1.5e-3; Json.J_null ]);
+        ("b", Json.J_bool false);
       ]
   in
-  Alcotest.(check bool) "generic round-trip" true (Report.parse (Report.json_to_string j) = j)
+  Alcotest.(check bool) "generic round-trip" true (Json.parse (Json.to_string ~pretty:true j) = j);
+  Alcotest.(check bool) "compact round-trip" true (Json.parse (Json.to_string j) = j);
+  (* the escape spellings every writer shares: short forms for newline,
+     tab and carriage return, \u00XX for the other control characters *)
+  Alcotest.(check string) "escapes" {|"a\"b\\c\nd\te\r\u0001"|}
+    (Json.to_string (Json.J_string "a\"b\\c\nd\te\r\001"))
 
 let test_hist_summary_json () =
   let h = Obs.Histogram.make "test.gate.hist" in
@@ -70,7 +76,7 @@ let test_hist_summary_json () =
   List.iter (Obs.Histogram.add_always h) [ 10; 20; 30 ];
   let j = Report.json_of_hist_summary (Obs.Histogram.summary h) in
   Alcotest.(check (option (float 0.))) "count serialised" (Some 3.0)
-    (Option.bind (Report.member "count" j) Report.to_float);
+    (Option.bind (Json.member "count" j) Json.to_float);
   Obs.Histogram.reset h
 
 (* ------------------------------------------------------------------ *)
@@ -132,7 +138,21 @@ let test_file_roundtrip () =
       Report.save path (baseline_report ());
       let r = Report.load path in
       Alcotest.(check string) "loaded experiment" "synthetic" (Report.experiment_of r);
-      Alcotest.(check int) "loaded metrics" 4 (List.length (Report.metrics_of r)))
+      Alcotest.(check int) "loaded metrics" 4 (List.length (Report.metrics_of r)));
+  (* every committed baseline reads back and reprints byte for byte (the
+     directory is relative to test/ under dune runtest, to the root under
+     dune exec) *)
+  let dir =
+    List.find Sys.file_exists [ "../bench/baselines"; "bench/baselines" ]
+  in
+  Array.iter
+    (fun name ->
+      let path = Filename.concat dir name in
+      let ic = open_in_bin path in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check string) name text (Json.to_string ~pretty:true (Report.load path)))
+    (Sys.readdir dir)
 
 let () =
   Alcotest.run "bench-gate"

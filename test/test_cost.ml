@@ -1,9 +1,8 @@
 (* The cost-based evaluator choice: model shape (monotonicity, the decision
    floor, legacy defaults), crossover direction checked against measured
    wall time at two sizes, forced-choice parity across frame kinds and
-   exclusions through [Executor.run ?evaluator], the strict rejection of
-   unsupported (function, backend) pairs, and the HOLIWIN_EVALUATOR env
-   override. *)
+   exclusions through [Window_plan.run ?evaluator], and the strict
+   rejection of unsupported (function, backend) pairs. *)
 
 open Holistic_storage
 open Holistic_window
@@ -136,7 +135,10 @@ let test_crossover () =
               ~frame:(Ws.rows_between (Ws.preceding 1) Ws.Current_row) ()
           in
           let growing = Ws.over ~order_by:[ Sort_spec.asc (Expr.Col "ts") ] () in
-          let run over ev = Executor.run ~pool ~evaluator:ev table ~over [ Wf.rank ~name:"r" [] ] in
+          let run over ev =
+            Window_plan.run ~pool ~evaluator:ev table
+              [ { Window_plan.spec = over; items = [ Wf.rank ~name:"r" [] ] } ]
+          in
           List.iter
             (fun (label, over, fast, slow) ->
               let frame_rows, monotonic = Cost.estimate_frame over ~rows:n in
@@ -226,7 +228,9 @@ let test_forced_parity () =
             | Some f -> f.Ws.exclusion <> Ws.Exclude_no_others
             | None -> false
           in
-          let baseline = Executor.run ~pool table ~over (parity_items ()) in
+          let baseline =
+            Window_plan.run ~pool table [ { Window_plan.spec = over; items = parity_items () } ]
+          in
           List.iter
             (fun ev ->
               let items =
@@ -235,7 +239,9 @@ let test_forced_parity () =
                   (parity_items ())
               in
               if items <> [] then begin
-                let out = Executor.run ~pool ~evaluator:ev table ~over items in
+                let out =
+                  Window_plan.run ~pool ~evaluator:ev table [ { Window_plan.spec = over; items } ]
+                in
                 List.iter
                   (fun (it : Wf.t) ->
                     let b = Table.column baseline it.Wf.name in
@@ -277,7 +283,8 @@ let test_rejections () =
       let over = Ws.over ~order_by:[ Sort_spec.asc (Expr.Col "k") ] () in
       (* a segment tree cannot evaluate rank: strict knob, clear message *)
       check_invalid_arg ~substring:"does not support rank" (fun () ->
-          Executor.run ~pool ~evaluator:Ec.Segment_tree table ~over [ Wf.rank ~name:"r" [] ]);
+          Window_plan.run ~pool ~evaluator:Ec.Segment_tree table
+            [ { Window_plan.spec = over; items = [ Wf.rank ~name:"r" [] ] } ]);
       (* incremental backends cannot cross exclusion holes *)
       let holed =
         Ws.over
@@ -286,42 +293,12 @@ let test_rejections () =
           ()
       in
       check_invalid_arg ~substring:"exclusion holes" (fun () ->
-          Executor.run ~pool ~evaluator:Ec.Incremental table ~over:holed
-            [ Wf.count ~distinct:true ~name:"dc" (Expr.Col "k") ]);
+          Window_plan.run ~pool ~evaluator:Ec.Incremental table
+            [ { Window_plan.spec = holed; items = [ Wf.count ~distinct:true ~name:"dc" (Expr.Col "k") ] } ]);
       (* ...but the same pair without holes runs fine *)
       ignore
-        (Executor.run ~pool ~evaluator:Ec.Incremental table ~over
-           [ Wf.count ~distinct:true ~name:"dc" (Expr.Col "k") ]))
-
-let with_env value f =
-  let old = Sys.getenv_opt "HOLIWIN_EVALUATOR" in
-  Unix.putenv "HOLIWIN_EVALUATOR" value;
-  Fun.protect ~finally:(fun () -> Unix.putenv "HOLIWIN_EVALUATOR" (Option.value ~default:"" old)) f
-
-let counter trace name = Option.value ~default:0 (List.assoc_opt name trace.Obs.counters)
-
-let test_env_override () =
-  let pool = Task_pool.create 1 in
-  Fun.protect
-    ~finally:(fun () -> Task_pool.shutdown pool)
-    (fun () ->
-      let rng = Rng.create 6 in
-      let table = parity_table rng 60 in
-      let over = Ws.over ~order_by:[ Sort_spec.asc (Expr.Col "k") ] () in
-      let items = [ Wf.sum ~name:"s" (Expr.Col "f"); Wf.rank ~name:"r" [] ] in
-      (* the ISSUE's underscore spelling must parse *)
-      with_env "segment_tree" (fun () ->
-          let _, trace = Obs.with_capture (fun () -> Executor.run ~pool table ~over items) in
-          (* SUM is forced onto the segment tree; rank is ineligible for it,
-             so the cost model picks (and at 60 rows the floor keeps MST) *)
-          Alcotest.(check int) "sum forced to segment tree" 1
-            (counter trace "plan.evaluator.segment-tree");
-          Alcotest.(check int) "rank left to the cost model" 1 (counter trace "plan.evaluator.mst"));
-      with_env "bogus" (fun () ->
-          check_invalid_arg ~substring:"unknown HOLIWIN_EVALUATOR" (fun () ->
-              Executor.run ~pool table ~over items));
-      (* empty value = unset *)
-      with_env "" (fun () -> ignore (Executor.run ~pool table ~over items)))
+        (Window_plan.run ~pool ~evaluator:Ec.Incremental table
+           [ { Window_plan.spec = over; items = [ Wf.count ~distinct:true ~name:"dc" (Expr.Col "k") ] } ]))
 
 let test_name_round_trip () =
   List.iter
@@ -373,6 +350,5 @@ let () =
       ( "knobs",
         [
           Alcotest.test_case "unsupported pairs rejected" `Quick test_rejections;
-          Alcotest.test_case "HOLIWIN_EVALUATOR override" `Quick test_env_override;
         ] );
     ]

@@ -311,6 +311,43 @@ let table_to_string table =
 let describe table clauses =
   String.concat "\n" (List.map clause_to_string clauses) ^ "\n" ^ table_to_string table
 
+(* [force_backend nm] pins every eligible Auto item onto backend [nm]
+   ([Evaluator_choice.supports] decides eligibility, so ineligible items
+   keep their cost-based pick). *)
+let force_backend nm (clauses : Window_plan.clause list) =
+  List.map
+    (fun (c : Window_plan.clause) ->
+      let holed =
+        match c.spec.Ws.frame with
+        | Some f -> f.Ws.exclusion <> Ws.Exclude_no_others
+        | None -> false
+      in
+      {
+        c with
+        Window_plan.items =
+          List.map
+            (fun (it : Wf.t) ->
+              if it.Wf.algorithm = Wf.Auto && Evaluator_choice.supports nm (Evaluator_choice.classify it) ~holed
+              then { it with Wf.algorithm = Evaluator_choice.to_algorithm nm }
+              else it)
+            c.items;
+      })
+    clauses
+
+(* FUZZ_EVALUATOR=<backend> runs every case with [force_backend] applied
+   (e.g. the CI's forced-segment-tree leg); unset or empty leaves the cost
+   model to pick. *)
+let fuzz_evaluator =
+  match Sys.getenv_opt "FUZZ_EVALUATOR" with
+  | None | Some "" -> None
+  | Some s -> (
+      match Evaluator_choice.of_string s with
+      | Some nm -> Some nm
+      | None -> failwith (Printf.sprintf "FUZZ_EVALUATOR: unknown backend %S" s))
+
+let pin clauses =
+  match fuzz_evaluator with Some nm -> force_backend nm clauses | None -> clauses
+
 let run_case ~pool rng idx ~seed =
   let rng = Rng.split rng in
   let table = gen_table rng in
@@ -319,7 +356,7 @@ let run_case ~pool rng idx ~seed =
   let task_size = [| 4; 16; 20_000 |].(Rng.int rng 3) in
   let fanout = [| 2; 4; 16 |].(Rng.int rng 3) in
   let actual =
-    try Window_plan.run ~pool ~fanout ~task_size table clauses
+    try Window_plan.run ~pool ~fanout ~task_size table (pin clauses)
     with e ->
       Alcotest.failf "FUZZ_SEED=%d case %d: engine raised %s\n%s" seed idx (Printexc.to_string e)
         (describe table clauses)
@@ -358,7 +395,7 @@ let determinism_case ~pools rng idx ~seed =
     List.map
       (fun pool ->
         let n = Task_pool.size pool in
-        try (n, Window_plan.run_with_stats ~pool ~fanout ~task_size table clauses)
+        try (n, Window_plan.run_with_stats ~pool ~fanout ~task_size table (pin clauses))
         with e ->
           Alcotest.failf "FUZZ_SEED=%d determinism case %d: engine raised %s at %d domains\n%s"
             seed idx (Printexc.to_string e) n (describe table clauses))
@@ -390,41 +427,20 @@ let determinism_case ~pools rng idx ~seed =
         rest
 
 (* Forced-choice: re-run each case once per backend with every eligible
-   Auto item pinned to it ([Evaluator_choice.supports] decides
-   eligibility, so ineligible items keep their cost-based pick).  Any two
-   backends that claim a (class, frame) cell must agree bit-for-bit — the
-   generator's float column holds dyadic halves, so even SUM/AVG are exact
-   under every summation order and the comparison needs no tolerance. *)
-let force_backend nm (clauses : Window_plan.clause list) =
-  List.map
-    (fun (c : Window_plan.clause) ->
-      let holed =
-        match c.spec.Ws.frame with
-        | Some f -> f.Ws.exclusion <> Ws.Exclude_no_others
-        | None -> false
-      in
-      {
-        c with
-        Window_plan.items =
-          List.map
-            (fun (it : Wf.t) ->
-              if it.Wf.algorithm = Wf.Auto && Evaluator_choice.supports nm (Evaluator_choice.classify it) ~holed
-              then { it with Wf.algorithm = Evaluator_choice.to_algorithm nm }
-              else it)
-            c.items;
-      })
-    clauses
-
+   Auto item pinned to it.  Any two backends that claim a (class, frame)
+   cell must agree bit-for-bit — the generator's float column holds dyadic
+   halves, so even SUM/AVG are exact under every summation order and the
+   comparison needs no tolerance. *)
 let forced_case ~pool rng idx ~seed =
   let rng = Rng.split rng in
   let table = gen_table rng in
   let clauses = gen_clauses rng in
   let task_size = [| 4; 16; 20_000 |].(Rng.int rng 3) in
   let fanout = [| 2; 4; 16 |].(Rng.int rng 3) in
-  let baseline = Window_plan.run ~pool ~fanout ~task_size table clauses in
+  let baseline = Window_plan.run ~pool ~fanout ~task_size table (pin clauses) in
   List.iter
     (fun nm ->
-      let forced = force_backend nm clauses in
+      let forced = pin (force_backend nm clauses) in
       let out =
         try Window_plan.run ~pool ~fanout ~task_size table forced
         with e ->
@@ -460,6 +476,7 @@ let mem_limit_case ~pool ~limit rng idx ~seed =
   let clauses = gen_clauses rng in
   let task_size = [| 4; 16; 20_000 |].(Rng.int rng 3) in
   let fanout = [| 2; 4; 16 |].(Rng.int rng 3) in
+  let clauses = pin clauses in
   let t0, s0 = Window_plan.run_with_stats ~pool ~fanout ~task_size table clauses in
   let budget, policy = Mem_governor.parse_limit limit in
   let governor = Mem_governor.create ?budget ~policy () in

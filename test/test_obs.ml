@@ -543,11 +543,11 @@ let golden_case query golden () =
   Fun.protect
     ~finally:(fun () -> Task_pool.shutdown pool)
     (fun () ->
-      let _, report = Sql.explain_analyze ~pool ~tables:[ ("t", table ()) ] query in
-      Alcotest.(check string) "masked report" golden (mask_report report))
+      let run = Sql.explain_analyze_trace ~pool ~tables:[ ("t", table ()) ] query in
+      Alcotest.(check string) "masked report" golden (mask_report (Sql.render_analyze query run)))
 
 (* With tracing disabled, EXPLAIN ANALYZE and a plain query agree cell for
-   cell, and explain_analyze leaves tracing in the state it found it. *)
+   cell, and explain_analyze_trace leaves tracing in the state it found it. *)
 let test_disabled_parity () =
   Obs.disable ();
   let pool = Task_pool.create 1 in
@@ -557,7 +557,7 @@ let test_disabled_parity () =
       List.iter
         (fun q ->
           let plain = Sql.query ~pool ~tables:[ ("t", table ()) ] q in
-          let traced, _ = Sql.explain_analyze ~pool ~tables:[ ("t", table ()) ] q in
+          let traced, _ = Sql.explain_analyze_trace ~pool ~tables:[ ("t", table ()) ] q in
           Alcotest.(check bool) "tracing left disabled" false (Obs.enabled ());
           Alcotest.(check (list string)) "columns"
             (Table.column_names plain) (Table.column_names traced);

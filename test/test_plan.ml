@@ -46,12 +46,12 @@ let nparts table =
   done;
   Hashtbl.length seen
 
-(* plan over all clauses vs one Executor.run per clause *)
+(* plan over all clauses vs one single-clause plan per clause *)
 let check_parity table (clauses : Window_plan.clause list) =
   let planned = Window_plan.run table clauses in
   List.iter
     (fun (c : Window_plan.clause) ->
-      let solo = Executor.run table ~over:c.spec c.items in
+      let solo = Window_plan.run table [ c ] in
       List.iter
         (fun (item : Wf.t) ->
           let pc = Table.column planned item.name and sc = Table.column solo item.name in
@@ -142,19 +142,32 @@ let test_parity_sql_query () =
        from t window w as (partition by grp order by ts)"
   in
   let expect_r =
-    Executor.run table
-      ~over:(Window_spec.over ~partition_by:[ grp ] ~order_by:by_ts ())
-      [ Wf.rank ~name:"r" [] ]
+    Window_plan.run table
+      [
+        {
+          Window_plan.spec = Window_spec.over ~partition_by:[ grp ] ~order_by:by_ts ();
+          items = [ Wf.rank ~name:"r" [] ];
+        };
+      ]
   in
   let expect_s =
-    Executor.run table
-      ~over:(Window_spec.over ~partition_by:[ grp ] ~order_by:by_ts ~frame:(rows_back 5) ())
-      [ Wf.sum ~name:"s" x ]
+    Window_plan.run table
+      [
+        {
+          Window_plan.spec =
+            Window_spec.over ~partition_by:[ grp ] ~order_by:by_ts ~frame:(rows_back 5) ();
+          items = [ Wf.sum ~name:"s" x ];
+        };
+      ]
   in
   let expect_rn =
-    Executor.run table
-      ~over:(Window_spec.over ~partition_by:[ grp ] ~order_by:by_ts_k ())
-      [ Wf.row_number ~name:"rn" [] ]
+    Window_plan.run table
+      [
+        {
+          Window_plan.spec = Window_spec.over ~partition_by:[ grp ] ~order_by:by_ts_k ();
+          items = [ Wf.row_number ~name:"rn" [] ];
+        };
+      ]
   in
   List.iter
     (fun (name, expected) ->

@@ -440,8 +440,9 @@ let test_foreign_table () =
         (Window_plan.run ~pool other directed_clauses)
         r)
 
-(* The SQL front door: session_query / session_append / session_evict with
-   predicates in SQL text, and EXPLAIN ANALYZE provenance tags. *)
+(* The SQL front door: queries through ~session, session_append /
+   session_evict with predicates in SQL text, and EXPLAIN ANALYZE
+   provenance tags. *)
 let test_sql_session () =
   let module Sql = Holistic_sql.Sql in
   let session = Sql.session_create (directed_table 512) in
@@ -449,12 +450,14 @@ let test_sql_session () =
     "select g, k, rank() over w as r, median(v) over w as m from t \
      window w as (partition by g order by k rows between 20 preceding and current row)"
   in
-  let oracle () = Sql.query ~tables:[ ("t", Sql.session_table session) ] q in
-  check_identical ~ctx:(fun () -> "sql first") (oracle ()) (Sql.session_query session q);
+  let tables () = [ ("t", Sql.session_table session) ] in
+  let oracle () = Sql.query ~tables:(tables ()) q in
+  let via_session () = Sql.query ~session ~tables:(tables ()) q in
+  check_identical ~ctx:(fun () -> "sql first") (oracle ()) (via_session ());
   Sql.session_append session (directed_delta ~base:512 64);
   Alcotest.(check int) "rows appended" 576 (Table.nrows (Sql.session_table session));
-  check_identical ~ctx:(fun () -> "sql after append") (oracle ()) (Sql.session_query session q);
-  let _, report = Sql.session_explain_analyze session q in
+  check_identical ~ctx:(fun () -> "sql after append") (oracle ()) (via_session ());
+  let report = Sql.render_analyze q (Sql.explain_analyze_trace ~session ~tables:(tables ()) q) in
   let contains sub =
     let n = String.length report and m = String.length sub in
     let rec go i = i + m <= n && (String.sub report i m = sub || go (i + 1)) in
@@ -464,7 +467,7 @@ let test_sql_session () =
     (contains "cache=reused" || contains "cache=maintained");
   Sql.session_evict session "k < 100";
   Alcotest.(check int) "rows evicted" 476 (Table.nrows (Sql.session_table session));
-  check_identical ~ctx:(fun () -> "sql after evict") (oracle ()) (Sql.session_query session q);
+  check_identical ~ctx:(fun () -> "sql after evict") (oracle ()) (via_session ());
   Alcotest.check_raises "malformed predicate"
     (Sql.Semantic_error "unknown column \"nope\"")
     (fun () -> Sql.session_evict session "nope < 1")

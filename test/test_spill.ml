@@ -605,11 +605,15 @@ let test_noop_golden () =
     (fun () ->
       let rng = Rng.create 47 in
       let table = sample_table rng 500 in
-      let plain, report_plain = Sql.explain_analyze ~pool ~tables:[ ("t", table) ] sample_query in
-      (* a budget far above the working set: every decision is in-memory *)
-      let governed, report_gov =
-        Sql.explain_analyze ~pool ~mem_limit:(1 lsl 30) ~tables:[ ("t", table) ] sample_query
+      let analyze ?governor () =
+        let ((result, _) as run) =
+          Sql.explain_analyze_trace ~pool ?governor ~tables:[ ("t", table) ] sample_query
+        in
+        (result, Sql.render_analyze sample_query run)
       in
+      let plain, report_plain = analyze () in
+      (* a budget far above the working set: every decision is in-memory *)
+      let governed, report_gov = analyze ~governor:(Mem_governor.create ~budget:(1 lsl 30) ()) () in
       Alcotest.(check string) "masked reports identical" (mask_volatile report_plain)
         (mask_volatile report_gov);
       Alcotest.(check bool) "no spill provenance" false (contains "spilled" report_gov);
@@ -629,7 +633,11 @@ let test_spilled_golden () =
       let spilled, report =
         Fun.protect
           ~finally:(fun () -> Mem_governor.cleanup governor)
-          (fun () -> Sql.explain_analyze ~pool ~governor ~tables:[ ("t", table) ] sample_query)
+          (fun () ->
+            let ((result, _) as run) =
+              Sql.explain_analyze_trace ~pool ~governor ~tables:[ ("t", table) ] sample_query
+            in
+            (result, Sql.render_analyze sample_query run))
       in
       Alcotest.(check bool) "spill provenance on the sort span" true
         (contains "spilled=(runs=" report);
@@ -643,10 +651,35 @@ let test_budget_too_small_sql () =
     (fun () ->
       let rng = Rng.create 59 in
       let table = sample_table rng 10_000 in
-      match Sql.query ~pool ~mem_limit:100 ~tables:[ ("t", table) ] sample_query with
+      let governor = Mem_governor.create ~budget:100 () in
+      (match Sql.query ~pool ~governor ~tables:[ ("t", table) ] sample_query with
       | exception Mem_governor.Budget_too_small msg ->
           Alcotest.(check bool) "explains the floor" true (contains "memory budget" msg)
-      | _ -> Alcotest.fail "100-byte budget executed a 10k-row sort")
+      | _ -> Alcotest.fail "100-byte budget executed a 10k-row sort");
+      Alcotest.(check int) "key words released after the refusal" 0 (Mem_governor.live governor))
+
+(* An IO fault inside a governed spilled sort surfaces as Run_file.Error
+   and leaves the caller's governor with nothing charged, so the next
+   statement under the same governor plans from a clean slate. *)
+let test_spill_fault_releases () =
+  let pool = Task_pool.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Task_pool.shutdown pool)
+    (fun () ->
+      let rng = Rng.create 61 in
+      let table = sample_table rng 500 in
+      let plain = Sql.query ~pool ~tables:[ ("t", table) ] sample_query in
+      let governor = Mem_governor.create ~policy:Mem_governor.Always_spill () in
+      Fun.protect ~finally:(fun () -> Mem_governor.cleanup governor) @@ fun () ->
+      let query () = Sql.query ~pool ~governor ~tables:[ ("t", table) ] sample_query in
+      (with_faults_reset @@ fun () ->
+       Run_file.Fault.enospc_after 0;
+       match query () with
+       | exception Run_file.Error _ -> ()
+       | _ -> Alcotest.fail "spilled sort survived injected ENOSPC");
+      Alcotest.(check int) "charges released after the fault" 0 (Mem_governor.live governor);
+      check_bits_identical plain (query ());
+      Alcotest.(check int) "and after the next statement" 0 (Mem_governor.live governor))
 
 let () =
   Alcotest.run "spill"
@@ -691,5 +724,7 @@ let () =
           Alcotest.test_case "no-op governed run keeps goldens" `Quick test_noop_golden;
           Alcotest.test_case "forced spill tags spans, same bits" `Quick test_spilled_golden;
           Alcotest.test_case "budget below working set errors" `Quick test_budget_too_small_sql;
+          Alcotest.test_case "spill fault releases governor charges" `Quick
+            test_spill_fault_releases;
         ] );
     ]

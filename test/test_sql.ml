@@ -240,7 +240,9 @@ let test_sql_median_matches_api () =
       ~frame:(Window_spec.rows_between (Window_spec.preceding 2) Window_spec.Current_row)
       ()
   in
-  let via_api = Executor.run table ~over [ Wf.median ~name:"m" (Expr.Col "x") ] in
+  let via_api =
+    Window_plan.run table [ { Window_plan.spec = over; items = [ Wf.median ~name:"m" (Expr.Col "x") ] } ]
+  in
   Alcotest.(check (list string)) "same medians" (col_strings via_api "m") (col_strings via_sql "m")
 
 let test_sql_partition_and_named_window () =

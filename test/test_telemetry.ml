@@ -237,13 +237,17 @@ let small_table rows =
 let windowed_sql =
   "select sum(v) over (partition by g order by v rows between 3 preceding and current row) from t"
 
+(* one statement through the session's store, logged to [sink] *)
+let session_query sink session sql =
+  Sql.query ~query_log:sink ~session ~tables:[ ("t", Sql.session_table session) ] sql
+
 let test_qlog_roundtrip () =
   let path = Filename.temp_file "holiwin_qlog_rt" ".jsonl" in
   let sink = Qs.Log.open_ path in
   let table = small_table 200 in
   let session = Sql.session_create table in
-  ignore (Sql.session_query ~query_log:sink session windowed_sql);
-  ignore (Sql.session_query ~query_log:sink session "select g, v from t");
+  ignore (session_query sink session windowed_sql);
+  ignore (session_query sink session "select g, v from t");
   Qs.Log.close sink;
   let records = Qs.Log.load path in
   Alcotest.(check int) "two records" 2 (List.length records);
@@ -254,10 +258,13 @@ let test_qlog_roundtrip () =
        lines := input_line ic :: !lines
      done
    with End_of_file -> close_in ic);
-  (* byte-exact round trip: parse each line and re-serialise it *)
+  (* byte-exact round trip: parse each line and re-serialise it, both as
+     a record and as a generic JSON value *)
   List.iter
     (fun line ->
-      Alcotest.(check string) "parse/print identity" line (Qs.to_json_line (Qs.of_json_line line)))
+      Alcotest.(check string) "parse/print identity" line (Qs.to_json_line (Qs.of_json_line line));
+      Alcotest.(check string) "json identity" line
+        Holistic_util.Json.(to_string (parse line)))
     (List.rev !lines);
   let r = List.hd records in
   Alcotest.(check int) "seq assigned from 0" 0 r.Qs.seq;
@@ -292,7 +299,7 @@ let test_qlog_rotation () =
   let table = small_table 50 in
   let session = Sql.session_create table in
   for _ = 1 to 100 do
-    ignore (Sql.session_query ~query_log:sink session windowed_sql)
+    ignore (session_query sink session windowed_sql)
   done;
   Alcotest.(check bool) "rotated at least once" true (Qs.Log.rotations sink >= 1);
   Qs.Log.close sink;
@@ -325,7 +332,7 @@ let test_qlog_thousand_query_session () =
   let table = small_table 100 in
   let session = Sql.session_create table in
   for _ = 1 to 1000 do
-    ignore (Sql.session_query ~query_log:sink session windowed_sql)
+    ignore (session_query sink session windowed_sql)
   done;
   Alcotest.(check bool) "rotation bounded the live file" true (Qs.Log.rotations sink >= 1);
   Qs.Log.close sink;
@@ -387,7 +394,7 @@ let test_windowed_latency_tracks_queries () =
   let sink = Qs.Log.open_ path in
   let session = Sql.session_create (small_table 100) in
   for _ = 1 to 50 do
-    ignore (Sql.session_query ~query_log:sink session windowed_sql)
+    ignore (session_query sink session windowed_sql)
   done;
   Qs.Log.close sink;
   Sys.remove path;

@@ -539,11 +539,12 @@ let compare_against_oracle ~algorithm ~supported seed =
   in
   let expected = Oracle.run table ~over items in
   let got =
-    Executor.run
+    Window_plan.run
       ~fanout:(2 + Rng.int rng 7)
       ~sample:[| 0; 1; 3; 32 |].(Rng.int rng 4)
       ~task_size:(1 + Rng.int rng 12)
-      table ~over items
+      table
+      [ { Window_plan.spec = over; items } ]
   in
   List.iter
     (fun (name, exp) ->
@@ -596,7 +597,9 @@ let incremental_vs_oracle alg seed () =
          else [ Wf.rank ~algorithm:alg ~name:"rnk" [ Sort_spec.asc (Expr.Col "v") ] ])
     in
     let expected = Oracle.run table ~over items in
-    let got = Executor.run ~task_size:(1 + Rng.int rng 9) table ~over items in
+    let got =
+      Window_plan.run ~task_size:(1 + Rng.int rng 9) table [ { Window_plan.spec = over; items } ]
+    in
     List.iter
       (fun (name, exp) ->
         let col = Table.column got name in
@@ -622,7 +625,9 @@ let test_running_sum () =
       ~frame:(Window_spec.rows_between Window_spec.Unbounded_preceding Window_spec.Current_row)
       ()
   in
-  let t = Executor.run table ~over [ Wf.sum ~name:"rs" (Expr.Col "x") ] in
+  let t =
+    Window_plan.run table [ { Window_plan.spec = over; items = [ Wf.sum ~name:"rs" (Expr.Col "x") ] } ]
+  in
   let c = Table.column t "rs" in
   (* sorted: 1 1 3 4 5 → running 1 2 5 9 14; original order 3 1 4 1 5 *)
   let got = Array.init 5 (fun i -> Column.get c i) in
@@ -649,7 +654,7 @@ let test_tpcc_query_shape () =
     ]
   in
   let expected = Oracle.run table ~over items in
-  let got = Executor.run table ~over items in
+  let got = Window_plan.run table [ { Window_plan.spec = over; items } ] in
   List.iter
     (fun (name, exp) ->
       let col = Table.column got name in
@@ -663,7 +668,9 @@ let test_tpcc_query_shape () =
 let test_empty_table () =
   let table = Table.create [ ("x", Column.ints [||]) ] in
   let over = Window_spec.over ~order_by:[ Sort_spec.asc (Expr.Col "x") ] () in
-  let t = Executor.run table ~over [ Wf.median ~name:"m" (Expr.Col "x") ] in
+  let t =
+    Window_plan.run table [ { Window_plan.spec = over; items = [ Wf.median ~name:"m" (Expr.Col "x") ] } ]
+  in
   Alcotest.(check int) "no rows" 0 (Table.nrows t);
   Alcotest.(check (list string)) "column added" [ "x"; "m" ] (Table.column_names t)
 
@@ -671,11 +678,17 @@ let test_single_row () =
   let table = Table.create [ ("x", Column.ints [| 9 |]) ] in
   let over = Window_spec.over ~order_by:[ Sort_spec.asc (Expr.Col "x") ] () in
   let t =
-    Executor.run table ~over
+    Window_plan.run table
       [
-        Wf.median ~name:"m" (Expr.Col "x");
-        Wf.rank ~name:"r" [ Sort_spec.asc (Expr.Col "x") ];
-        Wf.count ~distinct:true ~name:"d" (Expr.Col "x");
+        {
+          Window_plan.spec = over;
+          items =
+            [
+              Wf.median ~name:"m" (Expr.Col "x");
+              Wf.rank ~name:"r" [ Sort_spec.asc (Expr.Col "x") ];
+              Wf.count ~distinct:true ~name:"d" (Expr.Col "x");
+            ];
+        };
       ]
   in
   Alcotest.(check string) "median" "9" (Value.to_string (Column.get (Table.column t "m") 0));
@@ -691,12 +704,18 @@ let test_empty_frame_semantics () =
       ()
   in
   let t =
-    Executor.run table ~over
+    Window_plan.run table
       [
-        Wf.median ~name:"m" (Expr.Col "x");
-        Wf.count_star ~name:"c" ();
-        Wf.sum ~name:"s" (Expr.Col "x");
-        Wf.rank ~name:"r" [ Sort_spec.asc (Expr.Col "x") ];
+        {
+          Window_plan.spec = over;
+          items =
+            [
+              Wf.median ~name:"m" (Expr.Col "x");
+              Wf.count_star ~name:"c" ();
+              Wf.sum ~name:"s" (Expr.Col "x");
+              Wf.rank ~name:"r" [ Sort_spec.asc (Expr.Col "x") ];
+            ];
+        };
       ]
   in
   Alcotest.(check string) "median of empty frame" "NULL"
@@ -721,7 +740,7 @@ let test_stock_orders_shape () =
   in
   let items = [ Wf.median ~name:"med" (Expr.Col "price") ] in
   let expected = Oracle.run table ~over items in
-  let got = Executor.run table ~over items in
+  let got = Window_plan.run table [ { Window_plan.spec = over; items } ] in
   let col = Table.column got "med" in
   List.iter
     (fun (_, exp) ->
@@ -750,8 +769,9 @@ let test_multi_domain_determinism () =
   in
   let pool1 = Holistic_parallel.Task_pool.create 1 in
   let pool3 = Holistic_parallel.Task_pool.create 3 in
-  let serial = Executor.run ~pool:pool1 ~task_size:1_000 table ~over items in
-  let parallel = Executor.run ~pool:pool3 ~task_size:1_000 table ~over items in
+  let clauses = [ { Window_plan.spec = over; items } ] in
+  let serial = Window_plan.run ~pool:pool1 ~task_size:1_000 table clauses in
+  let parallel = Window_plan.run ~pool:pool3 ~task_size:1_000 table clauses in
   Holistic_parallel.Task_pool.shutdown pool1;
   Holistic_parallel.Task_pool.shutdown pool3;
   List.iter
@@ -769,8 +789,13 @@ let test_unsupported_combination () =
   Alcotest.(check bool) "raises invalid_arg" true
     (try
        ignore
-         (Executor.run table ~over
-            [ Wf.sum ~algorithm:Wf.Incremental ~name:"s" (Expr.Col "x") ]);
+         (Window_plan.run table
+            [
+              {
+                Window_plan.spec = over;
+                items = [ Wf.sum ~algorithm:Wf.Incremental ~name:"s" (Expr.Col "x") ];
+              };
+            ]);
        false
      with Invalid_argument _ -> true)
 
