@@ -164,7 +164,7 @@ let run ~rows () =
      ratio bounds the cost of the full telemetry stack, not just the
      counters. Disabled-mode overhead of the hooks themselves is gated
      separately (behaviorally) in test/test_telemetry.ml. *)
-  let was_enabled = Holistic_obs.Obs.enabled () in
+  let was_enabled = Holistic_obs.Obs.tracing () in
   let qlog_path = Filename.temp_file "holiwin_bench_qlog" ".jsonl" in
   let sink = Sql.Query_stats.Log.open_ qlog_path in
   Holistic_obs.Obs.enable ();

@@ -13,7 +13,7 @@ module Rng = Holistic_util.Rng
 module Task_pool = Holistic_parallel.Task_pool
 module Introsort = Holistic_sort.Introsort
 module Parallel_sort = Holistic_sort.Parallel_sort
-module Multiway = Holistic_sort.Multiway
+module Obs = Holistic_obs.Obs
 module H = Harness
 module Json = Holistic_util.Json
 
@@ -31,8 +31,10 @@ let spec =
 
 let run ~rows () =
   H.section "sort-keys: normalized-key + OVC sort vs boxed comparator sort";
-  (* a previous experiment in the same process may have left histograms *)
-  Holistic_obs.Obs.Histogram.reset_all ();
+  (* a previous experiment in the same process may have left samples in
+     the histograms this one reports *)
+  let hists = [ "bench.comparator_ns"; "bench.encoded_ns" ] in
+  List.iter (fun n -> Obs.Histogram.(reset (make n))) hists;
   let partitions = max 8 (rows / 10_000) in
   let rng = Rng.create 2022 in
   let table, pids = make_table rng ~rows ~partitions in
@@ -66,12 +68,14 @@ let run ~rows () =
   let encoded_t = H.time_best ~hist:"bench.encoded_ns" ~reps:3 (fun () -> ignore (encoded_sort ())) in
   (* same sort again, but forced through run formation and the OVC
      loser-tree merge (a single-domain pool otherwise sorts in one run):
-     measures the merge's overhead and its code-decided comparison share *)
-  H.gc_settle ();
-  Multiway.reset_ovc_stats ();
+     measures the merge's overhead and, from one untimed captured run, its
+     code-decided comparison share *)
   let merge_task = max 1_000 (rows / 64) in
+  let (), ovc = Obs.with_capture (fun () -> ignore (encoded_sort ~task_size:merge_task ())) in
+  let ovc_count name = Option.value ~default:0 (List.assoc_opt name ovc.Obs.counters) in
+  let ovc_decided = ovc_count "sort.ovc_decided" and ovc_scanned = ovc_count "sort.ovc_scanned" in
+  H.gc_settle ();
   let merged_t = H.time_best ~reps:3 (fun () -> ignore (encoded_sort ~task_size:merge_task ())) in
-  let ovc_decided, ovc_scanned = Multiway.ovc_stats () in
   let comparator_s = comparator_t.H.best
   and encoded_s = encoded_t.H.best
   and merged_s = merged_t.H.best in
@@ -99,7 +103,7 @@ let run ~rows () =
           Printf.sprintf "%.2fx" merged_speedup;
         ];
       ];
-  H.note "ovc merge: %d comparisons code-decided, %d deep scans (over 3 reps)" ovc_decided
+  H.note "ovc merge: %d comparisons code-decided, %d deep scans (one run)" ovc_decided
     ovc_scanned;
   if ovc_decided = 0 then failwith "sort-keys: forced merge never exercised offset-value codes";
   if speedup < 1.5 then
@@ -126,7 +130,8 @@ let run ~rows () =
         ("encoded_merge_s", Report.metric ~unit_:"s" merged_s);
       ]
     ~counters:[ ("ovc.decided", ovc_decided); ("ovc.scanned", ovc_scanned) ]
-    ~histograms:(Holistic_obs.Obs.Histogram.snapshot ())
+    ~histograms:
+      (List.filter (fun (n, _) -> List.mem n hists) (Obs.Histogram.snapshot ()))
     ~series:
       (Json.J_obj
          [

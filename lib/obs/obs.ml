@@ -16,42 +16,65 @@ type span = {
   mutable bytes : int;
 }
 
-(* The enabled flag is the whole fast-path contract: every tracing entry
-   point loads it first and bails, so a disabled build pays one atomic
-   read (a plain load on x86/arm) and whatever closures the call site
-   itself allocates. *)
-let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
-let enable () = Atomic.set enabled_flag true
-let disable () = Atomic.set enabled_flag false
+(* Tracing is on while [enable] is set or any capture is open: bit 0 of
+   [state] is the [enable] flag, the rest counts open captures (2 per
+   capture), so overlapping captures never switch each other off and the
+   whole fast-path contract stays one atomic load: every tracing entry
+   point reads [state] first and bails, so a disabled build pays one
+   atomic read (a plain load on x86/arm) and whatever closures the call
+   site itself allocates. *)
+let state = Atomic.make 0
+let tracing () = Atomic.get state <> 0
 
-(* Bounded global buffer of finished-or-running spans, newest first.  A
-   mutex (not a lock-free structure) is fine here: spans are recorded at
-   partition/stage granularity, never per row. *)
-let buf_mutex = Mutex.create ()
-let buf : span list ref = ref []
-let buf_len = ref 0
-let buf_dropped = ref 0
+let rec set_flag on =
+  let s = Atomic.get state in
+  let s' = if on then s lor 1 else s land lnot 1 in
+  if s' <> s && not (Atomic.compare_and_set state s s') then set_flag on
+
+let enable () = set_flag true
+let disable () = set_flag false
+
+(* A capture's bounded span list, newest first.  A mutex (not a lock-free
+   structure) is fine here: pool workers handed the capture record into it
+   too, but spans are recorded at partition/stage granularity, never per
+   row. *)
+type capture = {
+  lock : Mutex.t;
+  mutable recorded : span list;
+  mutable len : int;
+  mutable lost : int;
+  outer : capture option;  (* the capture this one nests in, which records its spans too *)
+}
+
 let max_spans = 1 lsl 18
 let next_id = Atomic.make 0
 
-let record s =
-  Mutex.lock buf_mutex;
-  if !buf_len >= max_spans then incr buf_dropped
+let rec record cap s =
+  Mutex.lock cap.lock;
+  if cap.len >= max_spans then cap.lost <- cap.lost + 1
   else begin
-    buf := s :: !buf;
-    incr buf_len
+    cap.recorded <- s :: cap.recorded;
+    cap.len <- cap.len + 1
   end;
-  Mutex.unlock buf_mutex
+  Mutex.unlock cap.lock;
+  Option.iter (fun o -> record o s) cap.outer
 
-(* Per-domain stack of open spans, for parent links and [annotate]. *)
-let stack_key : span list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+(* Per domain: the capture spans go to (opened here, or handed over with a
+   pool task), the stack of open spans for parent links and [annotate],
+   and the parent of a span opened on an empty stack (the submitting
+   span, for a handed-over task). *)
+type domain_state = { mutable cap : capture option; mutable stack : span list; mutable base : int }
+
+let state_key = Domain.DLS.new_key (fun () -> { cap = None; stack = []; base = -1 })
+
+(* A span records only with tracing on and a capture open on its domain. *)
+let capturing () = Atomic.get state <> 0 && (Domain.DLS.get state_key).cap <> None
 
 let span ?args name f =
-  if not (Atomic.get enabled_flag) then f ()
+  if not (capturing ()) then f ()
   else begin
-    let stack = Domain.DLS.get stack_key in
-    let parent = match !stack with [] -> -1 | p :: _ -> p.id in
+    let st = Domain.DLS.get state_key in
+    let parent = match st.stack with [] -> st.base | p :: _ -> p.id in
     let s =
       {
         id = Atomic.fetch_and_add next_id 1;
@@ -67,10 +90,10 @@ let span ?args name f =
         bytes = 0;
       }
     in
-    (* Recorded at start so nesting order in the buffer is start order
+    (* Recorded at start so nesting order in the capture is start order
        (parents strictly before children), which [render] relies on. *)
-    record s;
-    stack := s :: !stack;
+    Option.iter (fun cap -> record cap s) st.cap;
+    st.stack <- s :: st.stack;
     (* GC deltas are sampled only inside the enabled branch, keeping the
        one-atomic-load disabled contract.  [Gc.minor_words] reads the
        domain's precise allocation pointer ([Gc.quick_stat]'s minor tally
@@ -93,7 +116,7 @@ let span ?args name f =
       s.promoted_w <- int_of_float promoted;
       s.majors <- g1.Gc.major_collections - g0.Gc.major_collections;
       (match args with None -> () | Some g -> s.args <- s.args @ g ());
-      match !stack with _ :: tl -> stack := tl | [] -> ()
+      match st.stack with _ :: tl -> st.stack <- tl | [] -> ()
     in
     match f () with
     | v ->
@@ -104,17 +127,31 @@ let span ?args name f =
         raise e
   end
 
-let annotate kvs =
-  if Atomic.get enabled_flag then
-    match !(Domain.DLS.get stack_key) with
-    | s :: _ -> s.args <- s.args @ kvs
-    | [] -> ()
+let handoff task =
+  if Atomic.get state = 0 then task
+  else
+    let st = Domain.DLS.get state_key in
+    match st.cap with
+    | None -> task
+    | Some _ as cap ->
+        let parent = match st.stack with [] -> st.base | p :: _ -> p.id in
+        fun () ->
+          let w = Domain.DLS.get state_key in
+          let cap0 = w.cap and stack0 = w.stack and base0 = w.base in
+          w.cap <- cap;
+          w.stack <- [];
+          w.base <- parent;
+          Fun.protect task ~finally:(fun () ->
+              w.cap <- cap0;
+              w.stack <- stack0;
+              w.base <- base0)
 
-let record_bytes f =
-  if Atomic.get enabled_flag then
-    match !(Domain.DLS.get stack_key) with
-    | s :: _ -> s.bytes <- s.bytes + f ()
-    | [] -> ()
+let innermost () =
+  if Atomic.get state = 0 then None
+  else match (Domain.DLS.get state_key).stack with s :: _ -> Some s | [] -> None
+
+let annotate kvs = match innermost () with Some s -> s.args <- s.args @ kvs | None -> ()
+let record_bytes f = match innermost () with Some s -> s.bytes <- s.bytes + f () | None -> ()
 
 module Counter = struct
   type t = { name : string; mutable help : string; cell : int Atomic.t }
@@ -140,27 +177,18 @@ module Counter = struct
   let name c = c.name
   let help c = c.help
   let add_always c n = if n <> 0 then ignore (Atomic.fetch_and_add c.cell n)
-  let add c n = if Atomic.get enabled_flag then add_always c n
+  let add c n = if Atomic.get state <> 0 then add_always c n
   let incr c = add c 1
   let value c = Atomic.get c.cell
-  let set c v = Atomic.set c.cell v
 
-  let snapshot () =
+  let entries () =
     Mutex.lock reg_mutex;
-    let all = Hashtbl.fold (fun n c acc -> (n, Atomic.get c.cell) :: acc) registry [] in
+    let all = Hashtbl.fold (fun _ c acc -> c :: acc) registry [] in
     Mutex.unlock reg_mutex;
-    List.sort (fun (a, _) (b, _) -> String.compare a b) all
+    List.sort (fun a b -> String.compare a.name b.name) all
 
-  let reset_all () =
-    Mutex.lock reg_mutex;
-    Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) registry;
-    Mutex.unlock reg_mutex
-
-  let inventory () =
-    Mutex.lock reg_mutex;
-    let all = Hashtbl.fold (fun n c acc -> (n, c.help, Atomic.get c.cell) :: acc) registry [] in
-    Mutex.unlock reg_mutex;
-    List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) all
+  let snapshot () = List.map (fun c -> (c.name, value c)) (entries ())
+  let inventory () = List.map (fun c -> (c.name, c.help, value c)) (entries ())
 end
 
 (* Pull-model gauges: a registered name plus a sampling callback, read
@@ -305,7 +333,7 @@ module Histogram = struct
     if v > h.max_v then h.max_v <- v;
     Mutex.unlock h.lock
 
-  let add h v = if Atomic.get enabled_flag then add_always h v
+  let add h v = if Atomic.get state <> 0 then add_always h v
 
   let count h = h.n
 
@@ -362,21 +390,6 @@ module Histogram = struct
     Mutex.unlock h.lock;
     s
 
-  let merge ~into src =
-    if into != src then begin
-      Mutex.lock src.lock;
-      let counts = Array.copy src.counts in
-      let n = src.n and sum = src.sum and min_v = src.min_v and max_v = src.max_v in
-      Mutex.unlock src.lock;
-      Mutex.lock into.lock;
-      Array.iteri (fun b c -> into.counts.(b) <- into.counts.(b) + c) counts;
-      into.n <- into.n + n;
-      into.sum <- into.sum + sum;
-      if min_v < into.min_v then into.min_v <- min_v;
-      if max_v > into.max_v then into.max_v <- max_v;
-      Mutex.unlock into.lock
-    end
-
   let reset h =
     Mutex.lock h.lock;
     Array.fill h.counts 0 bucket_count 0;
@@ -386,26 +399,54 @@ module Histogram = struct
     h.max_v <- min_int;
     Mutex.unlock h.lock
 
+  let entries () =
+    Mutex.lock reg_mutex;
+    let all = Hashtbl.fold (fun _ h acc -> h :: acc) registry [] in
+    Mutex.unlock reg_mutex;
+    List.sort (fun a b -> String.compare a.name b.name) all
+
   let snapshot () =
-    Mutex.lock reg_mutex;
-    let all = Hashtbl.fold (fun n h acc -> (n, h) :: acc) registry [] in
-    Mutex.unlock reg_mutex;
-    List.filter_map
-      (fun (n, h) -> if h.n = 0 then None else Some (n, summary h))
-      (List.sort (fun (a, _) (b, _) -> String.compare a b) all)
+    List.filter_map (fun h -> if h.n = 0 then None else Some (h.name, summary h)) (entries ())
 
-  let reset_all () =
-    Mutex.lock reg_mutex;
-    Hashtbl.iter (fun _ h -> reset h) registry;
-    Mutex.unlock reg_mutex
+  let inventory () = List.map (fun h -> (h.name, h.help, summary h)) (entries ())
 
-  let inventory () =
-    Mutex.lock reg_mutex;
-    let all = Hashtbl.fold (fun n h acc -> (n, h) :: acc) registry [] in
-    Mutex.unlock reg_mutex;
-    List.map
-      (fun (n, h) -> (n, h.help, summary h))
-      (List.sort (fun (a, _) (b, _) -> String.compare a b) all)
+  (* [since ()] marks what every histogram holds now and returns what each
+     recorded after the mark, sorted by name.  A delta's extremes are its
+     outermost non-empty buckets' bounds, clamped to the histogram's
+     lifetime extremes. *)
+  let since () =
+    let locked h f =
+      Mutex.lock h.lock;
+      Fun.protect ~finally:(fun () -> Mutex.unlock h.lock) f
+    in
+    let marks =
+      List.filter_map
+        (fun h ->
+          locked h (fun () ->
+              if h.n = 0 then None else Some (h.name, (Array.copy h.counts, h.n, h.sum))))
+        (entries ())
+    in
+    fun () ->
+      List.filter_map
+        (fun h ->
+          locked h (fun () ->
+              match List.assoc_opt h.name marks with
+              | None -> if h.n = 0 then None else Some (h.name, summarise_locked h)
+              | Some (_, n0, _) when h.n <= n0 -> None
+              | Some (c0, n0, s0) ->
+                  let counts = Array.mapi (fun b c -> c - c0.(b)) h.counts in
+                  let lo = ref 0 and hi = ref (bucket_count - 1) in
+                  while counts.(!lo) <= 0 do incr lo done;
+                  while counts.(!hi) <= 0 do decr hi done;
+                  let top =
+                    if !hi + 1 < bucket_count then bucket_lower_bound (!hi + 1) - 1 else max_int
+                  in
+                  Some
+                    ( h.name,
+                      summary_of ~counts ~n:(h.n - n0) ~sum:(h.sum - s0)
+                        ~min_v:(max h.min_v (bucket_lower_bound !lo))
+                        ~max_v:(min h.max_v top) )))
+        (entries ())
 end
 
 (* Sliding-window histograms: a ring of [slots] log-bucketed histograms,
@@ -528,7 +569,7 @@ module Windowed_histogram = struct
     Mutex.unlock w.lock
 
   let add_always w v = add_always_at w ~now_ns:(now_ns ()) v
-  let add w v = if Atomic.get enabled_flag then add_always w v
+  let add w v = if Atomic.get state <> 0 then add_always w v
 
   (* Merge the live slices into one flat bucket array under the lock. *)
   let merge_live w ~now_ns =
@@ -593,8 +634,6 @@ module Windowed_histogram = struct
       (entries ())
 
   let inventory () = List.map (fun w -> (w.name, w.help, window_label w, summary w)) (entries ())
-
-  let reset_all () = List.iter reset (entries ())
 end
 
 type trace = {
@@ -604,35 +643,25 @@ type trace = {
   dropped : int;
 }
 
-let capture () =
-  Mutex.lock buf_mutex;
-  let spans = List.rev !buf and dropped = !buf_dropped in
-  Mutex.unlock buf_mutex;
-  let counters = List.filter (fun (_, v) -> v <> 0) (Counter.snapshot ()) in
-  { spans; counters; hists = Histogram.snapshot (); dropped }
-
-let reset () =
-  Mutex.lock buf_mutex;
-  buf := [];
-  buf_len := 0;
-  buf_dropped := 0;
-  Mutex.unlock buf_mutex;
-  Counter.reset_all ();
-  Histogram.reset_all ()
-
 let with_capture f =
-  let was = enabled () in
-  reset ();
-  enable ();
-  let restore () = if not was then disable () in
-  match f () with
-  | v ->
-      let t = capture () in
-      restore ();
-      (v, t)
-  | exception e ->
-      restore ();
-      raise e
+  let st = Domain.DLS.get state_key in
+  let cap = { lock = Mutex.create (); recorded = []; len = 0; lost = 0; outer = st.cap } in
+  let counters0 = Counter.snapshot () and hists = Histogram.since () in
+  ignore (Atomic.fetch_and_add state 2);
+  st.cap <- Some cap;
+  let close () =
+    st.cap <- cap.outer;
+    ignore (Atomic.fetch_and_add state (-2))
+  in
+  let v = Fun.protect ~finally:close f in
+  let counters =
+    List.filter_map
+      (fun (n, v) ->
+        let d = v - Option.value ~default:0 (List.assoc_opt n counters0) in
+        if d = 0 then None else Some (n, d))
+      (Counter.snapshot ())
+  in
+  (v, { spans = List.rev cap.recorded; counters; hists = hists (); dropped = cap.lost })
 
 let totals tr =
   let order = ref [] in
@@ -698,7 +727,8 @@ let render tr =
   let b = Buffer.create 1024 in
   (* children grouped under their parent, in start order; a parent always
      precedes its children in [tr.spans], so one pass suffices.  Spans
-     whose parent fell out of the bounded buffer render as roots. *)
+     whose parent is not in the trace (dropped at the capture's bound, or
+     opened before the capture) render as roots. *)
   let known = Hashtbl.create 64 in
   let children : (int, span list ref) Hashtbl.t = Hashtbl.create 64 in
   let kids id = match Hashtbl.find_opt children id with
@@ -797,65 +827,42 @@ let render tr =
 (* --- Chrome trace_event export --------------------------------------- *)
 
 let to_chrome_json tr =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  let first = ref true in
-  let sep () = if !first then first := false else Buffer.add_char b ',' in
+  let open Json in
   let t_base = match tr.spans with [] -> 0 | s :: _ -> s.t0_ns in
-  let last_ts = ref 0.0 in
-  List.iter
-    (fun s ->
-      sep ();
-      let ts = float_of_int (s.t0_ns - t_base) /. 1e3 in
-      let dur = float_of_int s.dur_ns /. 1e3 in
-      if ts +. dur > !last_ts then last_ts := ts +. dur;
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"holistic\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f"
-           (Json.escape s.name) s.tid ts dur);
-      let args =
-        s.args
-        @ (if s.alloc_w > 0 then [ ("alloc_kw", Printf.sprintf "%.1f" (float_of_int s.alloc_w /. 1e3)) ] else [])
-        @ (if s.bytes > 0 then [ ("bytes", string_of_int s.bytes) ] else [])
-        @ if s.majors > 0 then [ ("major_gcs", string_of_int s.majors) ] else []
-      in
-      if args <> [] then begin
-        Buffer.add_string b ",\"args\":{";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char b ',';
-            Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
-          args;
-        Buffer.add_char b '}'
-      end;
-      Buffer.add_char b '}')
-    tr.spans;
-  List.iter
-    (fun (n, v) ->
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":%.3f,\"args\":{\"value\":%d}}"
-           (Json.escape n) !last_ts v))
-    tr.counters;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let us ns = J_float (float_of_int ns /. 1e3) in
+  let event name ph ~tid ~ts more =
+    J_obj
+      ([ ("name", J_string name); ("ph", J_string ph); ("pid", J_int 1); ("tid", J_int tid); ("ts", us ts) ]
+      @ more)
+  in
+  let complete s =
+    let args =
+      s.args
+      @ (if s.alloc_w > 0 then [ ("alloc_kw", Printf.sprintf "%.1f" (float_of_int s.alloc_w /. 1e3)) ] else [])
+      @ (if s.bytes > 0 then [ ("bytes", string_of_int s.bytes) ] else [])
+      @ if s.majors > 0 then [ ("major_gcs", string_of_int s.majors) ] else []
+    in
+    event s.name "X" ~tid:s.tid ~ts:(s.t0_ns - t_base)
+      (("cat", J_string "holistic") :: ("dur", us s.dur_ns)
+      :: (if args = [] then [] else [ ("args", J_obj (List.map (fun (k, v) -> (k, J_string v)) args)) ]))
+  in
+  (* counters land at the end of the last span *)
+  let t_end = List.fold_left (fun acc s -> max acc (s.t0_ns - t_base + s.dur_ns)) 0 tr.spans in
+  let counter (n, v) = event n "C" ~tid:0 ~ts:t_end [ ("args", J_obj [ ("value", J_int v) ]) ] in
+  to_string
+    (J_obj
+       [
+         ("displayTimeUnit", J_string "ms");
+         ("traceEvents", J_list (List.map complete tr.spans @ List.map counter tr.counters));
+       ])
 
 let write_chrome_trace path tr =
   let oc = open_out path in
-  output_string oc (to_chrome_json tr);
-  close_out oc
-
-(* Clear only the span buffer, leaving cumulative counters, histograms and
-   windowed histograms untouched — the query-log collector enables tracing
-   per query and must not wipe the process-lifetime registries the metrics
-   endpoint exports (unlike [reset]). *)
-let clear_spans () =
-  Mutex.lock buf_mutex;
-  buf := [];
-  buf_len := 0;
-  buf_dropped := 0;
-  Mutex.unlock buf_mutex
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc (to_chrome_json tr);
+      flush oc)
 
 (* Live memory gauge: major-heap size sampled at scrape time.  Cheap
    ([Gc.quick_stat] reads tallies, no heap walk) and genuinely current,

@@ -3,33 +3,59 @@
     a process-wide registry, a plan-tree renderer and Chrome [trace_event]
     JSON export.
 
-    The overhead contract: when tracing is disabled (the default), every
-    entry point costs one atomic load and returns — no clock reads, no GC
-    sampling, no buffer writes, no formatting.  Argument lists and byte
-    counts are therefore passed as thunks ([?args], {!record_bytes}) that
-    are only forced with tracing on.  Instrumentation sits at
-    partition/stage granularity, never per row, so even the call-site
-    closure allocations are negligible (see DESIGN.md "Observability" and
-    "Resource observability"). *)
+    {!with_capture} is the one way to observe a run.  A capture owns the
+    spans its run records, bounded at 2{^18}: spans go to the capture open
+    on the domain that records them, and a pool task carries its
+    submitter's capture to the worker that runs it ({!handoff}), so worker
+    spans land in the same trace under their real parent.  A span with no
+    capture open on its domain records nothing.  The trace's counters and
+    histograms are deltas over the capture; nothing resets the
+    process-wide registries, so the metrics exporter ({!Metrics}) sees
+    every increment — and captures running at the same time see each
+    other's counter increments.  Overlapping captures never switch
+    tracing off for each other: tracing is on while {!enable} is set or
+    any capture is open.
+
+    The overhead contract: with tracing off (the default), every entry point
+    costs one atomic load and returns — no clock reads, no GC sampling, no
+    buffer writes, no formatting.  Argument lists and byte counts are
+    therefore passed as thunks ([?args], {!record_bytes}) that are only
+    forced with tracing on.  Instrumentation sits at partition/stage
+    granularity, never per row, so even the call-site closure allocations
+    are negligible (see DESIGN.md "Observability" and "Resource
+    observability"). *)
 
 val now_ns : unit -> int
 (** Monotonic clock, nanoseconds since an arbitrary origin. *)
 
-val enabled : unit -> bool
+val tracing : unit -> bool
+(** Whether tracing is on: {!enable} is set or a capture is open. *)
+
 val enable : unit -> unit
+(** Turn tracing on outside captures: gated counters and histograms count
+    (spans still need a capture). *)
+
 val disable : unit -> unit
 
 val span : ?args:(unit -> (string * string) list) -> string -> (unit -> 'a) -> 'a
-(** [span name f] runs [f ()]; with tracing enabled it records a span
-    covering the call, parented under the innermost open span of the
-    current domain.  [args] is forced once, when the span finishes.  The
-    span is closed (and recorded) even if [f] raises.
+(** [span name f] runs [f ()]; with a capture open on this domain it
+    records a span covering the call into that capture, parented under
+    the innermost open span of the current domain (in a task handed over
+    by {!handoff}: under the span that submitted it).  [args] is forced
+    once, when the span finishes.  The span is closed (and recorded) even
+    if [f] raises.
 
     Each enabled span also samples [Gc.quick_stat] at entry and exit and
     stores the deltas: words allocated ([alloc_w], minor + direct-major,
     promotions not double-counted), words promoted and major collections
     finished during the span.  The counters are per-domain — work a span
     hands to pool workers is accounted to the workers' own spans. *)
+
+val handoff : (unit -> 'a) -> unit -> 'a
+(** [handoff task] binds [task] to the calling domain's open capture and
+    innermost open span: run on any domain, its spans go to that capture,
+    parented under that span.  [Task_pool] wraps every submitted task with
+    it.  Without a capture open it returns [task] itself. *)
 
 val annotate : (string * string) list -> unit
 (** Append key/value arguments to the innermost open span of the current
@@ -66,12 +92,9 @@ module Counter : sig
 
   val incr : t -> unit
   val value : t -> int
-  val set : t -> int -> unit
 
   val snapshot : unit -> (string * int) list
   (** All registered counters with their current values, sorted by name. *)
-
-  val reset_all : unit -> unit
 end
 
 module Histogram : sig
@@ -120,17 +143,11 @@ module Histogram : sig
 
   val summary : t -> summary
 
-  val merge : into:t -> t -> unit
-  (** Fold [src]'s recorded values into [into] (e.g. per-domain histograms
-      into a global one).  Merging a histogram into itself is a no-op. *)
-
   val reset : t -> unit
 
   val snapshot : unit -> (string * summary) list
   (** All registered histograms with at least one recorded value, sorted
       by name. *)
-
-  val reset_all : unit -> unit
 
   (**/**)
 
@@ -229,8 +246,6 @@ module Windowed_histogram : sig
   val snapshot : unit -> (string * Histogram.summary) list
   (** All registered windowed histograms with a non-empty live window,
       sorted by name. *)
-
-  val reset_all : unit -> unit
 end
 
 type span = {
@@ -249,26 +264,16 @@ type span = {
 
 type trace = {
   spans : span list;  (** in start order: parents precede children *)
-  counters : (string * int) list;  (** non-zero registered counters *)
-  hists : (string * Histogram.summary) list;  (** non-empty histograms *)
-  dropped : int;  (** spans lost to the bounded buffer *)
+  counters : (string * int) list;  (** non-zero counter deltas over the capture *)
+  hists : (string * Histogram.summary) list;  (** non-empty histogram deltas *)
+  dropped : int;  (** spans lost to the capture's bound *)
 }
 
-val capture : unit -> trace
-val reset : unit -> unit
-(** Clear the span buffer, zero every registered counter and reset every
-    registered histogram. *)
-
-val clear_spans : unit -> unit
-(** Clear only the bounded span buffer, leaving counters, histograms and
-    windowed histograms untouched — for collectors (the query log) that
-    enable tracing per query without wiping the process-lifetime
-    registries the metrics endpoint exports. *)
-
 val with_capture : (unit -> 'a) -> 'a * trace
-(** [with_capture f]: reset, enable, run [f], capture, restore the
-    previous enabled state.  The trace contains exactly the spans,
-    counter increments and histogram records of this run. *)
+(** [with_capture f] runs [f] with tracing on and returns its result with
+    the trace of the run, as the module header describes.  Captures nest
+    — an inner capture's spans also land in the enclosing one.  If [f]
+    raises, the capture closes and the exception propagates. *)
 
 val totals : trace -> (string * (int * float)) list
 (** Per span name, in first-appearance order: (count, total seconds).
@@ -302,6 +307,8 @@ val to_chrome_json : trace -> string
     event. *)
 
 val write_chrome_trace : string -> trace -> unit
+(** Write {!to_chrome_json} to a file; the channel is closed even when
+    the write fails. *)
 
 module Metrics : sig
   (** One coherent snapshot of every registered metric — counters,
@@ -319,9 +326,9 @@ module Metrics : sig
   }
 
   val snapshot : unit -> t
-  (** Sample everything now, each section sorted by name.  Unlike
-      {!capture} this includes zero counters and empty histograms —
-      a scrape endpoint exposes the full inventory. *)
+  (** Sample everything now, each section sorted by name.  Unlike a
+      {!trace} this includes zero counters and empty histograms — a
+      scrape endpoint exposes the full inventory. *)
 
   val filter : (string -> bool) -> t -> t
   (** Keep only metrics whose name satisfies the predicate (deterministic

@@ -72,7 +72,7 @@ let exec pool b stat task =
       record_error b e;
       Mutex.unlock pool.shared.mutex
   in
-  (if Obs.enabled () then begin
+  (if Obs.tracing () then begin
      let t0 = Obs.now_ns () in
      run ();
      let d = Obs.now_ns () - t0 in
@@ -119,7 +119,7 @@ let worker_loop pool stat =
       | None ->
           if shared.stop then None
           else begin
-            (if Obs.enabled () then begin
+            (if Obs.tracing () then begin
                let t0 = Obs.now_ns () in
                Condition.wait shared.cond shared.mutex;
                let d = Obs.now_ns () - t0 in
@@ -187,9 +187,12 @@ let shutdown t =
   end
 
 (* With tracing on, tasks are wrapped at submission so the delay between
-   enqueue and first instruction is charged to pool.queue_wait_ns. *)
+   enqueue and first instruction is charged to pool.queue_wait_ns.
+   [submit] also hands each task the submitter's capture ([Obs.handoff]),
+   so its spans land there under the submitting span, whichever domain
+   runs it. *)
 let stamp_queue_wait task =
-  if not (Obs.enabled ()) then task
+  if not (Obs.tracing ()) then task
   else begin
     let t_enq = Obs.now_ns () in
     fun () ->
@@ -225,7 +228,7 @@ let submit t b task =
     Mutex.lock s.mutex;
     b.pending <- b.pending + 1;
     let was_empty = Queue.is_empty b.bq in
-    Queue.push (stamp_queue_wait task) b.bq;
+    Queue.push (Obs.handoff (stamp_queue_wait task)) b.bq;
     if was_empty then s.active <- s.active @ [ b ];
     Condition.broadcast s.cond;
     Mutex.unlock s.mutex

@@ -17,6 +17,10 @@
     keeps nested algorithms (a merge sort tree built inside a partition
     morsel, say) correct with no caller-side case split.
 
+    A task runs under its submitter's {!Holistic_obs.Obs} capture
+    ({!Holistic_obs.Obs.handoff}): the spans it records on a worker domain
+    land in the submitter's trace, under the span that submitted it.
+
     A pool of size 1 executes everything inline on the caller, which keeps
     behaviour deterministic on single-core machines while preserving the task
     decomposition itself (and hence the per-task costs the paper measures). *)

@@ -151,11 +151,6 @@ let compare_positions mw =
    segment merges do not contend. *)
 let ovc_decided_count = Obs.Counter.make ~help:"Merge comparisons decided by offset-value codes alone" "sort.ovc_decided"
 let ovc_scanned_count = Obs.Counter.make ~help:"Merge comparisons that fell back to scanning key bytes" "sort.ovc_scanned"
-let ovc_stats () = (Obs.Counter.value ovc_decided_count, Obs.Counter.value ovc_scanned_count)
-
-let reset_ovc_stats () =
-  Obs.Counter.set ovc_decided_count 0;
-  Obs.Counter.set ovc_scanned_count 0
 
 (* K-way merge as a tree of losers carrying offset-value codes (Do &
    Graefe, "Robust and Efficient Sorting with Offset-Value Coding").

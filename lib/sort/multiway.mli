@@ -65,17 +65,10 @@ val merge_multiword :
     keys sharing a prefix with the incumbent collapse to a single int
     compare, and key words are only read when the codes tie. The [deep]
     words are row-indexed and therefore shared between [mw] and the
-    destination. *)
-
-val ovc_stats : unit -> int * int
-(** [(decided, scanned)] cumulative counts of OVC merge comparisons
-    settled by codes alone vs needing a key-word scan, across all merges
-    (and domains) since the last {!reset_ovc_stats}. Backed by the
-    registered {!Holistic_obs.Obs.Counter}s [sort.ovc_decided] /
-    [sort.ovc_scanned] (always on, independent of tracing), so they also
-    appear in captured traces and EXPLAIN ANALYZE output. *)
-
-val reset_ovc_stats : unit -> unit
+    destination.  Each merge adds its comparison tallies to the always-on
+    counters [sort.ovc_decided] (settled by the codes alone) and
+    [sort.ovc_scanned] (needed a key-word scan); read them as deltas from
+    a {!Holistic_obs.Obs.with_capture} trace. *)
 
 (** {2 Run sources: merging in-memory and on-disk runs identically} *)
 

@@ -3,6 +3,7 @@ exception Semantic_error of string
 
 module Session = Holistic_window.Session
 module Query_stats = Holistic_window.Query_stats
+module Obs = Holistic_obs.Obs
 
 let parse src =
   try Parser.parse src with Parser.Error (msg, off) -> raise (Parse_error (msg, off))
@@ -11,9 +12,16 @@ let plan ?pool ?algorithm ?evaluator ?governor ?session ~tables ast =
   try Planner.run_with_stats ?pool ?algorithm ?evaluator ?governor ?session ~tables ast
   with Planner.Error msg -> raise (Semantic_error msg)
 
+(* The one observed run: the statement under {!Holistic_obs.Obs.with_capture},
+   rooted at a [sql.query] span.  EXPLAIN ANALYZE renders it; the query log
+   keeps a record of it. *)
+let observed_run ?pool ?algorithm ?evaluator ?governor ?session ~tables ast =
+  Obs.with_capture (fun () ->
+      Obs.span "sql.query" (fun () ->
+          plan ?pool ?algorithm ?evaluator ?governor ?session ~tables ast))
+
 let query ?pool ?algorithm ?evaluator ?governor ?session ?query_log ~tables src =
   let ast = parse src in
-  let run () = plan ?pool ?algorithm ?evaluator ?governor ?session ~tables ast in
   match query_log with
   | Some sink ->
       let rows_in =
@@ -22,14 +30,18 @@ let query ?pool ?algorithm ?evaluator ?governor ?session ?query_log ~tables src 
         | None -> 0
       in
       let session_epoch = Option.map Session.epoch session in
-      let result, record = Query_stats.measure ~sql:src ?session_epoch ~rows_in run in
-      Query_stats.Log.append sink record;
+      let (result, plan), trace =
+        observed_run ?pool ?algorithm ?evaluator ?governor ?session ~tables ast
+      in
+      Query_stats.Log.append sink
+        (Query_stats.of_trace ~sql:src ~session_epoch ~rows_in ~plan result trace);
       result
   | None ->
-      if Holistic_obs.Obs.enabled () then (
-        let t0 = Holistic_obs.Obs.now_ns () in
+      let run () = plan ?pool ?algorithm ?evaluator ?governor ?session ~tables ast in
+      if Obs.tracing () then (
+        let t0 = Obs.now_ns () in
         let result, _ = run () in
-        Query_stats.note_latency (Holistic_obs.Obs.now_ns () - t0);
+        Query_stats.note_latency (Obs.now_ns () - t0);
         result)
       else fst (run ())
 
@@ -202,22 +214,21 @@ let explain_ast q =
 
 let explain src = explain_ast (Parser.parse src)
 
-(* EXPLAIN ANALYZE: one run of the query under
-   {!Holistic_obs.Obs.with_capture}, and one renderer of its span tree and
-   counters under the static plan description. Everything time-valued
+(* EXPLAIN ANALYZE: the observed run, and one renderer of its span tree
+   and counters under the static plan description. Everything time-valued
    prints as "%.3f ms" so tests can mask it; structure, row counts and
    counters are deterministic for a given pool size. *)
 let explain_analyze_trace ?pool ?algorithm ?evaluator ?governor ?session ~tables src =
-  let ast = parse src in
-  Holistic_obs.Obs.with_capture (fun () ->
-      Holistic_obs.Obs.span "sql.query" (fun () ->
-          fst (plan ?pool ?algorithm ?evaluator ?governor ?session ~tables ast)))
+  let (result, _), trace =
+    observed_run ?pool ?algorithm ?evaluator ?governor ?session ~tables (parse src)
+  in
+  (result, trace)
 
 let render_analyze src (result, trace) =
   String.concat ""
     [
       explain src;
       Printf.sprintf "rows: %d (%s)\n" (Holistic_storage.Table.nrows result)
-        (Holistic_obs.Obs.human_bytes (Holistic_storage.Table.footprint_bytes result));
-      Holistic_obs.Obs.render trace;
+        (Obs.human_bytes (Holistic_storage.Table.footprint_bytes result));
+      Obs.render trace;
     ]

@@ -46,10 +46,11 @@ val query :
     store consulted and refilled when the FROM table is the session's
     table and no WHERE clause filters it — bind it with
     [~tables:[ (name, Session.table s) ]]; [query_log] receives one
-    {!Query_stats.t} record per statement, collected with
-    {!Query_stats.measure}.  Without a sink the statement still feeds the
-    [sql.query_ns] latency histograms whenever tracing is enabled.  The
-    library reads no environment variables here: the CLI turns
+    {!Query_stats.t} record per statement: {!Query_stats.of_trace} of the
+    one run {!explain_analyze_trace} would make (a capture open around the
+    call keeps that run's spans too).  Without a sink the statement still
+    feeds the [sql.query_ns] latency histograms whenever tracing is on.
+    The library reads no environment variables here: the CLI turns
     [HOLIWIN_MEM_LIMIT] and [HOLIWIN_QUERY_LOG] into these arguments. *)
 
 (** {2 Sessions}
@@ -96,10 +97,12 @@ val explain_analyze_trace :
     as in {!query}) with {!Holistic_obs.Obs} tracing captured around it
     and returns the result with the captured trace — render it with
     {!render_analyze}, or export it with
-    {!Holistic_obs.Obs.write_chrome_trace}.  The previous tracing state is
-    restored afterwards.  Through a [session], sort and item spans carry
-    cache provenance tags — [reused(epoch=k)], [maintained(+n rows)],
-    [rebuilt(stale)] — showing how each structure was obtained. *)
+    {!Holistic_obs.Obs.write_chrome_trace}.  The trace is rooted at a
+    [sql.query] span; spans that pool workers record sit under the span
+    that submitted their task, and counters are deltas over the run.
+    Through a [session], sort and item spans carry cache provenance tags
+    — [reused(epoch=k)], [maintained(+n rows)], [rebuilt(stale)] —
+    showing how each structure was obtained. *)
 
 val render_analyze : string -> Table.t * Holistic_obs.Obs.trace -> string
 (** [render_analyze sql run] is the EXPLAIN ANALYZE report of [run] (as

@@ -180,7 +180,7 @@ let seg_tree_bytes = function
 let built ~bytes v =
   (* called inside the build span, so the footprint lands on it; [bytes]
      is only evaluated with tracing on (it may walk the structure) *)
-  if Obs.enabled () then begin
+  if Obs.tracing () then begin
     let b = bytes v in
     Obs.record_bytes (fun () -> b);
     Obs.Counter.add c_struct_bytes b

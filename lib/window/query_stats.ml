@@ -47,83 +47,50 @@ let note_latency_always ns =
   Obs.Histogram.add_always query_hist ns;
   Obs.Windowed_histogram.add_always query_window ns
 
-let note_latency ns = if Obs.enabled () then note_latency_always ns
+let note_latency ns = if Obs.tracing () then note_latency_always ns
 
 let evaluator_prefix = "plan.evaluator."
 
-let delta snap0 snap1 name =
-  let v l = match List.assoc_opt name l with Some v -> v | None -> 0 in
-  v snap1 - v snap0
-
-let measure ?(sql = "") ?session_epoch ~rows_in f =
-  let was_enabled = Obs.enabled () in
-  if not was_enabled then Obs.enable ();
-  let before = Obs.Counter.snapshot () in
-  let g0 = Gc.quick_stat () in
-  let m0 = Gc.minor_words () in
-  let t0 = Obs.now_ns () in
-  let finish () =
-    if not was_enabled then begin
-      Obs.disable ();
-      (* the spans this query recorded are nobody's capture — drop them
-         without touching the cumulative counter/histogram registries *)
-      Obs.clear_spans ()
-    end
+(* The record is a view of one captured run: wall time and GC figures from
+   its root span, byte/cache/evaluator fields from the capture's counter
+   deltas. *)
+let of_trace ~sql ~session_epoch ~rows_in ~plan result (trace : Obs.trace) =
+  let root =
+    List.find_opt (fun (s : Obs.span) -> s.Obs.name = "sql.query") trace.Obs.spans
   in
-  match f () with
-  | exception e ->
-      finish ();
-      raise e
-  | result, plan ->
-      let wall_ns = Obs.now_ns () - t0 in
-      let minor = Gc.minor_words () -. m0 in
-      let g1 = Gc.quick_stat () in
-      let after = Obs.Counter.snapshot () in
-      finish ();
-      note_latency_always wall_ns;
-      let d = delta before after in
-      let major = g1.Gc.major_words -. g0.Gc.major_words in
-      let promoted = g1.Gc.promoted_words -. g0.Gc.promoted_words in
-      let evaluators =
-        List.filter_map
-          (fun (n, v1) ->
-            if
-              String.length n > String.length evaluator_prefix
-              && String.sub n 0 (String.length evaluator_prefix) = evaluator_prefix
-            then
-              let dv = v1 - (match List.assoc_opt n before with Some v -> v | None -> 0) in
-              if dv > 0 then
-                Some (String.sub n (String.length evaluator_prefix)
-                        (String.length n - String.length evaluator_prefix), dv)
-              else None
-            else None)
-          after
-      in
-      let r =
-        {
-          seq = 0;
-          unix_ms = int_of_float (Unix.gettimeofday () *. 1000.);
-          sql;
-          wall_ns;
-          rows_in;
-          rows_out = Table.nrows result;
-          plan;
-          structure_bytes = d "mem.structure_bytes";
-          scratch_bytes = d "sort.scratch_bytes";
-          spill_runs = d "sort.spill_runs";
-          spill_bytes = d "sort.spill_bytes";
-          cache_hits = d "cache.hit";
-          cache_misses = d "cache.miss";
-          cache_maintained = d "cache.maintained";
-          cache_rebuilt = d "cache.rebuilt";
-          evaluators;
-          alloc_w = int_of_float (minor +. major -. promoted);
-          promoted_w = int_of_float promoted;
-          majors = g1.Gc.major_collections - g0.Gc.major_collections;
-          session_epoch;
-        }
-      in
-      (result, r)
+  let from_root f = match root with Some s -> f s | None -> 0 in
+  let d name = Option.value ~default:0 (List.assoc_opt name trace.Obs.counters) in
+  let pl = String.length evaluator_prefix in
+  let evaluators =
+    List.filter_map
+      (fun (n, v) ->
+        if String.length n > pl && String.sub n 0 pl = evaluator_prefix && v > 0 then
+          Some (String.sub n pl (String.length n - pl), v)
+        else None)
+      trace.Obs.counters
+  in
+  {
+    seq = 0;
+    unix_ms = int_of_float (Unix.gettimeofday () *. 1000.);
+    sql;
+    wall_ns = from_root (fun s -> s.Obs.dur_ns);
+    rows_in;
+    rows_out = Table.nrows result;
+    plan;
+    structure_bytes = d "mem.structure_bytes";
+    scratch_bytes = d "sort.scratch_bytes";
+    spill_runs = d "sort.spill_runs";
+    spill_bytes = d "sort.spill_bytes";
+    cache_hits = d "cache.hit";
+    cache_misses = d "cache.miss";
+    cache_maintained = d "cache.maintained";
+    cache_rebuilt = d "cache.rebuilt";
+    evaluators;
+    alloc_w = from_root (fun s -> s.Obs.alloc_w);
+    promoted_w = from_root (fun s -> s.Obs.promoted_w);
+    majors = from_root (fun s -> s.Obs.majors);
+    session_epoch;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* holiwin-qlog/1 serialisation                                        *)
@@ -281,6 +248,7 @@ module Log = struct
 
   let append s r =
     if s.closed then invalid_arg "Query_stats.Log.append: sink is closed";
+    note_latency_always r.wall_ns;
     let line = to_json_line { r with seq = s.next_seq } ^ "\n" in
     s.next_seq <- s.next_seq + 1;
     if s.size > 0 && s.size + String.length line > s.max_bytes then rotate s;

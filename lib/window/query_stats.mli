@@ -3,14 +3,14 @@
     Every query the engine runs can be summarised as one {!t}: wall time,
     row counts, the plan's sort/build provenance ({!Window_plan.stats}),
     byte counters (structures, sort scratch, spill), cache hit/miss and
-    maintenance tallies, evaluator picks and GC deltas.  Records are
-    collected by {!measure} (which wraps a query thunk and diffs the
-    registered counters around it, enabling tracing for the duration when
-    it was off — the same counter semantics as EXPLAIN ANALYZE) and
-    appended to a JSONL query log with the versioned [holiwin-qlog/1]
-    schema: one self-describing JSON object per line, written and read
-    ({!of_json_line}) with the shared {!Holistic_util.Json} codec, so SLO
-    tooling needs no JSON dependency.
+    maintenance tallies, evaluator picks and GC deltas.  A record is a
+    view of the query's one observed run — the trace
+    [Sql.explain_analyze_trace] returns, rooted at its [sql.query] span
+    ({!of_trace}) — so it holds exactly the numbers EXPLAIN ANALYZE
+    shows.  Records are appended to a JSONL query log with the versioned
+    [holiwin-qlog/1] schema: one self-describing JSON object per line,
+    written and read ({!of_json_line}) with the shared
+    {!Holistic_util.Json} codec, so SLO tooling needs no JSON dependency.
 
     The log sink ({!Log}) rotates by size: when a record would push the
     file past [max_bytes], the file is renamed to [PATH.1] (replacing any
@@ -48,19 +48,19 @@ type t = {
   session_epoch : int option;
 }
 
-val measure :
-  ?sql:string ->
-  ?session_epoch:int ->
+val of_trace :
+  sql:string ->
+  session_epoch:int option ->
   rows_in:int ->
-  (unit -> Table.t * Window_plan.stats option) ->
-  Table.t * t
-(** Run the thunk and assemble its record ([seq] is 0 until a sink
-    assigns one).  Tracing is enabled for the duration if it was off —
-    the gated byte/cache/evaluator counters must move — and restored
-    (with the span buffer cleared via {!Holistic_obs.Obs.clear_spans})
-    afterwards, so cumulative counters keep flowing to the metrics
-    exporter.  Also records [wall_ns] into the [sql.query_ns] histogram
-    and the [sql.query_window_ns] windowed histogram. *)
+  plan:Window_plan.stats option ->
+  Table.t ->
+  Holistic_obs.Obs.trace ->
+  t
+(** [of_trace ~sql ~session_epoch ~rows_in ~plan result trace] is the
+    record of a run that produced [result] under [trace] ([seq] is 0 until
+    a sink assigns one).  [wall_ns], [alloc_w], [promoted_w] and [majors]
+    come from the trace's root span [sql.query]; the byte, cache and
+    evaluator fields are the trace's counter deltas. *)
 
 val note_latency : int -> unit
 (** Record one query latency (ns) into [sql.query_ns] and
@@ -85,7 +85,9 @@ module Log : sig
   val append : sink -> t -> unit
   (** Assign the next sequence number, write the record as one line and
       flush.  Rotates to [path.1] first when the line would push the
-      current file past [max_bytes]. *)
+      current file past [max_bytes].  Also records the query's [wall_ns]
+      into [sql.query_ns] and [sql.query_window_ns], whether or not
+      tracing is on. *)
 
   val path : sink -> string
   val rotations : sink -> int

@@ -11,7 +11,7 @@ module Rng = Holistic_util.Rng
 module Task_pool = Holistic_parallel.Task_pool
 module Introsort = Holistic_sort.Introsort
 module Parallel_sort = Holistic_sort.Parallel_sort
-module Multiway = Holistic_sort.Multiway
+module Obs = Holistic_obs.Obs
 module Window_plan = Holistic_window.Window_plan
 module Window_spec = Holistic_window.Window_spec
 
@@ -246,9 +246,11 @@ let test_ovc_merge_stress () =
       let kc = Key_codec.compile table spec in
       Alcotest.(check bool) "spec spans multiple words" true
         (Array.length kc.Key_codec.words > 1);
-      Multiway.reset_ovc_stats ();
-      check_parity pool ~task_size:512 table spec "ovc stress";
-      let decided, scanned = Multiway.ovc_stats () in
+      let (), trace =
+        Obs.with_capture (fun () -> check_parity pool ~task_size:512 table spec "ovc stress")
+      in
+      let count name = Option.value ~default:0 (List.assoc_opt name trace.Obs.counters) in
+      let decided = count "sort.ovc_decided" and scanned = count "sort.ovc_scanned" in
       Alcotest.(check bool) "ovc decided some comparisons" true (decided > 0);
       Alcotest.(check bool)
         (Printf.sprintf "ovc decided (%d) dominates deep scans (%d)" decided scanned)

@@ -41,20 +41,32 @@ let test_span_nesting () =
     (List.for_all (fun (s : Obs.span) -> s.Obs.dur_ns >= 0) tr.Obs.spans)
 
 let test_disabled_noop () =
-  Obs.reset ();
   Obs.disable ();
+  let c = Obs.Counter.make "test.noop" in
   let forced = ref false in
-  let v =
+  let off () =
     Obs.span
       ~args:(fun () ->
         forced := true;
         [])
-      "off" (fun () -> 3)
+      "off"
+      (fun () ->
+        Obs.Counter.incr c;
+        3)
   in
-  Alcotest.(check int) "value passes through" 3 v;
+  let v0 = Obs.Counter.value c in
+  Alcotest.(check int) "value passes through" 3 (off ());
+  Alcotest.(check int) "gated counter untouched while disabled" v0 (Obs.Counter.value c);
+  (* tracing on, but no capture open on this domain: the span records
+     nothing *)
+  Obs.enable ();
+  ignore (off ());
+  Obs.disable ();
   Alcotest.(check bool) "args thunk never forced" false !forced;
-  let tr = Obs.capture () in
-  Alcotest.(check int) "no spans recorded" 0 (List.length tr.Obs.spans)
+  let (), tr = Obs.with_capture (fun () -> ()) in
+  Alcotest.(check int) "no spans reach a later capture" 0 (List.length tr.Obs.spans);
+  Alcotest.(check (option int)) "nor counter increments" None
+    (List.assoc_opt "test.noop" tr.Obs.counters)
 
 let test_exception_closes_span () =
   let (), tr =
@@ -75,31 +87,106 @@ let test_annotate () =
 
 let test_counters () =
   let c = Obs.Counter.make "test.gated" in
-  Obs.reset ();
   Obs.disable ();
+  let v0 = Obs.Counter.value c in
   Obs.Counter.add c 5;
-  Alcotest.(check int) "gated add is a no-op when disabled" 0 (Obs.Counter.value c);
+  Alcotest.(check int) "gated add is a no-op when disabled" v0 (Obs.Counter.value c);
   Obs.Counter.add_always c 5;
-  Alcotest.(check int) "add_always counts when disabled" 5 (Obs.Counter.value c);
-  Obs.enable ();
-  Obs.Counter.incr c;
-  Obs.disable ();
-  Alcotest.(check int) "gated add counts when enabled" 6 (Obs.Counter.value c);
+  Alcotest.(check int) "add_always counts when disabled" (v0 + 5) (Obs.Counter.value c);
+  let (), tr =
+    Obs.with_capture (fun () ->
+        Obs.Counter.incr c;
+        Obs.Counter.add c 2)
+  in
+  Alcotest.(check int) "gated add counts inside a capture" (v0 + 8) (Obs.Counter.value c);
+  Alcotest.(check (option int)) "the trace holds the delta" (Some 3)
+    (List.assoc_opt "test.gated" tr.Obs.counters);
   Alcotest.(check bool) "registered in snapshot" true
-    (List.mem ("test.gated", 6) (Obs.Counter.snapshot ()));
+    (List.mem ("test.gated", v0 + 8) (Obs.Counter.snapshot ()));
   Alcotest.(check bool) "same name, same counter" true
-    (Obs.Counter.value (Obs.Counter.make "test.gated") = 6);
-  Obs.reset ();
-  Alcotest.(check int) "reset zeroes" 0 (Obs.Counter.value c)
+    (Obs.Counter.value (Obs.Counter.make "test.gated") = v0 + 8);
+  let (), tr = Obs.with_capture (fun () -> ()) in
+  Alcotest.(check (option int)) "no increment, no entry" None
+    (List.assoc_opt "test.gated" tr.Obs.counters);
+  Alcotest.(check int) "captures never reset the registry" (v0 + 8) (Obs.Counter.value c)
 
 let test_with_capture_restores () =
   Obs.disable ();
-  let (), _ = Obs.with_capture (fun () -> Alcotest.(check bool) "on inside" true (Obs.enabled ())) in
-  Alcotest.(check bool) "off restored" false (Obs.enabled ());
+  let (), _ = Obs.with_capture (fun () -> Alcotest.(check bool) "on inside" true (Obs.tracing ())) in
+  Alcotest.(check bool) "off restored" false (Obs.tracing ());
   Obs.enable ();
   let (), _ = Obs.with_capture (fun () -> ()) in
-  Alcotest.(check bool) "on restored" true (Obs.enabled ());
+  Alcotest.(check bool) "on restored" true (Obs.tracing ());
   Obs.disable ()
+
+(* ------------------------------------------------------------------ *)
+(* Capture isolation                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let span_names (tr : Obs.trace) = List.map (fun (s : Obs.span) -> s.Obs.name) tr.Obs.spans
+
+(* Two domains hold overlapping captures: B opens after A, and A closes
+   while B is still open.  Each trace holds exactly its own spans, and
+   closing A does not switch tracing off under B. *)
+let test_overlapping_captures () =
+  Obs.disable ();
+  let a_open = Atomic.make false and b_open = Atomic.make false and a_closed = Atomic.make false in
+  let await flag = while not (Atomic.get flag) do Domain.cpu_relax () done in
+  let b =
+    Domain.spawn (fun () ->
+        await a_open;
+        Obs.with_capture (fun () ->
+            Obs.span "b1" (fun () -> ());
+            Atomic.set b_open true;
+            await a_closed;
+            let on = Obs.tracing () in
+            Obs.span "b2" (fun () -> ());
+            on))
+  in
+  let (), ta =
+    Obs.with_capture (fun () ->
+        Atomic.set a_open true;
+        Obs.span "a1" (fun () -> ());
+        await b_open;
+        Obs.span "a2" (fun () -> ()))
+  in
+  Atomic.set a_closed true;
+  let on, tb = Domain.join b in
+  Alcotest.(check (list string)) "A holds its own spans" [ "a1"; "a2" ] (span_names ta);
+  Alcotest.(check (list string)) "B holds its own spans" [ "b1"; "b2" ] (span_names tb);
+  Alcotest.(check bool) "B kept tracing after A closed" true on;
+  Alcotest.(check bool) "off once both closed" false (Obs.tracing ())
+
+(* Pool workers record into the submitter's capture, under the span that
+   submitted their task: every item span chains up to sql.query. *)
+let test_worker_spans_parented () =
+  let pool = Task_pool.create 2 in
+  Fun.protect
+    ~finally:(fun () -> Task_pool.shutdown pool)
+    (fun () ->
+      let n = 60_000 in
+      let table =
+        Table.create
+          [
+            ("g", Column.ints (Array.init n (fun i -> i mod 600)));
+            ("x", Column.ints (Array.init n (fun i -> i * 7919 mod n)));
+          ]
+      in
+      let _, tr =
+        Sql.explain_analyze_trace ~pool ~tables:[ ("t", table) ]
+          "select sum(x) over (partition by g order by x rows between 2 preceding and current row) from t"
+      in
+      let by_id = Hashtbl.create 256 in
+      List.iter (fun (s : Obs.span) -> Hashtbl.replace by_id s.Obs.id s) tr.Obs.spans;
+      let rec reaches_query (s : Obs.span) =
+        s.Obs.name = "sql.query"
+        || match Hashtbl.find_opt by_id s.Obs.parent with Some p -> reaches_query p | None -> false
+      in
+      let items = List.filter (fun (s : Obs.span) -> s.Obs.name = "item") tr.Obs.spans in
+      Alcotest.(check bool) "items traced" true (items <> []);
+      Alcotest.(check bool) "some item ran on a worker domain" true
+        (List.exists (fun (s : Obs.span) -> s.Obs.tid <> (Domain.self () :> int)) items);
+      Alcotest.(check bool) "every item chains up to sql.query" true (List.for_all reaches_query items))
 
 let test_totals () =
   let (), tr =
@@ -127,15 +214,36 @@ let test_render_aggregates () =
   Alcotest.(check bool) "times as ms" true (contains ~sub:" ms" r)
 
 let test_chrome_json () =
+  let module Json = Holistic_util.Json in
   let (), tr =
     Obs.with_capture (fun () ->
-        Obs.span "alpha" (fun () -> Obs.Counter.add (Obs.Counter.make "test.chrome") 3))
+        Obs.span "alpha" (fun () ->
+            Obs.span "beta" (fun () -> Obs.Counter.add (Obs.Counter.make "test.chrome") 3)))
   in
-  let j = Obs.to_chrome_json tr in
-  List.iter
-    (fun sub -> Alcotest.(check bool) sub true (contains ~sub j))
-    [ "\"traceEvents\""; "\"ph\":\"X\""; "\"alpha\""; "\"ph\":\"C\""; "\"test.chrome\"" ];
-  Obs.reset ()
+  let path = Filename.temp_file "holiwin_chrome" ".json" in
+  Obs.write_chrome_trace path tr;
+  let written = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check string) "file holds to_chrome_json" (Obs.to_chrome_json tr) written;
+  let events =
+    match Json.member "traceEvents" (Json.parse written) with
+    | Some (Json.J_list l) -> l
+    | _ -> Alcotest.fail "no traceEvents list"
+  in
+  let str key e = match Json.member key e with Some (Json.J_string v) -> v | _ -> "?" in
+  Alcotest.(check int) "one event per span and counter"
+    (List.length tr.Obs.spans + List.length tr.Obs.counters)
+    (List.length events);
+  Alcotest.(check (list string)) "spans are complete events, counters counter events"
+    ([ "X"; "X" ] @ List.map (fun _ -> "C") tr.Obs.counters)
+    (List.map (str "ph") events);
+  Alcotest.(check (list string)) "spans in start order" [ "alpha"; "beta" ]
+    (List.map (str "name") (List.filteri (fun i _ -> i < 2) events));
+  match List.find_opt (fun e -> str "name" e = "test.chrome") events with
+  | Some e ->
+      Alcotest.(check bool) "counter value" true
+        (Option.bind (Json.member "args" e) (Json.member "value") = Some (Json.J_int 3))
+  | None -> Alcotest.fail "counter event missing"
 
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
@@ -197,22 +305,6 @@ let test_hist_quantiles () =
   Obs.Histogram.reset h;
   Alcotest.(check int) "reset clears" 0 (Obs.Histogram.count h)
 
-let test_hist_merge () =
-  let module Hg = Obs.Histogram in
-  let h1 = Hg.make "test.hist.m1"
-  and h2 = Hg.make "test.hist.m2"
-  and hall = Hg.make "test.hist.mall" in
-  List.iter Hg.reset [ h1; h2; hall ];
-  let a = [ 3; 17; 200; 5000; 0 ] and b = [ 1; 999; 12345; 17 ] in
-  List.iter (fun v -> Hg.add_always h1 v; Hg.add_always hall v) a;
-  List.iter (fun v -> Hg.add_always h2 v; Hg.add_always hall v) b;
-  Hg.merge ~into:h1 h2;
-  Alcotest.(check bool) "merge = adding everything" true (Hg.summary h1 = Hg.summary hall);
-  let before = Hg.summary h1 in
-  Hg.merge ~into:h1 h1;
-  Alcotest.(check bool) "self-merge is a no-op" true (Hg.summary h1 = before);
-  List.iter Hg.reset [ h1; h2; hall ]
-
 let test_hist_gating () =
   let h = Obs.Histogram.make "test.hist.gate" in
   Obs.Histogram.reset h;
@@ -221,16 +313,19 @@ let test_hist_gating () =
   Alcotest.(check int) "gated add is a no-op when disabled" 0 (Obs.Histogram.count h);
   Obs.Histogram.add_always h 5;
   Alcotest.(check int) "add_always records when disabled" 1 (Obs.Histogram.count h);
-  Obs.enable ();
-  Obs.Histogram.add h 7;
-  Obs.disable ();
-  Alcotest.(check int) "gated add records when enabled" 2 (Obs.Histogram.count h);
+  let (), tr = Obs.with_capture (fun () -> Obs.Histogram.add h 7) in
+  Alcotest.(check int) "gated add records inside a capture" 2 (Obs.Histogram.count h);
+  (match List.assoc_opt "test.hist.gate" tr.Obs.hists with
+  | Some s ->
+      Alcotest.(check (list int)) "the trace holds only the capture's record" [ 1; 7; 7; 7 ]
+        [ s.Obs.Histogram.count; s.Obs.Histogram.min; s.Obs.Histogram.max; s.Obs.Histogram.sum ]
+  | None -> Alcotest.fail "histogram delta missing from trace");
   Obs.Histogram.add_always h (-3);
   Alcotest.(check int) "negative clamps to 0" 0 (Obs.Histogram.summary h).Obs.Histogram.min;
   Alcotest.(check bool) "in snapshot" true
     (List.mem_assoc "test.hist.gate" (Obs.Histogram.snapshot ()));
-  Obs.Histogram.reset_all ();
-  Alcotest.(check bool) "reset_all drops it from the snapshot" false
+  Obs.Histogram.reset h;
+  Alcotest.(check bool) "reset drops it from the snapshot" false
     (List.mem_assoc "test.hist.gate" (Obs.Histogram.snapshot ()))
 
 let test_hists_in_trace () =
@@ -244,8 +339,7 @@ let test_hists_in_trace () =
   | Some s -> Alcotest.(check int) "captured count" 2 s.Obs.Histogram.count
   | None -> Alcotest.fail "histogram missing from trace");
   let r = Obs.render tr in
-  Alcotest.(check bool) "rendered" true (contains ~sub:"test.hist.trace_ns" r);
-  Obs.reset ()
+  Alcotest.(check bool) "rendered" true (contains ~sub:"test.hist.trace_ns" r)
 
 (* ------------------------------------------------------------------ *)
 (* Memory accounting: record_bytes, GC sampling, self-times            *)
@@ -262,7 +356,6 @@ let test_record_bytes () =
   let find name = List.find (fun (s : Obs.span) -> s.Obs.name = name) tr.Obs.spans in
   Alcotest.(check int) "bytes attributed to the innermost open span" 200 (find "outer").Obs.bytes;
   Alcotest.(check int) "nested span gets its own" 1000 (find "inner").Obs.bytes;
-  Obs.reset ();
   Obs.disable ();
   let forced = ref false in
   Obs.record_bytes (fun () ->
@@ -270,10 +363,8 @@ let test_record_bytes () =
       1);
   Alcotest.(check bool) "thunk not forced when disabled" false !forced;
   (* outside any span, attribution silently drops *)
-  Obs.enable ();
-  Obs.record_bytes (fun () -> 55);
-  Obs.disable ();
-  Obs.reset ()
+  let (), tr = Obs.with_capture (fun () -> Obs.record_bytes (fun () -> 55)) in
+  Alcotest.(check int) "no span to attribute to" 0 (List.length tr.Obs.spans)
 
 let test_gc_sampling () =
   let (), tr =
@@ -367,22 +458,23 @@ let test_pool_stats () =
   Fun.protect
     ~finally:(fun () -> Task_pool.shutdown pool)
     (fun () ->
-      Obs.reset ();
       Obs.disable ();
       Task_pool.run_list pool (List.init 8 (fun _ () -> ignore (Sys.opaque_identity 1)));
       let sum f = Array.fold_left (fun a st -> a + f st) 0 (Task_pool.worker_stats pool) in
       Alcotest.(check int) "no counting while disabled" 0
         (sum (fun st -> st.Task_pool.tasks));
-      Obs.enable ();
-      Task_pool.run_list pool (List.init 8 (fun _ () -> ignore (Sys.opaque_identity 1)));
-      Task_pool.parallel_for pool ~lo:0 ~hi:40 ~chunk:10 (fun _ _ -> ());
-      Obs.disable ();
-      Alcotest.(check int) "tasks counted while enabled" 12 (sum (fun st -> st.Task_pool.tasks));
+      let (), tr =
+        Obs.with_capture (fun () ->
+            Task_pool.run_list pool (List.init 8 (fun _ () -> ignore (Sys.opaque_identity 1)));
+            Task_pool.parallel_for pool ~lo:0 ~hi:40 ~chunk:10 (fun _ _ -> ()))
+      in
+      Alcotest.(check int) "tasks counted while tracing" 12 (sum (fun st -> st.Task_pool.tasks));
+      Alcotest.(check (option int)) "pool.tasks delta" (Some 12)
+        (List.assoc_opt "pool.tasks" tr.Obs.counters);
       Alcotest.(check bool) "busy time accumulated" true
         (sum (fun st -> st.Task_pool.busy_ns) >= 0);
       Task_pool.reset_stats pool;
-      Alcotest.(check int) "reset_stats" 0 (sum (fun st -> st.Task_pool.tasks));
-      Obs.reset ())
+      Alcotest.(check int) "reset_stats" 0 (sum (fun st -> st.Task_pool.tasks)))
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE goldens                                             *)
@@ -558,7 +650,7 @@ let test_disabled_parity () =
         (fun q ->
           let plain = Sql.query ~pool ~tables:[ ("t", table ()) ] q in
           let traced, _ = Sql.explain_analyze_trace ~pool ~tables:[ ("t", table ()) ] q in
-          Alcotest.(check bool) "tracing left disabled" false (Obs.enabled ());
+          Alcotest.(check bool) "tracing left disabled" false (Obs.tracing ());
           Alcotest.(check (list string)) "columns"
             (Table.column_names plain) (Table.column_names traced);
           List.iter
@@ -571,6 +663,24 @@ let test_disabled_parity () =
             (Table.column_names plain))
         [ q1; q2 ])
 
+(* A logged query inside an outer capture leaves its spans in the outer
+   trace, under the outer span. *)
+let test_query_log_in_outer_capture () =
+  let path = Filename.temp_file "holiwin_qlog_outer" ".jsonl" in
+  let sink = Sql.Query_stats.Log.open_ path in
+  let (), tr =
+    Obs.with_capture (fun () ->
+        Obs.span "outer" (fun () -> ignore (Sql.query ~query_log:sink ~tables:[ ("t", table ()) ] q1)))
+  in
+  Sql.Query_stats.Log.close sink;
+  Sys.remove path;
+  let find name = List.find_opt (fun (s : Obs.span) -> s.Obs.name = name) tr.Obs.spans in
+  match (find "outer", find "sql.query") with
+  | Some outer, Some query ->
+      Alcotest.(check int) "sql.query under the outer span" outer.Obs.id query.Obs.parent;
+      Alcotest.(check bool) "the plan's spans too" true (find "window_plan" <> None)
+  | _ -> Alcotest.failf "outer trace lacks the query's spans: %s" (String.concat ", " (span_names tr))
+
 let () =
   Alcotest.run "obs"
     [
@@ -581,17 +691,23 @@ let () =
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
           Alcotest.test_case "exception closes span" `Quick test_exception_closes_span;
           Alcotest.test_case "annotate" `Quick test_annotate;
-          Alcotest.test_case "counters: gating, registry, reset" `Quick test_counters;
+          Alcotest.test_case "counters: gating, registry, deltas" `Quick test_counters;
           Alcotest.test_case "with_capture restores state" `Quick test_with_capture_restores;
           Alcotest.test_case "totals" `Quick test_totals;
           Alcotest.test_case "render aggregates siblings" `Quick test_render_aggregates;
           Alcotest.test_case "chrome trace json" `Quick test_chrome_json;
         ] );
+      ( "capture",
+        [
+          Alcotest.test_case "overlapping captures on two domains" `Quick test_overlapping_captures;
+          Alcotest.test_case "worker spans under their submitter" `Quick test_worker_spans_parented;
+          Alcotest.test_case "query log inside an outer capture" `Quick
+            test_query_log_in_outer_capture;
+        ] );
       ( "histogram",
         [
           Alcotest.test_case "bucket layout" `Quick test_hist_buckets;
           Alcotest.test_case "quantiles" `Quick test_hist_quantiles;
-          Alcotest.test_case "merge" `Quick test_hist_merge;
           Alcotest.test_case "gating, registry, reset" `Quick test_hist_gating;
           Alcotest.test_case "histograms in traces" `Quick test_hists_in_trace;
         ] );

@@ -79,19 +79,20 @@ let test_exception_stats_consistent () =
   (* with tracing on, raising tasks are still counted and timed, and the
      error still surfaces on the caller *)
   let pool = Task_pool.create 2 in
-  Obs.reset ();
-  Obs.enable ();
   Task_pool.reset_stats pool;
-  (try
-     Task_pool.run_list pool (List.init 5 (fun i () -> if i = 0 then raise Boom));
-     Alcotest.fail "expected exception"
-   with Boom -> ());
-  Obs.disable ();
+  let (), trace =
+    Obs.with_capture (fun () ->
+        try
+          Task_pool.run_list pool (List.init 5 (fun i () -> if i = 0 then raise Boom));
+          Alcotest.fail "expected exception"
+        with Boom -> ())
+  in
   let sum f = Array.fold_left (fun a st -> a + f st) 0 (Task_pool.worker_stats pool) in
   Alcotest.(check int) "every task counted, raising one included" 5
     (sum (fun st -> st.Task_pool.tasks));
+  Alcotest.(check (option int)) "pool.tasks delta counts it too" (Some 5)
+    (List.assoc_opt "pool.tasks" trace.Obs.counters);
   Alcotest.(check bool) "busy time non-negative" true (sum (fun st -> st.Task_pool.busy_ns) >= 0);
-  Obs.reset ();
   Task_pool.shutdown pool
 
 let test_parallel_for_coverage () =

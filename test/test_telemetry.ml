@@ -96,7 +96,7 @@ let test_windowed_matches_cumulative_quantiles () =
     [ 0.5; 0.9; 0.99; 1.0 ]
 
 let test_windowed_disabled_is_noop () =
-  let was = Obs.enabled () in
+  let was = Obs.tracing () in
   Obs.disable ();
   let w =
     Obs.Windowed_histogram.make ~window:(Obs.Windowed_histogram.Last_events 64) "twin.gated"
@@ -383,6 +383,29 @@ let test_qlog_matches_explain_analyze () =
   in
   Alcotest.(check (list (pair string int))) "evaluator picks match" trace_evals r.Qs.evaluators
 
+(* An observed run never wipes the process-wide registries the metrics
+   endpoint exports: counters and the sql.query_ns count only go up. *)
+let test_explain_keeps_registries () =
+  let path = Filename.temp_file "holiwin_qlog_keep" ".jsonl" in
+  let sink = Qs.Log.open_ path in
+  let table = small_table 200 in
+  ignore (Sql.query ~query_log:sink ~tables:[ ("t", table) ] windowed_sql);
+  let query_ns = Obs.Histogram.make "sql.query_ns" in
+  let counters0 = Obs.Counter.snapshot () and n0 = Obs.Histogram.count query_ns in
+  ignore (Sql.explain_analyze_trace ~tables:[ ("t", table) ] windowed_sql);
+  let counters1 = Obs.Counter.snapshot () in
+  Qs.Log.close sink;
+  Sys.remove path;
+  let went_down =
+    List.filter_map
+      (fun (n, v0) ->
+        let v1 = Option.value ~default:0 (List.assoc_opt n counters1) in
+        if v1 < v0 then Some (Printf.sprintf "%s %d -> %d" n v0 v1) else None)
+      counters0
+  in
+  Alcotest.(check (list string)) "no counter went down" [] went_down;
+  Alcotest.(check bool) "sql.query_ns count kept" true (Obs.Histogram.count query_ns >= n0)
+
 let test_windowed_latency_tracks_queries () =
   (* sql.query_window_ns over the last 1024 queries must agree with a
      cumulative histogram reset around the same run *)
@@ -432,5 +455,6 @@ let () =
           Alcotest.test_case "matches explain analyze" `Quick test_qlog_matches_explain_analyze;
           Alcotest.test_case "windowed latency tracks queries" `Quick
             test_windowed_latency_tracks_queries;
+          Alcotest.test_case "explain keeps the registries" `Quick test_explain_keeps_registries;
         ] );
     ]
