@@ -458,61 +458,41 @@ let ablation_cascade_raw ~rows () =
 let ablation_store ~rows () =
   H.section
     (Printf.sprintf "Ablation: 64-bit vs 32-bit tree storage (rank probes, n=%d)" rows);
+  let module W = Holistic_core.Mst_width in
   let keys = Scenarios.uniform_ints ~n:rows ~bound:rows () in
   let w = max 1 (rows / 20) in
-  let tree = Mst.create keys in
-  let compact = Holistic_core.Mst_compact.of_mst tree in
-  let probe_full () =
+  let tree = W.create ~choice:(W.Force W.W64) keys in
+  let compact = W.create ~choice:(W.Force W.W32) keys in
+  let probe t () =
     let acc = ref 0 in
     for i = 0 to rows - 1 do
-      acc := !acc + Mst.count tree ~lo:(max 0 (i - w)) ~hi:(i + 1) ~less_than:keys.(i)
+      acc := !acc + W.count t ~lo:(max 0 (i - w)) ~hi:(i + 1) ~less_than:keys.(i)
     done;
     !acc
   in
-  let probe_compact () =
-    let acc = ref 0 in
-    for i = 0 to rows - 1 do
-      acc :=
-        !acc
-        + Holistic_core.Mst_compact.count compact ~lo:(max 0 (i - w)) ~hi:(i + 1)
-            ~less_than:keys.(i)
-    done;
-    !acc
+  if probe tree () <> probe compact () then failwith "storage ablation: results diverge";
+  let row name t =
+    let secs = (H.time_best ~reps:2 (probe t)).H.best in
+    [
+      name;
+      Printf.sprintf "%.1f MB" (float_of_int (W.footprint_bytes t) /. 1e6);
+      Printf.sprintf "%.3f" secs;
+      Printf.sprintf "%.3g" (float_of_int rows /. secs /. 1e6);
+    ]
   in
-  if probe_full () <> probe_compact () then failwith "storage ablation: results diverge";
-  let t64 = (H.time_best ~reps:2 probe_full).H.best in
-  let t32 = (H.time_best ~reps:2 probe_compact).H.best in
   H.print_table
     ~header:[ "storage"; "bytes"; "probe s"; "M probes/s" ]
-    ~rows:
-      [
-        [
-          "64-bit (int array)";
-          Printf.sprintf "%.1f MB" (float_of_int (Mst.stats tree).Mst.heap_bytes /. 1e6);
-          Printf.sprintf "%.3f" t64;
-          Printf.sprintf "%.3g" (float_of_int rows /. t64 /. 1e6);
-        ];
-        [
-          "32-bit (int32 bigarray)";
-          Printf.sprintf "%.1f MB"
-            (float_of_int (Holistic_core.Mst_compact.heap_bytes compact) /. 1e6);
-          Printf.sprintf "%.3f" t32;
-          Printf.sprintf "%.3g" (float_of_int rows /. t32 /. 1e6);
-        ];
-      ];
+    ~rows:[ row "64-bit (int array)" tree; row "32-bit (int32 bigarray)" compact ];
   H.note
     "monomorphic 32-bit descents keep Int32 reads unboxed: narrow probes match 64-bit \
      in-cache and win once the tree spills (see mst-width at 10^6)"
 
-(* Width sweep (§5.1): build cost of the historical 64-bit-then-convert
-   path vs direct narrow construction, probe throughput and footprint of
-   every instantiation. Emits BENCH_mst_width.json for regression
-   tracking. *)
+(* Width sweep (§5.1): build cost, probe throughput and footprint of every
+   instantiation, each built directly at its width. Emits
+   BENCH_mst_width.json for regression tracking. *)
 let mst_width ~rows () =
-  let module C = Holistic_core.Mst_compact in
-  let module M16 = Holistic_core.Mst16 in
   let module W = Holistic_core.Mst_width in
-  H.section (Printf.sprintf "Width sweep: direct narrow MST builds vs build-then-convert (n=%d)" rows);
+  H.section (Printf.sprintf "Width sweep: direct MST builds at 64, 32 and 16 bits (n=%d)" rows);
   let sizes =
     List.sort_uniq compare [ max 1_000 (rows / 20); max 1_000 (rows / 5); rows ]
   in
@@ -521,144 +501,85 @@ let mst_width ~rows () =
       (fun n ->
         let keys = Scenarios.uniform_ints ~n ~bound:n () in
         let w = max 1 (n / 20) in
-        (* the pre-template build must still produce the same tree, or the
-           baseline below would be a strawman *)
-        let legacy = Legacy_mst.create keys in
-        let cur = Mst.internals (Mst.create keys) in
-        if
-          legacy.Legacy_mst.levels <> cur.Mst.int_levels
-          || legacy.Legacy_mst.cursors <> cur.Mst.int_cursors
-        then failwith "mst_width: legacy build diverges from current build";
+        let widths = if n <= 0xFFFF then [ W.W64; W.W32; W.W16 ] else [ W.W64; W.W32 ] in
+        let build width = W.create ~choice:(W.Force width) keys in
         (* warm-up: fault in the heap and code paths so the first timed rep
            is not billed for first-touch page faults *)
-        ignore (C.of_mst (Mst.create keys));
-        H.gc_settle ();
-        let t_legacy =
-          (H.time_best ~reps:5 (fun () -> Legacy_mst.convert_32 (Legacy_mst.create keys))).H.best
+        ignore (build W.W32);
+        let runs =
+          List.map
+            (fun width ->
+              H.gc_settle ();
+              let t_build = (H.time_best ~reps:5 (fun () -> build width)).H.best in
+              let tree = build width in
+              let probe () =
+                let acc = ref 0 in
+                for i = 0 to n - 1 do
+                  acc := !acc + W.count tree ~lo:(max 0 (i - w)) ~hi:(i + 1) ~less_than:keys.(i)
+                done;
+                !acc
+              in
+              let sum = probe () in
+              H.gc_settle ();
+              let t_probe = H.time probe in
+              (width, t_build, t_probe, W.footprint_bytes tree, sum))
+            widths
         in
-        H.gc_settle ();
-        let t_build64 = (H.time_best ~reps:5 (fun () -> Mst.create keys)).H.best in
-        H.gc_settle ();
-        let t_convert = (H.time_best ~reps:5 (fun () -> C.of_mst (Mst.create keys))).H.best in
-        H.gc_settle ();
-        let t_direct32 = (H.time_best ~reps:5 (fun () -> C.create keys)).H.best in
-        let fits16 = n <= 0xFFFF in
-        let t_direct16 =
-          if fits16 then begin
-            H.gc_settle ();
-            Some (H.time_best ~reps:5 (fun () -> M16.create keys)).H.best
-          end
-          else None
-        in
-        let tree64 = Mst.create keys in
-        let tree32 = C.create keys in
-        let tree16 = if fits16 then Some (M16.create keys) else None in
-        let probe count =
-          H.gc_settle ();
-          H.time (fun () ->
-              let acc = ref 0 in
-              for i = 0 to n - 1 do
-                acc := !acc + count ~lo:(max 0 (i - w)) ~hi:(i + 1) ~less_than:keys.(i)
-              done;
-              !acc)
-        in
-        let p64 = probe (Mst.count tree64) in
-        let p32 = probe (C.count tree32) in
-        let p16 = Option.map (fun t -> probe (M16.count t)) tree16 in
-        let b64 = (Mst.stats tree64).Mst.heap_bytes in
-        let b32 = C.heap_bytes tree32 in
-        let b16 = Option.map M16.heap_bytes tree16 in
+        (match runs with
+        | (_, _, _, _, s64) :: rest ->
+            if List.exists (fun (_, _, _, _, s) -> s <> s64) rest then
+              failwith "mst_width: widths disagree on the probe results"
+        | [] -> ());
+        let runs = List.map (fun (wd, tb, tp, b, _) -> (wd, tb, tp, b)) runs in
         let auto = W.width_for ~n ~min_value:0 ~max_value:(n - 1) in
-        let fcell = function Some t -> Printf.sprintf "%.3f" t | None -> "-" in
-        let mb b = Printf.sprintf "%.1f" (float_of_int b /. 1e6) in
         H.print_table
-          ~header:[ "n"; "path"; "build s"; "probe s"; "MB" ]
+          ~header:[ "n"; "width"; "build s"; "probe s"; "MB" ]
           ~rows:
-            ([
-               [ string_of_int n; "pre-PR build + convert to 32"; Printf.sprintf "%.3f" t_legacy;
-                 Printf.sprintf "%.3f" p32; mb (b64 + b32) ];
-               [ ""; "64-bit"; Printf.sprintf "%.3f" t_build64;
-                 Printf.sprintf "%.3f" p64; mb b64 ];
-               [ ""; "64-bit + convert to 32"; Printf.sprintf "%.3f" t_convert;
-                 Printf.sprintf "%.3f" p32; mb (b64 + b32) ];
-               [ ""; "direct 32-bit"; Printf.sprintf "%.3f" t_direct32;
-                 Printf.sprintf "%.3f" p32; mb b32 ];
-             ]
-            @
-            match t_direct16 with
-            | Some t16 ->
-                [ [ ""; "direct 16-bit"; fcell (Some t16);
-                    fcell p16; mb (Option.get b16) ] ]
-            | None -> []);
-        H.note
-          "direct 32-bit vs old build-then-convert: %.2fx faster (%.2fx vs the retuned 64-bit \
-           merge + convert; auto picks %d-bit here)"
-          (t_legacy /. t_direct32) (t_convert /. t_direct32) (W.bits auto);
+            (List.mapi
+               (fun i (width, tb, tp, b) ->
+                 [
+                   (if i = 0 then string_of_int n else "");
+                   Printf.sprintf "%d-bit" (W.bits width);
+                   Printf.sprintf "%.3f" tb;
+                   Printf.sprintf "%.3f" tp;
+                   Printf.sprintf "%.1f" (float_of_int b /. 1e6);
+                 ])
+               runs);
+        H.note "auto picks %d-bit here" (W.bits auto);
+        let per_width f =
+          Json.J_obj
+            (List.map
+               (fun ((width, _, _, _) as r) -> (Printf.sprintf "w%d" (W.bits width), f r))
+               runs)
+        in
         Json.J_obj
           [
             ("n", Json.J_int n);
             ("frame", Json.J_int w);
             ("auto_width_bits", Json.J_int (W.bits auto));
-            ( "build_seconds",
-              Json.J_obj
-                [
-                  ("legacy_build64_convert32", Json.J_float t_legacy);
-                  ("build64", Json.J_float t_build64);
-                  ("build64_convert32", Json.J_float t_convert);
-                  ("direct32", Json.J_float t_direct32);
-                  ("direct16", match t_direct16 with Some t -> Json.J_float t | None -> Json.J_null);
-                ] );
-            ( "probe_seconds",
-              Json.J_obj
-                [
-                  ("w64", Json.J_float p64);
-                  ("w32", Json.J_float p32);
-                  ("w16", match p16 with Some t -> Json.J_float t | None -> Json.J_null);
-                ] );
-            ( "heap_bytes",
-              Json.J_obj
-                [
-                  ("w64", Json.J_int b64);
-                  ("w32", Json.J_int b32);
-                  ("w16", match b16 with Some b -> Json.J_int b | None -> Json.J_null);
-                  ("peak_convert_path", Json.J_int (b64 + b32));
-                ] );
-            ("legacy_over_direct32", Json.J_float (t_legacy /. t_direct32));
-            ("convert_over_direct32", Json.J_float (t_convert /. t_direct32));
+            ("build_seconds", per_width (fun (_, tb, _, _) -> Json.J_float tb));
+            ("probe_seconds", per_width (fun (_, _, tp, _) -> Json.J_float tp));
+            ("heap_bytes", per_width (fun (_, _, _, b) -> Json.J_int b));
           ])
       sizes
   in
-  (* gate on the largest size point: the build-path ratios and the exact
-     per-width footprints (deterministic arithmetic in n) *)
+  (* the exact per-width footprints at the largest size point
+     (deterministic arithmetic in n) *)
   let metrics =
     match List.rev series with
-    | Json.J_obj last :: _ ->
-        let f k = match List.assoc_opt k last with Some (Json.J_float v) -> Some v | _ -> None in
-        let nested k1 k2 =
-          match List.assoc_opt k1 last with
-          | Some (Json.J_obj inner) -> (
-              match List.assoc_opt k2 inner with
-              | Some (Json.J_int v) -> Some (float_of_int v)
-              | Some (Json.J_float v) -> Some v
-              | _ -> None)
-          | _ -> None
-        in
-        List.filter_map
-          (fun (name, v, m) -> Option.map (fun v -> (name, m v)) v)
-          [
-            ( "legacy_over_direct32",
-              f "legacy_over_direct32",
-              fun v -> Report.metric ~unit_:"x" ~direction:Report.Higher_better ~tolerance:0.5 v );
-            ( "convert_over_direct32",
-              f "convert_over_direct32",
-              fun v -> Report.metric ~unit_:"x" ~direction:Report.Higher_better ~tolerance:0.5 v );
-            ( "bytes_w64",
-              nested "heap_bytes" "w64",
-              fun v -> Report.metric ~unit_:"B" ~tolerance:0.01 v );
-            ( "bytes_w32",
-              nested "heap_bytes" "w32",
-              fun v -> Report.metric ~unit_:"B" ~tolerance:0.01 v );
-          ]
+    | Json.J_obj last :: _ -> (
+        match List.assoc_opt "heap_bytes" last with
+        | Some (Json.J_obj bytes) ->
+            List.filter_map
+              (fun k ->
+                match List.assoc_opt k bytes with
+                | Some (Json.J_int v) ->
+                    Some
+                      ( "bytes_" ^ k,
+                        Report.metric ~unit_:"B" ~tolerance:0.01 (float_of_int v) )
+                | _ -> None)
+              [ "w64"; "w32" ]
+        | _ -> [])
     | _ -> []
   in
   Report.write "BENCH_mst_width.json" ~experiment:"mst-width"

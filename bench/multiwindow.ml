@@ -13,6 +13,7 @@
 open Holistic_storage
 open Holistic_window
 module Wf = Window_func
+module Ec = Evaluator_choice
 module Rng = Holistic_util.Rng
 module H = Harness
 module Json = Holistic_util.Json
@@ -153,7 +154,7 @@ let run ~rows () =
       H.note "legacy clause %d alone: %.3f s" (i + 1) t)
     cs;
   H.gc_settle ();
-  let plan_t = H.time_best ~hist:"bench.plan_ns" ~reps:3 (fun () -> Sql.query ~algorithm:Wf.Mst ~tables:[ ("t", table) ] query) in
+  let plan_t = H.time_best ~hist:"bench.plan_ns" ~reps:3 (fun () -> Sql.query ~evaluator:Ec.Mst ~tables:[ ("t", table) ] query) in
   H.gc_settle ();
   let legacy_t = H.time_best ~hist:"bench.legacy_ns" ~reps:3 (fun () -> Legacy_window.run_clauses table cs) in
   let plan_s = plan_t.H.best and legacy_s = legacy_t.H.best in
@@ -171,7 +172,7 @@ let run ~rows () =
   H.gc_settle ();
   let telemetry_t =
     H.time_best ~reps:3 (fun () ->
-        Sql.query ~algorithm:Wf.Mst ~query_log:sink ~tables:[ ("t", table) ] query)
+        Sql.query ~evaluator:Ec.Mst ~query_log:sink ~tables:[ ("t", table) ] query)
   in
   if not was_enabled then Holistic_obs.Obs.disable ();
   Sql.Query_stats.Log.close sink;

@@ -2,13 +2,12 @@
 
      holiwin gen lineitem --rows 100000 -o lineitem.csv
      holiwin query "select ... from lineitem window w as (...)" \
-        --table lineitem=lineitem.csv --algorithm mst --time
+        --table lineitem=lineitem.csv --evaluator mst --time
      holiwin query "..." --table lineitem=tpch:50000      # generate inline
      holiwin explain "select rank(order by tps desc) over w from t window w as (...)"
 *)
 
 open Holistic_storage
-module Wf = Holistic_window.Window_func
 module Ec = Holistic_window.Evaluator_choice
 module Mg = Holistic_window.Mem_governor
 module Qs = Holistic_window.Query_stats
@@ -73,18 +72,6 @@ let report_errors ~on_error f =
   | Sql.Semantic_error msg | Mg.Budget_too_small msg | Failure msg | Invalid_argument msg
   | Sys_error msg ->
       fail ("error: " ^ msg)
-
-let algorithms =
-  [
-    ("auto", Wf.Auto);
-    ("mst", Wf.Mst);
-    ("mst-no-cascade", Wf.Mst_no_cascade);
-    ("naive", Wf.Naive);
-    ("incremental", Wf.Incremental);
-    ("incremental-serial", Wf.Incremental_serial);
-    ("ost", Wf.Order_statistic);
-    ("segment-tree", Wf.Segment_tree);
-  ]
 
 let evaluators = List.map (fun n -> (Ec.to_string n, n)) Ec.all
 
@@ -160,15 +147,10 @@ let query_cmd =
     Arg.(value & opt_all string [] & info [ "table"; "t" ] ~docv:"NAME=SRC"
            ~doc:"Bind a table: NAME=file.csv or NAME=generator:rows.")
   in
-  let algorithm =
-    Arg.(value & opt (some (enum algorithms)) None & info [ "algorithm"; "a" ]
-           ~doc:"Force an evaluation algorithm for all window functions.")
-  in
   let evaluator =
     Arg.(value & opt (some (enum evaluators)) None & info [ "evaluator" ]
-           ~doc:"Force a backend for window functions that did not pick one \
-                 ($(b,--algorithm) wins); unsupported (function, backend) \
-                 pairs are rejected with an error.")
+           ~doc:"Force a backend for every window function; unsupported \
+                 (function, backend) pairs are rejected with an error.")
   in
   let mem_limit =
     Arg.(value & opt (some string) None & info [ "mem-limit" ] ~docv:"BYTES"
@@ -189,13 +171,13 @@ let query_cmd =
                  rotating to FILE.1 by size. $(b,HOLIWIN_QUERY_LOG) is the same \
                  knob as an environment variable.")
   in
-  let run sql table_specs algorithm evaluator mem_limit timing max_rows output query_log =
+  let run sql table_specs evaluator mem_limit timing max_rows output query_log =
     report_errors ~on_error:1 @@ fun () ->
     with_governor mem_limit @@ fun governor ->
     with_query_log query_log @@ fun query_log ->
     let tables = List.map load_table table_specs in
     let t0 = Unix.gettimeofday () in
-    let result = Sql.query ?algorithm ?evaluator ?governor ?query_log ~tables sql in
+    let result = Sql.query ?evaluator ?governor ?query_log ~tables sql in
     let dt = Unix.gettimeofday () -. t0 in
     (match output with
     | Some path -> Csv.save path result
@@ -207,7 +189,7 @@ let query_cmd =
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Run a SQL query with extended window functions")
-    Term.(const run $ sql $ tables $ algorithm $ evaluator $ mem_limit $ timing $ max_rows
+    Term.(const run $ sql $ tables $ evaluator $ mem_limit $ timing $ max_rows
           $ output $ query_log)
 
 (* --- explain ---------------------------------------------------------- *)

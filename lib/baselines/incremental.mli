@@ -24,8 +24,7 @@ module Distinct_count : sig
   val footprint_bytes : t -> int
   (** Estimated live bytes of the multiplicity table (record, bucket array
       and per-binding cells, from [Hashtbl.stats]) — the repo-wide
-      memory-accounting contract, reported per structure so the planner's
-      {!Evaluator_choice.footprint_estimate} can be validated at run time. *)
+      memory-accounting contract. *)
 end
 
 (** Sorted dynamic array over frame contents — Wesley & Xu's percentile

@@ -15,7 +15,6 @@ let length = T.length
 let fanout = T.fanout
 let sample = T.sample
 let levels = T.levels
-let base t = (T.levels t).(0)
 
 let payload_levels t =
   match T.payloads t with
@@ -27,21 +26,6 @@ let count_ranges = T.count_ranges
 let iter_covered = T.iter_covered
 let count_value_ranges = T.count_value_ranges
 let select = T.select
-
-type internals = {
-  int_levels : int array array;
-  int_cursors : int array array;
-  strides : int array;
-  states_per_run : int array;
-}
-
-let internals t =
-  {
-    int_levels = T.levels t;
-    int_cursors = T.cursors t;
-    strides = T.stride t;
-    states_per_run = T.spr t;
-  }
 
 type stats = T.stats = {
   level_elements : int;

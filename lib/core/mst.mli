@@ -65,9 +65,6 @@ val length : t -> int
 val fanout : t -> int
 val sample : t -> int
 
-val base : t -> int array
-(** The level-0 copy of the input. Do not mutate. *)
-
 val count : t -> lo:int -> hi:int -> less_than:int -> int
 (** [count t ~lo ~hi ~less_than] is [|{i ∈ [lo,hi) : a.(i) < less_than}|].
     Position bounds are clamped to [\[0, n\]]. *)
@@ -104,17 +101,6 @@ val payload_levels : t -> int array array
 
 val levels : t -> int array array
 (** The raw level arrays (level 0 = base). Do not mutate. *)
-
-type internals = {
-  int_levels : int array array;
-  int_cursors : int array array;
-  strides : int array;  (** fanout^j per level *)
-  states_per_run : int array;  (** sampled cursor states per run, per upper level *)
-}
-
-val internals : t -> internals
-(** Raw representation, consumed by {!Mst_compact} for storage-width
-    conversion. Not a stable API; do not mutate. *)
 
 type stats = {
   level_elements : int;  (** total elements across all level arrays *)

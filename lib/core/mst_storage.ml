@@ -93,7 +93,7 @@ module Int32s : S with type buf = (int32, Bigarray.int32_elt, Bigarray.c_layout)
 struct
   type buf = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-  let name = "Mst_compact"
+  let name = "Mst_width.M32"
   let width_bits = 32
   let bytes_per_element = 4
   let min_value = Int32.to_int Int32.min_int
@@ -147,7 +147,7 @@ module Int16u : S with type buf = (int, Bigarray.int16_unsigned_elt, Bigarray.c_
 struct
   type buf = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-  let name = "Mst16"
+  let name = "Mst_width.M16"
   let width_bits = 16
   let bytes_per_element = 2
   let min_value = 0

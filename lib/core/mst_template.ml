@@ -3,12 +3,11 @@
    The paper's §5.1 storage layout is a per-integer-width template: every
    MST operand is rank-encoded into a dense integer domain, so the tree is
    instantiated at the narrowest width that fits. This functor holds the
-   single copy of the build and query logic; {!Mst}, {!Mst_compact} and
-   {!Mst16} instantiate it over the storages of {!Mst_storage}. Narrow
-   widths build *directly* into their narrow level/cursor buffers — no
-   64-bit tree is materialised first, so peak memory is the narrow tree
-   alone and build-phase memory traffic is halved (resp. quartered)
-   relative to the historical build-then-convert path.
+   single copy of the build and query logic; {!Mst} instantiates it at 64
+   bits and {!Mst_width} at 32 and 16 bits, over the storages of
+   {!Mst_storage}. Narrow widths build *directly* into their narrow
+   level/cursor buffers — no 64-bit tree is materialised first, so peak
+   memory is the narrow tree alone.
 
    Levels are merged with a tournament (loser) tree rather than a binary
    heap: exactly ⌈log₂ fanout⌉ comparisons per emitted element instead of
@@ -42,9 +41,6 @@ module Make (S : Mst_storage.S) = struct
   let fanout t = t.fanout
   let sample t = t.sample
   let levels t = t.levels
-  let cursors t = t.cursors
-  let stride t = t.stride
-  let spr t = t.spr
   let payloads t = t.payloads
 
   (* ------------------------------------------------------------------ *)
@@ -308,20 +304,22 @@ module Make (S : Mst_storage.S) = struct
       done
     end
 
-  let create ?pool ?(fanout = 32) ?(sample = 32) ?(track_payload = false) a =
-    if fanout < 2 then invalid_arg (S.name ^ ".create: fanout must be >= 2");
-    if sample < 0 then invalid_arg (S.name ^ ".create: sample must be >= 0");
-    let pool = match pool with Some p -> p | None -> Task_pool.default () in
-    let n = Array.length a in
+  let check_knobs fn ~n ~fanout ~sample =
+    if fanout < 2 then invalid_arg (Printf.sprintf "%s.%s: fanout must be >= 2" S.name fn);
+    if sample < 0 then invalid_arg (Printf.sprintf "%s.%s: sample must be >= 0" S.name fn);
     if n > S.max_value then
       invalid_arg
-        (Printf.sprintf "%s.create: length %d exceeds %d-bit storage" S.name n S.width_bits);
-    let range_msg =
-      Printf.sprintf "%s.create: value exceeds %d-bit storage range" S.name S.width_bits
-    in
-    (* Number of levels above the base: smallest h with fanout^h >= n. *)
-    let h = ref 0 in
-    let s = ref 1 in
+        (Printf.sprintf "%s.%s: length %d exceeds %d-bit storage" S.name fn n S.width_bits)
+
+  let range_msg fn = Printf.sprintf "%s.%s: value exceeds %d-bit storage range" S.name fn S.width_bits
+
+  (* The level geometry of an [n]-leaf tree, shared by [create],
+     [create_stream] and [append]:
+     height [h] (smallest h with fanout^h >= n), [stride.(j)] = fanout^j,
+     [spr.(j)] sampled states per run of level j+1 and [states.(j)] the
+     length of level j+1's cursor array (all zero when [sample = 0]). *)
+  let geometry ~n ~fanout ~sample =
+    let h = ref 0 and s = ref 1 in
     while !s < n do
       s := !s * fanout;
       incr h
@@ -331,8 +329,23 @@ module Make (S : Mst_storage.S) = struct
     for j = 1 to h do
       stride.(j) <- stride.(j - 1) * fanout
     done;
+    let spr = Array.make h 0 and states = Array.make h 0 in
+    if sample > 0 then
+      for j = 0 to h - 1 do
+        let nruns = ((n - 1) / stride.(j + 1)) + 1 in
+        spr.(j) <- (min stride.(j + 1) n / sample) + 1;
+        states.(j) <- nruns * spr.(j) * fanout
+      done;
+    (h, stride, spr, states)
+
+  let create ?pool ?(fanout = 32) ?(sample = 32) ?(track_payload = false) a =
+    let n = Array.length a in
+    check_knobs "create" ~n ~fanout ~sample;
+    let pool = match pool with Some p -> p | None -> Task_pool.default () in
+    let h, stride, spr, states = geometry ~n ~fanout ~sample in
     let levels =
-      Array.init (h + 1) (fun j -> if j = 0 then S.of_int_array ~msg:range_msg a else S.create n)
+      Array.init (h + 1) (fun j ->
+          if j = 0 then S.of_int_array ~msg:(range_msg "create") a else S.create n)
     in
     let payloads =
       if track_payload then
@@ -341,19 +354,7 @@ module Make (S : Mst_storage.S) = struct
                if j = 0 then Array.init n (fun i -> i) else Array.make n 0))
       else None
     in
-    let spr = Array.make h 0 in
-    let states = Array.make h 0 in
-    let cursors =
-      Array.init h (fun j ->
-          if sample = 0 then S.create 0
-          else begin
-            let run_len = min stride.(j + 1) n in
-            let nruns = if n = 0 then 0 else ((n - 1) / stride.(j + 1)) + 1 in
-            spr.(j) <- (run_len / sample) + 1;
-            states.(j) <- nruns * spr.(j) * fanout;
-            S.create states.(j)
-          end)
-    in
+    let cursors = Array.map S.create states in
     (* Narrow widths merge through shared full-width shadow buffers so the
        per-element loop stays on plain [int array]s (§5.1 template, no
        flambda): level j's output is produced wide and narrowed into storage
@@ -378,12 +379,12 @@ module Make (S : Mst_storage.S) = struct
       let src = levels.(j - 1) and dst = levels.(j) in
       let src_payload = Option.map (fun p -> p.(j - 1)) payloads in
       let dst_payload = Option.map (fun p -> p.(j)) payloads in
-      let spr_j = if sample = 0 then 0 else spr.(j - 1) in
+      let spr_j = spr.(j - 1) in
       let sarr, darr, carr =
         if not narrow then
           ( Option.get (S.as_ints src),
             Option.get (S.as_ints dst),
-            if sample = 0 then [||] else Option.get (S.as_ints cursors.(j - 1)) )
+            Option.get (S.as_ints cursors.(j - 1)) )
         else
           ( (if j = 1 then a else if j land 1 = 0 then shadow_a else shadow_b),
             (if j land 1 = 1 then shadow_a else shadow_b),
@@ -439,40 +440,12 @@ module Make (S : Mst_storage.S) = struct
   let stream_chunk = 65536
 
   let create_stream ?(fanout = 32) ?(sample = 32) ~n ~fill () =
-    if fanout < 2 then invalid_arg (S.name ^ ".create_stream: fanout must be >= 2");
-    if sample < 0 then invalid_arg (S.name ^ ".create_stream: sample must be >= 0");
+    check_knobs "create_stream" ~n ~fanout ~sample;
     if n < 0 then invalid_arg (S.name ^ ".create_stream: negative length");
-    if n > S.max_value then
-      invalid_arg
-        (Printf.sprintf "%s.create_stream: length %d exceeds %d-bit storage" S.name n S.width_bits);
-    let range_msg =
-      Printf.sprintf "%s.create_stream: value exceeds %d-bit storage range" S.name S.width_bits
-    in
-    let h = ref 0 in
-    let s = ref 1 in
-    while !s < n do
-      s := !s * fanout;
-      incr h
-    done;
-    let h = !h in
-    let stride = Array.make (h + 1) 1 in
-    for j = 1 to h do
-      stride.(j) <- stride.(j - 1) * fanout
-    done;
+    let range_msg = range_msg "create_stream" in
+    let h, stride, spr, states = geometry ~n ~fanout ~sample in
     let levels = Array.init (h + 1) (fun _ -> S.create n) in
-    let spr = Array.make h 0 in
-    let states = Array.make h 0 in
-    let cursors =
-      Array.init h (fun j ->
-          if sample = 0 then S.create 0
-          else begin
-            let run_len = min stride.(j + 1) n in
-            let nruns = if n = 0 then 0 else ((n - 1) / stride.(j + 1)) + 1 in
-            spr.(j) <- (run_len / sample) + 1;
-            states.(j) <- nruns * spr.(j) * fanout;
-            S.create states.(j)
-          end)
-    in
+    let cursors = Array.map S.create states in
     (* cursor storage is only partially covered by real states (nc <=
        fanout slots per state); [create]'s paths leave the rest zero, so
        pre-zero it here for bit-identical buffers *)
@@ -539,7 +512,7 @@ module Make (S : Mst_storage.S) = struct
       let cur_put, cur_flush =
         if sample = 0 then ((fun _ _ -> ()), fun () -> ()) else make_writer cursors.(j - 1)
       in
-      let spr_j = if sample = 0 then 0 else spr.(j - 1) in
+      let spr_j = spr.(j - 1) in
       for r = 0 to nruns - 1 do
         let run_base = r * l in
         let run_len = min l (n - run_base) in
@@ -594,60 +567,29 @@ module Make (S : Mst_storage.S) = struct
       if not !prefix_ok then None
       else begin
         let fanout = t.fanout and sample = t.sample in
-        let h = ref 0 in
-        let s = ref 1 in
-        while !s < n do
-          s := !s * fanout;
-          incr h
-        done;
-        let h = !h in
-        let stride = Array.make (h + 1) 1 in
-        for j = 1 to h do
-          stride.(j) <- stride.(j - 1) * fanout
-        done;
+        let h, stride, spr, states = geometry ~n ~fanout ~sample in
         let levels = Array.make (h + 1) [||] in
         levels.(0) <- Array.copy a;
-        let spr = Array.make h 0 in
-        let cursors =
-          Array.init h (fun j ->
-              if sample = 0 then [||]
-              else begin
-                let run_len = min stride.(j + 1) n in
-                let nruns = if n = 0 then 0 else ((n - 1) / stride.(j + 1)) + 1 in
-                spr.(j) <- (run_len / sample) + 1;
-                Array.make (nruns * spr.(j) * fanout) 0
-              end)
-        in
+        let cursors = Array.map (fun len -> Array.make len 0) states in
         let h_old = Array.length t.levels - 1 in
         let sc = make_scratch fanout in
         for j = 1 to h do
           levels.(j) <- Array.make n 0;
           let l = stride.(j) in
           let nruns = ((n - 1) / l) + 1 in
-          let spr_j = if sample = 0 then 0 else spr.(j - 1) in
+          let spr_j = spr.(j - 1) in
           let src = levels.(j - 1) and dst = levels.(j) in
-          let carr = if sample = 0 then [||] else cursors.(j - 1) in
+          let carr = cursors.(j - 1) in
           for r = 0 to nruns - 1 do
             let run_base = r * l in
             let run_len = min l (n - run_base) in
             if j <= h_old && run_len = l && run_base + l <= n_old then begin
               (* stable run: same leaves, same merge → copy values and
                  sampled cursor states verbatim from the old tree *)
-              (match S.as_ints t.levels.(j) with
-              | Some old -> Array.blit old run_base dst run_base run_len
-              | None ->
-                  for i = run_base to run_base + run_len - 1 do
-                    dst.(i) <- S.get t.levels.(j) i
-                  done);
+              S.blit_to_ints t.levels.(j) ~pos:run_base dst ~dst_pos:run_base ~len:run_len;
               if sample > 0 then begin
                 let sb = r * spr_j * fanout in
-                let slen = spr_j * fanout in
-                match S.as_ints t.cursors.(j - 1) with
-                | Some oldc -> Array.blit oldc sb carr sb slen
-                | None ->
-                    for i = sb to sb + slen - 1 do
-                      carr.(i) <- S.get t.cursors.(j - 1) i
-                    done
+                S.blit_to_ints t.cursors.(j - 1) ~pos:sb carr ~dst_pos:sb ~len:(spr_j * fanout)
               end
             end
             else
@@ -656,9 +598,7 @@ module Make (S : Mst_storage.S) = struct
                 ~fanout ~sample ~run_base ~run_len ~child_stride:stride.(j - 1)
           done
         done;
-        let msg =
-          Printf.sprintf "%s.append: value exceeds %d-bit storage range" S.name S.width_bits
-        in
+        let msg = range_msg "append" in
         match
           {
             n;
@@ -675,21 +615,6 @@ module Make (S : Mst_storage.S) = struct
         | exception Invalid_argument _ -> None
       end
     end
-
-  (* Re-encode an already-built tree's raw 64-bit representation (the
-     historical {!Mst_compact.of_mst} conversion path, kept for comparison
-     benchmarks). *)
-  let of_int_internals ~msg ~n ~fanout ~sample ~levels ~cursors ~stride ~spr =
-    {
-      n;
-      fanout;
-      sample;
-      levels = Array.map (fun l -> S.of_int_array ~msg l) levels;
-      payloads = None;
-      stride = Array.copy stride;
-      cursors = Array.map (fun c -> S.of_int_array ~msg c) cursors;
-      spr = Array.copy spr;
-    }
 
   (* ------------------------------------------------------------------ *)
   (* Cascaded child positions                                            *)

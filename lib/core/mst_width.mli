@@ -2,10 +2,18 @@
 
     Window-operator MST operands are rank encodings: dense integers bounded
     by the partition size. The narrowest fitting width is therefore known
-    before the build, and building narrow directly (see {!Mst_compact},
-    {!Mst16}) halves or quarters both the tree's footprint and the
-    build-phase memory traffic. This module is the dispatch the operator
-    builds and probes through. *)
+    before the build, and building narrow directly halves or quarters both
+    the tree's footprint and the build-phase memory traffic. This module
+    owns the narrow instantiations of {!Mst_template} ({!Mst} is the 64-bit
+    one) and is the dispatch the operator builds and probes through. *)
+
+module M16 : module type of Mst_template.Make (Mst_storage.Int16u)
+(** The int16_unsigned-bigarray instance: a quarter of the 64-bit
+    footprint, and reads come back as immediate ints, so nothing boxes.
+    Fits operands whose values {e and} length stay below 2^16. *)
+
+module M32 : module type of Mst_template.Make (Mst_storage.Int32s)
+(** The int32-bigarray instance: half the 64-bit footprint. *)
 
 type width = W16 | W32 | W64
 
@@ -16,7 +24,7 @@ type choice =
           operand does not fit it (a forced [W16] over 10^6 rows still
           computes correct results at the narrowest fitting width) *)
 
-type t = T16 of Mst16.t | T32 of Mst_compact.t | T64 of Mst.t
+type t
 
 val bits : width -> int
 
@@ -53,25 +61,11 @@ val create_stream :
     [max_value = max real_max 0]. *)
 
 val try_extend : ?fanout:int -> ?sample:int -> ?choice:choice -> t -> int array -> t option
-(** Maintenance-only {!extend}: [None] — with no rebuild attempted — when
-    run-stacking cannot apply (width change, knob mismatch, prefix
-    mismatch, shrink), for callers that fall back through their own build
-    path (the {!Build_cache} [maintain] callbacks). *)
-
-val extend :
-  ?pool:Holistic_parallel.Task_pool.t ->
-  ?fanout:int ->
-  ?sample:int ->
-  ?choice:choice ->
-  t ->
-  int array ->
-  t * bool
-(** [extend t a] maintains [t] incrementally for the grown operand [a]
-    (run-stacking append; see {!Mst.append}) when the selected width,
-    fanout and sample are unchanged and [a] still starts with [t]'s
-    leaves; otherwise builds from scratch. The flag is [true] iff the tree
-    was maintained rather than rebuilt. Either way the result equals
-    [create a]. *)
+(** [try_extend t a] maintains [t] incrementally for the grown operand [a]
+    (run-stacking append; see {!Mst.append}). [None] — with no rebuild
+    attempted — when run-stacking cannot apply (width change, knob
+    mismatch, prefix mismatch, shrink), for callers that fall back through
+    their own build path (the {!Build_cache} [maintain] callbacks). *)
 
 val width : t -> width
 val length : t -> int
@@ -79,8 +73,7 @@ val count : t -> lo:int -> hi:int -> less_than:int -> int
 val count_ranges : t -> ranges:(int * int) array -> less_than:int -> int
 val count_value_ranges : t -> ranges:(int * int) array -> int
 val select : t -> ranges:(int * int) array -> nth:int -> int
-val heap_bytes : t -> int
 
 val footprint_bytes : t -> int
-(** Alias of {!heap_bytes}: the repo-wide memory-accounting contract
-    (element bytes at the selected width). *)
+(** The repo-wide memory-accounting contract: element bytes at the
+    selected width. *)

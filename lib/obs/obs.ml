@@ -1,4 +1,6 @@
 external now_ns : unit -> int = "holistic_obs_now_ns" [@@noalloc]
+external major_words : unit -> int = "holistic_obs_major_words" [@@noalloc]
+external promoted_words : unit -> int = "holistic_obs_promoted_words" [@@noalloc]
 
 module Json = Holistic_util.Json
 
@@ -98,22 +100,25 @@ let span ?args name f =
        one-atomic-load disabled contract.  [Gc.minor_words] reads the
        domain's precise allocation pointer ([Gc.quick_stat]'s minor tally
        only advances at minor collections, which would attribute whole
-       minor heaps to whichever span a collection lands in); the major
-       and promotion tallies come from [quick_stat].  Neither forces a
-       collection.  Work that the span offloads to pool workers on other
-       domains is attributed to those workers' spans, not to this one. *)
+       minor heaps to whichever span a collection lands in);
+       [major_words]/[promoted_words] likewise read this domain's own
+       tallies ([quick_stat] sums every domain's, so another domain's
+       allocations and promotions would land in this span); the
+       major-collection count comes from [quick_stat].  None forces a collection.  Work that the span
+       offloads to pool workers on other domains is attributed to those
+       workers' spans, not to this one. *)
     let g0 = Gc.quick_stat () in
     let m0 = Gc.minor_words () in
+    let j0 = major_words () and p0 = promoted_words () in
     let finish () =
       s.dur_ns <- now_ns () - s.t0_ns;
       let minor = Gc.minor_words () -. m0 in
+      let major = major_words () - j0 and promoted = promoted_words () - p0 in
       let g1 = Gc.quick_stat () in
-      let major = g1.Gc.major_words -. g0.Gc.major_words in
-      let promoted = g1.Gc.promoted_words -. g0.Gc.promoted_words in
       (* words freshly allocated: minor + direct-to-major, not counting
          promotions twice (promoted words appear in both tallies) *)
-      s.alloc_w <- int_of_float (minor +. major -. promoted);
-      s.promoted_w <- int_of_float promoted;
+      s.alloc_w <- int_of_float minor + major - promoted;
+      s.promoted_w <- promoted;
       s.majors <- g1.Gc.major_collections - g0.Gc.major_collections;
       (match args with None -> () | Some g -> s.args <- s.args @ g ());
       match st.stack with _ :: tl -> st.stack <- tl | [] -> ()

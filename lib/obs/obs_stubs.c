@@ -15,3 +15,22 @@ value holistic_obs_now_ns(value unit)
   clock_gettime(CLOCK_MONOTONIC, &ts);
   return Val_long((intnat)ts.tv_sec * 1000000000 + ts.tv_nsec);
 }
+
+/* The calling domain's major-heap and promotion tallies, in words, as
+   they stand: the counters folded in at the last major slice plus the
+   words allocated since.  [Gc.quick_stat] sums every domain's tallies,
+   so span deltas taken from it pick up other domains' allocations and
+   promotions.  Major words include promotions, as in [Gc.stat]. */
+
+#define CAML_INTERNALS
+#include <caml/domain_state.h>
+
+value holistic_obs_major_words(value unit)
+{
+  return Val_long(Caml_state->stat_major_words + Caml_state->allocated_words);
+}
+
+value holistic_obs_promoted_words(value unit)
+{
+  return Val_long(Caml_state->stat_promoted_words);
+}

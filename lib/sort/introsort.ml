@@ -110,7 +110,9 @@ let swap2 (k : int array) (p : int array) i j =
   Array.unsafe_set p j t
 
 (* (k1, p1) < (k2, p2) lexicographically *)
-let pair_less k1 p1 k2 p2 = k1 < k2 || (k1 = k2 && p1 < p2)
+(* Annotated so the comparisons compile to integer instructions instead
+   of calls to the polymorphic compare. *)
+let pair_less (k1 : int) (p1 : int) k2 p2 = k1 < k2 || (k1 = k2 && p1 < p2)
 
 let insertion_sort2 (k : int array) (p : int array) lo hi =
   for i = lo + 1 to hi - 1 do
@@ -322,7 +324,7 @@ let swapf (k : float array) (p : int array) i j =
   Array.unsafe_set p j t
 
 (* NaN-total lexicographic order: Float.compare sorts NaN below -inf *)
-let fpair_less k1 p1 k2 p2 =
+let fpair_less k1 (p1 : int) k2 p2 =
   let c = Float.compare k1 k2 in
   c < 0 || (c = 0 && p1 < p2)
 

@@ -62,28 +62,6 @@ let heap_of_runs (src : int array) (runs : run array) =
     runs;
   h
 
-let merge ~src ~runs ~dst ~dst_pos =
-  let h = heap_of_runs src runs in
-  let pos = ref dst_pos in
-  while h.size > 0 do
-    dst.(!pos) <- h.vals.(0);
-    incr pos;
-    let r = h.run_of.(0) in
-    let c = h.cursor.(0) + 1 in
-    if c < runs.(r).hi then begin
-      h.vals.(0) <- src.(c);
-      h.cursor.(0) <- c;
-      heap_down h 0
-    end
-    else begin
-      h.size <- h.size - 1;
-      if h.size > 0 then begin
-        heap_swap h 0 h.size;
-        heap_down h 0
-      end
-    end
-  done
-
 let merge_pairs ~key ~payload ~runs ~dst_key ~dst_payload ~dst_pos =
   let h = heap_of_runs key runs in
   let pos = ref dst_pos in
@@ -347,29 +325,6 @@ let make_source ~nwords ~buf_entries ~refill ~close =
   s
 
 let source_close s = s.s_close ()
-
-let source_of_run ~mw { lo; hi } =
-  let nd = Array.length mw.deep in
-  let nwords = 1 + nd in
-  let stride = nwords + 1 in
-  let pos = ref lo in
-  let refill buf =
-    let cap = Array.length buf / stride in
-    let m = min cap (hi - !pos) in
-    for e = 0 to m - 1 do
-      let p = !pos + e in
-      let base = e * stride in
-      buf.(base) <- mw.key0.(p);
-      let rid = mw.payload.(p) in
-      for w = 0 to nd - 1 do
-        buf.(base + 1 + w) <- mw.deep.(w).(rid)
-      done;
-      buf.(base + nwords) <- rid
-    done;
-    pos := !pos + m;
-    m
-  in
-  make_source ~nwords ~buf_entries:256 ~refill ~close:(fun () -> ())
 
 (* The same tree-of-losers OVC merge as [merge_multiword], over buffered
    sources instead of array segments. The only structural difference is

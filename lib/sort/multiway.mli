@@ -7,11 +7,6 @@
 type run = { lo : int; hi : int }
 (** A half-open, ascending-sorted segment of the source array. *)
 
-val merge : src:int array -> runs:run array -> dst:int array -> dst_pos:int -> unit
-(** Merges all runs of [src] ascending into [dst] starting at [dst_pos].
-    Ties are broken by run index (earlier runs first), so the merge is stable
-    with respect to run order. *)
-
 val merge_pairs :
   key:int array ->
   payload:int array ->
@@ -20,9 +15,10 @@ val merge_pairs :
   dst_payload:int array ->
   dst_pos:int ->
   unit
-(** Like {!merge} but moves a payload array along with the keys, ordering by
-    [(key, run index, position)] — stable for runs of a previously stable
-    partition. *)
+(** Merges all runs of [key] ascending into [dst_key] starting at
+    [dst_pos], moving [payload] along into [dst_payload]. Orders by
+    [(key, run index, position)], so the merge is stable with respect to
+    run order. *)
 
 val total_length : run array -> int
 
@@ -70,14 +66,13 @@ val merge_multiword :
     [sort.ovc_scanned] (needed a key-word scan); read them as deltas from
     a {!Holistic_obs.Obs.with_capture} trace. *)
 
-(** {2 Run sources: merging in-memory and on-disk runs identically} *)
+(** {2 Run sources: merging spilled runs} *)
 
 type source
 (** A buffered stream over one sorted run of interleaved entries —
     [nwords] key words then the payload row id, stride [nwords + 1].
-    Backed either by an in-memory segment ({!source_of_run}) or by any
-    refill function, e.g. a spilled {!Holistic_storage.Run_file}
-    reader. *)
+    Backed by a refill function, e.g. a spilled
+    {!Holistic_storage.Run_file} reader. *)
 
 val make_source :
   nwords:int -> buf_entries:int -> refill:(int array -> int) -> close:(unit -> unit) -> source
@@ -87,10 +82,6 @@ val make_source :
     eagerly, inside [make_source]. *)
 
 val source_close : source -> unit
-
-val source_of_run : mw:multiword -> run -> source
-(** A source over a sorted segment of [mw] (gathering [deep] words per
-    entry), for merging memory-resident runs alongside spilled ones. *)
 
 val merge_sources :
   sources:source array -> ?tie:(int -> int -> int) -> emit:(int -> int -> unit) -> unit -> unit

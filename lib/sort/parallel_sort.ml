@@ -65,16 +65,17 @@ let merge_runs pool ~key ~payload ~runs =
         Array.blit scratch_payload lo payload lo (hi - lo))
   end
 
-let sort_pairs pool ~key ~payload =
-  let runs = sort_runs pool ~key ~payload () in
-  merge_runs pool ~key ~payload ~runs
-
 (* Run formation only pays off when the merge can run concurrently: on a
    single-domain pool an unrequested task split would cost a full extra
    merge pass over the data for nothing, so default to one run there. *)
 let effective_task_size pool n = function
   | Some t -> t
   | None -> if Task_pool.size pool = 1 then max n 1 else Task_pool.default_task_size
+
+let sort_pairs pool ~key ~payload =
+  let task_size = effective_task_size pool (Array.length key) None in
+  let runs = sort_runs pool ~task_size ~key ~payload () in
+  merge_runs pool ~key ~payload ~runs
 
 let sort_multiword pool ?task_size ~mw () =
   let key0 = mw.Multiway.key0 and payload = mw.Multiway.payload in
@@ -274,13 +275,3 @@ let sort_encoded_spill ~n ~words ?tie ~run_rows ~read_entries ~dir ?on_key0 ?aft
       if !rank <> n then
         raise (Run_file.Error (Printf.sprintf "spill merge produced %d of %d rows" !rank n)));
   (perm, nruns, !total_bytes)
-
-let sort pool a =
-  let n = Array.length a in
-  if Task_pool.size pool = 1 || n <= Task_pool.default_task_size then Introsort.sort a
-  else begin
-    (* Reuse the stable pair machinery with a throwaway payload; simpler than
-       a third merge specialisation and only used on multi-core hosts. *)
-    let payload = Array.make n 0 in
-    sort_pairs pool ~key:a ~payload
-  end

@@ -23,7 +23,8 @@ val merge_runs :
 
 val sort_pairs : Task_pool.t -> key:int array -> payload:int array -> unit
 (** [sort_runs] followed by [merge_runs]: a stable parallel sort by
-    [(key, payload)]. *)
+    [(key, payload)]. One run, and no merge, on a single-domain pool (the
+    {!sort_multiword} rule). *)
 
 val sort_multiword : Task_pool.t -> ?task_size:int -> mw:Multiway.multiword -> unit -> unit
 (** Parallel sort of a multi-word normalized-key permutation: task-local
@@ -85,6 +86,3 @@ val sort_encoded_spill :
     Updates the always-on counters [sort.spill_bytes] /
     [sort.spill_runs] and tags its [sort.runs] / [sort.merge] spans with
     [spilled(runs=…, bytes)] provenance. *)
-
-val sort : Task_pool.t -> int array -> unit
-(** Parallel ascending sort of a plain int array. *)

@@ -260,7 +260,7 @@ let lower_call table (c : Ast.window_call) : Wf.func =
 (* Query execution                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let run_with_stats ?pool ?algorithm ?evaluator ?governor ?session ~tables (q : Ast.query) =
+let run_with_stats ?pool ?evaluator ?governor ?session ~tables (q : Ast.query) =
   let table =
     match List.assoc_opt q.Ast.from tables with
     | Some t -> t
@@ -339,7 +339,7 @@ let run_with_stats ?pool ?algorithm ?evaluator ?governor ?session ~tables (q : A
       let item =
         Wf.make
           ?filter:(Option.map (lower_expr table) w.Ast.filter)
-          ?algorithm ~name (lower_call table w)
+          ~name (lower_call table w)
       in
       match List.find_opt (fun (s, _) -> s = spec) !clauses with
       | Some (_, items) -> items := item :: !items
@@ -422,5 +422,5 @@ let run_with_stats ?pool ?algorithm ?evaluator ?governor ?session ~tables (q : A
   in
   (result, !plan_stats)
 
-let run ?pool ?algorithm ?evaluator ?governor ?session ~tables q =
-  fst (run_with_stats ?pool ?algorithm ?evaluator ?governor ?session ~tables q)
+let run ?pool ?evaluator ?governor ?session ~tables q =
+  fst (run_with_stats ?pool ?evaluator ?governor ?session ~tables q)

@@ -14,17 +14,15 @@ val lower_expr : Table.t -> Ast.expr -> Expr.t
 
 val run :
   ?pool:Holistic_parallel.Task_pool.t ->
-  ?algorithm:Holistic_window.Window_func.algorithm ->
   ?evaluator:Holistic_window.Evaluator_choice.name ->
   ?governor:Holistic_window.Mem_governor.t ->
   ?session:Holistic_window.Session.t ->
   tables:(string * Table.t) list ->
   Ast.query ->
   Table.t
-(** Executes the query; [algorithm] overrides the evaluation algorithm of
-    every window function (for the CLI's --algorithm flag); [evaluator]
-    forces every [Auto] item onto one backend, strictly — an unsupported
-    (function, backend) pair raises (for the CLI's --evaluator flag; see
+(** Executes the query; [evaluator] forces every window item onto one
+    backend, strictly — an unsupported (function, backend) pair raises
+    (for the CLI's --evaluator flag; see
     {!Holistic_window.Window_plan.run}); [governor] bounds the window
     stage's working set, spilling sorts and streaming builds under
     pressure (caller-owned; see {!Holistic_window.Mem_governor});
@@ -36,7 +34,6 @@ val run :
 
 val run_with_stats :
   ?pool:Holistic_parallel.Task_pool.t ->
-  ?algorithm:Holistic_window.Window_func.algorithm ->
   ?evaluator:Holistic_window.Evaluator_choice.name ->
   ?governor:Holistic_window.Mem_governor.t ->
   ?session:Holistic_window.Session.t ->

@@ -28,7 +28,6 @@ module Query_stats = Holistic_window.Query_stats
 
 val query :
   ?pool:Holistic_parallel.Task_pool.t ->
-  ?algorithm:Holistic_window.Window_func.algorithm ->
   ?evaluator:Holistic_window.Evaluator_choice.name ->
   ?governor:Holistic_window.Mem_governor.t ->
   ?session:Session.t ->
@@ -37,9 +36,8 @@ val query :
   string ->
   Table.t
 (** Parses and executes one SELECT statement against the named tables.
-    [algorithm] overrides the evaluation algorithm of every window
-    function; [evaluator] forces every [Auto] window item onto one backend
-    (strict; see {!Holistic_window.Window_plan.run}); [governor] bounds the
+    [evaluator] forces every window item onto one backend (strict; see
+    {!Holistic_window.Window_plan.run}); [governor] bounds the
     window stage's working set — sorts spill to disk runs and index builds
     stream under pressure, with bit-identical results (caller-owned; see
     {!Holistic_window.Mem_governor}); [session] is a persistent structure
@@ -86,7 +84,6 @@ val explain : string -> string
 
 val explain_analyze_trace :
   ?pool:Holistic_parallel.Task_pool.t ->
-  ?algorithm:Holistic_window.Window_func.algorithm ->
   ?evaluator:Holistic_window.Evaluator_choice.name ->
   ?governor:Holistic_window.Mem_governor.t ->
   ?session:Session.t ->

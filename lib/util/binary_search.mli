@@ -13,9 +13,6 @@ val upper_bound : int array -> lo:int -> hi:int -> int -> int
 (** [upper_bound a ~lo ~hi x] is the smallest index [i] such that every
     element of [a.(lo..i-1)] is [<= x]. *)
 
-val lower_bound_f : float array -> lo:int -> hi:int -> float -> int
-(** [lower_bound_f] is {!lower_bound} for float arrays. *)
-
 val lower_bound_by : (int -> int) -> lo:int -> hi:int -> int
 (** [lower_bound_by cmp ~lo ~hi] generalises {!lower_bound} to an abstract
     monotone predicate: [cmp i < 0] must mean "element [i] is below the

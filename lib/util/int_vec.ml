@@ -30,5 +30,3 @@ let pop t =
 let clear t = t.len <- 0
 
 let to_array t = Array.sub t.data 0 t.len
-
-let unsafe_data t = t.data

@@ -15,7 +15,3 @@ val clear : t -> unit
 
 val to_array : t -> int array
 (** Fresh array with the current contents. *)
-
-val unsafe_data : t -> int array
-(** The backing store; only indices [< length] are meaningful. Becomes stale
-    after the next growing [push]. Intended for read-only hot loops. *)

@@ -1,5 +1,5 @@
-(* First-class names for the evaluation backends, their capability matrix,
-   and rough structure footprints.  This is the planning-time view of the
+(* First-class names for the evaluation backends and their capability
+   matrix.  This is the planning-time view of the
    evaluator zoo: [Window_plan] classifies every item, asks [supports] which
    backends can run it, and (for Auto items) lets [Cost_model] pick among
    them.  The evaluator bodies in [Evaluators] stay keyed on
@@ -98,11 +98,10 @@ let class_to_string = function
   | C_select -> "percentile/value function"
 
 (* Mirrors the dispatch matrix in [Evaluators] exactly: a (backend, class)
-   pair is supported iff the evaluator body has a real implementation for
-   it (no silent fallbacks counted — forcing "mst" onto a plain SUM would
-   run a segment tree, so it is not listed as supporting C_plain_agg).
-   Backends driven through [Evaluators.incremental_drive] cannot evaluate
-   frames with exclusion holes; [holed] gates them out. *)
+   pair is supported iff the evaluator body implements it; every other
+   pair is an [unsupported] arm there.  Backends driven through
+   [Evaluators.incremental_drive] cannot evaluate frames with exclusion
+   holes; [holed] gates them out. *)
 let supports name cls ~holed =
   match cls with
   | C_trivial_count -> true (* remap + prefix counts; no per-backend structure *)
@@ -137,19 +136,3 @@ let unsupported_message name cls ~holed =
     (class_to_string cls)
     (if holed && supports name cls ~holed:false then " over frames with exclusion holes" else "")
     (String.concat "/" (List.map to_string (supported_names cls ~holed)))
-
-(* Rough bytes held live by each backend's structure for an [n]-row
-   partition with an average frame of [frame] rows — the capability-level
-   view; the built structures report exact [footprint_bytes] to
-   [mem.structure_bytes] at run time. *)
-let footprint_estimate name ~rows:n ~frame:w =
-  let word = 8 in
-  match name with
-  | Naive -> 0
-  | Mst | Mst_no_cascade ->
-      (* one key per row per level, fanout-32 levels *)
-      let rec levels acc cap = if cap >= n then acc else levels (acc + 1) (cap * 32) in
-      n * word * max 1 (levels 0 1)
-  | Segment_tree -> 2 * n * word (* boxed monoid values, ~2n nodes *)
-  | Incremental | Incremental_serial -> 6 * w * word (* hash/sorted state over one frame *)
-  | Order_statistic -> 3 * w * word (* counted B-tree over one frame *)

@@ -1,5 +1,5 @@
-(** Planning-time view of the evaluation backends: first-class names, the
-    (backend, function-class) capability matrix, and rough footprints.
+(** Planning-time view of the evaluation backends: first-class names and
+    the (backend, function-class) capability matrix.
     [Window_plan] classifies every window item with {!classify}, filters
     backends with {!supports}, and resolves [Auto] items through
     {!Cost_model}; forced picks (explicit item algorithm, the [?evaluator]
@@ -48,17 +48,11 @@ val classify : Window_func.t -> func_class
 val class_to_string : func_class -> string
 
 val supports : name -> func_class -> holed:bool -> bool
-(** Whether the backend has a real implementation for the class — silent
-    fallbacks in the evaluator bodies (e.g. MST on a plain SUM running a
-    segment tree) do not count.  [holed] is true when the frame has
-    exclusion holes, which rules out the incrementally-driven backends. *)
+(** Whether the backend implements the class.  [holed] is true when the
+    frame has exclusion holes, which rules out the incrementally-driven
+    backends. *)
 
 val supported_names : func_class -> holed:bool -> name list
 
 val unsupported_message : name -> func_class -> holed:bool -> string
 (** Error text for rejecting a forced (backend, class) pair. *)
-
-val footprint_estimate : name -> rows:int -> frame:int -> int
-(** Rough bytes the backend's structure holds live for an [n]-row
-    partition with an average frame of [frame] rows; the built structures
-    report exact [footprint_bytes] at run time. *)

@@ -312,7 +312,7 @@ let eval_plain_agg ctx ~kind ~arg ~acc ~qual ~rm ~algorithm ~out =
   let value_f i = acc.value_at (Remap.position rm i) in
   let emit r v = out.(ctx.rows.(r)) <- v in
   match algorithm with
-  | Auto | Mst | Mst_no_cascade | Segment_tree -> begin
+  | Auto | Segment_tree -> begin
       match kind with
       | Sum | Avg ->
           let tree =
@@ -389,7 +389,7 @@ let eval_plain_agg ctx ~kind ~arg ~acc ~qual ~rm ~algorithm ~out =
             emit r (if cnt = 0 then Value.Null else Value.Float (to_float_v !s /. float_of_int cnt))
           end
           else emit r !s)
-  | Incremental | Incremental_serial | Order_statistic ->
+  | Mst | Mst_no_cascade | Incremental | Incremental_serial | Order_statistic ->
       unsupported "plain aggregates support Auto/Segment_tree/Naive"
 
 (* ------------------------------------------------------------------ *)

@@ -29,7 +29,6 @@ let footprint_bytes t =
   8 * (3 + 1 + Array.length t.prefix + 1 + Array.length t.positions)
 
 let filtered_count t = Array.length t.positions
-let count_before t r = t.prefix.(r)
 let qualifies t r = t.prefix.(r + 1) > t.prefix.(r)
 let position t i = t.positions.(i)
 

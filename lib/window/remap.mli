@@ -16,10 +16,6 @@ val footprint_bytes : t -> int
 
 val filtered_count : t -> int
 
-val count_before : t -> int -> int
-(** Number of qualifying partition positions [< r]; defined for
-    [r ∈ [0, np]]. *)
-
 val qualifies : t -> int -> bool
 
 val position : t -> int -> int

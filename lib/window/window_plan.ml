@@ -226,10 +226,10 @@ let holed_spec (spec : Window_spec.t) =
    its [algorithm] pinned plus the backend tag for the item span; plain
    COUNT and COUNT star are structure-free and resolve to no backend.
 
-   Precedence: an explicit item algorithm always wins and keeps the
-   evaluator bodies' historical semantics (including their silent
-   fallbacks); the [?evaluator] knob is strict — an unsupported (function,
-   backend) pair is an error; otherwise the cost model picks. *)
+   Precedence: an explicit item algorithm wins over the [?evaluator]
+   knob, which wins over the cost model.  Both forced picks are strict:
+   an unsupported (function, backend) pair is an error, so the backend an
+   item span reports is the one that ran. *)
 let resolve_item ~evaluator ~sunk ~(model : Cost_model.constants) ~rows_avg ~nparts
     ~task_size ~fanout (spec : Window_spec.t) (item : Window_func.t) =
   let module Ec = Evaluator_choice in
@@ -238,55 +238,57 @@ let resolve_item ~evaluator ~sunk ~(model : Cost_model.constants) ~rows_avg ~npa
   | cls ->
       let holed = holed_spec spec in
       let chosen =
-        match Ec.of_algorithm item.Window_func.algorithm with
-        | Some forced -> forced
-        | None -> (
-            match evaluator with
-            | Some f ->
-                if Ec.supports f cls ~holed then f
-                else invalid_arg (Ec.unsupported_message f cls ~holed)
-            | None ->
-                let frame_rows, monotonic = Cost_model.estimate_frame spec ~rows:rows_avg in
-                let d =
-                  Cost_model.choose ~sunk model
-                    {
-                      Cost_model.rows = rows_avg;
-                      nparts;
-                      frame_rows;
-                      monotonic;
-                      holed;
-                      cls;
-                      task_size;
-                      fanout;
-                    }
+        let forced =
+          match Ec.of_algorithm item.Window_func.algorithm with
+          | Some _ as f -> f
+          | None -> evaluator
+        in
+        match forced with
+        | Some f ->
+            if Ec.supports f cls ~holed then f
+            else invalid_arg (Ec.unsupported_message f cls ~holed)
+        | None ->
+            let frame_rows, monotonic = Cost_model.estimate_frame spec ~rows:rows_avg in
+            let d =
+              Cost_model.choose ~sunk model
+                {
+                  Cost_model.rows = rows_avg;
+                  nparts;
+                  frame_rows;
+                  monotonic;
+                  holed;
+                  cls;
+                  task_size;
+                  fanout;
+                }
+            in
+            Obs.span "choose"
+              ~args:(fun () ->
+                let total s = s *. float_of_int (max 1 nparts) /. 1000.0 in
+                let fmt (nm, s) =
+                  Printf.sprintf "%s=%.1fus" (Ec.to_string nm) (total s)
                 in
-                Obs.span "choose"
-                  ~args:(fun () ->
-                    let total s = s *. float_of_int (max 1 nparts) /. 1000.0 in
-                    let fmt (nm, s) =
-                      Printf.sprintf "%s=%.1fus" (Ec.to_string nm) (total s)
-                    in
-                    [
-                      ("item", item.Window_func.name);
-                      ("evaluator", Ec.to_string d.Cost_model.chosen);
-                      ("cost", fmt (d.Cost_model.chosen,
-                                    List.assoc d.Cost_model.chosen d.Cost_model.scores));
-                      ( "rejected",
-                        String.concat ","
-                          (List.filter_map
-                             (fun (nm, s) ->
-                               if nm = d.Cost_model.chosen then None else Some (fmt (nm, s)))
-                             d.Cost_model.scores) );
-                    ]
-                    @
-                    if sunk = [] then []
-                    else
-                      [
-                        ( "sunk",
-                          String.concat "," (List.map Ec.to_string sunk) );
-                      ])
-                  (fun () -> ());
-                d.Cost_model.chosen)
+                [
+                  ("item", item.Window_func.name);
+                  ("evaluator", Ec.to_string d.Cost_model.chosen);
+                  ("cost", fmt (d.Cost_model.chosen,
+                                List.assoc d.Cost_model.chosen d.Cost_model.scores));
+                  ( "rejected",
+                    String.concat ","
+                      (List.filter_map
+                         (fun (nm, s) ->
+                           if nm = d.Cost_model.chosen then None else Some (fmt (nm, s)))
+                         d.Cost_model.scores) );
+                ]
+                @
+                if sunk = [] then []
+                else
+                  [
+                    ( "sunk",
+                      String.concat "," (List.map Ec.to_string sunk) );
+                  ])
+              (fun () -> ());
+            d.Cost_model.chosen
       in
       Obs.Counter.incr (List.assoc chosen c_evaluator);
       ( { item with Window_func.algorithm = Ec.to_algorithm chosen },

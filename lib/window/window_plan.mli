@@ -78,9 +78,10 @@ val run :
 
     Items whose algorithm is [Auto] are resolved to a concrete backend per
     (stage, item) through {!Cost_model.choose}; [?evaluator] forces the
-    backend instead and rejects unsupported (function, backend) pairs with
-    [Invalid_argument].  Explicit item algorithms always win and keep
-    their historical semantics.  Every
+    backend of those items instead.  An explicit item algorithm wins over
+    [?evaluator].  Both forced picks reject unsupported (function,
+    backend) pairs with [Invalid_argument] ({!Evaluator_choice.supports}).
+    Every
     resolution bumps the [plan.evaluator.<name>] counter once and is
     surfaced in EXPLAIN ANALYZE ([choose] spans with the rejected
     candidates' predicted costs, and an [evaluator] arg on item spans).

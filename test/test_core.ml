@@ -145,52 +145,49 @@ let test_multi_domain_build () =
   let t3 = Mst.create ~pool:p3 ~fanout:4 ~sample:4 a in
   Tp.shutdown p1;
   Tp.shutdown p3;
-  let i1 = Mst.internals t1 and i3 = Mst.internals t3 in
-  Alcotest.(check bool) "levels identical" true (i1.Mst.int_levels = i3.Mst.int_levels);
-  Alcotest.(check bool) "cursors identical" true (i1.Mst.int_cursors = i3.Mst.int_cursors)
+  (* structural equality over every level and cursor array *)
+  Alcotest.(check bool) "trees identical" true (t1 = t3)
 
 (* ------------------------------------------------------------------ *)
-(* 32-bit compact trees (§5.1)                                         *)
+(* 32-bit trees (§5.1)                                                 *)
 (* ------------------------------------------------------------------ *)
 
-module Compact = Holistic_core.Mst_compact
+module M32 = Holistic_core.Mst_width.M32
 
-let compact_agrees =
+let m32_agrees =
   QCheck.Test.make ~name:"32-bit tree answers every query like the 64-bit one" ~count:150
     tree_case
     (fun (a, f, k) ->
       let n = Array.length a in
       let t = Mst.create ~fanout:f ~sample:k a in
-      let c = Compact.of_mst t in
+      let c = M32.create ~fanout:f ~sample:k a in
       let rng = Rng.create (n + f + (13 * k)) in
-      let ok = ref (Compact.length c = n) in
+      let ok = ref (M32.length c = n) in
       for _ = 1 to 25 do
         let lo = Rng.int rng (n + 2) - 1 and hi = Rng.int rng (n + 2) - 1 in
         let th = Rng.int rng 44 - 2 in
-        if Compact.count c ~lo ~hi ~less_than:th <> Mst.count t ~lo ~hi ~less_than:th then
+        if M32.count c ~lo ~hi ~less_than:th <> Mst.count t ~lo ~hi ~less_than:th then
           ok := false;
         let ranges = [| (0, max 1 (th + 2)) |] in
         let total = Mst.count_value_ranges t ~ranges in
-        if Compact.count_value_ranges c ~ranges <> total then ok := false;
+        if M32.count_value_ranges c ~ranges <> total then ok := false;
         if total > 0 then begin
           let nth = Rng.int rng total in
-          if Compact.select c ~ranges ~nth <> Mst.select t ~ranges ~nth then ok := false
+          if M32.select c ~ranges ~nth <> Mst.select t ~ranges ~nth then ok := false
         end
       done;
       !ok)
 
-let test_compact_memory () =
+let test_m32_memory () =
   let a = Array.init 5_000 (fun i -> i * 13 mod 700) in
-  let t = Mst.create a in
-  let c = Compact.of_mst t in
-  let full = (Mst.stats t).Mst.heap_bytes in
-  Alcotest.(check int) "exactly half the footprint" full (2 * Compact.heap_bytes c)
+  let full = (Mst.stats (Mst.create a)).Mst.heap_bytes in
+  Alcotest.(check int) "exactly half the footprint" full
+    (2 * M32.footprint_bytes (M32.create a))
 
-let test_compact_range_check () =
-  let t = Mst.create [| max_int |] in
+let test_m32_range_check () =
   Alcotest.check_raises "values too wide"
-    (Invalid_argument "Mst_compact.of_mst: value exceeds 32-bit range") (fun () ->
-      ignore (Compact.of_mst t))
+    (Invalid_argument "Mst_width.M32.create: value exceeds 32-bit storage range") (fun () ->
+      ignore (M32.create [| max_int |]))
 
 (* ------------------------------------------------------------------ *)
 (* Prev occurrence (Algorithm 1)                                       *)
@@ -388,11 +385,11 @@ let () =
           Alcotest.test_case "parameter validation" `Quick test_bad_params;
           Alcotest.test_case "multi-domain build determinism" `Quick test_multi_domain_build;
         ] );
-      ( "mst_compact",
+      ( "mst32",
         [
-          QCheck_alcotest.to_alcotest compact_agrees;
-          Alcotest.test_case "half memory" `Quick test_compact_memory;
-          Alcotest.test_case "range check" `Quick test_compact_range_check;
+          QCheck_alcotest.to_alcotest m32_agrees;
+          Alcotest.test_case "half memory" `Quick test_m32_memory;
+          Alcotest.test_case "range check" `Quick test_m32_range_check;
         ] );
       ( "prev_occurrence",
         [

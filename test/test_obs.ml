@@ -379,6 +379,35 @@ let test_gc_sampling () =
   Alcotest.(check bool) "non-negative GC fields" true
     (s.Obs.promoted_w >= 0 && s.Obs.majors >= 0)
 
+(* A span's GC deltas are this domain's: another domain allocating on the
+   major heap (and collecting) meanwhile must not leak into them, so the
+   same work always reports the same words. *)
+let test_gc_sampling_domain_local () =
+  let stop = Atomic.make false in
+  let busy =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          ignore (Sys.opaque_identity (Array.make 10_000 0))
+        done)
+  in
+  let measure () =
+    let (), tr =
+      Obs.with_capture (fun () ->
+          Obs.span "alloc" (fun () ->
+              (* 100 blocks of 1001 words, each past the minor-heap limit *)
+              for _ = 1 to 100 do
+                ignore (Sys.opaque_identity (Array.make 1_000 0))
+              done))
+    in
+    (List.hd tr.Obs.spans).Obs.alloc_w
+  in
+  let words = List.init 20 (fun _ -> measure ()) in
+  Atomic.set stop true;
+  Domain.join busy;
+  let first = List.hd words in
+  Alcotest.(check bool) "the blocks are counted" true (first >= 100_100);
+  List.iter (fun w -> Alcotest.(check int) "the same words every time" first w) words
+
 let test_self_totals () =
   let mk id parent name dur_ns =
     {
@@ -715,6 +744,7 @@ let () =
         [
           Alcotest.test_case "record_bytes attribution" `Quick test_record_bytes;
           Alcotest.test_case "GC sampling per span" `Quick test_gc_sampling;
+          Alcotest.test_case "GC sampling is domain-local" `Quick test_gc_sampling_domain_local;
           Alcotest.test_case "self_totals" `Quick test_self_totals;
           Alcotest.test_case "footprint parity (64-bit MST)" `Quick test_footprint_parity;
         ] );

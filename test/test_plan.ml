@@ -331,11 +331,28 @@ let test_first_appearance_error_order () =
   for _ = 1 to 5 do
     Alcotest.(check bool)
       "mode-first raises the mode error" true
-      (contains (message [ bad_mode; bad_rank ]) "mode supports");
+      (contains (message [ bad_mode; bad_rank ]) "segment-tree does not support mode");
     Alcotest.(check bool)
       "rank-first raises the rank error" true
-      (contains (message [ bad_rank; bad_mode ]) "rank functions support")
+      (contains (message [ bad_rank; bad_mode ]) "incremental does not support rank function")
   done
+
+(* An explicit item algorithm is checked against the capability matrix
+   like [?evaluator]: MST has no plain-aggregate implementation, so it is
+   rejected instead of silently running (and being reported as) another
+   backend. *)
+let test_explicit_algorithm_strict () =
+  let rng = Rng.create 19 in
+  let table = make_table rng 50 in
+  let spec = Window_spec.over ~partition_by:[ grp ] ~order_by:by_ts () in
+  match
+    Window_plan.run table
+      [ { Window_plan.spec; items = [ Wf.sum ~algorithm:Wf.Mst ~name:"s" x ] } ]
+  with
+  | exception Invalid_argument m ->
+      Alcotest.(check string) "matrix message"
+        "Window: evaluator mst does not support plain aggregate (supported: naive/segment-tree)" m
+  | _ -> Alcotest.fail "explicit mst on SUM must raise"
 
 let test_repeated_runs_identical () =
   let rng = Rng.create 17 in
@@ -381,6 +398,7 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "first-appearance error order" `Quick test_first_appearance_error_order;
+          Alcotest.test_case "explicit algorithm is strict" `Quick test_explicit_algorithm_strict;
           Alcotest.test_case "repeated runs identical" `Quick test_repeated_runs_identical;
         ] );
     ]

@@ -76,12 +76,20 @@ let test_sort_by_comparator () =
   Introsort.sort_by a ~cmp:(fun x y -> compare y x);
   Alcotest.(check (array int)) "descending" [| 5; 4; 3; 2; 1 |] a
 
+(* [Multiway.merge_pairs] over keys alone: an identity payload, checked
+   to travel with its key. *)
+let merge_keys ~src ~runs =
+  let n = Array.length src in
+  let dst = Array.make n (-1) and dst_payload = Array.make n (-1) in
+  Multiway.merge_pairs ~key:src ~payload:(Array.init n Fun.id) ~runs ~dst_key:dst ~dst_payload
+    ~dst_pos:0;
+  Array.iteri (fun i p -> if src.(p) <> dst.(i) then Alcotest.fail "payload left its key") dst_payload;
+  dst
+
 let test_multiway_merge () =
   let src = [| 1; 4; 9; 2; 2; 7; 0; 5 |] in
   let runs = [| { Multiway.lo = 0; hi = 3 }; { Multiway.lo = 3; hi = 6 }; { Multiway.lo = 6; hi = 8 } |] in
-  let dst = Array.make 8 (-1) in
-  Multiway.merge ~src ~runs ~dst ~dst_pos:0;
-  Alcotest.(check (array int)) "merged" [| 0; 1; 2; 2; 4; 5; 7; 9 |] dst
+  Alcotest.(check (array int)) "merged" [| 0; 1; 2; 2; 4; 5; 7; 9 |] (merge_keys ~src ~runs)
 
 let merge_oracle =
   QCheck.Test.make ~name:"k-way merge matches sort" ~count:300
@@ -98,9 +106,7 @@ let merge_oracle =
           runs.(i) <- { Multiway.lo = !pos; hi = !pos + List.length p };
           pos := !pos + List.length p)
         sorted_parts;
-      let dst = Array.make (Array.length src) 0 in
-      Multiway.merge ~src ~runs ~dst ~dst_pos:0;
-      Array.to_list dst = List.sort compare l)
+      Array.to_list (merge_keys ~src ~runs) = List.sort compare l)
 
 let split_at_rank_oracle =
   QCheck.Test.make ~name:"split_at_rank prefixes are a stable-merge prefix" ~count:300

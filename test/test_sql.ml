@@ -300,7 +300,7 @@ let test_sql_exclusion () =
 let test_sql_algorithm_override () =
   let q = "select median(x) over (order by t rows between 1 preceding and current row) as m from tbl" in
   let a = Sql.query ~tables q in
-  let b = Sql.query ~algorithm:Wf.Naive ~tables q in
+  let b = Sql.query ~evaluator:Evaluator_choice.Naive ~tables q in
   Alcotest.(check (list string)) "algorithms agree" (col_strings a "m") (col_strings b "m")
 
 let test_sql_semantic_errors () =

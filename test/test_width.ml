@@ -6,9 +6,9 @@
    that a directly-built narrow tree holds no 64-bit level/cursor arrays. *)
 
 module Mst = Holistic_core.Mst
-module C = Holistic_core.Mst_compact
-module M16 = Holistic_core.Mst16
 module W = Holistic_core.Mst_width
+module C = W.M32
+module M16 = W.M16
 module Rng = Holistic_util.Rng
 
 (* ------------------------------------------------------------------ *)
@@ -94,7 +94,7 @@ let random_value_ranges rng base =
   match Rng.int rng 2 with 0 -> [| (l1, h1) |] | _ -> [| (l1, h1); (l2, h2) |]
 
 let widths_agree =
-  QCheck.Test.make ~name:"Mst / Mst_compact / Mst16 are bit-identical to the oracle" ~count:400
+  QCheck.Test.make ~name:"64/32/16-bit trees are bit-identical to the oracle" ~count:400
     width_case (fun (a, f, k) ->
       let n = Array.length a in
       let minv = Array.fold_left min 0 a and maxv = Array.fold_left max 0 a in
@@ -149,49 +149,26 @@ let widths_agree =
       done;
       !ok)
 
-(* The historical conversion path must agree with direct construction. *)
-let of_mst_matches_direct =
-  QCheck.Test.make ~name:"Mst_compact.of_mst agrees with direct create" ~count:150 width_case
-    (fun (a, f, k) ->
-      let minv = Array.fold_left min 0 a and maxv = Array.fold_left max 0 a in
-      QCheck.assume (minv >= Int32.to_int Int32.min_int && maxv <= Int32.to_int Int32.max_int);
-      let n = Array.length a in
-      let direct = C.create ~fanout:f ~sample:k a in
-      let converted = C.of_mst (Mst.create ~fanout:f ~sample:k a) in
-      let base = if n = 0 then 0 else minv in
-      let rng = Rng.create ((n * 67) + f + (k * 3)) in
-      let ok = ref true in
-      for _ = 1 to 20 do
-        let lo = Rng.int rng (n + 2) - 1 and hi = Rng.int rng (n + 2) - 1 in
-        let th = base + Rng.int rng (regime_span + 4) - 2 in
-        if C.count direct ~lo ~hi ~less_than:th <> C.count converted ~lo ~hi ~less_than:th then
-          ok := false;
-        let vr = random_value_ranges rng base in
-        if C.count_value_ranges direct ~ranges:vr <> C.count_value_ranges converted ~ranges:vr then
-          ok := false
-      done;
-      C.stats direct = C.stats converted && !ok)
-
 (* ------------------------------------------------------------------ *)
 (* Width boundaries: rejection                                         *)
 (* ------------------------------------------------------------------ *)
 
 let test_rejection () =
   Alcotest.check_raises "16-bit rejects negatives"
-    (Invalid_argument "Mst16.create: value exceeds 16-bit storage range") (fun () ->
+    (Invalid_argument "Mst_width.M16.create: value exceeds 16-bit storage range") (fun () ->
       ignore (M16.create [| 3; -1 |]));
   Alcotest.check_raises "16-bit rejects 65536"
-    (Invalid_argument "Mst16.create: value exceeds 16-bit storage range") (fun () ->
+    (Invalid_argument "Mst_width.M16.create: value exceeds 16-bit storage range") (fun () ->
       ignore (M16.create [| 65535; 65536 |]));
   Alcotest.check_raises "16-bit rejects over-long arrays"
-    (Invalid_argument "Mst16.create: length 65536 exceeds 16-bit storage") (fun () ->
+    (Invalid_argument "Mst_width.M16.create: length 65536 exceeds 16-bit storage") (fun () ->
       ignore (M16.create (Array.make 65536 1)));
   Alcotest.check_raises "32-bit rejects over-range values"
-    (Invalid_argument "Mst_compact.create: value exceeds 32-bit storage range") (fun () ->
+    (Invalid_argument "Mst_width.M32.create: value exceeds 32-bit storage range") (fun () ->
       ignore (C.create [| Int32.to_int Int32.max_int + 1 |]));
-  Alcotest.check_raises "of_mst rejects over-range values"
-    (Invalid_argument "Mst_compact.of_mst: value exceeds 32-bit range") (fun () ->
-      ignore (C.of_mst (Mst.create [| 0; Int32.to_int Int32.min_int - 1 |])));
+  Alcotest.check_raises "32-bit rejects under-range values"
+    (Invalid_argument "Mst_width.M32.create: value exceeds 32-bit storage range") (fun () ->
+      ignore (C.create [| 0; Int32.to_int Int32.min_int - 1 |]));
   (* the widest boundary values that must be accepted *)
   let t = M16.create [| 0; 65535 |] in
   Alcotest.(check int) "16-bit max stored" 1
@@ -271,7 +248,7 @@ let test_width_dispatch () =
   done;
   Alcotest.(check bool) "dispatch parity across forced widths" true !ok;
   Alcotest.(check bool) "narrow dispatch is smaller" true
-    (W.heap_bytes auto < W.heap_bytes forced64)
+    (W.footprint_bytes auto < W.footprint_bytes forced64)
 
 let () =
   Alcotest.run "width"
@@ -279,7 +256,6 @@ let () =
       ( "parity",
         [
           QCheck_alcotest.to_alcotest widths_agree;
-          QCheck_alcotest.to_alcotest of_mst_matches_direct;
         ] );
       ( "boundaries",
         [

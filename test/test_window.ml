@@ -521,21 +521,29 @@ let random_items rng =
       ~name:"lg" (Expr.Col "v");
   ]
 
-let compare_against_oracle ~algorithm ~supported seed =
+let has_exclusion (over : Window_spec.t) =
+  match over.frame with
+  | Some f -> f.Window_spec.exclusion <> Window_spec.Exclude_no_others
+  | None -> false
+
+let compare_against_oracle ~algorithm seed =
   let rng = Rng.create seed in
   let n = 1 + Rng.int rng 36 in
   let table = make_table rng n in
   let over = random_over rng in
-  let items = List.filter supported (random_items rng) in
   let items =
     List.map
       (fun (it : Wf.t) ->
-        match it.Wf.func, algorithm with
-        (* mode has no tree algorithm: keep Auto except for the Naive pass *)
-        | Wf.Mode _, Wf.Naive -> { it with Wf.algorithm = Wf.Naive }
-        | Wf.Mode _, _ -> it
+        (* items the backend does not implement (MODE and plain aggregates
+           under the tree passes) keep Auto *)
+        match Evaluator_choice.of_algorithm algorithm with
+        | Some nm
+          when not
+                 (Evaluator_choice.supports nm (Evaluator_choice.classify it)
+                    ~holed:(has_exclusion over)) ->
+            it
         | _ -> { it with Wf.algorithm })
-      items
+      (random_items rng)
   in
   let expected = Oracle.run table ~over items in
   let got =
@@ -558,24 +566,10 @@ let compare_against_oracle ~algorithm ~supported seed =
         exp)
     expected
 
-let has_exclusion (over : Window_spec.t) =
-  match over.frame with
-  | Some f -> f.Window_spec.exclusion <> Window_spec.Exclude_no_others
-  | None -> false
-
-let mst_vs_oracle seed () = compare_against_oracle ~algorithm:Wf.Mst ~supported:(fun _ -> true) seed
-let auto_vs_oracle seed () = compare_against_oracle ~algorithm:Wf.Auto ~supported:(fun _ -> true) seed
-
-let nocascade_vs_oracle seed () =
-  compare_against_oracle ~algorithm:Wf.Mst_no_cascade
-    ~supported:(fun it ->
-      match it.Wf.func with
-      | Wf.Aggregate { distinct = false; _ } -> false (* plain aggs don't cascade *)
-      | _ -> true)
-    seed
-
-let naive_vs_oracle seed () =
-  compare_against_oracle ~algorithm:Wf.Naive ~supported:(fun _ -> true) seed
+let mst_vs_oracle seed () = compare_against_oracle ~algorithm:Wf.Mst seed
+let auto_vs_oracle seed () = compare_against_oracle ~algorithm:Wf.Auto seed
+let nocascade_vs_oracle seed () = compare_against_oracle ~algorithm:Wf.Mst_no_cascade seed
+let naive_vs_oracle seed () = compare_against_oracle ~algorithm:Wf.Naive seed
 
 (* incremental / OST support neither exclusion nor every function; check the
    supported subset on exclusion-free frames *)
