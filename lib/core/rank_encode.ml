@@ -4,7 +4,7 @@ module Parallel_sort = Holistic_sort.Parallel_sort
 
 type t = { rank_codes : int array; row_codes : int array; permutation : int array }
 
-let of_sorted_permutation ?pool n permutation ~ties =
+let of_sorted_permutation ~pool n permutation ~ties =
   let rank_codes = Array.make n 0 in
   let row_codes = Array.make n 0 in
   let scatter_seq () =
@@ -15,8 +15,7 @@ let of_sorted_permutation ?pool n permutation ~ties =
       row_codes.(permutation.(r)) <- r
     done
   in
-  (match pool with
-  | Some pool when Task_pool.size pool > 1 && n > Task_pool.default_task_size ->
+  if Task_pool.size pool > 1 && n > Task_pool.default_task_size then begin
       (* Two-pass parallel scatter, bit-identical to the sequential loop:
          the rank code at position [r] is the number of peer-group
          boundaries in [1, r], so each chunk counts its own boundaries
@@ -45,15 +44,66 @@ let of_sorted_permutation ?pool n permutation ~ties =
             rank_codes.(permutation.(r)) <- !code;
             row_codes.(permutation.(r)) <- r
           done)
-  | _ -> scatter_seq ());
+  end
+  else scatter_seq ();
   { rank_codes; row_codes; permutation }
 
-let of_cmp ?pool n ~cmp =
+let of_cmp ~pool n ~cmp =
   let permutation = Introsort.sort_indices_by n ~cmp in
-  of_sorted_permutation ?pool n permutation ~ties:(fun i j -> cmp i j = 0)
+  of_sorted_permutation ~pool n permutation ~ties:(fun i j -> cmp i j = 0)
 
-let of_floats ?pool ?(desc = false) values =
+(* Rows already in order: the (key, position) sort is the identity, and a
+   rank code is the ordinal of the row's peer group. *)
+let of_peers peer_start =
+  let n = Array.length peer_start in
+  let rank_codes = Array.make n 0 in
+  let code = ref (-1) in
+  for r = 0 to n - 1 do
+    if peer_start.(r) = r then incr code;
+    rank_codes.(r) <- !code
+  done;
+  { rank_codes; row_codes = Array.init n Fun.id; permutation = Array.init n Fun.id }
+
+(* The unboxed constructors sort only the keyed positions; NULL positions
+   ([nulls = Some (is_null, last)]) form one peer group in position order,
+   placed before or after every keyed position — the comparator's order,
+   where NULLs tie with each other and never with a value. [keyed] lists
+   the keyed positions ascending (the sort payload, so ties keep position
+   order); [place] splices the NULL block around the sorted payload. *)
+let split_nulls n nulls =
+  match nulls with
+  | None -> (Array.init n Fun.id, fun sorted -> sorted)
+  | Some (is_null, last) ->
+      let nnull = ref 0 in
+      for p = 0 to n - 1 do
+        if is_null p then incr nnull
+      done;
+      let keyed = Array.make (n - !nnull) 0 and block = Array.make !nnull 0 in
+      let k = ref 0 and b = ref 0 in
+      for p = 0 to n - 1 do
+        if is_null p then begin
+          block.(!b) <- p;
+          incr b
+        end
+        else begin
+          keyed.(!k) <- p;
+          incr k
+        end
+      done;
+      (keyed, fun sorted -> if last then Array.append sorted block else Array.append block sorted)
+
+let null_ties nulls ties =
+  match nulls with
+  | None -> ties
+  | Some (is_null, _) ->
+      fun i j ->
+        let a = is_null i and b = is_null j in
+        if a || b then a && b else ties i j
+
+let of_floats ~pool ?(desc = false) ?nulls values =
   let n = Array.length values in
+  let payload, place = split_nulls n nulls in
+  let m = Array.length payload in
   (* descending order = ascending order of the negated keys; negation is
      monotone for ordered floats (±0.0 stay distinguished the same way the
      comparator distinguishes them) but leaves NaN in place, and NaN is the
@@ -61,28 +111,30 @@ let of_floats ?pool ?(desc = false) values =
      the NaN block sits at the front while the comparator reference
      ([-1 * Float.compare], see Sort_spec) sends it to the back.  Rotate
      the block behind the ordered keys; its row-id tiebreak is preserved. *)
-  let key = if desc then Array.map Float.neg values else Array.copy values in
-  let permutation = Array.init n (fun i -> i) in
-  Introsort.sort_float_pairs ~key ~payload:permutation;
+  let key =
+    if desc then Array.map (fun p -> Float.neg values.(p)) payload
+    else Array.map (fun p -> values.(p)) payload
+  in
+  Introsort.sort_float_pairs ~key ~payload;
   if desc then begin
     let k = ref 0 in
-    while !k < n && Float.is_nan key.(!k) do incr k done;
-    if !k > 0 && !k < n then begin
-      let nans = Array.sub permutation 0 !k in
-      Array.blit permutation !k permutation 0 (n - !k);
-      Array.blit nans 0 permutation (n - !k) !k
+    while !k < m && Float.is_nan key.(!k) do incr k done;
+    if !k > 0 && !k < m then begin
+      let nans = Array.sub payload 0 !k in
+      Array.blit payload !k payload 0 (m - !k);
+      Array.blit nans 0 payload (m - !k) !k
     end
   end;
-  of_sorted_permutation ?pool n permutation ~ties:(fun i j ->
-      Float.compare values.(i) values.(j) = 0)
+  of_sorted_permutation ~pool n (place payload)
+    ~ties:(null_ties nulls (fun i j -> Float.compare values.(i) values.(j) = 0))
 
-let of_ints ?pool values =
-  let pool = match pool with Some p -> p | None -> Task_pool.default () in
+let of_ints ~pool ?nulls values =
   let n = Array.length values in
-  let key = Array.copy values in
-  let permutation = Array.init n (fun i -> i) in
-  Parallel_sort.sort_pairs pool ~key ~payload:permutation;
-  of_sorted_permutation ~pool n permutation ~ties:(fun i j -> values.(i) = values.(j))
+  let payload, place = split_nulls n nulls in
+  let key = Array.map (fun p -> values.(p)) payload in
+  Parallel_sort.sort_pairs pool ~key ~payload;
+  of_sorted_permutation ~pool n (place payload)
+    ~ties:(null_ties nulls (fun i j -> values.(i) = values.(j)))
 
 (* ------------------------------------------------------------------ *)
 (* Incremental extension (densified-rank deltas)                       *)

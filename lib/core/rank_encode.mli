@@ -24,18 +24,30 @@ val footprint_bytes : t -> int
 (** Bytes held by the three code arrays (incl. headers) — the repo-wide
     memory-accounting contract. *)
 
-val of_cmp : ?pool:Holistic_parallel.Task_pool.t -> int -> cmp:(int -> int -> int) -> t
-(** [of_cmp n ~cmp] encodes rows [0..n-1] under an arbitrary row comparator
-    (which must be a total preorder). *)
+val of_cmp : pool:Holistic_parallel.Task_pool.t -> int -> cmp:(int -> int -> int) -> t
+(** [of_cmp ~pool n ~cmp] encodes rows [0..n-1] under an arbitrary row
+    comparator (which must be a total preorder). *)
 
-val of_ints : ?pool:Holistic_parallel.Task_pool.t -> int array -> t
+val of_peers : int array -> t
+(** [of_peers peer_start] encodes rows that are already sorted by the
+    ordering, given each row's peer-group start ([peer_start.(r)] is the
+    first position tied with [r]). Permutation and row codes are the
+    identity and rank codes are peer-group ordinals: bit-identical to
+    {!of_cmp} under the ordering's comparator, with no sort. *)
+
+val of_ints : pool:Holistic_parallel.Task_pool.t -> ?nulls:(int -> bool) * bool -> int array -> t
 (** Fast path for a single ascending integer key, using the parallel pair
-    sort. *)
+    sort. [nulls = (is_null, last)] marks NULL positions: they tie with each
+    other, never with a value, and form one block in position order after
+    (when [last]) or before every value; their entries in the key array are
+    ignored. *)
 
-val of_floats : ?pool:Holistic_parallel.Task_pool.t -> ?desc:bool -> float array -> t
+val of_floats :
+  pool:Holistic_parallel.Task_pool.t -> ?desc:bool -> ?nulls:(int -> bool) * bool -> float array -> t
 (** Fast path for a single plain float key (either direction), using the
-    unboxed float pair sort. Equal floats tie; NaNs form their own top
-    group. *)
+    unboxed float pair sort. Equal floats tie; NaNs form their own group,
+    ordered as the comparator's [Float.compare] orders them. [nulls] as in
+    {!of_ints}. *)
 
 val extend_cmp : t -> int -> cmp:(int -> int -> int) -> t option
 (** [extend_cmp old n ~cmp] incrementally extends an encoding of rows
@@ -53,7 +65,7 @@ val extend_ints : t -> int array -> t option
 val extend_floats : ?desc:bool -> t -> float array -> t option
 (** The {!of_floats} counterpart of {!extend_cmp}. *)
 
-(** On every constructor, [pool] (plus an input above
-    {!Holistic_parallel.Task_pool.default_task_size} rows) parallelises the
-    code-array scatter as a two-pass chunked prefix sum; the arrays produced
-    are bit-identical to the sequential construction. *)
+(** On every sorting constructor, a [pool] of more than one domain (plus
+    an input above {!Holistic_parallel.Task_pool.default_task_size} rows)
+    parallelises the code-array scatter as a two-pass chunked prefix sum;
+    the arrays produced are bit-identical to the sequential construction. *)

@@ -75,39 +75,65 @@ let float_raws n get is_null nulls nulls_first desc =
 
 (* One-time densified rank of the distinct string set: dense codes both
    pack tighter and make the merge's OVC ties cheap. Byte order matches
-   [Value.compare_sql] on strings ([Stdlib.compare]). *)
-module String_tbl = Hashtbl.Make (struct
-  type t = string
+   [Value.compare_sql] on strings ([Stdlib.compare]).
 
-  let equal = String.equal
-  let hash = Hashtbl.hash
-end)
-
+   Rows get first-seen dense ids from an open-addressing table kept in
+   flat arrays (slot -> id, id -> string and full hash), so a row costs one
+   hash and no allocation; only the distinct set is then sorted — a merge
+   sort, which compares far fewer long shared prefixes than a heap sort —
+   and an id -> rank remap finishes the codes. *)
 let string_ranks n get is_null =
-  (* one hash lookup per row: rows get first-seen dense ids, only the
-     distinct set is sorted, and an id->rank remap finishes the codes *)
-  let tbl = String_tbl.create (max 256 (n / 8)) in
+  let slots = ref (Array.make 64 (-1)) in
+  let strs = ref (Array.make 32 "") and hashes = ref (Array.make 32 0) in
+  let d = ref 0 in
+  let rec probe slots mask h s j =
+    let k = Array.unsafe_get slots j in
+    if k < 0 || (Array.unsafe_get !hashes k = h && String.equal (Array.unsafe_get !strs k) s) then j
+    else probe slots mask h s ((j + 1) land mask)
+  in
+  (* doubling keeps the load at most one half; stored hashes re-place ids
+     without rehashing the strings *)
+  let grow () =
+    let cap = 2 * Array.length !slots in
+    let mask = cap - 1 in
+    let fresh = Array.make cap (-1) in
+    for id = 0 to !d - 1 do
+      let j = ref (!hashes.(id) land mask) in
+      while fresh.(!j) >= 0 do
+        j := (!j + 1) land mask
+      done;
+      fresh.(!j) <- id
+    done;
+    slots := fresh;
+    strs := Array.append !strs (Array.make (Array.length !strs) "");
+    hashes := Array.append !hashes (Array.make (Array.length !hashes) 0)
+  in
   let codes = Array.make n 0 in
-  let distinct_rev = ref [] in
-  let ndistinct = ref 0 in
   for i = 0 to n - 1 do
     if not (is_null i) then begin
       let s = get i in
-      match String_tbl.find tbl s with
-      | id -> codes.(i) <- id
-      | exception Not_found ->
-          let id = !ndistinct in
-          String_tbl.add tbl s id;
-          distinct_rev := s :: !distinct_rev;
-          incr ndistinct;
-          codes.(i) <- id
+      let h = Hashtbl.hash s in
+      let sl = !slots in
+      let mask = Array.length sl - 1 in
+      let j = probe sl mask h s (h land mask) in
+      let k = Array.unsafe_get sl j in
+      if k >= 0 then codes.(i) <- k
+      else begin
+        let id = !d in
+        sl.(j) <- id;
+        !strs.(id) <- s;
+        !hashes.(id) <- h;
+        incr d;
+        codes.(i) <- id;
+        if 2 * !d >= Array.length sl then grow ()
+      end
     end
   done;
-  let d = !ndistinct in
-  let by_id = Array.make d "" in
-  List.iteri (fun k s -> by_id.(d - 1 - k) <- s) !distinct_rev;
-  let order = Array.init d (fun i -> i) in
-  Array.sort (fun a b -> String.compare by_id.(a) by_id.(b)) order;
+  let d = !d and strs = !strs in
+  let order = Array.init d Fun.id in
+  Array.stable_sort
+    (fun a b -> String.compare (Array.unsafe_get strs a) (Array.unsafe_get strs b))
+    order;
   let rank = Array.make d 0 in
   Array.iteri (fun r id -> rank.(id) <- r) order;
   for i = 0 to n - 1 do

@@ -40,10 +40,22 @@ val single_int_key : Table.t -> t -> int array option
     comparator-based preprocessing. Any [nulls_order] spelling matches: on
     a NULL-free column they are all equivalent. *)
 
-type fast_key = Int_key of int array * bool | Float_key of float array * bool
-(** Raw key array plus a descending flag. *)
+val is_prefix : t -> t -> bool
+(** [is_prefix o1 o2]: [o1] is a (possibly equal) prefix of [o2], keys
+    compared structurally — rows sorted by [o2] are also sorted by [o1]. *)
+
+type fast_values = Int_values of int array | Float_values of float array
+
+type fast_key = {
+  values : fast_values;  (** the column's raw (table-indexed) key array *)
+  desc : bool;
+  nulls : (Holistic_util.Bitset.t * bool) option;
+      (** the column's NULL rows (set bit = NULL) and the resolved NULLS
+          LAST flag; [None] when the column holds no NULL *)
+}
 
 val fast_key : Table.t -> t -> fast_key option
-(** Like {!single_int_key} but also matching descending order and float
-    columns: lets preprocessing compare unboxed keys instead of evaluating
-    expressions per comparison. NULL-bearing columns never match. *)
+(** When the spec is a single plain int, date or float column, its raw key
+    array — lets preprocessing compare unboxed keys instead of evaluating
+    expressions per comparison. Any direction matches; NULL rows are
+    reported in [nulls] (their key entries are meaningless). *)

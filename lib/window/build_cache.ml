@@ -105,9 +105,9 @@ type seg_tree = Sum_tree of Vsum_seg.t | Min_tree of Vmin_seg.t | Max_tree of Vm
    build thunk, which gives exactly-once construction — a second domain
    asking for the same key blocks until the structure exists, then reads
    it as a plain hit.  Build thunks must not re-enter the same table (they
-   never do: the dependency chain runs encode → tree, remap → tree, and
-   each kind lives in its own table); cross-table nesting is fine because
-   each table has its own lock and the chain is acyclic. *)
+   never do: the dependency chain runs peers → encode → tree, remap →
+   tree, and each kind lives in its own table); cross-table nesting is
+   fine because each table has its own lock and the chain is acyclic. *)
 (* Every cached structure remembers the cache epoch it was built (or last
    maintained) at.  In the historical per-query use the epoch never moves
    and [at] is always current — zero behavioural change.  A session bumps

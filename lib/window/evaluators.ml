@@ -113,48 +113,65 @@ let qualify ctx (qual : Build_cache.qual) =
 
 let effective_order ctx spec = if spec = [] then ctx.window_order else spec
 
-(* Integer preprocessing of an ORDER BY over the partition (§5.1 Fig. 8),
-   with unboxed fast paths for single plain-column keys. Memoized on the
-   effective ORDER BY: rank + percent_rank + median over one named window
-   encode once. *)
+(* Integer preprocessing of an ORDER BY over the partition (§5.1 Fig. 8).
+   Memoized on the effective ORDER BY: rank + percent_rank + median over one
+   named window encode once. An order the partition is already sorted by
+   (a prefix of the window order: every rank-family item, every value
+   function without its own ORDER BY) reads its codes off the peer groups;
+   single plain-column keys sort unboxed; anything else sorts with the
+   comparator. *)
 let encode ctx order =
   (* A stale encoding (the partition was extended in order under a
      session) extends instead of rebuilding: the prefix rows are
      untouched, so codes and permutation carry over and only the appended
-     suffix is sorted and coded.  Each arm mirrors its construction arm
-     below; [extend_*] themselves verify the suffix sorts after the
-     prefix and decline otherwise. *)
+     suffix is sorted and coded.  [extend_*] themselves verify the suffix
+     sorts after the prefix and decline otherwise. *)
+  let at keys = Array.map (fun row -> keys.(row)) ctx.rows in
   let maintain old =
     let n = np ctx in
     let grown = Printf.sprintf "+%d rows" (n - Array.length old.Rank_encode.permutation) in
     let ext =
       match Sort_spec.fast_key ctx.table order with
-      | Some (Sort_spec.Int_key (keys, false)) ->
-          Rank_encode.extend_ints old (Array.map (fun row -> keys.(row)) ctx.rows)
-      | Some (Sort_spec.Int_key (keys, true)) ->
+      | Some { Sort_spec.values = Sort_spec.Int_values keys; desc = false; nulls = None } ->
+          Rank_encode.extend_ints old (at keys)
+      | Some { Sort_spec.values = Sort_spec.Int_values keys; desc = true; nulls = None } ->
           Rank_encode.extend_cmp old n ~cmp:(fun i j ->
               compare keys.(ctx.rows.(j)) keys.(ctx.rows.(i)))
-      | Some (Sort_spec.Float_key (keys, desc)) ->
-          Rank_encode.extend_floats ~desc old (Array.map (fun row -> keys.(row)) ctx.rows)
-      | None ->
+      | Some { Sort_spec.values = Sort_spec.Float_values keys; desc; nulls = None } ->
+          Rank_encode.extend_floats ~desc old (at keys)
+      | Some { Sort_spec.nulls = Some _; _ } | None ->
           let cmp_rows = Sort_spec.comparator ctx.table order in
           Rank_encode.extend_cmp old n ~cmp:(fun i j -> cmp_rows ctx.rows.(i) ctx.rows.(j))
     in
     Option.map (fun enc -> (enc, grown)) ext
   in
   Build_cache.encode ctx.cache ~maintain ~order (fun () ->
-      let n = np ctx in
-      match Sort_spec.fast_key ctx.table order with
-      | Some (Sort_spec.Int_key (keys, false)) ->
-          Rank_encode.of_ints ~pool:ctx.pool (Array.map (fun row -> keys.(row)) ctx.rows)
-      | Some (Sort_spec.Int_key (keys, true)) ->
-          Rank_encode.of_cmp ~pool:ctx.pool n ~cmp:(fun i j ->
-              compare keys.(ctx.rows.(j)) keys.(ctx.rows.(i)))
-      | Some (Sort_spec.Float_key (keys, desc)) ->
-          Rank_encode.of_floats ~pool:ctx.pool ~desc (Array.map (fun row -> keys.(row)) ctx.rows)
-      | None ->
-          let cmp_rows = Sort_spec.comparator ctx.table order in
-          Rank_encode.of_cmp ~pool:ctx.pool n ~cmp:(fun i j -> cmp_rows ctx.rows.(i) ctx.rows.(j)))
+      if Sort_spec.is_prefix order ctx.window_order then
+        (* [ctx.rows] is in window order, hence in [order]: the (key,
+           position) sort would return the identity *)
+        let peer_start, _ =
+          Build_cache.peers ctx.cache ~order (fun () -> Frame.peers ctx.table order ctx.rows)
+        in
+        Rank_encode.of_peers peer_start
+      else
+        match Sort_spec.fast_key ctx.table order with
+        | Some { Sort_spec.values; desc; nulls } -> (
+            let nulls =
+              Option.map
+                (fun (mask, last) -> ((fun p -> Holistic_util.Bitset.get mask ctx.rows.(p)), last))
+                nulls
+            in
+            match values with
+            | Sort_spec.Int_values keys ->
+                (* DESC = ascending [lnot] codes: an order-reversing bijection *)
+                let keys = if desc then Array.map (fun row -> lnot keys.(row)) ctx.rows else at keys in
+                Rank_encode.of_ints ~pool:ctx.pool ?nulls keys
+            | Sort_spec.Float_values keys ->
+                Rank_encode.of_floats ~pool:ctx.pool ~desc ?nulls (at keys))
+        | None ->
+            let cmp_rows = Sort_spec.comparator ctx.table order in
+            Rank_encode.of_cmp ~pool:ctx.pool (np ctx) ~cmp:(fun i j ->
+                cmp_rows ctx.rows.(i) ctx.rows.(j)))
 
 let mapped_ranges ctx rm r = Remap.map_ranges rm (Frame.ranges ctx.frame r)
 let covered_of ranges = Array.fold_left (fun acc (lo, hi) -> acc + hi - lo) 0 ranges

@@ -28,6 +28,14 @@ type ctx = {
           overrun the budget *)
 }
 
+val encode : ctx -> Sort_spec.t -> Holistic_core.Rank_encode.t
+(** [encode ctx order]: the partition's rank encoding under [order] (§5.1),
+    memoized in [ctx.cache]. An [order] that is a prefix of
+    [ctx.window_order] — rows are already in it — reads its codes off the
+    peer groups; a single plain int/date/float column (either direction,
+    NULLs included) sorts unboxed; anything else sorts with the comparator.
+    Every path yields the encoding of the stable comparator sort. *)
+
 val eval_item : ctx -> Window_func.t -> out:Value.t array -> unit
 (** Evaluates one window function over the partition, writing results into
     [out] at the rows' original indices.

@@ -78,24 +78,16 @@ let partial_sort pool table ~base_perm ~boundaries ~order =
 (* Stage grouping                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* [o1] is a (possibly equal) prefix of [o2], keys compared structurally:
-   rows sorted by [o2] are also sorted by [o1], so a clause ordered by a
-   prefix of a stage order reuses the stage's permutation outright. *)
-let rec order_prefix (o1 : Sort_spec.t) (o2 : Sort_spec.t) =
-  match o1, o2 with
-  | [], _ -> true
-  | _, [] -> false
-  | k1 :: r1, k2 :: r2 -> k1 = k2 && order_prefix r1 r2
-
 let dedup_orders orders =
   List.fold_left (fun acc o -> if List.mem o acc then acc else o :: acc) [] orders |> List.rev
 
 (* Stage orders for one partition group: the orders that are not a strict
    prefix of another requested order, in first-appearance order. Every
-   clause is then assigned to the first stage whose order covers its own. *)
+   clause is then assigned to the first stage whose order covers its own
+   ({!Sort_spec.is_prefix}) and reuses the stage's permutation outright. *)
 let stage_orders orders =
   let uniq = dedup_orders orders in
-  List.filter (fun o -> not (List.exists (fun o' -> o' <> o && order_prefix o o') uniq)) uniq
+  List.filter (fun o -> not (List.exists (fun o' -> o' <> o && Sort_spec.is_prefix o o') uniq)) uniq
 
 (* The scheduling policy, factored out so that reference implementations
    (the differential fuzz oracle) can reproduce the engine's stage
@@ -129,7 +121,7 @@ let schedule_by (get : 'a -> clause) (entries : 'a list) :
         List.filter
           (fun e ->
             let co = (get e).spec.Window_spec.order_by in
-            match List.find_opt (fun o -> order_prefix co o) orders with
+            match List.find_opt (fun o -> Sort_spec.is_prefix co o) orders with
             | Some first -> first == order
             | None -> assert false)
           members

@@ -4,6 +4,7 @@ module Ann = Holistic_core.Annotated_mst
 module Rank_encode = Holistic_core.Rank_encode
 module Range_tree = Holistic_core.Range_tree
 module Rng = Holistic_util.Rng
+module Task_pool = Holistic_parallel.Task_pool
 module IS = Set.Make (Int)
 
 (* ------------------------------------------------------------------ *)
@@ -296,13 +297,15 @@ let annotated_generic_monoid =
 (* Rank encoding (Fig. 8)                                              *)
 (* ------------------------------------------------------------------ *)
 
+let pool = Task_pool.create 1
+
 let rank_encode_oracle =
   QCheck.Test.make ~name:"rank codes are dense, ties shared; row codes unique" ~count:300
     QCheck.(array (int_bound 10))
     (fun a ->
       let n = Array.length a in
-      let enc = Rank_encode.of_ints a in
-      let enc2 = Rank_encode.of_cmp n ~cmp:(fun i j -> compare a.(i) a.(j)) in
+      let enc = Rank_encode.of_ints ~pool a in
+      let enc2 = Rank_encode.of_cmp ~pool n ~cmp:(fun i j -> compare a.(i) a.(j)) in
       let groups_below i =
         let s = ref IS.empty in
         Array.iter (fun v -> if v < a.(i) then s := IS.add v !s) a;
@@ -324,16 +327,41 @@ let float_encode_oracle =
     (fun (ints, desc) ->
       let a = Array.map (fun v -> float_of_int v /. 4.0) ints in
       let n = Array.length a in
-      let fast = Rank_encode.of_floats ~desc a in
+      let fast = Rank_encode.of_floats ~pool ~desc a in
       let sign = if desc then -1 else 1 in
-      let slow = Rank_encode.of_cmp n ~cmp:(fun i j -> sign * Float.compare a.(i) a.(j)) in
+      let slow = Rank_encode.of_cmp ~pool n ~cmp:(fun i j -> sign * Float.compare a.(i) a.(j)) in
+      fast.Rank_encode.rank_codes = slow.Rank_encode.rank_codes
+      && fast.Rank_encode.row_codes = slow.Rank_encode.row_codes
+      && fast.Rank_encode.permutation = slow.Rank_encode.permutation)
+
+(* Rows already sorted by a window order (a, b): encoding under the empty
+   order, the strict prefix (a) or the whole order from peer groups must
+   equal sorting with the comparator. *)
+let peers_encode_oracle =
+  QCheck.Test.make ~name:"peer-derived encoding matches comparator encoding on sorted rows"
+    ~count:300
+    QCheck.(pair (array (pair (int_bound 3) (int_bound 3))) (int_bound 2))
+    (fun (rows, prefix) ->
+      let rows = Array.copy rows in
+      Array.stable_sort compare rows;
+      let n = Array.length rows in
+      let cmp i j =
+        let (a1, b1), (a2, b2) = (rows.(i), rows.(j)) in
+        match prefix with 0 -> 0 | 1 -> compare a1 a2 | _ -> compare (a1, b1) (a2, b2)
+      in
+      let peer_start = Array.make n 0 in
+      for r = 1 to n - 1 do
+        peer_start.(r) <- (if cmp (r - 1) r = 0 then peer_start.(r - 1) else r)
+      done;
+      let fast = Rank_encode.of_peers peer_start in
+      let slow = Rank_encode.of_cmp ~pool n ~cmp in
       fast.Rank_encode.rank_codes = slow.Rank_encode.rank_codes
       && fast.Rank_encode.row_codes = slow.Rank_encode.row_codes
       && fast.Rank_encode.permutation = slow.Rank_encode.permutation)
 
 let test_rank_encode_stability () =
   let a = [| 5; 5; 5 |] in
-  let enc = Rank_encode.of_ints a in
+  let enc = Rank_encode.of_ints ~pool a in
   Alcotest.(check (array int)) "ties share rank code" [| 0; 0; 0 |] enc.Rank_encode.rank_codes;
   Alcotest.(check (array int)) "row codes break ties by position" [| 0; 1; 2 |]
     enc.Rank_encode.row_codes
@@ -405,6 +433,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest rank_encode_oracle;
           QCheck_alcotest.to_alcotest float_encode_oracle;
+          QCheck_alcotest.to_alcotest peers_encode_oracle;
           Alcotest.test_case "tie handling" `Quick test_rank_encode_stability;
         ] );
       ( "range_tree",

@@ -14,6 +14,10 @@ module Parallel_sort = Holistic_sort.Parallel_sort
 module Obs = Holistic_obs.Obs
 module Window_plan = Holistic_window.Window_plan
 module Window_spec = Holistic_window.Window_spec
+module Evaluators = Holistic_window.Evaluators
+module Build_cache = Holistic_window.Build_cache
+module Frame = Holistic_window.Frame
+module Rank_encode = Holistic_core.Rank_encode
 
 (* ------------------------------------------------------------------ *)
 (* Random tables and specs                                             *)
@@ -318,6 +322,146 @@ let test_fast_key_nulls_spelling () =
   Alcotest.(check bool) "nullable column rejected" true
     (Sort_spec.single_int_key tn [ Sort_spec.asc (Expr.Col "a") ] = None)
 
+(* String densification against the obvious reference: sort the distinct
+   non-NULL strings, a row's code is its string's index.  Then the same
+   columns through the codec under every direction and NULL placement. *)
+let test_string_ranks () =
+  let rng = Rng.create 23 in
+  let pool = Task_pool.create 1 in
+  let shuffled a =
+    let a = Array.copy a in
+    for i = Array.length a - 1 downto 1 do
+      let j = Rng.int rng (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    a
+  in
+  let awkward =
+    [|
+      ""; "\000"; "\000\000"; "a\000"; "a"; "a\000b"; "ab"; "shared_prefix";
+      "shared_prefix\000"; "shared_prefiy"; "shared_prefix_a"; "shared_prefix_b"; "\255";
+    |]
+  in
+  let cases =
+    [
+      ("awkward bytes", Array.init 300 (fun _ -> awkward.(Rng.int rng (Array.length awkward))));
+      ("one distinct", Array.make 100 "same");
+      ( "all distinct",
+        shuffled (Array.init 1000 (fun i -> Printf.sprintf "2026-01-%02d %06d" (i mod 28) i)) );
+    ]
+  in
+  List.iter
+    (fun (label, strs) ->
+      let n = Array.length strs in
+      List.iter
+        (fun density ->
+          let nulls = null_mask rng n density in
+          let is_null i = match nulls with Some m -> Bitset.get m i | None -> false in
+          let distinct =
+            List.sort_uniq String.compare
+              (List.filteri (fun i _ -> not (is_null i)) (Array.to_list strs))
+          in
+          let rank = Hashtbl.create 64 in
+          List.iteri (fun r s -> Hashtbl.replace rank s r) distinct;
+          let got =
+            Key_codec.string_ranks n
+              (fun i -> if is_null i then Alcotest.fail "get on a NULL row" else strs.(i))
+              is_null
+          in
+          for i = 0 to n - 1 do
+            if (not (is_null i)) && got.(i) <> Hashtbl.find rank strs.(i) then
+              Alcotest.failf "%s: row %d (%S) got %d, want %d" label i strs.(i) got.(i)
+                (Hashtbl.find rank strs.(i))
+          done;
+          let table = Table.create [ ("s", Column.make ?nulls (Column.Strings strs)) ] in
+          List.iter
+            (fun key ->
+              check_parity pool ~task_size:64 table [ key ]
+                (Printf.sprintf "%s/%s" label (Sort_spec.key_to_string key)))
+            [
+              Sort_spec.asc ~nulls:Sort_spec.Nulls_first (Expr.Col "s");
+              Sort_spec.asc ~nulls:Sort_spec.Nulls_last (Expr.Col "s");
+              Sort_spec.desc ~nulls:Sort_spec.Nulls_first (Expr.Col "s");
+              Sort_spec.desc ~nulls:Sort_spec.Nulls_last (Expr.Col "s");
+            ])
+        [ 0; 4 ])
+    cases
+
+(* A single nullable int/float column (NaN, -0. and +0. included) keeps the
+   unboxed encode under every direction and NULL placement, and the
+   encoding equals the comparator sort's.  The partition is every other
+   table row, so the table-indexed NULL mask must be read through the row
+   map.  The window order (k) is not the encoded one, so this is the
+   sorting path; encoding (k) itself comes off the peer groups. *)
+let test_nullable_fast_key_encode () =
+  let rng = Rng.create 29 in
+  let n = 400 in
+  let mask = Bitset.create n in
+  for i = 0 to n - 1 do
+    if Rng.int rng 5 = 0 then Bitset.set mask i
+  done;
+  let floats = [| Float.nan; -0.; 0.; 1.5; -1.5; neg_infinity |] in
+  let table =
+    Table.create
+      [
+        ("k", Column.ints (Array.init n (fun i -> i / 3)));
+        ("i", Column.make ~nulls:mask (Column.Ints (Array.init n (fun _ -> Rng.int_in rng (-3) 3))));
+        ( "f",
+          Column.make ~nulls:mask
+            (Column.Floats (Array.init n (fun _ -> floats.(Rng.int rng (Array.length floats))))) );
+      ]
+  in
+  let rows = Array.init (n / 2) (fun r -> 2 * r) in
+  let window_order = [ Sort_spec.asc (Expr.Col "k") ] in
+  let pool = Task_pool.create 1 in
+  let ctx =
+    {
+      Evaluators.table;
+      pool;
+      rows;
+      frame = Frame.compute table ~spec:(Window_spec.over ~order_by:window_order ()) ~rows;
+      window_order;
+      fanout = 4;
+      sample = 4;
+      task_size = Task_pool.default_task_size;
+      width = Holistic_core.Mst_width.Auto;
+      cache = Build_cache.create ();
+      gov = None;
+    }
+  in
+  let check order =
+    let label = Sort_spec.to_string order in
+    let cmp = Sort_spec.comparator table order in
+    let want = Rank_encode.of_cmp ~pool (Array.length rows) ~cmp:(fun i j -> cmp rows.(i) rows.(j)) in
+    let got = Evaluators.encode ctx order in
+    Alcotest.(check (array int)) (label ^ ": rank codes") want.Rank_encode.rank_codes
+      got.Rank_encode.rank_codes;
+    Alcotest.(check (array int)) (label ^ ": row codes") want.Rank_encode.row_codes
+      got.Rank_encode.row_codes;
+    Alcotest.(check (array int)) (label ^ ": permutation") want.Rank_encode.permutation
+      got.Rank_encode.permutation
+  in
+  List.iter
+    (fun col ->
+      List.iter
+        (fun (direction, nulls, last) ->
+          let order = [ { Sort_spec.expr = Expr.Col col; direction; nulls } ] in
+          (match Sort_spec.fast_key table order with
+          | Some { Sort_spec.nulls = Some (_, l); _ } when l = last -> ()
+          | _ -> Alcotest.failf "%s: no nullable fast key" (Sort_spec.to_string order));
+          check order)
+        [
+          (Sort_spec.Asc, Sort_spec.Nulls_first, false);
+          (Sort_spec.Asc, Sort_spec.Nulls_last, true);
+          (Sort_spec.Desc, Sort_spec.Nulls_first, false);
+          (Sort_spec.Desc, Sort_spec.Nulls_last, true);
+        ])
+    [ "i"; "f" ];
+  check window_order;
+  check []
+
 let test_codec_shape () =
   (* a partitioned (int, float DESC, string) spec must compile fully into
      words: no residual, pid divisor present *)
@@ -361,5 +505,7 @@ let () =
         [
           Alcotest.test_case "fast-path nulls spellings" `Quick test_fast_key_nulls_spelling;
           Alcotest.test_case "codec coverage shape" `Quick test_codec_shape;
+          Alcotest.test_case "string densification" `Quick test_string_ranks;
+          Alcotest.test_case "nullable fast-key encode" `Quick test_nullable_fast_key_encode;
         ] );
     ]

@@ -598,7 +598,6 @@ sql.query # ms - # kw
           build {kind=peers} x2 # ms 176 B # kw
         item {name=r, func=rank, evaluator=mst} x2 # ms - # kw
           build {kind=encode} x2 # ms 240 B # kw
-            sort.runs {n=3, runs=1} x2 # ms - # kw
           build {kind=mst.rank} x2 # ms 152 B # kw
         item {name=s1, func=sum, evaluator=segment-tree} x2 # ms - # kw
           build {kind=remap} x2 # ms 192 B # kw
@@ -609,7 +608,7 @@ sql.query # ms - # kw
     materialize {columns=3} # ms 288 B # kw
   sql.project {columns=3} # ms - # kw
 counters
-  cache.hit 2
+  cache.hit 4
   cache.miss 12
   mem.structure_bytes 1208
   plan.evaluator.mst 1
@@ -619,7 +618,7 @@ counters
   plan.reused_sorts 2
   plan.stages 1
   pool.busy_ns # ms
-  pool.tasks 9
+  pool.tasks 7
 |}
 
 let golden2 =
@@ -649,6 +648,7 @@ sql.query # ms - # kw
   sql.order_by {rows=3} # ms - # kw
     sort.runs {n=3, runs=1} # ms - # kw
 counters
+  cache.hit 1
   cache.miss 3
   mem.structure_bytes 284
   plan.evaluator.mst 1
@@ -666,6 +666,45 @@ let golden_case query golden () =
     (fun () ->
       let run = Sql.explain_analyze_trace ~pool ~tables:[ ("t", table ()) ] query in
       Alcotest.(check string) "masked report" golden (mask_report (Sql.render_analyze query run)))
+
+(* Which encodes sort: an item ordered by (a prefix of) its window order
+   reads its encoding off the peer groups, with no sort under the encode's
+   build span; an item with its own ORDER BY still sorts, unboxed even on a
+   nullable column. *)
+let test_encode_sorts () =
+  let n = 40 in
+  let mask = Holistic_util.Bitset.create n in
+  List.iter (Holistic_util.Bitset.set mask) [ 3; 17; 29 ];
+  let t =
+    Table.create
+      [
+        ("ts", Column.ints (Array.init n (fun i -> (i * 7) mod n)));
+        ("x", Column.make ~nulls:mask (Column.Ints (Array.init n (fun i -> (i * 5) mod 11))));
+      ]
+  in
+  let pool = Task_pool.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Task_pool.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun (item, sorts) ->
+          let q = Printf.sprintf "select %s over (order by ts) as v from t" item in
+          let _, tr = Sql.explain_analyze_trace ~pool ~tables:[ ("t", t) ] q in
+          let spans = tr.Obs.spans in
+          let encodes =
+            List.filter
+              (fun (s : Obs.span) ->
+                s.Obs.name = "build" && List.assoc_opt "kind" s.Obs.args = Some "encode")
+              spans
+          in
+          Alcotest.(check int) (item ^ ": one encode build") 1 (List.length encodes);
+          let under (e : Obs.span) =
+            List.exists
+              (fun (s : Obs.span) -> s.Obs.parent = e.Obs.id && s.Obs.name = "sort.runs")
+              spans
+          in
+          Alcotest.(check bool) (item ^ ": encode sorts") sorts (List.exists under encodes))
+        [ ("rank()", false); ("lead(x)", false); ("median(x)", true) ])
 
 (* With tracing disabled, EXPLAIN ANALYZE and a plain query agree cell for
    cell, and explain_analyze_trace leaves tracing in the state it found it. *)
@@ -754,5 +793,6 @@ let () =
           Alcotest.test_case "golden: multi-OVER sharing" `Quick (golden_case q1 golden1);
           Alcotest.test_case "golden: where/project/order by" `Quick (golden_case q2 golden2);
           Alcotest.test_case "disabled-tracing parity" `Quick test_disabled_parity;
+          Alcotest.test_case "encodes sort only off the window order" `Quick test_encode_sorts;
         ] );
     ]

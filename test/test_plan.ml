@@ -293,9 +293,10 @@ let test_build_cache_unit () =
   Alcotest.(check int) "three more builds" 4 !builds;
   Alcotest.(check int) "counter tracks tree builds" 4 (Build_cache.tree_build_count counters);
   let encodes = ref 0 in
+  let pool = Holistic_parallel.Task_pool.create 1 in
   let enc () =
     incr encodes;
-    Holistic_core.Rank_encode.of_ints [| 3; 1; 2 |]
+    Holistic_core.Rank_encode.of_ints ~pool [| 3; 1; 2 |]
   in
   ignore (Build_cache.encode cache ~order:by_ts enc);
   ignore (Build_cache.encode cache ~order:by_ts enc);

@@ -239,10 +239,10 @@ let test_comparator () =
 let test_fast_key () =
   let t = Table.create [ ("a", Column.ints [| 1 |]); ("f", Column.floats [| 1.0 |]) ] in
   (match Sort_spec.fast_key t [ Sort_spec.asc (Expr.Col "a") ] with
-  | Some (Sort_spec.Int_key (_, false)) -> ()
+  | Some { Sort_spec.values = Sort_spec.Int_values _; desc = false; nulls = None } -> ()
   | _ -> Alcotest.fail "expected int fast key");
   (match Sort_spec.fast_key t [ Sort_spec.desc (Expr.Col "f") ] with
-  | Some (Sort_spec.Float_key (_, true)) -> ()
+  | Some { Sort_spec.values = Sort_spec.Float_values _; desc = true; nulls = None } -> ()
   | _ -> Alcotest.fail "expected float fast key");
   Alcotest.(check bool) "expression has no fast key" true
     (Sort_spec.fast_key t [ Sort_spec.asc (Expr.Add (Expr.Col "a", Expr.Col "a")) ] = None);
