@@ -44,6 +44,7 @@ let per_op ~reps ~ops f =
 
 let run ~rows () =
   H.section "calibrate: cost-model unit constants";
+  let pool = H.pool () in
   let n = max 4_096 rows in
   let w_small = 64 and w_large = 4_096 in
   let rng = Rng.create 7 in
@@ -53,8 +54,8 @@ let run ~rows () =
 
   (* MST: build per row per level; probe (a windowed count) per row per
      level, measured with the tree built once. *)
-  let mst_build_ns = per_op ~reps:3 ~ops:(n * levels) (fun () -> Mstw.create ~fanout data) in
-  let tree = Mstw.create ~fanout data in
+  let mst_build_ns = per_op ~reps:3 ~ops:(n * levels) (fun () -> Mstw.create ~pool ~fanout data) in
+  let tree = Mstw.create ~pool ~fanout data in
   let probe w =
     per_op ~reps:3 ~ops:(n * levels) (fun () ->
         let acc = ref 0 in

@@ -89,6 +89,7 @@ let counter trace name = Option.value ~default:0 (List.assoc_opt name trace.Obs.
 
 let run ~rows () =
   H.section "evaluator-choice: cost-based routing vs pinned defaults";
+  let pool = H.pool () in
   let partitions = 16 in
   let rng = Rng.create 1234 in
   let table = make_table rng ~rows ~partitions in
@@ -96,8 +97,8 @@ let run ~rows () =
   H.note "%d rows, %d partitions: distinct-count w=20, median w=50, rank w=100, sum w=400" rows
     partitions;
   (* parity + routing first: hard failures at any size *)
-  let auto_out, trace = Obs.with_capture (fun () -> Window_plan.run table auto_cs) in
-  let forced_out = Window_plan.run table forced_cs in
+  let auto_out, trace = Obs.with_capture (fun () -> Window_plan.run ~pool table auto_cs) in
+  let forced_out = Window_plan.run ~pool table forced_cs in
   check_parity ~auto:auto_out ~forced:forced_out rows;
   H.note "parity: cost-based run matches pinned defaults bit-for-bit on all 4 columns";
   let picks =
@@ -118,10 +119,10 @@ let run ~rows () =
     failwith "evaluator-choice: the cost model never left the default backend";
   (* wall clock: cost-based vs pinned defaults *)
   H.gc_settle ();
-  let auto_t = H.time_best ~hist:"bench.evchoice_cost_ns" ~reps:3 (fun () -> Window_plan.run table auto_cs) in
+  let auto_t = H.time_best ~hist:"bench.evchoice_cost_ns" ~reps:3 (fun () -> Window_plan.run ~pool table auto_cs) in
   H.gc_settle ();
   let forced_t =
-    H.time_best ~hist:"bench.evchoice_pinned_ns" ~reps:3 (fun () -> Window_plan.run table forced_cs)
+    H.time_best ~hist:"bench.evchoice_pinned_ns" ~reps:3 (fun () -> Window_plan.run ~pool table forced_cs)
   in
   let speedup = forced_t.H.best /. auto_t.H.best in
   H.print_table ~header:[ "path"; "seconds"; "mean±sd"; "speedup" ]

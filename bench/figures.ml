@@ -20,7 +20,8 @@ let price_order = [ Sort_spec.asc (Expr.Col "l_extendedprice") ]
 let over_ship frame = Window_spec.over ~order_by:ship_order ~frame ()
 
 let run_one table over item =
-  H.time (fun () -> ignore (Window_plan.run table [ { Window_plan.spec = over; items = [ item ] } ]))
+  let pool = H.pool () in
+  H.time (fun () -> ignore (Window_plan.run ~pool table [ { Window_plan.spec = over; items = [ item ] } ]))
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 9 — necessity of native support (20 000 rows, 1000-row frame)  *)
@@ -227,6 +228,7 @@ let fig12 ~rows () =
 (* ------------------------------------------------------------------ *)
 
 let fig13 ~rows () =
+  let pool = H.pool () in
   H.section
     (Printf.sprintf "Figure 13: windowed rank, build+probe seconds by fanout x sampling (n=%d)"
        rows);
@@ -237,7 +239,7 @@ let fig13 ~rows () =
   let cell f k =
     H.gc_settle ();
     H.time (fun () ->
-        let t = Mst.create ~fanout:f ~sample:k keys in
+        let t = Mst.create ~pool ~fanout:f ~sample:k keys in
         let acc = ref 0 in
         for i = 0 to rows - 1 do
           acc := !acc + Mst.count t ~lo:(max 0 (i - w)) ~hi:(i + 1) ~less_than:keys.(i)
@@ -260,6 +262,7 @@ let fig13 ~rows () =
 (* ------------------------------------------------------------------ *)
 
 let mem ~rows () =
+  let pool = H.pool () in
   H.section "Memory (paper 6.6): merge sort tree footprint";
   (* closed-form at the paper's 100M rows *)
   let paper_n = 100_000_000 in
@@ -283,7 +286,7 @@ let mem ~rows () =
   let measured =
     List.map
       (fun (f, k) ->
-        let t = Mst.create ~fanout:f ~sample:k keys in
+        let t = Mst.create ~pool ~fanout:f ~sample:k keys in
         let s = Mst.stats t in
         let bytes = s.Mst.heap_bytes in
         [
@@ -302,6 +305,7 @@ let mem ~rows () =
 (* ------------------------------------------------------------------ *)
 
 let table1 ~base () =
+  let pool = H.pool () in
   H.section "Table 1: measured scaling exponents (runtime ~ n^e, SQL default frame)";
   let sizes = [ base; base * 2; base * 4; base * 8 ] in
   let default_frame =
@@ -326,7 +330,7 @@ let table1 ~base () =
               let table = Tpch.lineitem ~rows:n () in
               (H.time_best ~reps:2 (fun () ->
                    ignore
-                     (Window_plan.run table
+                     (Window_plan.run ~pool table
                         [ { Window_plan.spec = over_ship default_frame; items = [ item ] } ])))
                 .H.best)
             sizes
@@ -380,11 +384,12 @@ let ext_dense_rank ~scale () =
    measurement computes identical results — a benchmark of wrong answers is
    worthless. Runs in milliseconds. *)
 let preflight () =
+  let pool = H.pool () in
   H.section "Pre-flight: cross-validating all algorithms on a 3000-row instance";
   let table = Tpch.lineitem ~rows:3_000 () in
   let over = over_ship (trailing_rows_frame 150) in
   let check fn algs =
-    let run alg = Window_plan.run table [ { Window_plan.spec = over; items = [ item_for fn alg ] } ] in
+    let run alg = Window_plan.run ~pool table [ { Window_plan.spec = over; items = [ item_for fn alg ] } ] in
     let reference = run Wf.Naive in
     let ref_col = Table.column reference "x" in
     List.iter
@@ -431,6 +436,7 @@ let ablation_cascade ~rows () =
 
 (* isolated raw-tree count probes at a depth where the cascade matters *)
 let ablation_cascade_raw ~rows () =
+  let pool = H.pool () in
   let n = 8 * rows in
   H.section (Printf.sprintf "Ablation: cascading, isolated count probes (n=%d)" n);
   let keys = Scenarios.uniform_ints ~n ~bound:n () in
@@ -444,8 +450,8 @@ let ablation_cascade_raw ~rows () =
         done;
         !acc)
   in
-  let t_on = probe (Mst.create keys) in
-  let t_off = probe (Mst.create ~sample:0 keys) in
+  let t_on = probe (Mst.create ~pool keys) in
+  let t_off = probe (Mst.create ~pool ~sample:0 keys) in
   H.print_table
     ~header:[ "cascading"; "probe s"; "M probes/s" ]
     ~rows:
@@ -456,13 +462,14 @@ let ablation_cascade_raw ~rows () =
   H.note "speedup from cascading: %.2fx (grows with tree depth)" (t_off /. t_on)
 
 let ablation_store ~rows () =
+  let pool = H.pool () in
   H.section
     (Printf.sprintf "Ablation: 64-bit vs 32-bit tree storage (rank probes, n=%d)" rows);
   let module W = Holistic_core.Mst_width in
   let keys = Scenarios.uniform_ints ~n:rows ~bound:rows () in
   let w = max 1 (rows / 20) in
-  let tree = W.create ~choice:(W.Force W.W64) keys in
-  let compact = W.create ~choice:(W.Force W.W32) keys in
+  let tree = W.create ~pool ~choice:(W.Force W.W64) keys in
+  let compact = W.create ~pool ~choice:(W.Force W.W32) keys in
   let probe t () =
     let acc = ref 0 in
     for i = 0 to rows - 1 do
@@ -491,6 +498,7 @@ let ablation_store ~rows () =
    instantiation, each built directly at its width. Emits
    BENCH_mst_width.json for regression tracking. *)
 let mst_width ~rows () =
+  let pool = H.pool () in
   let module W = Holistic_core.Mst_width in
   H.section (Printf.sprintf "Width sweep: direct MST builds at 64, 32 and 16 bits (n=%d)" rows);
   let sizes =
@@ -502,7 +510,7 @@ let mst_width ~rows () =
         let keys = Scenarios.uniform_ints ~n ~bound:n () in
         let w = max 1 (n / 20) in
         let widths = if n <= 0xFFFF then [ W.W64; W.W32; W.W16 ] else [ W.W64; W.W32 ] in
-        let build width = W.create ~choice:(W.Force width) keys in
+        let build width = W.create ~pool ~choice:(W.Force width) keys in
         (* warm-up: fault in the heap and code paths so the first timed rep
            is not billed for first-touch page faults *)
         ignore (build W.W32);
@@ -588,6 +596,7 @@ let mst_width ~rows () =
   H.note "wrote BENCH_mst_width.json"
 
 let ablation_task ~rows () =
+  let pool = H.pool () in
   H.section
     (Printf.sprintf
        "Ablation: task size vs incremental algorithms (median, frame 5%%, n=%d)" rows);
@@ -607,7 +616,7 @@ let ablation_task ~rows () =
                   let t =
                     H.time (fun () ->
                         ignore
-                          (Window_plan.run ~task_size table
+                          (Window_plan.run ~pool ~task_size table
                              [ { Window_plan.spec = over; items = [ item_for `Median alg ] } ]))
                   in
                   Printf.sprintf "%.3f" t)

@@ -4,10 +4,17 @@
    directly. *)
 
 module Obs = Holistic_obs.Obs
+module Task_pool = Holistic_parallel.Task_pool
 
 (* Monotonic clock: [Unix.gettimeofday] is wall time and jumps under NTP
    adjustment mid-sweep; the obs clock never goes backwards. *)
 let now () = float_of_int (Obs.now_ns ()) *. 1e-9
+
+(* The benches' shared task pool, created on first use and sized by
+   HOLIWIN_DOMAINS like the CLI's (else the runtime's recommendation).
+   Experiments that sweep or pin the domain count create their own. *)
+let shared_pool = lazy (Task_pool.create (Task_pool.domains_of_setting (Sys.getenv_opt "HOLIWIN_DOMAINS")))
+let pool () = Lazy.force shared_pool
 
 type outcome = Time of float | Skipped
 

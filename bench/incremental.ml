@@ -92,9 +92,10 @@ let check_parity ~what ~session ~rebuild n =
    the stage sort (no full sort ran) and the result must be bit-identical
    to a from-scratch run over the same table. *)
 let requery ~what ~session cs =
+  let pool = H.pool () in
   let table = Session.table session in
   let out = ref None in
-  let s = H.time (fun () -> out := Some (Window_plan.run_with_stats ~session table cs)) in
+  let s = H.time (fun () -> out := Some (Window_plan.run_with_stats ~pool ~session table cs)) in
   let result, stats = Option.get !out in
   if stats.Window_plan.full_sorts <> 0 then
     failwith
@@ -103,23 +104,24 @@ let requery ~what ~session cs =
   if stats.Window_plan.session_sorts = 0 then
     failwith (Printf.sprintf "incremental (%s): no stage was served by the store" what);
   let rebuild = ref None in
-  let full_s = H.time (fun () -> rebuild := Some (Window_plan.run table cs)) in
+  let full_s = H.time (fun () -> rebuild := Some (Window_plan.run ~pool table cs)) in
   check_parity ~what ~session:result ~rebuild:(Option.get !rebuild) (Table.nrows table);
   (s, full_s)
 
 let run ~rows () =
   H.section "incremental: session re-query vs full rebuild after append / evict";
+  let pool = H.pool () in
   let partitions = max 8 (rows / 2_000) in
   let rng = Rng.create 42 in
   let table = make_table rng ~rows ~partitions in
   let cs = clauses () in
-  let session = Session.create table in
+  let session = Session.create ~pool table in
   H.note "%d rows, %d partitions, 4 OVER clauses; appends land in %d hot partition(s)" rows
     partitions hot_parts;
   (* warm the store (builds everything once) and check it against a
      stateless run before any timing *)
-  let warm = Window_plan.run ~session table cs in
-  check_parity ~what:"warm" ~session:warm ~rebuild:(Window_plan.run table cs) rows;
+  let warm = Window_plan.run ~pool ~session table cs in
+  check_parity ~what:"warm" ~session:warm ~rebuild:(Window_plan.run ~pool table cs) rows;
   H.note "warm query parity holds; store footprint %s"
     (Holistic_obs.Obs.human_bytes (Session.footprint_bytes session));
   (* append phase: three cycles of +1% at the tail of the hot partitions *)

@@ -67,8 +67,7 @@ let partition_ids pool table exprs =
       in
       Some ids
 
-let order_permutation ?pool table ~over =
-  let pool = match pool with Some p -> p | None -> Task_pool.default () in
+let order_permutation ~pool table ~over =
   let n = Table.nrows table in
   let pids = partition_ids pool table over.Window_spec.partition_by in
   let perm =
@@ -109,9 +108,8 @@ let order_permutation ?pool table ~over =
    benchmark can show how many encodings/trees this path constructs. The
    cache handed to the evaluators is fresh per (partition, item): nothing
    is ever shared, exactly like the old per-item builders. *)
-let run ?pool ?(fanout = 32) ?(sample = 32) ?(task_size = Task_pool.default_task_size)
+let run ~pool ?(fanout = 32) ?(sample = 32) ?(task_size = Task_pool.default_task_size)
     ?(width = Holistic_core.Mst_width.Auto) ?counters table ~over items =
-  let pool = match pool with Some p -> p | None -> Task_pool.default () in
   let n = Table.nrows table in
   let perm, boundaries = order_permutation ~pool table ~over in
   let outputs = List.map (fun (item : Window_func.t) -> (item, Array.make n Value.Null)) items in
@@ -146,8 +144,8 @@ let run ?pool ?(fanout = 32) ?(sample = 32) ?(task_size = Task_pool.default_task
     table outputs
 
 (* One independent pass per clause, like the old planner emitted. *)
-let run_clauses ?pool ?fanout ?sample ?task_size ?width ?counters table clauses =
+let run_clauses ~pool ?fanout ?sample ?task_size ?width ?counters table clauses =
   List.fold_left
     (fun acc (c : Window_plan.clause) ->
-      run ?pool ?fanout ?sample ?task_size ?width ?counters acc ~over:c.spec c.items)
+      run ~pool ?fanout ?sample ?task_size ?width ?counters acc ~over:c.spec c.items)
     table clauses

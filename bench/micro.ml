@@ -12,8 +12,8 @@ module Scenarios = Holistic_data.Scenarios
 
 let n = 100_000
 let keys = lazy (Scenarios.uniform_ints ~n ~bound:n ())
-let tree = lazy (Mst.create (Lazy.force keys))
-let prev_tree = lazy (Mst.create (Prev.compute (Lazy.force keys)))
+let tree = lazy (Mst.create ~pool:(Harness.pool ()) (Lazy.force keys))
+let prev_tree = lazy (Mst.create ~pool:(Harness.pool ()) (Prev.compute ~pool:(Harness.pool ()) (Lazy.force keys)))
 let seg = lazy (Seg.Int_sum.create (Lazy.force keys))
 
 let counter = ref 0
@@ -26,7 +26,7 @@ let next_frame () =
 let tests =
   [
     (* Fig. 9/10/11: merge sort tree construction (build phase) *)
-    Test.make ~name:"fig10/mst-build-100k" (Staged.stage (fun () -> Mst.create (Lazy.force keys)));
+    Test.make ~name:"fig10/mst-build-100k" (Staged.stage (fun () -> Mst.create ~pool:(Harness.pool ()) (Lazy.force keys)));
     (* Fig. 10 rank panel / Fig. 13: one cascaded range-count probe *)
     Test.make ~name:"fig13/mst-count-probe"
       (Staged.stage (fun () ->
@@ -73,7 +73,7 @@ let tests =
            Seg.Int_sum.query t ~lo ~hi));
     (* Fig. 14: Algorithm 1 preprocessing over 100k values *)
     Test.make ~name:"fig14/prev-occurrence-100k"
-      (Staged.stage (fun () -> Prev.compute (Lazy.force keys)));
+      (Staged.stage (fun () -> Prev.compute ~pool:(Harness.pool ()) (Lazy.force keys)));
   ]
 
 let run () =

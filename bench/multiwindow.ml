@@ -105,6 +105,7 @@ let check_parity ~plan ~legacy n =
     [ "r"; "pr"; "cd"; "rn" ]
 
 let run ~rows () =
+  let pool = H.pool () in
   H.section "sql-multiwindow: shared window pipeline vs per-clause execution";
   let partitions = max 8 (rows / 4_000) in
   let rng = Rng.create 42 in
@@ -113,9 +114,9 @@ let run ~rows () =
   H.note "%d rows, %d partitions, 4 OVER clauses (shared PARTITION BY, prefix ORDER BYs)" rows
     partitions;
   (* correctness + sharing first: these must hold at any size *)
-  let plan_out, stats = Window_plan.run_with_stats table cs in
+  let plan_out, stats = Window_plan.run_with_stats ~pool table cs in
   let legacy_counters = Build_cache.fresh_counters () in
-  let legacy_out = Legacy_window.run_clauses ~counters:legacy_counters table cs in
+  let legacy_out = Legacy_window.run_clauses ~pool ~counters:legacy_counters table cs in
   check_parity ~plan:plan_out ~legacy:legacy_out rows;
   H.note "parity: plan matches per-clause baseline on all 4 columns";
   let open Window_plan in
@@ -137,7 +138,7 @@ let run ~rows () =
   (* memory accounting: one traced plan run; the [mem.structure_bytes]
      counter is deterministic for a given (table, clauses) pair, so the
      regression gate can hold it to a tight tolerance *)
-  let _, mem_trace = Holistic_obs.Obs.with_capture (fun () -> Window_plan.run table cs) in
+  let _, mem_trace = Holistic_obs.Obs.with_capture (fun () -> Window_plan.run ~pool table cs) in
   let structure_bytes =
     match List.assoc_opt "mem.structure_bytes" mem_trace.Holistic_obs.Obs.counters with
     | Some b -> b
@@ -146,17 +147,17 @@ let run ~rows () =
   H.note "plan structures: %s" (Holistic_obs.Obs.human_bytes structure_bytes);
   (* now the wall clock, SQL front end against the preserved baseline *)
   H.gc_settle ();
-  let plan_api_s = H.time (fun () -> Window_plan.run table cs) in
+  let plan_api_s = H.time (fun () -> Window_plan.run ~pool table cs) in
   H.note "plan via API (no SQL front end): %.3f s" plan_api_s;
   List.iteri
     (fun i (c : Window_plan.clause) ->
-      let t = H.time (fun () -> Legacy_window.run table ~over:c.spec c.items) in
+      let t = H.time (fun () -> Legacy_window.run ~pool table ~over:c.spec c.items) in
       H.note "legacy clause %d alone: %.3f s" (i + 1) t)
     cs;
   H.gc_settle ();
-  let plan_t = H.time_best ~hist:"bench.plan_ns" ~reps:3 (fun () -> Sql.query ~evaluator:Ec.Mst ~tables:[ ("t", table) ] query) in
+  let plan_t = H.time_best ~hist:"bench.plan_ns" ~reps:3 (fun () -> Sql.query ~pool ~evaluator:Ec.Mst ~tables:[ ("t", table) ] query) in
   H.gc_settle ();
-  let legacy_t = H.time_best ~hist:"bench.legacy_ns" ~reps:3 (fun () -> Legacy_window.run_clauses table cs) in
+  let legacy_t = H.time_best ~hist:"bench.legacy_ns" ~reps:3 (fun () -> Legacy_window.run_clauses ~pool table cs) in
   let plan_s = plan_t.H.best and legacy_s = legacy_t.H.best in
   let speedup = legacy_s /. plan_s in
   (* telemetry A/B: the plan leg above runs with telemetry disabled (one
@@ -172,7 +173,7 @@ let run ~rows () =
   H.gc_settle ();
   let telemetry_t =
     H.time_best ~reps:3 (fun () ->
-        Sql.query ~evaluator:Ec.Mst ~query_log:sink ~tables:[ ("t", table) ] query)
+        Sql.query ~pool ~evaluator:Ec.Mst ~query_log:sink ~tables:[ ("t", table) ] query)
   in
   if not was_enabled then Holistic_obs.Obs.disable ();
   Sql.Query_stats.Log.close sink;

@@ -14,7 +14,7 @@ module Bs = Holistic_util.Binary_search
 module Obs = Holistic_obs.Obs
 
 let phases table =
-  let pool = Task_pool.default () in
+  let pool = Harness.pool () in
   let n = Table.nrows table in
   let phase name f = Obs.span name f in
   (* --- window operator set-up: order by l_shipdate ------------------- *)

@@ -5,6 +5,10 @@
         --table lineitem=lineitem.csv --evaluator mst --time
      holiwin query "..." --table lineitem=tpch:50000      # generate inline
      holiwin explain "select rank(order by tps desc) over w from t window w as (...)"
+
+   The libraries hold no task pool and read no environment: every
+   subcommand that runs queries creates the run's one pool here, sized by
+   HOLIWIN_DOMAINS, and shuts it down on exit.
 *)
 
 open Holistic_storage
@@ -13,13 +17,23 @@ module Mg = Holistic_window.Mem_governor
 module Qs = Holistic_window.Query_stats
 module Sql = Holistic_sql.Sql
 module Obs = Holistic_obs.Obs
+module Task_pool = Holistic_parallel.Task_pool
 
 (* The HOLIWIN_* environment is read here and nowhere in the libraries:
-   HOLIWIN_MEM_LIMIT stands in for --mem-limit, HOLIWIN_QUERY_LOG for
-   --query-log, and HOLIWIN_QUERY_LOG_BYTES sets the log's rotation size.
-   Unset or empty means absent; a malformed value is an error naming the
-   variable. *)
+   HOLIWIN_DOMAINS sizes the task pool, HOLIWIN_MEM_LIMIT stands in for
+   --mem-limit, HOLIWIN_QUERY_LOG for --query-log, and
+   HOLIWIN_QUERY_LOG_BYTES sets the log's rotation size.  Unset or empty
+   means absent; a malformed value is an error naming the variable, except
+   HOLIWIN_DOMAINS, which falls back to the runtime's recommendation. *)
 let getenv name = match Sys.getenv_opt name with None | Some "" -> None | Some v -> Some v
+
+(* The run's one task pool, reported by the pool.domains gauge. *)
+let with_pool f =
+  let pool = Task_pool.create (Task_pool.domains_of_setting (getenv "HOLIWIN_DOMAINS")) in
+  ignore
+    (Obs.Gauge.register ~help:"Worker domains of the default task pool" "pool.domains" (fun () ->
+         Task_pool.size pool));
+  Fun.protect ~finally:(fun () -> Task_pool.shutdown pool) (fun () -> f pool)
 
 (* --mem-limit (else HOLIWIN_MEM_LIMIT): bytes with optional K/M/G suffix,
    or "spill" (spill every sort regardless of budget — a testing mode).
@@ -175,9 +189,10 @@ let query_cmd =
     report_errors ~on_error:1 @@ fun () ->
     with_governor mem_limit @@ fun governor ->
     with_query_log query_log @@ fun query_log ->
+    with_pool @@ fun pool ->
     let tables = List.map load_table table_specs in
     let t0 = Unix.gettimeofday () in
-    let result = Sql.query ?evaluator ?governor ?query_log ~tables sql in
+    let result = Sql.query ~pool ?evaluator ?governor ?query_log ~tables sql in
     let dt = Unix.gettimeofday () -. t0 in
     (match output with
     | Some path -> Csv.save path result
@@ -226,8 +241,9 @@ let explain_cmd =
     report_errors ~on_error:1 @@ fun () ->
     if analyze then begin
       with_governor mem_limit @@ fun governor ->
+      with_pool @@ fun pool ->
       let tables = List.map load_table table_specs in
-      let run = Sql.explain_analyze_trace ?evaluator ?governor ~tables sql in
+      let run = Sql.explain_analyze_trace ~pool ?evaluator ?governor ~tables sql in
       print_string (Sql.render_analyze sql run);
       Option.iter (fun path -> Obs.write_chrome_trace path (snd run)) trace_out
     end
@@ -278,13 +294,19 @@ let metrics_cmd =
     report_errors ~on_error:1 @@ fun () ->
     with_governor None @@ fun governor ->
     with_query_log query_log @@ fun query_log ->
+    with_pool @@ fun pool ->
     let tables = List.map load_table table_specs in
     Obs.enable ();
     let session =
-      match tables with (_, t) :: _ -> Some (Sql.session_create t) | [] -> None
+      match tables with
+      | (_, t) :: _ ->
+          let s = Sql.session_create ~pool t in
+          Sql.Session.register_gauges s;
+          Some s
+      | [] -> None
     in
     for _ = 1 to max 1 repeat do
-      List.iter (fun sql -> ignore (Sql.query ?governor ?session ?query_log ~tables sql)) sqls
+      List.iter (fun sql -> ignore (Sql.query ~pool ?governor ?session ?query_log ~tables sql)) sqls
     done;
     let snap = Obs.Metrics.snapshot () in
     let stamp_ms = int_of_float (Unix.gettimeofday () *. 1000.) in
@@ -334,8 +356,10 @@ let session_cmd =
     report_errors ~on_error:1 @@ fun () ->
     with_governor None @@ fun governor ->
     with_query_log query_log @@ fun query_log ->
+    with_pool @@ fun pool ->
     let name, table = load_table table_spec in
-    let session = Sql.session_create table in
+    let session = Sql.session_create ~pool table in
+    Sql.Session.register_gauges session;
     let tables () = [ (name, Sql.session_table session) ] in
     let interactive = script = None && Unix.isatty Unix.stdin in
     let ic = match script with Some path -> open_in path | None -> stdin in
@@ -365,12 +389,12 @@ let session_cmd =
           (* "select ..." runs verbatim; "query select ..." strips the prefix *)
           let sql = if String.lowercase_ascii cmd = "select" then line else arg in
           let t0 = Unix.gettimeofday () in
-          let result = Sql.query ?governor ?query_log ~session ~tables:(tables ()) sql in
+          let result = Sql.query ~pool ?governor ?query_log ~session ~tables:(tables ()) sql in
           let dt = Unix.gettimeofday () -. t0 in
           Table.print ~max_rows result;
           Printf.printf "%d rows in %.3f s\n" (Table.nrows result) dt
       | "explain", sql ->
-          let run = Sql.explain_analyze_trace ?governor ~session ~tables:(tables ()) sql in
+          let run = Sql.explain_analyze_trace ~pool ?governor ~session ~tables:(tables ()) sql in
           print_string (Sql.render_analyze sql run)
       | "append", src ->
           let _, delta = load_table (name ^ "=" ^ src) in

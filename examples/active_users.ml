@@ -15,6 +15,7 @@
 open Holistic_storage
 open Holistic_window
 module Wf = Window_func
+module Task_pool = Holistic_parallel.Task_pool
 
 let () =
   let rows = if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 100_000 in
@@ -26,8 +27,10 @@ let () =
       ~frame:(Window_spec.range_between (Window_spec.Preceding one_month) Window_spec.Current_row)
       ()
   in
+  (* Every phase runs on a task pool the caller creates and owns. *)
+  let pool = Task_pool.create (Domain.recommended_domain_count ()) in
   let result =
-    Window_plan.run table
+    Window_plan.run ~pool table
       [
         {
           Window_plan.spec = over;
@@ -39,6 +42,7 @@ let () =
         };
       ]
   in
+  Task_pool.shutdown pool;
   (* Report the trailing-month active-customer count on the first order date
      of each half year. *)
   let dates = Table.column result "o_orderdate" in

@@ -16,6 +16,7 @@
 open Holistic_storage
 open Holistic_window
 module Wf = Window_func
+module Task_pool = Holistic_parallel.Task_pool
 
 let () =
   let rows = if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 50_000 in
@@ -28,8 +29,10 @@ let () =
       ~frame:(Window_spec.range_between (Window_spec.Preceding one_week) Window_spec.Current_row)
       ()
   in
+  (* Every phase runs on a task pool the caller creates and owns. *)
+  let pool = Task_pool.create (Domain.recommended_domain_count ()) in
   let result =
-    Window_plan.run table
+    Window_plan.run ~pool table
       [
         {
           Window_plan.spec = over;
@@ -42,6 +45,7 @@ let () =
         };
       ]
   in
+  Task_pool.shutdown pool;
   (* Summarise the moving p99 by year. *)
   let ship = Table.column result "l_shipdate" in
   let p99 = Table.column result "p99_delay_days" in

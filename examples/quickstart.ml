@@ -6,6 +6,7 @@
 open Holistic_storage
 open Holistic_window
 module Wf = Window_func
+module Task_pool = Holistic_parallel.Task_pool
 
 let () =
   (* A tiny sensor log: timestamps, readings, device ids. *)
@@ -24,8 +25,10 @@ let () =
       ~frame:(Window_spec.rows_between (Window_spec.preceding 4) Window_spec.Current_row)
       ()
   in
+  (* Every phase runs on a task pool the caller creates and owns. *)
+  let pool = Task_pool.create (Domain.recommended_domain_count ()) in
   let result =
-    Window_plan.run table
+    Window_plan.run ~pool table
       [
         {
           Window_plan.spec = over;
@@ -43,5 +46,6 @@ let () =
         };
       ]
   in
+  Task_pool.shutdown pool;
   print_endline "Moving statistics over the last 5 readings:";
   Table.print result

@@ -16,6 +16,7 @@
 open Holistic_storage
 open Holistic_window
 module Wf = Window_func
+module Task_pool = Holistic_parallel.Task_pool
 
 let () =
   let rows = if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 20_000 in
@@ -28,8 +29,10 @@ let () =
            (Window_spec.Following (Expr.Col "good_for")))
       ()
   in
+  (* Every phase runs on a task pool the caller creates and owns. *)
+  let pool = Task_pool.create (Domain.recommended_domain_count ()) in
   let result =
-    Window_plan.run table
+    Window_plan.run ~pool table
       [
         {
           Window_plan.spec = over;
@@ -41,6 +44,7 @@ let () =
         };
       ]
   in
+  Task_pool.shutdown pool;
   let price = Table.column result "price" in
   let med = Table.column result "median_while_valid" in
   let cnt = Table.column result "concurrent_orders" in

@@ -19,6 +19,7 @@
 open Holistic_storage
 open Holistic_window
 module Wf = Window_func
+module Task_pool = Holistic_parallel.Task_pool
 
 let () =
   let table = Holistic_data.Scenarios.tpcc_results ~rows:1_000 () in
@@ -29,8 +30,10 @@ let () =
       ~frame:(Window_spec.range_between Window_spec.Unbounded_preceding Window_spec.Current_row)
       ()
   in
+  (* Every phase runs on a task pool the caller creates and owns. *)
+  let pool = Task_pool.create (Domain.recommended_domain_count ()) in
   let result =
-    Window_plan.run table
+    Window_plan.run ~pool table
       [
         {
           Window_plan.spec = over;
@@ -45,6 +48,7 @@ let () =
         };
       ]
   in
+  Task_pool.shutdown pool;
   (* Show the submissions that were #1 at the time they were published. *)
   let rank = Table.column result "rank_back_then" in
   let n = Table.nrows result in

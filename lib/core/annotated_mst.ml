@@ -38,8 +38,8 @@ module Make (M : MONOID) = struct
         pref)
       levels
 
-  let create ?pool ?fanout ?sample ~keys ~value () =
-    let mst = Mst.create ?pool ?fanout ?sample ~track_payload:true keys in
+  let create ~pool ?fanout ?sample ~keys ~value () =
+    let mst = Mst.create ~pool ?fanout ?sample ~track_payload:true keys in
     { mst; prefixes = build_prefixes mst value }
 
   let footprint_bytes t =
@@ -66,10 +66,10 @@ module Float_sum = struct
 
   type t = Sum.t
 
-  let create ?pool ?fanout ?sample ~keys ~values () =
+  let create ~pool ?fanout ?sample ~keys ~values () =
     if Array.length keys <> Array.length values then
       invalid_arg "Annotated_mst.Float_sum.create: length mismatch";
-    Sum.create ?pool ?fanout ?sample ~keys ~value:(fun i -> values.(i)) ()
+    Sum.create ~pool ?fanout ?sample ~keys ~value:(fun i -> values.(i)) ()
 
   let query = Sum.query
   let footprint_bytes = Sum.footprint_bytes

@@ -29,7 +29,7 @@ module Make (M : MONOID) : sig
   type t
 
   val create :
-    ?pool:Holistic_parallel.Task_pool.t ->
+    pool:Holistic_parallel.Task_pool.t ->
     ?fanout:int ->
     ?sample:int ->
     keys:int array ->
@@ -55,7 +55,7 @@ module Float_sum : sig
   type t
 
   val create :
-    ?pool:Holistic_parallel.Task_pool.t ->
+    pool:Holistic_parallel.Task_pool.t ->
     ?fanout:int ->
     ?sample:int ->
     keys:int array ->

@@ -30,7 +30,7 @@
 type t
 
 val create :
-  ?pool:Holistic_parallel.Task_pool.t ->
+  pool:Holistic_parallel.Task_pool.t ->
   ?fanout:int ->
   ?sample:int ->
   ?track_payload:bool ->
@@ -39,8 +39,8 @@ val create :
 (** [create a] builds the tree bottom-up with [fanout]-way merges
     (default 32), recording cascading cursor states every [sample] elements
     (default 32, the paper's f = k = 32; [0] disables cascading). Runs of
-    each level are merged as independent tasks on [pool] (default: the
-    process pool). [track_payload] additionally records, per level, the base
+    each level are merged as independent tasks on [pool].
+    [track_payload] additionally records, per level, the base
     position each element came from, which {!Annotated_mst} needs to attach
     aggregate annotations. The input array is copied. *)
 

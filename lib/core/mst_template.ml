@@ -338,10 +338,9 @@ module Make (S : Mst_storage.S) = struct
       done;
     (h, stride, spr, states)
 
-  let create ?pool ?(fanout = 32) ?(sample = 32) ?(track_payload = false) a =
+  let create ~pool ?(fanout = 32) ?(sample = 32) ?(track_payload = false) a =
     let n = Array.length a in
     check_knobs "create" ~n ~fanout ~sample;
-    let pool = match pool with Some p -> p | None -> Task_pool.default () in
     let h, stride, spr, states = geometry ~n ~fanout ~sample in
     let levels =
       Array.init (h + 1) (fun j ->

@@ -54,11 +54,11 @@ let width_of_operand choice a =
   let min_value, max_value = value_bounds a in
   select_width choice ~n:(Array.length a) ~min_value ~max_value
 
-let create ?pool ?fanout ?sample ?(choice = Auto) a =
+let create ~pool ?fanout ?sample ?(choice = Auto) a =
   match width_of_operand choice a with
-  | W16 -> T16 (M16.create ?pool ?fanout ?sample a)
-  | W32 -> T32 (M32.create ?pool ?fanout ?sample a)
-  | W64 -> T64 (Mst.create ?pool ?fanout ?sample a)
+  | W16 -> T16 (M16.create ~pool ?fanout ?sample a)
+  | W32 -> T32 (M32.create ~pool ?fanout ?sample a)
+  | W64 -> T64 (Mst.create ~pool ?fanout ?sample a)
 
 let create_stream ?fanout ?sample ?(choice = Auto) ~n ~min_value ~max_value ~fill () =
   match select_width choice ~n ~min_value ~max_value with

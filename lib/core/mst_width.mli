@@ -34,7 +34,7 @@ val width_for : n:int -> min_value:int -> max_value:int -> width
     states count elements of a run, so lengths must fit too). *)
 
 val create :
-  ?pool:Holistic_parallel.Task_pool.t ->
+  pool:Holistic_parallel.Task_pool.t ->
   ?fanout:int ->
   ?sample:int ->
   ?choice:choice ->

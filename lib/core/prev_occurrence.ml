@@ -1,8 +1,7 @@
 module Task_pool = Holistic_parallel.Task_pool
 module Parallel_sort = Holistic_sort.Parallel_sort
 
-let compute ?pool values =
-  let pool = match pool with Some p -> p | None -> Task_pool.default () in
+let compute ~pool values =
   let n = Array.length values in
   let key = Array.copy values in
   let idx = Array.init n (fun i -> i) in

@@ -7,7 +7,7 @@
     distinct values in frame [\[lo, hi\]] equals the number of positions
     [i ∈ [lo, hi]] with [encoded.(i) < lo + 1]. *)
 
-val compute : ?pool:Holistic_parallel.Task_pool.t -> int array -> int array
+val compute : pool:Holistic_parallel.Task_pool.t -> int array -> int array
 (** [compute values] returns the encoded previous-occurrence array. Values
     are compared by integer equality; callers hash non-integer data first
     (§6.7). The sort step runs on [pool]. *)

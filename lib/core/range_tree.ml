@@ -7,15 +7,15 @@ type t = {
   inner : Mst.t array;
 }
 
-let create ?pool ?fanout ?sample keys =
-  let outer = Mst.create ?pool ?fanout ?sample ~track_payload:true keys in
-  let prev = Prev_occurrence.compute ?pool keys in
+let create ~pool ?fanout ?sample keys =
+  let outer = Mst.create ~pool ?fanout ?sample ~track_payload:true keys in
+  let prev = Prev_occurrence.compute ~pool keys in
   let payloads = Mst.payload_levels outer in
   let inner =
     Array.map
       (fun payload ->
         let arranged = Array.map (fun origin -> prev.(origin)) payload in
-        Mst.create ?pool ?fanout ?sample arranged)
+        Mst.create ~pool ?fanout ?sample arranged)
       payloads
   in
   { outer; inner }

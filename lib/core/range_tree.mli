@@ -20,7 +20,7 @@
 
 type t
 
-val create : ?pool:Holistic_parallel.Task_pool.t -> ?fanout:int -> ?sample:int -> int array -> t
+val create : pool:Holistic_parallel.Task_pool.t -> ?fanout:int -> ?sample:int -> int array -> t
 (** [create keys] preprocesses the dense key codes of a partition in
     window-frame order. *)
 

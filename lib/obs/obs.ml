@@ -199,10 +199,9 @@ end
 (* Pull-model gauges: a registered name plus a sampling callback, read
    only at snapshot time.  Unlike counters and histograms nothing in the
    query path ever touches a gauge, so their disabled-mode cost is
-   exactly zero.  Re-registering a name replaces the callback — a fresh
-   [Session] takes over the session.* gauges from a previous one (the CLI
-   runs one session per process; with several, the scrape reflects the
-   most recently created). *)
+   exactly zero.  Re-registering a name replaces the callback, so a gauge
+   over per-owner state (the CLI's session and pool) is registered by
+   that owner, once. *)
 module Gauge = struct
   type t = { name : string; mutable help : string; mutable read : unit -> int }
 

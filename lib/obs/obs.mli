@@ -164,7 +164,8 @@ module Gauge : sig
       only when a metrics snapshot is taken.  Nothing in the query path
       touches a gauge, so their disabled-mode cost is exactly zero.
       Re-registering a name replaces the callback (last registration
-      wins) — e.g. each new [Session] takes over the [session.*] gauges. *)
+      wins), so the owner of the sampled state registers it — e.g. the CLI
+      points the [session.*] gauges at its one session. *)
 
   type t
 
@@ -233,7 +234,6 @@ module Windowed_histogram : sig
 
   val summary_at : t -> now_ns:int -> Histogram.summary
   val quantile : t -> float -> int
-  val quantile_at : t -> now_ns:int -> float -> int
 
   val events : t -> int
   (** Total records ever added (not just those still in the window). *)

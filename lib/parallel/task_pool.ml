@@ -313,43 +313,14 @@ let parallel_for t ?chunk ?(chunk_max = default_task_size) ~lo ~hi f =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Default pool                                                        *)
+(* Pool size setting                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* HOLIWIN_DOMAINS overrides the default pool's size (clamped to [1,128]);
-   unset or unparsable falls back to the runtime's recommendation.  This is
-   the one knob threaded through every entry point that defaults its pool
-   ([Window_plan.run], [Sql.query], the benches). *)
-let domains_from_env () =
-  match Sys.getenv_opt "HOLIWIN_DOMAINS" with
-  | None -> None
+(* The one parse of a HOLIWIN_DOMAINS-style setting.  Reading the
+   environment is the caller's business: the libraries never do. *)
+let domains_of_setting = function
   | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some (min n 128)
-      | _ -> None)
-
-let default_pool = ref None
-
-let default () =
-  match !default_pool with
-  | Some p -> p
-  | None ->
-      let n =
-        match domains_from_env () with
-        | Some n -> n
-        | None -> Domain.recommended_domain_count ()
-      in
-      let p = create n in
-      default_pool := Some p;
-      p
-
-(* Sampled at metrics-snapshot time only; reports the size the default
-   pool has (or would be created with), without forcing its creation. *)
-let _domains_gauge =
-  Obs.Gauge.register ~help:"Worker domains of the default task pool" "pool.domains" (fun () ->
-      match !default_pool with
-      | Some p -> p.n
-      | None -> (
-          match domains_from_env () with
-          | Some n -> n
-          | None -> Domain.recommended_domain_count ()))
+      | Some n when n >= 1 -> min n 128
+      | _ -> Domain.recommended_domain_count ())
+  | None -> Domain.recommended_domain_count ()

@@ -74,10 +74,10 @@ val parallel_for :
 val auto_chunk : t -> lo:int -> hi:int -> max:int -> int
 (** The derived chunk size [parallel_for] uses when [?chunk] is absent. *)
 
-val default : unit -> t
-(** A process-wide pool created on first use, sized by the
-    [HOLIWIN_DOMAINS] environment variable when set to a positive integer
-    (clamped to 128), else [Domain.recommended_domain_count ()]. *)
+val domains_of_setting : string option -> int
+(** The pool size a [HOLIWIN_DOMAINS]-style setting asks for: a positive
+    integer (clamped to 128), else [Domain.recommended_domain_count ()].
+    Pure: the caller reads the environment, the libraries never do. *)
 
 type worker_stat = { mutable tasks : int; mutable busy_ns : int; mutable wait_ns : int }
 (** Per-worker execution statistics, populated only while

@@ -24,17 +24,7 @@ val merge_runs :
 val sort_pairs : Task_pool.t -> key:int array -> payload:int array -> unit
 (** [sort_runs] followed by [merge_runs]: a stable parallel sort by
     [(key, payload)]. One run, and no merge, on a single-domain pool (the
-    {!sort_multiword} rule). *)
-
-val sort_multiword : Task_pool.t -> ?task_size:int -> mw:Multiway.multiword -> unit -> unit
-(** Parallel sort of a multi-word normalized-key permutation: task-local
-    introsort runs on [(key0, deep-tie)], then multisequence selection at
-    balanced global ranks and per-segment offset-value coded loser-tree
-    merges ({!Multiway.merge_multiword}). Sorts [mw.key0]/[mw.payload] in
-    place by {!Multiway.compare_positions}. On a single-domain pool with no
-    explicit [task_size] the whole range is one run and the merge phase is
-    skipped (also in {!sort_encoded}): the split only pays off when the
-    merges run concurrently. *)
+    {!sort_encoded} rule). *)
 
 val sort_encoded :
   Task_pool.t ->
@@ -50,7 +40,13 @@ val sort_encoded :
     [(perm, sorted_key0)]: the sorted permutation and the leading key
     word gathered in sorted order ([[||]] when [words] is empty). Single
     word, no residual uses the existing lexicographic run/merge path;
-    anything wider goes through {!sort_multiword}. *)
+    anything wider is a multi-word sort: task-local introsort runs on
+    [(key0, deep-tie)], then multisequence selection at balanced global
+    ranks and per-segment offset-value coded loser-tree merges
+    ({!Multiway.merge_multiword}).  On a single-domain pool with no
+    explicit [task_size] the whole range is one run and the merge phase
+    is skipped: the split only pays off when the merges run
+    concurrently. *)
 
 val sort_encoded_spill :
   n:int ->

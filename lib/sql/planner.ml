@@ -260,7 +260,7 @@ let lower_call table (c : Ast.window_call) : Wf.func =
 (* Query execution                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let run_with_stats ?pool ?evaluator ?governor ?session ~tables (q : Ast.query) =
+let run_with_stats ~pool ?evaluator ?governor ?session ~tables (q : Ast.query) =
   let table =
     match List.assoc_opt q.Ast.from tables with
     | Some t -> t
@@ -358,7 +358,7 @@ let run_with_stats ?pool ?evaluator ?governor ?session ~tables (q : Ast.query) =
          through to the stateless path untouched. *)
       Obs.span "sql.window" (fun () ->
           let t, st =
-            Window_plan.run_with_stats ?pool ?evaluator ?governor ?session table clauses
+            Window_plan.run_with_stats ~pool ?evaluator ?governor ?session table clauses
           in
           plan_stats := Some st;
           t)
@@ -407,9 +407,8 @@ let run_with_stats ?pool ?evaluator ?governor ?session ~tables (q : Ast.query) =
       in
       let n = Table.nrows result in
       let kc = Key_codec.compile_sources ~n sources in
-      let sort_pool = match pool with Some p -> p | None -> Holistic_parallel.Task_pool.default () in
       let perm, _ =
-        Holistic_sort.Parallel_sort.sort_encoded sort_pool ~n ~words:kc.Key_codec.words
+        Holistic_sort.Parallel_sort.sort_encoded pool ~n ~words:kc.Key_codec.words
           ?tie:kc.Key_codec.residual ()
       in
       Table.gather result perm
@@ -422,5 +421,5 @@ let run_with_stats ?pool ?evaluator ?governor ?session ~tables (q : Ast.query) =
   in
   (result, !plan_stats)
 
-let run ?pool ?evaluator ?governor ?session ~tables q =
-  fst (run_with_stats ?pool ?evaluator ?governor ?session ~tables q)
+let run ~pool ?evaluator ?governor ?session ~tables q =
+  fst (run_with_stats ~pool ?evaluator ?governor ?session ~tables q)

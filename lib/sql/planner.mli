@@ -13,14 +13,14 @@ val lower_expr : Table.t -> Ast.expr -> Expr.t
     @raise Error on unknown columns or functions. *)
 
 val run :
-  ?pool:Holistic_parallel.Task_pool.t ->
+  pool:Holistic_parallel.Task_pool.t ->
   ?evaluator:Holistic_window.Evaluator_choice.name ->
   ?governor:Holistic_window.Mem_governor.t ->
   ?session:Holistic_window.Session.t ->
   tables:(string * Table.t) list ->
   Ast.query ->
   Table.t
-(** Executes the query; [evaluator] forces every window item onto one
+(** Executes the query on the caller's [pool]; [evaluator] forces every window item onto one
     backend, strictly — an unsupported (function, backend) pair raises
     (for the CLI's --evaluator flag; see
     {!Holistic_window.Window_plan.run}); [governor] bounds the window
@@ -33,7 +33,7 @@ val run :
     @raise Error on unknown tables/columns/functions or malformed calls. *)
 
 val run_with_stats :
-  ?pool:Holistic_parallel.Task_pool.t ->
+  pool:Holistic_parallel.Task_pool.t ->
   ?evaluator:Holistic_window.Evaluator_choice.name ->
   ?governor:Holistic_window.Mem_governor.t ->
   ?session:Holistic_window.Session.t ->

@@ -8,19 +8,19 @@ module Obs = Holistic_obs.Obs
 let parse src =
   try Parser.parse src with Parser.Error (msg, off) -> raise (Parse_error (msg, off))
 
-let plan ?pool ?evaluator ?governor ?session ~tables ast =
-  try Planner.run_with_stats ?pool ?evaluator ?governor ?session ~tables ast
+let plan ~pool ?evaluator ?governor ?session ~tables ast =
+  try Planner.run_with_stats ~pool ?evaluator ?governor ?session ~tables ast
   with Planner.Error msg -> raise (Semantic_error msg)
 
 (* The one observed run: the statement under {!Holistic_obs.Obs.with_capture},
    rooted at a [sql.query] span.  EXPLAIN ANALYZE renders it; the query log
    keeps a record of it. *)
-let observed_run ?pool ?evaluator ?governor ?session ~tables ast =
+let observed_run ~pool ?evaluator ?governor ?session ~tables ast =
   Obs.with_capture (fun () ->
       Obs.span "sql.query" (fun () ->
-          plan ?pool ?evaluator ?governor ?session ~tables ast))
+          plan ~pool ?evaluator ?governor ?session ~tables ast))
 
-let query ?pool ?evaluator ?governor ?session ?query_log ~tables src =
+let query ~pool ?evaluator ?governor ?session ?query_log ~tables src =
   let ast = parse src in
   match query_log with
   | Some sink ->
@@ -31,13 +31,13 @@ let query ?pool ?evaluator ?governor ?session ?query_log ~tables src =
       in
       let session_epoch = Option.map Session.epoch session in
       let (result, plan), trace =
-        observed_run ?pool ?evaluator ?governor ?session ~tables ast
+        observed_run ~pool ?evaluator ?governor ?session ~tables ast
       in
       Query_stats.Log.append sink
         (Query_stats.of_trace ~sql:src ~session_epoch ~rows_in ~plan result trace);
       result
   | None ->
-      let run () = plan ?pool ?evaluator ?governor ?session ~tables ast in
+      let run () = plan ~pool ?evaluator ?governor ?session ~tables ast in
       if Obs.tracing () then (
         let t0 = Obs.now_ns () in
         let result, _ = run () in
@@ -49,7 +49,7 @@ let query ?pool ?evaluator ?governor ?session ?query_log ~tables src =
 (* Sessions: persistent structure stores over one table                *)
 (* ------------------------------------------------------------------ *)
 
-let session_create ?pool table = Session.create ?pool table
+let session_create ~pool table = Session.create ~pool table
 let session_table = Session.table
 
 let session_append = Session.append_rows
@@ -218,9 +218,9 @@ let explain src = explain_ast (Parser.parse src)
    and counters under the static plan description. Everything time-valued
    prints as "%.3f ms" so tests can mask it; structure, row counts and
    counters are deterministic for a given pool size. *)
-let explain_analyze_trace ?pool ?evaluator ?governor ?session ~tables src =
+let explain_analyze_trace ~pool ?evaluator ?governor ?session ~tables src =
   let (result, _), trace =
-    observed_run ?pool ?evaluator ?governor ?session ~tables (parse src)
+    observed_run ~pool ?evaluator ?governor ?session ~tables (parse src)
   in
   (result, trace)
 

@@ -4,8 +4,9 @@
     second ORDER BY, FILTER, frame exclusion, named WINDOW clauses.
 
     {[
+      let pool = Holistic_parallel.Task_pool.create 4 in
       let result =
-        Sql.query
+        Sql.query ~pool
           ~tables:[ ("lineitem", lineitem) ]
           "select l_shipdate, \
                   percentile_disc(0.99 order by l_receiptdate - l_shipdate) over w \
@@ -27,7 +28,7 @@ module Query_stats = Holistic_window.Query_stats
     see {!Holistic_window.Query_stats}. *)
 
 val query :
-  ?pool:Holistic_parallel.Task_pool.t ->
+  pool:Holistic_parallel.Task_pool.t ->
   ?evaluator:Holistic_window.Evaluator_choice.name ->
   ?governor:Holistic_window.Mem_governor.t ->
   ?session:Session.t ->
@@ -35,7 +36,8 @@ val query :
   tables:(string * Table.t) list ->
   string ->
   Table.t
-(** Parses and executes one SELECT statement against the named tables.
+(** Parses and executes one SELECT statement against the named tables,
+    running its sorts, builds and probes on the caller's [pool].
     [evaluator] forces every window item onto one backend (strict; see
     {!Holistic_window.Window_plan.run}); [governor] bounds the
     window stage's working set — sorts spill to disk runs and index builds
@@ -48,8 +50,9 @@ val query :
     one run {!explain_analyze_trace} would make (a capture open around the
     call keeps that run's spans too).  Without a sink the statement still
     feeds the [sql.query_ns] latency histograms whenever tracing is on.
-    The library reads no environment variables here: the CLI turns
-    [HOLIWIN_MEM_LIMIT] and [HOLIWIN_QUERY_LOG] into these arguments. *)
+    The library reads no environment variables: the CLI turns
+    [HOLIWIN_DOMAINS], [HOLIWIN_MEM_LIMIT] and [HOLIWIN_QUERY_LOG] into
+    these arguments. *)
 
 (** {2 Sessions}
 
@@ -60,8 +63,10 @@ val query :
     runs) instead of discarding it; results are bit-identical to evaluating
     from scratch. See {!Holistic_window.Session}. *)
 
-val session_create : ?pool:Holistic_parallel.Task_pool.t -> Table.t -> Session.t
-(** A fresh session owning [table]; structures populate on first query. *)
+val session_create : pool:Holistic_parallel.Task_pool.t -> Table.t -> Session.t
+(** A fresh session owning [table]; structures populate on first query,
+    and maintenance runs on [pool]. It registers no gauge: the owner of
+    the process's one session calls {!Session.register_gauges}. *)
 
 val session_table : Session.t -> Table.t
 (** The session's current table (appends and evictions replace it). *)
@@ -83,7 +88,7 @@ val explain : string -> string
     and tests). *)
 
 val explain_analyze_trace :
-  ?pool:Holistic_parallel.Task_pool.t ->
+  pool:Holistic_parallel.Task_pool.t ->
   ?evaluator:Holistic_window.Evaluator_choice.name ->
   ?governor:Holistic_window.Mem_governor.t ->
   ?session:Session.t ->

@@ -43,6 +43,12 @@ let floats a = make (Floats a)
 let strings a = make (Strings a)
 let dates a = make (Dates a)
 
+let mixed () = invalid_arg "Column.of_values: mixed types"
+
+(* Raised by the Ints conversion at the first Float: the column is
+   numeric after all, and the conversion restarts as Floats. *)
+exception Promote
+
 let of_values values =
   let n = Array.length values in
   let nulls = Bitset.create n in
@@ -55,34 +61,36 @@ let of_values values =
       end)
     values;
   let first_non_null = Array.find_opt (fun v -> not (Value.is_null v)) values in
+  let floats () =
+    Floats
+      (Array.map
+         (function
+           | Value.Float x -> x
+           | Value.Int x -> float_of_int x
+           | Value.Null -> 0.0
+           | _ -> mixed ())
+         values)
+  in
   let data =
     match first_non_null with
-    | None | Some Value.Null | Some (Value.Int _) ->
-        Ints (Array.map (function Value.Int x -> x | Value.Null -> 0 | _ -> invalid_arg "Column.of_values: mixed types") values)
-    | Some (Value.Float _) ->
-        Floats
-          (Array.map
-             (function
-               | Value.Float x -> x
-               | Value.Int x -> float_of_int x
-               | Value.Null -> 0.0
-               | _ -> invalid_arg "Column.of_values: mixed types")
-             values)
+    | None | Some Value.Null | Some (Value.Int _) -> (
+        try
+          Ints
+            (Array.map
+               (function
+                 | Value.Int x -> x
+                 | Value.Null -> 0
+                 | Value.Float _ -> raise_notrace Promote
+                 | _ -> mixed ())
+               values)
+        with Promote -> floats ())
+    | Some (Value.Float _) -> floats ()
     | Some (Value.String _) ->
-        Strings
-          (Array.map
-             (function Value.String s -> s | Value.Null -> "" | _ -> invalid_arg "Column.of_values: mixed types")
-             values)
+        Strings (Array.map (function Value.String s -> s | Value.Null -> "" | _ -> mixed ()) values)
     | Some (Value.Bool _) ->
-        Bools
-          (Array.map
-             (function Value.Bool b -> b | Value.Null -> false | _ -> invalid_arg "Column.of_values: mixed types")
-             values)
+        Bools (Array.map (function Value.Bool b -> b | Value.Null -> false | _ -> mixed ()) values)
     | Some (Value.Date _) ->
-        Dates
-          (Array.map
-             (function Value.Date d -> d | Value.Null -> 0 | _ -> invalid_arg "Column.of_values: mixed types")
-             values)
+        Dates (Array.map (function Value.Date d -> d | Value.Null -> 0 | _ -> mixed ()) values)
     | Some (Value.Interval _) -> invalid_arg "Column.of_values: interval columns unsupported"
   in
   make ?nulls:(if !has_null then Some nulls else None) data
@@ -142,6 +150,16 @@ let append a b =
   | Dates x, Dates y -> make ?nulls (Dates (Array.append x y))
   | _ -> of_values (Array.init (n1 + n2) (fun i -> if i < n1 then get a i else get b (i - n1)))
 
+let dense_numbering size =
+  let table = Hashtbl.create size in
+  fun v ->
+    match Hashtbl.find_opt table v with
+    | Some id -> id
+    | None ->
+        let id = Hashtbl.length table in
+        Hashtbl.add table v id;
+        id
+
 let distinct_ids t =
   let n = length t in
   let null_id = min_int in
@@ -152,26 +170,10 @@ let distinct_ids t =
   | Dates a, Some m -> Array.init n (fun i -> if Bitset.get m i then null_id else a.(i))
   | Bools a, _ -> Array.init n (fun i -> if is_null t i then null_id else if a.(i) then 1 else 0)
   | Floats a, _ ->
-      let table = Hashtbl.create (2 * n) in
-      Array.init n (fun i ->
-          if is_null t i then null_id
-          else
-            match Hashtbl.find_opt table a.(i) with
-            | Some id -> id
-            | None ->
-                let id = Hashtbl.length table in
-                Hashtbl.add table a.(i) id;
-                id)
+      let id = dense_numbering (2 * n) in
+      Array.init n (fun i -> if is_null t i then null_id else id a.(i))
   | Strings a, _ ->
-      let table = Hashtbl.create (2 * n) in
-      Array.init n (fun i ->
-          if is_null t i then null_id
-          else
-            match Hashtbl.find_opt table a.(i) with
-            | Some id -> id
-            | None ->
-                let id = Hashtbl.length table in
-                Hashtbl.add table a.(i) id;
-                id)
+      let id = dense_numbering (2 * n) in
+      Array.init n (fun i -> if is_null t i then null_id else id a.(i))
 
 let footprint_bytes c = 8 * Obj.reachable_words (Obj.repr c)

@@ -22,8 +22,9 @@ val get : t -> int -> Value.t
 (** Boxed row access (slow path; hot paths use {!data} directly). *)
 
 val of_values : Value.t array -> t
-(** Infers the column type from the first non-NULL value.
-    @raise Invalid_argument on mixed types. *)
+(** Infers the column type from the non-NULL values: the first one's type,
+    except that Ints and Floats in any order make a Floats column.
+    @raise Invalid_argument on any other mix of types. *)
 
 val ints : int array -> t
 val floats : float array -> t
@@ -42,6 +43,13 @@ val append : t -> t -> t
 (** [append a b] concatenates two columns (the session-layer append path).
     Same-typed payloads blit; an Int/Float mix follows {!of_values}'s
     numeric promotion. @raise Invalid_argument on incompatible types. *)
+
+val dense_numbering : int -> 'a -> int
+(** [dense_numbering size] is a fresh numbering that maps each value to
+    its first-appearance index among the distinct values it has seen: 0,
+    1, 2, ... Values compare with polymorphic equality, so NULLs group
+    together and [nan] equals [nan]. [size] is the initial hash table
+    size. *)
 
 val distinct_ids : t -> int array
 (** Dense integer equality keys: two rows receive the same id iff their

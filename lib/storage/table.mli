@@ -24,8 +24,6 @@ val append : t -> t -> t
     must have the same column names in the same order.
     @raise Invalid_argument otherwise. *)
 
-val row_values : t -> int -> Value.t list
-
 val print : ?max_rows:int -> ?out:out_channel -> t -> unit
 (** Debug/CLI pretty printer. *)
 

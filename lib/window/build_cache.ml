@@ -132,7 +132,7 @@ type t = {
   prev_arrays : (Expr.t * qual, int array) guarded;
   distinct_trees : (string * Expr.t * qual * int, Mstw.t) guarded;
   annotated_trees : (string * Expr.t * qual * int, Sum_count_mst.t) guarded;
-  seg_trees : (string * seg_class * Expr.t * qual, seg_tree) guarded;
+  seg_trees : (seg_class * Expr.t * qual, seg_tree) guarded;
 }
 
 let create ?counters () =
@@ -255,30 +255,29 @@ let peers t ~order build = memo ~kind:"peers" ~bytes:peers_bytes t t.peers order
 
 (* Structure keys carry the evaluator that built them ([algo], the
    [Evaluator_choice.to_string] spelling): two items share a tree only when
-   the planner resolved them to the same backend.  Defaults name the
-   backend that historically owned each structure, so pre-cost-model call
-   sites key identically to before. *)
-let count_tree t ?(algo = "mst") ?maintain ~cls ~order ~qual ~sample build =
+   the planner resolved them to the same backend.  Segment trees have one
+   backend, so their keys carry none. *)
+let count_tree t ~algo ?maintain ~cls ~order ~qual ~sample build =
   let kind = match cls with Rank_codes -> "mst.rank" | Row_codes -> "mst.row" | Select_perm -> "mst.select" in
   memo_tree ~kind ~bytes:Mstw.footprint_bytes ?maintain t t.count_trees (algo, cls, order, qual, sample) build
 
-let range_tree t ?(algo = "mst") ~order ~qual ~sample build =
+let range_tree t ~algo ~order ~qual ~sample build =
   memo_tree ~kind:"range_tree" ~bytes:Range_tree.footprint_bytes t t.range_trees
     (algo, order, qual, sample) build
 
 let arg_ids t ~arg ~qual build = memo ~kind:"arg_ids" ~bytes:int_array_bytes t t.arg_ids (arg, qual) build
 let prev_array t ~arg ~qual build = memo ~kind:"prev" ~bytes:int_array_bytes t t.prev_arrays (arg, qual) build
 
-let distinct_tree t ?(algo = "mst") ?maintain ~arg ~qual ~sample build =
+let distinct_tree t ~algo ?maintain ~arg ~qual ~sample build =
   memo_tree ~kind:"mst.distinct" ~bytes:Mstw.footprint_bytes ?maintain t t.distinct_trees
     (algo, arg, qual, sample) build
 
-let annotated_tree t ?(algo = "mst") ~arg ~qual ~sample build =
+let annotated_tree t ~algo ~arg ~qual ~sample build =
   memo_tree ~kind:"mst.annotated" ~bytes:Sum_count_mst.footprint_bytes t t.annotated_trees
     (algo, arg, qual, sample) build
 
-let seg_tree t ?(algo = "segment-tree") ~cls ~arg ~qual build =
-  memo_tree ~kind:"segment_tree" ~bytes:seg_tree_bytes t t.seg_trees (algo, cls, arg, qual) build
+let seg_tree t ~cls ~arg ~qual build =
+  memo_tree ~kind:"segment_tree" ~bytes:seg_tree_bytes t t.seg_trees (cls, arg, qual) build
 
 let footprint_bytes t =
   let sum bytes g =

@@ -133,12 +133,11 @@ val advance : t -> unit
     the build span); [None] — or no callback — falls back to the build
     thunk (provenance [rebuilt(stale)]).
 
-    Tree keys additionally carry [algo] — the {!Evaluator_choice.to_string}
-    spelling of the backend the structure was resolved to — so items the
-    planner sent to different backends never alias each other's trees.
-    The defaults name the backend that historically owned each structure
-    ("mst" for the MST family, "segment-tree" for segment trees), keeping
-    pre-cost-model call sites on identical keys. *)
+    MST-family tree keys additionally carry [algo] — the
+    {!Evaluator_choice.to_string} spelling of the backend the structure
+    was resolved to — so items the planner sent to different backends
+    never alias each other's trees.  Segment trees have one backend and
+    no [algo]. *)
 
 val encode :
   t ->
@@ -153,27 +152,27 @@ val peers :
   t -> order:Sort_spec.t -> (unit -> int array * int array) -> int array * int array
 
 val count_tree :
-  t -> ?algo:string -> ?maintain:(Mstw.t -> (Mstw.t * string) option) ->
+  t -> algo:string -> ?maintain:(Mstw.t -> (Mstw.t * string) option) ->
   cls:codes_class -> order:Sort_spec.t -> qual:qual -> sample:int ->
   (unit -> Mstw.t) -> Mstw.t
 
 val range_tree :
-  t -> ?algo:string -> order:Sort_spec.t -> qual:qual -> sample:int ->
+  t -> algo:string -> order:Sort_spec.t -> qual:qual -> sample:int ->
   (unit -> Range_tree.t) -> Range_tree.t
 
 val arg_ids : t -> arg:Expr.t -> qual:qual -> (unit -> int array) -> int array
 val prev_array : t -> arg:Expr.t -> qual:qual -> (unit -> int array) -> int array
 
 val distinct_tree :
-  t -> ?algo:string -> ?maintain:(Mstw.t -> (Mstw.t * string) option) ->
+  t -> algo:string -> ?maintain:(Mstw.t -> (Mstw.t * string) option) ->
   arg:Expr.t -> qual:qual -> sample:int -> (unit -> Mstw.t) -> Mstw.t
 
 val annotated_tree :
-  t -> ?algo:string -> arg:Expr.t -> qual:qual -> sample:int ->
+  t -> algo:string -> arg:Expr.t -> qual:qual -> sample:int ->
   (unit -> Sum_count_mst.t) -> Sum_count_mst.t
 
 val seg_tree :
-  t -> ?algo:string -> cls:seg_class -> arg:Expr.t -> qual:qual -> (unit -> seg_tree) -> seg_tree
+  t -> cls:seg_class -> arg:Expr.t -> qual:qual -> (unit -> seg_tree) -> seg_tree
 
 val footprint_bytes : t -> int
 (** Total bytes held by every structure currently cached — the sum of the

@@ -58,9 +58,6 @@ val legacy_default : Evaluator_choice.func_class -> holed:bool -> Evaluator_choi
 (** The pre-cost-model pick: segment tree for plain aggregates,
     incremental (naive when holed) for MODE, MST for everything else. *)
 
-val auto_candidates : Evaluator_choice.name list
-(** Backends Auto may pick (the serial/no-cascade variants are forced-only). *)
-
 type decision = {
   chosen : Evaluator_choice.name;
   default : Evaluator_choice.name;

@@ -52,7 +52,5 @@ val supports : name -> func_class -> holed:bool -> bool
     frame has exclusion holes, which rules out the incrementally-driven
     backends. *)
 
-val supported_names : func_class -> holed:bool -> name list
-
 val unsupported_message : name -> func_class -> holed:bool -> string
 (** Error text for rejecting a forced (backend, class) pair. *)

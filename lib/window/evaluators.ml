@@ -209,15 +209,8 @@ type arg_access = {
 
 let generic_ids value_at rm =
   let m = Remap.filtered_count rm in
-  let table = Hashtbl.create (2 * m) in
-  Array.init m (fun i ->
-      let v = value_at (Remap.position rm i) in
-      match Hashtbl.find_opt table v with
-      | Some id -> id
-      | None ->
-          let id = Hashtbl.length table in
-          Hashtbl.add table v id;
-          id)
+  let id = Column.dense_numbering (2 * m) in
+  Array.init m (fun i -> id (value_at (Remap.position rm i)))
 
 let arg_access ctx e =
   let fallback () =
@@ -253,18 +246,7 @@ let arg_access ctx e =
           {
             value_at;
             float_at = (fun r -> a.(ctx.rows.(r)));
-            ids_filtered =
-              (fun rm ->
-                let m = Remap.filtered_count rm in
-                let table = Hashtbl.create (2 * m) in
-                Array.init m (fun i ->
-                    let v = a.(ctx.rows.(Remap.position rm i)) in
-                    match Hashtbl.find_opt table v with
-                    | Some id -> id
-                    | None ->
-                        let id = Hashtbl.length table in
-                        Hashtbl.add table v id;
-                        id));
+            ids_filtered = generic_ids (fun r -> a.(ctx.rows.(r)));
           }
       | Column.Strings _ | Column.Bools _ ->
           {

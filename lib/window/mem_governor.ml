@@ -101,15 +101,6 @@ let stream_builds g ~bytes =
   | Always_spill -> true
   | Auto -> ( match g.g_budget with None -> false | Some b -> g.g_live + bytes > b)
 
-let pick_spills ~candidates ~need =
-  let sorted = List.stable_sort (fun (_, a) (_, b) -> Int.compare b a) candidates in
-  let rec go freed acc = function
-    | [] -> List.rev acc
-    | (name, bytes) :: rest ->
-        if freed >= need then List.rev acc else go (freed + bytes) (name :: acc) rest
-  in
-  go 0 [] sorted
-
 let spill_dir g =
   match g.g_spill_dir with
   | Some d -> d

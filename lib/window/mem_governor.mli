@@ -64,11 +64,6 @@ val stream_builds : t -> bytes:int -> bool
     [Mst_*.create_stream]). True under [Always_spill], or when charging
     [bytes] would exceed the budget. *)
 
-val pick_spills : candidates:(string * int) list -> need:int -> string list
-(** Pure eviction policy: given [(name, bytes)] candidates, returns the
-    names to spill, largest first, until at least [need] bytes are
-    freed (or the candidates run out). *)
-
 (** {2 Spill files} *)
 
 val spill_dir : t -> string

@@ -20,9 +20,6 @@
 
 open Holistic_storage
 
-val schema_version : string
-(** ["holiwin-qlog/1"]. *)
-
 type t = {
   seq : int;  (** per-sink record number, assigned by {!Log.append} *)
   unix_ms : int;  (** wall-clock stamp, milliseconds since the epoch *)

@@ -22,17 +22,7 @@ module Parallel_sort = Holistic_sort.Parallel_sort
    stdlib [Hashtbl] compares with polymorphic equality, which preserves the
    SQL-ish grouping of the old row-key path (NULLs group together, [nan]
    equals [nan]). *)
-let densify_ints a =
-  let tbl = Hashtbl.create 256 in
-  Array.map
-    (fun v ->
-      match Hashtbl.find_opt tbl v with
-      | Some id -> id
-      | None ->
-          let id = Hashtbl.length tbl in
-          Hashtbl.add tbl v id;
-          id)
-    a
+let densify a = Array.map (Column.dense_numbering 256) a
 
 let partition_ids pool table exprs =
   let n = Table.nrows table in
@@ -53,16 +43,7 @@ let partition_ids pool table exprs =
                 for i = lo to hi - 1 do
                   Array.unsafe_set vals i (f i)
                 done);
-            let tbl = Hashtbl.create 256 in
-            Array.map
-              (fun v ->
-                match Hashtbl.find_opt tbl v with
-                | Some id -> id
-                | None ->
-                    let id = Hashtbl.length tbl in
-                    Hashtbl.add tbl v id;
-                    id)
-              vals
+            densify vals
       in
       let ids =
         match List.map key_of_expr exprs with
@@ -73,7 +54,7 @@ let partition_ids pool table exprs =
                collision-free and stays well inside 63-bit range *)
             List.fold_left
               (fun acc k ->
-                let a = densify_ints acc and b = densify_ints k in
+                let a = densify acc and b = densify k in
                 Array.init n (fun i -> (a.(i) * n) + b.(i)))
               k rest
       in
@@ -248,9 +229,9 @@ let entry_bytes e =
 
 let footprint_bytes s = Hashtbl.fold (fun _ e acc -> acc + entry_bytes e) s.entries 0
 
-(* The session.* gauges follow the most recently created session (the
-   callbacks are re-pointed by each [create]); the CLI and the serving
-   story both run one session per process. *)
+(* Gauges are process-wide and last-registration-wins, so only the owner
+   of the process's one session (the CLI) calls this; [create] never
+   does. *)
 let register_gauges s =
   let reg name help read = ignore (Obs.Gauge.register ~help name read) in
   reg "session.rows" "Rows currently in the session table" (fun () -> Table.nrows s.table);
@@ -267,23 +248,18 @@ let register_gauges s =
   reg "session.parts_rebuilt" "Stage partitions built from scratch since session creation"
     (fun () -> s.tally_rebuilt)
 
-let create ?pool table =
-  let pool = match pool with Some p -> p | None -> Task_pool.default () in
-  let s =
-    {
-      table;
-      epoch = 0;
-      pool;
-      counters = Build_cache.fresh_counters ();
-      pids = Hashtbl.create 8;
-      entries = Hashtbl.create 8;
-      tally_reused = 0;
-      tally_extended = 0;
-      tally_rebuilt = 0;
-    }
-  in
-  register_gauges s;
-  s
+let create ~pool table =
+  {
+    table;
+    epoch = 0;
+    pool;
+    counters = Build_cache.fresh_counters ();
+    pids = Hashtbl.create 8;
+    entries = Hashtbl.create 8;
+    tally_reused = 0;
+    tally_extended = 0;
+    tally_rebuilt = 0;
+  }
 
 let table s = s.table
 let epoch s = s.epoch

@@ -79,9 +79,9 @@ type part = {
 
 type t
 
-val create : ?pool:Task_pool.t -> Table.t -> t
-(** A session over [table]. [pool] (default {!Task_pool.default}) runs
-    maintenance-time sorts and partition-key passes. *)
+val create : pool:Task_pool.t -> Table.t -> t
+(** A session over [table]. [pool] runs maintenance-time sorts and
+    partition-key passes. Registers no gauge: see {!register_gauges}. *)
 
 val table : t -> Table.t
 (** The session's current table — pass exactly this to the plan. *)
@@ -143,10 +143,7 @@ val footprint_bytes : t -> int
 (** {2 Introspection}
 
     What the store is holding and how much maintenance has been saving,
-    for [holiwin session stats] and the [session.*] gauges.  [create]
-    registers gauges ([session.rows], [session.bytes], [session.epoch],
-    [session.keys], [session.parts_reused]/[_extended]/[_rebuilt]) whose
-    callbacks follow the most recently created session. *)
+    for [holiwin session stats] and the [session.*] gauges. *)
 
 type key_stats = {
   partition_by : string;  (** rendered PARTITION BY list, [""] when none *)
@@ -175,3 +172,10 @@ val stats : t -> stats
 val render_stats : stats -> string
 (** Human-readable multi-line rendering (deterministic apart from the
     byte counts' magnitude formatting). *)
+
+val register_gauges : t -> unit
+(** Point the process-wide [session.*] gauges ([session.rows],
+    [session.bytes], [session.epoch], [session.keys],
+    [session.parts_reused]/[_extended]/[_rebuilt]) at this session.
+    Gauges are last-registration-wins, so call it only from the owner of
+    the process's one session; {!create} never does. *)

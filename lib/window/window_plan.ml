@@ -288,8 +288,7 @@ let resolve_item ~evaluator ~sunk ~(model : Cost_model.constants) ~rows_avg ~npa
 
 let exprs_to_string exprs = String.concat ", " (List.map Expr.to_string exprs)
 
-let order_permutation ?pool table ~over =
-  let pool = match pool with Some p -> p | None -> Task_pool.default () in
+let order_permutation ~pool table ~over =
   let pids = partition_ids pool table over.Window_spec.partition_by in
   let perm, boundaries, _ = full_sort pool table ~pids ~order:over.Window_spec.order_by in
   (perm, boundaries)
@@ -297,9 +296,8 @@ let order_permutation ?pool table ~over =
 (* [governor] is owned by the caller (spill directory included); without
    one the plan is the exact historical in-memory plan, with identical
    spans and goldens. *)
-let run_with_stats ?pool ?(fanout = 32) ?(sample = 32)
+let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
     ?(task_size = Task_pool.default_task_size) ?evaluator ?governor:gov ?session table clauses =
-  let pool = match pool with Some p -> p | None -> Task_pool.default () in
   let n = Table.nrows table in
   (* a session only applies to queries over exactly its table — a plan over
      any other table (e.g. a WHERE-filtered copy) runs stateless *)
@@ -672,5 +670,5 @@ let run_with_stats ?pool ?(fanout = 32) ?(sample = 32)
       tree_builds = Build_cache.tree_build_count counters - tree_builds0;
     } )
 
-let run ?pool ?fanout ?sample ?task_size ?evaluator ?governor ?session table clauses =
-  fst (run_with_stats ?pool ?fanout ?sample ?task_size ?evaluator ?governor ?session table clauses)
+let run ~pool ?fanout ?sample ?task_size ?evaluator ?governor ?session table clauses =
+  fst (run_with_stats ~pool ?fanout ?sample ?task_size ?evaluator ?governor ?session table clauses)

@@ -57,7 +57,7 @@ type stats = {
 }
 
 val run :
-  ?pool:Holistic_parallel.Task_pool.t ->
+  pool:Holistic_parallel.Task_pool.t ->
   ?fanout:int ->
   ?sample:int ->
   ?task_size:int ->
@@ -70,7 +70,8 @@ val run :
 (** [run table clauses] evaluates every item of every clause and returns the
     input table extended with one column per item (named by the item), in
     the original row order. A single OVER clause is the one-element list
-    [[ { spec = over; items } ]]. [fanout]/[sample] are the merge-sort-tree
+    [[ { spec = over; items } ]]. Sorts, builds and partition morsels run
+    on [pool], which the caller owns. [fanout]/[sample] are the merge-sort-tree
     parameters (default 32/32, §6.6); [task_size] the morsel size (default
     {!Holistic_parallel.Task_pool.default_task_size}, §5.5). Merge sort
     trees use the narrowest storage width the partition's rank encoding
@@ -107,7 +108,7 @@ val run :
     rows)] / [rebuilt(reason)] / [reused(outputs)]). *)
 
 val run_with_stats :
-  ?pool:Holistic_parallel.Task_pool.t ->
+  pool:Holistic_parallel.Task_pool.t ->
   ?fanout:int ->
   ?sample:int ->
   ?task_size:int ->
@@ -122,6 +123,6 @@ val run_with_stats :
     inputs — never of the pool's domain count. *)
 
 val order_permutation :
-  ?pool:Holistic_parallel.Task_pool.t -> Table.t -> over:Window_spec.t -> int array * int array
+  pool:Holistic_parallel.Task_pool.t -> Table.t -> over:Window_spec.t -> int array * int array
 (** The sorted row permutation and partition boundary offsets for one spec
     (boundaries has one extra trailing entry equal to the row count). *)

@@ -49,7 +49,7 @@ let tree_case =
 let count_matches_oracle =
   QCheck.Test.make ~name:"Mst.count matches linear scan" ~count:300 tree_case (fun (a, f, k) ->
       let n = Array.length a in
-      let t = Mst.create ~fanout:f ~sample:k a in
+      let t = Mst.create ~pool:Shared_pool.pool ~fanout:f ~sample:k a in
       let rng = Rng.create (n + f + k) in
       let ok = ref true in
       for _ = 1 to 30 do
@@ -63,7 +63,7 @@ let select_matches_oracle =
   QCheck.Test.make ~name:"Mst.select matches linear scan" ~count:300 tree_case (fun (a, f, k) ->
       let n = Array.length a in
       QCheck.assume (n > 0);
-      let t = Mst.create ~fanout:f ~sample:k a in
+      let t = Mst.create ~pool:Shared_pool.pool ~fanout:f ~sample:k a in
       let rng = Rng.create (n + (3 * f) + k) in
       let ok = ref true in
       for _ = 1 to 20 do
@@ -92,22 +92,22 @@ let select_matches_oracle =
       !ok)
 
 let test_select_out_of_bounds () =
-  let t = Mst.create [| 1; 2; 3 |] in
+  let t = Mst.create ~pool:Shared_pool.pool [| 1; 2; 3 |] in
   Alcotest.check_raises "nth too large"
     (Invalid_argument "Mst.select: nth=3 out of bounds (3 qualifying)") (fun () ->
       ignore (Mst.select t ~ranges:[| (0, 10) |] ~nth:3))
 
 let test_empty_and_singleton () =
-  let empty = Mst.create [||] in
+  let empty = Mst.create ~pool:Shared_pool.pool [||] in
   Alcotest.(check int) "count on empty" 0 (Mst.count empty ~lo:0 ~hi:10 ~less_than:5);
-  let one = Mst.create [| 7 |] in
+  let one = Mst.create ~pool:Shared_pool.pool [| 7 |] in
   Alcotest.(check int) "count singleton hit" 1 (Mst.count one ~lo:0 ~hi:1 ~less_than:8);
   Alcotest.(check int) "count singleton miss" 0 (Mst.count one ~lo:0 ~hi:1 ~less_than:7);
   Alcotest.(check int) "select singleton" 7 (Mst.select one ~ranges:[| (7, 8) |] ~nth:0)
 
 let test_negative_values () =
   let a = [| min_int; -5; 0; 5; max_int |] in
-  let t = Mst.create ~fanout:2 ~sample:1 a in
+  let t = Mst.create ~pool:Shared_pool.pool ~fanout:2 ~sample:1 a in
   Alcotest.(check int) "count over extremes" 2 (Mst.count t ~lo:0 ~hi:5 ~less_than:0);
   Alcotest.(check int) "select min_int" min_int
     (Mst.select t ~ranges:[| (min_int, 0) |] ~nth:0)
@@ -115,7 +115,7 @@ let test_negative_values () =
 let test_stats_and_formula () =
   let n = 1000 in
   let a = Array.init n (fun i -> i * 7 mod 100) in
-  let t = Mst.create ~fanout:4 ~sample:4 a in
+  let t = Mst.create ~pool:Shared_pool.pool ~fanout:4 ~sample:4 a in
   let s = Mst.stats t in
   (* 4^5 = 1024 >= 1000: levels 0..5 *)
   Alcotest.(check int) "level elements" (6 * n) s.Mst.level_elements;
@@ -125,16 +125,16 @@ let test_stats_and_formula () =
   Alcotest.(check int) "formula levels + cursors" ((6 * 1000) + (5 * 1000)) f
 
 let test_payload_requires_flag () =
-  let t = Mst.create [| 1; 2 |] in
+  let t = Mst.create ~pool:Shared_pool.pool [| 1; 2 |] in
   Alcotest.check_raises "payload_levels without flag"
     (Invalid_argument "Mst.payload_levels: tree was built without ~track_payload") (fun () ->
       ignore (Mst.payload_levels t))
 
 let test_bad_params () =
   Alcotest.check_raises "fanout < 2" (Invalid_argument "Mst.create: fanout must be >= 2")
-    (fun () -> ignore (Mst.create ~fanout:1 [| 1 |]));
+    (fun () -> ignore (Mst.create ~pool:Shared_pool.pool ~fanout:1 [| 1 |]));
   Alcotest.check_raises "negative sample" (Invalid_argument "Mst.create: sample must be >= 0")
-    (fun () -> ignore (Mst.create ~sample:(-1) [| 1 |]))
+    (fun () -> ignore (Mst.create ~pool:Shared_pool.pool ~sample:(-1) [| 1 |]))
 
 let test_multi_domain_build () =
   (* run-level build tasks are independent: a 3-domain pool must produce a
@@ -160,8 +160,8 @@ let m32_agrees =
     tree_case
     (fun (a, f, k) ->
       let n = Array.length a in
-      let t = Mst.create ~fanout:f ~sample:k a in
-      let c = M32.create ~fanout:f ~sample:k a in
+      let t = Mst.create ~pool:Shared_pool.pool ~fanout:f ~sample:k a in
+      let c = M32.create ~pool:Shared_pool.pool ~fanout:f ~sample:k a in
       let rng = Rng.create (n + f + (13 * k)) in
       let ok = ref (M32.length c = n) in
       for _ = 1 to 25 do
@@ -181,14 +181,14 @@ let m32_agrees =
 
 let test_m32_memory () =
   let a = Array.init 5_000 (fun i -> i * 13 mod 700) in
-  let full = (Mst.stats (Mst.create a)).Mst.heap_bytes in
+  let full = (Mst.stats (Mst.create ~pool:Shared_pool.pool a)).Mst.heap_bytes in
   Alcotest.(check int) "exactly half the footprint" full
-    (2 * M32.footprint_bytes (M32.create a))
+    (2 * M32.footprint_bytes (M32.create ~pool:Shared_pool.pool a))
 
 let test_m32_range_check () =
   Alcotest.check_raises "values too wide"
     (Invalid_argument "Mst_width.M32.create: value exceeds 32-bit storage range") (fun () ->
-      ignore (M32.create [| max_int |]))
+      ignore (M32.create ~pool:Shared_pool.pool [| max_int |]))
 
 (* ------------------------------------------------------------------ *)
 (* Prev occurrence (Algorithm 1)                                       *)
@@ -198,7 +198,7 @@ let prev_occurrence_oracle =
   QCheck.Test.make ~name:"prev-occurrence encoding matches scan" ~count:300
     QCheck.(array (int_bound 10))
     (fun a ->
-      let prev = Prev.compute a in
+      let prev = Prev.compute ~pool:Shared_pool.pool a in
       let ok = ref true in
       Array.iteri
         (fun i p ->
@@ -220,7 +220,7 @@ let distinct_frame_identity =
       let n = Array.length a in
       let lo = x mod n and hi = y mod n in
       let lo, hi = (min lo hi, max lo hi) in
-      let prev = Prev.compute a in
+      let prev = Prev.compute ~pool:Shared_pool.pool a in
       let expect =
         let s = ref IS.empty in
         for i = lo to hi do
@@ -229,7 +229,7 @@ let distinct_frame_identity =
         IS.cardinal !s
       in
       Prev.distinct_in_frame prev ~lo ~hi = expect
-      && Mst.count (Mst.create prev) ~lo ~hi:(hi + 1) ~less_than:(lo + 1) = expect)
+      && Mst.count (Mst.create ~pool:Shared_pool.pool prev) ~lo ~hi:(hi + 1) ~less_than:(lo + 1) = expect)
 
 (* ------------------------------------------------------------------ *)
 (* Annotated trees (§4.3)                                              *)
@@ -240,9 +240,9 @@ let annotated_sum_oracle =
     (fun (a, f, k) ->
       let n = Array.length a in
       QCheck.assume (n > 0);
-      let prev = Prev.compute a in
+      let prev = Prev.compute ~pool:Shared_pool.pool a in
       let values = Array.map (fun v -> float_of_int (v * 3)) a in
-      let ann = Ann.Float_sum.create ~fanout:f ~sample:k ~keys:prev ~values () in
+      let ann = Ann.Float_sum.create ~pool:Shared_pool.pool ~fanout:f ~sample:k ~keys:prev ~values () in
       let rng = Rng.create (n + f) in
       let ok = ref true in
       for _ = 1 to 20 do
@@ -280,8 +280,8 @@ let annotated_generic_monoid =
     QCheck.(array_of_size QCheck.Gen.(int_range 1 80) (int_bound 6))
     (fun a ->
       let n = Array.length a in
-      let prev = Prev.compute a in
-      let tree = Max_tree.create ~fanout:3 ~sample:2 ~keys:prev ~value:(fun i -> Some a.(i)) () in
+      let prev = Prev.compute ~pool:Shared_pool.pool a in
+      let tree = Max_tree.create ~pool:Shared_pool.pool ~fanout:3 ~sample:2 ~keys:prev ~value:(fun i -> Some a.(i)) () in
       let ok = ref true in
       for lo = 0 to n - 1 do
         let hi = n in
@@ -375,7 +375,7 @@ let range_tree_oracle =
     (fun (a, f, k) ->
       let n = Array.length a in
       QCheck.assume (n > 0);
-      let rt = Range_tree.create ~fanout:f ~sample:k a in
+      let rt = Range_tree.create ~pool:Shared_pool.pool ~fanout:f ~sample:k a in
       let rng = Rng.create (n + f + (7 * k)) in
       let ok = ref true in
       for _ = 1 to 15 do
@@ -394,7 +394,7 @@ let range_tree_oracle =
       !ok)
 
 let test_range_tree_stats () =
-  let rt = Range_tree.create ~fanout:4 ~sample:4 (Array.init 100 (fun i -> i mod 7)) in
+  let rt = Range_tree.create ~pool:Shared_pool.pool ~fanout:4 ~sample:4 (Array.init 100 (fun i -> i mod 7)) in
   Alcotest.(check bool) "positive memory" true (Range_tree.stats_bytes rt > 0);
   Alcotest.(check int) "length" 100 (Range_tree.length rt)
 

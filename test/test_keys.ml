@@ -272,7 +272,7 @@ let test_window_boundaries () =
       ~order_by:[ Sort_spec.desc (Expr.Col "f"); Sort_spec.asc (Expr.Col "s") ]
       ()
   in
-  let perm, boundaries = Window_plan.order_permutation table ~over in
+  let perm, boundaries = Window_plan.order_permutation ~pool:Shared_pool.pool table ~over in
   let nb = Array.length boundaries in
   Alcotest.(check int) "boundaries start" 0 boundaries.(0);
   Alcotest.(check int) "boundaries end" n boundaries.(nb - 1);

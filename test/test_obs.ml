@@ -738,7 +738,7 @@ let test_query_log_in_outer_capture () =
   let sink = Sql.Query_stats.Log.open_ path in
   let (), tr =
     Obs.with_capture (fun () ->
-        Obs.span "outer" (fun () -> ignore (Sql.query ~query_log:sink ~tables:[ ("t", table ()) ] q1)))
+        Obs.span "outer" (fun () -> ignore (Sql.query ~pool:Shared_pool.pool ~query_log:sink ~tables:[ ("t", table ()) ] q1)))
   in
   Sql.Query_stats.Log.close sink;
   Sys.remove path;

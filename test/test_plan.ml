@@ -48,10 +48,10 @@ let nparts table =
 
 (* plan over all clauses vs one single-clause plan per clause *)
 let check_parity table (clauses : Window_plan.clause list) =
-  let planned = Window_plan.run table clauses in
+  let planned = Window_plan.run ~pool:Shared_pool.pool table clauses in
   List.iter
     (fun (c : Window_plan.clause) ->
-      let solo = Window_plan.run table [ c ] in
+      let solo = Window_plan.run ~pool:Shared_pool.pool table [ c ] in
       List.iter
         (fun (item : Wf.t) ->
           let pc = Table.column planned item.name and sc = Table.column solo item.name in
@@ -135,14 +135,14 @@ let test_parity_sql_query () =
   let rng = Rng.create 21 in
   let table = make_table rng 300 in
   let got =
-    Sql.query ~tables:[ ("t", table) ]
+    Sql.query ~pool:Shared_pool.pool ~tables:[ ("t", table) ]
       "select rank() over w as r,\n\
       \       sum(x) over (partition by grp order by ts rows between 5 preceding and current row) as s,\n\
       \       row_number() over (partition by grp order by ts, k) as rn\n\
        from t window w as (partition by grp order by ts)"
   in
   let expect_r =
-    Window_plan.run table
+    Window_plan.run ~pool:Shared_pool.pool table
       [
         {
           Window_plan.spec = Window_spec.over ~partition_by:[ grp ] ~order_by:by_ts ();
@@ -151,7 +151,7 @@ let test_parity_sql_query () =
       ]
   in
   let expect_s =
-    Window_plan.run table
+    Window_plan.run ~pool:Shared_pool.pool table
       [
         {
           Window_plan.spec =
@@ -161,7 +161,7 @@ let test_parity_sql_query () =
       ]
   in
   let expect_rn =
-    Window_plan.run table
+    Window_plan.run ~pool:Shared_pool.pool table
       [
         {
           Window_plan.spec = Window_spec.over ~partition_by:[ grp ] ~order_by:by_ts_k ();
@@ -195,7 +195,7 @@ let test_tree_builds_drop_to_one () =
   let clauses =
     [ clause None "r_a"; clause (Some (rows_back 3)) "r_b"; clause (Some (rows_back 7)) "r_c" ]
   in
-  let _, stats = Window_plan.run_with_stats table clauses in
+  let _, stats = Window_plan.run_with_stats ~pool:Shared_pool.pool table clauses in
   Alcotest.(check int) "one stage" 1 stats.Window_plan.stages;
   Alcotest.(check int) "one partition pass" 1 stats.Window_plan.partition_passes;
   Alcotest.(check int) "one full sort" 1 stats.Window_plan.full_sorts;
@@ -208,7 +208,7 @@ let test_tree_builds_drop_to_one () =
   let solo_trees =
     List.fold_left
       (fun acc (c : Window_plan.clause) ->
-        let _, s = Window_plan.run_with_stats table [ c ] in
+        let _, s = Window_plan.run_with_stats ~pool:Shared_pool.pool table [ c ] in
         acc + s.Window_plan.tree_builds)
       0 clauses
   in
@@ -235,7 +235,7 @@ let test_one_encode_for_named_window () =
       };
     ]
   in
-  let _, stats = Window_plan.run_with_stats table clauses in
+  let _, stats = Window_plan.run_with_stats ~pool:Shared_pool.pool table clauses in
   Alcotest.(check int) "2 encodes per partition" (2 * np) stats.Window_plan.encode_builds;
   Alcotest.(check int) "2 trees per partition" (2 * np) stats.Window_plan.tree_builds;
   check_parity table clauses
@@ -259,7 +259,7 @@ let test_partial_sort_stats () =
       };
     ]
   in
-  let _, stats = Window_plan.run_with_stats table clauses in
+  let _, stats = Window_plan.run_with_stats ~pool:Shared_pool.pool table clauses in
   (* [ts] is a prefix of [ts, k]: both live in the (ts, k) stage; [x desc]
      re-sorts within the inherited partition boundaries *)
   Alcotest.(check int) "two stages" 2 stats.Window_plan.stages;
@@ -279,17 +279,17 @@ let test_build_cache_unit () =
   let builds = ref 0 in
   let build () =
     incr builds;
-    Holistic_core.Mst_width.create [| 0; 1; 0; 2 |]
+    Holistic_core.Mst_width.create ~pool:Shared_pool.pool [| 0; 1; 0; 2 |]
   in
   let qual = Build_cache.unfiltered in
-  let t1 = Build_cache.count_tree cache ~cls:Build_cache.Rank_codes ~order:by_ts ~qual ~sample:32 build in
-  let t2 = Build_cache.count_tree cache ~cls:Build_cache.Rank_codes ~order:by_ts ~qual ~sample:32 build in
+  let t1 = Build_cache.count_tree cache ~algo:"mst" ~cls:Build_cache.Rank_codes ~order:by_ts ~qual ~sample:32 build in
+  let t2 = Build_cache.count_tree cache ~algo:"mst" ~cls:Build_cache.Rank_codes ~order:by_ts ~qual ~sample:32 build in
   Alcotest.(check int) "second lookup hits" 1 !builds;
   Alcotest.(check bool) "same tree shared" true (t1 == t2);
   (* distinct class, order or sample each miss *)
-  ignore (Build_cache.count_tree cache ~cls:Build_cache.Row_codes ~order:by_ts ~qual ~sample:32 build);
-  ignore (Build_cache.count_tree cache ~cls:Build_cache.Rank_codes ~order:by_ts_k ~qual ~sample:32 build);
-  ignore (Build_cache.count_tree cache ~cls:Build_cache.Rank_codes ~order:by_ts ~qual ~sample:0 build);
+  ignore (Build_cache.count_tree cache ~algo:"mst" ~cls:Build_cache.Row_codes ~order:by_ts ~qual ~sample:32 build);
+  ignore (Build_cache.count_tree cache ~algo:"mst" ~cls:Build_cache.Rank_codes ~order:by_ts_k ~qual ~sample:32 build);
+  ignore (Build_cache.count_tree cache ~algo:"mst" ~cls:Build_cache.Rank_codes ~order:by_ts ~qual ~sample:0 build);
   Alcotest.(check int) "three more builds" 4 !builds;
   Alcotest.(check int) "counter tracks tree builds" 4 (Build_cache.tree_build_count counters);
   let encodes = ref 0 in
@@ -320,7 +320,7 @@ let test_first_appearance_error_order () =
     { Window_plan.spec; items = [ Wf.rank ~algorithm:Wf.Incremental ~name:"br" [] ] }
   in
   let message clauses =
-    match Window_plan.run table clauses with
+    match Window_plan.run ~pool:Shared_pool.pool table clauses with
     | exception Invalid_argument m -> m
     | _ -> Alcotest.fail "expected Invalid_argument"
   in
@@ -347,7 +347,7 @@ let test_explicit_algorithm_strict () =
   let table = make_table rng 50 in
   let spec = Window_spec.over ~partition_by:[ grp ] ~order_by:by_ts () in
   match
-    Window_plan.run table
+    Window_plan.run ~pool:Shared_pool.pool table
       [ { Window_plan.spec; items = [ Wf.sum ~algorithm:Wf.Mst ~name:"s" x ] } ]
   with
   | exception Invalid_argument m ->
@@ -371,7 +371,7 @@ let test_repeated_runs_identical () =
     ]
   in
   let run () =
-    let t = Window_plan.run table clauses in
+    let t = Window_plan.run ~pool:Shared_pool.pool table clauses in
     List.map
       (fun name ->
         let c = Table.column t name in

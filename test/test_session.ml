@@ -445,19 +445,19 @@ let test_foreign_table () =
    provenance tags. *)
 let test_sql_session () =
   let module Sql = Holistic_sql.Sql in
-  let session = Sql.session_create (directed_table 512) in
+  let session = Sql.session_create ~pool:Shared_pool.pool (directed_table 512) in
   let q =
     "select g, k, rank() over w as r, median(v) over w as m from t \
      window w as (partition by g order by k rows between 20 preceding and current row)"
   in
   let tables () = [ ("t", Sql.session_table session) ] in
-  let oracle () = Sql.query ~tables:(tables ()) q in
-  let via_session () = Sql.query ~session ~tables:(tables ()) q in
+  let oracle () = Sql.query ~pool:Shared_pool.pool ~tables:(tables ()) q in
+  let via_session () = Sql.query ~pool:Shared_pool.pool ~session ~tables:(tables ()) q in
   check_identical ~ctx:(fun () -> "sql first") (oracle ()) (via_session ());
   Sql.session_append session (directed_delta ~base:512 64);
   Alcotest.(check int) "rows appended" 576 (Table.nrows (Sql.session_table session));
   check_identical ~ctx:(fun () -> "sql after append") (oracle ()) (via_session ());
-  let report = Sql.render_analyze q (Sql.explain_analyze_trace ~session ~tables:(tables ()) q) in
+  let report = Sql.render_analyze q (Sql.explain_analyze_trace ~pool:Shared_pool.pool ~session ~tables:(tables ()) q) in
   let contains sub =
     let n = String.length report and m = String.length sub in
     let rec go i = i + m <= n && (String.sub report i m = sub || go (i + 1)) in

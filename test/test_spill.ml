@@ -398,19 +398,6 @@ let test_governor_stream_builds () =
   Alcotest.(check bool) "fits in budget" false (Mem_governor.stream_builds g ~bytes:300);
   Alcotest.(check bool) "overruns budget" true (Mem_governor.stream_builds g ~bytes:500)
 
-let test_governor_pick_spills () =
-  let candidates = [ ("small", 10); ("big", 50); ("mid", 30) ] in
-  Alcotest.(check (list string))
-    "largest first" [ "big"; "mid" ]
-    (Mem_governor.pick_spills ~candidates ~need:60);
-  Alcotest.(check (list string))
-    "one suffices" [ "big" ]
-    (Mem_governor.pick_spills ~candidates ~need:5);
-  Alcotest.(check (list string))
-    "all if starved" [ "big"; "mid"; "small" ]
-    (Mem_governor.pick_spills ~candidates ~need:1000);
-  Alcotest.(check (list string)) "none for zero" [] (Mem_governor.pick_spills ~candidates ~need:0)
-
 let test_governor_parse_limit () =
   let check_parse s expected_budget expected_policy =
     let budget, policy = Mem_governor.parse_limit s in
@@ -484,7 +471,7 @@ let test_mst_stream_identity () =
       let a = Array.init n (fun _ -> Rng.int rng (max hi 1)) in
       let mn = min 0 (Array.fold_left min 0 a) in
       let mx = max 0 (Array.fold_left max 0 a) in
-      let t_mem = Mstw.create ~fanout ~sample ~choice a in
+      let t_mem = Mstw.create ~pool:Shared_pool.pool ~fanout ~sample ~choice a in
       let t_str =
         Mstw.create_stream ~fanout ~sample ~choice ~n ~min_value:mn ~max_value:mx
           ~fill:(fill_of a) ()
@@ -507,7 +494,7 @@ let test_mst_stream_64 () =
   let rng = Rng.create 43 in
   let n = 3000 in
   let a = Array.init n (fun _ -> Rng.int_in rng (-1_000_000) 1_000_000) in
-  let t_mem = Mst.create ~fanout:8 ~sample:8 a in
+  let t_mem = Mst.create ~pool:Shared_pool.pool ~fanout:8 ~sample:8 a in
   let t_str = Mst.create_stream ~fanout:8 ~sample:8 ~n ~fill:(fill_of a) () in
   for _ = 1 to 300 do
     let lo = Rng.int rng (n + 1) in
@@ -708,7 +695,6 @@ let () =
           Alcotest.test_case "charge/release/peak" `Quick test_governor_accounting;
           Alcotest.test_case "plan_sort decisions" `Quick test_governor_plan_sort;
           Alcotest.test_case "stream_builds decisions" `Quick test_governor_stream_builds;
-          Alcotest.test_case "pick_spills largest-first" `Quick test_governor_pick_spills;
           Alcotest.test_case "parse_limit" `Quick test_governor_parse_limit;
           Alcotest.test_case "spill dir lifecycle" `Quick test_governor_spill_dir;
         ] );

@@ -231,7 +231,7 @@ let col_strings t name =
 
 let test_sql_median_matches_api () =
   let via_sql =
-    Sql.query ~tables
+    Sql.query ~pool:Shared_pool.pool ~tables
       "select median(x) over (order by t rows between 2 preceding and current row) as m from tbl"
   in
   let over =
@@ -241,13 +241,13 @@ let test_sql_median_matches_api () =
       ()
   in
   let via_api =
-    Window_plan.run table [ { Window_plan.spec = over; items = [ Wf.median ~name:"m" (Expr.Col "x") ] } ]
+    Window_plan.run ~pool:Shared_pool.pool table [ { Window_plan.spec = over; items = [ Wf.median ~name:"m" (Expr.Col "x") ] } ]
   in
   Alcotest.(check (list string)) "same medians" (col_strings via_api "m") (col_strings via_sql "m")
 
 let test_sql_partition_and_named_window () =
   let r =
-    Sql.query ~tables
+    Sql.query ~pool:Shared_pool.pool ~tables
       "select t, rank(order by x desc) over w as r from tbl \
        window w as (partition by g order by t rows between unbounded preceding and current row) \
        order by t"
@@ -258,7 +258,7 @@ let test_sql_partition_and_named_window () =
 
 let test_sql_where_filter_limit () =
   let r =
-    Sql.query ~tables
+    Sql.query ~pool:Shared_pool.pool ~tables
       "select t, count(*) over (order by t) as c from tbl where x > 2 order by t desc limit 2"
   in
   Alcotest.(check (list string)) "t desc limited" [ "6"; "5" ] (col_strings r "t");
@@ -271,7 +271,7 @@ let test_sql_interval_range () =
   in
   let tbl = Table.create [ ("d", dates); ("v", Column.ints [| 1; 2; 3; 4 |]) ] in
   let r =
-    Sql.query ~tables:[ ("e", tbl) ]
+    Sql.query ~pool:Shared_pool.pool ~tables:[ ("e", tbl) ]
       "select count(*) over (order by d range between interval '1 month' preceding and current row) as c \
        from e order by d"
   in
@@ -280,7 +280,7 @@ let test_sql_interval_range () =
 
 let test_sql_filter_clause () =
   let r =
-    Sql.query ~tables
+    Sql.query ~pool:Shared_pool.pool ~tables
       "select sum(x) filter (where g = 0) over (order by t rows between unbounded preceding and current row) as s \
        from tbl order by t"
   in
@@ -289,7 +289,7 @@ let test_sql_filter_clause () =
 
 let test_sql_exclusion () =
   let r =
-    Sql.query ~tables
+    Sql.query ~pool:Shared_pool.pool ~tables
       "select sum(x) over (order by t rows between unbounded preceding and unbounded following exclude current row) as s \
        from tbl order by t"
   in
@@ -299,13 +299,13 @@ let test_sql_exclusion () =
 
 let test_sql_algorithm_override () =
   let q = "select median(x) over (order by t rows between 1 preceding and current row) as m from tbl" in
-  let a = Sql.query ~tables q in
-  let b = Sql.query ~evaluator:Evaluator_choice.Naive ~tables q in
+  let a = Sql.query ~pool:Shared_pool.pool ~tables q in
+  let b = Sql.query ~pool:Shared_pool.pool ~evaluator:Evaluator_choice.Naive ~tables q in
   Alcotest.(check (list string)) "algorithms agree" (col_strings a "m") (col_strings b "m")
 
 let test_sql_semantic_errors () =
   let bad s msg_part =
-    match Sql.query ~tables s with
+    match Sql.query ~pool:Shared_pool.pool ~tables s with
     | exception Sql.Semantic_error msg ->
         if not (String.length msg >= String.length msg_part) then Alcotest.fail msg
     | _ -> Alcotest.failf "expected semantic error for %s" s
@@ -318,7 +318,7 @@ let test_sql_semantic_errors () =
 
 let test_sql_case_expression () =
   let r =
-    Sql.query ~tables
+    Sql.query ~pool:Shared_pool.pool ~tables
       "select case when x > 5 then 'high' when x > 2 then 'mid' else 'low' end as band, \
               abs(0 - t) as a, greatest(x, 5.0) as gr from tbl order by t limit 3"
   in
@@ -326,9 +326,34 @@ let test_sql_case_expression () =
   Alcotest.(check (list string)) "abs" [ "1"; "2"; "3" ] (col_strings r "a");
   Alcotest.(check (list string)) "greatest" [ "5"; "5"; "6" ] (col_strings r "gr")
 
+(* Ints and Floats in one result column make a Floats column whichever
+   comes first in row order: CASE branches, a float LEAD/LAG default over
+   an int argument, and Column.append of the two column types. *)
+let test_sql_numeric_promotion () =
+  let tables = [ ("t", Table.create [ ("i", Column.ints [| 1; 2; 3 |]) ]) ] in
+  let floats what c =
+    match Column.data c with
+    | Column.Floats a -> Array.to_list a
+    | _ -> Alcotest.failf "%s: not a Floats column" what
+  in
+  let check what expect sql =
+    let c = Table.column (Sql.query ~pool:Shared_pool.pool ~tables sql) "c" in
+    Alcotest.(check (list (float 0.))) what expect (floats what c)
+  in
+  check "int branch first" [ 1.; 0.5; 0.5 ] "select case when i > 1 then 0.5 else 1 end as c from t";
+  check "float branch first" [ 0.5; 1.; 1. ] "select case when i < 2 then 0.5 else 1 end as c from t";
+  let full = " over (order by i rows between unbounded preceding and unbounded following) as c from t" in
+  check "lead default" [ 2.; 3.; 0.5 ] ("select lead(i, 1, 0.5)" ^ full);
+  check "lag default" [ 0.5; 1.; 2. ] ("select lag(i, 1, 0.5)" ^ full);
+  let ints = Column.ints [| 1; 2 |] and halves = Column.floats [| 0.5 |] in
+  Alcotest.(check (list (float 0.))) "append ints, floats" [ 1.; 2.; 0.5 ]
+    (floats "append ints, floats" (Column.append ints halves));
+  Alcotest.(check (list (float 0.))) "append floats, ints" [ 0.5; 1.; 2. ]
+    (floats "append floats, ints" (Column.append halves ints))
+
 let test_sql_in_list_and_from_last () =
   let r =
-    Sql.query ~tables
+    Sql.query ~pool:Shared_pool.pool ~tables
       "select t, nth_value(x, 1 order by x) from last over \
          (order by t rows between 2 preceding and current row) as second_largest \
        from tbl where t in (1, 3, 4, 6) order by t"
@@ -345,14 +370,14 @@ let test_sql_in_list_and_from_last () =
 
 let test_sql_mode () =
   let r =
-    Sql.query ~tables
+    Sql.query ~pool:Shared_pool.pool ~tables
       "select mode(g) over (order by t rows between 2 preceding and current row) as m from tbl order by t"
   in
   (* g = 0 1 0 1 0 1 in t order; windows of <=3 rows; ties -> smallest value *)
   Alcotest.(check (list string)) "modes" [ "0"; "0"; "0"; "1"; "0"; "1" ] (col_strings r "m")
 
 let test_sql_count_star_and_aliases () =
-  let r = Sql.query ~tables "select t as time, count(*) over (order by t) as n, x + 1 as xp from tbl order by t limit 3" in
+  let r = Sql.query ~pool:Shared_pool.pool ~tables "select t as time, count(*) over (order by t) as n, x + 1 as xp from tbl order by t limit 3" in
   Alcotest.(check (list string)) "names" [ "time"; "n"; "xp" ] (Table.column_names r);
   Alcotest.(check (list string)) "expr column" [ "5"; "3"; "7" ] (col_strings r "xp")
 
@@ -381,6 +406,7 @@ let () =
           Alcotest.test_case "semantic errors" `Quick test_sql_semantic_errors;
           Alcotest.test_case "count(*) and aliases" `Quick test_sql_count_star_and_aliases;
           Alcotest.test_case "CASE / scalar functions" `Quick test_sql_case_expression;
+          Alcotest.test_case "Int/Float promotion in any order" `Quick test_sql_numeric_promotion;
           Alcotest.test_case "IN lists / NTH_VALUE FROM LAST" `Quick test_sql_in_list_and_from_last;
           Alcotest.test_case "windowed MODE" `Quick test_sql_mode;
         ] );

@@ -132,6 +132,18 @@ let test_gauge_register_replace () =
   let bad = Obs.Gauge.register ~help:"raises" "tgauge.bad" (fun () -> failwith "boom") in
   Alcotest.(check int) "raising callback reads 0" 0 (Obs.Gauge.value bad)
 
+(* The session.* gauges follow the session whose owner registered them:
+   creating another session does not re-point them. *)
+let test_session_gauges_stay_with_owner () =
+  let table n = Table.create [ ("x", Column.ints (Array.init n (fun i -> i))) ] in
+  let first = Sql.session_create ~pool:Shared_pool.pool (table 3) in
+  Sql.Session.register_gauges first;
+  let rows () = List.assoc_opt "session.rows" (Obs.Gauge.snapshot ()) in
+  Alcotest.(check (option int)) "first session registered" (Some 3) (rows ());
+  let second = Sql.session_create ~pool:Shared_pool.pool (table 5) in
+  Alcotest.(check int) "second session holds 5 rows" 5 (Table.nrows (Sql.session_table second));
+  Alcotest.(check (option int)) "still the first session's rows" (Some 3) (rows ())
+
 (* ------------------------------------------------------------------ *)
 (* Metrics snapshot: Prometheus golden + JSON                          *)
 (* ------------------------------------------------------------------ *)
@@ -206,7 +218,7 @@ let test_help_lint () =
     Table.create [ ("k", Column.ints [| 3; 1; 2 |]); ("x", Column.floats [| 1.; 2.; 3. |]) ]
   in
   ignore
-    (Sql.query ~tables:[ ("t", table) ]
+    (Sql.query ~pool:Shared_pool.pool ~tables:[ ("t", table) ]
        "select sum(x) over (order by k rows between 1 preceding and current row) from t");
   Qs.note_latency 1;
   let test_owned name =
@@ -239,13 +251,13 @@ let windowed_sql =
 
 (* one statement through the session's store, logged to [sink] *)
 let session_query sink session sql =
-  Sql.query ~query_log:sink ~session ~tables:[ ("t", Sql.session_table session) ] sql
+  Sql.query ~pool:Shared_pool.pool ~query_log:sink ~session ~tables:[ ("t", Sql.session_table session) ] sql
 
 let test_qlog_roundtrip () =
   let path = Filename.temp_file "holiwin_qlog_rt" ".jsonl" in
   let sink = Qs.Log.open_ path in
   let table = small_table 200 in
-  let session = Sql.session_create table in
+  let session = Sql.session_create ~pool:Shared_pool.pool table in
   ignore (session_query sink session windowed_sql);
   ignore (session_query sink session "select g, v from t");
   Qs.Log.close sink;
@@ -297,7 +309,7 @@ let test_qlog_rotation () =
      is forced well before 100 appends *)
   let sink = Qs.Log.open_ ~max_bytes:1 path in
   let table = small_table 50 in
-  let session = Sql.session_create table in
+  let session = Sql.session_create ~pool:Shared_pool.pool table in
   for _ = 1 to 100 do
     ignore (session_query sink session windowed_sql)
   done;
@@ -330,7 +342,7 @@ let test_qlog_thousand_query_session () =
   let path = Filename.concat dir "q.jsonl" in
   let sink = Qs.Log.open_ ~max_bytes:65_536 path in
   let table = small_table 100 in
-  let session = Sql.session_create table in
+  let session = Sql.session_create ~pool:Shared_pool.pool table in
   for _ = 1 to 1000 do
     ignore (session_query sink session windowed_sql)
   done;
@@ -358,11 +370,11 @@ let test_qlog_matches_explain_analyze () =
   let sql = windowed_sql in
   let path = Filename.temp_file "holiwin_qlog_ea" ".jsonl" in
   let sink = Qs.Log.open_ path in
-  ignore (Sql.query ~query_log:sink ~tables:[ ("t", small_table 300) ] sql);
+  ignore (Sql.query ~pool:Shared_pool.pool ~query_log:sink ~tables:[ ("t", small_table 300) ] sql);
   Qs.Log.close sink;
   let r = List.hd (Qs.Log.load path) in
   Sys.remove path;
-  let _, trace = Sql.explain_analyze_trace ~tables:[ ("t", small_table 300) ] sql in
+  let _, trace = Sql.explain_analyze_trace ~pool:Shared_pool.pool ~tables:[ ("t", small_table 300) ] sql in
   let counter name =
     Option.value ~default:0 (List.assoc_opt name trace.Obs.counters)
   in
@@ -389,10 +401,10 @@ let test_explain_keeps_registries () =
   let path = Filename.temp_file "holiwin_qlog_keep" ".jsonl" in
   let sink = Qs.Log.open_ path in
   let table = small_table 200 in
-  ignore (Sql.query ~query_log:sink ~tables:[ ("t", table) ] windowed_sql);
+  ignore (Sql.query ~pool:Shared_pool.pool ~query_log:sink ~tables:[ ("t", table) ] windowed_sql);
   let query_ns = Obs.Histogram.make "sql.query_ns" in
   let counters0 = Obs.Counter.snapshot () and n0 = Obs.Histogram.count query_ns in
-  ignore (Sql.explain_analyze_trace ~tables:[ ("t", table) ] windowed_sql);
+  ignore (Sql.explain_analyze_trace ~pool:Shared_pool.pool ~tables:[ ("t", table) ] windowed_sql);
   let counters1 = Obs.Counter.snapshot () in
   Qs.Log.close sink;
   Sys.remove path;
@@ -415,7 +427,7 @@ let test_windowed_latency_tracks_queries () =
   Obs.Windowed_histogram.reset w;
   let path = Filename.temp_file "holiwin_qlog_p99" ".jsonl" in
   let sink = Qs.Log.open_ path in
-  let session = Sql.session_create (small_table 100) in
+  let session = Sql.session_create ~pool:Shared_pool.pool (small_table 100) in
   for _ = 1 to 50 do
     ignore (session_query sink session windowed_sql)
   done;
@@ -439,7 +451,12 @@ let () =
             test_windowed_matches_cumulative_quantiles;
           Alcotest.test_case "disabled is a no-op" `Quick test_windowed_disabled_is_noop;
         ] );
-      ("gauges", [ Alcotest.test_case "register/replace" `Quick test_gauge_register_replace ]);
+      ( "gauges",
+        [
+          Alcotest.test_case "register/replace" `Quick test_gauge_register_replace;
+          Alcotest.test_case "session gauges stay with their owner" `Quick
+            test_session_gauges_stay_with_owner;
+        ] );
       ( "metrics-snapshot",
         [
           Alcotest.test_case "prometheus golden" `Quick test_prometheus_golden;

@@ -98,14 +98,14 @@ let widths_agree =
     width_case (fun (a, f, k) ->
       let n = Array.length a in
       let minv = Array.fold_left min 0 a and maxv = Array.fold_left max 0 a in
-      let t64 = Mst.create ~fanout:f ~sample:k a in
+      let t64 = Mst.create ~pool:Shared_pool.pool ~fanout:f ~sample:k a in
       let t32 =
         if minv >= Int32.to_int Int32.min_int && maxv <= Int32.to_int Int32.max_int then
-          Some (C.create ~fanout:f ~sample:k a)
+          Some (C.create ~pool:Shared_pool.pool ~fanout:f ~sample:k a)
         else None
       in
       let t16 =
-        if minv >= 0 && maxv <= 0xFFFF && n <= 0xFFFF then Some (M16.create ~fanout:f ~sample:k a)
+        if minv >= 0 && maxv <= 0xFFFF && n <= 0xFFFF then Some (M16.create ~pool:Shared_pool.pool ~fanout:f ~sample:k a)
         else None
       in
       let base = if n = 0 then 0 else minv in
@@ -156,24 +156,24 @@ let widths_agree =
 let test_rejection () =
   Alcotest.check_raises "16-bit rejects negatives"
     (Invalid_argument "Mst_width.M16.create: value exceeds 16-bit storage range") (fun () ->
-      ignore (M16.create [| 3; -1 |]));
+      ignore (M16.create ~pool:Shared_pool.pool [| 3; -1 |]));
   Alcotest.check_raises "16-bit rejects 65536"
     (Invalid_argument "Mst_width.M16.create: value exceeds 16-bit storage range") (fun () ->
-      ignore (M16.create [| 65535; 65536 |]));
+      ignore (M16.create ~pool:Shared_pool.pool [| 65535; 65536 |]));
   Alcotest.check_raises "16-bit rejects over-long arrays"
     (Invalid_argument "Mst_width.M16.create: length 65536 exceeds 16-bit storage") (fun () ->
-      ignore (M16.create (Array.make 65536 1)));
+      ignore (M16.create ~pool:Shared_pool.pool (Array.make 65536 1)));
   Alcotest.check_raises "32-bit rejects over-range values"
     (Invalid_argument "Mst_width.M32.create: value exceeds 32-bit storage range") (fun () ->
-      ignore (C.create [| Int32.to_int Int32.max_int + 1 |]));
+      ignore (C.create ~pool:Shared_pool.pool [| Int32.to_int Int32.max_int + 1 |]));
   Alcotest.check_raises "32-bit rejects under-range values"
     (Invalid_argument "Mst_width.M32.create: value exceeds 32-bit storage range") (fun () ->
-      ignore (C.create [| 0; Int32.to_int Int32.min_int - 1 |]));
+      ignore (C.create ~pool:Shared_pool.pool [| 0; Int32.to_int Int32.min_int - 1 |]));
   (* the widest boundary values that must be accepted *)
-  let t = M16.create [| 0; 65535 |] in
+  let t = M16.create ~pool:Shared_pool.pool [| 0; 65535 |] in
   Alcotest.(check int) "16-bit max stored" 1
     (M16.count t ~lo:0 ~hi:2 ~less_than:65535);
-  let t = C.create [| Int32.to_int Int32.min_int; Int32.to_int Int32.max_int |] in
+  let t = C.create ~pool:Shared_pool.pool [| Int32.to_int Int32.min_int; Int32.to_int Int32.max_int |] in
   Alcotest.(check int) "32-bit extremes stored" 1
     (C.count t ~lo:0 ~hi:2 ~less_than:0)
 
@@ -184,9 +184,9 @@ let test_rejection () =
 let test_narrow_footprint () =
   let n = 5_000 in
   let a = Array.init n (fun i -> (i * 2654435761) land 0xFFFF) in
-  let s64 = Mst.stats (Mst.create ~fanout:4 ~sample:8 a) in
-  let s32 = C.stats (C.create ~fanout:4 ~sample:8 a) in
-  let s16 = M16.stats (M16.create ~fanout:4 ~sample:8 a) in
+  let s64 = Mst.stats (Mst.create ~pool:Shared_pool.pool ~fanout:4 ~sample:8 a) in
+  let s32 = C.stats (C.create ~pool:Shared_pool.pool ~fanout:4 ~sample:8 a) in
+  let s16 = M16.stats (M16.create ~pool:Shared_pool.pool ~fanout:4 ~sample:8 a) in
   (* identical shapes: same element population at every width *)
   Alcotest.(check int) "level elements 32" s64.Mst.level_elements s32.C.level_elements;
   Alcotest.(check int) "level elements 16" s64.Mst.level_elements s16.M16.level_elements;
@@ -226,16 +226,16 @@ let test_width_for () =
 
 let test_width_dispatch () =
   let a = Array.init 777 (fun i -> (i * 37) mod 500) in
-  let auto = W.create a in
+  let auto = W.create ~pool:Shared_pool.pool a in
   Alcotest.(check bool) "auto picks 16-bit for dense ranks" true (W.width auto = W.W16);
   Alcotest.(check int) "auto bits" 16 (W.bits (W.width auto));
-  let forced64 = W.create ~choice:(W.Force W.W64) a in
+  let forced64 = W.create ~pool:Shared_pool.pool ~choice:(W.Force W.W64) a in
   Alcotest.(check bool) "force 64 respected" true (W.width forced64 = W.W64);
   (* forcing a width the operand does not fit widens instead of failing *)
   let wide = Array.init 50 (fun i -> 65530 + i) in
-  let widened = W.create ~choice:(W.Force W.W16) wide in
+  let widened = W.create ~pool:Shared_pool.pool ~choice:(W.Force W.W16) wide in
   Alcotest.(check bool) "forced 16 widens to 32" true (W.width widened = W.W32);
-  let t64 = Mst.create a in
+  let t64 = Mst.create ~pool:Shared_pool.pool a in
   let rng = Rng.create 991 in
   let ok = ref true in
   for _ = 1 to 40 do
@@ -244,7 +244,7 @@ let test_width_dispatch () =
     let expect = Mst.count t64 ~lo ~hi ~less_than:th in
     List.iter
       (fun t -> if W.count t ~lo ~hi ~less_than:th <> expect then ok := false)
-      [ auto; forced64; W.create ~choice:(W.Force W.W32) a ]
+      [ auto; forced64; W.create ~pool:Shared_pool.pool ~choice:(W.Force W.W32) a ]
   done;
   Alcotest.(check bool) "dispatch parity across forced widths" true !ok;
   Alcotest.(check bool) "narrow dispatch is smaller" true

@@ -547,7 +547,7 @@ let compare_against_oracle ~algorithm seed =
   in
   let expected = Oracle.run table ~over items in
   let got =
-    Window_plan.run
+    Window_plan.run ~pool:Shared_pool.pool
       ~fanout:(2 + Rng.int rng 7)
       ~sample:[| 0; 1; 3; 32 |].(Rng.int rng 4)
       ~task_size:(1 + Rng.int rng 12)
@@ -592,7 +592,7 @@ let incremental_vs_oracle alg seed () =
     in
     let expected = Oracle.run table ~over items in
     let got =
-      Window_plan.run ~task_size:(1 + Rng.int rng 9) table [ { Window_plan.spec = over; items } ]
+      Window_plan.run ~pool:Shared_pool.pool ~task_size:(1 + Rng.int rng 9) table [ { Window_plan.spec = over; items } ]
     in
     List.iter
       (fun (name, exp) ->
@@ -620,7 +620,7 @@ let test_running_sum () =
       ()
   in
   let t =
-    Window_plan.run table [ { Window_plan.spec = over; items = [ Wf.sum ~name:"rs" (Expr.Col "x") ] } ]
+    Window_plan.run ~pool:Shared_pool.pool table [ { Window_plan.spec = over; items = [ Wf.sum ~name:"rs" (Expr.Col "x") ] } ]
   in
   let c = Table.column t "rs" in
   (* sorted: 1 1 3 4 5 → running 1 2 5 9 14; original order 3 1 4 1 5 *)
@@ -648,7 +648,7 @@ let test_tpcc_query_shape () =
     ]
   in
   let expected = Oracle.run table ~over items in
-  let got = Window_plan.run table [ { Window_plan.spec = over; items } ] in
+  let got = Window_plan.run ~pool:Shared_pool.pool table [ { Window_plan.spec = over; items } ] in
   List.iter
     (fun (name, exp) ->
       let col = Table.column got name in
@@ -663,7 +663,7 @@ let test_empty_table () =
   let table = Table.create [ ("x", Column.ints [||]) ] in
   let over = Window_spec.over ~order_by:[ Sort_spec.asc (Expr.Col "x") ] () in
   let t =
-    Window_plan.run table [ { Window_plan.spec = over; items = [ Wf.median ~name:"m" (Expr.Col "x") ] } ]
+    Window_plan.run ~pool:Shared_pool.pool table [ { Window_plan.spec = over; items = [ Wf.median ~name:"m" (Expr.Col "x") ] } ]
   in
   Alcotest.(check int) "no rows" 0 (Table.nrows t);
   Alcotest.(check (list string)) "column added" [ "x"; "m" ] (Table.column_names t)
@@ -672,7 +672,7 @@ let test_single_row () =
   let table = Table.create [ ("x", Column.ints [| 9 |]) ] in
   let over = Window_spec.over ~order_by:[ Sort_spec.asc (Expr.Col "x") ] () in
   let t =
-    Window_plan.run table
+    Window_plan.run ~pool:Shared_pool.pool table
       [
         {
           Window_plan.spec = over;
@@ -698,7 +698,7 @@ let test_empty_frame_semantics () =
       ()
   in
   let t =
-    Window_plan.run table
+    Window_plan.run ~pool:Shared_pool.pool table
       [
         {
           Window_plan.spec = over;
@@ -734,7 +734,7 @@ let test_stock_orders_shape () =
   in
   let items = [ Wf.median ~name:"med" (Expr.Col "price") ] in
   let expected = Oracle.run table ~over items in
-  let got = Window_plan.run table [ { Window_plan.spec = over; items } ] in
+  let got = Window_plan.run ~pool:Shared_pool.pool table [ { Window_plan.spec = over; items } ] in
   let col = Table.column got "med" in
   List.iter
     (fun (_, exp) ->
@@ -783,7 +783,7 @@ let test_unsupported_combination () =
   Alcotest.(check bool) "raises invalid_arg" true
     (try
        ignore
-         (Window_plan.run table
+         (Window_plan.run ~pool:Shared_pool.pool table
             [
               {
                 Window_plan.spec = over;
