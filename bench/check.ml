@@ -9,6 +9,11 @@
    times, anything machine-dependent — live in the reports but are never
    gated, so the gate holds on CI machines unlike the baseline host.
 
+   Baselines named [PERF_<workload>.json] are perfbench reports
+   ([perfbench.exe --workload W --seed 1 --trace 1 --scale tiny], last
+   line): their deterministic counters must match exactly
+   (see {!Report.compare_ledgers}).
+
    Exit status: 0 when every gated metric of every baseline passes (or with
    [--update], always), 1 on any violation or missing fresh report, 2 on
    usage/IO errors.
@@ -42,15 +47,14 @@ let die fmt =
     fmt
 
 let is_report name =
-  String.length name > 6
-  && String.sub name 0 6 = "BENCH_"
+  (String.starts_with ~prefix:"BENCH_" name || Report.is_ledger name)
   && Filename.check_suffix name ".json"
 
 let reports_in what dir =
   match Sys.readdir dir with
   | entries ->
       let files = Array.to_list entries |> List.filter is_report |> List.sort compare in
-      if files = [] then die "no BENCH_*.json %s under %s" what dir;
+      if files = [] then die "no BENCH_*.json or PERF_*.json %s under %s" what dir;
       files
   | exception Sys_error e -> die "cannot read %s directory: %s" what e
 
@@ -78,6 +82,10 @@ let fmt_value v =
   else if Float.is_integer v then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.4f" v
 
+(* exact gates print enough digits to show any difference *)
+let fmt_check (c : Report.check) v =
+  match c.Report.gate with Report.Exact -> Printf.sprintf "%.12g" v | _ -> fmt_value v
+
 (* Relative move of the fresh value against the baseline, signed so that
    positive means "toward the metric's bad direction". *)
 let bad_delta (c : Report.check) =
@@ -94,14 +102,15 @@ let bad_delta (c : Report.check) =
 (* How far past the tolerance bound a failing gated metric landed, as a
    percentage of the baseline (None when passing or ungated). *)
 let over_pct (c : Report.check) =
-  match (bad_delta c, c.Report.m_tolerance) with
-  | Some d, Some t when d > t -> Some (100. *. (d -. t))
+  match (bad_delta c, c.Report.gate) with
+  | Some d, Report.Within t when d > t -> Some (100. *. (d -. t))
   | _ -> None
 
 let gate_of (c : Report.check) =
-  match c.Report.m_tolerance with
-  | None -> "-"
-  | Some t ->
+  match c.Report.gate with
+  | Report.Report_only -> "-"
+  | Report.Exact -> "exact"
+  | Report.Within t ->
       Printf.sprintf "%.0f%% %s" (100. *. t)
         (match c.Report.m_direction with
         | Report.Lower_better -> "lower"
@@ -123,9 +132,9 @@ let print_check (c : Report.check) =
       | Some p -> Printf.sprintf "FAIL (%.1f%% over)" p
       | None -> "FAIL"
   in
-  Printf.printf "  %-24s %14s %14s %9s %12s  %s\n" c.Report.metric_name
-    (fmt_value c.Report.baseline)
-    (match c.Report.fresh with Some f -> fmt_value f | None -> "MISSING")
+  Printf.printf "  %-36s %14s %14s %9s %12s  %s\n" c.Report.metric_name
+    (fmt_check c c.Report.baseline)
+    (match c.Report.fresh with Some f -> fmt_check c f | None -> "MISSING")
     delta (gate_of c) status
 
 (* Counters that must stay strictly positive: when a committed baseline
@@ -149,7 +158,7 @@ let check_positive_counters ~report_name ~baseline ~fresh violations =
       | Some _ -> (
           let fresh_v = counter_of fresh name in
           let ok = match fresh_v with Some v -> v > 0 | None -> false in
-          Printf.printf "  %-24s %14s %14s %9s %12s  %s\n" name "(counter)"
+          Printf.printf "  %-36s %14s %14s %9s %12s  %s\n" name "(counter)"
             (match fresh_v with Some v -> string_of_int v | None -> "MISSING")
             "-" "> 0"
             (if ok then "ok" else "FAIL");
@@ -177,26 +186,24 @@ let gate files =
         try Report.load base_path
         with e -> die "cannot parse baseline %s: %s" base_path (Printexc.to_string e)
       in
-      Printf.printf "%s (%s)\n" name (Report.experiment_of baseline);
-      Printf.printf "  %-24s %14s %14s %9s %12s\n" "metric" "baseline" "fresh" "delta"
+      Printf.printf "%s (%s)\n" name
+        (if Report.is_ledger name then "perfbench ledger" else Report.experiment_of baseline);
+      Printf.printf "  %-36s %14s %14s %9s %12s\n" "metric" "baseline" "fresh" "delta"
         "tolerance";
-      (if not (Sys.file_exists fresh_path) then (
+      (match Report.gate_file ~baseline ~fresh_dir:!fresh_dir name with
+       | exception e -> die "cannot parse fresh report %s: %s" fresh_path (Printexc.to_string e)
+       | Report.Missing_report ->
          Printf.printf "  MISSING fresh report %s\n" fresh_path;
          violations := Printf.sprintf "%-28s missing fresh report" name :: !violations;
-         incr failures)
-       else
-         let fresh =
-           try Report.load fresh_path
-           with e -> die "cannot parse fresh report %s: %s" fresh_path (Printexc.to_string e)
-         in
-         let checks = Report.compare_reports ~baseline ~fresh in
+         incr failures
+       | Report.Checked (fresh, checks) ->
          List.iter print_check checks;
          List.iter
            (fun (c : Report.check) ->
              violations :=
                Printf.sprintf "%-28s %-24s baseline=%s fresh=%s%s (gate %s)" name
-                 c.Report.metric_name (fmt_value c.Report.baseline)
-                 (match c.Report.fresh with Some f -> fmt_value f | None -> "MISSING")
+                 c.Report.metric_name (fmt_check c c.Report.baseline)
+                 (match c.Report.fresh with Some f -> fmt_check c f | None -> "MISSING")
                  (match over_pct c with
                  | Some p -> Printf.sprintf ", %.1f%% over" p
                  | None -> "")

@@ -10,6 +10,8 @@ module Tpch = Holistic_data.Tpch
 module Scenarios = Holistic_data.Scenarios
 module H = Harness
 module Json = Holistic_util.Json
+module Obs = Holistic_obs.Obs
+module Sql = Holistic_sql.Sql
 
 let trailing_rows_frame w =
   Window_spec.rows_between (Window_spec.preceding w) Window_spec.Current_row
@@ -256,6 +258,92 @@ let fig13 ~rows () =
            string_of_int f :: List.map (fun t -> Printf.sprintf "%.2f" (t /. best)) row)
          grid);
   H.note "relative to the best cell (= 1.00, best absolute %.3f s); paper's default f=k=32" best
+
+(* ------------------------------------------------------------------ *)
+(* Fig. 14 — phase breakdown of a framed running COUNT DISTINCT        *)
+(* ------------------------------------------------------------------ *)
+
+(* The phases are the engine's own spans, read off one traced run of the
+   query under the MST evaluator: each span's self time (its duration
+   minus its children's), keyed by name and [kind] arg.  The sort spans
+   count both the frame-order sort and the value sort inside
+   build{kind=prev}; the item's self time is its probes. *)
+let fig14_query = "select count(distinct l_partkey) over (order by l_shipdate) from lineitem"
+
+let fig14_phases =
+  [
+    ("partition_ids", "partition input");
+    ("sort{kind=full}", "sort by frame order (key encode)");
+    ("sort.runs", "sort runs (frame order, values)");
+    ("sort.merge", "sort merge (frame order, values)");
+    ("frame", "frame bounds");
+    ("build{kind=peers}", "peer groups");
+    ("build{kind=remap}", "filter remap");
+    ("build{kind=arg_ids}", "populate value array");
+    ("build{kind=prev}", "compute prevIdcs");
+    ("build{kind=mst.distinct}", "build merge sort tree");
+    ("item", "compute results (probe)");
+    ("materialize", "materialize column");
+  ]
+
+let fig14 ~rows () =
+  H.section (Printf.sprintf "Figure 14: phases of a running COUNT DISTINCT (n=%d)" rows);
+  let table = Tpch.lineitem ~rows () in
+  H.gc_settle ();
+  let _, trace =
+    Sql.explain_analyze_trace ~pool:(H.pool ()) ~evaluator:Holistic_window.Evaluator_choice.Mst
+      ~tables:[ ("lineitem", table) ] fig14_query
+  in
+  let timers = List.map (fun (name, (_count, secs)) -> (name, secs)) (Obs.self_totals trace) in
+  (match List.filter (fun (key, _) -> not (List.mem_assoc key timers)) fig14_phases with
+  | [] -> ()
+  | missing ->
+      failwith
+        ("fig14: the trace has no span for " ^ String.concat ", " (List.map fst missing)));
+  let mst_bytes =
+    (List.find
+       (fun (s : Obs.span) ->
+         s.name = "build" && List.assoc_opt "kind" s.args = Some "mst.distinct")
+       trace.spans)
+      .bytes
+  in
+  let total = List.fold_left (fun acc (_, t) -> acc +. t) 0.0 timers in
+  let wall =
+    List.fold_left
+      (fun acc (s : Obs.span) ->
+        if s.parent < 0 then acc +. (float_of_int s.dur_ns *. 1e-9) else acc)
+      0.0 trace.spans
+  in
+  H.note "phases sum to %.3f s; sql.query wall time %.3f s" total wall;
+  H.note "merge sort tree footprint: %s" (Obs.human_bytes mst_bytes);
+  H.print_table
+    ~header:[ "span (self time)"; "paper phase"; "seconds"; "share"; "" ]
+    ~rows:
+      (List.map
+         (fun (name, t) ->
+           let share = t /. total in
+           [
+             name;
+             Option.value ~default:"-" (List.assoc_opt name fig14_phases);
+             Printf.sprintf "%.3f" t;
+             Printf.sprintf "%4.1f%%" (100.0 *. share);
+             String.make (int_of_float (40.0 *. share)) '#';
+           ])
+         timers);
+  Obs.write_chrome_trace "TRACE_profile.json" trace;
+  Report.write "BENCH_fig14.json" ~experiment:"fig14"
+    ~params:[ ("rows", Json.J_int rows) ]
+    ~metrics:
+      ([
+         (* gated: the tree footprint is deterministic for a fixed input *)
+         ("mst_bytes", Report.metric ~unit_:"B" ~tolerance:0.2 (float_of_int mst_bytes));
+         (* report-only absolute times *)
+         ("total_s", Report.metric ~unit_:"s" total);
+       ]
+      @ List.map (fun (name, t) -> ("self." ^ name, Report.metric ~unit_:"s" t)) timers)
+    ~counters:trace.counters
+    ~series:(Json.J_obj (List.map (fun (name, t) -> (name, Json.J_float t)) timers));
+  H.note "wrote BENCH_fig14.json"
 
 (* ------------------------------------------------------------------ *)
 (* §6.6 — memory consumption                                           *)

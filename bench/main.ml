@@ -59,7 +59,7 @@ let experiments s =
     ("fig11-all", fun () -> Figures.fig11_all ~rows:(s.fig11_rows / 2) ());
     ("fig12", fun () -> Figures.fig12 ~rows:s.fig12_rows ());
     ("fig13", fun () -> Figures.fig13 ~rows:s.fig13_rows ());
-    ("fig14", fun () -> ignore (Profile.run ~rows:s.fig14_rows));
+    ("fig14", fun () -> Figures.fig14 ~rows:s.fig14_rows ());
     ("mem", fun () -> Figures.mem ~rows:s.mem_rows ());
     ("ablation-cascade", fun () -> Figures.ablation_cascade ~rows:s.ablation_rows ());
     ("ablation-cascade-raw", fun () -> Figures.ablation_cascade_raw ~rows:s.ablation_rows ());

@@ -1,8 +1,9 @@
-(* Unified bench reporting substrate (ISSUE 5): every experiment emits one
-   common JSON schema — experiment name, parameters, gated metrics,
-   counters, histograms and free-form series — and the regression gate
-   ([check.ml]) compares a fresh run against the committed baselines in
-   bench/baselines/ using the per-metric tolerances embedded here.
+(* Unified bench reporting substrate: every experiment emits one common
+   JSON schema — experiment name, parameters, gated metrics, counters,
+   histograms and free-form series — and the regression gate ([check.ml])
+   compares a fresh run against the committed baselines in
+   bench/baselines/ using the per-metric tolerances embedded here.  The
+   same gate also holds the perfbench ledger (see the end of this file).
 
    The schema, "holiwin-bench/1":
 
@@ -133,12 +134,16 @@ let write ~experiment ?params ?metrics ?counters ?histograms ?series path =
 (* The regression gate                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* How a check judges its metric: not at all, within a relative
+   tolerance in the bad direction, or by exact equality. *)
+type gate = Report_only | Within of float | Exact
+
 type check = {
   metric_name : string;
   baseline : float;
   fresh : float option;
   m_direction : direction;
-  m_tolerance : float option;
+  gate : gate;
   ok : bool;
 }
 
@@ -166,7 +171,7 @@ let check_metric name (base : metric) (fresh : metric option) =
     baseline = base.value;
     fresh = fresh_v;
     m_direction = base.direction;
-    m_tolerance = base.tolerance;
+    gate = (match base.tolerance with None -> Report_only | Some t -> Within t);
     ok;
   }
 
@@ -189,3 +194,79 @@ let compare_reports ~baseline ~fresh =
     (metrics_of baseline)
 
 let violations checks = List.filter (fun c -> not c.ok) checks
+
+(* ------------------------------------------------------------------ *)
+(* The perfbench ledger                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A perfbench report is the last stdout line of [perfbench.exe], saved
+   as PERF_<workload>.json:
+
+     {"correct": true, "attempted": 12, "failed": 0,
+      "metrics": {"plan.full_sorts": {"value": 3, "unit": "count"}, ...}}
+
+   Run traced ([--trace 1]) at a fixed seed and [--scale tiny], its
+   deterministic counters — sort and build counts, key words, structure
+   bytes per row, cost-model picks, spill runs, session maintenance — are
+   the ledger of the real query path: they depend on neither the machine
+   nor the pool's domain count, so the gate holds them, and [correct], to
+   exact equality in both directions.  Timings and [pool.tasks], which
+   follows the domain count, are never gated. *)
+let is_ledger name = String.starts_with ~prefix:"PERF_" name
+
+let ledger_gated name =
+  String.starts_with ~prefix:"plan." name
+  || String.starts_with ~prefix:"cost_model.picks." name
+  || List.mem name
+       [
+         "correct";
+         "key_codec.words";
+         "build.structure_bytes_per_row";
+         "spill.runs";
+         "session.maintained";
+         "session.rebuilt";
+       ]
+
+let ledger_values json =
+  let metrics =
+    match member "metrics" json with
+    | Some (J_obj kvs) ->
+        List.filter_map
+          (fun (k, v) -> Option.map (fun x -> (k, x)) (Option.bind (member "value" v) to_float))
+          kvs
+    | _ -> []
+  in
+  ("correct", if member "correct" json = Some (J_bool true) then 1.0 else 0.0) :: metrics
+
+(* One exact check per gated value of the baseline, in baseline order; a
+   value missing from the fresh report fails. *)
+let compare_ledgers ~baseline ~fresh =
+  let fresh_values = ledger_values fresh in
+  List.filter_map
+    (fun (name, base) ->
+      if not (ledger_gated name) then None
+      else
+        let fresh = List.assoc_opt name fresh_values in
+        Some
+          {
+            metric_name = name;
+            baseline = base;
+            fresh;
+            m_direction = Lower_better;
+            gate = Exact;
+            ok = fresh = Some base;
+          })
+    (ledger_values baseline)
+
+type file_outcome = Missing_report | Checked of Json.t * check list
+
+(* Gate the report [name] of [fresh_dir] against its [baseline]: the
+   ledger rule for perfbench reports, the tolerance rule otherwise.  A
+   missing fresh report fails the gate. *)
+let gate_file ~baseline ~fresh_dir name =
+  let path = Filename.concat fresh_dir name in
+  if not (Sys.file_exists path) then Missing_report
+  else
+    let fresh = load path in
+    Checked
+      (fresh, (if is_ledger name then compare_ledgers else compare_reports) ~baseline ~fresh)

@@ -701,11 +701,16 @@ let self_totals tr =
     (fun s ->
       let nested = match Hashtbl.find_opt child_ns s.id with Some d -> d | None -> 0 in
       let self = max 0 (s.dur_ns - nested) in
-      match Hashtbl.find_opt tbl s.name with
+      let key =
+        match List.assoc_opt "kind" s.args with
+        | Some k -> Printf.sprintf "%s{kind=%s}" s.name k
+        | None -> s.name
+      in
+      match Hashtbl.find_opt tbl key with
       | None ->
-          order := s.name :: !order;
-          Hashtbl.add tbl s.name (1, self)
-      | Some (c, d) -> Hashtbl.replace tbl s.name (c + 1, d + self))
+          order := key :: !order;
+          Hashtbl.add tbl key (1, self)
+      | Some (c, d) -> Hashtbl.replace tbl key (c + 1, d + self))
     tr.spans;
   List.rev_map
     (fun n ->

@@ -280,11 +280,12 @@ val totals : trace -> (string * (int * float)) list
     Nested spans of the same name double-count; see {!self_totals}. *)
 
 val self_totals : trace -> (string * (int * float)) list
-(** Per span name, in first-appearance order: (count, total {e self}
-    seconds — each span's duration minus its direct children's).  Unlike
-    {!totals} this neither double-counts nested same-name spans nor
-    attributes a child's time to its parent, so the values sum to the
-    roots' wall time; used by [bench/profile.ml] phase breakdowns. *)
+(** Per span name and [kind] arg, keyed ["build{kind=prev}"] (just the
+    name for spans without a [kind]), in first-appearance order: (count,
+    total {e self} seconds — each span's duration minus its direct
+    children's).  Unlike {!totals} this neither double-counts nested
+    same-name spans nor attributes a child's time to its parent, so the
+    values sum to the roots' wall time when no children overlap. *)
 
 val human_bytes : int -> string
 (** ["842 B"], ["1.4 KB"], ["26.0 MB"], ... — deterministic for a given

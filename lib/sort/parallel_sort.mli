@@ -1,6 +1,6 @@
 (** Parallel sorting: task-local introsort runs + balanced parallel multiway
-    merge (paper §5.2). The phases are exposed separately so that pipelines
-    can time them individually (Fig. 14). *)
+    merge (paper §5.2), each phase in its own span ([sort.runs],
+    [sort.merge]). *)
 
 open Holistic_parallel
 

@@ -140,8 +140,10 @@ let window_to_string (w : Ast.window) =
   in
   "(" ^ String.concat " " parts ^ ")"
 
-let call_to_string (w : Ast.window_call) =
-  Printf.sprintf "%s(%s%s%s)%s%s over %s" w.Ast.func
+(* A window call up to its OVER clause: function, DISTINCT, arguments,
+   ORDER BY, IGNORE NULLS and FILTER. *)
+let call_head (w : Ast.window_call) =
+  Printf.sprintf "%s(%s%s%s)%s%s" w.Ast.func
     (if w.Ast.distinct then "distinct " else "")
     (String.concat ", " (List.map expr_to_string w.Ast.args))
     (if w.Ast.arg_order_by = [] then "" else " order by " ^ order_to_string w.Ast.arg_order_by)
@@ -149,9 +151,13 @@ let call_to_string (w : Ast.window_call) =
     (match w.Ast.filter with
     | Some f -> Printf.sprintf " filter (where %s)" (expr_to_string f)
     | None -> "")
-    (match w.Ast.over with
-    | { Ast.base = Some name; partition_by = []; order_by = []; frame = None } -> name
-    | over -> window_to_string over)
+
+let call_to_string (w : Ast.window_call) =
+  call_head w ^ " over "
+  ^
+  match w.Ast.over with
+  | { Ast.base = Some name; partition_by = []; order_by = []; frame = None } -> name
+  | over -> window_to_string over
 
 let print_query (q : Ast.query) =
   let items =
@@ -178,39 +184,31 @@ let print_query (q : Ast.query) =
     @ match q.Ast.limit with Some k -> [ Printf.sprintf " limit %d" k ] | None -> [])
 
 let explain_ast q =
-      let b = Buffer.create 256 in
-      Buffer.add_string b (Printf.sprintf "from: %s\n" q.Ast.from);
-      (match q.Ast.where with
-      | Some w -> Buffer.add_string b (Printf.sprintf "where: %s\n" (expr_to_string w))
-      | None -> ());
-      List.iter
-        (fun (it : Ast.select_item) ->
-          let alias = match it.Ast.alias with Some a -> " as " ^ a | None -> "" in
-          match it.Ast.value with
-          | `Expr e -> Buffer.add_string b (Printf.sprintf "select expr: %s%s\n" (expr_to_string e) alias)
-          | `Window w ->
-              Buffer.add_string b
-                (Printf.sprintf "select window: %s(%s%s%s)%s%s over %s%s\n" w.Ast.func
-                   (if w.Ast.distinct then "distinct " else "")
-                   (String.concat ", " (List.map expr_to_string w.Ast.args))
-                   (if w.Ast.arg_order_by = [] then ""
-                    else " order by " ^ order_to_string w.Ast.arg_order_by)
-                   (if w.Ast.ignore_nulls then " ignore nulls" else "")
-                   (match w.Ast.filter with
-                   | Some f -> Printf.sprintf " filter (where %s)" (expr_to_string f)
-                   | None -> "")
-                   (window_to_string w.Ast.over) alias))
-        q.Ast.select;
-      List.iter
-        (fun (name, w) ->
-          Buffer.add_string b (Printf.sprintf "window %s as %s\n" name (window_to_string w)))
-        q.Ast.windows;
-      if q.Ast.order_by <> [] then
-        Buffer.add_string b ("order by: " ^ order_to_string q.Ast.order_by ^ "\n");
-      (match q.Ast.limit with
-      | Some k -> Buffer.add_string b (Printf.sprintf "limit: %d\n" k)
-      | None -> ());
-      Buffer.contents b
+  let b = Buffer.create 256 in
+  Buffer.add_string b (Printf.sprintf "from: %s\n" q.Ast.from);
+  (match q.Ast.where with
+  | Some w -> Buffer.add_string b (Printf.sprintf "where: %s\n" (expr_to_string w))
+  | None -> ());
+  List.iter
+    (fun (it : Ast.select_item) ->
+      let alias = match it.Ast.alias with Some a -> " as " ^ a | None -> "" in
+      match it.Ast.value with
+      | `Expr e -> Buffer.add_string b (Printf.sprintf "select expr: %s%s\n" (expr_to_string e) alias)
+      | `Window w ->
+          Buffer.add_string b
+            (Printf.sprintf "select window: %s over %s%s\n" (call_head w)
+               (window_to_string w.Ast.over) alias))
+    q.Ast.select;
+  List.iter
+    (fun (name, w) ->
+      Buffer.add_string b (Printf.sprintf "window %s as %s\n" name (window_to_string w)))
+    q.Ast.windows;
+  if q.Ast.order_by <> [] then
+    Buffer.add_string b ("order by: " ^ order_to_string q.Ast.order_by ^ "\n");
+  (match q.Ast.limit with
+  | Some k -> Buffer.add_string b (Printf.sprintf "limit: %d\n" k)
+  | None -> ());
+  Buffer.contents b
 
 let explain src = explain_ast (Parser.parse src)
 

@@ -86,16 +86,3 @@ let fast_key table spec =
       | None -> None
     end
   | _ -> None
-
-let single_int_key table spec =
-  match spec with
-  | [ { expr = Expr.Col name; direction = Asc; nulls = _ } ] -> begin
-      match Table.column_opt table name with
-      | Some c when Column.null_mask c = None -> begin
-          match Column.data c with
-          | Column.Ints a | Column.Dates a -> Some a
-          | Column.Floats _ | Column.Strings _ | Column.Bools _ -> None
-        end
-      | _ -> None
-    end
-  | _ -> None

@@ -34,12 +34,6 @@ val key_comparator : Table.t -> key -> int -> int -> int
     sort pipelines (the key codec's residual) can mix keys resolved against
     different tables. *)
 
-val single_int_key : Table.t -> t -> int array option
-(** When the spec is a single ascending, plain integer-kinded column
-    without NULLs, its raw key array — the fast path that skips
-    comparator-based preprocessing. Any [nulls_order] spelling matches: on
-    a NULL-free column they are all equivalent. *)
-
 val is_prefix : t -> t -> bool
 (** [is_prefix o1 o2]: [o1] is a (possibly equal) prefix of [o2], keys
     compared structurally — rows sorted by [o2] are also sorted by [o1]. *)

@@ -130,6 +130,114 @@ let test_zero_baseline () =
   Alcotest.(check int) "0 vs 1 fails" 1
     (List.length (Report.violations (Report.compare_reports ~baseline ~fresh:worse)))
 
+(* ------------------------------------------------------------------ *)
+(* The perfbench ledger                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* a perfbench report, parsed from its line as perfbench prints it (values
+   at 17 significant digits): deterministic counters, a domain-dependent
+   task count and per-row timings *)
+let perf_report ?(correct = true) overrides =
+  let base =
+    [
+      ("plan.full_sorts", 25.);
+      ("plan.tree_builds", 15.);
+      ("key_codec.words", 1.2666666666666666);
+      ("build.structure_bytes_per_row", 63.762);
+      ("cost_model.picks.mst", 7.);
+      ("spill.runs", 0.);
+      ("session.maintained", 3.);
+      ("session.rebuilt", 1.);
+      ("pool.tasks", 84.);
+      ("sort.ns_per_row", 121.5);
+      ("probe.ns_per_row.distinct", 291.);
+      ("session.append_ns_per_row", 40.);
+    ]
+  in
+  Json.parse
+    (Printf.sprintf {|{"correct": %b, "attempted": 107, "failed": 0, "metrics": {%s}}|} correct
+       (String.concat ", "
+          (List.map
+             (fun (k, v) ->
+               Printf.sprintf {|"%s": {"value": %.17g, "unit": "count"}|} k
+                 (Option.value ~default:v (List.assoc_opt k overrides)))
+             base)))
+
+let ledger_violations fresh =
+  List.map
+    (fun c -> c.Report.metric_name)
+    (Report.violations (Report.compare_ledgers ~baseline:(perf_report []) ~fresh))
+
+let test_ledger_identical_passes () =
+  Alcotest.(check (list string)) "identical reports pass" [] (ledger_violations (perf_report []))
+
+let test_ledger_off_by_one_fails () =
+  List.iter
+    (fun (name, v) ->
+      List.iter
+        (fun delta ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s %+g fails" name delta)
+            [ name ]
+            (ledger_violations (perf_report [ (name, v +. delta) ])))
+        [ 1.; -1. ])
+    [
+      ("plan.full_sorts", 25.);
+      ("plan.tree_builds", 15.);
+      ("key_codec.words", 1.2666666666666666);
+      ("build.structure_bytes_per_row", 63.762);
+      ("cost_model.picks.mst", 7.);
+      ("session.maintained", 3.);
+      ("session.rebuilt", 1.);
+    ];
+  Alcotest.(check (list string)) "a spill run appearing fails" [ "spill.runs" ]
+    (ledger_violations (perf_report [ ("spill.runs", 1.) ]));
+  Alcotest.(check (list string)) "an incorrect run fails" [ "correct" ]
+    (ledger_violations (perf_report ~correct:false []))
+
+let test_ledger_ungated () =
+  let moved =
+    perf_report
+      [
+        ("pool.tasks", 59.);
+        ("sort.ns_per_row", 900.);
+        ("probe.ns_per_row.distinct", 1.);
+        ("session.append_ns_per_row", 4000.);
+      ]
+  in
+  Alcotest.(check (list string)) "pool.tasks and ns/row never gate" [] (ledger_violations moved);
+  let names =
+    List.map
+      (fun c -> c.Report.metric_name)
+      (Report.compare_ledgers ~baseline:(perf_report []) ~fresh:moved)
+  in
+  List.iter
+    (fun name -> Alcotest.(check bool) (name ^ " not checked") false (List.mem name names))
+    [ "pool.tasks"; "sort.ns_per_row"; "probe.ns_per_row.distinct"; "session.append_ns_per_row" ]
+
+let test_ledger_missing_report_fails () =
+  let dir = Filename.temp_dir "bench_gate" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      let outcome =
+        Report.gate_file ~baseline:(perf_report []) ~fresh_dir:dir "PERF_paper_frames.json"
+      in
+      Alcotest.(check bool) "missing fresh PERF_ report fails" true
+        (outcome = Report.Missing_report));
+  Alcotest.(check (list string)) "a report without metrics fails every gated value"
+    [
+      "plan.full_sorts";
+      "plan.tree_builds";
+      "key_codec.words";
+      "build.structure_bytes_per_row";
+      "cost_model.picks.mst";
+      "spill.runs";
+      "session.maintained";
+      "session.rebuilt";
+    ]
+    (ledger_violations (Json.J_obj [ ("correct", Json.J_bool true) ]))
+
 let test_file_roundtrip () =
   let path = Filename.temp_file "bench_gate" ".json" in
   Fun.protect
@@ -139,19 +247,28 @@ let test_file_roundtrip () =
       let r = Report.load path in
       Alcotest.(check string) "loaded experiment" "synthetic" (Report.experiment_of r);
       Alcotest.(check int) "loaded metrics" 4 (List.length (Report.metrics_of r)));
-  (* every committed baseline reads back and reprints byte for byte (the
-     directory is relative to test/ under dune runtest, to the root under
-     dune exec) *)
+  (* every committed bench baseline reads back and reprints byte for byte;
+     perfbench baselines are perfbench's own output line, which must parse,
+     pass against itself and carry gated values (the directory is relative
+     to test/ under dune runtest, to the root under dune exec) *)
   let dir =
     List.find Sys.file_exists [ "../bench/baselines"; "bench/baselines" ]
   in
   Array.iter
     (fun name ->
       let path = Filename.concat dir name in
-      let ic = open_in_bin path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Alcotest.(check string) name text (Json.to_string ~pretty:true (Report.load path)))
+      if Report.is_ledger name then begin
+        let r = Report.load path in
+        let checks = Report.compare_ledgers ~baseline:r ~fresh:r in
+        Alcotest.(check bool) (name ^ " has gated values") true (List.length checks > 1);
+        Alcotest.(check int) (name ^ " passes against itself") 0
+          (List.length (Report.violations checks))
+      end
+      else
+        let ic = open_in_bin path in
+        let text = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        Alcotest.(check string) name text (Json.to_string ~pretty:true (Report.load path)))
     (Sys.readdir dir)
 
 let () =
@@ -172,5 +289,12 @@ let () =
           Alcotest.test_case "missing gated metric fails" `Quick test_missing_metric_fails;
           Alcotest.test_case "untolerated metrics never gate" `Quick test_untolerated_never_gates;
           Alcotest.test_case "zero baselines" `Quick test_zero_baseline;
+        ] );
+      ( "ledger",
+        [
+          Alcotest.test_case "identical reports pass" `Quick test_ledger_identical_passes;
+          Alcotest.test_case "a counter off by one fails" `Quick test_ledger_off_by_one_fails;
+          Alcotest.test_case "pool.tasks and ns/row never gate" `Quick test_ledger_ungated;
+          Alcotest.test_case "a missing fresh report fails" `Quick test_ledger_missing_report_fails;
         ] );
     ]

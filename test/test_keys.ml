@@ -308,19 +308,11 @@ let test_fast_key_nulls_spelling () =
   in
   List.iter
     (fun nulls ->
-      Alcotest.(check bool) "single_int_key any nulls spelling" true
-        (Sort_spec.single_int_key t [ Sort_spec.asc ~nulls (Expr.Col "a") ] <> None);
       Alcotest.(check bool) "fast_key int any nulls spelling" true
         (Sort_spec.fast_key t [ Sort_spec.desc ~nulls (Expr.Col "a") ] <> None);
       Alcotest.(check bool) "fast_key float any nulls spelling" true
         (Sort_spec.fast_key t [ Sort_spec.asc ~nulls (Expr.Col "f") ] <> None))
-    [ Sort_spec.Nulls_default; Sort_spec.Nulls_first; Sort_spec.Nulls_last ];
-  (* NULL-bearing columns must still never match *)
-  let mask = Bitset.create 3 in
-  Bitset.set mask 1;
-  let tn = Table.create [ ("a", Column.make ~nulls:mask (Column.Ints [| 3; 1; 2 |])) ] in
-  Alcotest.(check bool) "nullable column rejected" true
-    (Sort_spec.single_int_key tn [ Sort_spec.asc (Expr.Col "a") ] = None)
+    [ Sort_spec.Nulls_default; Sort_spec.Nulls_first; Sort_spec.Nulls_last ]
 
 (* String densification against the obvious reference: sort the distinct
    non-NULL strings, a row's code is its string's index.  Then the same

@@ -188,6 +188,50 @@ let test_worker_spans_parented () =
         (List.exists (fun (s : Obs.span) -> s.Obs.tid <> (Domain.self () :> int)) items);
       Alcotest.(check bool) "every item chains up to sql.query" true (List.for_all reaches_query items))
 
+(* Fig. 14's phases are the engine's own spans: a traced MST
+   COUNT(DISTINCT) must build its argument ids, previous-occurrence array
+   and distinct tree, in that order, under the item span. *)
+let test_distinct_build_spans () =
+  let pool = Task_pool.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Task_pool.shutdown pool)
+    (fun () ->
+      let n = 500 in
+      let table =
+        Table.create
+          [
+            ("d", Column.dates (Array.init n (fun i -> i / 3)));
+            ("x", Column.ints (Array.init n (fun i -> i * 7 mod 40)));
+          ]
+      in
+      let _, tr =
+        Sql.explain_analyze_trace ~pool ~evaluator:Holistic_window.Evaluator_choice.Mst
+          ~tables:[ ("t", table) ] "select count(distinct x) over (order by d) from t"
+      in
+      let item =
+        match List.filter (fun (s : Obs.span) -> s.Obs.name = "item") tr.Obs.spans with
+        | [ s ] -> s
+        | l -> Alcotest.failf "expected one item span, got %d" (List.length l)
+      in
+      let kinds =
+        List.filter_map
+          (fun (s : Obs.span) ->
+            if s.Obs.parent = item.Obs.id && s.Obs.name = "build" then
+              List.assoc_opt "kind" s.Obs.args
+            else None)
+          tr.Obs.spans
+      in
+      let rec in_order want have =
+        match (want, have) with
+        | [], _ -> true
+        | _, [] -> false
+        | w :: ws, h :: hs -> if w = h then in_order ws hs else in_order want hs
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "arg_ids, prev, mst.distinct in order among [%s]" (String.concat "; " kinds))
+        true
+        (in_order [ "arg_ids"; "prev"; "mst.distinct" ] kinds))
+
 let test_totals () =
   let (), tr =
     Obs.with_capture (fun () ->
@@ -409,7 +453,7 @@ let test_gc_sampling_domain_local () =
   List.iter (fun w -> Alcotest.(check int) "the same words every time" first w) words
 
 let test_self_totals () =
-  let mk id parent name dur_ns =
+  let mk ?(args = []) id parent name dur_ns =
     {
       Obs.id;
       parent;
@@ -417,17 +461,26 @@ let test_self_totals () =
       tid = 0;
       t0_ns = 0;
       dur_ns;
-      args = [];
+      args;
       alloc_w = 0;
       promoted_w = 0;
       majors = 0;
       bytes = 0;
     }
   in
-  (* root (100) > child (60) > grandchild (25); sibling child (15) *)
+  (* root (100) > child (60) > grandchild (25); sibling child (15);
+     kind-tagged sibling builds (7 and 3) *)
   let tr =
     {
-      Obs.spans = [ mk 0 (-1) "root" 100; mk 1 0 "child" 60; mk 2 1 "grand" 25; mk 3 0 "child" 15 ];
+      Obs.spans =
+        [
+          mk 0 (-1) "root" 100;
+          mk 1 0 "child" 60;
+          mk 2 1 "grand" 25;
+          mk 3 0 "child" 15;
+          mk ~args:[ ("kind", "prev"); ("cache", "reused(epoch=1)") ] 4 0 "build" 7;
+          mk ~args:[ ("kind", "peers") ] 5 0 "build" 3;
+        ];
       counters = [];
       hists = [];
       dropped = 0;
@@ -435,8 +488,13 @@ let test_self_totals () =
   in
   let self = Obs.self_totals tr in
   let get name = List.assoc name self in
-  Alcotest.(check int) "root self = 100 - 60 - 15" 25
+  Alcotest.(check int) "root self = 100 - 60 - 15 - 7 - 3" 15
     (int_of_float (snd (get "root") *. 1e9 +. 0.5));
+  Alcotest.(check int) "build{kind=prev} keyed by its kind" 7
+    (int_of_float (snd (get "build{kind=prev}") *. 1e9 +. 0.5));
+  Alcotest.(check int) "build{kind=peers} keyed by its kind" 3
+    (int_of_float (snd (get "build{kind=peers}") *. 1e9 +. 0.5));
+  Alcotest.(check bool) "no untagged build row" false (List.mem_assoc "build" self);
   Alcotest.(check int) "child self = (60 - 25) + 15" 50
     (int_of_float (snd (get "child") *. 1e9 +. 0.5));
   Alcotest.(check int) "child count" 2 (fst (get "child"));
@@ -769,6 +827,7 @@ let () =
         [
           Alcotest.test_case "overlapping captures on two domains" `Quick test_overlapping_captures;
           Alcotest.test_case "worker spans under their submitter" `Quick test_worker_spans_parented;
+          Alcotest.test_case "distinct builds under the item span" `Quick test_distinct_build_spans;
           Alcotest.test_case "query log inside an outer capture" `Quick
             test_query_log_in_outer_capture;
         ] );
