@@ -31,13 +31,13 @@ let time f =
 type timing = { best : float; mean : float; stddev : float; runs : int }
 
 (* [?hist] names an [Obs.Histogram] that each rep's duration (ns) is
-   recorded into ungated, so bench reports can carry the distribution. *)
+   recorded into, so bench reports can carry the distribution. *)
 let time_best ?hist ~reps f =
   let h = Option.map (Obs.Histogram.make ~help:"Benchmark repetition wall times (ns)") hist in
   let reps = max 1 reps in
   let ts = Array.init reps (fun _ -> time f) in
   Array.iter
-    (fun t -> Option.iter (fun h -> Obs.Histogram.add_always h (int_of_float (t *. 1e9))) h)
+    (fun t -> Option.iter (fun h -> Obs.Histogram.add h (int_of_float (t *. 1e9))) h)
     ts;
   let best = Array.fold_left min ts.(0) ts in
   let mean = Array.fold_left ( +. ) 0.0 ts /. float_of_int reps in

@@ -31,7 +31,7 @@ let getenv name = match Sys.getenv_opt name with None | Some "" -> None | Some v
 let with_pool f =
   let pool = Task_pool.create (Task_pool.domains_of_setting (getenv "HOLIWIN_DOMAINS")) in
   ignore
-    (Obs.Gauge.register ~help:"Worker domains of the default task pool" "pool.domains" (fun () ->
+    (Obs.Gauge.register ~help:"Worker domains of the CLI's task pool" "pool.domains" (fun () ->
          Task_pool.size pool));
   Fun.protect ~finally:(fun () -> Task_pool.shutdown pool) (fun () -> f pool)
 

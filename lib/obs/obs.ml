@@ -36,30 +36,75 @@ let rec set_flag on =
 let enable () = set_flag true
 let disable () = set_flag false
 
-(* A capture's bounded span list, newest first.  A mutex (not a lock-free
-   structure) is fine here: pool workers handed the capture record into it
-   too, but spans are recorded at partition/stage granularity, never per
-   row. *)
+(* Histogram cells, HDR-style log buckets with 16 sub-buckets per octave:
+   values 0..15 are exact; a value v >= 16 with most-significant bit p
+   lands in bucket 16*(p-3) + the next four bits below the MSB.  The
+   relative quantisation error is therefore < 1/16 ≈ 6%, buckets are
+   computed with two shifts and a mask, and 960 buckets cover the whole
+   non-negative [int] range.  A registered histogram owns one set of
+   cells; every capture that sees it record owns another. *)
+let bucket_count = 960
+
+let bucket_of_value v =
+  if v < 16 then if v < 0 then 0 else v
+  else begin
+    let p = ref 4 in
+    while v lsr (!p + 1) > 0 do
+      incr p
+    done;
+    (16 * (!p - 3)) + ((v lsr (!p - 4)) land 15)
+  end
+
+let bucket_lower_bound b =
+  if b < 16 then b
+  else begin
+    let p = (b / 16) + 3 and sub = b mod 16 in
+    (16 + sub) lsl (p - 4)
+  end
+
+type cells = {
+  counts : int array;
+  mutable n : int;
+  mutable total : int;
+  mutable min_v : int;
+  mutable max_v : int;
+}
+
+let new_cells () =
+  { counts = Array.make bucket_count 0; n = 0; total = 0; min_v = max_int; max_v = min_int }
+
+let clear_cells c =
+  Array.fill c.counts 0 bucket_count 0;
+  c.n <- 0;
+  c.total <- 0;
+  c.min_v <- max_int;
+  c.max_v <- min_int
+
+let record_value c v =
+  let b = bucket_of_value v in
+  c.counts.(b) <- c.counts.(b) + 1;
+  c.n <- c.n + 1;
+  c.total <- c.total + v;
+  if v < c.min_v then c.min_v <- v;
+  if v > c.max_v then c.max_v <- v
+
+(* A capture: its bounded span list, newest first, and its own counter and
+   histogram cells, by name.  A mutex (not a lock-free structure) is fine
+   here: pool workers handed the capture record into it too, but spans,
+   counters and histograms are recorded at partition/stage granularity,
+   never per row. *)
 type capture = {
   lock : Mutex.t;
   mutable recorded : span list;
   mutable len : int;
   mutable lost : int;
-  outer : capture option;  (* the capture this one nests in, which records its spans too *)
+  counters : (string, int ref) Hashtbl.t;
+  hists : (string, cells) Hashtbl.t;
+  outer : capture option;  (* the capture this one nests in, which records everything it does too *)
 }
 
 let max_spans = 1 lsl 18
 let next_id = Atomic.make 0
-
-let rec record cap s =
-  Mutex.lock cap.lock;
-  if cap.len >= max_spans then cap.lost <- cap.lost + 1
-  else begin
-    cap.recorded <- s :: cap.recorded;
-    cap.len <- cap.len + 1
-  end;
-  Mutex.unlock cap.lock;
-  Option.iter (fun o -> record o s) cap.outer
 
 (* Per domain: the capture spans go to (opened here, or handed over with a
    pool task), the stack of open spans for parent links and [annotate],
@@ -68,6 +113,20 @@ let rec record cap s =
 type domain_state = { mutable cap : capture option; mutable stack : span list; mutable base : int }
 
 let state_key = Domain.DLS.new_key (fun () -> { cap = None; stack = []; base = -1 })
+
+(* [f cap], under [cap]'s lock, for every capture on this domain's chain:
+   the one opened here or handed over with a pool task, and the captures
+   it nests in. *)
+let into_captures f =
+  let rec go = function
+    | None -> ()
+    | Some cap ->
+        Mutex.lock cap.lock;
+        f cap;
+        Mutex.unlock cap.lock;
+        go cap.outer
+  in
+  go (Domain.DLS.get state_key).cap
 
 (* A span records only with tracing on and a capture open on its domain. *)
 let capturing () = Atomic.get state <> 0 && (Domain.DLS.get state_key).cap <> None
@@ -94,7 +153,12 @@ let span ?args name f =
     in
     (* Recorded at start so nesting order in the capture is start order
        (parents strictly before children), which [render] relies on. *)
-    Option.iter (fun cap -> record cap s) st.cap;
+    into_captures (fun cap ->
+        if cap.len >= max_spans then cap.lost <- cap.lost + 1
+        else begin
+          cap.recorded <- s :: cap.recorded;
+          cap.len <- cap.len + 1
+        end);
     st.stack <- s :: st.stack;
     (* GC deltas are sampled only inside the enabled branch, keeping the
        one-atomic-load disabled contract.  [Gc.minor_words] reads the
@@ -181,8 +245,18 @@ module Counter = struct
 
   let name c = c.name
   let help c = c.help
-  let add_always c n = if n <> 0 then ignore (Atomic.fetch_and_add c.cell n)
-  let add c n = if Atomic.get state <> 0 then add_always c n
+
+  (* The process-wide cell, then the cell of every capture on this
+     domain's chain. *)
+  let add c n =
+    if Atomic.get state <> 0 && n <> 0 then begin
+      ignore (Atomic.fetch_and_add c.cell n);
+      into_captures (fun cap ->
+          match Hashtbl.find_opt cap.counters c.name with
+          | Some r -> r := !r + n
+          | None -> Hashtbl.add cap.counters c.name (ref n))
+    end
+
   let incr c = add c 1
   let value c = Atomic.get c.cell
 
@@ -246,43 +320,13 @@ module Gauge = struct
 end
 
 module Histogram = struct
-  (* Log-bucketed histogram, HDR-style with 16 sub-buckets per octave:
-     values 0..15 are exact; a value v >= 16 with most-significant bit p
-     lands in bucket 16*(p-3) + the next four bits below the MSB.  The
-     relative quantisation error is therefore < 1/16 ≈ 6%, buckets are
-     computed with two shifts and a mask, and 960 buckets cover the whole
-     non-negative [int] range.  Quantiles are reported as the *lower
-     bound* of the bucket the quantile falls in, so they never
-     over-report. *)
-  let bucket_count = 960
+  (* Quantiles are reported as the *lower bound* of the bucket the
+     quantile falls in, so they never over-report. *)
+  let bucket_count = bucket_count
+  let bucket_of_value = bucket_of_value
+  let bucket_lower_bound = bucket_lower_bound
 
-  let bucket_of_value v =
-    if v < 16 then if v < 0 then 0 else v
-    else begin
-      let p = ref 4 in
-      while v lsr (!p + 1) > 0 do
-        incr p
-      done;
-      (16 * (!p - 3)) + ((v lsr (!p - 4)) land 15)
-    end
-
-  let bucket_lower_bound b =
-    if b < 16 then b
-    else begin
-      let p = (b / 16) + 3 and sub = b mod 16 in
-      (16 + sub) lsl (p - 4)
-    end
-
-  type t = {
-    name : string;
-    mutable help : string;
-    counts : int array;
-    mutable n : int;
-    mutable sum : int;
-    mutable min_v : int;
-    mutable max_v : int;
-    lock : Mutex.t;
-  }
+  type t = { name : string; mutable help : string; cells : cells; lock : Mutex.t }
 
   type summary = {
     count : int;
@@ -305,18 +349,7 @@ module Histogram = struct
           if help <> "" then h.help <- help;
           h
       | None ->
-          let h =
-            {
-              name;
-              help;
-              counts = Array.make bucket_count 0;
-              n = 0;
-              sum = 0;
-              min_v = max_int;
-              max_v = min_int;
-              lock = Mutex.create ();
-            }
-          in
+          let h = { name; help; cells = new_cells (); lock = Mutex.create () } in
           Hashtbl.add registry name h;
           h
     in
@@ -326,20 +359,26 @@ module Histogram = struct
   let name h = h.name
   let help h = h.help
 
-  let add_always h v =
+  (* Always into the process-wide cells; with tracing on, also into the
+     cells of every capture on this domain's chain. *)
+  let add h v =
     let v = if v < 0 then 0 else v in
     Mutex.lock h.lock;
-    let b = bucket_of_value v in
-    h.counts.(b) <- h.counts.(b) + 1;
-    h.n <- h.n + 1;
-    h.sum <- h.sum + v;
-    if v < h.min_v then h.min_v <- v;
-    if v > h.max_v then h.max_v <- v;
-    Mutex.unlock h.lock
+    record_value h.cells v;
+    Mutex.unlock h.lock;
+    if Atomic.get state <> 0 then
+      into_captures (fun cap ->
+          let c =
+            match Hashtbl.find_opt cap.hists h.name with
+            | Some c -> c
+            | None ->
+                let c = new_cells () in
+                Hashtbl.add cap.hists h.name c;
+                c
+          in
+          record_value c v)
 
-  let add h v = if Atomic.get state <> 0 then add_always h v
-
-  let count h = h.n
+  let count h = h.cells.n
 
   (* Smallest recorded value whose cumulative count reaches [q * n],
      reported as its bucket's lower bound (exact for values < 16).
@@ -367,40 +406,34 @@ module Histogram = struct
       if lo > max_v then max_v else if lo < min_v then min_v else lo
     end
 
-  let quantile_locked h q = quantile_of ~counts:h.counts ~n:h.n ~min_v:h.min_v ~max_v:h.max_v q
-
   let quantile h q =
     Mutex.lock h.lock;
-    let v = quantile_locked h q in
+    let c = h.cells in
+    let v = quantile_of ~counts:c.counts ~n:c.n ~min_v:c.min_v ~max_v:c.max_v q in
     Mutex.unlock h.lock;
     v
 
-  let summary_of ~counts ~n ~sum ~min_v ~max_v =
+  let summary_of_cells c =
+    let q = quantile_of ~counts:c.counts ~n:c.n ~min_v:c.min_v ~max_v:c.max_v in
     {
-      count = n;
-      sum;
-      min = (if n = 0 then 0 else min_v);
-      max = (if n = 0 then 0 else max_v);
-      p50 = quantile_of ~counts ~n ~min_v ~max_v 0.50;
-      p90 = quantile_of ~counts ~n ~min_v ~max_v 0.90;
-      p99 = quantile_of ~counts ~n ~min_v ~max_v 0.99;
+      count = c.n;
+      sum = c.total;
+      min = (if c.n = 0 then 0 else c.min_v);
+      max = (if c.n = 0 then 0 else c.max_v);
+      p50 = q 0.50;
+      p90 = q 0.90;
+      p99 = q 0.99;
     }
-
-  let summarise_locked h = summary_of ~counts:h.counts ~n:h.n ~sum:h.sum ~min_v:h.min_v ~max_v:h.max_v
 
   let summary h =
     Mutex.lock h.lock;
-    let s = summarise_locked h in
+    let s = summary_of_cells h.cells in
     Mutex.unlock h.lock;
     s
 
   let reset h =
     Mutex.lock h.lock;
-    Array.fill h.counts 0 bucket_count 0;
-    h.n <- 0;
-    h.sum <- 0;
-    h.min_v <- max_int;
-    h.max_v <- min_int;
+    clear_cells h.cells;
     Mutex.unlock h.lock
 
   let entries () =
@@ -410,85 +443,37 @@ module Histogram = struct
     List.sort (fun a b -> String.compare a.name b.name) all
 
   let snapshot () =
-    List.filter_map (fun h -> if h.n = 0 then None else Some (h.name, summary h)) (entries ())
+    List.filter_map (fun h -> if count h = 0 then None else Some (h.name, summary h)) (entries ())
 
   let inventory () = List.map (fun h -> (h.name, h.help, summary h)) (entries ())
-
-  (* [since ()] marks what every histogram holds now and returns what each
-     recorded after the mark, sorted by name.  A delta's extremes are its
-     outermost non-empty buckets' bounds, clamped to the histogram's
-     lifetime extremes. *)
-  let since () =
-    let locked h f =
-      Mutex.lock h.lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock h.lock) f
-    in
-    let marks =
-      List.filter_map
-        (fun h ->
-          locked h (fun () ->
-              if h.n = 0 then None else Some (h.name, (Array.copy h.counts, h.n, h.sum))))
-        (entries ())
-    in
-    fun () ->
-      List.filter_map
-        (fun h ->
-          locked h (fun () ->
-              match List.assoc_opt h.name marks with
-              | None -> if h.n = 0 then None else Some (h.name, summarise_locked h)
-              | Some (_, n0, _) when h.n <= n0 -> None
-              | Some (c0, n0, s0) ->
-                  let counts = Array.mapi (fun b c -> c - c0.(b)) h.counts in
-                  let lo = ref 0 and hi = ref (bucket_count - 1) in
-                  while counts.(!lo) <= 0 do incr lo done;
-                  while counts.(!hi) <= 0 do decr hi done;
-                  let top =
-                    if !hi + 1 < bucket_count then bucket_lower_bound (!hi + 1) - 1 else max_int
-                  in
-                  Some
-                    ( h.name,
-                      summary_of ~counts ~n:(h.n - n0) ~sum:(h.sum - s0)
-                        ~min_v:(max h.min_v (bucket_lower_bound !lo))
-                        ~max_v:(min h.max_v top) )))
-        (entries ())
 end
 
-(* Sliding-window histograms: a ring of [slots] log-bucketed histograms,
-   each covering one fixed slice of the window (a span of nanoseconds or
-   of recorded events).  Recording lands in the slice the sample belongs
-   to; when the ring wraps onto an expired slice, that slice's buckets
-   are zeroed in one O(bucket_count) pass — the same wholesale-eviction
-   idea the engine's own sliding frames use (bulk evictions instead of
-   per-sample deletions), applied to its latency stream.  Summaries merge
-   only the slices still inside the window, so quantiles cover "the last
-   N seconds" / "the last k queries" with at most one slice of slack.
-   [add] keeps the one-atomic-load disabled contract of {!Counter.add}. *)
+(* Sliding-window histograms: a ring of [slots] histogram cells, each
+   covering one fixed slice of the window's trailing events.  Recording
+   lands in the slice of the current event count; when the ring wraps onto
+   the oldest slice, its buckets are zeroed in one O(bucket_count) pass —
+   the same wholesale-eviction idea the engine's own sliding frames use
+   (bulk evictions instead of per-sample deletions), applied to its latency
+   stream.  Summaries merge the ring, so quantiles cover "the last k
+   queries" with at most one slice of slack.  [add] keeps the
+   one-atomic-load disabled contract of {!Counter.add}. *)
 module Windowed_histogram = struct
-  type window = Last_ns of int | Last_events of int
+  type window = Last_events of int
 
   type t = {
     name : string;
     mutable help : string;
-    window : window;
-    slots : int;
-    per_slot : int;  (* ns or events covered by one slot *)
-    counts : int array;  (* slots * bucket_count, flattened *)
-    slot_n : int array;
-    slot_sum : int array;
-    slot_min : int array;
-    slot_max : int array;
-    slot_gen : int array;  (* absolute slice index held by each ring slot, -1 empty *)
-    mutable events : int;  (* total adds ever; drives event-based windows *)
-    mutable evicted : int;  (* expired slices bulk-zeroed so far *)
+    span : int;  (* events the window covers *)
+    per_slot : int;  (* events covered by one slice *)
+    ring : cells array;
+    mutable events : int;  (* total adds ever *)
     lock : Mutex.t;
   }
-
-  let bucket_count = Histogram.bucket_count
 
   let registry : (string, t) Hashtbl.t = Hashtbl.create 8
   let reg_mutex = Mutex.create ()
 
-  let make ?(help = "") ?(slots = 16) ~window name =
+  let make ?(help = "") ?(slots = 16) ~window:(Last_events span) name =
     Mutex.lock reg_mutex;
     let w =
       match Hashtbl.find_opt registry name with
@@ -497,22 +482,14 @@ module Windowed_histogram = struct
           w
       | None ->
           let slots = max 2 slots in
-          let span = match window with Last_ns n -> n | Last_events n -> n in
           let w =
             {
               name;
               help;
-              window;
-              slots;
+              span;
               per_slot = max 1 (span / slots);
-              counts = Array.make (slots * bucket_count) 0;
-              slot_n = Array.make slots 0;
-              slot_sum = Array.make slots 0;
-              slot_min = Array.make slots max_int;
-              slot_max = Array.make slots min_int;
-              slot_gen = Array.make slots (-1);
+              ring = Array.init slots (fun _ -> new_cells ());
               events = 0;
-              evicted = 0;
               lock = Mutex.create ();
             }
           in
@@ -524,104 +501,49 @@ module Windowed_histogram = struct
 
   let name w = w.name
   let help w = w.help
-  let window w = w.window
+  let window_label w = Printf.sprintf "%dev" w.span
 
-  let window_label w =
-    match w.window with
-    | Last_events n -> Printf.sprintf "%dev" n
-    | Last_ns n ->
-        if n mod 1_000_000_000 = 0 then Printf.sprintf "%ds" (n / 1_000_000_000)
-        else Printf.sprintf "%dms" (n / 1_000_000)
-
-  (* Absolute slice index a new sample belongs to, given the clock (time
-     windows) or the running event count (event windows). *)
-  let slice_of_add w ~now_ns = match w.window with
-    | Last_ns _ -> now_ns / w.per_slot
-    | Last_events _ -> w.events / w.per_slot
-
-  (* Newest slice that can still hold live data at summary time.  For
-     event windows time does not age data out: the newest slice is the
-     one of the most recent add. *)
-  let slice_of_now w ~now_ns = match w.window with
-    | Last_ns _ -> now_ns / w.per_slot
-    | Last_events _ -> if w.events = 0 then -1 else (w.events - 1) / w.per_slot
-
-  let evict_slot w ring =
-    Array.fill w.counts (ring * bucket_count) bucket_count 0;
-    w.slot_n.(ring) <- 0;
-    w.slot_sum.(ring) <- 0;
-    w.slot_min.(ring) <- max_int;
-    w.slot_max.(ring) <- min_int;
-    w.evicted <- w.evicted + 1
-
-  let add_always_at w ~now_ns v =
+  let add_always w v =
     let v = if v < 0 then 0 else v in
     Mutex.lock w.lock;
-    let slice = slice_of_add w ~now_ns in
-    let ring = slice mod w.slots in
-    if w.slot_gen.(ring) <> slice then begin
-      if w.slot_gen.(ring) >= 0 then evict_slot w ring;
-      w.slot_gen.(ring) <- slice
-    end;
-    let b = Histogram.bucket_of_value v in
-    w.counts.((ring * bucket_count) + b) <- w.counts.((ring * bucket_count) + b) + 1;
-    w.slot_n.(ring) <- w.slot_n.(ring) + 1;
-    w.slot_sum.(ring) <- w.slot_sum.(ring) + v;
-    if v < w.slot_min.(ring) then w.slot_min.(ring) <- v;
-    if v > w.slot_max.(ring) then w.slot_max.(ring) <- v;
+    let slot = w.ring.(w.events / w.per_slot mod Array.length w.ring) in
+    (* the first record of a slice evicts whatever the slot held *)
+    if w.events mod w.per_slot = 0 then clear_cells slot;
+    record_value slot v;
     w.events <- w.events + 1;
     Mutex.unlock w.lock
 
-  let add_always w v = add_always_at w ~now_ns:(now_ns ()) v
   let add w v = if Atomic.get state <> 0 then add_always w v
 
-  (* Merge the live slices into one flat bucket array under the lock. *)
-  let merge_live w ~now_ns =
+  (* The ring merged into one set of cells, under the lock. *)
+  let merged w =
+    let m = new_cells () in
     Mutex.lock w.lock;
-    let newest = slice_of_now w ~now_ns in
-    let oldest_live = newest - w.slots + 1 in
-    let merged = Array.make bucket_count 0 in
-    let n = ref 0 and sum = ref 0 and min_v = ref max_int and max_v = ref min_int in
-    for ring = 0 to w.slots - 1 do
-      let gen = w.slot_gen.(ring) in
-      if gen >= oldest_live && gen <= newest && w.slot_n.(ring) > 0 then begin
-        let base = ring * bucket_count in
-        for b = 0 to bucket_count - 1 do
-          merged.(b) <- merged.(b) + w.counts.(base + b)
-        done;
-        n := !n + w.slot_n.(ring);
-        sum := !sum + w.slot_sum.(ring);
-        if w.slot_min.(ring) < !min_v then min_v := w.slot_min.(ring);
-        if w.slot_max.(ring) > !max_v then max_v := w.slot_max.(ring)
-      end
-    done;
+    Array.iter
+      (fun c ->
+        if c.n > 0 then begin
+          Array.iteri (fun b k -> m.counts.(b) <- m.counts.(b) + k) c.counts;
+          m.n <- m.n + c.n;
+          m.total <- m.total + c.total;
+          m.min_v <- min m.min_v c.min_v;
+          m.max_v <- max m.max_v c.max_v
+        end)
+      w.ring;
     Mutex.unlock w.lock;
-    (merged, !n, !sum, !min_v, !max_v)
+    m
 
-  let summary_at w ~now_ns =
-    let counts, n, sum, min_v, max_v = merge_live w ~now_ns in
-    Histogram.summary_of ~counts ~n ~sum ~min_v ~max_v
+  let summary w = Histogram.summary_of_cells (merged w)
 
-  let summary w = summary_at w ~now_ns:(now_ns ())
+  let quantile w q =
+    let m = merged w in
+    Histogram.quantile_of ~counts:m.counts ~n:m.n ~min_v:m.min_v ~max_v:m.max_v q
 
-  let quantile_at w ~now_ns q =
-    let counts, n, _, min_v, max_v = merge_live w ~now_ns in
-    Histogram.quantile_of ~counts ~n ~min_v ~max_v q
-
-  let quantile w q = quantile_at w ~now_ns:(now_ns ()) q
   let events w = w.events
-  let evictions w = w.evicted
 
   let reset w =
     Mutex.lock w.lock;
-    Array.fill w.counts 0 (w.slots * bucket_count) 0;
-    Array.fill w.slot_n 0 w.slots 0;
-    Array.fill w.slot_sum 0 w.slots 0;
-    Array.fill w.slot_min 0 w.slots max_int;
-    Array.fill w.slot_max 0 w.slots min_int;
-    Array.fill w.slot_gen 0 w.slots (-1);
+    Array.iter clear_cells w.ring;
     w.events <- 0;
-    w.evicted <- 0;
     Mutex.unlock w.lock
 
   let entries () =
@@ -649,8 +571,17 @@ type trace = {
 
 let with_capture f =
   let st = Domain.DLS.get state_key in
-  let cap = { lock = Mutex.create (); recorded = []; len = 0; lost = 0; outer = st.cap } in
-  let counters0 = Counter.snapshot () and hists = Histogram.since () in
+  let cap =
+    {
+      lock = Mutex.create ();
+      recorded = [];
+      len = 0;
+      lost = 0;
+      counters = Hashtbl.create 32;
+      hists = Hashtbl.create 4;
+      outer = st.cap;
+    }
+  in
   ignore (Atomic.fetch_and_add state 2);
   st.cap <- Some cap;
   let close () =
@@ -658,14 +589,21 @@ let with_capture f =
     ignore (Atomic.fetch_and_add state (-2))
   in
   let v = Fun.protect ~finally:close f in
-  let counters =
-    List.filter_map
-      (fun (n, v) ->
-        let d = v - Option.value ~default:0 (List.assoc_opt n counters0) in
-        if d = 0 then None else Some (n, d))
-      (Counter.snapshot ())
+  let by_name tbl keep =
+    Hashtbl.fold (fun n x acc -> match keep x with Some y -> (n, y) :: acc | None -> acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  (v, { spans = List.rev cap.recorded; counters; hists = hists (); dropped = cap.lost })
+  Mutex.lock cap.lock;
+  let tr =
+    {
+      spans = List.rev cap.recorded;
+      counters = by_name cap.counters (fun r -> if !r = 0 then None else Some !r);
+      hists = by_name cap.hists (fun c -> Some (Histogram.summary_of_cells c));
+      dropped = cap.lost;
+    }
+  in
+  Mutex.unlock cap.lock;
+  (v, tr)
 
 let totals tr =
   let order = ref [] in

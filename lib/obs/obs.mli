@@ -8,17 +8,21 @@
     on the domain that records them, and a pool task carries its
     submitter's capture to the worker that runs it ({!handoff}), so worker
     spans land in the same trace under their real parent.  A span with no
-    capture open on its domain records nothing.  The trace's counters and
-    histograms are deltas over the capture; nothing resets the
-    process-wide registries, so the metrics exporter ({!Metrics}) sees
-    every increment — and captures running at the same time see each
-    other's counter increments.  Overlapping captures never switch
-    tracing off for each other: tracing is on while {!enable} is set or
-    any capture is open.
+    capture open on its domain records nothing.  Counters and histograms
+    count the same way: each capture owns its own cells, and an increment
+    lands in the process-wide cell the metrics exporter ({!Metrics})
+    reads and in the cells of the capture on its domain (opened there or
+    handed over) and of every capture that one nests in.  So captures
+    running at the same time, on any domains, see only their own work,
+    and nothing resets the process-wide registries.  Overlapping captures
+    never switch tracing off for each other: tracing is on while
+    {!enable} is set or any capture is open.
 
     The overhead contract: with tracing off (the default), every entry point
-    costs one atomic load and returns — no clock reads, no GC sampling, no
-    buffer writes, no formatting.  Argument lists and byte counts are
+    but the ungated recorders ({!Histogram.add},
+    {!Windowed_histogram.add_always}, for per-query latencies and bench
+    repetitions) costs one atomic load and returns — no clock reads, no
+    GC sampling, no buffer writes, no formatting.  Argument lists and byte counts are
     therefore passed as thunks ([?args], {!record_bytes}) that are only
     forced with tracing on.  Instrumentation sits at partition/stage
     granularity, never per row, so even the call-site closure allocations
@@ -84,23 +88,23 @@ module Counter : sig
   val help : t -> string
 
   val add : t -> int -> unit
-  (** Gated: no-op while tracing is disabled. *)
-
-  val add_always : t -> int -> unit
-  (** Ungated: for statistics that must stay on regardless of tracing
-      (e.g. the OVC merge stats asserted by benches and tests). *)
+  (** Gated: no-op while tracing is disabled.  With tracing on, adds to
+      the process-wide value and to every capture on this domain's chain
+      (see the module header). *)
 
   val incr : t -> unit
   val value : t -> int
+  (** The process-wide value. *)
 
   val snapshot : unit -> (string * int) list
-  (** All registered counters with their current values, sorted by name. *)
+  (** All registered counters with their process-wide values, sorted by
+      name. *)
 end
 
 module Histogram : sig
-  (** Process-wide registered log-bucketed histograms for latency (or any
-      non-negative integer) distributions.  HDR-style bucketing with 16
-      sub-buckets per power of two: values 0–15 are exact, larger values
+  (** Registered log-bucketed histograms for latency (or any non-negative
+      integer) distributions, process-wide and per capture.  HDR-style
+      bucketing with 16 sub-buckets per power of two: values 0–15 are exact, larger values
       quantise with < 1/16 relative error, and 960 buckets cover the whole
       non-negative [int] range.  Recording takes a per-histogram mutex —
       fine at stage granularity, not meant for per-row use. *)
@@ -126,14 +130,12 @@ module Histogram : sig
   val help : t -> string
 
   val add : t -> int -> unit
-  (** Gated: no-op while tracing is disabled (same one-atomic-load fast
-      path as {!Counter.add}).  Negative values clamp to 0. *)
-
-  val add_always : t -> int -> unit
-  (** Ungated: always records, e.g. for bench harness timing loops that
-      run with tracing off. *)
+  (** Always records into the process-wide histogram; with tracing on,
+      also into every capture on this domain's chain, like
+      {!Counter.add}.  Negative values clamp to 0. *)
 
   val count : t -> int
+  (** Process-wide, like the rest of this module's readers. *)
 
   val quantile : t -> float -> int
   (** [quantile h q] for [q ∈ (0, 1]]: the smallest recorded bucket whose
@@ -186,60 +188,45 @@ end
 
 module Windowed_histogram : sig
   (** Sliding-window latency quantiles: a ring of [slots] log-bucketed
-      histogram slices, each covering a fixed span of nanoseconds
-      ({!Last_ns}) or of recorded events ({!Last_events}).  When the ring
-      wraps onto an expired slice its buckets are zeroed in one
-      O(bucket_count) pass — bulk eviction, never per-sample deletion —
-      and summaries merge only the slices still inside the window, so
-      p50/p90/p99 cover "the last N seconds" / "the last k events" with
-      at most one slice of slack.  Same bucketing (and therefore the same
-      conservative quantile semantics) as {!Histogram}; {!add} keeps the
-      one-atomic-load disabled contract. *)
+      histogram slices, each covering a fixed number of recorded events.
+      When the ring wraps onto the oldest slice its buckets are zeroed in
+      one O(bucket_count) pass — bulk eviction, never per-sample deletion
+      — so p50/p90/p99 cover "the last k events" with at most one slice
+      of slack.  Same bucketing (and therefore the same conservative
+      quantile semantics) as {!Histogram}; {!add} keeps the
+      one-atomic-load disabled contract.  Process-wide only: a capture
+      holds no windows. *)
 
   type t
 
-  type window =
-    | Last_ns of int  (** window covers this many trailing nanoseconds *)
-    | Last_events of int  (** window covers this many trailing records *)
+  type window = Last_events of int  (** window covers this many trailing records *)
 
   val make : ?help:string -> ?slots:int -> window:window -> string -> t
   (** Find-or-create.  [slots] (default 16, min 2) is the ring size; each
-      slice covers [window / slots], so a larger [slots] trades memory
-      (960 buckets per slice) for finer expiry granularity.  The window
-      of an existing registration is kept. *)
+      slice covers [window / slots] events, so a larger [slots] trades
+      memory (960 buckets per slice) for finer eviction.  The window of
+      an existing registration is kept. *)
 
   val name : t -> string
   val help : t -> string
-  val window : t -> window
 
   val window_label : t -> string
-  (** ["30s"], ["1500ms"], ["1024ev"] — the [window] label the exporter
-      attaches to this metric's samples. *)
+  (** ["1024ev"] — the [window] label the exporter attaches to this
+      metric's samples. *)
 
   val add : t -> int -> unit
-  (** Gated: no-op while tracing is disabled (one atomic load — no clock
-      read, no lock). *)
+  (** Gated: no-op while tracing is disabled (one atomic load, no lock). *)
 
   val add_always : t -> int -> unit
-  (** Ungated: always records, stamping the sample with {!now_ns}. *)
-
-  val add_always_at : t -> now_ns:int -> int -> unit
-  (** Ungated record with an explicit clock reading — deterministic
-      expiry for tests.  Event-count windows ignore the clock. *)
+  (** Ungated: always records. *)
 
   val summary : t -> Histogram.summary
-  (** Merged summary of the slices inside the window as of now.  Slices
-      that aged out without being overwritten are excluded (time windows
-      expire by clock even when no new samples arrive). *)
+  (** Merged summary of the slices inside the window. *)
 
-  val summary_at : t -> now_ns:int -> Histogram.summary
   val quantile : t -> float -> int
 
   val events : t -> int
   (** Total records ever added (not just those still in the window). *)
-
-  val evictions : t -> int
-  (** Expired slices bulk-zeroed so far. *)
 
   val reset : t -> unit
 
@@ -264,16 +251,20 @@ type span = {
 
 type trace = {
   spans : span list;  (** in start order: parents precede children *)
-  counters : (string * int) list;  (** non-zero counter deltas over the capture *)
-  hists : (string * Histogram.summary) list;  (** non-empty histogram deltas *)
+  counters : (string * int) list;
+      (** the capture's non-zero counters, by name: what its own run
+          added, on whichever domains it ran *)
+  hists : (string * Histogram.summary) list;
+      (** the capture's non-empty histograms, by name *)
   dropped : int;  (** spans lost to the capture's bound *)
 }
 
 val with_capture : (unit -> 'a) -> 'a * trace
 (** [with_capture f] runs [f] with tracing on and returns its result with
     the trace of the run, as the module header describes.  Captures nest
-    — an inner capture's spans also land in the enclosing one.  If [f]
-    raises, the capture closes and the exception propagates. *)
+    — an inner capture's spans, counts and records also land in the
+    enclosing one.  If [f] raises, the capture closes and the exception
+    propagates. *)
 
 val totals : trace -> (string * (int * float)) list
 (** Per span name, in first-appearance order: (count, total seconds).

@@ -2,15 +2,15 @@ module Obs = Holistic_obs.Obs
 
 let default_task_size = 20_000
 
-(* Registered observability counters (process-wide, shared by all pools).
-   [Obs.Counter.add] is gated on tracing being enabled, so the disabled
-   path pays nothing beyond the branch inside [exec]. *)
+(* Registered observability counters, shared by all pools.  A task charges
+   pool.tasks, pool.busy_ns and pool.queue_wait_ns from inside its handed-
+   off closure ([metered]), so they land in the submitter's capture on
+   whichever domain runs it; idle pool.wait_ns belongs to no query and is
+   process-wide only. *)
 let c_tasks = Obs.Counter.make ~help:"Tasks executed by the shared worker pool" "pool.tasks"
 let c_busy = Obs.Counter.make ~help:"Nanoseconds pool workers spent running tasks" "pool.busy_ns"
 let c_wait = Obs.Counter.make ~help:"Nanoseconds pool workers spent idle waiting for work" "pool.wait_ns"
 let c_queue_wait = Obs.Counter.make ~help:"Nanoseconds tasks spent queued before a worker picked them up" "pool.queue_wait_ns"
-
-type worker_stat = { mutable tasks : int; mutable busy_ns : int; mutable wait_ns : int }
 
 (* A batch is one unit of submission: its own task queue, its own pending
    count and its own first-error slot.  Several batches may be in flight on
@@ -39,7 +39,6 @@ type t = {
   shared : shared;
   workers : unit Domain.t array;
   n : int;
-  stats : worker_stat array; (* index 0 = the caller, 1..n-1 = worker domains *)
   mutable alive : bool;
 }
 
@@ -56,33 +55,18 @@ let inside t = List.memq t.id !(Domain.DLS.get in_task_key)
 
 let record_error b e = if b.first_error = None then b.first_error <- Some e
 
-(* Run one task of [b], capturing its error into the batch; with tracing
-   on, also charge its wall time to the executing worker's stat record and
-   the global pool counters.  The pool id is pushed on the domain's
-   in-task stack for the duration so nested submissions run inline.
-   Errors are recorded under [mutex]. *)
-let exec pool b stat task =
+(* Run one task of [b], capturing its error into the batch.  The pool id
+   is pushed on the domain's in-task stack for the duration so nested
+   submissions run inline.  Errors are recorded under [mutex]. *)
+let exec pool b task =
   let stack = Domain.DLS.get in_task_key in
   stack := pool.id :: !stack;
-  let fin () = match !stack with _ :: tl -> stack := tl | [] -> () in
-  let run () =
-    try task ()
-    with e ->
-      Mutex.lock pool.shared.mutex;
-      record_error b e;
-      Mutex.unlock pool.shared.mutex
-  in
-  (if Obs.tracing () then begin
-     let t0 = Obs.now_ns () in
-     run ();
-     let d = Obs.now_ns () - t0 in
-     stat.tasks <- stat.tasks + 1;
-     stat.busy_ns <- stat.busy_ns + d;
-     Obs.Counter.add c_tasks 1;
-     Obs.Counter.add c_busy d
-   end
-   else run ());
-  fin ()
+  (try task ()
+   with e ->
+     Mutex.lock pool.shared.mutex;
+     record_error b e;
+     Mutex.unlock pool.shared.mutex);
+  match !stack with _ :: tl -> stack := tl | [] -> ()
 
 (* Pop one task from the first active batch, under [mutex].  Returns the
    batch alongside the task so completion can be accounted to it. *)
@@ -109,7 +93,7 @@ let finish_task shared b =
   if b.pending = 0 then Condition.broadcast shared.cond;
   Mutex.unlock shared.mutex
 
-let worker_loop pool stat =
+let worker_loop pool =
   let shared = pool.shared in
   let rec loop () =
     Mutex.lock shared.mutex;
@@ -122,9 +106,7 @@ let worker_loop pool stat =
             (if Obs.tracing () then begin
                let t0 = Obs.now_ns () in
                Condition.wait shared.cond shared.mutex;
-               let d = Obs.now_ns () - t0 in
-               stat.wait_ns <- stat.wait_ns + d;
-               Obs.Counter.add c_wait d
+               Obs.Counter.add c_wait (Obs.now_ns () - t0)
              end
              else Condition.wait shared.cond shared.mutex);
             next ()
@@ -134,7 +116,7 @@ let worker_loop pool stat =
     | None -> Mutex.unlock shared.mutex
     | Some (b, task) ->
         Mutex.unlock shared.mutex;
-        exec pool b stat task;
+        exec pool b task;
         finish_task shared b;
         loop ()
   in
@@ -145,35 +127,15 @@ let create n =
   let shared =
     { mutex = Mutex.create (); cond = Condition.create (); active = []; stop = false }
   in
-  let stats = Array.init n (fun _ -> { tasks = 0; busy_ns = 0; wait_ns = 0 }) in
   let pool =
-    {
-      id = Atomic.fetch_and_add next_pool_id 1;
-      shared;
-      workers = [||];
-      n;
-      stats;
-      alive = true;
-    }
+    { id = Atomic.fetch_and_add next_pool_id 1; shared; workers = [||]; n; alive = true }
   in
   let workers =
-    if n = 1 then [||]
-    else Array.init (n - 1) (fun i -> Domain.spawn (fun () -> worker_loop pool stats.(i + 1)))
+    if n = 1 then [||] else Array.init (n - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool))
   in
   { pool with workers }
 
 let size t = t.n
-
-let worker_stats t =
-  Array.map (fun s -> { tasks = s.tasks; busy_ns = s.busy_ns; wait_ns = s.wait_ns }) t.stats
-
-let reset_stats t =
-  Array.iter
-    (fun s ->
-      s.tasks <- 0;
-      s.busy_ns <- 0;
-      s.wait_ns <- 0)
-    t.stats
 
 let shutdown t =
   if t.alive then begin
@@ -186,27 +148,29 @@ let shutdown t =
     Array.iter Domain.join t.workers
   end
 
-(* With tracing on, tasks are wrapped at submission so the delay between
-   enqueue and first instruction is charged to pool.queue_wait_ns.
-   [submit] also hands each task the submitter's capture ([Obs.handoff]),
-   so its spans land there under the submitting span, whichever domain
-   runs it. *)
-let stamp_queue_wait task =
+(* With tracing on, a task is wrapped at submission so it charges its run
+   to pool.tasks and pool.busy_ns, raising or not, and — when [queued] —
+   the delay between enqueue and its first instruction to
+   pool.queue_wait_ns.  [submit] hands the wrapped task the submitter's
+   capture ([Obs.handoff]), so these counts and the task's spans land
+   there, whichever domain runs it. *)
+let metered ~queued task =
   if not (Obs.tracing ()) then task
   else begin
-    let t_enq = Obs.now_ns () in
+    let t_enq = if queued then Obs.now_ns () else 0 in
     fun () ->
-      Obs.Counter.add c_queue_wait (Obs.now_ns () - t_enq);
-      task ()
+      let t0 = Obs.now_ns () in
+      if queued then Obs.Counter.add c_queue_wait (t0 - t_enq);
+      Fun.protect task ~finally:(fun () ->
+          Obs.Counter.incr c_tasks;
+          Obs.Counter.add c_busy (Obs.now_ns () - t0))
   end
 
 (* Inline execution on the caller: the n=1 pool and every nested
    submission from inside a pool task.  Same error contract as a real
    batch — every task runs, the first exception is re-raised at the
    end. *)
-let exec_inline t b task =
-  let stat = if inside t then { tasks = 0; busy_ns = 0; wait_ns = 0 } else t.stats.(0) in
-  exec t b stat task
+let exec_inline t b task = exec t b (metered ~queued:false task)
 
 let raise_batch_error b =
   match b.first_error with
@@ -228,7 +192,7 @@ let submit t b task =
     Mutex.lock s.mutex;
     b.pending <- b.pending + 1;
     let was_empty = Queue.is_empty b.bq in
-    Queue.push (Obs.handoff (stamp_queue_wait task)) b.bq;
+    Queue.push (Obs.handoff (metered ~queued:true task)) b.bq;
     if was_empty then s.active <- s.active @ [ b ];
     Condition.broadcast s.cond;
     Mutex.unlock s.mutex
@@ -246,7 +210,7 @@ let wait t b =
          let task = Queue.pop b.bq in
          if Queue.is_empty b.bq then s.active <- List.filter (fun x -> x != b) s.active;
          Mutex.unlock s.mutex;
-         exec t b t.stats.(0) task;
+         exec t b task;
          Mutex.lock s.mutex;
          b.pending <- b.pending - 1;
          if b.pending = 0 then Condition.broadcast s.cond;

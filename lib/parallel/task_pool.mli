@@ -19,7 +19,12 @@
 
     A task runs under its submitter's {!Holistic_obs.Obs} capture
     ({!Holistic_obs.Obs.handoff}): the spans it records on a worker domain
-    land in the submitter's trace, under the span that submitted it.
+    land in the submitter's trace, under the span that submitted it, and
+    so do its counts.  With tracing on, every task (inline and nested
+    ones included) adds 1 to the [pool.tasks] counter and its run time to
+    [pool.busy_ns], raising or not; a queued task also adds its wait for
+    a domain to [pool.queue_wait_ns].  Time idle workers spend waiting
+    for work goes to [pool.wait_ns], which belongs to no capture.
 
     A pool of size 1 executes everything inline on the caller, which keeps
     behaviour deterministic on single-core machines while preserving the task
@@ -78,20 +83,6 @@ val domains_of_setting : string option -> int
 (** The pool size a [HOLIWIN_DOMAINS]-style setting asks for: a positive
     integer (clamped to 128), else [Domain.recommended_domain_count ()].
     Pure: the caller reads the environment, the libraries never do. *)
-
-type worker_stat = { mutable tasks : int; mutable busy_ns : int; mutable wait_ns : int }
-(** Per-worker execution statistics, populated only while
-    {!Holistic_obs.Obs} tracing is enabled: tasks executed, wall time
-    inside tasks, and time spent blocked waiting for work. *)
-
-val worker_stats : t -> worker_stat array
-(** A copy of the per-worker statistics. Index 0 is the submitting caller
-    (which helps drain its own batches); indices 1..n-1 are the worker
-    domains. Nested inline tasks are not re-counted against a worker.
-    Reading while a batch is in flight may observe slightly stale values
-    for other domains; quiescent reads are exact. *)
-
-val reset_stats : t -> unit
 
 val default_task_size : int
 (** The paper's fixed task granularity: 20_000 tuples (§5.5). *)

@@ -285,8 +285,8 @@ let merge_multiword ~mw ~runs ~dst_key0 ~dst_payload ~dst_pos =
       done;
       winner := !cur
     done;
-    Obs.Counter.add_always ovc_decided_count !decided;
-    Obs.Counter.add_always ovc_scanned_count !scanned
+    Obs.Counter.add ovc_decided_count !decided;
+    Obs.Counter.add ovc_scanned_count !scanned
   end
 
 (* ------------------------------------------------------------------ *)
@@ -485,8 +485,8 @@ let merge_sources ~sources ?tie ~emit () =
         done;
         winner := !cur
       done;
-      Obs.Counter.add_always ovc_decided_count !decided;
-      Obs.Counter.add_always ovc_scanned_count !scanned
+      Obs.Counter.add ovc_decided_count !decided;
+      Obs.Counter.add ovc_scanned_count !scanned
     end
   end
 

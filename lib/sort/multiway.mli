@@ -61,10 +61,10 @@ val merge_multiword :
     keys sharing a prefix with the incumbent collapse to a single int
     compare, and key words are only read when the codes tie. The [deep]
     words are row-indexed and therefore shared between [mw] and the
-    destination.  Each merge adds its comparison tallies to the always-on
-    counters [sort.ovc_decided] (settled by the codes alone) and
-    [sort.ovc_scanned] (needed a key-word scan); read them as deltas from
-    a {!Holistic_obs.Obs.with_capture} trace. *)
+    destination.  Each merge adds its comparison tallies to the counters
+    [sort.ovc_decided] (settled by the codes alone) and
+    [sort.ovc_scanned] (needed a key-word scan); read them from a
+    {!Holistic_obs.Obs.with_capture} trace. *)
 
 (** {2 Run sources: merging spilled runs} *)
 

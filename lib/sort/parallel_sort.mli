@@ -79,6 +79,6 @@ val sort_encoded_spill :
 
     All spill files are deleted on return, on success and on failure
     alike; IO failures surface as {!Holistic_storage.Run_file.Error}.
-    Updates the always-on counters [sort.spill_bytes] /
+    Updates the counters [sort.spill_bytes] /
     [sort.spill_runs] and tags its [sort.runs] / [sort.merge] spans with
     [spilled(runs=…, bytes)] provenance. *)

@@ -44,7 +44,7 @@ let query_window =
     "sql.query_window_ns"
 
 let note_latency_always ns =
-  Obs.Histogram.add_always query_hist ns;
+  Obs.Histogram.add query_hist ns;
   Obs.Windowed_histogram.add_always query_window ns
 
 let note_latency ns = if Obs.tracing () then note_latency_always ns

@@ -184,14 +184,27 @@ let morselize ~boundaries ~large ~morsel_rows =
   flush nparts;
   (List.rev !caller, List.rev !morsels)
 
-(* Registered plan counters, mirroring [stats] in captured traces. *)
-let c_stages = Obs.Counter.make ~help:"Pipeline stages executed by window plans" "plan.stages"
-let c_partition_passes = Obs.Counter.make ~help:"Partitioning passes over the input (shared across OVER clauses)" "plan.partition_passes"
-let c_full_sorts = Obs.Counter.make ~help:"Full sorts of a partitioning stage from scratch" "plan.full_sorts"
-let c_partial_sorts = Obs.Counter.make ~help:"Partial re-sorts refining an already partition-clustered order" "plan.partial_sorts"
-let c_reused_sorts = Obs.Counter.make ~help:"Sort orders reused verbatim from an earlier stage" "plan.reused_sorts"
-let c_session_sorts = Obs.Counter.make ~help:"Sort orders served from a session store entry" "plan.session_sorts"
-let c_comparator_sorts = Obs.Counter.make ~help:"Sorts that fell back to the boxed comparator path" "plan.comparator_sorts"
+(* Registered plan counters: a finished plan adds its [stats] to them in
+   one place, so captured traces mirror the record. *)
+let plan_counters =
+  List.map
+    (fun (name, help, field) -> (Obs.Counter.make ~help name, field))
+    ([
+      ("plan.stages", "Pipeline stages executed by window plans", fun s -> s.stages);
+      ( "plan.partition_passes",
+        "Partitioning passes over the input (shared across OVER clauses)",
+        fun s -> s.partition_passes );
+      ("plan.full_sorts", "Full sorts of a partitioning stage from scratch", fun s -> s.full_sorts);
+      ( "plan.partial_sorts",
+        "Partial re-sorts refining an already partition-clustered order",
+        fun s -> s.partial_sorts );
+      ("plan.reused_sorts", "Sort orders reused verbatim from an earlier stage", fun s -> s.reused_sorts);
+      ("plan.session_sorts", "Sort orders served from a session store entry", fun s -> s.session_sorts);
+      ( "plan.comparator_sorts",
+        "Sorts that fell back to the boxed comparator path",
+        fun s -> s.comparator_sorts );
+     ]
+      : (string * string * (stats -> int)) list)
 
 (* One pick counter per backend: every resolved (stage, item) bumps its
    backend exactly once, independent of partition count or pool size. *)
@@ -342,14 +355,11 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
                 | None -> partition_ids pool table pb)
           in
           incr partition_passes;
-          Obs.Counter.incr c_partition_passes;
           let base = ref None in
           List.iter
             (fun (order, smembers) ->
               incr n_stages;
-              Obs.Counter.incr c_stages;
               reused_sorts := !reused_sorts + List.length smembers - 1;
-              Obs.Counter.add c_reused_sorts (List.length smembers - 1);
               let sort_kind = ref "" and sort_comp = ref false and sort_cache = ref "" in
               let sort_spill = ref "" in
               let session_hit =
@@ -376,7 +386,6 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
                            maintained under every mutation since it was
                            built — no sort at all *)
                         incr session_sorts;
-                        Obs.Counter.incr c_session_sorts;
                         sort_kind := "session";
                         sort_cache := prov;
                         if !base = None then base := Some (perm, b);
@@ -386,11 +395,7 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
                     | None ->
                         let perm, b, comp = full_sort ?gov pool table ~pids ~order in
                         incr full_sorts;
-                        Obs.Counter.incr c_full_sorts;
-                        if comp then begin
-                          incr comparator_sorts;
-                          Obs.Counter.incr c_comparator_sorts
-                        end;
+                        if comp then incr comparator_sorts;
                         sort_kind := "full";
                         sort_comp := comp;
                         base := Some (perm, b);
@@ -401,26 +406,18 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
                              cover the whole array anyway, so sort independently
                              and keep the parallel path *)
                           incr full_sorts;
-                          Obs.Counter.incr c_full_sorts;
                           let perm, _, comp = full_sort ?gov pool table ~pids ~order in
-                          if comp then begin
-                            incr comparator_sorts;
-                            Obs.Counter.incr c_comparator_sorts
-                          end;
+                          if comp then incr comparator_sorts;
                           sort_kind := "full(global)";
                           sort_comp := comp;
                           (perm, bnds)
                         end
                         else begin
                           incr partial_sorts;
-                          Obs.Counter.incr c_partial_sorts;
                           let perm, comp =
                             partial_sort pool table ~base_perm:bperm ~boundaries:bnds ~order
                           in
-                          if comp then begin
-                            incr comparator_sorts;
-                            Obs.Counter.incr c_comparator_sorts
-                          end;
+                          if comp then incr comparator_sorts;
                           sort_kind := "partial";
                           sort_comp := comp;
                           (perm, bnds)
@@ -657,7 +654,7 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
               acc outs)
           table outputs)
   in
-  ( table',
+  let stats =
     {
       stages = !n_stages;
       partition_passes = !partition_passes;
@@ -668,7 +665,10 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
       comparator_sorts = !comparator_sorts;
       encode_builds = Build_cache.encode_build_count counters - encode_builds0;
       tree_builds = Build_cache.tree_build_count counters - tree_builds0;
-    } )
+    }
+  in
+  List.iter (fun (c, field) -> Obs.Counter.add c (field stats)) plan_counters;
+  (table', stats)
 
 let run ~pool ?fanout ?sample ?task_size ?evaluator ?governor ?session table clauses =
   fst (run_with_stats ~pool ?fanout ?sample ?task_size ?evaluator ?governor ?session table clauses)

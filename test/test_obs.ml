@@ -1,5 +1,5 @@
-(* Tests for the observability layer: Obs spans/counters, pool worker
-   statistics, and golden EXPLAIN ANALYZE output (wall times masked). *)
+(* Tests for the observability layer: Obs spans/counters, per-capture
+   counters, and golden EXPLAIN ANALYZE output (wall times masked). *)
 
 open Holistic_storage
 module Obs = Holistic_obs.Obs
@@ -91,24 +91,22 @@ let test_counters () =
   let v0 = Obs.Counter.value c in
   Obs.Counter.add c 5;
   Alcotest.(check int) "gated add is a no-op when disabled" v0 (Obs.Counter.value c);
-  Obs.Counter.add_always c 5;
-  Alcotest.(check int) "add_always counts when disabled" (v0 + 5) (Obs.Counter.value c);
   let (), tr =
     Obs.with_capture (fun () ->
         Obs.Counter.incr c;
         Obs.Counter.add c 2)
   in
-  Alcotest.(check int) "gated add counts inside a capture" (v0 + 8) (Obs.Counter.value c);
-  Alcotest.(check (option int)) "the trace holds the delta" (Some 3)
+  Alcotest.(check int) "gated add counts inside a capture" (v0 + 3) (Obs.Counter.value c);
+  Alcotest.(check (option int)) "the trace holds the capture's count" (Some 3)
     (List.assoc_opt "test.gated" tr.Obs.counters);
   Alcotest.(check bool) "registered in snapshot" true
-    (List.mem ("test.gated", v0 + 8) (Obs.Counter.snapshot ()));
+    (List.mem ("test.gated", v0 + 3) (Obs.Counter.snapshot ()));
   Alcotest.(check bool) "same name, same counter" true
-    (Obs.Counter.value (Obs.Counter.make "test.gated") = v0 + 8);
+    (Obs.Counter.value (Obs.Counter.make "test.gated") = v0 + 3);
   let (), tr = Obs.with_capture (fun () -> ()) in
   Alcotest.(check (option int)) "no increment, no entry" None
     (List.assoc_opt "test.gated" tr.Obs.counters);
-  Alcotest.(check int) "captures never reset the registry" (v0 + 8) (Obs.Counter.value c)
+  Alcotest.(check int) "captures never reset the registry" (v0 + 3) (Obs.Counter.value c)
 
 let test_with_capture_restores () =
   Obs.disable ();
@@ -330,7 +328,7 @@ let test_hist_quantiles () =
   let h = Obs.Histogram.make "test.hist.q" in
   Obs.Histogram.reset h;
   for v = 1 to 1000 do
-    Obs.Histogram.add_always h v
+    Obs.Histogram.add h v
   done;
   let s = Obs.Histogram.summary h in
   Alcotest.(check int) "count" 1000 s.Obs.Histogram.count;
@@ -349,22 +347,20 @@ let test_hist_quantiles () =
   Obs.Histogram.reset h;
   Alcotest.(check int) "reset clears" 0 (Obs.Histogram.count h)
 
-let test_hist_gating () =
+let test_hist_registry () =
   let h = Obs.Histogram.make "test.hist.gate" in
   Obs.Histogram.reset h;
   Obs.disable ();
   Obs.Histogram.add h 5;
-  Alcotest.(check int) "gated add is a no-op when disabled" 0 (Obs.Histogram.count h);
-  Obs.Histogram.add_always h 5;
-  Alcotest.(check int) "add_always records when disabled" 1 (Obs.Histogram.count h);
+  Alcotest.(check int) "add records with tracing disabled" 1 (Obs.Histogram.count h);
   let (), tr = Obs.with_capture (fun () -> Obs.Histogram.add h 7) in
-  Alcotest.(check int) "gated add records inside a capture" 2 (Obs.Histogram.count h);
+  Alcotest.(check int) "and inside a capture" 2 (Obs.Histogram.count h);
   (match List.assoc_opt "test.hist.gate" tr.Obs.hists with
   | Some s ->
       Alcotest.(check (list int)) "the trace holds only the capture's record" [ 1; 7; 7; 7 ]
         [ s.Obs.Histogram.count; s.Obs.Histogram.min; s.Obs.Histogram.max; s.Obs.Histogram.sum ]
   | None -> Alcotest.fail "histogram delta missing from trace");
-  Obs.Histogram.add_always h (-3);
+  Obs.Histogram.add h (-3);
   Alcotest.(check int) "negative clamps to 0" 0 (Obs.Histogram.summary h).Obs.Histogram.min;
   Alcotest.(check bool) "in snapshot" true
     (List.mem_assoc "test.hist.gate" (Obs.Histogram.snapshot ()));
@@ -537,31 +533,62 @@ let test_footprint_parity () =
       ignore (Sys.opaque_identity keys))
 
 (* ------------------------------------------------------------------ *)
-(* Task pool worker statistics                                         *)
+(* Per-capture counters                                                *)
 (* ------------------------------------------------------------------ *)
+
+(* A spin barrier for [parties] domains. *)
+let barrier parties =
+  let arrived = Atomic.make 0 in
+  fun () ->
+    Atomic.incr arrived;
+    while Atomic.get arrived < parties do
+      Domain.cpu_relax ()
+    done
+
+let counter name (tr : Obs.trace) = List.assoc_opt name tr.Obs.counters
 
 let test_pool_stats () =
   let pool = Task_pool.create 2 in
   Fun.protect
     ~finally:(fun () -> Task_pool.shutdown pool)
     (fun () ->
+      let tasks = Obs.Counter.make "pool.tasks" in
       Obs.disable ();
+      let v0 = Obs.Counter.value tasks in
       Task_pool.run_list pool (List.init 8 (fun _ () -> ignore (Sys.opaque_identity 1)));
-      let sum f = Array.fold_left (fun a st -> a + f st) 0 (Task_pool.worker_stats pool) in
-      Alcotest.(check int) "no counting while disabled" 0
-        (sum (fun st -> st.Task_pool.tasks));
+      Alcotest.(check int) "no counting while disabled" v0 (Obs.Counter.value tasks);
       let (), tr =
         Obs.with_capture (fun () ->
             Task_pool.run_list pool (List.init 8 (fun _ () -> ignore (Sys.opaque_identity 1)));
             Task_pool.parallel_for pool ~lo:0 ~hi:40 ~chunk:10 (fun _ _ -> ()))
       in
-      Alcotest.(check int) "tasks counted while tracing" 12 (sum (fun st -> st.Task_pool.tasks));
-      Alcotest.(check (option int)) "pool.tasks delta" (Some 12)
-        (List.assoc_opt "pool.tasks" tr.Obs.counters);
+      Alcotest.(check (option int)) "tasks counted while tracing" (Some 12) (counter "pool.tasks" tr);
       Alcotest.(check bool) "busy time accumulated" true
-        (sum (fun st -> st.Task_pool.busy_ns) >= 0);
-      Task_pool.reset_stats pool;
-      Alcotest.(check int) "reset_stats" 0 (sum (fun st -> st.Task_pool.tasks)))
+        (Option.value ~default:0 (counter "pool.busy_ns" tr) >= 0))
+
+(* Each capture sees the tasks it submitted, whichever domain ran them,
+   and only those: A submits 12 tasks to a 2-domain pool while B, on
+   another domain and overlapping A, submits 5 to the same pool. *)
+let test_pool_attribution () =
+  let pool = Task_pool.create 2 in
+  Fun.protect
+    ~finally:(fun () -> Task_pool.shutdown pool)
+    (fun () ->
+      let opened = barrier 2 and ran = barrier 2 in
+      let captured n () =
+        snd
+          (Obs.with_capture (fun () ->
+               opened ();
+               Task_pool.run_list pool
+                 (List.init n (fun _ () -> ignore (Sys.opaque_identity (Array.make 1000 0))));
+               ran ()))
+      in
+      let b = Domain.spawn (captured 5) in
+      let ta = captured 12 () in
+      let tb = Domain.join b in
+      Alcotest.(check (option int)) "A counts its own tasks" (Some 12) (counter "pool.tasks" ta);
+      Alcotest.(check bool) "A has busy time" true (counter "pool.busy_ns" ta <> None);
+      Alcotest.(check (option int)) "B counts only its own" (Some 5) (counter "pool.tasks" tb))
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE goldens                                             *)
@@ -807,6 +834,75 @@ let test_query_log_in_outer_capture () =
       Alcotest.(check bool) "the plan's spans too" true (find "window_plan" <> None)
   | _ -> Alcotest.failf "outer trace lacks the query's spans: %s" (String.concat ", " (span_names tr))
 
+let untimed counters =
+  List.filter (fun (n, _) -> not (String.ends_with ~suffix:"_ns" n)) counters
+
+(* Two domains, each with its own pool, run different windowed queries
+   under captures that are open at the same time.  Each trace counts
+   exactly what its statement counts when run alone, and together they
+   account for every increment of the process-wide registry (idle
+   pool.wait_ns belongs to no capture). *)
+let test_concurrent_captures () =
+  let n = 3000 in
+  let big =
+    Table.create
+      [
+        ("g", Column.ints (Array.init n (fun i -> i mod 5)));
+        ("x", Column.ints (Array.init n (fun i -> i * 7919 mod n)));
+      ]
+  in
+  let qb =
+    "select median(x) over (partition by g order by x rows between 5 preceding and current row) \
+     as m, count(*) over (order by x) as c from t"
+  in
+  let statements = [| ([ ("t", table ()) ], q1); ([ ("t", big) ], qb) |] in
+  let with_own_pool f =
+    let pool = Task_pool.create 1 in
+    Fun.protect ~finally:(fun () -> Task_pool.shutdown pool) (fun () -> f pool)
+  in
+  let alone =
+    Array.map
+      (fun (tables, q) ->
+        with_own_pool (fun pool ->
+            (snd (Obs.with_capture (fun () -> ignore (Sql.query ~pool ~tables q)))).Obs.counters))
+      statements
+  in
+  let opened = barrier 2 and ran = barrier 2 in
+  let captured i () =
+    let tables, q = statements.(i) in
+    with_own_pool (fun pool ->
+        snd
+          (Obs.with_capture (fun () ->
+               opened ();
+               ignore (Sql.query ~pool ~tables q);
+               ran ())))
+  in
+  let before = Obs.Counter.snapshot () in
+  let b = Domain.spawn (captured 1) in
+  let ta = captured 0 () in
+  let tb = Domain.join b in
+  let after = Obs.Counter.snapshot () in
+  let counts = Alcotest.(list (pair string int)) in
+  Alcotest.check counts "A counts what its statement counts alone" (untimed alone.(0))
+    (untimed ta.Obs.counters);
+  Alcotest.check counts "B counts what its statement counts alone" (untimed alone.(1))
+    (untimed tb.Obs.counters);
+  let global =
+    List.filter_map
+      (fun (name, v) ->
+        let d = v - Option.value ~default:0 (List.assoc_opt name before) in
+        if d = 0 || name = "pool.wait_ns" then None else Some (name, d))
+      after
+  in
+  let summed =
+    List.sort_uniq String.compare (List.map fst (ta.Obs.counters @ tb.Obs.counters))
+    |> List.filter_map (fun name ->
+           let get tr = Option.value ~default:0 (counter name tr) in
+           let v = get ta + get tb in
+           if v = 0 then None else Some (name, v))
+  in
+  Alcotest.check counts "the captures sum to the registry's delta" global summed
+
 let () =
   Alcotest.run "obs"
     [
@@ -835,7 +931,7 @@ let () =
         [
           Alcotest.test_case "bucket layout" `Quick test_hist_buckets;
           Alcotest.test_case "quantiles" `Quick test_hist_quantiles;
-          Alcotest.test_case "gating, registry, reset" `Quick test_hist_gating;
+          Alcotest.test_case "registry, captures, reset" `Quick test_hist_registry;
           Alcotest.test_case "histograms in traces" `Quick test_hists_in_trace;
         ] );
       ( "memory",
@@ -846,7 +942,12 @@ let () =
           Alcotest.test_case "self_totals" `Quick test_self_totals;
           Alcotest.test_case "footprint parity (64-bit MST)" `Quick test_footprint_parity;
         ] );
-      ("pool", [ Alcotest.test_case "worker statistics" `Quick test_pool_stats ]);
+      ( "per-capture counters",
+        [
+          Alcotest.test_case "pool tasks" `Quick test_pool_stats;
+          Alcotest.test_case "pool tasks follow their submitter" `Quick test_pool_attribution;
+          Alcotest.test_case "concurrent captures" `Quick test_concurrent_captures;
+        ] );
       ( "explain-analyze",
         [
           Alcotest.test_case "golden: multi-OVER sharing" `Quick (golden_case q1 golden1);

@@ -17,45 +17,6 @@ let contains ~sub s =
 (* Windowed histograms                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let test_windowed_time_expiry () =
-  let w =
-    Obs.Windowed_histogram.make ~help:"test" ~slots:4 ~window:(Obs.Windowed_histogram.Last_ns 4_000) "twin.time_ns"
-  in
-  Obs.Windowed_histogram.reset w;
-  (* one sample per 1000ns slice *)
-  List.iter
-    (fun (t, v) -> Obs.Windowed_histogram.add_always_at w ~now_ns:t v)
-    [ (500, 10); (1_500, 20); (2_500, 30); (3_500, 40) ];
-  let s = Obs.Windowed_histogram.summary_at w ~now_ns:3_500 in
-  Alcotest.(check int) "all four in window" 4 s.Obs.Histogram.count;
-  Alcotest.(check int) "sum" 100 s.Obs.Histogram.sum;
-  Alcotest.(check int) "min" 10 s.Obs.Histogram.min;
-  Alcotest.(check int) "max" 40 s.Obs.Histogram.max;
-  (* the clock advancing one slice expires the oldest slice even with no
-     new samples *)
-  let s = Obs.Windowed_histogram.summary_at w ~now_ns:4_500 in
-  Alcotest.(check int) "oldest slice aged out" 3 s.Obs.Histogram.count;
-  Alcotest.(check int) "its sample left the sum" 90 s.Obs.Histogram.sum;
-  (* far future: everything expired *)
-  let s = Obs.Windowed_histogram.summary_at w ~now_ns:1_000_000 in
-  Alcotest.(check int) "empty after window passes" 0 s.Obs.Histogram.count
-
-let test_windowed_bulk_eviction () =
-  let w =
-    Obs.Windowed_histogram.make ~slots:4 ~window:(Obs.Windowed_histogram.Last_ns 4_000) "twin.evict_ns"
-  in
-  Obs.Windowed_histogram.reset w;
-  let ev0 = Obs.Windowed_histogram.evictions w in
-  (* writing into a slice whose ring slot holds an expired generation
-     bulk-zeroes the old slice *)
-  Obs.Windowed_histogram.add_always_at w ~now_ns:500 1;
-  Obs.Windowed_histogram.add_always_at w ~now_ns:4_500 2;
-  (* same ring slot as 500ns, one window later *)
-  Alcotest.(check bool) "eviction counted" true (Obs.Windowed_histogram.evictions w > ev0);
-  let s = Obs.Windowed_histogram.summary_at w ~now_ns:4_500 in
-  Alcotest.(check int) "only the live sample" 1 s.Obs.Histogram.count;
-  Alcotest.(check int) "evicted value gone" 2 s.Obs.Histogram.min
-
 let test_windowed_event_window () =
   let w =
     Obs.Windowed_histogram.make ~slots:4 ~window:(Obs.Windowed_histogram.Last_events 8) "twin.events"
@@ -64,7 +25,7 @@ let test_windowed_event_window () =
   Alcotest.(check string) "label" "8ev" (Obs.Windowed_histogram.window_label w);
   (* 2 events per slice; after 16 events the first 8 have aged out *)
   for i = 1 to 16 do
-    Obs.Windowed_histogram.add_always_at w ~now_ns:0 i
+    Obs.Windowed_histogram.add_always w i
   done;
   let s = Obs.Windowed_histogram.summary w in
   Alcotest.(check int) "window covers the trailing events" 8 s.Obs.Histogram.count;
@@ -84,8 +45,8 @@ let test_windowed_matches_cumulative_quantiles () =
   let rng = Holistic_util.Rng.create 7 in
   for _ = 1 to 1000 do
     let v = 100 + Holistic_util.Rng.int rng 1_000_000 in
-    Obs.Histogram.add_always h v;
-    Obs.Windowed_histogram.add_always_at w ~now_ns:0 v
+    Obs.Histogram.add h v;
+    Obs.Windowed_histogram.add_always w v
   done;
   List.iter
     (fun q ->
@@ -172,17 +133,17 @@ let golden_prometheus =
 
 let zgold_snapshot () =
   let c = Obs.Counter.make ~help:"Requests seen by the test" "zgold.requests" in
-  Obs.Counter.add_always c (7 - Obs.Counter.value c);
+  ignore (Obs.with_capture (fun () -> Obs.Counter.add c (7 - Obs.Counter.value c)));
   ignore (Obs.Gauge.register ~help:"Queue depth of the test" "zgold.depth" (fun () -> 42));
   let h = Obs.Histogram.make ~help:"Latencies of the test" "zgold.lat_ns" in
   Obs.Histogram.reset h;
-  List.iter (Obs.Histogram.add_always h) [ 1; 2; 3; 4 ];
+  List.iter (Obs.Histogram.add h) [ 1; 2; 3; 4 ];
   let w =
     Obs.Windowed_histogram.make ~help:"Sliding latencies of the test"
       ~window:(Obs.Windowed_histogram.Last_events 8) "zgold.win_ns"
   in
   Obs.Windowed_histogram.reset w;
-  List.iter (Obs.Windowed_histogram.add_always_at w ~now_ns:0) [ 5; 6 ];
+  List.iter (Obs.Windowed_histogram.add_always w) [ 5; 6 ];
   Obs.Metrics.filter
     (fun name -> String.length name >= 6 && String.sub name 0 6 = "zgold.")
     (Obs.Metrics.snapshot ())
@@ -444,8 +405,6 @@ let () =
     [
       ( "windowed-histogram",
         [
-          Alcotest.test_case "time expiry" `Quick test_windowed_time_expiry;
-          Alcotest.test_case "bulk eviction" `Quick test_windowed_bulk_eviction;
           Alcotest.test_case "event window" `Quick test_windowed_event_window;
           Alcotest.test_case "matches cumulative quantiles" `Quick
             test_windowed_matches_cumulative_quantiles;
