@@ -35,10 +35,11 @@ let tests =
            Mst.count t ~lo ~hi ~less_than:(Lazy.force keys).(hi - 1)));
     (* Fig. 10 median panel: one cascaded selection probe *)
     Test.make ~name:"fig10/mst-select-probe"
-      (Staged.stage (fun () ->
+      (let scratch = Mst.create_scratch () in
+       Staged.stage (fun () ->
            let t = Lazy.force tree in
            let lo, hi = next_frame () in
-           Mst.select t ~ranges:[| (lo, hi) |] ~nth:((hi - lo) / 2)));
+           Mst.select t ~scratch ~ranges:[| (lo, hi) |] ~nth:((hi - lo) / 2)));
     (* Fig. 10/14 distinct panel: one back-reference count probe *)
     Test.make ~name:"fig14/distinct-probe"
       (Staged.stage (fun () ->

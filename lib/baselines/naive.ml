@@ -47,14 +47,16 @@ let select_kth values ~scratch ~ranges ~k =
   if k < 0 || k >= !len then invalid_arg "Naive.select_kth: k out of bounds";
   quickselect scratch 0 !len k
 
-let count_less values ~ranges ~less_than =
+(* [int array] pins the comparison to ints: unannotated, [<] compiles to
+   the polymorphic compare, a C call per scanned element. *)
+let count_less (values : int array) ~ranges ~less_than =
   let acc = ref 0 in
-  Array.iter
-    (fun (lo, hi) ->
-      for i = lo to hi - 1 do
-        if values.(i) < less_than then incr acc
-      done)
-    ranges;
+  for r = 0 to Array.length ranges - 1 do
+    let lo, hi = ranges.(r) in
+    for i = lo to hi - 1 do
+      if values.(i) < less_than then incr acc
+    done
+  done;
   !acc
 
 let distinct_count values ~ranges =

@@ -7,6 +7,9 @@
 module T = Mst_template.Make (Mst_storage.Int63)
 
 type t = T.t
+type scratch = Mst_template.scratch
+
+let create_scratch = Mst_template.create_scratch
 
 let create = T.create
 let create_stream = T.create_stream

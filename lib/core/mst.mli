@@ -67,19 +67,36 @@ val sample : t -> int
 
 val count : t -> lo:int -> hi:int -> less_than:int -> int
 (** [count t ~lo ~hi ~less_than] is [|{i ∈ [lo,hi) : a.(i) < less_than}|].
-    Position bounds are clamped to [\[0, n\]]. *)
+    Position bounds are clamped to [\[0, n\]]. One top-level search, then
+    one cascaded lookup per child the range covers; a part of the range that
+    overlaps a node in at most [fanout] elements is settled by scanning
+    those base elements instead of descending further. Allocates nothing. *)
 
 val count_ranges : t -> ranges:(int * int) array -> less_than:int -> int
 (** Sum of {!count} over several (disjoint) position ranges — holed frames
-    from frame-exclusion clauses (§4.7). *)
+    from frame-exclusion clauses (§4.7). Allocates nothing. *)
 
-val select : t -> ranges:(int * int) array -> nth:int -> int
-(** [select t ~ranges ~nth] is the value of the (nth+1)-th element, scanning
-    base positions ascending, whose {e value} lies in one of the half-open
-    value [ranges] (which must be disjoint and ascending). Over a permutation
-    array, base order is "ascending by the function's ORDER BY" and values
-    are original row positions, so this returns the original position of the
-    (nth+1)-th smallest row inside the frame described by [ranges].
+type scratch = Mst_template.scratch
+(** Reusable probe state for {!select}: the ranges' value bounds and, per
+    level, their positions in the node the descent visits. Not shareable
+    between concurrent probes; create one per task. *)
+
+val create_scratch : unit -> scratch
+(** An empty scratch; it grows to the largest range count and tree height it
+    has served, so a scratch reused across a task's probes allocates only on
+    its first ones. *)
+
+val select : t -> scratch:scratch -> ranges:(int * int) array -> nth:int -> int
+(** [select t ~scratch ~ranges ~nth] is the value of the (nth+1)-th element,
+    scanning base positions ascending, whose {e value} lies in one of the
+    half-open value [ranges] (which must be disjoint and ascending). Over a
+    permutation array, base order is "ascending by the function's ORDER BY"
+    and values are original row positions, so this returns the original
+    position of the (nth+1)-th smallest row inside the frame described by
+    [ranges]. The top-level searches of the range bounds run once (they also
+    give the qualifying total); the descent then picks one child per level
+    until a node holds at most [fanout] elements, which it scans in base
+    order. Allocates nothing once [scratch] has grown.
     @raise Invalid_argument if fewer than [nth + 1] elements qualify. *)
 
 val count_value_ranges : t -> ranges:(int * int) array -> int

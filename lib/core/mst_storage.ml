@@ -38,6 +38,12 @@ module type S = sig
   (** Position of the first element in the sorted segment [\[lo, hi)] that is
       not less than the probe (all comparisons in the native [int] domain). *)
 
+  val count_below : buf -> lo:int -> hi:int -> int -> int
+  (** Number of elements of the segment [\[lo, hi)], sorted or not, that are
+      less than the probe; [0] when [hi <= lo]. The probes' leaf scan: a
+      branch-free pass that settles a range of at most [fanout] base
+      elements faster than cascading into children that small. *)
+
   val of_int_array : msg:string -> int array -> buf
   (** Copy with range validation.
       @raise Invalid_argument [msg] if an element does not fit the width. *)
@@ -79,6 +85,14 @@ module Int63 : S with type buf = int array = struct
   let get = Array.unsafe_get
   let set = Array.unsafe_set
   let lower_bound = Bs.lower_bound
+
+  let count_below (a : buf) ~lo ~hi x =
+    let acc = ref 0 in
+    for i = lo to hi - 1 do
+      acc := !acc + Bool.to_int (Array.unsafe_get a i < x)
+    done;
+    !acc
+
   let of_int_array ~msg:_ a = Array.copy a
   let as_ints a = Some a
   let blit_to_ints a ~pos dst ~dst_pos ~len = Array.blit a pos dst dst_pos len
@@ -115,6 +129,13 @@ struct
       else len := half
     done;
     !lo
+
+  let count_below (a : buf) ~lo ~hi x =
+    let acc = ref 0 in
+    for i = lo to hi - 1 do
+      acc := !acc + Bool.to_int (Int32.to_int (Bigarray.Array1.unsafe_get a i) < x)
+    done;
+    !acc
 
   let of_int_array ~msg src =
     let n = Array.length src in
@@ -169,6 +190,13 @@ struct
       else len := half
     done;
     !lo
+
+  let count_below (a : buf) ~lo ~hi x =
+    let acc = ref 0 in
+    for i = lo to hi - 1 do
+      acc := !acc + Bool.to_int (Bigarray.Array1.unsafe_get a i < x)
+    done;
+    !acc
 
   let of_int_array ~msg src =
     let n = Array.length src in

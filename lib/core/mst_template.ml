@@ -12,9 +12,41 @@
    Levels are merged with a tournament (loser) tree rather than a binary
    heap: exactly ⌈log₂ fanout⌉ comparisons per emitted element instead of
    the heap's ~2·log₂ fanout, and the scratch state is reused across all
-   runs of a build task instead of being reallocated per run. *)
+   runs of a build task instead of being reallocated per run.
+
+   Probes allocate nothing: the descents are loops and plain recursion over
+   int arguments, and once a node's overlap with the query is at most
+   [fanout] elements they scan those elements on level 0 (base order)
+   instead of cascading into children of one to [fanout] elements. *)
 
 module Task_pool = Holistic_parallel.Task_pool
+
+(* Probe scratch for [select], one per probing task. It holds the ranges'
+   value bounds ([vals.(2r)], [vals.(2r+1)]), the run-relative positions of
+   those bounds in the node the descent visits at each level j
+   ([bounds.(j * nb + b)], nb = 2 × number of ranges) and that node's
+   cascade slots per bound ([sbase], [slack]). Width-independent, so one
+   scratch serves every instantiation; it grows on demand, so reusing it
+   across a task's rows allocates only on the first probes. *)
+type scratch = {
+  mutable vals : int array;
+  mutable bounds : int array;
+  mutable sbase : int array;
+  mutable slack : int array;
+}
+
+let create_scratch () = { vals = [||]; bounds = [||]; sbase = [||]; slack = [||] }
+
+let reserve sc ~nb ~levels =
+  if Array.length sc.vals < nb then begin
+    sc.vals <- Array.make nb 0;
+    sc.sbase <- Array.make nb 0;
+    sc.slack <- Array.make nb 0
+  end;
+  if Array.length sc.bounds < nb * levels then sc.bounds <- Array.make (nb * levels) 0
+
+let imin (a : int) b = if a < b then a else b
+let imax (a : int) b = if a > b then a else b
 
 module Make (S : Mst_storage.S) = struct
   type t = {
@@ -49,7 +81,7 @@ module Make (S : Mst_storage.S) = struct
 
   (* Loser-tree merge scratch, sized once per build task for the maximum
      child count and reused across the task's runs. *)
-  type scratch = {
+  type merge_scratch = {
     cur : int array; (* relative cursor into each child *)
     cbase : int array; (* absolute start of each child's source segment *)
     clen : int array; (* length of each child's source segment *)
@@ -59,7 +91,7 @@ module Make (S : Mst_storage.S) = struct
     winners : int array; (* tournament initialisation workspace *)
   }
 
-  let make_scratch fanout =
+  let make_merge_scratch fanout =
     let kk = ref 1 in
     while !kk < fanout do
       kk := !kk * 2
@@ -395,7 +427,7 @@ module Make (S : Mst_storage.S) = struct
          the calls' runs produced, done while that output is still
          cache-warm. *)
       let merge_runs rlo rhi =
-        let sc = make_scratch fanout in
+        let sc = make_merge_scratch fanout in
         for r = rlo to rhi - 1 do
           let run_base = r * l in
           let run_len = min l (n - run_base) in
@@ -501,7 +533,7 @@ module Make (S : Mst_storage.S) = struct
       in
       (put, flush)
     in
-    let sc = make_scratch fanout in
+    let sc = make_merge_scratch fanout in
     for j = 1 to h do
       let l = stride.(j) in
       let nruns = ((n - 1) / l) + 1 in
@@ -571,7 +603,7 @@ module Make (S : Mst_storage.S) = struct
         levels.(0) <- Array.copy a;
         let cursors = Array.map (fun len -> Array.make len 0) states in
         let h_old = Array.length t.levels - 1 in
-        let sc = make_scratch fanout in
+        let sc = make_merge_scratch fanout in
         for j = 1 to h do
           levels.(j) <- Array.make n 0;
           let l = stride.(j) in
@@ -619,131 +651,122 @@ module Make (S : Mst_storage.S) = struct
   (* Cascaded child positions                                            *)
   (* ------------------------------------------------------------------ *)
 
-  (* Position of [less_than] inside child [c] of the node at level [j]
-     spanning [run_base, run_base + run_len), given [pos], the position of
-     [less_than] in the node's own sorted run. The sampled cursor state at
-     s = ⌊pos/k⌋·k bounds the answer to a window of at most [pos - s < k]
-     elements (§4.2). *)
-  let child_position t j run_base pos less_than c ~child_base ~child_len =
-    let below = t.levels.(j - 1) in
-    if t.sample = 0 then
-      S.lower_bound below ~lo:child_base ~hi:(child_base + child_len) less_than - child_base
+  let height t = Array.length t.levels - 1
+
+  (* First cursor slot of the sampled state at or before run position
+     [pos] of the level-[j] node starting at [node] (§4.2); [pos mod k] is
+     then how far [pos] lies past that state. Requires [sample > 0]. *)
+  let state_slot t j node pos =
+    ((node / Array.unsafe_get t.stride j * Array.unsafe_get t.spr (j - 1)) + (pos / t.sample))
+    * t.fanout
+
+  (* Position of [x] inside child [c], spanning [cb, cb + clen) of level
+     [j - 1], of a level-[j] node in which [x] sits [slack] elements past
+     the sampled state at [sbase] (see [state_slot]). That state bounds the
+     answer to a window of at most [slack] < k elements; without cascading
+     ([sample = 0], [sbase]/[slack] unused) the whole child is searched. *)
+  let child_pos t j sbase slack c cb clen x =
+    let below = Array.unsafe_get t.levels (j - 1) in
+    if t.sample = 0 then S.lower_bound below ~lo:cb ~hi:(cb + clen) x - cb
     else begin
-      let k = t.sample in
-      let s = pos / k * k in
-      let run_idx = run_base / t.stride.(j) in
-      let sbase = ((run_idx * t.spr.(j - 1)) + (s / k)) * t.fanout in
-      let off = S.get t.cursors.(j - 1) (sbase + c) in
-      let whi = min (off + (pos - s)) child_len in
-      S.lower_bound below ~lo:(child_base + off) ~hi:(child_base + whi) less_than - child_base
+      let off = S.get (Array.unsafe_get t.cursors (j - 1)) (sbase + c) in
+      S.lower_bound below ~lo:(cb + off) ~hi:(cb + imin (off + slack) clen) x - cb
     end
 
   (* ------------------------------------------------------------------ *)
   (* Counting                                                            *)
   (* ------------------------------------------------------------------ *)
 
-  let rec descend_count t j run_base run_len pos lo hi less_than =
-    (* invariant: [lo,hi) intersects but does not contain
-       [run_base, run_base+run_len) *)
-    let lc = t.stride.(j - 1) in
-    let nc = ((run_len - 1) / lc) + 1 in
-    (* hoisted per-node cascade state (the per-child lookup only varies in
-       the cursor slot and search window) *)
-    let below = t.levels.(j - 1) in
-    let cursors = t.cursors in
-    let sbase, slack =
-      if t.sample = 0 then (0, 0)
-      else begin
-        let k = t.sample in
-        let s = pos / k * k in
-        let run_idx = run_base / t.stride.(j) in
-        (((run_idx * t.spr.(j - 1)) + (s / k)) * t.fanout, pos - s)
-      end
-    in
-    let cpos c ~child_base ~child_len =
-      if t.sample = 0 then
-        S.lower_bound below ~lo:child_base ~hi:(child_base + child_len) less_than - child_base
-      else begin
-        let off = S.get cursors.(j - 1) (sbase + c) in
-        let whi = min (off + slack) child_len in
-        S.lower_bound below ~lo:(child_base + off) ~hi:(child_base + whi) less_than - child_base
-      end
-    in
-    let c_first = if lo <= run_base then 0 else (lo - run_base) / lc in
-    let c_last = if hi >= run_base + run_len then nc - 1 else (hi - 1 - run_base) / lc in
-    let inside = c_last - c_first + 1 in
-    (* contribution of child [c], whether covered or partial *)
-    let contrib cp ~child_base ~child_len =
-      if lo <= child_base && child_base + child_len <= hi then cp
-      else descend_count t (j - 1) child_base child_len cp lo hi less_than
-    in
-    if 2 * inside <= nc + 2 then begin
-      (* few children intersect: sum them directly *)
-      let acc = ref 0 in
-      for c = c_first to c_last do
-        let child_base = run_base + (c * lc) in
-        let child_len = min lc (run_len - (c * lc)) in
-        acc := !acc + contrib (cpos c ~child_base ~child_len) ~child_base ~child_len
-      done;
-      !acc
-    end
+  (* Elements below [x] in [lo, hi), a non-empty range inside the level-[j]
+     node [nb, ne) longer than [fanout], given [pos], the position of [x] in
+     the node's sorted run. Covered children cost one cascaded lookup each;
+     the (at most two) boundary children go through [child_count]. When
+     most children intersect, the node's own [pos] minus the children and
+     boundary parts outside the range is the cheaper sum. *)
+  let rec node_count t j nb ne pos lo hi x =
+    if lo = nb && hi = ne then pos
     else begin
-      (* most children are covered: start from the node's own count and
-         subtract the children outside the range (the cheaper complement) *)
-      let acc = ref pos in
-      for c = 0 to c_first - 1 do
-        let child_base = run_base + (c * lc) in
-        let child_len = min lc (run_len - (c * lc)) in
-        acc := !acc - cpos c ~child_base ~child_len
-      done;
-      for c = c_last + 1 to nc - 1 do
-        let child_base = run_base + (c * lc) in
-        let child_len = min lc (run_len - (c * lc)) in
-        acc := !acc - cpos c ~child_base ~child_len
-      done;
-      let fix c =
-        let child_base = run_base + (c * lc) in
-        let child_len = min lc (run_len - (c * lc)) in
-        if not (lo <= child_base && child_base + child_len <= hi) then begin
-          let cp = cpos c ~child_base ~child_len in
-          acc := !acc - cp + descend_count t (j - 1) child_base child_len cp lo hi less_than
-        end
-      in
-      fix c_first;
-      if c_last <> c_first then fix c_last;
-      !acc
+      let lc = Array.unsafe_get t.stride (j - 1) in
+      let sbase = if t.sample = 0 then 0 else state_slot t j nb pos in
+      let slack = if t.sample = 0 then 0 else pos mod t.sample in
+      let nc = ((ne - nb - 1) / lc) + 1 in
+      let c_first = (lo - nb) / lc and c_last = (hi - 1 - nb) / lc in
+      let inside = c_last - c_first + 1 in
+      if 2 * inside <= nc + 2 then begin
+        let acc = ref (child_count t j sbase slack c_first nb ne lo hi x) in
+        for c = c_first + 1 to c_last - 1 do
+          acc := !acc + child_pos t j sbase slack c (nb + (c * lc)) lc x
+        done;
+        if c_last > c_first then acc := !acc + child_count t j sbase slack c_last nb ne lo hi x;
+        !acc
+      end
+      else begin
+        (* here c_first < c_last: the range leaves [nb, lo) in c_first and
+           earlier children, [hi, ne) in c_last and later ones *)
+        let acc =
+          ref
+            (pos
+            - child_count t j sbase slack c_first nb ne nb lo x
+            - child_count t j sbase slack c_last nb ne hi ne x)
+        in
+        for c = 0 to c_first - 1 do
+          acc := !acc - child_pos t j sbase slack c (nb + (c * lc)) lc x
+        done;
+        for c = c_last + 1 to nc - 1 do
+          let cb = nb + (c * lc) in
+          acc := !acc - child_pos t j sbase slack c cb (imin lc (ne - cb)) x
+        done;
+        !acc
+      end
     end
 
+  (* Elements below [x] in [lo, hi) ∩ child [c] of the level-[j] node
+     [nb, ne) (see [node_count] for [sbase]/[slack]): a leaf scan when the
+     overlap is at most [fanout] elements, else one cascaded lookup and a
+     descent into the child. *)
+  and child_count t j sbase slack c nb ne lo hi x =
+    let lc = Array.unsafe_get t.stride (j - 1) in
+    let cb = nb + (c * lc) in
+    let ce = imin (cb + lc) ne in
+    let lo = imax lo cb and hi = imin hi ce in
+    if hi - lo <= t.fanout then S.count_below (Array.unsafe_get t.levels 0) ~lo ~hi x
+    else node_count t (j - 1) cb ce (child_pos t j sbase slack c cb (ce - cb) x) lo hi x
+
   let count t ~lo ~hi ~less_than =
-    let lo = max lo 0 and hi = min hi t.n in
-    if lo >= hi then 0
+    let lo = imax lo 0 and hi = imin hi t.n in
+    if hi - lo <= t.fanout then S.count_below t.levels.(0) ~lo ~hi less_than
     else begin
-      let h = Array.length t.levels - 1 in
-      let pos = S.lower_bound t.levels.(h) ~lo:0 ~hi:t.n less_than in
-      if lo = 0 && hi = t.n then pos else descend_count t h 0 t.n pos lo hi less_than
+      let h = height t in
+      node_count t h 0 t.n (S.lower_bound t.levels.(h) ~lo:0 ~hi:t.n less_than) lo hi less_than
     end
 
   let count_ranges t ~ranges ~less_than =
-    Array.fold_left (fun acc (lo, hi) -> acc + count t ~lo ~hi ~less_than) 0 ranges
+    let acc = ref 0 in
+    for i = 0 to Array.length ranges - 1 do
+      let lo, hi = ranges.(i) in
+      acc := !acc + count t ~lo ~hi ~less_than
+    done;
+    !acc
 
-  let rec descend_iter t j run_base run_len pos lo hi less_than f =
-    let child_stride = t.stride.(j - 1) in
-    let nc = ((run_len - 1) / child_stride) + 1 in
+  let rec descend_iter t j nb len pos lo hi less_than f =
+    let lc = t.stride.(j - 1) in
+    let sbase = if t.sample = 0 then 0 else state_slot t j nb pos in
+    let slack = if t.sample = 0 then 0 else pos mod t.sample in
+    let nc = ((len - 1) / lc) + 1 in
     for c = 0 to nc - 1 do
-      let child_base = run_base + (c * child_stride) in
-      let child_len = min child_stride (run_len - (c * child_stride)) in
-      if child_base < hi && child_base + child_len > lo then begin
-        let cpos = child_position t j run_base pos less_than c ~child_base ~child_len in
-        if lo <= child_base && child_base + child_len <= hi then
-          f ~level:(j - 1) ~base:child_base ~prefix:cpos
-        else descend_iter t (j - 1) child_base child_len cpos lo hi less_than f
+      let cb = nb + (c * lc) in
+      let clen = imin lc (len - (c * lc)) in
+      if cb < hi && cb + clen > lo then begin
+        let cpos = child_pos t j sbase slack c cb clen less_than in
+        if lo <= cb && cb + clen <= hi then f ~level:(j - 1) ~base:cb ~prefix:cpos
+        else descend_iter t (j - 1) cb clen cpos lo hi less_than f
       end
     done
 
   let iter_covered t ~lo ~hi ~less_than f =
     let lo = max lo 0 and hi = min hi t.n in
     if lo < hi then begin
-      let h = Array.length t.levels - 1 in
+      let h = height t in
       let pos = S.lower_bound t.levels.(h) ~lo:0 ~hi:t.n less_than in
       if lo = 0 && hi = t.n then f ~level:h ~base:0 ~prefix:pos
       else descend_iter t h 0 t.n pos lo hi less_than f
@@ -754,95 +777,104 @@ module Make (S : Mst_storage.S) = struct
   (* ------------------------------------------------------------------ *)
 
   let count_value_ranges t ~ranges =
-    if t.n = 0 then 0
-    else begin
-      let h = Array.length t.levels - 1 in
-      let top = t.levels.(h) in
-      Array.fold_left
-        (fun acc (vlo, vhi) ->
-          acc + S.lower_bound top ~lo:0 ~hi:t.n vhi - S.lower_bound top ~lo:0 ~hi:t.n vlo)
-        0 ranges
-    end
+    let acc = ref 0 in
+    if t.n > 0 then begin
+      let top = t.levels.(height t) in
+      for r = 0 to Array.length ranges - 1 do
+        let vlo, vhi = ranges.(r) in
+        acc := !acc + S.lower_bound top ~lo:0 ~hi:t.n vhi - S.lower_bound top ~lo:0 ~hi:t.n vlo
+      done
+    end;
+    !acc
 
-  (* [bounds] holds, for the current node's run, the run-relative position
-     of every range bound: bounds.(2r) for ranges.(r)'s lower value bound,
-     bounds.(2r+1) for its upper. The qualifying count inside the node is
-     Σ (bounds.(2r+1) - bounds.(2r)). *)
-  let rec descend_select t j run_base run_len (ranges : (int * int) array) bounds m =
-    if j = 0 then begin
-      assert (m = 0);
-      S.get t.levels.(0) run_base
-    end
-    else begin
-      let child_stride = t.stride.(j - 1) in
-      let nc = ((run_len - 1) / child_stride) + 1 in
-      let nr = Array.length ranges in
-      let nb = 2 * nr in
-      let child_bounds = Array.make nb 0 in
-      let below = t.levels.(j - 1) in
-      (* hoisted per-node cascade state: the sampled cursor slot and the
-         search slack of each bound are fixed across children, so compute
-         them once per node instead of once per (bound, child) pair *)
-      let sbase = Array.make nb 0 and slack = Array.make nb 0 in
-      if t.sample > 0 then begin
-        let k = t.sample in
-        let node_states = run_base / t.stride.(j) * t.spr.(j - 1) in
+  (* The node [node, node + len) of level j holds the qualifying elements
+     bounds.(j·nb + 2r) .. bounds.(j·nb + 2r + 1) of its sorted run for each
+     range r. The descent walks the children in base order, computing their
+     bounds into level j - 1's slots, until the child holding the
+     (m+1)-th qualifying element; once a node has at most [fanout]
+     elements, it scans them on level 0 instead. *)
+  let select t ~scratch:sc ~ranges ~nth =
+    let nr = Array.length ranges in
+    let nb = 2 * nr in
+    let h = height t in
+    reserve sc ~nb ~levels:(h + 1);
+    let vals = sc.vals and bounds = sc.bounds and sbase = sc.sbase and slack = sc.slack in
+    let total = ref 0 in
+    if t.n > 0 then begin
+      let top = t.levels.(h) and at = h * nb in
+      for r = 0 to nr - 1 do
+        let vlo, vhi = ranges.(r) in
+        let blo = S.lower_bound top ~lo:0 ~hi:t.n vlo and bhi = S.lower_bound top ~lo:0 ~hi:t.n vhi in
+        vals.(2 * r) <- vlo;
+        vals.((2 * r) + 1) <- vhi;
+        bounds.(at + (2 * r)) <- blo;
+        bounds.(at + (2 * r) + 1) <- bhi;
+        total := !total + bhi - blo
+      done
+    end;
+    if nth < 0 || nth >= !total then
+      invalid_arg
+        (Printf.sprintf "%s.select: nth=%d out of bounds (%d qualifying)" S.name nth !total);
+    (* [m] counts qualifying elements of the node before the target, [q]
+       all of them; each node's children are walked from the end nearer
+       the target in that order, [k] counting what is still to skip *)
+    let j = ref h and node = ref 0 and len = ref t.n and m = ref nth and q = ref !total in
+    while !len > t.fanout do
+      let j' = !j in
+      let lc = t.stride.(j' - 1) in
+      let at = j' * nb and below = (j' - 1) * nb in
+      if t.sample > 0 then
         for b = 0 to nb - 1 do
-          let s = bounds.(b) / k * k in
-          sbase.(b) <- (node_states + (s / k)) * t.fanout;
-          slack.(b) <- bounds.(b) - s
-        done
-      end;
-      let m = ref m in
-      let result = ref 0 in
-      let found = ref false in
-      let c = ref 0 in
-      while not !found do
-        assert (!c < nc);
-        let child_base = run_base + (!c * child_stride) in
-        let child_len = min child_stride (run_len - (!c * child_stride)) in
+          let p = bounds.(at + b) in
+          sbase.(b) <- state_slot t j' !node p;
+          slack.(b) <- p mod t.sample
+        done;
+      let forward = 2 * !m < !q in
+      let c = ref (if forward then 0 else (!len - 1) / lc) in
+      let k = ref (if forward then !m else !q - 1 - !m) in
+      let searching = ref true in
+      while !searching do
+        let cb = !node + (!c * lc) in
+        let clen = imin lc (!node + !len - cb) in
         let qual = ref 0 in
         for b = 0 to nb - 1 do
-          let v = if b land 1 = 0 then fst ranges.(b / 2) else snd ranges.(b / 2) in
-          let cp =
-            if t.sample = 0 then
-              S.lower_bound below ~lo:child_base ~hi:(child_base + child_len) v - child_base
-            else begin
-              let off = S.get t.cursors.(j - 1) (sbase.(b) + !c) in
-              let whi = min (off + slack.(b)) child_len in
-              S.lower_bound below ~lo:(child_base + off) ~hi:(child_base + whi) v - child_base
-            end
-          in
-          child_bounds.(b) <- cp;
-          if b land 1 = 1 then qual := !qual + cp - child_bounds.(b - 1)
+          let cp = child_pos t j' sbase.(b) slack.(b) !c cb clen vals.(b) in
+          bounds.(below + b) <- cp;
+          if b land 1 = 1 then qual := !qual + cp - bounds.(below + b - 1)
         done;
-        if !m < !qual then begin
-          result := descend_select t (j - 1) child_base child_len ranges child_bounds !m;
-          found := true
+        if !k < !qual then begin
+          searching := false;
+          m := if forward then !k else !qual - 1 - !k;
+          q := !qual;
+          node := cb;
+          len := clen
         end
         else begin
-          m := !m - !qual;
-          incr c
+          k := !k - !qual;
+          c := if forward then !c + 1 else !c - 1
         end
       done;
-      !result
-    end
-
-  let select t ~ranges ~nth =
-    let total = count_value_ranges t ~ranges in
-    if nth < 0 || nth >= total then
-      invalid_arg
-        (Printf.sprintf "%s.select: nth=%d out of bounds (%d qualifying)" S.name nth total);
-    let h = Array.length t.levels - 1 in
-    let top = t.levels.(h) in
-    let nr = Array.length ranges in
-    let bounds = Array.make (2 * nr) 0 in
-    for r = 0 to nr - 1 do
-      let vlo, vhi = ranges.(r) in
-      bounds.(2 * r) <- S.lower_bound top ~lo:0 ~hi:t.n vlo;
-      bounds.((2 * r) + 1) <- S.lower_bound top ~lo:0 ~hi:t.n vhi
+      j := j' - 1
     done;
-    descend_select t h 0 t.n ranges bounds nth
+    (* leaf scan: the element of [node, node + len) in base order with [m]
+       qualifying elements before it, from the nearer end *)
+    let l0 = t.levels.(0) in
+    let forward = 2 * !m < !q in
+    let p = ref (if forward then !node else !node + !len - 1) in
+    let k = ref (if forward then !m else !q - 1 - !m) and result = ref 0 in
+    while !k >= 0 do
+      let v = S.get l0 !p in
+      let b = ref 0 in
+      while !b < nb && v >= vals.(!b + 1) do
+        b := !b + 2
+      done;
+      if !b < nb && v >= vals.(!b) then begin
+        if !k = 0 then result := v;
+        decr k
+      end;
+      p := if forward then !p + 1 else !p - 1
+    done;
+    !result
 
   (* ------------------------------------------------------------------ *)
   (* Statistics                                                          *)

@@ -17,6 +17,9 @@ module M32 = Mst_template.Make (Mst_storage.Int32s)
 type width = W16 | W32 | W64
 type choice = Auto | Force of width
 type t = T16 of M16.t | T32 of M32.t | T64 of Mst.t
+type scratch = Mst.scratch
+
+let create_scratch = Mst.create_scratch
 
 let bits = function W16 -> 16 | W32 -> 32 | W64 -> 64
 
@@ -109,11 +112,11 @@ let count_value_ranges t ~ranges =
   | T32 t -> M32.count_value_ranges t ~ranges
   | T64 t -> Mst.count_value_ranges t ~ranges
 
-let select t ~ranges ~nth =
+let select t ~scratch ~ranges ~nth =
   match t with
-  | T16 t -> M16.select t ~ranges ~nth
-  | T32 t -> M32.select t ~ranges ~nth
-  | T64 t -> Mst.select t ~ranges ~nth
+  | T16 t -> M16.select t ~scratch ~ranges ~nth
+  | T32 t -> M32.select t ~scratch ~ranges ~nth
+  | T64 t -> Mst.select t ~scratch ~ranges ~nth
 
 let footprint_bytes = function
   | T16 t -> M16.footprint_bytes t

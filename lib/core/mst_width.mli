@@ -26,6 +26,10 @@ type choice =
 
 type t
 
+type scratch = Mst.scratch
+
+val create_scratch : unit -> scratch
+
 val bits : width -> int
 
 val width_for : n:int -> min_value:int -> max_value:int -> width
@@ -72,7 +76,9 @@ val length : t -> int
 val count : t -> lo:int -> hi:int -> less_than:int -> int
 val count_ranges : t -> ranges:(int * int) array -> less_than:int -> int
 val count_value_ranges : t -> ranges:(int * int) array -> int
-val select : t -> ranges:(int * int) array -> nth:int -> int
+val select : t -> scratch:scratch -> ranges:(int * int) array -> nth:int -> int
+(** {!Mst.select} at the tree's width, through a probe scratch from
+    {!create_scratch} (one scratch serves every width). *)
 
 val footprint_bytes : t -> int
 (** The repo-wide memory-accounting contract: element bytes at the

@@ -695,7 +695,8 @@ let eval_rank_family ctx ~variant ~order ~filter ~algorithm ~out =
           in
           finish r ~cnt_less ~cnt_le ~rn0 ~s)
   | _, Naive ->
-      let frank = Lazy.force frank and frow = Lazy.force frow in
+      let frank = if needs_rank then Lazy.force frank else [||] in
+      let frow = if needs_row then Lazy.force frow else [||] in
       probe ctx (fun r ->
           let ranges = mapped_ranges ctx rm r in
           let s = covered_of ranges in
@@ -836,14 +837,18 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
                  governed_mst ctx ~sample ~n:m ~get:getro ~arr:(fun () -> Lazy.force fro)))
         else None
       in
-      probe ctx (fun r ->
-          let ranges = mapped_ranges ctx rm r in
-          let s = covered_of ranges in
-          emit_for r ~s
-            ~select_nth:(fun nth -> Remap.position rm (Mstw.select sel_tree ~ranges ~nth))
-            ~rn:(fun () ->
-              Mstw.count_ranges (Option.get cnt_tree) ~ranges
-                ~less_than:enc.Rank_encode.row_codes.(r)))
+      Task_pool.parallel_for ctx.pool ~lo:0 ~hi:(np ctx) ~chunk:ctx.task_size (fun lo hi ->
+          let scratch = Mstw.create_scratch () in
+          for r = lo to hi - 1 do
+            let ranges = mapped_ranges ctx rm r in
+            let s = covered_of ranges in
+            emit_for r ~s
+              ~select_nth:(fun nth ->
+                Remap.position rm (Mstw.select sel_tree ~scratch ~ranges ~nth))
+              ~rn:(fun () ->
+                Mstw.count_ranges (Option.get cnt_tree) ~ranges
+                  ~less_than:enc.Rank_encode.row_codes.(r))
+          done)
   | Naive ->
       let fro = Lazy.force fro in
       Task_pool.parallel_for ctx.pool ~lo:0 ~hi:(np ctx) ~chunk:ctx.task_size (fun lo hi ->

@@ -226,34 +226,49 @@ let compute ?peers:precomputed table ~spec ~rows =
   done;
   { np; start_; end_; peer_start; peer_end; exclusion = frame.exclusion }
 
+(* [s, e) minus the holes [a1, b1) and [a2, b2), ascending, each clipped
+   to [s, e); a hole clipped to nothing is no hole. At most three pieces
+   (§4.7), built straight into the result. *)
+let carve s e a1 b1 a2 b2 =
+  let a1 = max a1 s and b1 = min b1 e and a2 = max a2 s and b2 = min b2 e in
+  let h1 = a1 < b1 and h2 = a2 < b2 in
+  let p1 = if h1 then b1 else s in
+  let p2 = if h2 then max p1 b2 else p1 in
+  let left = h1 && a1 > s and mid = h2 && a2 > p1 and right = p2 < e in
+  let out = Array.make (Bool.to_int left + Bool.to_int mid + Bool.to_int right) (0, 0) in
+  let i = ref 0 in
+  if left then begin
+    out.(!i) <- (s, a1);
+    incr i
+  end;
+  if mid then begin
+    out.(!i) <- (p1, a2);
+    incr i
+  end;
+  if right then out.(!i) <- (p2, e);
+  out
+
 let ranges t r =
   let s = t.start_.(r) and e = t.end_.(r) in
   if s >= e then [||]
-  else begin
-    (* holes carved out of [s, e) *)
-    let holes =
-      match t.exclusion with
-      | Exclude_no_others -> []
-      | Exclude_current_row -> [ (r, r + 1) ]
-      | Exclude_group -> [ (t.peer_start.(r), t.peer_end.(r)) ]
-      | Exclude_ties -> [ (t.peer_start.(r), r); (r + 1, t.peer_end.(r)) ]
-    in
-    let holes =
-      List.filter_map
-        (fun (a, b) ->
-          let a = max a s and b = min b e in
-          if a < b then Some (a, b) else None)
-        holes
-    in
-    let pieces = ref [] in
-    let pos = ref s in
-    List.iter
-      (fun (a, b) ->
-        if a > !pos then pieces := (!pos, a) :: !pieces;
-        pos := max !pos b)
-      holes;
-    if !pos < e then pieces := (!pos, e) :: !pieces;
-    Array.of_list (List.rev !pieces)
-  end
+  else
+    match t.exclusion with
+    | Exclude_no_others -> [| (s, e) |]
+    | Exclude_current_row -> carve s e r (r + 1) e e
+    | Exclude_group -> carve s e t.peer_start.(r) t.peer_end.(r) e e
+    | Exclude_ties -> carve s e t.peer_start.(r) r (r + 1) t.peer_end.(r)
 
-let covered t r = Array.fold_left (fun acc (a, b) -> acc + (b - a)) 0 (ranges t r)
+(* Length of the hole [a, b) clipped to [s, e). *)
+let clipped s e a b = max 0 (min b e - max a s)
+
+(* The frame's size minus what its holes remove: the holes of one
+   exclusion are disjoint, so their clipped lengths add up. *)
+let covered t r =
+  let s = t.start_.(r) and e = t.end_.(r) in
+  if s >= e then 0
+  else
+    match t.exclusion with
+    | Exclude_no_others -> e - s
+    | Exclude_current_row -> e - s - clipped s e r (r + 1)
+    | Exclude_group -> e - s - clipped s e t.peer_start.(r) t.peer_end.(r)
+    | Exclude_ties -> e - s - clipped s e t.peer_start.(r) r - clipped s e (r + 1) t.peer_end.(r)

@@ -65,6 +65,7 @@ let select_matches_oracle =
       QCheck.assume (n > 0);
       let t = Mst.create ~pool:Shared_pool.pool ~fanout:f ~sample:k a in
       let rng = Rng.create (n + (3 * f) + k) in
+      let scratch = Mst.create_scratch () in
       let ok = ref true in
       for _ = 1 to 20 do
         let l1 = Rng.int rng 40 in
@@ -85,7 +86,7 @@ let select_matches_oracle =
         else if total > 0 then begin
           let nth = Rng.int rng total in
           match brute_select a ranges nth with
-          | Some expect when Mst.select t ~ranges ~nth = expect -> ()
+          | Some expect when Mst.select t ~scratch ~ranges ~nth = expect -> ()
           | _ -> ok := false
         end
       done;
@@ -95,7 +96,7 @@ let test_select_out_of_bounds () =
   let t = Mst.create ~pool:Shared_pool.pool [| 1; 2; 3 |] in
   Alcotest.check_raises "nth too large"
     (Invalid_argument "Mst.select: nth=3 out of bounds (3 qualifying)") (fun () ->
-      ignore (Mst.select t ~ranges:[| (0, 10) |] ~nth:3))
+      ignore (Mst.select t ~scratch:(Mst.create_scratch ()) ~ranges:[| (0, 10) |] ~nth:3))
 
 let test_empty_and_singleton () =
   let empty = Mst.create ~pool:Shared_pool.pool [||] in
@@ -103,14 +104,14 @@ let test_empty_and_singleton () =
   let one = Mst.create ~pool:Shared_pool.pool [| 7 |] in
   Alcotest.(check int) "count singleton hit" 1 (Mst.count one ~lo:0 ~hi:1 ~less_than:8);
   Alcotest.(check int) "count singleton miss" 0 (Mst.count one ~lo:0 ~hi:1 ~less_than:7);
-  Alcotest.(check int) "select singleton" 7 (Mst.select one ~ranges:[| (7, 8) |] ~nth:0)
+  Alcotest.(check int) "select singleton" 7 (Mst.select one ~scratch:(Mst.create_scratch ()) ~ranges:[| (7, 8) |] ~nth:0)
 
 let test_negative_values () =
   let a = [| min_int; -5; 0; 5; max_int |] in
   let t = Mst.create ~pool:Shared_pool.pool ~fanout:2 ~sample:1 a in
   Alcotest.(check int) "count over extremes" 2 (Mst.count t ~lo:0 ~hi:5 ~less_than:0);
   Alcotest.(check int) "select min_int" min_int
-    (Mst.select t ~ranges:[| (min_int, 0) |] ~nth:0)
+    (Mst.select t ~scratch:(Mst.create_scratch ()) ~ranges:[| (min_int, 0) |] ~nth:0)
 
 let test_stats_and_formula () =
   let n = 1000 in
@@ -163,6 +164,7 @@ let m32_agrees =
       let t = Mst.create ~pool:Shared_pool.pool ~fanout:f ~sample:k a in
       let c = M32.create ~pool:Shared_pool.pool ~fanout:f ~sample:k a in
       let rng = Rng.create (n + f + (13 * k)) in
+      let scratch = Mst.create_scratch () in
       let ok = ref (M32.length c = n) in
       for _ = 1 to 25 do
         let lo = Rng.int rng (n + 2) - 1 and hi = Rng.int rng (n + 2) - 1 in
@@ -174,7 +176,7 @@ let m32_agrees =
         if M32.count_value_ranges c ~ranges <> total then ok := false;
         if total > 0 then begin
           let nth = Rng.int rng total in
-          if M32.select c ~ranges ~nth <> Mst.select t ~ranges ~nth then ok := false
+          if M32.select c ~scratch ~ranges ~nth <> Mst.select t ~scratch ~ranges ~nth then ok := false
         end
       done;
       !ok)

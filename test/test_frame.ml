@@ -146,6 +146,62 @@ let test_exclusion_at_edges () =
   Alcotest.(check (array ip)) "edge hole" [| (1, 3) |] (Frame.ranges f 0);
   Alcotest.(check (array ip)) "last row: empty" [||] (Frame.ranges f 5)
 
+(* Every exclusion mode against a position-set oracle: per-row offsets
+   (so frames jump and may be empty) over tables with long peer groups.
+   [ranges] must be the maximal runs of the frame's positions outside its
+   holes, and [covered] their count. *)
+let test_exclusion_oracle () =
+  let rng = Holistic_util.Rng.create 23 in
+  let modes =
+    Window_spec.[ Exclude_no_others; Exclude_current_row; Exclude_group; Exclude_ties ]
+  in
+  for _ = 1 to 60 do
+    let n = 1 + Holistic_util.Rng.int rng 12 in
+    let t = Array.make n 0 in
+    for i = 1 to n - 1 do
+      t.(i) <- t.(i - 1) + Holistic_util.Rng.int rng 2
+    done;
+    let offs () = Array.init n (fun _ -> Holistic_util.Rng.int rng 5) in
+    let table =
+      Table.create [ ("t", Column.ints t); ("a", Column.ints (offs ())); ("b", Column.ints (offs ())) ]
+    in
+    let rows = Array.init n (fun i -> i) in
+    List.iter
+      (fun exclusion ->
+        let spec =
+          Window_spec.over ~order_by:t_asc
+            ~frame:
+              (Window_spec.rows_between ~exclusion
+                 (Window_spec.Preceding (Expr.Col "a"))
+                 (Window_spec.Following (Expr.Col "b")))
+            ()
+        in
+        let f = Frame.compute table ~spec ~rows in
+        for r = 0 to n - 1 do
+          let in_hole p =
+            let peer = p >= Frame.peer_start f r && p < Frame.peer_end f r in
+            match exclusion with
+            | Window_spec.Exclude_no_others -> false
+            | Window_spec.Exclude_current_row -> p = r
+            | Window_spec.Exclude_group -> peer
+            | Window_spec.Exclude_ties -> peer && p <> r
+          in
+          let runs = ref [] and count = ref 0 in
+          for p = Frame.start_ f r to Frame.end_ f r - 1 do
+            if not (in_hole p) then begin
+              incr count;
+              match !runs with
+              | (lo, hi) :: rest when hi = p -> runs := (lo, p + 1) :: rest
+              | l -> runs := (p, p + 1) :: l
+            end
+          done;
+          let expect = Array.of_list (List.rev !runs) in
+          Alcotest.(check (array ip)) (Printf.sprintf "ranges n=%d r=%d" n r) expect (Frame.ranges f r);
+          Alcotest.(check int) (Printf.sprintf "covered n=%d r=%d" n r) !count (Frame.covered f r)
+        done)
+      modes
+  done
+
 let test_empty_frame () =
   let b =
     bounds (Window_spec.rows_between (Window_spec.following 3) (Window_spec.preceding 3)) t_asc
@@ -214,6 +270,7 @@ let () =
         [
           Alcotest.test_case "all modes" `Quick test_exclusion_ranges;
           Alcotest.test_case "edge holes" `Quick test_exclusion_at_edges;
+          Alcotest.test_case "position-set oracle" `Quick test_exclusion_oracle;
         ] );
       ( "degenerate",
         [

@@ -438,6 +438,7 @@ let fill_of a chunk ~pos ~len = Array.blit a pos chunk 0 len
 
 let probe_equal ~msg rng t_mem t_str n =
   Alcotest.(check bool) (msg ^ ": width") true (Mstw.width t_mem = Mstw.width t_str);
+  let scratch = Mstw.create_scratch () in
   for _ = 1 to 200 do
     let lo = Rng.int rng (n + 1) in
     let hi = lo + Rng.int rng (n + 1 - lo) in
@@ -459,8 +460,8 @@ let probe_equal ~msg rng t_mem t_str n =
       let nth = Rng.int rng m in
       Alcotest.(check int)
         (Printf.sprintf "%s: select %d of values [%d,%d)" msg nth vlo vhi)
-        (Mstw.select t_mem ~ranges ~nth)
-        (Mstw.select t_str ~ranges ~nth)
+        (Mstw.select t_mem ~scratch ~ranges ~nth)
+        (Mstw.select t_str ~scratch ~ranges ~nth)
     end
   done
 

@@ -110,6 +110,7 @@ let widths_agree =
       in
       let base = if n = 0 then 0 else minv in
       let rng = Rng.create ((n * 131) + (f * 7) + k) in
+      let scratch = W.create_scratch () in
       let ok = ref true in
       let check name got expect =
         if got <> expect then begin
@@ -142,12 +143,181 @@ let widths_agree =
           match brute_select a vr nth with
           | None -> ok := false
           | Some v ->
-              check "select64" (Mst.select t64 ~ranges:vr ~nth) v;
-              Option.iter (fun t -> check "select32" (C.select t ~ranges:vr ~nth) v) t32;
-              Option.iter (fun t -> check "select16" (M16.select t ~ranges:vr ~nth) v) t16
+              check "select64" (Mst.select t64 ~scratch ~ranges:vr ~nth) v;
+              Option.iter (fun t -> check "select32" (C.select t ~scratch ~ranges:vr ~nth) v) t32;
+              Option.iter (fun t -> check "select16" (M16.select t ~scratch ~ranges:vr ~nth) v) t16
         end
       done;
       !ok)
+
+(* ------------------------------------------------------------------ *)
+(* Leaf scans: probes settle overlaps of at most [fanout] elements by   *)
+(* scanning level 0                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let forced_widths = [ (W.W16, "16"); (W.W32, "32"); (W.W64, "64") ]
+
+(* Operands of [n] elements that are a permutation of [0, n): shuffled,
+   ascending and descending, so select's value ranges pick scattered,
+   contiguous and reversed positions. *)
+let operands n =
+  let rng = Rng.create (n + 5) in
+  let shuffled = Array.init n (fun i -> i) in
+  for i = n - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let x = shuffled.(i) in
+    shuffled.(i) <- shuffled.(j);
+    shuffled.(j) <- x
+  done;
+  [ shuffled; Array.init n (fun i -> i); Array.init n (fun i -> n - 1 - i) ]
+
+(* Ranges of fanout - 1, fanout and fanout + 1 elements placed on, just
+   before, just after and across run boundaries of levels 1 and 2 (the
+   first two, and the start of the ragged last run), plus the empty and
+   full-cover ranges. *)
+let boundary_ranges ~n ~f =
+  let acc = ref [ (0, n); (-3, n + 3); (0, 0); (n / 2, n / 2); (n, n) ] in
+  List.iter
+    (fun stride ->
+      List.iter
+        (fun b ->
+          List.iter
+            (fun len ->
+              List.iter
+                (fun d -> acc := (b - d, b - d + len) :: !acc)
+                [ 0; 1; len / 2; len - 1; len ])
+            [ f - 1; f; f + 1 ])
+        [ stride; 2 * stride; n - (n mod stride); n ])
+    [ f; f * f ];
+  !acc
+
+let test_leaf_scan_parity () =
+  List.iter
+    (fun f ->
+      (* a ragged last run at every level: n is no multiple of f *)
+      let n = (3 * f * f) + 7 in
+      let ranges = Array.of_list (boundary_ranges ~n ~f) in
+      let nr = Array.length ranges in
+      List.iteri
+        (fun op a ->
+          List.iter
+            (fun sample ->
+              List.iter
+                (fun (w, wname) ->
+                  let t = W.create ~pool:Shared_pool.pool ~fanout:f ~sample ~choice:(W.Force w) a in
+                  let scratch = W.create_scratch () in
+                  let label what i =
+                    Printf.sprintf "%s w=%s f=%d k=%d operand %d case %d" what wname f sample op i
+                  in
+                  Array.iteri
+                    (fun i (lo, hi) ->
+                      let th = [| 0; n; (i * 7919) mod n; (if lo >= 0 && lo < n then a.(lo) else 1) |] in
+                      Array.iter
+                        (fun th ->
+                          Alcotest.(check int) (label "count" i) (brute_count a lo hi th)
+                            (W.count t ~lo ~hi ~less_than:th))
+                        th;
+                      (* holed frames: this range, then one or two more
+                         with the lengths of its successors *)
+                      let l2, h2 = ranges.((i + 1) mod nr) and l3, h3 = ranges.((i + 2) mod nr) in
+                      let w2 = h2 - l2 and w3 = h3 - l3 in
+                      let holed =
+                        if i land 1 = 0 then [| (lo, hi); (hi + 1, hi + 1 + w2) |]
+                        else [| (lo, hi); (hi + 2, hi + 2 + w2); (hi + 4 + w2, hi + 4 + w2 + w3) |]
+                      in
+                      let th = a.((i * 31) mod n) in
+                      Alcotest.(check int) (label "count_ranges" i) (brute_count_ranges a holed th)
+                        (W.count_ranges t ~ranges:holed ~less_than:th);
+                      (* the same ranges as value ranges: select's first,
+                         middle and last qualifying element *)
+                      List.iter
+                        (fun vr ->
+                          let total = brute_cvr a vr in
+                          Alcotest.(check int) (label "count_value_ranges" i) total
+                            (W.count_value_ranges t ~ranges:vr);
+                          List.iter
+                            (fun nth ->
+                              Alcotest.(check (option int)) (label "select" i)
+                                (brute_select a vr nth)
+                                (Some (W.select t ~scratch ~ranges:vr ~nth)))
+                            (if total = 0 then [] else [ 0; total / 2; total - 1 ]))
+                        [ [| (lo, hi) |]; holed ])
+                    ranges)
+                forced_widths)
+            [ 32; 0 ])
+        (operands n))
+    [ 4; 32 ]
+
+(* ------------------------------------------------------------------ *)
+(* Allocation: probes allocate no words                                 *)
+(* ------------------------------------------------------------------ *)
+
+let sink = ref 0
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* 1 000 calls each of count, count_ranges and select, after a warm-up
+   that grows the select scratch, allocate exactly the words of the same
+   loop without the probe: nothing. *)
+let test_probes_allocate_nothing () =
+  let n = 5_000 and calls = 1_000 in
+  let a = List.hd (operands n) in
+  let rng = Rng.create 77 in
+  let span () =
+    let lo = Rng.int rng n in
+    (lo, min n (lo + 1 + Rng.int rng 600))
+  in
+  let singles = Array.init calls (fun _ -> span ()) in
+  let holed =
+    Array.init calls (fun i ->
+        let lo, hi = singles.(i) in
+        if i land 1 = 0 then [| (lo, hi); (hi + 1, hi + 40) |]
+        else [| (lo, hi); (hi + 1, hi + 3); (hi + 5, hi + 700) |])
+  in
+  let th = Array.init calls (fun _ -> Rng.int rng n) in
+  let nth =
+    Array.init calls (fun i -> Rng.int rng (max 1 (brute_cvr a holed.(i))))
+  in
+  List.iter
+    (fun sample ->
+      List.iter
+        (fun (w, wname) ->
+          let t = W.create ~pool:Shared_pool.pool ~sample ~choice:(W.Force w) a in
+          let scratch = W.create_scratch () in
+          let count () =
+            for i = 0 to calls - 1 do
+              let lo, hi = singles.(i) in
+              sink := !sink + W.count t ~lo ~hi ~less_than:th.(i)
+            done
+          in
+          let count_ranges () =
+            for i = 0 to calls - 1 do
+              sink := !sink + W.count_ranges t ~ranges:holed.(i) ~less_than:th.(i)
+            done
+          in
+          let select () =
+            for i = 0 to calls - 1 do
+              sink := !sink + W.select t ~scratch ~ranges:holed.(i) ~nth:nth.(i)
+            done
+          in
+          let empty () =
+            for i = 0 to calls - 1 do
+              sink := !sink + th.(i)
+            done
+          in
+          List.iter (fun f -> f ()) [ count; count_ranges; select; empty ];
+          let base = minor_words empty in
+          List.iter
+            (fun (name, f) ->
+              Alcotest.(check (float 0.))
+                (Printf.sprintf "%s words, %s-bit, sample %d" name wname sample)
+                base (minor_words f))
+            [ ("count", count); ("count_ranges", count_ranges); ("select", select) ])
+        forced_widths)
+    [ 32; 0 ]
 
 (* ------------------------------------------------------------------ *)
 (* Width boundaries: rejection                                         *)
@@ -256,7 +426,9 @@ let () =
       ( "parity",
         [
           QCheck_alcotest.to_alcotest widths_agree;
+          Alcotest.test_case "leaf-scan boundaries" `Quick test_leaf_scan_parity;
         ] );
+      ("allocation", [ Alcotest.test_case "probes allocate nothing" `Quick test_probes_allocate_nothing ]);
       ( "boundaries",
         [
           Alcotest.test_case "rejection at width edges" `Quick test_rejection;
