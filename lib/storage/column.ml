@@ -7,7 +7,9 @@ type data =
   | Bools of bool array
   | Dates of int array
 
-type t = { data : data; nulls : Bitset.t option }
+(* [codes] memoizes {!order_codes}: filled at most once, by the first
+   caller to publish, and read-only afterwards. *)
+type t = { data : data; nulls : Bitset.t option; codes : int array option Atomic.t }
 
 let data_length = function
   | Ints a -> Array.length a
@@ -21,7 +23,7 @@ let make ?nulls data =
   | Some mask when Bitset.length mask <> data_length data ->
       invalid_arg "Column.make: null mask length mismatch"
   | _ -> ());
-  { data; nulls }
+  { data; nulls; codes = Atomic.make None }
 
 let length t = data_length t.data
 let data t = t.data
@@ -122,7 +124,9 @@ let take t rows =
         m')
       t.nulls
   in
-  make ?nulls data
+  (* gathered codes keep string order and stay one-to-one on the distinct
+     strings; they are just no longer dense *)
+  { data; nulls; codes = Atomic.make (Option.map gather (Atomic.get t.codes)) }
 
 (* Concatenation for the session append path: same-typed payloads are
    blitted; an Ints/Floats mix (or a typeless all-NULL prefix) follows
@@ -176,4 +180,93 @@ let distinct_ids t =
       let id = dense_numbering (2 * n) in
       Array.init n (fun i -> if is_null t i then null_id else id a.(i))
 
-let footprint_bytes c = 8 * Obj.reachable_words (Obj.repr c)
+(* Densified rank of the distinct string set: dense codes both pack
+   tighter and make the merge's OVC ties cheap. Byte order matches
+   [Value.compare_sql] on strings ([Stdlib.compare]).
+
+   Rows get first-seen dense ids from an open-addressing table kept in
+   flat arrays (slot -> id, id -> string and full hash), so a row costs one
+   hash and no allocation; only the distinct set is then sorted — a merge
+   sort, which compares far fewer long shared prefixes than a heap sort —
+   and an id -> rank remap finishes the codes. *)
+let string_ranks n get is_null =
+  let slots = ref (Array.make 64 (-1)) in
+  let strs = ref (Array.make 32 "") and hashes = ref (Array.make 32 0) in
+  let d = ref 0 in
+  let rec probe slots mask h s j =
+    let k = Array.unsafe_get slots j in
+    if k < 0 || (Array.unsafe_get !hashes k = h && String.equal (Array.unsafe_get !strs k) s) then j
+    else probe slots mask h s ((j + 1) land mask)
+  in
+  (* doubling keeps the load at most one half; stored hashes re-place ids
+     without rehashing the strings *)
+  let grow () =
+    let cap = 2 * Array.length !slots in
+    let mask = cap - 1 in
+    let fresh = Array.make cap (-1) in
+    for id = 0 to !d - 1 do
+      let j = ref (!hashes.(id) land mask) in
+      while fresh.(!j) >= 0 do
+        j := (!j + 1) land mask
+      done;
+      fresh.(!j) <- id
+    done;
+    slots := fresh;
+    strs := Array.append !strs (Array.make (Array.length !strs) "");
+    hashes := Array.append !hashes (Array.make (Array.length !hashes) 0)
+  in
+  let codes = Array.make n 0 in
+  for i = 0 to n - 1 do
+    if not (is_null i) then begin
+      let s = get i in
+      let h = Hashtbl.hash s in
+      let sl = !slots in
+      let mask = Array.length sl - 1 in
+      let j = probe sl mask h s (h land mask) in
+      let k = Array.unsafe_get sl j in
+      if k >= 0 then codes.(i) <- k
+      else begin
+        let id = !d in
+        sl.(j) <- id;
+        !strs.(id) <- s;
+        !hashes.(id) <- h;
+        incr d;
+        codes.(i) <- id;
+        if 2 * !d >= Array.length sl then grow ()
+      end
+    end
+  done;
+  let d = !d and strs = !strs in
+  let order = Array.init d Fun.id in
+  Array.stable_sort
+    (fun a b -> String.compare (Array.unsafe_get strs a) (Array.unsafe_get strs b))
+    order;
+  let rank = Array.make d 0 in
+  Array.iteri (fun r id -> rank.(id) <- r) order;
+  for i = 0 to n - 1 do
+    if not (is_null i) then codes.(i) <- Array.unsafe_get rank (Array.unsafe_get codes i)
+  done;
+  codes
+
+(* Computed outside any lock: two domains may both densify on first use,
+   but only the first [compare_and_set] publishes, and every caller returns
+   the published array. *)
+let order_codes t =
+  match Atomic.get t.codes with
+  | Some codes -> codes
+  | None -> (
+      let a =
+        match t.data with
+        | Strings a -> a
+        | _ -> invalid_arg "Column.order_codes: not a string column"
+      in
+      let fresh = string_ranks (Array.length a) (fun i -> a.(i)) (is_null t) in
+      if Atomic.compare_and_set t.codes None (Some fresh) then fresh
+      else match Atomic.get t.codes with Some codes -> codes | None -> assert false)
+
+(* The memo cell — the record field and its Atomic block, 3 words — is
+   left out, so a column without codes weighs what it did before the memo
+   existed; published codes count. *)
+let memo_cell_bytes = 24
+
+let footprint_bytes c = (8 * Obj.reachable_words (Obj.repr c)) - memo_cell_bytes

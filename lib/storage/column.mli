@@ -37,12 +37,17 @@ val float_at : t -> int -> float
 
 val take : t -> int array -> t
 (** [take c rows] gathers the given row indices into a fresh column
-    (projection/selection support for the SQL layer). *)
+    (projection/selection support for the SQL layer). When [c] already
+    holds {!order_codes}, the new column gets them gathered too: they
+    still follow string order and stay one-to-one on the distinct
+    strings, but are no longer dense. *)
 
 val append : t -> t -> t
 (** [append a b] concatenates two columns (the session-layer append path).
     Same-typed payloads blit; an Int/Float mix follows {!of_values}'s
-    numeric promotion. @raise Invalid_argument on incompatible types. *)
+    numeric promotion. The result holds no {!order_codes}: they are
+    computed afresh on first use. @raise Invalid_argument on incompatible
+    types. *)
 
 val dense_numbering : int -> 'a -> int
 (** [dense_numbering size] is a fresh numbering that maps each value to
@@ -59,7 +64,31 @@ val distinct_ids : t -> int array
     paper's sort-the-hashes shortcut (§6.7) — hash collisions cannot corrupt
     distinct counts. *)
 
+val string_ranks : int -> (int -> string) -> (int -> bool) -> int array
+(** [string_ranks n get is_null] densifies a string key over rows
+    [0..n-1]: row [i]'s code is the rank of [get i] among the distinct
+    strings of the rows where [is_null] fails, in [String.compare] order
+    (equal strings share a code). Codes of NULL rows are unspecified, and
+    [get] is never called on them. The one string densifier: {!order_codes}
+    memoizes it per column, and expression keys call it directly. *)
+
+val order_codes : t -> int array
+(** [order_codes c] is one int code per row of a string column whose
+    [Int.compare] order equals [String.compare] order on the non-NULL rows
+    (equal strings share a code; NULL rows hold unused codes): the
+    {!string_ranks} of the column, or their gather when [c] came from
+    {!take} on a column that had them. Computed on first use and kept in
+    the column, so every later call — from any domain — returns the same
+    array. The array is shared and must not be written to.
+    @raise Invalid_argument if [c] is not a string column. *)
+
+val memo_cell_bytes : int
+(** Bytes every column spends on its (possibly empty) {!order_codes} cell;
+    {!footprint_bytes} and [Table.footprint_bytes] leave them out. *)
+
 val footprint_bytes : t -> int
 (** Reachable bytes of the column (data array, null bitset, string
-    payloads) — the repo-wide memory-accounting contract.  Deterministic
-    for a given column; strings shared {e within} the column count once. *)
+    payloads, and the {!order_codes} once computed) — the repo-wide
+    memory-accounting contract. The empty memo cell is not counted, so a
+    column without codes weighs what its data does. Deterministic for a
+    given column; strings shared {e within} the column count once. *)

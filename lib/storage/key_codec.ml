@@ -73,74 +73,6 @@ let float_raws n get is_null nulls nulls_first desc =
   if !all_even then [ hi_raw ]
   else [ hi_raw; { codes = lo; nulls; nulls_first; exact = true } ]
 
-(* One-time densified rank of the distinct string set: dense codes both
-   pack tighter and make the merge's OVC ties cheap. Byte order matches
-   [Value.compare_sql] on strings ([Stdlib.compare]).
-
-   Rows get first-seen dense ids from an open-addressing table kept in
-   flat arrays (slot -> id, id -> string and full hash), so a row costs one
-   hash and no allocation; only the distinct set is then sorted — a merge
-   sort, which compares far fewer long shared prefixes than a heap sort —
-   and an id -> rank remap finishes the codes. *)
-let string_ranks n get is_null =
-  let slots = ref (Array.make 64 (-1)) in
-  let strs = ref (Array.make 32 "") and hashes = ref (Array.make 32 0) in
-  let d = ref 0 in
-  let rec probe slots mask h s j =
-    let k = Array.unsafe_get slots j in
-    if k < 0 || (Array.unsafe_get !hashes k = h && String.equal (Array.unsafe_get !strs k) s) then j
-    else probe slots mask h s ((j + 1) land mask)
-  in
-  (* doubling keeps the load at most one half; stored hashes re-place ids
-     without rehashing the strings *)
-  let grow () =
-    let cap = 2 * Array.length !slots in
-    let mask = cap - 1 in
-    let fresh = Array.make cap (-1) in
-    for id = 0 to !d - 1 do
-      let j = ref (!hashes.(id) land mask) in
-      while fresh.(!j) >= 0 do
-        j := (!j + 1) land mask
-      done;
-      fresh.(!j) <- id
-    done;
-    slots := fresh;
-    strs := Array.append !strs (Array.make (Array.length !strs) "");
-    hashes := Array.append !hashes (Array.make (Array.length !hashes) 0)
-  in
-  let codes = Array.make n 0 in
-  for i = 0 to n - 1 do
-    if not (is_null i) then begin
-      let s = get i in
-      let h = Hashtbl.hash s in
-      let sl = !slots in
-      let mask = Array.length sl - 1 in
-      let j = probe sl mask h s (h land mask) in
-      let k = Array.unsafe_get sl j in
-      if k >= 0 then codes.(i) <- k
-      else begin
-        let id = !d in
-        sl.(j) <- id;
-        !strs.(id) <- s;
-        !hashes.(id) <- h;
-        incr d;
-        codes.(i) <- id;
-        if 2 * !d >= Array.length sl then grow ()
-      end
-    end
-  done;
-  let d = !d and strs = !strs in
-  let order = Array.init d Fun.id in
-  Array.stable_sort
-    (fun a b -> String.compare (Array.unsafe_get strs a) (Array.unsafe_get strs b))
-    order;
-  let rank = Array.make d 0 in
-  Array.iteri (fun r id -> rank.(id) <- r) order;
-  for i = 0 to n - 1 do
-    if not (is_null i) then codes.(i) <- Array.unsafe_get rank (Array.unsafe_get codes i)
-  done;
-  codes
-
 let max_exact_float_int = 9007199254740992 (* 2^53: float_of_int is injective below *)
 
 let int_raw codes nulls nulls_first desc =
@@ -196,7 +128,7 @@ let raws_of_values n vals nulls_first desc =
     Some (int_raw codes nulls nulls_first desc)
   else if !has_string then begin
     let get i = match vals.(i) with Value.String s -> s | _ -> "" in
-    let codes = string_ranks n get is_null in
+    let codes = Column.string_ranks n get is_null in
     if desc then
       for i = 0 to n - 1 do
         codes.(i) <- lnot codes.(i)
@@ -245,12 +177,10 @@ let raws_of_key n table (key : Sort_spec.key) =
               Some (int_raw codes nulls nulls_first desc)
           | Column.Floats a ->
               Some (float_raws n (fun i -> a.(i)) is_null nulls nulls_first desc)
-          | Column.Strings a ->
-              let codes = string_ranks n (fun i -> a.(i)) is_null in
-              if desc then
-                for i = 0 to n - 1 do
-                  codes.(i) <- lnot codes.(i)
-                done;
+          | Column.Strings _ ->
+              (* the column's shared memo: DESC flips into a fresh array *)
+              let codes = Column.order_codes c in
+              let codes = if desc then Array.map lnot codes else codes in
               Some [ { codes; nulls; nulls_first; exact = true } ]
         end
       | None ->

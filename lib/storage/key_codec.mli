@@ -58,10 +58,3 @@ val comparator : t -> int -> int -> int
 (** The compiled strict total order: words, then [residual], then
     ascending row id. Equals the stable comparator sort's order; useful
     for boundary-local re-sorts and parity tests. *)
-
-val string_ranks : int -> (int -> string) -> (int -> bool) -> int array
-(** [string_ranks n get is_null] densifies a string key over rows
-    [0..n-1]: row [i]'s code is the rank of [get i] among the distinct
-    strings of the rows where [is_null] fails, in [String.compare] order
-    (equal strings share a code). Codes of NULL rows are unspecified, and
-    [get] is never called on them. *)

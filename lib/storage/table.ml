@@ -54,4 +54,8 @@ let print ?(max_rows = 20) ?(out = stdout) t =
   List.iter (fun row -> Printf.fprintf out "%s\n" (line row)) rows;
   if shown < t.nrows then Printf.fprintf out "... (%d rows total)\n" t.nrows
 
-let footprint_bytes t = 8 * Obj.reachable_words (Obj.repr t)
+let footprint_bytes t =
+  let distinct =
+    List.fold_left (fun acc (_, c) -> if List.memq c acc then acc else c :: acc) [] t.columns
+  in
+  (8 * Obj.reachable_words (Obj.repr t)) - (Column.memo_cell_bytes * List.length distinct)

@@ -29,4 +29,6 @@ val print : ?max_rows:int -> ?out:out_channel -> t -> unit
 
 val footprint_bytes : t -> int
 (** Reachable bytes of the whole table in one traversal, so columns
-    sharing arrays (e.g. after {!add_column}) count once. *)
+    sharing arrays (e.g. after {!add_column}) count once. Like
+    {!Column.footprint_bytes}, it leaves out the columns' empty
+    order-code cells and counts computed codes. *)

@@ -358,7 +358,7 @@ let test_string_ranks () =
           let rank = Hashtbl.create 64 in
           List.iteri (fun r s -> Hashtbl.replace rank s r) distinct;
           let got =
-            Key_codec.string_ranks n
+            Column.string_ranks n
               (fun i -> if is_null i then Alcotest.fail "get on a NULL row" else strs.(i))
               is_null
           in
@@ -380,6 +380,73 @@ let test_string_ranks () =
             ])
         [ 0; 4 ])
     cases
+
+(* A string column's order codes are computed once and shared by every
+   later compile, so a DESC compile that flipped them in place would turn
+   the next ASC compile around.  Each compile of the same column, of a
+   [take] of it after its codes exist, and of an [append] must match the
+   stable comparator sort. *)
+let test_order_code_memo () =
+  let rng = Rng.create 37 in
+  let pool = Task_pool.create 1 in
+  Fun.protect ~finally:(fun () -> Task_pool.shutdown pool) @@ fun () ->
+  let random_column n =
+    Column.make ?nulls:(null_mask rng n 4)
+      (Column.Strings
+         (Array.init n (fun _ ->
+              string_pool.(Rng.int rng (Array.length string_pool)) ^ string_of_int (Rng.int rng 4))))
+  in
+  let compile_thrice label c =
+    let table = Table.create [ ("s", c) ] in
+    List.iter
+      (fun nulls ->
+        List.iter
+          (fun direction ->
+            let spec = [ { Sort_spec.expr = Expr.Col "s"; direction; nulls } ] in
+            check_parity pool ~task_size:32 table spec
+              (Printf.sprintf "%s/%s" label (Sort_spec.to_string spec)))
+          [ Sort_spec.Asc; Sort_spec.Desc; Sort_spec.Asc ])
+      [ Sort_spec.Nulls_first; Sort_spec.Nulls_last ]
+  in
+  for iter = 0 to 19 do
+    let label = Printf.sprintf "iter %d" iter in
+    let n = 1 + Rng.int rng 300 in
+    let c = random_column n in
+    compile_thrice label c;
+    let codes = Column.order_codes c in
+    Alcotest.(check bool) (label ^ ": one shared array") true (codes == Column.order_codes c);
+    List.iter
+      (fun rows ->
+        let t = Column.take c rows in
+        let sub = Printf.sprintf "%s/take %d" label (Array.length rows) in
+        compile_thrice sub t;
+        (* gathered from the parent, not densified afresh *)
+        let gathered = Column.order_codes t in
+        Array.iteri
+          (fun j i ->
+            if (not (Column.is_null t j)) && gathered.(j) <> codes.(i) then
+              Alcotest.failf "%s: row %d holds code %d, parent row %d holds %d" sub j gathered.(j)
+                i codes.(i))
+          rows)
+      [
+        [||];
+        Array.init (Rng.int rng n) (fun _ -> Rng.int rng n);
+        Array.init n (fun i -> n - 1 - i);
+      ];
+    let a = Column.append c (random_column (1 + Rng.int rng 50)) in
+    compile_thrice (label ^ "/append") a;
+    let na = Column.length a in
+    let fresh =
+      Column.string_ranks na
+        (fun i -> match Column.get a i with Value.String s -> s | _ -> assert false)
+        (Column.is_null a)
+    in
+    let got = Column.order_codes a in
+    for i = 0 to na - 1 do
+      if (not (Column.is_null a i)) && got.(i) <> fresh.(i) then
+        Alcotest.failf "%s/append: row %d holds code %d, dense rank is %d" label i got.(i) fresh.(i)
+    done
+  done
 
 (* A single nullable int/float column (NaN, -0. and +0. included) keeps the
    unboxed encode under every direction and NULL placement, and the
@@ -498,6 +565,7 @@ let () =
           Alcotest.test_case "fast-path nulls spellings" `Quick test_fast_key_nulls_spelling;
           Alcotest.test_case "codec coverage shape" `Quick test_codec_shape;
           Alcotest.test_case "string densification" `Quick test_string_ranks;
+          Alcotest.test_case "order-code memo" `Quick test_order_code_memo;
           Alcotest.test_case "nullable fast-key encode" `Quick test_nullable_fast_key_encode;
         ] );
     ]

@@ -381,6 +381,76 @@ let test_sql_count_star_and_aliases () =
   Alcotest.(check (list string)) "names" [ "time"; "n"; "xp" ] (Table.column_names r);
   Alcotest.(check (list string)) "expr column" [ "5"; "3"; "7" ] (col_strings r "xp")
 
+(* ------------------------------------------------------------------ *)
+(* Concurrent callers                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A string column densifies on its first sort and keeps the codes, so
+   two queries sorting a fresh table at the same time race to publish
+   them.  Both must return what a serial run returns, and the column must
+   end up holding exactly one codes array. *)
+let test_concurrent_first_sort () =
+  let module Rng = Holistic_util.Rng in
+  let module Bitset = Holistic_util.Bitset in
+  let n = 20_000 in
+  let rng = Rng.create 41 in
+  let nulls = Bitset.create n in
+  for i = 0 to n - 1 do
+    if Rng.int rng 9 = 0 then Bitset.set nulls i
+  done;
+  let strs =
+    Array.init n (fun _ -> Printf.sprintf "2026-%02d-%05d" (Rng.int rng 12) (Rng.int rng 3_000))
+  in
+  let g = Array.init n (fun _ -> Rng.int rng 7) in
+  let x = Array.init n (fun i -> i) in
+  let fresh () =
+    Table.create
+      [ ("g", Column.ints g); ("s", Column.make ~nulls (Column.Strings strs)); ("x", Column.ints x) ]
+  in
+  let q =
+    "select s, g, rank() over (partition by g order by s desc) as r, row_number() over (order by \
+     s nulls first, x) as rn from t order by s nulls last, x"
+  in
+  let run table = Sql.query ~pool:Shared_pool.pool ~tables:[ ("t", table) ] q in
+  let serial_table = fresh () in
+  let serial = run serial_table in
+  let same label r =
+    Alcotest.(check (list string))
+      (label ^ ": columns") (Table.column_names serial) (Table.column_names r);
+    List.iter
+      (fun (name, c) ->
+        let c' = Table.column r name in
+        if compare (Column.data c, Column.null_mask c) (Column.data c', Column.null_mask c') <> 0 then
+          Alcotest.failf "%s: column %s differs from the serial run" label name)
+      (Table.columns serial)
+  in
+  for round = 1 to 4 do
+    let label = Printf.sprintf "round %d" round in
+    let table = fresh () in
+    let ready = Atomic.make 0 in
+    let start () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      run table
+    in
+    let other = Domain.spawn start in
+    let mine = start () in
+    let theirs = Domain.join other in
+    same (label ^ ", calling domain") mine;
+    same (label ^ ", spawned domain") theirs;
+    let col = Table.column table "s" in
+    let codes = Column.order_codes col in
+    Alcotest.(check bool) (label ^ ": one published array") true (codes == Column.order_codes col);
+    Alcotest.(check (array int)) (label ^ ": serial codes")
+      (Column.order_codes (Table.column serial_table "s")) codes;
+    Alcotest.(check int) (label ^ ": the column holds one codes array")
+      (Column.footprint_bytes (Column.make ~nulls (Column.Strings strs))
+      + (8 * Obj.reachable_words (Obj.repr (Some codes))))
+      (Column.footprint_bytes col)
+  done
+
 let () =
   Alcotest.run "sql"
     [
@@ -410,4 +480,6 @@ let () =
           Alcotest.test_case "IN lists / NTH_VALUE FROM LAST" `Quick test_sql_in_list_and_from_last;
           Alcotest.test_case "windowed MODE" `Quick test_sql_mode;
         ] );
+      ( "concurrency",
+        [ Alcotest.test_case "first string sort from two domains" `Quick test_concurrent_first_sort ] );
     ]

@@ -93,6 +93,31 @@ let test_distinct_ids () =
   Alcotest.(check (array int)) "int fast path is raw values" [| 7; 7; 9 |]
     (Column.distinct_ids ints)
 
+(* A column without order codes weighs what the memo-less layout did: a
+   two-field record over the same data and NULL mask.  Codes, once
+   computed (or gathered by [take]), count on top. *)
+let memo_less c = (Column.data c, Column.null_mask c)
+
+let test_footprint_memo () =
+  Alcotest.(check int) "three-int column" 72 (Column.footprint_bytes (Column.ints [| 1; 2; 3 |]));
+  let nulls = Bitset.create 5 in
+  Bitset.set nulls 2;
+  let c = Column.make ~nulls (Column.Strings [| "pear"; "fig"; ""; "pear"; "apple" |]) in
+  let before = 8 * Obj.reachable_words (Obj.repr (memo_less c)) in
+  Alcotest.(check int) "column without codes" before (Column.footprint_bytes c);
+  let codes = Column.order_codes c in
+  let memo = 8 * Obj.reachable_words (Obj.repr (Some codes)) in
+  Alcotest.(check int) "codes count once computed" (before + memo) (Column.footprint_bytes c);
+  let t = Column.take c [| 4; 0 |] in
+  (* gathered codes: a [Some] box (2 words) over a two-element array (3) *)
+  Alcotest.(check int) "take carries the codes"
+    ((8 * Obj.reachable_words (Obj.repr (memo_less t))) + (8 * 5))
+    (Column.footprint_bytes t);
+  let a = Column.append c c in
+  Alcotest.(check int) "append starts without codes"
+    (8 * Obj.reachable_words (Obj.repr (memo_less a)))
+    (Column.footprint_bytes a)
+
 (* ------------------------------------------------------------------ *)
 (* Tables                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -107,6 +132,19 @@ let test_table () =
     (fun () -> ignore (Table.create [ ("a", Column.ints [| 1; 2 |]); ("b", Column.ints [| 1 |]) ]));
   Alcotest.check_raises "duplicate name" (Invalid_argument "Table.create: duplicate column name")
     (fun () -> ignore (Table.create [ ("a", Column.ints [| 1 |]); ("a", Column.ints [| 2 |]) ]))
+
+let test_table_footprint_memo () =
+  let s = Column.strings [| "b"; "a"; "b" |] in
+  let t = Table.create [ ("a", Column.ints [| 1; 2; 3 |]); ("s", s) ] in
+  let memo_less_table =
+    (List.map (fun (n, c) -> (n, memo_less c)) (Table.columns t), Table.nrows t)
+  in
+  let before = 8 * Obj.reachable_words (Obj.repr memo_less_table) in
+  Alcotest.(check int) "table without codes" before (Table.footprint_bytes t);
+  let codes = Column.order_codes s in
+  Alcotest.(check int) "codes count once computed"
+    (before + (8 * Obj.reachable_words (Obj.repr (Some codes))))
+    (Table.footprint_bytes t)
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
@@ -263,8 +301,13 @@ let () =
           Alcotest.test_case "null masks" `Quick test_column_nulls;
           Alcotest.test_case "of_values" `Quick test_of_values;
           Alcotest.test_case "distinct ids" `Quick test_distinct_ids;
+          Alcotest.test_case "footprint and order codes" `Quick test_footprint_memo;
         ] );
-      ("table", [ Alcotest.test_case "create/access" `Quick test_table ]);
+      ( "table",
+        [
+          Alcotest.test_case "create/access" `Quick test_table;
+          Alcotest.test_case "footprint and order codes" `Quick test_table_footprint_memo;
+        ] );
       ( "expr",
         [
           Alcotest.test_case "evaluation" `Quick test_expr_eval;
