@@ -35,7 +35,9 @@ val compile : Table.t -> t -> int -> Value.t
     three-valued logic. @raise Not_found for unknown columns. *)
 
 val eval : Table.t -> t -> int -> Value.t
-(** One-shot evaluation (compile + apply). *)
+(** One-shot evaluation: [eval table e i] is [compile table e i], so every
+    call compiles [e] again — a closure per node and a column lookup by
+    name. Loops over rows {!compile} once and apply the result. *)
 
 val to_bool : Value.t -> bool
 (** SQL predicate truth: [Bool true] is true; NULL and [Bool false] are

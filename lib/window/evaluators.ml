@@ -764,6 +764,12 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
   let m = Remap.filtered_count rm in
   let fro = lazy (Array.init m (fun i -> enc.Rank_encode.row_codes.(Remap.position rm i))) in
   let needs_rn = match kind with Sel_lead _ | Sel_lag _ -> true | _ -> false in
+  (* the LEAD/LAG default, compiled once for every out-of-range row *)
+  let default =
+    match kind with
+    | Sel_lead (_, Some e) | Sel_lag (_, Some e) -> Expr.compile ctx.table e
+    | _ -> fun _ -> Value.Null
+  in
   (* Per-algorithm primitives: [select_nth ranges s nth] yields the selected
      row's partition position; [rn ranges r] the current row's 0-based
      position among the frame rows under the function order. *)
@@ -798,15 +804,10 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
       | Sel_nth (n, from_last) ->
           let i = if from_last then s - n else n - 1 in
           if i >= 0 && i < s then value_of_pos (select_nth i) else Value.Null
-      | Sel_lead (off, default) | Sel_lag (off, default) ->
+      | Sel_lead (off, _) | Sel_lag (off, _) ->
           let off = match kind with Sel_lag _ -> -off | _ -> off in
           let target = rn () + off in
-          if target >= 0 && target < s then value_of_pos (select_nth target)
-          else begin
-            match default with
-            | Some e -> Expr.eval ctx.table e row
-            | None -> Value.Null
-          end
+          if target >= 0 && target < s then value_of_pos (select_nth target) else default row
     in
     out.(row) <- v
   in

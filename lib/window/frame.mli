@@ -1,10 +1,14 @@
 (** Per-row window-frame bounds within one partition (§2.2, §4.7).
 
-    Bounds are computed for every row independently — nothing assumes
+    Bounds are computed for every row independently — nothing requires
     monotonicity, so arbitrary per-row bound expressions are supported and
     the resulting frames may jump around freely (§6.5). Frame-exclusion
     clauses carve up to two holes out of the base frame, yielding at most
-    three continuous ranges (§4.7). *)
+    three continuous ranges (§4.7).
+
+    Row loops read unboxed data (§5.1): peers compare each ORDER BY
+    column's typed array, offsets are compiled once per bound, and RANGE
+    binary-searches one int or float array of the partition's keys. *)
 
 open Holistic_storage
 
@@ -16,7 +20,10 @@ val compute :
     partition whose rows (original indices, already in window-frame order)
     are [rows]. RANGE mode requires exactly one ORDER BY key of a numeric or
     date type; rows with a NULL RANGE key frame their null peer group, as in
-    PostgreSQL. [peers] supplies precomputed peer-group bounds (from
+    PostgreSQL. An offset is checked only when a row asks for it, so an
+    invalid one over an empty partition raises nothing; a RANGE offset
+    whose type does not fit the key (say, an interval on an int key)
+    raises. [peers] supplies precomputed peer-group bounds (from
     {!peers}) so plans evaluating several frames over one sorted partition
     scan for peer groups once. @raise Invalid_argument on malformed specs. *)
 

@@ -248,6 +248,311 @@ let test_default_frames () =
   let f = Frame.compute table ~spec:(Window_spec.over ()) ~rows in
   Alcotest.(check ip) "default unordered frame" (0, 6) (Frame.start_ f 3, Frame.end_ f 3)
 
+(* ------------------------------------------------------------------ *)
+(* Offset errors                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let not_integer = Invalid_argument "Frame: ROWS/GROUPS offsets must be non-negative integers"
+
+(* Invalid offsets raise the same messages whether they are constants, a
+   NULL-free int column or any other expression, and only once a row asks
+   for them: never over an empty partition, and never for a row that is
+   not in the partition or (RANGE) whose key is NULL. *)
+let test_offset_errors () =
+  let table =
+    Table.add_column
+      (Table.add_column (mk_table ()) "neg" (Column.ints [| 1; 1; 1; 1; 1; -1 |]))
+      "nul" (Column.of_values [| Value.Int 1; Value.Int 1; Value.Null; Value.Int 1; Value.Null; Value.Int 1 |])
+  in
+  let run ?(rows = rows) ?(order = t_asc) frame =
+    ignore (Frame.compute table ~spec:(Window_spec.over ~order_by:order ~frame ()) ~rows)
+  in
+  let pre e = Window_spec.Preceding e and cur = Window_spec.Current_row in
+  let const v = Expr.Const v in
+  List.iter
+    (fun between ->
+      let raises what exn frame = Alcotest.check_raises what exn (fun () -> run frame) in
+      raises "NULL constant" not_integer (between (pre (const Value.Null)) cur);
+      raises "float constant" not_integer (between cur (Window_spec.Following (const (Value.Float 1.5))));
+      raises "negative column value" (Invalid_argument "Frame: negative frame offset")
+        (between (pre (Expr.Col "neg")) cur);
+      raises "negative expression value" (Invalid_argument "Frame: negative frame offset")
+        (between (pre (Expr.Sub (Expr.Col "off", Expr.Const (Value.Int 1)))) cur);
+      raises "NULL column value" not_integer (between (pre (Expr.Col "nul")) cur);
+      (* nothing asks *)
+      run ~rows:[||] (between (pre (const (Value.Int (-1)))) cur);
+      run ~rows:[||] (between (pre (const Value.Null)) cur);
+      run ~rows:[| 0; 1; 2; 3; 4 |] (between (pre (Expr.Col "neg")) cur))
+    [ (fun a b -> Window_spec.rows_between a b); (fun a b -> Window_spec.groups_between a b) ];
+  let null_delta = Invalid_argument "Frame: NULL RANGE offset" in
+  Alcotest.check_raises "NULL RANGE constant" null_delta (fun () ->
+      run (Window_spec.range_between (pre (const Value.Null)) cur));
+  Alcotest.check_raises "NULL RANGE value" null_delta (fun () ->
+      run (Window_spec.range_between cur (Window_spec.Following (Expr.Col "nul"))));
+  run ~rows:[||] (Window_spec.range_between (pre (const Value.Null)) cur);
+  (* an offset whose type does not fit the key: the value arithmetic's own
+     error, or, where that arithmetic crosses types (int + date), ours *)
+  Alcotest.check_raises "interval on an int key"
+    (Invalid_argument "Value.sub: incompatible operands (2, 5)") (fun () ->
+      run (Window_spec.range_between (pre (const (Value.Interval { months = 0; days = 1 }))) cur));
+  Alcotest.check_raises "date on an int key"
+    (Invalid_argument "Frame: RANGE offset type does not match the ORDER BY key") (fun () ->
+      run (Window_spec.range_between cur (Window_spec.Following (const (Value.Date 3)))));
+  (* v is NULL exactly where nul is: those rows frame their peer group *)
+  run ~order:[ Sort_spec.asc (Expr.Col "v") ] ~rows:[| 0; 1; 3; 5; 2; 4 |]
+    (Window_spec.range_between (pre (Expr.Col "nul")) cur)
+
+(* ------------------------------------------------------------------ *)
+(* Bounds against a linear-scan oracle                                 *)
+(* ------------------------------------------------------------------ *)
+
+module Rng = Holistic_util.Rng
+module Bitset = Holistic_util.Bitset
+
+(* A nullable table over every key type — ints, dates spanning a month
+   end, floats with NaN, both zeros and infinities, strings, bools — and
+   the NULL-free offset column g. *)
+let oracle_table rng n =
+  let nulls () =
+    let m = Bitset.create n in
+    for r = 0 to n - 1 do
+      if Rng.int rng 6 = 0 then Bitset.set m r
+    done;
+    m
+  in
+  let col data = Column.make ~nulls:(nulls ()) data in
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  let floats = [| Float.nan; 0.0; -0.0; 0.5; -1.5; 2.0; 3.5; Float.infinity; Float.neg_infinity |] in
+  let base = Value.date_of_ymd 2024 1 25 in
+  Table.create
+    [
+      ("i", col (Column.Ints (Array.init n (fun _ -> Rng.int_in rng (-4) 6))));
+      ("d", col (Column.Dates (Array.init n (fun _ -> base + Rng.int_in rng (-40) 40))));
+      ("f", col (Column.Floats (Array.init n (fun _ -> pick floats))));
+      ("s", col (Column.Strings (Array.init n (fun _ -> pick [| "a"; "b"; "cc" |]))));
+      ("b", col (Column.Bools (Array.init n (fun _ -> Rng.bool rng))));
+      ("g", Column.ints (Array.init n (fun _ -> Rng.int rng 4)));
+    ]
+
+let key_exprs =
+  Expr.[| Col "i"; Col "d"; Col "f"; Col "s"; Col "b"; Add (Col "i", Const (Value.Int 1)) |]
+
+let gen_oracle_key rng =
+  let expr = key_exprs.(Rng.int rng (Array.length key_exprs)) in
+  let direction = if Rng.bool rng then Sort_spec.Asc else Sort_spec.Desc in
+  let nulls = [| Sort_spec.Nulls_default; Sort_spec.Nulls_first; Sort_spec.Nulls_last |].(Rng.int rng 3) in
+  { Sort_spec.expr; direction; nulls }
+
+(* ROWS/GROUPS offsets: a constant, the int column, or an expression *)
+let gen_offset rng =
+  match Rng.int rng 3 with
+  | 0 -> Expr.Const (Value.Int (Rng.int rng 4))
+  | 1 -> Expr.Col "g"
+  | _ -> Expr.Add (Expr.Col "g", Expr.Const (Value.Int 1))
+
+(* RANGE deltas, negative ones included: per-row (the column, or an
+   expression over it), Int, Float, or for dates an Interval of 0 or 1
+   months. *)
+let gen_delta rng (key : Sort_spec.key) () =
+  let int k = Expr.Const (Value.Int k) in
+  match key.expr, Rng.int rng 4 with
+  | _, 0 -> if Rng.bool rng then Expr.Col "g" else Expr.Add (Expr.Col "g", int 1)
+  | Expr.Col "d", 1 -> int (Rng.int_in rng (-3) 9)
+  | Expr.Col "d", _ ->
+      Expr.Const (Value.Interval { Value.months = Rng.int rng 2; days = Rng.int_in rng (-2) 9 })
+  | _, 1 -> int (Rng.int_in rng (-2) 3)
+  | _, _ -> Expr.Const (Value.Float (float_of_int (Rng.int_in rng (-3) 5) /. 2.0))
+
+let gen_bound rng offset =
+  match Rng.int rng (if offset = None then 3 else 7) with
+  | 0 -> Window_spec.Unbounded_preceding
+  | 1 -> Window_spec.Current_row
+  | 2 -> Window_spec.Unbounded_following
+  | 3 | 4 -> Window_spec.Preceding (Option.get offset ())
+  | _ -> Window_spec.Following (Option.get offset ())
+
+let has_arithmetic (key : Sort_spec.key) =
+  match key.expr with Expr.Col ("s" | "b") -> false | _ -> true
+
+(* Every bound by a linear scan over boxed values: [Value.compare_sql] for
+   order and peers, [Value.sub]/[Value.add] for RANGE targets; no search
+   and no pointer. *)
+let oracle table (spec : Window_spec.t) rows =
+  let np = Array.length rows in
+  let keys = List.map (fun (k : Sort_spec.key) -> Expr.compile table k.expr) spec.order_by in
+  let peer a b =
+    List.for_all (fun f -> Value.compare_sql ~nulls_last:true (f rows.(a)) (f rows.(b)) = 0) keys
+  in
+  let scan_back r =
+    let p = ref r in
+    while !p > 0 && peer (!p - 1) r do decr p done;
+    !p
+  and scan_ahead r =
+    let p = ref (r + 1) in
+    while !p < np && peer !p r do incr p done;
+    !p
+  in
+  let peer_start = Array.init np scan_back and peer_end = Array.init np scan_ahead in
+  let frame =
+    match spec.frame with
+    | Some f -> f
+    | None when spec.order_by = [] -> Window_spec.whole_partition
+    | None -> Window_spec.range_between Window_spec.Unbounded_preceding Window_spec.Current_row
+  in
+  (* first position satisfying [ok], or [np] *)
+  let first ok =
+    let p = ref 0 in
+    while !p < np && not (ok !p) do incr p done;
+    !p
+  in
+  let group p =
+    let g = ref 0 in
+    for q = 1 to p do
+      if peer_start.(q) = q then incr g
+    done;
+    !g
+  in
+  let offset e r =
+    match Expr.compile table e rows.(r) with Value.Int k -> k | _ -> assert false
+  in
+  let bound ~upper r (b : Window_spec.bound) =
+    let past = if upper then 1 else 0 in
+    (* the GROUPS / peer rule: the first position of group g + shift, or
+       past it *)
+    let by_group shift =
+      let g = group r + shift in
+      first (fun p -> group p + (if upper then 0 else 1) > g)
+    in
+    match frame.mode, b with
+    | _, Window_spec.Unbounded_preceding -> 0
+    | _, Window_spec.Unbounded_following -> np
+    | Window_spec.Rows, Window_spec.Current_row -> r + past
+    | Window_spec.Rows, Window_spec.Preceding e -> r - offset e r + past
+    | Window_spec.Rows, Window_spec.Following e -> r + offset e r + past
+    | (Window_spec.Groups | Window_spec.Range), Window_spec.Current_row -> by_group 0
+    | Window_spec.Groups, Window_spec.Preceding e -> by_group (-offset e r)
+    | Window_spec.Groups, Window_spec.Following e -> by_group (offset e r)
+    | Window_spec.Range, (Window_spec.Preceding e | Window_spec.Following e) ->
+        let k = List.hd spec.order_by and f = List.hd keys in
+        let v = f rows.(r) in
+        if Value.is_null v then if upper then peer_end.(r) else peer_start.(r)
+        else begin
+          let d = Expr.compile table e rows.(r) in
+          let desc = k.Sort_spec.direction = Sort_spec.Desc in
+          let preceding = match b with Window_spec.Preceding _ -> true | _ -> false in
+          let target = if preceding <> desc then Value.sub v d else Value.add v d in
+          let sign = if desc then -1 else 1 in
+          let non_null p = not (Value.is_null (f rows.(p))) in
+          let p =
+            first (fun p ->
+                non_null p && sign * Value.compare_sql ~nulls_last:true (f rows.(p)) target >= past)
+          in
+          (* none: one past the last non-NULL key *)
+          if p < np then p
+          else begin
+            let hi = ref np in
+            while !hi > 0 && not (non_null (!hi - 1)) do decr hi done;
+            !hi
+          end
+        end
+  in
+  let clamp x = max 0 (min x np) in
+  Array.init np (fun r ->
+      let s = clamp (bound ~upper:false r frame.start_bound) in
+      let e = clamp (bound ~upper:true r frame.end_bound) in
+      (s, max s e, peer_start.(r), peer_end.(r)))
+
+let bound_to_string = function
+  | Window_spec.Unbounded_preceding -> "unbounded preceding"
+  | Window_spec.Preceding e -> Expr.to_string e ^ " preceding"
+  | Window_spec.Current_row -> "current row"
+  | Window_spec.Following e -> Expr.to_string e ^ " following"
+  | Window_spec.Unbounded_following -> "unbounded following"
+
+let test_bounds_oracle () =
+  let rng = Rng.create 2718 in
+  let quad = Alcotest.(array (pair (pair int int) (pair int int))) in
+  for case = 1 to 1500 do
+    let n = 1 + Rng.int rng 40 in
+    let table = oracle_table rng n in
+    let key = gen_oracle_key rng in
+    let order_by = if Rng.int rng 4 = 0 then [ key; gen_oracle_key rng ] else [ key ] in
+    let between mode a b =
+      match mode with
+      | 0 -> Window_spec.rows_between a b
+      | 1 -> Window_spec.groups_between a b
+      | _ -> Window_spec.range_between a b
+    in
+    let frame =
+      match Rng.int rng 5 with
+      | 0 -> None
+      | m ->
+          let mode = m - 1 in
+          let offset =
+            if mode < 2 then Some (fun () -> gen_offset rng)
+            else if List.length order_by = 1 && has_arithmetic key then Some (gen_delta rng key)
+            else None
+          in
+          let a = gen_bound rng offset in
+          Some (between mode a (gen_bound rng offset))
+    in
+    let spec = Window_spec.over ~order_by ?frame () in
+    (* a random subset of the table's rows, shuffled, then sorted stably *)
+    let rows = List.filter (fun _ -> Rng.int rng 4 > 0) (List.init n Fun.id) in
+    let rows = List.map (fun r -> (Rng.int rng 1_000, r)) rows |> List.sort compare |> List.map snd in
+    let rows = Array.of_list (List.stable_sort (Sort_spec.comparator table order_by) rows) in
+    let what =
+      Printf.sprintf "case %d: order by %s, %s" case (Sort_spec.to_string order_by)
+        (match frame with
+        | None -> "default frame"
+        | Some f -> bound_to_string f.start_bound ^ " .. " ^ bound_to_string f.end_bound)
+    in
+    let expect = Array.map (fun (s, e, ps, pe) -> ((s, e), (ps, pe))) (oracle table spec rows) in
+    let got f =
+      Array.init (Array.length rows) (fun r ->
+          ((Frame.start_ f r, Frame.end_ f r), (Frame.peer_start f r, Frame.peer_end f r)))
+    in
+    Alcotest.check quad what expect (got (Frame.compute table ~spec ~rows));
+    let peers = Frame.peers table order_by rows in
+    Alcotest.check quad (what ^ " (shared peers)") expect (got (Frame.compute ~peers table ~spec ~rows))
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Allocation                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words that peers plus bounds allocate over [n] lineitem rows
+   in l_shipdate order, for paper_frames' per-row ROWS bounds and its
+   7-day RANGE. Per-row arrays are larger than a minor-heap block and go
+   straight to the major heap, so whatever is left is per-frame setup —
+   unless a row loop allocates. *)
+let frame_minor_words n =
+  let t = Holistic_data.Tpch.lineitem ~seed:5 ~rows:n () in
+  let ship = match Column.data (Table.column t "l_shipdate") with Column.Dates a -> a | _ -> assert false in
+  let rows = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Int.compare ship.(a) ship.(b)) rows;
+  let pre = Array.init n (fun r -> r * 7 mod 125) in
+  let t = Table.add_column t "pre" (Column.ints pre) in
+  let t = Table.add_column t "fol" (Column.ints (Array.map (fun p -> 500 - p) pre)) in
+  let order_by = [ Sort_spec.asc (Expr.Col "l_shipdate") ] in
+  let words frame =
+    let spec = Window_spec.over ~order_by ~frame () in
+    let before = Gc.minor_words () in
+    let peers = Frame.peers t order_by rows in
+    ignore (Sys.opaque_identity (Frame.compute ~peers t ~spec ~rows));
+    Gc.minor_words () -. before
+  in
+  let days7 = Expr.Const (Value.Interval { Value.months = 0; days = 7 }) in
+  ( words
+      (Window_spec.rows_between (Window_spec.Preceding (Expr.Col "pre"))
+         (Window_spec.Following (Expr.Col "fol"))),
+    words (Window_spec.range_between (Window_spec.Preceding days7) Window_spec.Current_row) )
+
+let test_allocation_pin () =
+  let rows_a, range_a = frame_minor_words 20_000 and rows_b, range_b = frame_minor_words 40_000 in
+  Alcotest.(check (float 0.)) "ROWS pre/fol: minor words independent of rows" rows_a rows_b;
+  Alcotest.(check (float 0.)) "RANGE 7 days: minor words independent of rows" range_a range_b
+
 let () =
   Alcotest.run "frame"
     [
@@ -278,4 +583,8 @@ let () =
           Alcotest.test_case "unbounded inversions" `Quick test_unbounded_inversions;
           Alcotest.test_case "default frames" `Quick test_default_frames;
         ] );
+      ( "offsets",
+        [ Alcotest.test_case "errors only when a row asks" `Quick test_offset_errors ] );
+      ("oracle", [ Alcotest.test_case "bounds vs linear scan" `Quick test_bounds_oracle ]);
+      ("allocation", [ Alcotest.test_case "no per-row minor words" `Quick test_allocation_pin ]);
     ]

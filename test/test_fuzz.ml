@@ -106,15 +106,18 @@ let gen_exclusion rng =
   | _ -> Ws.Exclude_ties
 
 (* RANGE deltas typed to the single ordering column; occasionally negative,
-   which inverts the bound (empty-frame coverage). *)
+   which inverts the bound (empty-frame coverage), and sometimes per row:
+   the NULL-free int column g, which every arithmetic key type accepts. *)
 let range_delta rng col =
-  match col with
-  | "g" | "k" -> Expr.Const (Value.Int (Rng.int_in rng (-1) 3))
-  | "f" -> Expr.Const (Value.Float (float_of_int (Rng.int_in rng (-1) 4) /. 2.0))
-  | "d" ->
-      if Rng.bool rng then Expr.Const (Value.Int (Rng.int rng 10))
-      else Expr.Const (Value.Interval { Value.months = Rng.int rng 2; days = Rng.int rng 10 })
-  | _ -> assert false
+  if Rng.int rng 5 = 0 then Expr.Col "g"
+  else
+    match col with
+    | "g" | "k" -> Expr.Const (Value.Int (Rng.int_in rng (-1) 3))
+    | "f" -> Expr.Const (Value.Float (float_of_int (Rng.int_in rng (-1) 4) /. 2.0))
+    | "d" ->
+        if Rng.bool rng then Expr.Const (Value.Int (Rng.int rng 10))
+        else Expr.Const (Value.Interval { Value.months = Rng.int rng 2; days = Rng.int rng 10 })
+    | _ -> assert false
 
 let gen_range_bound rng key_col ~allow_offset =
   match Rng.int rng (if allow_offset then 7 else 3) with
@@ -129,10 +132,11 @@ let gen_frame rng (order : Sort_spec.t) =
   else begin
     let exclusion = gen_exclusion rng in
     let single_plain =
-      (* RANGE offsets need exactly one plain column key of an arithmetic
-         type *)
+      (* RANGE offsets need exactly one key of an arithmetic type: a
+         column, or the k + 1 expression (typed like k) *)
       match order with
       | [ { Sort_spec.expr = Expr.Col c; _ } ] when c <> "s" -> Some c
+      | [ { Sort_spec.expr = Expr.Add (Expr.Col "k", _); _ } ] -> Some "k"
       | _ -> None
     in
     match Rng.int rng 3 with

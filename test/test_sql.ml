@@ -316,6 +316,30 @@ let test_sql_semantic_errors () =
   bad "select percentile_disc(0.5) over (order by t) from tbl" "requires ORDER BY";
   bad "select x from nonexistent" "unknown table"
 
+(* An invalid constant frame offset is an error only once a row asks for
+   it: a WHERE that removes every row leaves no row to ask. *)
+let test_sql_offset_over_no_rows () =
+  let frame = " over (order by t rows between 1.5 preceding and current row) as s from tbl" in
+  let r = Sql.query ~pool:Shared_pool.pool ~tables ("select sum(x)" ^ frame ^ " where x > 1000") in
+  Alcotest.(check int) "no rows" 0 (Table.nrows r);
+  match Sql.query ~pool:Shared_pool.pool ~tables ("select sum(x)" ^ frame) with
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "rows ask" "Frame: ROWS/GROUPS offsets must be non-negative integers" msg
+  | _ -> Alcotest.fail "expected the offset to be rejected"
+
+(* A RANGE offset of another type than the key has no order to search by:
+   an int key shifted by a date is a query error, raised through the SQL
+   front end like the other frame errors. *)
+let test_sql_range_offset_type () =
+  match
+    Sql.query ~pool:Shared_pool.pool ~tables
+      "select count(*) over (order by t range between current row and date '2020-01-01' following) \
+       as c from tbl"
+  with
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "mismatch" "Frame: RANGE offset type does not match the ORDER BY key" msg
+  | _ -> Alcotest.fail "expected the offset type to be rejected"
+
 let test_sql_case_expression () =
   let r =
     Sql.query ~pool:Shared_pool.pool ~tables
@@ -474,6 +498,8 @@ let () =
           Alcotest.test_case "frame exclusion" `Quick test_sql_exclusion;
           Alcotest.test_case "algorithm override" `Quick test_sql_algorithm_override;
           Alcotest.test_case "semantic errors" `Quick test_sql_semantic_errors;
+          Alcotest.test_case "invalid offset over no rows" `Quick test_sql_offset_over_no_rows;
+          Alcotest.test_case "RANGE offset of another type" `Quick test_sql_range_offset_type;
           Alcotest.test_case "count(*) and aliases" `Quick test_sql_count_star_and_aliases;
           Alcotest.test_case "CASE / scalar functions" `Quick test_sql_case_expression;
           Alcotest.test_case "Int/Float promotion in any order" `Quick test_sql_numeric_promotion;
