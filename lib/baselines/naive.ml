@@ -33,7 +33,7 @@ let rec quickselect (a : int array) lo hi k =
   end
 
 let covered_length ranges =
-  Array.fold_left (fun acc (lo, hi) -> acc + max 0 (hi - lo)) 0 ranges
+  Array.fold_left (fun acc (lo, hi) -> acc + Int.max 0 (hi - lo)) 0 ranges
 
 let select_kth values ~scratch ~ranges ~k =
   let len = ref 0 in

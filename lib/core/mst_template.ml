@@ -764,7 +764,7 @@ module Make (S : Mst_storage.S) = struct
     done
 
   let iter_covered t ~lo ~hi ~less_than f =
-    let lo = max lo 0 and hi = min hi t.n in
+    let lo = Int.max lo 0 and hi = Int.min hi t.n in
     if lo < hi then begin
       let h = height t in
       let pos = S.lower_bound t.levels.(h) ~lo:0 ~hi:t.n less_than in

@@ -48,6 +48,25 @@ let of_sorted_permutation ~pool n permutation ~ties =
   else scatter_seq ();
   { rank_codes; row_codes; permutation }
 
+(* Rows [i] and [j] (both below [n]) under compiled key words: word by
+   word, then the residual; 0 means peers. No row-id tiebreak. *)
+let compare_words ~n words tie =
+  Array.iter (fun w -> if Array.length w <> n then invalid_arg "Rank_encode: word length") words;
+  let nw = Array.length words in
+  fun i j ->
+    let c = ref 0 and w = ref 0 in
+    while !c = 0 && !w < nw do
+      let a = Array.unsafe_get words !w in
+      c := Int.compare (Array.unsafe_get a i) (Array.unsafe_get a j);
+      incr w
+    done;
+    if !c <> 0 then !c else match tie with Some t -> t i j | None -> 0
+
+let of_words ~pool ~words ?tie n =
+  let cmp = compare_words ~n words tie in
+  let permutation, _ = Parallel_sort.sort_encoded pool ~n ~words ?tie () in
+  of_sorted_permutation ~pool n permutation ~ties:(fun i j -> cmp i j = 0)
+
 let of_cmp ~pool n ~cmp =
   let permutation = Introsort.sort_indices_by n ~cmp in
   of_sorted_permutation ~pool n permutation ~ties:(fun i j -> cmp i j = 0)
@@ -64,92 +83,20 @@ let of_peers peer_start =
   done;
   { rank_codes; row_codes = Array.init n Fun.id; permutation = Array.init n Fun.id }
 
-(* The unboxed constructors sort only the keyed positions; NULL positions
-   ([nulls = Some (is_null, last)]) form one peer group in position order,
-   placed before or after every keyed position — the comparator's order,
-   where NULLs tie with each other and never with a value. [keyed] lists
-   the keyed positions ascending (the sort payload, so ties keep position
-   order); [place] splices the NULL block around the sorted payload. *)
-let split_nulls n nulls =
-  match nulls with
-  | None -> (Array.init n Fun.id, fun sorted -> sorted)
-  | Some (is_null, last) ->
-      let nnull = ref 0 in
-      for p = 0 to n - 1 do
-        if is_null p then incr nnull
-      done;
-      let keyed = Array.make (n - !nnull) 0 and block = Array.make !nnull 0 in
-      let k = ref 0 and b = ref 0 in
-      for p = 0 to n - 1 do
-        if is_null p then begin
-          block.(!b) <- p;
-          incr b
-        end
-        else begin
-          keyed.(!k) <- p;
-          incr k
-        end
-      done;
-      (keyed, fun sorted -> if last then Array.append sorted block else Array.append block sorted)
-
-let null_ties nulls ties =
-  match nulls with
-  | None -> ties
-  | Some (is_null, _) ->
-      fun i j ->
-        let a = is_null i and b = is_null j in
-        if a || b then a && b else ties i j
-
-let of_floats ~pool ?(desc = false) ?nulls values =
-  let n = Array.length values in
-  let payload, place = split_nulls n nulls in
-  let m = Array.length payload in
-  (* descending order = ascending order of the negated keys; negation is
-     monotone for ordered floats (±0.0 stay distinguished the same way the
-     comparator distinguishes them) but leaves NaN in place, and NaN is the
-     MINIMUM of [Float.compare]'s total order — so after a descending sort
-     the NaN block sits at the front while the comparator reference
-     ([-1 * Float.compare], see Sort_spec) sends it to the back.  Rotate
-     the block behind the ordered keys; its row-id tiebreak is preserved. *)
-  let key =
-    if desc then Array.map (fun p -> Float.neg values.(p)) payload
-    else Array.map (fun p -> values.(p)) payload
-  in
-  Introsort.sort_float_pairs ~key ~payload;
-  if desc then begin
-    let k = ref 0 in
-    while !k < m && Float.is_nan key.(!k) do incr k done;
-    if !k > 0 && !k < m then begin
-      let nans = Array.sub payload 0 !k in
-      Array.blit payload !k payload 0 (m - !k);
-      Array.blit nans 0 payload (m - !k) !k
-    end
-  end;
-  of_sorted_permutation ~pool n (place payload)
-    ~ties:(null_ties nulls (fun i j -> Float.compare values.(i) values.(j) = 0))
-
-let of_ints ~pool ?nulls values =
-  let n = Array.length values in
-  let payload, place = split_nulls n nulls in
-  let key = Array.map (fun p -> values.(p)) payload in
-  Parallel_sort.sort_pairs pool ~key ~payload;
-  of_sorted_permutation ~pool n (place payload)
-    ~ties:(null_ties nulls (fun i j -> values.(i) = values.(j)))
-
 (* ------------------------------------------------------------------ *)
 (* Incremental extension (densified-rank deltas)                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Every constructor above sorts by (key, row id) — [of_ints]/[of_floats]
-   via the pair sorts' lexicographic (key, payload) order, [of_cmp] via the
-   index tiebreak [sort_indices_by] adds. Appended rows have the largest
-   row ids, so whenever none of them sorts strictly before the old maximum
-   key, the from-scratch permutation is exactly [old permutation ++ sorted
-   delta]: the old prefix is untouched and the rank codes continue from the
-   last old peer group. [extend] patches the three arrays in O(old) blits
-   plus O(delta log delta) sort work; any out-of-order append (a new row
-   belonging before an old one) returns [None] and the caller rebuilds. *)
-let extend old n ~cmp ~ties =
+(* Every constructor above sorts by (key, row id). Appended rows have the
+   largest row ids, so whenever none of them sorts strictly before the old
+   maximum key, the from-scratch permutation is exactly [old permutation
+   ++ sorted delta]: the old prefix is untouched and the rank codes
+   continue from the last old peer group. The extension patches the three
+   arrays in O(old) blits plus O(delta log delta) sort work; any
+   out-of-order append (a new row belonging before an old one) returns
+   [None] and the caller rebuilds. *)
+let extend_words old ~words ?tie n =
+  let cmp = compare_words ~n words tie in
   let m = Array.length old.permutation in
   if m = 0 || n < m then None
   else begin
@@ -179,31 +126,13 @@ let extend old n ~cmp ~ties =
       Array.blit old.row_codes 0 row_codes 0 m;
       let code = ref old.rank_codes.(last) in
       for r = m to n - 1 do
-        if not (ties permutation.(r - 1) permutation.(r)) then incr code;
+        if cmp permutation.(r - 1) permutation.(r) <> 0 then incr code;
         rank_codes.(permutation.(r)) <- !code;
         row_codes.(permutation.(r)) <- r
       done;
       Some { rank_codes; row_codes; permutation }
     end
   end
-
-let extend_cmp old n ~cmp = extend old n ~cmp ~ties:(fun i j -> cmp i j = 0)
-
-let extend_ints old values =
-  extend old (Array.length values)
-    ~cmp:(fun i j -> compare values.(i) values.(j))
-    ~ties:(fun i j -> values.(i) = values.(j))
-
-let extend_floats ?(desc = false) old values =
-  (* descending = the argument-flipped comparison, NOT key negation: the
-     flip sends NaN (the [Float.compare] minimum) to the back exactly like
-     the comparator reference's [-1 * Float.compare] does *)
-  let cmp =
-    if desc then fun i j -> Float.compare values.(j) values.(i)
-    else fun i j -> Float.compare values.(i) values.(j)
-  in
-  extend old (Array.length values) ~cmp
-    ~ties:(fun i j -> Float.compare values.(i) values.(j) = 0)
 
 let footprint_bytes e =
   8

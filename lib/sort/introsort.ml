@@ -312,112 +312,6 @@ let sort_pairs_tie_range ~key ~payload ~tie ~lo ~hi =
   intro2t key payload tie lo hi (depth_limit (hi - lo))
 
 (* ------------------------------------------------------------------ *)
-(* Lexicographic (float key, payload) pair sort                        *)
-(* ------------------------------------------------------------------ *)
-
-let swapf (k : float array) (p : int array) i j =
-  let t = Array.unsafe_get k i in
-  Array.unsafe_set k i (Array.unsafe_get k j);
-  Array.unsafe_set k j t;
-  let t = Array.unsafe_get p i in
-  Array.unsafe_set p i (Array.unsafe_get p j);
-  Array.unsafe_set p j t
-
-(* NaN-total lexicographic order: Float.compare sorts NaN below -inf *)
-let fpair_less k1 (p1 : int) k2 p2 =
-  let c = Float.compare k1 k2 in
-  c < 0 || (c = 0 && p1 < p2)
-
-let insertion_sortf (k : float array) (p : int array) lo hi =
-  for i = lo + 1 to hi - 1 do
-    let xk = Array.unsafe_get k i and xp = Array.unsafe_get p i in
-    let j = ref (i - 1) in
-    while !j >= lo && fpair_less xk xp (Array.unsafe_get k !j) (Array.unsafe_get p !j) do
-      Array.unsafe_set k (!j + 1) (Array.unsafe_get k !j);
-      Array.unsafe_set p (!j + 1) (Array.unsafe_get p !j);
-      decr j
-    done;
-    Array.unsafe_set k (!j + 1) xk;
-    Array.unsafe_set p (!j + 1) xp
-  done
-
-let sift_downf (k : float array) (p : int array) lo len root =
-  let root = ref root in
-  let continue_ = ref true in
-  while !continue_ do
-    let child = (2 * !root) + 1 in
-    if child >= len then continue_ := false
-    else begin
-      let child =
-        if child + 1 < len
-           && fpair_less
-                (Array.unsafe_get k (lo + child))
-                (Array.unsafe_get p (lo + child))
-                (Array.unsafe_get k (lo + child + 1))
-                (Array.unsafe_get p (lo + child + 1))
-        then child + 1
-        else child
-      in
-      if fpair_less
-           (Array.unsafe_get k (lo + !root))
-           (Array.unsafe_get p (lo + !root))
-           (Array.unsafe_get k (lo + child))
-           (Array.unsafe_get p (lo + child))
-      then begin
-        swapf k p (lo + !root) (lo + child);
-        root := child
-      end
-      else continue_ := false
-    end
-  done
-
-let heapsortf k p lo hi =
-  let len = hi - lo in
-  for root = (len / 2) - 1 downto 0 do
-    sift_downf k p lo len root
-  done;
-  for last = len - 1 downto 1 do
-    swapf k p lo (lo + last);
-    sift_downf k p lo last 0
-  done
-
-let rec introf (k : float array) (p : int array) lo hi depth =
-  let len = hi - lo in
-  if len <= insertion_threshold then insertion_sortf k p lo hi
-  else if depth = 0 then heapsortf k p lo hi
-  else begin
-    let b = lo + (len / 2) and c = hi - 1 in
-    let le i j = not (fpair_less k.(j) p.(j) k.(i) p.(i)) in
-    let mi = if le lo b then if le b c then b else if le lo c then c else lo
-             else if le lo c then lo
-             else if le b c then c
-             else b
-    in
-    let pk = k.(mi) and pp = p.(mi) in
-    let lt = ref lo and i = ref lo and gt = ref hi in
-    while !i < !gt do
-      let xk = Array.unsafe_get k !i and xp = Array.unsafe_get p !i in
-      if fpair_less xk xp pk pp then begin
-        swapf k p !i !lt;
-        incr lt;
-        incr i
-      end
-      else if fpair_less pk pp xk xp then begin
-        decr gt;
-        swapf k p !i !gt
-      end
-      else incr i
-    done;
-    introf k p lo !lt (depth - 1);
-    introf k p !gt hi (depth - 1)
-  end
-
-let sort_float_pairs ~key ~payload =
-  if Array.length key <> Array.length payload then
-    invalid_arg "Introsort.sort_float_pairs: length mismatch";
-  introf key payload 0 (Array.length key) (depth_limit (Array.length key))
-
-(* ------------------------------------------------------------------ *)
 (* Comparator-based element sort                                      *)
 (* ------------------------------------------------------------------ *)
 

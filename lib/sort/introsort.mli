@@ -30,11 +30,6 @@ val sort_pairs_tie_range :
     strict total order (end the chain with a row-id compare) for the result to
     be deterministic. *)
 
-val sort_float_pairs : key:float array -> payload:int array -> unit
-(** {!sort_pairs} for float keys (ascending, NaNs sorted last via
-    [Float.compare] semantics, ties broken by payload): the unboxed fast
-    path for single-float-column ORDER BY preprocessing. *)
-
 val sort_by : int array -> cmp:(int -> int -> int) -> unit
 (** Sorts the array's elements by an arbitrary total order on elements. Used
     by preprocessing passes whose keys are not plain integers. Not stable;

@@ -20,63 +20,88 @@ type t = {
    and are placed by the packing step according to [nulls_first]. [exact]
    means code ties imply comparator ties; a non-exact code array is still a
    correct coarsening (code < implies value <), so its word remains useful
-   for run sorting and OVC merging while the residual decides ties. *)
+   for run sorting and OVC merging while the residual decides ties.
+   [owned] codes were made by this compile, so packing may overwrite them
+   in place; the others alias column storage. *)
 type raw = {
   codes : int array;
   nulls : Bitset.t option; (* None = no NULL rows *)
   nulls_first : bool;
   exact : bool;
+  owned : bool;
 }
 
 let has_nulls r = match r.nulls with Some _ -> true | None -> false
 
-let null_test = function
-  | Some m -> fun i -> Bitset.get m i
-  | None -> fun _ -> false
+(* Position-indexed masks hold at least the compile's [n] rows. *)
+let[@inline] is_null nulls i = match nulls with Some m -> Bitset.unsafe_get m i | None -> false
 
-let normalize_mask = function Some m when Bitset.count m > 0 -> Some m | _ -> None
+(* Row [i] of a compile over [rows] is table row [rows.(i)]; without
+   [rows] it is table row [i] and column arrays are read in place. *)
+let gather_mask rows mask =
+  let mask = match (rows, mask) with Some r, Some m -> Some (Bitset.gather m r) | _ -> mask in
+  match mask with Some m when Bitset.count m > 0 -> mask | _ -> None
+
+(* Int codes in key order: [lnot] for DESC. ASC over the whole table
+   aliases [a]: words are read-only downstream. *)
+let int_codes ?rows ~desc (a : int array) =
+  match (rows, desc) with
+  | None, false -> a
+  | None, true -> Array.map lnot a
+  | Some r, false -> Array.map (fun row -> a.(row)) r
+  | Some r, true -> Array.map (fun row -> lnot a.(row)) r
+
+let exact ?(owned = true) codes nulls nulls_first =
+  [ { codes; nulls; nulls_first; exact = true; owned } ]
+
+(* [float_scode >> 1] of NaN: below the image of -infinity *)
+let nan_hi = Int64.to_int (Int64.shift_right (Int64.add Int64.min_int 2L) 1)
 
 (* Sign-magnitude bit flip: a 64-bit int code whose signed order equals the
    float order under [Stdlib.compare] (nan below everything, nan = nan,
    -0. = +0.). Positive floats keep their bits; negative floats get
    [lognot bits lxor min_int] (reverses their bit order and parks them below
-   all positives); nan takes a code below the -infinity image. *)
+   all positives); nan takes a code below the -infinity image.
 
-(* A float key costs one word when every scode is even (the arithmetic
+   A float key costs one word when every scode is even (the arithmetic
    shift into OCaml's 63-bit int stays injective), two words otherwise:
    the high 63 bits, then the dropped low bit — both exact, and the low
-   bit has span 2 so it packs with whatever follows. *)
-let float_raws n get is_null nulls nulls_first desc =
+   bit has span 2 so it packs with whatever follows. The loop reads the
+   float array directly (through [rows] when given), so no float is
+   boxed; only the raw bit image passes through Int64, unboxed. *)
+let float_raws ~n ?rows (a : float array) nulls nulls_first desc =
   let hi = Array.make n 0 and lo = Array.make n 0 in
   let all_even = ref true in
   for i = 0 to n - 1 do
-    if not (is_null i) then begin
-      (* inlined [float_scode >> 1] and its low bit, in native-int arithmetic:
-         the arithmetic shift commutes with the sign transform componentwise,
-         so only the raw bit image touches boxed Int64 *)
-      let f = get i in
-      let h, bit =
-        if Float.is_nan f then (Int64.to_int (Int64.shift_right (Int64.add Int64.min_int 2L) 1), 0)
-        else begin
-          let b = Int64.bits_of_float (if f = 0.0 then 0.0 else f) in
-          let hib = Int64.to_int (Int64.shift_right b 1) in
-          let lob = Int64.to_int b land 1 in
-          if hib >= 0 then (hib, lob) else (lnot hib lxor min_int, lob lxor 1)
-        end
+    if not (is_null nulls i) then begin
+      let f =
+        match rows with
+        | None -> Array.unsafe_get a i
+        | Some r -> a.(Array.unsafe_get r i)
       in
-      hi.(i) <- (if desc then lnot h else h);
-      lo.(i) <- (if desc then 1 - bit else bit);
-      if bit <> 0 then all_even := false
+      if Float.is_nan f then begin
+        Array.unsafe_set hi i (if desc then lnot nan_hi else nan_hi);
+        if desc then Array.unsafe_set lo i 1
+      end
+      else begin
+        (* [float_scode >> 1] and its low bit in native-int arithmetic: the
+           arithmetic shift commutes with the sign transform componentwise *)
+        let b = Int64.bits_of_float (if f = 0.0 then 0.0 else f) in
+        let hib = Int64.to_int (Int64.shift_right b 1) in
+        let bit = Int64.to_int b land 1 in
+        let neg = hib < 0 in
+        let h = if neg then lnot hib lxor min_int else hib in
+        let bit = if neg then bit lxor 1 else bit in
+        Array.unsafe_set hi i (if desc then lnot h else h);
+        Array.unsafe_set lo i (if desc then 1 - bit else bit);
+        if bit <> 0 then all_even := false
+      end
     end
   done;
-  let hi_raw = { codes = hi; nulls; nulls_first; exact = true } in
-  if !all_even then [ hi_raw ]
-  else [ hi_raw; { codes = lo; nulls; nulls_first; exact = true } ]
+  let hi_raw = { codes = hi; nulls; nulls_first; exact = true; owned = true } in
+  if !all_even then [ hi_raw ] else [ hi_raw; { hi_raw with codes = lo } ]
 
 let max_exact_float_int = 9007199254740992 (* 2^53: float_of_int is injective below *)
-
-let int_raw codes nulls nulls_first desc =
-  [ { codes = (if desc then Array.map lnot codes else codes); nulls; nulls_first; exact = true } ]
 
 (* Expression keys: evaluate once per row, then classify. Homogeneous
    Int/Date/Bool/String/Float domains encode exactly; an Int/Float mix
@@ -110,78 +135,67 @@ let raws_of_values n vals nulls_first desc =
       Some m
     end
   in
-  let is_null = null_test nulls in
   let classes =
     (if !has_bool then 1 else 0)
     + (if !has_string then 1 else 0)
     + (if !has_date then 1 else 0)
     + if !has_int || !has_float then 1 else 0
   in
+  let ints f = exact (int_codes ~desc (Array.map f vals)) nulls nulls_first in
   if !has_other || classes > 1 then None
   else if classes = 0 then
     (* all NULL: a constant key *)
-    Some [ { codes = Array.make n 0; nulls; nulls_first; exact = true } ]
-  else if !has_bool then
-    let codes =
-      Array.map (function Value.Bool true -> 1 | _ -> 0) vals
-    in
-    Some (int_raw codes nulls nulls_first desc)
+    Some (exact (Array.make n 0) nulls nulls_first)
+  else if !has_bool then Some (ints (function Value.Bool true -> 1 | _ -> 0))
   else if !has_string then begin
     let get i = match vals.(i) with Value.String s -> s | _ -> "" in
-    let codes = Column.string_ranks n get is_null in
-    if desc then
-      for i = 0 to n - 1 do
-        codes.(i) <- lnot codes.(i)
-      done;
-    Some [ { codes; nulls; nulls_first; exact = true } ]
+    let codes = Column.string_ranks n get (is_null nulls) in
+    Some (exact (int_codes ~desc codes) nulls nulls_first)
   end
-  else if !has_date then
-    let codes = Array.map (function Value.Date d -> d | _ -> 0) vals in
-    Some (int_raw codes nulls nulls_first desc)
-  else if not !has_float then
-    let codes = Array.map (function Value.Int v -> v | _ -> 0) vals in
-    Some (int_raw codes nulls nulls_first desc)
+  else if !has_date then Some (ints (function Value.Date d -> d | _ -> 0))
+  else if not !has_float then Some (ints (function Value.Int v -> v | _ -> 0))
   else begin
     let int_lossy = ref false in
-    let get i =
-      match vals.(i) with
-      | Value.Int v ->
-          if v > max_exact_float_int || v < -max_exact_float_int then int_lossy := true;
-          float_of_int v
-      | Value.Float f -> f
-      | _ -> 0.
-    in
-    let raws = float_raws n get is_null nulls nulls_first desc in
+    let fv = Array.create_float n in
+    Array.iteri
+      (fun i -> function
+        | Value.Int v ->
+            if v > max_exact_float_int || v < -max_exact_float_int then int_lossy := true;
+            fv.(i) <- float_of_int v
+        | Value.Float f -> fv.(i) <- f
+        | _ -> ())
+      vals;
+    let raws = float_raws ~n fv nulls nulls_first desc in
     if !int_lossy then
       (* keep only the high word, demoted to a coarsening *)
       match raws with r :: _ -> Some [ { r with exact = false } ] | [] -> None
     else Some raws
   end
 
-let raws_of_key n table (key : Sort_spec.key) =
+let raws_of_key ~n ?rows table (key : Sort_spec.key) =
   let desc = key.direction = Sort_spec.Desc in
   let nulls_first = not (Sort_spec.nulls_last_flag key) in
   match key.expr with
   | Expr.Col name -> begin
       match Table.column_opt table name with
       | Some c -> begin
-          let nulls = normalize_mask (Column.null_mask c) in
-          let is_null = null_test nulls in
+          let nulls = gather_mask rows (Column.null_mask c) in
           match Column.data c with
           | Column.Ints a | Column.Dates a ->
-              (* ASC without NULL flips aliases the column array: words are
-                 read-only downstream *)
-              Some (int_raw a nulls nulls_first desc)
+              let codes = int_codes ?rows ~desc a in
+              Some (exact ~owned:(codes != a) codes nulls nulls_first)
           | Column.Bools a ->
-              let codes = Array.map (fun b -> if b then 1 else 0) a in
-              Some (int_raw codes nulls nulls_first desc)
-          | Column.Floats a ->
-              Some (float_raws n (fun i -> a.(i)) is_null nulls nulls_first desc)
+              let bit row = Bool.to_int a.(row) in
+              let codes = match rows with None -> Array.map Bool.to_int a | Some r -> Array.map bit r in
+              Some (exact (int_codes ~desc codes) nulls nulls_first)
+          | Column.Floats a -> Some (float_raws ~n ?rows a nulls nulls_first desc)
           | Column.Strings _ ->
-              (* the column's shared memo: DESC flips into a fresh array *)
-              let codes = Column.order_codes c in
-              let codes = if desc then Array.map lnot codes else codes in
-              Some [ { codes; nulls; nulls_first; exact = true } ]
+              (* the column's shared memo: read in place for ASC over the
+                 whole table, else gathered or DESC-flipped into a fresh
+                 array *)
+              let memo = Column.order_codes c in
+              let codes = int_codes ?rows ~desc memo in
+              Some (exact ~owned:(codes != memo) codes nulls nulls_first)
         end
       | None ->
           (* unknown column: fail exactly like the comparator path *)
@@ -189,13 +203,14 @@ let raws_of_key n table (key : Sort_spec.key) =
     end
   | expr ->
       let f = Expr.compile table expr in
-      raws_of_values n (Array.init n f) nulls_first desc
+      let vals = match rows with None -> Array.init n f | Some r -> Array.map f r in
+      raws_of_values n vals nulls_first desc
 
 (* ------------------------------------------------------------------ *)
 (* Greedy word packing                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let compile_sources ~n ?pids sources =
+let compile_over ~n ?rows ?pids sources =
   let total = List.length sources in
   let words_rev = ref [] in
   let cur = ref None in
@@ -219,12 +234,12 @@ let compile_sources ~n ?pids sources =
   (* Returns the span of a raw when its codes can be range-normalised into
      a bounded slot, [None] when the key needs a word of its own. *)
   let span_of r =
-    let is_null = null_test r.nulls in
+    let codes = r.codes and nulls = r.nulls in
     let mn = ref max_int and mx = ref min_int and seen = ref false in
     for i = 0 to n - 1 do
-      if not (is_null i) then begin
+      if not (is_null nulls i) then begin
         seen := true;
-        let c = r.codes.(i) in
+        let c = Array.unsafe_get codes i in
         if c < !mn then mn := c;
         if c > !mx then mx := c
       end
@@ -237,23 +252,31 @@ let compile_sources ~n ?pids sources =
       else Some ((d + 1 + if has_nulls r then 1 else 0), !mn)
   in
   let pack_raw r =
-    let is_null = null_test r.nulls in
+    let codes = r.codes and nulls = r.nulls in
     match span_of r with
     | Some (span, base) ->
         if span > 1 then begin
           let shift = if has_nulls r && r.nulls_first then 1 else 0 in
           let null_slot = if r.nulls_first then 0 else span - 1 in
-          let slot i = if is_null i then null_slot else r.codes.(i) - base + shift in
+          (* [w.(i) * scale + slot i]; scale 0 starts a fresh word (which may be
+       [codes] itself: slot [i] reads [codes.(i)] before [w.(i)] is set) *)
+          let fill w scale =
+            let off = shift - base in
+            for i = 0 to n - 1 do
+              let slot = if is_null nulls i then null_slot else Array.unsafe_get codes i + off in
+              Array.unsafe_set w i ((Array.unsafe_get w i * scale) + slot)
+            done
+          in
           match !cur with
           | Some w when !cap <= max_int / span ->
-              for i = 0 to n - 1 do
-                w.(i) <- (w.(i) * span) + slot i
-              done;
+              fill w span;
               cap := !cap * span;
               if !in_word0 then pid_div := Option.map (fun d -> d * span) !pid_div
           | _ ->
               flush ();
-              cur := Some (Array.init n slot);
+              let w = if r.owned then codes else Array.make n 0 in
+              fill w 0;
+              cur := Some w;
               cap := span
         end
     | None ->
@@ -262,20 +285,20 @@ let compile_sources ~n ?pids sources =
            code demotes the key to a coarsening. *)
         if has_nulls r then begin
           let sentinel = if r.nulls_first then min_int else max_int in
-          let w = Array.make n 0 in
+          let w = if r.owned then codes else Array.make n 0 in
           let collided = ref false in
           for i = 0 to n - 1 do
-            if is_null i then w.(i) <- sentinel
+            if is_null nulls i then Array.unsafe_set w i sentinel
             else begin
-              let c = r.codes.(i) in
+              let c = Array.unsafe_get codes i in
               if c = sentinel then collided := true;
-              w.(i) <- c
+              Array.unsafe_set w i c
             end
           done;
           emit_direct w;
           if !collided then raise Exit
         end
-        else emit_direct r.codes
+        else emit_direct codes
   in
   (* The partition ids are a virtual leading key without NULLs. Word 0 is
      forced to exist even for a single partition (span 1) so that
@@ -303,7 +326,7 @@ let compile_sources ~n ?pids sources =
   List.iter
     (fun src ->
       if not !stopped then begin
-        match raws_of_key n src.table src.key with
+        match raws_of_key ~n ?rows src.table src.key with
         | None -> stopped := true
         | Some raws -> begin
             try
@@ -325,7 +348,11 @@ let compile_sources ~n ?pids sources =
     if !covered >= total then None
     else begin
       let rest = List.filteri (fun i _ -> i >= !covered) sources in
-      let cmps = List.map (fun s -> Sort_spec.key_comparator s.table s.key) rest in
+      let cmp s =
+        let f = Sort_spec.key_comparator s.table s.key in
+        match rows with None -> f | Some r -> fun i j -> f r.(i) r.(j)
+      in
+      let cmps = List.map cmp rest in
       Some
         (fun i j ->
           let rec go = function
@@ -339,8 +366,11 @@ let compile_sources ~n ?pids sources =
   in
   { n; words; residual; pid_divisor = !pid_div; covered = !covered; total }
 
-let compile ?pids table spec =
-  compile_sources ~n:(Table.nrows table) ?pids (List.map (fun key -> { table; key }) spec)
+let compile_sources ~n ?pids sources = compile_over ~n ?pids sources
+
+let compile ?pids ?rows table spec =
+  let n = match rows with None -> Table.nrows table | Some r -> Array.length r in
+  compile_over ~n ?rows ?pids (List.map (fun key -> { table; key }) spec)
 
 let comparator t =
   let words = t.words and residual = t.residual in

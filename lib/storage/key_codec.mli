@@ -44,11 +44,17 @@ type t = {
   total : int;  (** spec keys overall *)
 }
 
-val compile : ?pids:int array -> Table.t -> Sort_spec.t -> t
-(** [compile ?pids table spec] compiles the spec against one table,
+val compile : ?pids:int array -> ?rows:int array -> Table.t -> Sort_spec.t -> t
+(** [compile ?pids ?rows table spec] compiles the spec against one table,
     with [pids] as a virtual leading no-NULL int key (its word-0 position
-    is recorded in [pid_divisor]). @raise Not_found for unknown columns,
-    like [Sort_spec.comparator]. *)
+    is recorded in [pid_divisor]). With [rows] (a partition's table rows,
+    in any order) the compile covers [Array.length rows] rows and word
+    entry [i] — like [pids.(i)] and the residual's row argument [i] —
+    describes table row [rows.(i)]: only the key columns are gathered
+    (strings through {!Column.order_codes}), an expression key is
+    evaluated once per listed row, and the sort order equals that of a
+    compile over [Table.gather table rows]. @raise Not_found for unknown
+    columns, like [Sort_spec.comparator]. *)
 
 val compile_sources : n:int -> ?pids:int array -> source list -> t
 (** Generalisation of {!compile} where each key resolves against its own

@@ -53,36 +53,3 @@ let rec is_prefix (o1 : t) (o2 : t) =
   | [], _ -> true
   | _, [] -> false
   | k1 :: r1, k2 :: r2 -> k1 = k2 && is_prefix r1 r2
-
-type fast_values = Int_values of int array | Float_values of float array
-
-type fast_key = {
-  values : fast_values;
-  desc : bool;
-  nulls : (Holistic_util.Bitset.t * bool) option;
-}
-
-(* The NULL mask rides along (with the resolved NULLS LAST flag) instead of
-   disqualifying the column: the comparator ties NULLs with each other and
-   places the block absolutely, which the unboxed encoders reproduce. An
-   empty mask is no mask, so on a NULL-free column every [nulls_order]
-   spelling takes the same path. *)
-let fast_key table spec =
-  match spec with
-  | [ ({ expr = Expr.Col name; direction; nulls = _ } as key) ] -> begin
-      match Table.column_opt table name with
-      | Some c -> begin
-          let nulls =
-            match Column.null_mask c with
-            | Some m when Holistic_util.Bitset.count m > 0 -> Some (m, nulls_last_flag key)
-            | _ -> None
-          in
-          let desc = direction = Desc in
-          match Column.data c with
-          | Column.Ints a | Column.Dates a -> Some { values = Int_values a; desc; nulls }
-          | Column.Floats a -> Some { values = Float_values a; desc; nulls }
-          | Column.Strings _ | Column.Bools _ -> None
-        end
-      | None -> None
-    end
-  | _ -> None

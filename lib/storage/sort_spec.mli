@@ -37,19 +37,3 @@ val key_comparator : Table.t -> key -> int -> int -> int
 val is_prefix : t -> t -> bool
 (** [is_prefix o1 o2]: [o1] is a (possibly equal) prefix of [o2], keys
     compared structurally — rows sorted by [o2] are also sorted by [o1]. *)
-
-type fast_values = Int_values of int array | Float_values of float array
-
-type fast_key = {
-  values : fast_values;  (** the column's raw (table-indexed) key array *)
-  desc : bool;
-  nulls : (Holistic_util.Bitset.t * bool) option;
-      (** the column's NULL rows (set bit = NULL) and the resolved NULLS
-          LAST flag; [None] when the column holds no NULL *)
-}
-
-val fast_key : Table.t -> t -> fast_key option
-(** When the spec is a single plain int, date or float column, its raw key
-    array — lets preprocessing compare unboxed keys instead of evaluating
-    expressions per comparison. Any direction matches; NULL rows are
-    reported in [nulls] (their key entries are meaningless). *)

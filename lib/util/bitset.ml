@@ -24,6 +24,8 @@ let get t i =
   check t i;
   Char.code (Bytes.unsafe_get t.words (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
+let unsafe_get t i = Char.code (Bytes.unsafe_get t.words (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
 let clear_all t = Bytes.fill t.words 0 (Bytes.length t.words) '\000'
 
 let set_all t =
@@ -58,6 +60,20 @@ let union a b =
     Bytes.unsafe_set r.words i
       (Char.unsafe_chr
          (Char.code (Bytes.unsafe_get a.words i) lor Char.code (Bytes.unsafe_get b.words i)))
+  done;
+  r
+
+let gather t rows =
+  let n = Array.length rows in
+  let r = create n in
+  for i = 0 to n - 1 do
+    let row = rows.(i) in
+    if row < 0 || row >= t.n then invalid_arg "Bitset: index out of bounds";
+    if Char.code (Bytes.unsafe_get t.words (row lsr 3)) land (1 lsl (row land 7)) <> 0 then begin
+      let b = i lsr 3 in
+      Bytes.unsafe_set r.words b
+        (Char.unsafe_chr (Char.code (Bytes.unsafe_get r.words b) lor (1 lsl (i land 7))))
+    end
   done;
   r
 

@@ -12,6 +12,9 @@ val set : t -> int -> unit
 val clear : t -> int -> unit
 val get : t -> int -> bool
 
+val unsafe_get : t -> int -> bool
+(** {!get} without the bounds check. *)
+
 val set_all : t -> unit
 val clear_all : t -> unit
 
@@ -23,6 +26,10 @@ val copy : t -> t
 val union : t -> t -> t
 (** [union a b] is a fresh bitset with the elementwise OR; capacities must
     match. *)
+
+val gather : t -> int array -> t
+(** [gather t rows] is a fresh bitset of capacity [Array.length rows]
+    whose bit [i] is bit [rows.(i)] of [t]. *)
 
 val iter_set : t -> (int -> unit) -> unit
 (** [iter_set t f] applies [f] to the index of every set bit, ascending. *)

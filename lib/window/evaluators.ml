@@ -118,32 +118,21 @@ let effective_order ctx spec = if spec = [] then ctx.window_order else spec
    named window encode once. An order the partition is already sorted by
    (a prefix of the window order: every rank-family item, every value
    function without its own ORDER BY) reads its codes off the peer groups;
-   single plain-column keys sort unboxed; anything else sorts with the
-   comparator. *)
+   any other order is compiled into key words over the partition's rows
+   and sorted on them. A stale encoding (the partition was extended in
+   order under a session) extends instead of rebuilding: the prefix rows
+   are untouched, so codes and permutation carry over and only the
+   appended suffix is sorted and coded; [extend_words] itself verifies the
+   suffix sorts after the prefix and declines otherwise, and the rebuild
+   that follows reuses the words compiled for the attempt. *)
 let encode ctx order =
-  (* A stale encoding (the partition was extended in order under a
-     session) extends instead of rebuilding: the prefix rows are
-     untouched, so codes and permutation carry over and only the appended
-     suffix is sorted and coded.  [extend_*] themselves verify the suffix
-     sorts after the prefix and decline otherwise. *)
-  let at keys = Array.map (fun row -> keys.(row)) ctx.rows in
+  let n = np ctx in
+  let words = lazy (Key_codec.compile ~rows:ctx.rows ctx.table order) in
   let maintain old =
-    let n = np ctx in
+    let kc = Lazy.force words in
     let grown = Printf.sprintf "+%d rows" (n - Array.length old.Rank_encode.permutation) in
-    let ext =
-      match Sort_spec.fast_key ctx.table order with
-      | Some { Sort_spec.values = Sort_spec.Int_values keys; desc = false; nulls = None } ->
-          Rank_encode.extend_ints old (at keys)
-      | Some { Sort_spec.values = Sort_spec.Int_values keys; desc = true; nulls = None } ->
-          Rank_encode.extend_cmp old n ~cmp:(fun i j ->
-              compare keys.(ctx.rows.(j)) keys.(ctx.rows.(i)))
-      | Some { Sort_spec.values = Sort_spec.Float_values keys; desc; nulls = None } ->
-          Rank_encode.extend_floats ~desc old (at keys)
-      | Some { Sort_spec.nulls = Some _; _ } | None ->
-          let cmp_rows = Sort_spec.comparator ctx.table order in
-          Rank_encode.extend_cmp old n ~cmp:(fun i j -> cmp_rows ctx.rows.(i) ctx.rows.(j))
-    in
-    Option.map (fun enc -> (enc, grown)) ext
+    Rank_encode.extend_words old ~words:kc.Key_codec.words ?tie:kc.Key_codec.residual n
+    |> Option.map (fun enc -> (enc, grown))
   in
   Build_cache.encode ctx.cache ~maintain ~order (fun () ->
       if Sort_spec.is_prefix order ctx.window_order then
@@ -154,24 +143,8 @@ let encode ctx order =
         in
         Rank_encode.of_peers peer_start
       else
-        match Sort_spec.fast_key ctx.table order with
-        | Some { Sort_spec.values; desc; nulls } -> (
-            let nulls =
-              Option.map
-                (fun (mask, last) -> ((fun p -> Holistic_util.Bitset.get mask ctx.rows.(p)), last))
-                nulls
-            in
-            match values with
-            | Sort_spec.Int_values keys ->
-                (* DESC = ascending [lnot] codes: an order-reversing bijection *)
-                let keys = if desc then Array.map (fun row -> lnot keys.(row)) ctx.rows else at keys in
-                Rank_encode.of_ints ~pool:ctx.pool ?nulls keys
-            | Sort_spec.Float_values keys ->
-                Rank_encode.of_floats ~pool:ctx.pool ~desc ?nulls (at keys))
-        | None ->
-            let cmp_rows = Sort_spec.comparator ctx.table order in
-            Rank_encode.of_cmp ~pool:ctx.pool (np ctx) ~cmp:(fun i j ->
-                cmp_rows ctx.rows.(i) ctx.rows.(j)))
+        let kc = Lazy.force words in
+        Rank_encode.of_words ~pool:ctx.pool ~words:kc.Key_codec.words ?tie:kc.Key_codec.residual n)
 
 let mapped_ranges ctx rm r = Remap.map_ranges rm (Frame.ranges ctx.frame r)
 let covered_of ranges = Array.fold_left (fun acc (lo, hi) -> acc + hi - lo) 0 ranges
@@ -593,7 +566,7 @@ let eval_mode ctx ~arg ~filter ~algorithm ~out =
 type rank_variant = Rank_v | Dense_v | Row_number_v | Percent_rank_v | Cume_dist_v | Ntile_v of int
 
 let ntile_bucket ~buckets ~s ~rn0 =
-  let rn0 = max 0 (min rn0 (s - 1)) in
+  let rn0 = Int.max 0 (Int.min rn0 (s - 1)) in
   let q = s / buckets and rem = s mod buckets in
   let b =
     if q = 0 then rn0
@@ -783,7 +756,7 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
           if s = 0 then Value.Null
           else begin
             let i = int_of_float (Float.ceil (p *. float_of_int s)) - 1 in
-            let i = max 0 (min i (s - 1)) in
+            let i = Int.max 0 (Int.min i (s - 1)) in
             value_of_pos (select_nth i)
           end
       | Sel_percentile_cont p ->

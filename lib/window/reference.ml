@@ -198,11 +198,26 @@ let frame_ranges table (spec : Window_spec.t) rows (peer_start, peer_end) =
         scan_first (fun p ->
             if desc then cmpv vals.(p) target < 0 else cmpv vals.(p) target > 0)
       in
+      (* The offset types [Frame] searches with, by the partition's
+         non-NULL key values: numbers take numbers, dates take days and
+         intervals, and any other key takes none. A misfit raises only
+         after the value arithmetic has had its chance to raise its own
+         error, as in [Frame]. *)
+      let only p = Array.for_all (fun v -> Value.is_null v || p v) vals in
+      let fits =
+        if only (function Value.Int _ | Value.Float _ -> true | _ -> false) then
+          function Value.Int _ | Value.Float _ -> true | _ -> false
+        else if only (function Value.Date _ -> true | _ -> false) then
+          function Value.Int _ | Value.Interval _ -> true | _ -> false
+        else fun _ -> false
+      in
       let shifted v e row ~towards_preceding =
         let d = Expr.eval table e row in
         if Value.is_null d then invalid_arg "Frame: NULL RANGE offset";
         let back = if desc then not towards_preceding else towards_preceding in
-        if back then Value.sub v d else Value.add v d
+        let target = if back then Value.sub v d else Value.add v d in
+        if not (fits d) then invalid_arg "Frame: RANGE offset type does not match the ORDER BY key";
+        target
       in
       for r = 0 to np - 1 do
         let row = rows.(r) in

@@ -6,6 +6,11 @@ module Range_tree = Holistic_core.Range_tree
 module Rng = Holistic_util.Rng
 module Task_pool = Holistic_parallel.Task_pool
 module IS = Set.Make (Int)
+module Table = Holistic_storage.Table
+module Column = Holistic_storage.Column
+module Expr = Holistic_storage.Expr
+module Sort_spec = Holistic_storage.Sort_spec
+module Key_codec = Holistic_storage.Key_codec
 
 (* ------------------------------------------------------------------ *)
 (* Brute-force oracles                                                 *)
@@ -301,21 +306,24 @@ let annotated_generic_monoid =
 
 let pool = Task_pool.create 1
 
+let same_encoding (x : Rank_encode.t) (y : Rank_encode.t) =
+  x.Rank_encode.rank_codes = y.Rank_encode.rank_codes
+  && x.Rank_encode.row_codes = y.Rank_encode.row_codes
+  && x.Rank_encode.permutation = y.Rank_encode.permutation
+
 let rank_encode_oracle =
   QCheck.Test.make ~name:"rank codes are dense, ties shared; row codes unique" ~count:300
     QCheck.(array (int_bound 10))
     (fun a ->
       let n = Array.length a in
-      let enc = Rank_encode.of_ints ~pool a in
+      let enc = Rank_encode.of_words ~pool ~words:[| a |] n in
       let enc2 = Rank_encode.of_cmp ~pool n ~cmp:(fun i j -> compare a.(i) a.(j)) in
       let groups_below i =
         let s = ref IS.empty in
         Array.iter (fun v -> if v < a.(i) then s := IS.add v !s) a;
         IS.cardinal !s
       in
-      enc.Rank_encode.rank_codes = enc2.Rank_encode.rank_codes
-      && enc.Rank_encode.row_codes = enc2.Rank_encode.row_codes
-      && enc.Rank_encode.permutation = enc2.Rank_encode.permutation
+      same_encoding enc enc2
       && Array.for_all (fun i -> enc.Rank_encode.rank_codes.(i) = groups_below i)
            (Array.init n (fun i -> i))
       && List.sort compare (Array.to_list enc.Rank_encode.row_codes) = List.init n (fun i -> i)
@@ -323,18 +331,40 @@ let rank_encode_oracle =
            (fun r -> enc.Rank_encode.row_codes.(enc.Rank_encode.permutation.(r)) = r)
            (Array.init n (fun r -> r)))
 
+(* Rows (a, b, c) ordered lexicographically: [a] and [b] as two key words,
+   [c] through the residual. Words alone would merge rows that differ only
+   in [c] into one peer group, so a tie test that skips the residual
+   fails here. *)
+let words_encode_oracle =
+  QCheck.Test.make ~name:"words and residual encode like the comparator" ~count:300
+    QCheck.(pair (array (triple (int_bound 2) (int_bound 2) (int_bound 2))) (int_bound 2))
+    (fun (rows, nwords) ->
+      let n = Array.length rows in
+      let a = Array.map (fun (x, _, _) -> x) rows
+      and b = Array.map (fun (_, y, _) -> y) rows
+      and c = Array.map (fun (_, _, z) -> z) rows in
+      let words = Array.sub [| a; b |] 0 nwords in
+      let rest = Array.sub [| a; b; c |] nwords (3 - nwords) in
+      let tie i j =
+        Array.fold_left (fun acc k -> if acc <> 0 then acc else compare k.(i) k.(j)) 0 rest
+      in
+      let got = Rank_encode.of_words ~pool ~words ~tie n in
+      let want = Rank_encode.of_cmp ~pool n ~cmp:(fun i j -> compare rows.(i) rows.(j)) in
+      same_encoding got want)
+
 let float_encode_oracle =
-  QCheck.Test.make ~name:"float fast path matches comparator encoding" ~count:300
+  QCheck.Test.make ~name:"float key words encode like the comparator" ~count:300
     QCheck.(pair (array (int_bound 12)) bool)
     (fun (ints, desc) ->
-      let a = Array.map (fun v -> float_of_int v /. 4.0) ints in
+      let a = Array.map (fun v -> if v = 12 then Float.nan else float_of_int (v - 6) /. 4.0) ints in
       let n = Array.length a in
-      let fast = Rank_encode.of_floats ~pool ~desc a in
-      let sign = if desc then -1 else 1 in
-      let slow = Rank_encode.of_cmp ~pool n ~cmp:(fun i j -> sign * Float.compare a.(i) a.(j)) in
-      fast.Rank_encode.rank_codes = slow.Rank_encode.rank_codes
-      && fast.Rank_encode.row_codes = slow.Rank_encode.row_codes
-      && fast.Rank_encode.permutation = slow.Rank_encode.permutation)
+      let table = Table.create [ ("f", Column.floats a) ] in
+      let key = Expr.Col "f" in
+      let spec = [ (if desc then Sort_spec.desc key else Sort_spec.asc key) ] in
+      let kc = Key_codec.compile table spec in
+      let got = Rank_encode.of_words ~pool ~words:kc.Key_codec.words ?tie:kc.Key_codec.residual n in
+      let want = Rank_encode.of_cmp ~pool n ~cmp:(Sort_spec.comparator table spec) in
+      same_encoding got want)
 
 (* Rows already sorted by a window order (a, b): encoding under the empty
    order, the strict prefix (a) or the whole order from peer groups must
@@ -355,18 +385,16 @@ let peers_encode_oracle =
       for r = 1 to n - 1 do
         peer_start.(r) <- (if cmp (r - 1) r = 0 then peer_start.(r - 1) else r)
       done;
-      let fast = Rank_encode.of_peers peer_start in
-      let slow = Rank_encode.of_cmp ~pool n ~cmp in
-      fast.Rank_encode.rank_codes = slow.Rank_encode.rank_codes
-      && fast.Rank_encode.row_codes = slow.Rank_encode.row_codes
-      && fast.Rank_encode.permutation = slow.Rank_encode.permutation)
+      same_encoding (Rank_encode.of_peers peer_start) (Rank_encode.of_cmp ~pool n ~cmp))
 
 let test_rank_encode_stability () =
-  let a = [| 5; 5; 5 |] in
-  let enc = Rank_encode.of_ints ~pool a in
+  let enc = Rank_encode.of_words ~pool ~words:[| [| 5; 5; 5 |] |] 3 in
   Alcotest.(check (array int)) "ties share rank code" [| 0; 0; 0 |] enc.Rank_encode.rank_codes;
   Alcotest.(check (array int)) "row codes break ties by position" [| 0; 1; 2 |]
-    enc.Rank_encode.row_codes
+    enc.Rank_encode.row_codes;
+  (* words must describe all [n] rows: a short word is refused, not read past *)
+  Alcotest.check_raises "short word on extend" (Invalid_argument "Rank_encode: word length") (fun () ->
+      ignore (Rank_encode.extend_words enc ~words:[| [| 5; 5; 5 |] |] 4))
 
 (* ------------------------------------------------------------------ *)
 (* Range tree / dense rank (§4.4)                                      *)
@@ -434,6 +462,7 @@ let () =
       ( "rank_encode",
         [
           QCheck_alcotest.to_alcotest rank_encode_oracle;
+          QCheck_alcotest.to_alcotest words_encode_oracle;
           QCheck_alcotest.to_alcotest float_encode_oracle;
           QCheck_alcotest.to_alcotest peers_encode_oracle;
           Alcotest.test_case "tie handling" `Quick test_rank_encode_stability;

@@ -302,6 +302,51 @@ let test_offset_errors () =
   run ~order:[ Sort_spec.asc (Expr.Col "v") ] ~rows:[| 0; 1; 3; 5; 2; 4 |]
     (Window_spec.range_between (pre (Expr.Col "nul")) cur)
 
+(* A RANGE offset whose type does not fit the key raises the same
+   [Invalid_argument] in [Frame] and in the [Reference] oracle: the value
+   arithmetic's own error where it fails, ours where it succeeds across
+   types. *)
+let test_range_type_mismatch () =
+  let table =
+    Table.create
+      [
+        ("i", Column.ints [| 3; 1; 2 |]);
+        ("d", Column.dates [| 30; 10; 20 |]);
+        ("f", Column.floats [| 0.5; 1.5; 2.5 |]);
+      ]
+  in
+  let ours = "Frame: RANGE offset type does not match the ORDER BY key" in
+  let outcome f = match f () with _ -> "no error" | exception Invalid_argument m -> m in
+  let const v = Expr.Const v in
+  let interval = const (Value.Interval { Value.months = 0; days = 1 }) in
+  (* a start bound [d] before or after the current row's key *)
+  let pre d _ = Window_spec.Preceding d and fol d _ = Window_spec.Following d in
+  (* Int/Date mixed: an expression key [Frame] cannot search *)
+  let mixed = Expr.Case ([ (Expr.Gt (Expr.Col "i", const (Value.Int 1)), Expr.Col "d") ], Some (Expr.Col "i")) in
+  List.iter
+    (fun (label, key, bound, want) ->
+      let order = [ Sort_spec.asc key ] in
+      let frame = Window_spec.range_between (bound Window_spec.Current_row) Window_spec.Unbounded_following in
+      let spec = Window_spec.over ~order_by:order ~frame () in
+      let rows = Holistic_sort.Introsort.sort_indices_by 3 ~cmp:(Sort_spec.comparator table order) in
+      let clause = { Window_plan.spec; items = [ Window_func.count_star ~name:"c" () ] } in
+      let frame_says = outcome (fun () -> ignore (Frame.compute table ~spec ~rows)) in
+      let reference_says = outcome (fun () -> ignore (Reference.run table [ clause ])) in
+      Alcotest.(check string) (label ^ ": Frame") want frame_says;
+      Alcotest.(check string) (label ^ ": Reference") want reference_says)
+    [
+      ("int key, date following", Expr.Col "i", fol (const (Value.Date 3)), ours);
+      ("int key, date preceding", Expr.Col "i", pre (const (Value.Date 3)), "Value.sub: incompatible operands (2, 3)");
+      ("date key, date preceding", Expr.Col "d", pre (const (Value.Date 3)), ours);
+      ("mixed key, int preceding", mixed, pre (const (Value.Int 1)), ours);
+      ("mixed key, interval following", mixed, fol interval, "Value.add: incompatible operands (2, 5)");
+      ("int key, interval preceding", Expr.Col "i", pre interval, "Value.sub: incompatible operands (2, 5)");
+      ("float key, interval preceding", Expr.Col "f", pre interval, "Value.sub: incompatible operands (2, 5)");
+      ("date key, float preceding", Expr.Col "d", pre (const (Value.Float 1.)), "Value.sub: incompatible operands (3, 2)");
+      ("date key, int preceding", Expr.Col "d", pre (const (Value.Int 1)), "no error");
+      ("int key, float following", Expr.Col "i", fol (const (Value.Float 1.)), "no error");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Bounds against a linear-scan oracle                                 *)
 (* ------------------------------------------------------------------ *)
@@ -584,7 +629,10 @@ let () =
           Alcotest.test_case "default frames" `Quick test_default_frames;
         ] );
       ( "offsets",
-        [ Alcotest.test_case "errors only when a row asks" `Quick test_offset_errors ] );
+        [
+          Alcotest.test_case "errors only when a row asks" `Quick test_offset_errors;
+          Alcotest.test_case "RANGE type mismatch as the reference" `Quick test_range_type_mismatch;
+        ] );
       ("oracle", [ Alcotest.test_case "bounds vs linear scan" `Quick test_bounds_oracle ]);
       ("allocation", [ Alcotest.test_case "no per-row minor words" `Quick test_allocation_pin ]);
     ]

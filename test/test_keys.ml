@@ -123,7 +123,23 @@ let expected_perm ?pids table spec =
   in
   Introsort.sort_indices_by (Table.nrows table) ~cmp
 
-let check_parity pool ~task_size ?pids table spec label =
+(* A compile over a partition's rows sorts exactly like a compile over the
+   gathered sub-table (partition ids gathered alike). *)
+let check_rows_parity pool ~task_size ?pids table spec rows label =
+  let m = Array.length rows in
+  let pids = Option.map (fun p -> Array.map (fun r -> p.(r)) rows) pids in
+  let sorted kc =
+    fst
+      (Parallel_sort.sort_encoded pool ~task_size ~n:m ~words:kc.Key_codec.words
+         ?tie:kc.Key_codec.residual ())
+  in
+  Alcotest.(check (array int))
+    (label ^ ": compile ~rows = compile over the gathered table")
+    (sorted (Key_codec.compile ?pids (Table.gather table rows) spec))
+    (sorted (Key_codec.compile ?pids ~rows table spec))
+
+(* [rows] defaults to every other row, last first. *)
+let check_parity pool ~task_size ?pids ?rows table spec label =
   let n = Table.nrows table in
   let kc = Key_codec.compile ?pids table spec in
   let perm, key0 =
@@ -139,7 +155,20 @@ let check_parity pool ~task_size ?pids table spec label =
     done;
   (* the compiled comparator must induce the same total order *)
   let perm' = Introsort.sort_indices_by n ~cmp:(Key_codec.comparator kc) in
-  Alcotest.(check (array int)) (label ^ ": Key_codec.comparator parity") expect perm'
+  Alcotest.(check (array int)) (label ^ ": Key_codec.comparator parity") expect perm';
+  let rows = match rows with Some r -> r | None -> Array.init (n / 2) (fun i -> n - 1 - (2 * i)) in
+  check_rows_parity pool ~task_size ?pids table spec rows label
+
+(* A random subset of [0, n) in random order: a partition's rows. *)
+let random_rows rng n =
+  let a = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.sub a 0 (Rng.int rng (n + 1))
 
 (* ------------------------------------------------------------------ *)
 (* Tests                                                               *)
@@ -161,7 +190,8 @@ let test_randomized () =
         (* tiny task size: forces many runs, multisequence selection and
            the OVC loser-tree merge even on small tables *)
         let task_size = 16 + Rng.int rng 64 in
-        check_parity pool ~task_size ?pids table spec (Printf.sprintf "iter %d" iter)
+        let rows = random_rows rng n in
+        check_parity pool ~task_size ?pids ~rows table spec (Printf.sprintf "iter %d" iter)
       done)
 
 let test_single_key_dimensions () =
@@ -299,21 +329,6 @@ let test_window_boundaries () =
     done
   done
 
-let test_fast_key_nulls_spelling () =
-  (* satellite fix: on NULL-free columns every nulls_order spelling is
-     equivalent, so explicit NULLS LAST on ASC (and any other spelling)
-     must still take the fast paths *)
-  let t =
-    Table.create [ ("a", Column.ints [| 3; 1; 2 |]); ("f", Column.floats [| 1.; 3.; 2. |]) ]
-  in
-  List.iter
-    (fun nulls ->
-      Alcotest.(check bool) "fast_key int any nulls spelling" true
-        (Sort_spec.fast_key t [ Sort_spec.desc ~nulls (Expr.Col "a") ] <> None);
-      Alcotest.(check bool) "fast_key float any nulls spelling" true
-        (Sort_spec.fast_key t [ Sort_spec.asc ~nulls (Expr.Col "f") ] <> None))
-    [ Sort_spec.Nulls_default; Sort_spec.Nulls_first; Sort_spec.Nulls_last ]
-
 (* String densification against the obvious reference: sort the distinct
    non-NULL strings, a row's code is its string's index.  Then the same
    columns through the codec under every direction and NULL placement. *)
@@ -448,9 +463,8 @@ let test_order_code_memo () =
     done
   done
 
-(* A single nullable int/float column (NaN, -0. and +0. included) keeps the
-   unboxed encode under every direction and NULL placement, and the
-   encoding equals the comparator sort's.  The partition is every other
+(* A single nullable int/float column (NaN, -0. and +0. included) encodes
+   like the comparator sort under every direction and NULL placement.  The partition is every other
    table row, so the table-indexed NULL mask must be read through the row
    map.  The window order (k) is not the encoded one, so this is the
    sorting path; encoding (k) itself comes off the peer groups. *)
@@ -505,21 +519,84 @@ let test_nullable_fast_key_encode () =
   List.iter
     (fun col ->
       List.iter
-        (fun (direction, nulls, last) ->
-          let order = [ { Sort_spec.expr = Expr.Col col; direction; nulls } ] in
-          (match Sort_spec.fast_key table order with
-          | Some { Sort_spec.nulls = Some (_, l); _ } when l = last -> ()
-          | _ -> Alcotest.failf "%s: no nullable fast key" (Sort_spec.to_string order));
-          check order)
+        (fun (direction, nulls) -> check [ { Sort_spec.expr = Expr.Col col; direction; nulls } ])
         [
-          (Sort_spec.Asc, Sort_spec.Nulls_first, false);
-          (Sort_spec.Asc, Sort_spec.Nulls_last, true);
-          (Sort_spec.Desc, Sort_spec.Nulls_first, false);
-          (Sort_spec.Desc, Sort_spec.Nulls_last, true);
+          (Sort_spec.Asc, Sort_spec.Nulls_first);
+          (Sort_spec.Asc, Sort_spec.Nulls_last);
+          (Sort_spec.Desc, Sort_spec.Nulls_first);
+          (Sort_spec.Desc, Sort_spec.Nulls_last);
         ])
     [ "i"; "f" ];
   check window_order;
   check []
+
+(* [extend_words] against the comparator: a partition sorted by the order
+   grows by a few rows (sometimes with one appended row swapped into the
+   prefix). The extension is [None] exactly when an appended row sorts
+   strictly before the prefix's last row, and otherwise equals a fresh
+   encode of the grown partition. Orders cover int, float (NaN, both
+   zeros, NULL) and string keys, two keys, and an interval key that only
+   the residual decides, in both directions and NULL placements. *)
+let test_extend_words () =
+  let rng = Rng.create 0xE7 in
+  let pool = Task_pool.create 1 in
+  let days = Expr.Mul (Expr.Col "i", Expr.Const (Value.Interval { Value.months = 0; days = 1 })) in
+  let exprs =
+    [ [ Expr.Col "i" ]; [ Expr.Col "f" ]; [ Expr.Col "s" ]; [ Expr.Col "i"; Expr.Col "f" ]; [ days ];
+      [ Expr.Col "s"; days ] ]
+  in
+  let same label (want : Rank_encode.t) (got : Rank_encode.t) =
+    Alcotest.(check (array int)) (label ^ ": rank codes") want.Rank_encode.rank_codes
+      got.Rank_encode.rank_codes;
+    Alcotest.(check (array int)) (label ^ ": row codes") want.Rank_encode.row_codes
+      got.Rank_encode.row_codes;
+    Alcotest.(check (array int)) (label ^ ": permutation") want.Rank_encode.permutation
+      got.Rank_encode.permutation
+  in
+  let appended = ref 0 and declined = ref 0 in
+  List.iter
+    (fun keys ->
+      List.iter
+        (fun (dir, nulls) ->
+          let order = List.map (fun expr -> { Sort_spec.expr; direction = dir; nulls }) keys in
+          for trial = 0 to 24 do
+            let label = Printf.sprintf "%s #%d" (Sort_spec.to_string order) trial in
+            let n = 2 + Rng.int rng 60 in
+            let table = mk_table rng n in
+            let cmp = Sort_spec.comparator table order in
+            let rows = Introsort.sort_indices_by n ~cmp in
+            let m = 1 + Rng.int rng (min (n - 1) (n / 2 + 1)) in
+            if Rng.bool rng then begin
+              let i = Rng.int rng m and j = m + Rng.int rng (n - m) in
+              let t = rows.(i) in
+              rows.(i) <- rows.(j);
+              rows.(j) <- t
+            end;
+            let cmp_at i j = cmp rows.(i) rows.(j) in
+            let old = Rank_encode.of_cmp ~pool m ~cmp:cmp_at in
+            let kc = Key_codec.compile ~rows table order in
+            let got =
+              Rank_encode.extend_words old ~words:kc.Key_codec.words ?tie:kc.Key_codec.residual n
+            in
+            let last = old.Rank_encode.permutation.(m - 1) in
+            let out_of_order = List.exists (fun j -> cmp_at last j > 0) (List.init (n - m) (( + ) m)) in
+            match got with
+            | None ->
+                incr declined;
+                if not out_of_order then Alcotest.failf "%s: in-order append declined" label
+            | Some e ->
+                incr appended;
+                if out_of_order then Alcotest.failf "%s: out-of-order append extended" label;
+                same label (Rank_encode.of_cmp ~pool n ~cmp:cmp_at) e
+          done)
+        [
+          (Sort_spec.Asc, Sort_spec.Nulls_first);
+          (Sort_spec.Asc, Sort_spec.Nulls_last);
+          (Sort_spec.Desc, Sort_spec.Nulls_first);
+          (Sort_spec.Desc, Sort_spec.Nulls_last);
+        ])
+    exprs;
+  Alcotest.(check bool) "both outcomes exercised" true (!appended > 0 && !declined > 0)
 
 let test_codec_shape () =
   (* a partitioned (int, float DESC, string) spec must compile fully into
@@ -562,10 +639,10 @@ let () =
         [ Alcotest.test_case "boundaries from sorted word0" `Quick test_window_boundaries ] );
       ( "spec",
         [
-          Alcotest.test_case "fast-path nulls spellings" `Quick test_fast_key_nulls_spelling;
           Alcotest.test_case "codec coverage shape" `Quick test_codec_shape;
           Alcotest.test_case "string densification" `Quick test_string_ranks;
           Alcotest.test_case "order-code memo" `Quick test_order_code_memo;
           Alcotest.test_case "nullable fast-key encode" `Quick test_nullable_fast_key_encode;
+          Alcotest.test_case "extend_words against the comparator" `Quick test_extend_words;
         ] );
     ]

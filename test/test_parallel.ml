@@ -205,7 +205,8 @@ let test_build_cache_concurrent () =
                Atomic.incr builds;
                (* a slow build widens the race window *)
                ignore (Sys.opaque_identity (Array.init 2_000 (fun j -> j * j)));
-               Holistic_core.Rank_encode.of_ints ~pool (Array.make (1 + (i mod 8)) 0))
+               let n = 1 + (i mod 8) in
+               Holistic_core.Rank_encode.of_words ~pool ~words:[| Array.make n 0 |] n)
          in
          seen.(i) <- Array.length got.Holistic_core.Rank_encode.permutation));
   Alcotest.(check (array int))

@@ -296,7 +296,7 @@ let test_build_cache_unit () =
   let pool = Holistic_parallel.Task_pool.create 1 in
   let enc () =
     incr encodes;
-    Holistic_core.Rank_encode.of_ints ~pool [| 3; 1; 2 |]
+    Holistic_core.Rank_encode.of_words ~pool ~words:[| [| 3; 1; 2 |] |] 3
   in
   ignore (Build_cache.encode cache ~order:by_ts enc);
   ignore (Build_cache.encode cache ~order:by_ts enc);

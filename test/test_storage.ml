@@ -274,17 +274,6 @@ let test_comparator () =
   let order = Holistic_sort.Introsort.sort_indices_by 4 ~cmp in
   Alcotest.(check (array int)) "multi-key order" [| 1; 3; 0; 2 |] order
 
-let test_fast_key () =
-  let t = Table.create [ ("a", Column.ints [| 1 |]); ("f", Column.floats [| 1.0 |]) ] in
-  (match Sort_spec.fast_key t [ Sort_spec.asc (Expr.Col "a") ] with
-  | Some { Sort_spec.values = Sort_spec.Int_values _; desc = false; nulls = None } -> ()
-  | _ -> Alcotest.fail "expected int fast key");
-  (match Sort_spec.fast_key t [ Sort_spec.desc (Expr.Col "f") ] with
-  | Some { Sort_spec.values = Sort_spec.Float_values _; desc = true; nulls = None } -> ()
-  | _ -> Alcotest.fail "expected float fast key");
-  Alcotest.(check bool) "expression has no fast key" true
-    (Sort_spec.fast_key t [ Sort_spec.asc (Expr.Add (Expr.Col "a", Expr.Col "a")) ] = None)
-
 let () =
   Alcotest.run "storage"
     [
@@ -323,6 +312,5 @@ let () =
       ( "sort_spec",
         [
           Alcotest.test_case "comparator" `Quick test_comparator;
-          Alcotest.test_case "fast keys" `Quick test_fast_key;
         ] );
     ]
