@@ -3,11 +3,9 @@ module Parallel_sort = Holistic_sort.Parallel_sort
 
 let compute ~pool values =
   let n = Array.length values in
-  let key = Array.copy values in
-  let idx = Array.init n (fun i -> i) in
   (* Lexicographic (value, position) sort = stable sort by value (Alg. 1
      line 5): duplicates end up adjacent, ordered by original position. *)
-  Parallel_sort.sort_pairs pool ~key ~payload:idx;
+  let idx, key = Parallel_sort.sort_encoded pool ~n ~words:[| values |] () in
   let prev = Array.make n 0 in
   (* The comparison at a chunk's first position reads the last element of
      the preceding chunk; [key]/[idx] are read-only here and every chunk

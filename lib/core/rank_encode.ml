@@ -1,6 +1,7 @@
 module Task_pool = Holistic_parallel.Task_pool
 module Introsort = Holistic_sort.Introsort
 module Parallel_sort = Holistic_sort.Parallel_sort
+module Multiway = Holistic_sort.Multiway
 
 type t = { rank_codes : int array; row_codes : int array; permutation : int array }
 
@@ -48,24 +49,14 @@ let of_sorted_permutation ~pool n permutation ~ties =
   else scatter_seq ();
   { rank_codes; row_codes; permutation }
 
-(* Rows [i] and [j] (both below [n]) under compiled key words: word by
-   word, then the residual; 0 means peers. No row-id tiebreak. *)
-let compare_words ~n words tie =
-  Array.iter (fun w -> if Array.length w <> n then invalid_arg "Rank_encode: word length") words;
-  let nw = Array.length words in
-  fun i j ->
-    let c = ref 0 and w = ref 0 in
-    while !c = 0 && !w < nw do
-      let a = Array.unsafe_get words !w in
-      c := Int.compare (Array.unsafe_get a i) (Array.unsafe_get a j);
-      incr w
-    done;
-    if !c <> 0 then !c else match tie with Some t -> t i j | None -> 0
+(* Peers under compiled key words: all words equal and the residual 0. *)
+let peers words tie =
+  let keys = Multiway.compare_keys words tie in
+  fun i j -> keys i j = 0
 
 let of_words ~pool ~words ?tie n =
-  let cmp = compare_words ~n words tie in
   let permutation, _ = Parallel_sort.sort_encoded pool ~n ~words ?tie () in
-  of_sorted_permutation ~pool n permutation ~ties:(fun i j -> cmp i j = 0)
+  of_sorted_permutation ~pool n permutation ~ties:(peers words tie)
 
 let of_cmp ~pool n ~cmp =
   let permutation = Introsort.sort_indices_by n ~cmp in
@@ -96,7 +87,8 @@ let of_peers peer_start =
    out-of-order append (a new row belonging before an old one) returns
    [None] and the caller rebuilds. *)
 let extend_words old ~words ?tie n =
-  let cmp = compare_words ~n words tie in
+  Array.iter (fun w -> if Array.length w <> n then invalid_arg "Rank_encode: word length") words;
+  let keys = Multiway.compare_keys words tie in
   let m = Array.length old.permutation in
   if m = 0 || n < m then None
   else begin
@@ -104,7 +96,7 @@ let extend_words old ~words ?tie n =
     let in_order = ref true in
     (try
        for j = m to n - 1 do
-         if cmp last j > 0 then begin
+         if keys last j > 0 then begin
            in_order := false;
            raise Exit
          end
@@ -112,21 +104,17 @@ let extend_words old ~words ?tie n =
      with Exit -> ());
     if not !in_order then None
     else begin
-      let permutation = Array.make n 0 in
-      Array.blit old.permutation 0 permutation 0 m;
-      (* delta sorted by (key, row id) — [sort_indices_by]'s index tiebreak
-         is the row-id tiebreak because ids increase with delta position *)
-      let delta = Introsort.sort_indices_by (n - m) ~cmp:(fun a b -> cmp (m + a) (m + b)) in
-      for k = 0 to n - m - 1 do
-        permutation.(m + k) <- m + delta.(k)
-      done;
+      (* the appended rows sorted among themselves by (key, row id) *)
+      let delta = Multiway.of_words ~words ?tie (Array.init (n - m) (fun k -> m + k)) in
+      Multiway.sort_range delta ~lo:0 ~hi:(n - m);
+      let permutation = Array.append old.permutation delta.Multiway.payload in
       let rank_codes = Array.make n 0 in
       let row_codes = Array.make n 0 in
       Array.blit old.rank_codes 0 rank_codes 0 m;
       Array.blit old.row_codes 0 row_codes 0 m;
       let code = ref old.rank_codes.(last) in
       for r = m to n - 1 do
-        if cmp permutation.(r - 1) permutation.(r) <> 0 then incr code;
+        if keys permutation.(r - 1) permutation.(r) <> 0 then incr code;
         rank_codes.(permutation.(r)) <- !code;
         row_codes.(permutation.(r)) <- r
       done;

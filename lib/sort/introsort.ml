@@ -390,17 +390,11 @@ let rec intro_by (a : int array) cmp lo hi depth =
     intro_by a cmp !gt hi (depth - 1)
   end
 
-let sort_by a ~cmp = intro_by a cmp 0 (Array.length a) (depth_limit (Array.length a))
-
-let sort_by_range a ~cmp ~lo ~hi =
-  if lo < 0 || hi > Array.length a || lo > hi then invalid_arg "Introsort.sort_by_range";
-  intro_by a cmp lo hi (depth_limit (hi - lo))
-
 let sort_indices_by n ~cmp =
   let idx = Array.init n (fun i -> i) in
   let stable_cmp i j =
     let c = cmp i j in
     if c <> 0 then c else compare i j
   in
-  sort_by idx ~cmp:stable_cmp;
+  intro_by idx stable_cmp 0 n (depth_limit n);
   idx

@@ -19,6 +19,8 @@ val sort_pairs : key:int array -> payload:int array -> unit
     stable sort of Algorithm 1. Arrays must have equal length. *)
 
 val sort_pairs_range : key:int array -> payload:int array -> lo:int -> hi:int -> unit
+(** {!sort_pairs} restricted to [\[lo, hi)]. Key-word sorts reach this and
+    {!sort_pairs_tie_range} only through {!Multiway.sort_range}. *)
 
 val sort_pairs_tie_range :
   key:int array -> payload:int array -> tie:(int -> int -> int) -> lo:int -> hi:int -> unit
@@ -30,16 +32,7 @@ val sort_pairs_tie_range :
     strict total order (end the chain with a row-id compare) for the result to
     be deterministic. *)
 
-val sort_by : int array -> cmp:(int -> int -> int) -> unit
-(** Sorts the array's elements by an arbitrary total order on elements. Used
-    by preprocessing passes whose keys are not plain integers. Not stable;
-    callers needing stability must break ties in [cmp]. *)
-
-val sort_by_range : int array -> cmp:(int -> int -> int) -> lo:int -> hi:int -> unit
-(** {!sort_by} restricted to the half-open segment [\[lo, hi)]: the
-    partial-sort primitive for re-ordering an inherited permutation within
-    partition boundaries. *)
-
 val sort_indices_by : int -> cmp:(int -> int -> int) -> int array
 (** [sort_indices_by n ~cmp] is the permutation [\[|0..n-1|\]] sorted stably
-    by [cmp] on indices (ties keep ascending index order). *)
+    by [cmp] on indices (ties keep ascending index order): the reference
+    order that tests and benches check the key-word sorts against. *)

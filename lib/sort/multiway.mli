@@ -1,28 +1,19 @@
-(** K-way merging of sorted runs and rank-based run splitting.
+(** The one key-word sort: segment sorts, the offset-value coded K-way
+    merge and rank-based run splitting over normalized key words.
 
-    These are the building blocks of the balanced parallel multiway merge
-    (Francis et al., the paper's §5.2): runs are split at global ranks so
-    that independent output segments can be merged by independent tasks. *)
+    Every sort of row ids by {!Holistic_storage.Key_codec} words goes
+    through here: the parallel sort's runs and merge (Francis et al., the
+    paper's §5.2: runs are split at global ranks so that independent
+    output segments can be merged by independent tasks), the plan's
+    partial sorts, a session's append maintenance, the rank encoder's
+    delta sort and the spilled sort's run formation and merge. All of them
+    order rows by one strict total order — key words, then the residual,
+    then ascending row id — so their outputs agree bit for bit. *)
 
 type run = { lo : int; hi : int }
-(** A half-open, ascending-sorted segment of the source array. *)
-
-val merge_pairs :
-  key:int array ->
-  payload:int array ->
-  runs:run array ->
-  dst_key:int array ->
-  dst_payload:int array ->
-  dst_pos:int ->
-  unit
-(** Merges all runs of [key] ascending into [dst_key] starting at
-    [dst_pos], moving [payload] along into [dst_payload]. Orders by
-    [(key, run index, position)], so the merge is stable with respect to
-    run order. *)
+(** A half-open segment of positions, sorted by {!compare_positions}. *)
 
 val total_length : run array -> int
-
-(** {2 Multi-word normalized keys with offset-value coded merging} *)
 
 type multiword = {
   key0 : int array;  (** leading key word per {e position} *)
@@ -39,6 +30,18 @@ type multiword = {
     full sort order is [key0] ascending, then [deep] words in order, then
     [tie], then ascending row id — a strict total order. *)
 
+val of_words : words:int array array -> ?tie:(int -> int -> int) -> int array -> multiword
+(** [of_words ~words ?tie rows] views the row ids [rows] (the payload,
+    not copied) under the row-indexed key words [words]: [key0] gathers
+    [words.(0)] through [rows] — all zeros when [words] is empty, so a
+    residual-only order sorts by [tie] alone — and [deep] is the rest. *)
+
+val compare_keys : int array array -> (int -> int -> int) option -> int -> int -> int
+(** [compare_keys words tie r1 r2] compares two {e row ids} by the
+    row-indexed [words] in order, then [tie]; [0] means peers. The one key
+    comparator: {!deep_compare} and the merge's full-tie path extend it
+    with the row-id tie-break. *)
+
 val deep_compare : multiword -> int -> int -> int
 (** [deep_compare mw r1 r2] compares two {e row ids} by the trailing
     words, the residual and the row-id tie-break (everything below
@@ -48,6 +51,12 @@ val compare_positions : multiword -> int -> int -> int
 (** Full strict comparison of two {e positions}: [key0], then
     {!deep_compare} on the rows they hold. *)
 
+val sort_range : multiword -> lo:int -> hi:int -> unit
+(** [sort_range mw ~lo ~hi] sorts positions [\[lo, hi)] of [key0] and
+    [payload] together by {!compare_positions}: the one segment sort.
+    [key0] is compared unboxed; key0 ties descend into {!deep_compare}
+    (no deep words and no residual: straight to the row id). *)
+
 val merge_multiword :
   mw:multiword ->
   runs:run array ->
@@ -55,16 +64,15 @@ val merge_multiword :
   dst_payload:int array ->
   dst_pos:int ->
   unit
-(** Merges runs of [mw] (each sorted by {!compare_positions}) into
-    [dst_key0]/[dst_payload] starting at [dst_pos], using a tree of
-    losers with offset-value codes (Do & Graefe): comparisons between
-    keys sharing a prefix with the incumbent collapse to a single int
-    compare, and key words are only read when the codes tie. The [deep]
-    words are row-indexed and therefore shared between [mw] and the
-    destination.  Each merge adds its comparison tallies to the counters
-    [sort.ovc_decided] (settled by the codes alone) and
-    [sort.ovc_scanned] (needed a key-word scan); read them from a
-    {!Holistic_obs.Obs.with_capture} trace. *)
+(** Merges runs of [mw] into [dst_key0]/[dst_payload] starting at
+    [dst_pos], using the tree of losers with offset-value codes (Do &
+    Graefe): comparisons between keys sharing a prefix with the incumbent
+    collapse to a single int compare, and key words are only read when
+    the codes tie. The [deep] words are row-indexed and therefore shared
+    between [mw] and the destination. Each merge of two or more runs adds
+    its comparison tallies to the counters [sort.ovc_decided] (settled by
+    the codes alone) and [sort.ovc_scanned] (needed a key-word scan); read
+    them from a {!Holistic_obs.Obs.with_capture} trace. *)
 
 (** {2 Run sources: merging spilled runs} *)
 
@@ -86,28 +94,17 @@ val source_close : source -> unit
 val merge_sources :
   sources:source array -> ?tie:(int -> int -> int) -> emit:(int -> int -> unit) -> unit -> unit
 (** Merges the sources (each sorted by: key words in order, then [tie],
-    then ascending row id — the {!compare_positions} order) with the
-    same offset-value coded tree of losers as {!merge_multiword},
-    calling [emit key0 payload] once per entry in globally sorted order.
-    All sources must share one word count. Updates the same
-    [sort.ovc_decided] / [sort.ovc_scanned] counters. Does {e not}
-    close the sources. *)
-
-val lower_bound_by : less:(int -> int -> bool) -> lo:int -> hi:int -> int -> int
-(** [lower_bound_by ~less ~lo ~hi p] is the first position [q] in
-    [\[lo, hi)] with [not (less q p)], for a segment sorted by the strict
-    order [less] on positions. *)
+    then ascending row id — the {!compare_positions} order) through the
+    very loser tree {!merge_multiword} runs, calling [emit key0 payload]
+    once per entry in globally sorted order: the same runs give the same
+    order and the same [sort.ovc_decided] / [sort.ovc_scanned] counts
+    whether they sit in memory or on disk. All sources must share one
+    word count. Does {e not} close the sources. *)
 
 val split_at_rank_by : less:(int -> int -> bool) -> runs:run array -> rank:int -> int array
-(** {!split_at_rank} under an arbitrary strict {e total} order on
-    positions (multisequence selection): returns one cut per run such
-    that the prefixes hold exactly the [rank] smallest elements. [less]
-    must never call with out-of-run positions and must be total (break
-    ties by row id), which makes the cut unique. *)
-
-val split_at_rank : src:int array -> runs:run array -> rank:int -> int array
-(** [split_at_rank ~src ~runs ~rank] returns one cut position per run (an
-    absolute index within that run's bounds) such that the cut prefixes
-    together contain exactly [rank] elements and every prefix element sorts
-    no later than every suffix element under the stable merge order of
-    {!merge}. [rank] must lie in [\[0, total_length runs\]]. *)
+(** Multisequence selection under a strict {e total} order on positions:
+    returns one cut per run (an absolute position within that run's
+    bounds) such that the prefixes hold exactly the [rank] smallest
+    elements. [rank] must lie in [\[0, total_length runs\]]. [less] must
+    never call with out-of-run positions and must be total (break ties
+    by row id), which makes the cut unique. *)

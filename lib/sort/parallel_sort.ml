@@ -11,60 +11,6 @@ let note_scratch n =
   Obs.Counter.add c_scratch_bytes (8 * 2 * n);
   Obs.record_bytes (fun () -> 8 * (2 + (2 * n)))
 
-let sort_runs pool ?(task_size = Task_pool.default_task_size) ~key ~payload () =
-  let n = Array.length key in
-  if Array.length payload <> n then invalid_arg "Parallel_sort.sort_runs: length mismatch";
-  let nruns = if n = 0 then 0 else ((n - 1) / task_size) + 1 in
-  let runs =
-    Array.init nruns (fun r ->
-        { Multiway.lo = r * task_size; hi = min n ((r + 1) * task_size) })
-  in
-  Obs.span "sort.runs"
-    ~args:(fun () -> [ ("n", string_of_int n); ("runs", string_of_int nruns) ])
-    (fun () ->
-      Task_pool.run_list pool
-        (Array.to_list
-           (Array.map
-              (fun { Multiway.lo; hi } ->
-                fun () -> Introsort.sort_pairs_range ~key ~payload ~lo ~hi)
-              runs)));
-  runs
-
-let merge_runs pool ~key ~payload ~runs =
-  let total = Multiway.total_length runs in
-  if Array.length runs > 1 then
-    Obs.span "sort.merge"
-      ~args:(fun () ->
-        [ ("n", string_of_int total); ("runs", string_of_int (Array.length runs)) ])
-    @@ fun () ->
-    begin
-    note_scratch total;
-    let scratch_key = Array.make total 0 in
-    let scratch_payload = Array.make total 0 in
-    let segments = max 1 (Task_pool.size pool) in
-    let rank_of s = s * total / segments in
-    let cuts = Array.init (segments + 1) (fun s -> Multiway.split_at_rank ~src:key ~runs ~rank:(rank_of s)) in
-    let tasks = ref [] in
-    for s = segments - 1 downto 0 do
-      let sub_runs =
-        Array.init (Array.length runs) (fun r ->
-            { Multiway.lo = cuts.(s).(r); hi = cuts.(s + 1).(r) })
-      in
-      let dst_pos = rank_of s in
-      tasks :=
-        (fun () ->
-          Multiway.merge_pairs ~key ~payload ~runs:sub_runs ~dst_key:scratch_key
-            ~dst_payload:scratch_payload ~dst_pos)
-        :: !tasks
-    done;
-    Task_pool.run_list pool !tasks;
-    (* Copy the merged result back, in parallel chunks. *)
-    Task_pool.parallel_for pool ~lo:0 ~hi:total ~chunk:(max 1 (total / (4 * segments)))
-      (fun lo hi ->
-        Array.blit scratch_key lo key lo (hi - lo);
-        Array.blit scratch_payload lo payload lo (hi - lo))
-  end
-
 (* Run formation only pays off when the merge can run concurrently: on a
    single-domain pool an unrequested task split would cost a full extra
    merge pass over the data for nothing, so default to one run there. *)
@@ -72,17 +18,14 @@ let effective_task_size pool n = function
   | Some t -> t
   | None -> if Task_pool.size pool = 1 then max n 1 else Task_pool.default_task_size
 
-let sort_pairs pool ~key ~payload =
-  let task_size = effective_task_size pool (Array.length key) None in
-  let runs = sort_runs pool ~task_size ~key ~payload () in
-  merge_runs pool ~key ~payload ~runs
-
+(* Task-local segment sorts of [task_size] positions, then — with more
+   than one run — multisequence selection at balanced global ranks and
+   one loser-tree merge per output segment, each an independent task. *)
 let sort_multiword pool ?task_size ~mw () =
   let key0 = mw.Multiway.key0 and payload = mw.Multiway.payload in
   let n = Array.length key0 in
   if Array.length payload <> n then invalid_arg "Parallel_sort.sort_multiword: length mismatch";
   let task_size = effective_task_size pool n task_size in
-  let tie = Multiway.deep_compare mw in
   let nruns = if n = 0 then 0 else ((n - 1) / task_size) + 1 in
   let runs =
     Array.init nruns (fun r -> { Multiway.lo = r * task_size; hi = min n ((r + 1) * task_size) })
@@ -92,10 +35,7 @@ let sort_multiword pool ?task_size ~mw () =
     (fun () ->
       Task_pool.run_list pool
         (Array.to_list
-           (Array.map
-              (fun { Multiway.lo; hi } ->
-                fun () -> Introsort.sort_pairs_tie_range ~key:key0 ~payload ~tie ~lo ~hi)
-              runs)));
+           (Array.map (fun { Multiway.lo; hi } -> fun () -> Multiway.sort_range mw ~lo ~hi) runs)));
   if nruns > 1 then
     Obs.span "sort.merge"
       ~args:(fun () -> [ ("n", string_of_int n); ("runs", string_of_int nruns) ])
@@ -125,6 +65,7 @@ let sort_multiword pool ?task_size ~mw () =
         :: !tasks
     done;
     Task_pool.run_list pool !tasks;
+    (* Copy the merged result back, in parallel chunks. *)
     Task_pool.parallel_for pool ~lo:0 ~hi:n ~chunk:(max 1 (n / (4 * segments)))
       (fun lo hi ->
         Array.blit scratch_key lo key0 lo (hi - lo);
@@ -132,34 +73,31 @@ let sort_multiword pool ?task_size ~mw () =
   end
 
 let sort_encoded pool ?task_size ~n ~words ?tie () =
-  let nwords = Array.length words in
-  if nwords = 0 then begin
-    let perm =
-      match tie with
-      | None -> Array.init n (fun i -> i)
-      | Some t -> Introsort.sort_indices_by n ~cmp:t
-    in
-    (perm, [||])
+  Array.iter
+    (fun w -> if Array.length w <> n then invalid_arg "Parallel_sort.sort_encoded: word length")
+    words;
+  (* positions start out equal to row ids, so the trailing words can be
+     used row-indexed without any copy; only the leading word moves *)
+  let mw = Multiway.of_words ~words ?tie (Array.init n Fun.id) in
+  if Array.length words > 0 then begin
+    sort_multiword pool ?task_size ~mw ();
+    (mw.Multiway.payload, mw.Multiway.key0)
   end
   else begin
-    Array.iter
-      (fun w -> if Array.length w <> n then invalid_arg "Parallel_sort.sort_encoded: word length")
-      words;
-    (* positions start out equal to row ids, so the trailing words can be
-       used row-indexed without any copy; only the leading word moves *)
-    let key0 = Array.copy words.(0) in
-    let perm = Array.init n (fun i -> i) in
-    (match (nwords, tie) with
-    | 1, None ->
-        let task_size = effective_task_size pool n task_size in
-        let runs = sort_runs pool ~task_size ~key:key0 ~payload:perm () in
-        merge_runs pool ~key:key0 ~payload:perm ~runs
-    | _ ->
-        let deep = Array.sub words 1 (nwords - 1) in
-        let mw = { Multiway.key0; payload = perm; deep; tie } in
-        sort_multiword pool ?task_size ~mw ());
-    (perm, key0)
+    (* residual only: one sequential sort by [tie] over an all-zero
+       leading word (no residual either: the identity) *)
+    if Option.is_some tie then Multiway.sort_range mw ~lo:0 ~hi:n;
+    (mw.Multiway.payload, [||])
   end
+
+let merge_appended mw ~n_old =
+  let n = Array.length mw.Multiway.key0 in
+  Multiway.sort_range mw ~lo:n_old ~hi:n;
+  let key0 = Array.make n 0 and perm = Array.make n 0 in
+  Multiway.merge_multiword ~mw
+    ~runs:[| { Multiway.lo = 0; hi = n_old }; { Multiway.lo = n_old; hi = n } |]
+    ~dst_key0:key0 ~dst_payload:perm ~dst_pos:0;
+  (perm, key0)
 
 (* External sort counters: total bytes written to spill run files and
    number of run files formed. *)
@@ -176,10 +114,6 @@ let sort_encoded_spill ~n ~words ?tie ~run_rows ~read_entries ~dir ?on_key0 ?aft
     words;
   let run_rows = max 1 (min run_rows (max 1 n)) in
   let nruns = if n = 0 then 0 else ((n - 1) / run_rows) + 1 in
-  let deep = Array.sub words 1 (nwords - 1) in
-  (* the run-local sort order below the leading word: trailing words (row
-     indexed), then the residual, then ascending row id *)
-  let chunk_tie = Multiway.deep_compare { Multiway.key0 = [||]; payload = [||]; deep; tie } in
   let current_writer = ref None in
   let files = ref [] in
   let sources = ref [||] in
@@ -208,6 +142,8 @@ let sort_encoded_spill ~n ~words ?tie ~run_rows ~read_entries ~dir ?on_key0 ?aft
       let chunk = min run_rows (max 1 n) in
       let ckey = Array.make chunk 0 in
       let cpay = Array.make chunk 0 in
+      let deep = Array.sub words 1 (nwords - 1) in
+      let mw = { Multiway.key0 = ckey; payload = cpay; deep; tie } in
       let entry = Array.make nwords 0 in
       for r = 0 to nruns - 1 do
         let lo = r * run_rows in
@@ -217,7 +153,7 @@ let sort_encoded_spill ~n ~words ?tie ~run_rows ~read_entries ~dir ?on_key0 ?aft
           ckey.(i) <- words.(0).(lo + i);
           cpay.(i) <- lo + i
         done;
-        Introsort.sort_pairs_tie_range ~key:ckey ~payload:cpay ~tie:chunk_tie ~lo:0 ~hi:m;
+        Multiway.sort_range mw ~lo:0 ~hi:m;
         let w = Run_file.create ~dir ~nwords in
         current_writer := Some w;
         for i = 0 to m - 1 do

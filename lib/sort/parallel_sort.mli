@@ -1,30 +1,8 @@
-(** Parallel sorting: task-local introsort runs + balanced parallel multiway
-    merge (paper §5.2), each phase in its own span ([sort.runs],
-    [sort.merge]). *)
+(** Parallel sorting over normalized key words: task-local
+    {!Multiway.sort_range} runs + balanced parallel multiway merge (paper
+    §5.2), each phase in its own span ([sort.runs], [sort.merge]). *)
 
 open Holistic_parallel
-
-val sort_runs :
-  Task_pool.t ->
-  ?task_size:int ->
-  key:int array ->
-  payload:int array ->
-  unit ->
-  Multiway.run array
-(** Sorts consecutive chunks of [task_size] (default {!Task_pool.default_task_size})
-    elements in parallel, each by [(key, payload)] lexicographically, and
-    returns the run descriptors. *)
-
-val merge_runs :
-  Task_pool.t -> key:int array -> payload:int array -> runs:Multiway.run array -> unit
-(** Merges the given sorted runs (which must tile the arrays) back into the
-    arrays, in parallel: the output is split at balanced global ranks and
-    each segment is merged by an independent task. *)
-
-val sort_pairs : Task_pool.t -> key:int array -> payload:int array -> unit
-(** [sort_runs] followed by [merge_runs]: a stable parallel sort by
-    [(key, payload)]. One run, and no merge, on a single-domain pool (the
-    {!sort_encoded} rule). *)
 
 val sort_encoded :
   Task_pool.t ->
@@ -38,15 +16,25 @@ val sort_encoded :
     row-indexed key words [words] in order, then [tie] (a residual
     comparator on row ids), then ascending row id, and returns
     [(perm, sorted_key0)]: the sorted permutation and the leading key
-    word gathered in sorted order ([[||]] when [words] is empty). Single
-    word, no residual uses the existing lexicographic run/merge path;
-    anything wider is a multi-word sort: task-local introsort runs on
-    [(key0, deep-tie)], then multisequence selection at balanced global
-    ranks and per-segment offset-value coded loser-tree merges
-    ({!Multiway.merge_multiword}).  On a single-domain pool with no
-    explicit [task_size] the whole range is one run and the merge phase
-    is skipped: the split only pays off when the merges run
-    concurrently. *)
+    word gathered in sorted order ([[||]] when [words] is empty). Every
+    width takes the one path: task-local {!Multiway.sort_range} runs of
+    [task_size] rows, then multisequence selection at balanced global
+    ranks ({!Multiway.split_at_rank_by}) and one offset-value coded
+    loser-tree merge per output segment ({!Multiway.merge_multiword}).
+    On a single-domain pool with no explicit [task_size] the whole range
+    is one run and the merge phase is skipped: the split only pays off
+    when the merges run concurrently. With no words, rows sort by [tie]
+    alone in one sequential segment sort. *)
+
+val merge_appended : Multiway.multiword -> n_old:int -> int array * int array
+(** [merge_appended mw ~n_old] sorts a view whose positions
+    [\[0, n_old)] are already in order after rows were appended behind
+    them: the appended positions get one {!Multiway.sort_range}, then the
+    two runs one {!Multiway.merge_multiword}. Returns fresh
+    [(perm, sorted_key0)] as {!sort_encoded} does — the same arrays a
+    from-scratch sort of all the rows would give, since both runs follow
+    its strict total order. Sequential: appends are small next to the
+    table. [mw]'s suffix is sorted in place. *)
 
 val sort_encoded_spill :
   n:int ->
@@ -60,10 +48,11 @@ val sort_encoded_spill :
   unit ->
   int array * int * int
 (** External-memory variant of {!sort_encoded}: forms sorted runs of
-    [run_rows] rows sequentially (bounding the transient working set),
+    [run_rows] rows sequentially with {!Multiway.sort_range} (bounding
+    the transient working set),
     writes each as a checksummed {!Holistic_storage.Run_file} of full
     key words + row id under [dir], then streams all runs through the
-    offset-value coded loser-tree merge ({!Multiway.merge_sources}) with
+    same offset-value coded loser tree ({!Multiway.merge_sources}) with
     [read_entries]-entry read buffers per run. Returns
     [(perm, spill_runs, spill_bytes)] — the same permutation
     {!sort_encoded} would produce (the order is a strict total order, so

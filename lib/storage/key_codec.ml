@@ -371,21 +371,3 @@ let compile_sources ~n ?pids sources = compile_over ~n ?pids sources
 let compile ?pids ?rows table spec =
   let n = match rows with None -> Table.nrows table | Some r -> Array.length r in
   compile_over ~n ?rows ?pids (List.map (fun key -> { table; key }) spec)
-
-let comparator t =
-  let words = t.words and residual = t.residual in
-  let nw = Array.length words in
-  fun i j ->
-    let rec go w =
-      if w = nw then
-        match residual with
-        | Some r ->
-            let c = r i j in
-            if c <> 0 then c else Int.compare i j
-        | None -> Int.compare i j
-      else
-        let ww = words.(w) in
-        let c = Int.compare ww.(i) ww.(j) in
-        if c <> 0 then c else go (w + 1)
-    in
-    go 0

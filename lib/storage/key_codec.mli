@@ -60,7 +60,3 @@ val compile_sources : n:int -> ?pids:int array -> source list -> t
 (** Generalisation of {!compile} where each key resolves against its own
     table (all of [n] rows). *)
 
-val comparator : t -> int -> int -> int
-(** The compiled strict total order: words, then [residual], then
-    ascending row id. Equals the stable comparator sort's order; useful
-    for boundary-local re-sorts and parity tests. *)

@@ -1,7 +1,6 @@
 open Holistic_storage
 module Obs = Holistic_obs.Obs
 module Task_pool = Holistic_parallel.Task_pool
-module Introsort = Holistic_sort.Introsort
 module Multiway = Holistic_sort.Multiway
 module Parallel_sort = Holistic_sort.Parallel_sort
 
@@ -356,62 +355,36 @@ let classify_append s ~pids ~old_perm ~old_b ~old_parts ~perm ~boundaries ~n_old
           else rebuilt ())
 
 (* Maintain one stage order under an append: gather the new codec's
-   leading word through the old permutation (run 1), sort the appended
-   suffix (run 2) exactly as the parallel sort's run phase would, and
-   OVC-merge the two runs.  Both runs are sorted under the codec's strict
-   total order — words, residual, ascending row id — which is the full
-   sort's order, so the merged permutation is bit-identical to sorting the
-   appended table from scratch.  The O(n) adjacency check guards the
-   old-prefix invariant (it can break when a bulk eviction reordered
-   hash-densified partition labels); any failure falls back to a full
-   sort, which the slice classifier then salvages partition by partition. *)
+   leading word through the old permutation (run 1), then sort the
+   appended suffix (run 2) and merge the two runs with the sort layer's
+   one segment sort and loser tree.  Both runs are sorted under the
+   codec's strict total order — words, residual, ascending row id — which
+   is the full sort's order, so the merged permutation is bit-identical
+   to sorting the appended table from scratch; a residual-only order
+   (no words) merges on an all-zero leading word.  The O(n) adjacency
+   check guards the old-prefix invariant (it can break when a bulk
+   eviction reordered hash-densified partition labels); any failure falls
+   back to a full sort, which the slice classifier then salvages
+   partition by partition. *)
 let maintain_append s entry ~pids ~order ~n_old ~n =
   let table = s.table in
   let kc = Key_codec.compile ?pids table order in
-  let words = kc.Key_codec.words in
-  let merged =
-    if Array.length words = 0 then None
-    else begin
-      let payload = Array.make n 0 in
-      Array.blit entry.perm 0 payload 0 n_old;
-      for i = n_old to n - 1 do
-        payload.(i) <- i
-      done;
-      let w0 = words.(0) in
-      let key0 =
-        Array.init n (fun i -> Array.unsafe_get w0 (Array.unsafe_get payload i))
-      in
-      let mw =
-        {
-          Multiway.key0;
-          payload;
-          deep = Array.sub words 1 (Array.length words - 1);
-          tie = kc.Key_codec.residual;
-        }
-      in
-      let sorted = ref true in
-      (try
-         for i = 1 to n_old - 1 do
-           if Multiway.compare_positions mw (i - 1) i > 0 then begin
-             sorted := false;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      if not !sorted then None
-      else begin
-        if n - n_old > 1 then begin
-          let tie = Multiway.deep_compare mw in
-          Introsort.sort_pairs_tie_range ~key:key0 ~payload ~tie ~lo:n_old ~hi:n
-        end;
-        let dst_key0 = Array.make n 0 and dst_payload = Array.make n 0 in
-        Multiway.merge_multiword ~mw
-          ~runs:[| { Multiway.lo = 0; hi = n_old }; { Multiway.lo = n_old; hi = n } |]
-          ~dst_key0 ~dst_payload ~dst_pos:0;
-        Some (dst_payload, dst_key0)
-      end
-    end
-  in
+  let rows = Array.make n 0 in
+  Array.blit entry.perm 0 rows 0 n_old;
+  for i = n_old to n - 1 do
+    rows.(i) <- i
+  done;
+  let mw = Multiway.of_words ~words:kc.Key_codec.words ?tie:kc.Key_codec.residual rows in
+  let sorted = ref true in
+  (try
+     for i = 1 to n_old - 1 do
+       if Multiway.compare_positions mw (i - 1) i > 0 then begin
+         sorted := false;
+         raise Exit
+       end
+     done
+   with Exit -> ());
+  let merged = if !sorted then Some (Parallel_sort.merge_appended mw ~n_old) else None in
   let perm, boundaries, prov =
     match merged with
     | Some (perm, key0) ->

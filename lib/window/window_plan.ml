@@ -1,7 +1,6 @@
 open Holistic_storage
 module Obs = Holistic_obs.Obs
 module Task_pool = Holistic_parallel.Task_pool
-module Introsort = Holistic_sort.Introsort
 module Multiway = Holistic_sort.Multiway
 
 type clause = { spec : Window_spec.t; items : Window_func.t list }
@@ -31,47 +30,40 @@ let full_sort = Session.full_sort
 (* Partial-sort sharing (Cao et al., arXiv:1208.0086): a stage whose
    partitioning matches an earlier sort re-sorts only within the inherited
    partition boundaries — partition keys are never compared again. The new
-   order's compiled key words are gathered once through the base
-   permutation; ties fall back to deep words, the residual and finally the
-   row id, so repeated runs agree. *)
+   order's leading key word is gathered once through the base permutation
+   (all zeros for a residual-only order); ties fall back to deep words,
+   the residual and finally the row id, so repeated runs agree. *)
 let partial_sort pool table ~base_perm ~boundaries ~order =
   let perm = Array.copy base_perm in
   let n = Array.length perm in
   let nparts = Array.length boundaries - 1 in
   let kc = Key_codec.compile table order in
   let words = kc.Key_codec.words in
-  let comparator_path = Array.length words = 0 && kc.Key_codec.residual <> None in
-  (* Boundary segments are disjoint spans of [perm] (and [key]), so the
+  let nw = Array.length words in
+  let comparator_path = nw = 0 && kc.Key_codec.residual <> None in
+  let key0 = Array.make n 0 in
+  if nw > 0 then begin
+    let w0 = words.(0) in
+    Task_pool.parallel_for pool ~lo:0 ~hi:n (fun lo hi ->
+        for i = lo to hi - 1 do
+          Array.unsafe_set key0 i (Array.unsafe_get w0 (Array.unsafe_get perm i))
+        done)
+  end;
+  let mw =
+    {
+      Multiway.key0;
+      payload = perm;
+      deep = (if nw = 0 then [||] else Array.sub words 1 (nw - 1));
+      tie = kc.Key_codec.residual;
+    }
+  in
+  (* Boundary segments are disjoint spans of [perm] (and [key0]), so the
      per-partition re-sorts are independent tasks; chunking over partition
      indices keeps each task a run of consecutive segments. *)
-  let for_each_partition f =
-    Task_pool.parallel_for pool ~lo:0 ~hi:nparts (fun plo phi ->
-        for p = plo to phi - 1 do
-          f ~lo:boundaries.(p) ~hi:boundaries.(p + 1)
-        done)
-  in
-  (if Array.length words = 0 then begin
-     let cmp = Key_codec.comparator kc in
-     for_each_partition (fun ~lo ~hi -> Introsort.sort_by_range perm ~cmp ~lo ~hi)
-   end
-   else begin
-     let w0 = words.(0) in
-     let key = Array.make n 0 in
-     Task_pool.parallel_for pool ~lo:0 ~hi:n (fun lo hi ->
-         for i = lo to hi - 1 do
-           Array.unsafe_set key i (Array.unsafe_get w0 (Array.unsafe_get perm i))
-         done);
-     match Array.length words, kc.Key_codec.residual with
-     | 1, None ->
-         for_each_partition (fun ~lo ~hi -> Introsort.sort_pairs_range ~key ~payload:perm ~lo ~hi)
-     | nw, residual ->
-         let mw =
-           { Multiway.key0 = key; payload = perm; deep = Array.sub words 1 (nw - 1); tie = residual }
-         in
-         let tie = Multiway.deep_compare mw in
-         for_each_partition (fun ~lo ~hi ->
-             Introsort.sort_pairs_tie_range ~key ~payload:perm ~tie ~lo ~hi)
-   end);
+  Task_pool.parallel_for pool ~lo:0 ~hi:nparts (fun plo phi ->
+      for p = plo to phi - 1 do
+        Multiway.sort_range mw ~lo:boundaries.(p) ~hi:boundaries.(p + 1)
+      done);
   (perm, comparator_path)
 
 (* ------------------------------------------------------------------ *)

@@ -381,6 +381,55 @@ let test_extend_append () =
         (Window_plan.run ~pool table directed_clauses)
         actual)
 
+(* An ORDER BY that starts with an interval key compiles to no key words:
+   the residual alone orders it. Appends still maintain its stored
+   permutation — the appended rows are sorted and merged in, in order or
+   interleaved with the old keys — rather than re-sorting, and every query
+   stays bit-identical to a stateless run. *)
+let test_residual_order_append () =
+  let pool = Task_pool.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Task_pool.shutdown pool)
+    (fun () ->
+      let days = Expr.Mul (Expr.Col "k", Expr.Const (Value.Interval { Value.months = 0; days = 1 })) in
+      let order = [ Sort_spec.asc days ] in
+      let spec =
+        {
+          Ws.partition_by = [];
+          order_by = order;
+          frame = Some (Ws.rows_between (Ws.preceding 20) Ws.Current_row);
+        }
+      in
+      let clauses =
+        [
+          {
+            Window_plan.spec;
+            items =
+              [
+                Wf.rank ~name:"r" [];
+                Wf.percentile_disc ~name:"med" 0.5 [ Sort_spec.asc (Expr.Col "v") ];
+              ];
+          };
+        ]
+      in
+      let session = Session.create ~pool (directed_table 512) in
+      ignore (Window_plan.run ~pool ~session (Session.table session) clauses);
+      List.iter
+        (fun (label, delta) ->
+          Session.append_rows session delta;
+          (match Session.lookup session ~pb:[] ~order with
+          | Some (_, _, _, prov, _) ->
+              Alcotest.(check string) (label ^ ": stage order maintained")
+                (Printf.sprintf "maintained(+%d rows)" (Table.nrows delta))
+                prov
+          | None -> Alcotest.failf "%s: stage not stored" label);
+          let table = Session.table session in
+          check_identical
+            ~ctx:(fun () -> "residual order, " ^ label)
+            (Window_plan.run ~pool table clauses)
+            (Window_plan.run ~pool ~session table clauses))
+        [ ("in order", directed_delta ~base:512 64); ("interleaved", directed_delta ~base:100 64) ])
+
 (* An unchanged table serves the whole second run from the store: sorts,
    structures and per-item outputs, with zero new builds. *)
 let test_output_reuse () =
@@ -482,6 +531,7 @@ let () =
           Alcotest.test_case "bulk eviction compacts" `Quick test_evict;
           Alcotest.test_case "foreign table stays stateless" `Quick test_foreign_table;
           Alcotest.test_case "sql session front door" `Quick test_sql_session;
+          Alcotest.test_case "residual-only order maintains" `Quick test_residual_order_append;
         ] );
       ( "fuzz",
         [ Alcotest.test_case "insert/evict scripts vs rebuild" `Slow test_fuzz ] );

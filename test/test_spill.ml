@@ -12,6 +12,7 @@ module Rng = Holistic_util.Rng
 module Task_pool = Holistic_parallel.Task_pool
 module Parallel_sort = Holistic_sort.Parallel_sort
 module Multiway = Holistic_sort.Multiway
+module Obs = Holistic_obs.Obs
 module Mstw = Holistic_core.Mst_width
 module Mst = Holistic_core.Mst
 module Sql = Holistic_sql.Sql
@@ -269,16 +270,18 @@ let test_sort_spill_fault_cleanup () =
 
 let test_merge_sources_mixed () =
   (* one disk-backed source, one in-memory source, merged by the OVC
-     loser tree: the output must be the fully sorted union *)
+     loser tree: the output must be the fully sorted union — and the same
+     two runs merged as in-memory runs must give the same permutation and
+     the same code-decided / scanned comparison counts *)
   with_tmp_dir @@ fun dir ->
   let rng = Rng.create 37 in
   let nwords = 2 in
-  let gen_sorted n =
-    let rows = Array.init n (fun i -> (Rng.int rng 50, Rng.int rng 50, i)) in
+  let gen_sorted ~base n =
+    let rows = Array.init n (fun i -> (Rng.int rng 50, Rng.int rng 50, base + i)) in
     Array.sort compare rows;
     rows
   in
-  let a = gen_sorted 400 and b = gen_sorted 300 in
+  let a = gen_sorted ~base:0 400 and b = gen_sorted ~base:400 300 in
   (* a goes to disk *)
   let w = Run_file.create ~dir ~nwords in
   Array.iter (fun (w0, w1, p) -> Run_file.append w ~key:[| w0; w1 |] ~koff:0 ~payload:p) a;
@@ -307,9 +310,12 @@ let test_merge_sources_mixed () =
         k)
   in
   let out = ref [] in
-  Multiway.merge_sources ~sources:[| disk; mem |]
-    ~emit:(fun k0 payload -> out := (k0, payload) :: !out)
-    ();
+  let (), streamed =
+    Obs.with_capture (fun () ->
+        Multiway.merge_sources ~sources:[| disk; mem |]
+          ~emit:(fun k0 payload -> out := (k0, payload) :: !out)
+          ())
+  in
   Multiway.source_close disk;
   Multiway.source_close mem;
   Run_file.remove t;
@@ -322,7 +328,36 @@ let test_merge_sources_mixed () =
       let gk0, gp = got.(i) in
       Alcotest.(check int) (Printf.sprintf "key0 at %d" i) w0 gk0;
       Alcotest.(check int) (Printf.sprintf "payload at %d" i) p gp)
-    all
+    all;
+  (* the same runs in memory: positions 0..399 hold run a, 400..699 run
+     b, and the second word is row-indexed *)
+  let runs = Array.append a b in
+  let n = Array.length runs in
+  let w1 = Array.make n 0 in
+  Array.iter (fun (_, x, p) -> w1.(p) <- x) runs;
+  let mw =
+    {
+      Multiway.key0 = Array.map (fun (x, _, _) -> x) runs;
+      payload = Array.map (fun (_, _, p) -> p) runs;
+      deep = [| w1 |];
+      tie = None;
+    }
+  in
+  let dst_key0 = Array.make n 0 and dst_payload = Array.make n 0 in
+  let (), in_memory =
+    Obs.with_capture (fun () ->
+        Multiway.merge_multiword ~mw
+          ~runs:[| { Multiway.lo = 0; hi = 400 }; { Multiway.lo = 400; hi = n } |]
+          ~dst_key0 ~dst_payload ~dst_pos:0)
+  in
+  Alcotest.(check (array int)) "in-memory merge = streamed merge" (Array.map snd got) dst_payload;
+  let count trace name = Option.value ~default:0 (List.assoc_opt name trace.Obs.counters) in
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ ": in memory = streamed") (count streamed name)
+        (count in_memory name))
+    [ "sort.ovc_decided"; "sort.ovc_scanned" ];
+  Alcotest.(check bool) "codes decided some comparisons" true (count streamed "sort.ovc_decided" > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Governor units                                                      *)
