@@ -29,6 +29,7 @@ let count_ranges = T.count_ranges
 let iter_covered = T.iter_covered
 let count_value_ranges = T.count_value_ranges
 let select = T.select
+let neighbour = T.neighbour
 
 type stats = T.stats = {
   level_elements : int;

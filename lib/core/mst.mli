@@ -6,7 +6,7 @@
     set of intermediate results of an [fanout]-way merge sort, kept instead of
     discarded, and is built in O(n log n).
 
-    Two query families are supported, both O(log n) per query:
+    Three query families are supported, each O(log n) per query:
 
     - {!count}: how many elements with {e position} in a range have a
       {e value} below a threshold. This evaluates windowed COUNT DISTINCT
@@ -14,7 +14,11 @@
       dense order codes, §4.4).
     - {!select}: the (m+1)-th element, in base order, whose {e value} falls
       into given ranges. Over a permutation array (§4.5) this evaluates
-      windowed percentiles, value functions and LEAD/LAG.
+      windowed percentiles and value functions.
+    - {!neighbour}: the (k+1)-th such element counted outwards from a base
+      position. Over the same permutation array this evaluates LEAD/LAG
+      with the row's own position in the function order as the start, so
+      no ROW_NUMBER count precedes the selection.
 
     Queries run a single binary search on the top level; sampled merge-cursor
     states recorded during construction (every [sample]-th output position,
@@ -77,7 +81,7 @@ val count_ranges : t -> ranges:(int * int) array -> less_than:int -> int
     from frame-exclusion clauses (§4.7). Allocates nothing. *)
 
 type scratch = Mst_template.scratch
-(** Reusable probe state for {!select}: the ranges' value bounds and, per
+(** Reusable probe state for {!select} and {!neighbour}: the ranges' value bounds and, per
     level, their positions in the node the descent visits. Not shareable
     between concurrent probes; create one per task. *)
 
@@ -98,6 +102,30 @@ val select : t -> scratch:scratch -> ranges:(int * int) array -> nth:int -> int
     until a node holds at most [fanout] elements, which it scans in base
     order. Allocates nothing once [scratch] has grown.
     @raise Invalid_argument if fewer than [nth + 1] elements qualify. *)
+
+val neighbour :
+  t -> scratch:scratch -> ranges:(int * int) array -> from:int -> k:int -> forward:bool -> int
+(** [neighbour t ~scratch ~ranges ~from ~k ~forward] is the value of the
+    (k+1)-th element whose value lies in [ranges] (as for {!select}),
+    visiting base positions [from], [from + 1], … upwards when [forward],
+    else [from - 1], [from - 2], … downwards; [-1] when fewer than [k + 1]
+    elements qualify on that side (so values should be non-negative, as
+    a permutation's are). [from] may lie anywhere in [\[0, n\]].
+
+    The search scans the leaf block (level-1 node) of the first position
+    it visits outwards, then climbs, counting the far-side siblings of
+    each level's path child until one holds the target, and finishes with
+    {!select}'s walk inside it. A sibling of at most [fanout × sample]
+    elements is counted by a search over the whole sibling; above that
+    size the path's range bounds come from one cascaded descent from the
+    root, made the first time the climb reaches such a level. A target in
+    the first leaf block costs an O(fanout) scan and no tree search. The
+    worst case (the target far away, or absent) is of the order of a
+    {!count} plus a {!select}: up to [fanout - 1] sibling counts per
+    level, one cascaded descent and one walk, each direct lookup at most
+    [log₂ fanout] steps longer than a cascaded one. Allocates nothing
+    once [scratch] has grown.
+    @raise Invalid_argument if [k] is negative. *)
 
 val count_value_ranges : t -> ranges:(int * int) array -> int
 (** Number of elements whose value lies in the given ranges — the qualifying

@@ -21,8 +21,9 @@
 
 module Task_pool = Holistic_parallel.Task_pool
 
-(* Probe scratch for [select], one per probing task. It holds the ranges'
-   value bounds ([vals.(2r)], [vals.(2r+1)]), the run-relative positions of
+(* Probe scratch for [select] and [neighbour], one per probing task. It
+   holds the ranges' value bounds ([vals.(2r)], [vals.(2r+1)]), the
+   run-relative positions of
    those bounds in the node the descent visits at each level j
    ([bounds.(j * nb + b)], nb = 2 × number of ranges) and that node's
    cascade slots per bound ([sbase], [slack]). Width-independent, so one
@@ -787,48 +788,85 @@ module Make (S : Mst_storage.S) = struct
     end;
     !acc
 
-  (* The node [node, node + len) of level j holds the qualifying elements
-     bounds.(j·nb + 2r) .. bounds.(j·nb + 2r + 1) of its sorted run for each
-     range r. The descent walks the children in base order, computing their
-     bounds into level j - 1's slots, until the child holding the
-     (m+1)-th qualifying element; once a node has at most [fanout]
-     elements, it scans them on level 0 instead. *)
-  let select t ~scratch:sc ~ranges ~nth =
-    let nr = Array.length ranges in
-    let nb = 2 * nr in
+  (* Probe setup shared by [select] and [neighbour]: sizes the scratch and
+     loads the ranges' value bounds into [vals]; returns their count [nb]. *)
+  let load_ranges t sc ~ranges =
+    let nb = 2 * Array.length ranges in
+    reserve sc ~nb ~levels:(height t + 1);
+    for r = 0 to (nb / 2) - 1 do
+      let vlo, vhi = ranges.(r) in
+      sc.vals.(2 * r) <- vlo;
+      sc.vals.((2 * r) + 1) <- vhi
+    done;
+    nb
+
+  (* The value bounds' positions in the root's sorted run, into level h's
+     [bounds] slots; returns the qualifying total. *)
+  let root_bounds t sc ~nb =
     let h = height t in
-    reserve sc ~nb ~levels:(h + 1);
-    let vals = sc.vals and bounds = sc.bounds and sbase = sc.sbase and slack = sc.slack in
+    let vals = sc.vals and bounds = sc.bounds in
     let total = ref 0 in
     if t.n > 0 then begin
       let top = t.levels.(h) and at = h * nb in
-      for r = 0 to nr - 1 do
-        let vlo, vhi = ranges.(r) in
-        let blo = S.lower_bound top ~lo:0 ~hi:t.n vlo and bhi = S.lower_bound top ~lo:0 ~hi:t.n vhi in
-        vals.(2 * r) <- vlo;
-        vals.((2 * r) + 1) <- vhi;
-        bounds.(at + (2 * r)) <- blo;
-        bounds.(at + (2 * r) + 1) <- bhi;
-        total := !total + bhi - blo
+      for b = 0 to nb - 1 do
+        bounds.(at + b) <- S.lower_bound top ~lo:0 ~hi:t.n vals.(b);
+        if b land 1 = 1 then total := !total + bounds.(at + b) - bounds.(at + b - 1)
       done
     end;
-    if nth < 0 || nth >= !total then
-      invalid_arg
-        (Printf.sprintf "%s.select: nth=%d out of bounds (%d qualifying)" S.name nth !total);
+    !total
+
+  (* Cascade slots of the level-[j] node starting at [node] for each bound,
+     from its run positions in level j's [bounds] slots. *)
+  let node_slots t sc ~nb ~j ~node =
+    if t.sample > 0 then begin
+      let at = j * nb in
+      for b = 0 to nb - 1 do
+        let p = Array.unsafe_get sc.bounds (at + b) in
+        Array.unsafe_set sc.sbase b (state_slot t j node p);
+        Array.unsafe_set sc.slack b (p mod t.sample)
+      done
+    end
+
+  (* Qualifying elements of child [c] ([cb, cb + clen)) of the level-[j]
+     node whose cascade slots [node_slots] set; the child's bound positions
+     land in level j - 1's [bounds] slots. *)
+  let child_qualifying t sc ~nb ~j ~c ~cb ~clen =
+    let below = (j - 1) * nb in
+    let bounds = sc.bounds and sbase = sc.sbase and slack = sc.slack and vals = sc.vals in
+    let qual = ref 0 in
+    for b = 0 to nb - 1 do
+      let cp =
+        child_pos t j (Array.unsafe_get sbase b) (Array.unsafe_get slack b) c cb clen
+          (Array.unsafe_get vals b)
+      in
+      Array.unsafe_set bounds (below + b) cp;
+      if b land 1 = 1 then qual := !qual + cp - Array.unsafe_get bounds (below + b - 1)
+    done;
+    !qual
+
+  (* Whether the value [v] lies in one of the ascending ranges of [vals]. *)
+  let qualifies vals ~nb v =
+    let b = ref 0 in
+    while !b < nb && v >= Array.unsafe_get vals (!b + 1) do
+      b := !b + 2
+    done;
+    !b < nb && v >= Array.unsafe_get vals !b
+
+  (* The node [node, node + len) of level j holds the qualifying elements
+     bounds.(j·nb + 2r) .. bounds.(j·nb + 2r + 1) of its sorted run for each
+     range r, [q] of them in all. The walk descends through the children
+     in base order, computing their bounds into level j - 1's slots, to the
+     value of the (m+1)-th qualifying element; once a node has at most
+     [fanout] elements, it scans them on level 0 instead. *)
+  let select_walk t sc ~nb ~j ~node ~len ~m ~q =
     (* [m] counts qualifying elements of the node before the target, [q]
        all of them; each node's children are walked from the end nearer
        the target in that order, [k] counting what is still to skip *)
-    let j = ref h and node = ref 0 and len = ref t.n and m = ref nth and q = ref !total in
+    let j = ref j and node = ref node and len = ref len and m = ref m and q = ref q in
     while !len > t.fanout do
       let j' = !j in
       let lc = t.stride.(j' - 1) in
-      let at = j' * nb and below = (j' - 1) * nb in
-      if t.sample > 0 then
-        for b = 0 to nb - 1 do
-          let p = bounds.(at + b) in
-          sbase.(b) <- state_slot t j' !node p;
-          slack.(b) <- p mod t.sample
-        done;
+      node_slots t sc ~nb ~j:j' ~node:!node;
       let forward = 2 * !m < !q in
       let c = ref (if forward then 0 else (!len - 1) / lc) in
       let k = ref (if forward then !m else !q - 1 - !m) in
@@ -836,21 +874,16 @@ module Make (S : Mst_storage.S) = struct
       while !searching do
         let cb = !node + (!c * lc) in
         let clen = imin lc (!node + !len - cb) in
-        let qual = ref 0 in
-        for b = 0 to nb - 1 do
-          let cp = child_pos t j' sbase.(b) slack.(b) !c cb clen vals.(b) in
-          bounds.(below + b) <- cp;
-          if b land 1 = 1 then qual := !qual + cp - bounds.(below + b - 1)
-        done;
-        if !k < !qual then begin
+        let qual = child_qualifying t sc ~nb ~j:j' ~c:!c ~cb ~clen in
+        if !k < qual then begin
           searching := false;
-          m := if forward then !k else !qual - 1 - !k;
-          q := !qual;
+          m := if forward then !k else qual - 1 - !k;
+          q := qual;
           node := cb;
           len := clen
         end
         else begin
-          k := !k - !qual;
+          k := !k - qual;
           c := if forward then !c + 1 else !c - 1
         end
       done;
@@ -858,23 +891,130 @@ module Make (S : Mst_storage.S) = struct
     done;
     (* leaf scan: the element of [node, node + len) in base order with [m]
        qualifying elements before it, from the nearer end *)
-    let l0 = t.levels.(0) in
+    let l0 = t.levels.(0) and vals = sc.vals in
     let forward = 2 * !m < !q in
     let p = ref (if forward then !node else !node + !len - 1) in
     let k = ref (if forward then !m else !q - 1 - !m) and result = ref 0 in
     while !k >= 0 do
       let v = S.get l0 !p in
-      let b = ref 0 in
-      while !b < nb && v >= vals.(!b + 1) do
-        b := !b + 2
-      done;
-      if !b < nb && v >= vals.(!b) then begin
+      if qualifies vals ~nb v then begin
         if !k = 0 then result := v;
         decr k
       end;
       p := if forward then !p + 1 else !p - 1
     done;
     !result
+
+  let select t ~scratch:sc ~ranges ~nth =
+    let nb = load_ranges t sc ~ranges in
+    let total = root_bounds t sc ~nb in
+    if nth < 0 || nth >= total then
+      invalid_arg
+        (Printf.sprintf "%s.select: nth=%d out of bounds (%d qualifying)" S.name nth total);
+    select_walk t sc ~nb ~j:(height t) ~node:0 ~len:t.n ~m:nth ~q:total
+
+  (* Direct (uncascaded) bound positions of child [cb, cb + clen) of a
+     level-[j] node into level j - 1's [bounds] slots, as [child_qualifying]
+     but searching the whole child: it needs no parent bounds. *)
+  let child_qualifying_direct t sc ~nb ~j ~cb ~clen =
+    let below = (j - 1) * nb and lv = Array.unsafe_get t.levels (j - 1) in
+    let bounds = sc.bounds and vals = sc.vals in
+    let qual = ref 0 in
+    for b = 0 to nb - 1 do
+      let cp = S.lower_bound lv ~lo:cb ~hi:(cb + clen) (Array.unsafe_get vals b) - cb in
+      Array.unsafe_set bounds (below + b) cp;
+      if b land 1 = 1 then qual := !qual + cp - Array.unsafe_get bounds (below + b - 1)
+    done;
+    !qual
+
+  (* Bounds of every node on [p]'s path from the root down to level [j],
+     with the cascade. *)
+  let descend_to t sc ~nb ~p ~j =
+    ignore (root_bounds t sc ~nb);
+    for jj = height t downto j + 1 do
+      let stride = Array.unsafe_get t.stride jj and lc = Array.unsafe_get t.stride (jj - 1) in
+      let node = p / stride * stride in
+      let c = (p - node) / lc in
+      let cb = node + (c * lc) in
+      node_slots t sc ~nb ~j:jj ~node;
+      ignore (child_qualifying t sc ~nb ~j:jj ~c ~cb ~clen:(imin lc (t.n - cb)))
+    done
+
+  (* The neighbour search: scan [p]'s leaf block (its level-1 node)
+     outwards, then climb, counting the far-side siblings of each level's
+     path child until one holds the target, and finish with [select_walk]
+     inside it. A sibling of at most fanout × sample elements is counted
+     by searching it whole (log₂ fanout steps more than a cascaded
+     window's search, and no parent bounds needed); above that size the
+     path's bounds come from
+     one cascaded descent from the root, taken the first time the climb
+     gets there. Dense frames thus never pay the root search. *)
+  let neighbour t ~scratch:sc ~ranges ~from ~k ~forward =
+    if k < 0 then invalid_arg (Printf.sprintf "%s.neighbour: k=%d is negative" S.name k);
+    (* [p] is the first base index the search visits *)
+    let p = if forward then from else from - 1 in
+    if Array.length ranges = 0 || p < 0 || p >= t.n then -1
+    else begin
+      let h = height t in
+      let nb = load_ranges t sc ~ranges in
+      let vals = sc.vals in
+      (* the leaf block: the level-1 node holding [p], from [p] outwards *)
+      let l0 = t.levels.(0) in
+      let lb = if h = 0 then 0 else p - (p mod t.fanout) in
+      let stop = if forward then imin (lb + t.fanout) t.n else lb - 1 in
+      let k = ref k and found = ref false and result = ref (-1) in
+      let q = ref p in
+      while (not !found) && !q <> stop do
+        let v = S.get l0 !q in
+        if qualifies vals ~nb v then begin
+          if !k = 0 then begin
+            found := true;
+            result := v
+          end;
+          decr k
+        end;
+        q := if forward then !q + 1 else !q - 1
+      done;
+      let descended = ref false in
+      let jj = ref 2 in
+      while (not !found) && !jj <= h do
+        let j = !jj in
+        let stride = Array.unsafe_get t.stride j and lc = Array.unsafe_get t.stride (j - 1) in
+        let node = p / stride * stride in
+        let len = imin stride (t.n - node) in
+        let nc = ((len - 1) / lc) + 1 in
+        let direct = lc <= t.fanout * t.sample || t.sample = 0 in
+        if not direct then begin
+          if not !descended then begin
+            descend_to t sc ~nb ~p ~j;
+            descended := true
+          end;
+          node_slots t sc ~nb ~j ~node
+        end;
+        let c = ref (((p - node) / lc) + if forward then 1 else -1) in
+        while (not !found) && !c >= 0 && !c < nc do
+          let cb = node + (!c * lc) in
+          let clen = imin lc (node + len - cb) in
+          let qual =
+            if direct then child_qualifying_direct t sc ~nb ~j ~cb ~clen
+            else child_qualifying t sc ~nb ~j ~c:!c ~cb ~clen
+          in
+          if !k < qual then begin
+            found := true;
+            result :=
+              select_walk t sc ~nb ~j:(j - 1) ~node:cb ~len:clen
+                ~m:(if forward then !k else qual - 1 - !k)
+                ~q:qual
+          end
+          else begin
+            k := !k - qual;
+            c := if forward then !c + 1 else !c - 1
+          end
+        done;
+        incr jj
+      done;
+      !result
+    end
 
   (* ------------------------------------------------------------------ *)
   (* Statistics                                                          *)

@@ -118,6 +118,12 @@ let select t ~scratch ~ranges ~nth =
   | T32 t -> M32.select t ~scratch ~ranges ~nth
   | T64 t -> Mst.select t ~scratch ~ranges ~nth
 
+let neighbour t ~scratch ~ranges ~from ~k ~forward =
+  match t with
+  | T16 t -> M16.neighbour t ~scratch ~ranges ~from ~k ~forward
+  | T32 t -> M32.neighbour t ~scratch ~ranges ~from ~k ~forward
+  | T64 t -> Mst.neighbour t ~scratch ~ranges ~from ~k ~forward
+
 let footprint_bytes = function
   | T16 t -> M16.footprint_bytes t
   | T32 t -> M32.footprint_bytes t

@@ -80,6 +80,10 @@ val select : t -> scratch:scratch -> ranges:(int * int) array -> nth:int -> int
 (** {!Mst.select} at the tree's width, through a probe scratch from
     {!create_scratch} (one scratch serves every width). *)
 
+val neighbour :
+  t -> scratch:scratch -> ranges:(int * int) array -> from:int -> k:int -> forward:bool -> int
+(** {!Mst.neighbour} at the tree's width. *)
+
 val footprint_bytes : t -> int
 (** The repo-wide memory-accounting contract: element bytes at the
     selected width. *)

@@ -1,6 +1,5 @@
 open Holistic_storage
 module Task_pool = Holistic_parallel.Task_pool
-module Introsort = Holistic_sort.Introsort
 module Mstw = Holistic_core.Mst_width
 module Prev = Holistic_core.Prev_occurrence
 module Rank_encode = Holistic_core.Rank_encode
@@ -715,6 +714,31 @@ type select_kind =
   | Sel_lead of int * Expr.t option
   | Sel_lag of int * Expr.t option
 
+(* One pass over the function order: the filtered positions in that order
+   (the §4.5 Fig. 6 selection permutation, the leaves of the selection
+   tree) and, when [with_before], each partition row's count of filtered
+   rows ahead of it, which is where its LEAD/LAG search starts in the
+   tree's base order. Under the identity remap these are the encoding's
+   own permutation and row codes. *)
+let selection_order (enc : Rank_encode.t) rm ~with_before =
+  let perm = enc.permutation in
+  let np = Array.length perm in
+  if Remap.filtered_count rm = np then (perm, enc.row_codes)
+  else begin
+    let sel = Array.make (Remap.filtered_count rm) 0 in
+    let before = if with_before then Array.make np 0 else [||] in
+    let cnt = ref 0 in
+    for c = 0 to np - 1 do
+      let p = perm.(c) in
+      if with_before then before.(p) <- !cnt;
+      if Remap.qualifies rm p then begin
+        sel.(!cnt) <- Remap.rank rm p;
+        incr cnt
+      end
+    done;
+    (sel, before)
+  end
+
 let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~out =
   let order = effective_order ctx order in
   let enc = encode ctx order in
@@ -736,19 +760,23 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
   let rm = qualify ctx qual in
   let m = Remap.filtered_count rm in
   let fro = lazy (Array.init m (fun i -> enc.Rank_encode.row_codes.(Remap.position rm i))) in
-  let needs_rn = match kind with Sel_lead _ | Sel_lag _ -> true | _ -> false in
+  (* LEAD/LAG's signed offset in the function order (LAG looks back) *)
+  let shift =
+    match kind with Sel_lead (off, _) -> Some off | Sel_lag (off, _) -> Some (-off) | _ -> None
+  in
   (* the LEAD/LAG default, compiled once for every out-of-range row *)
   let default =
     match kind with
     | Sel_lead (_, Some e) | Sel_lag (_, Some e) -> Expr.compile ctx.table e
     | _ -> fun _ -> Value.Null
   in
-  (* Per-algorithm primitives: [select_nth ranges s nth] yields the selected
-     row's partition position; [rn ranges r] the current row's 0-based
-     position among the frame rows under the function order. *)
   let value_of_pos p = acc.value_at p in
   let float_of_pos p = acc.float_at p in
-  let emit_for r ~s ~select_nth ~rn =
+  (* The row's value from [s], the frame's row count, [rn], the row's
+     0-based position among the frame rows under the function order (read
+     by LEAD/LAG only), and [select_nth nth], the partition position of the
+     frame's (nth+1)-th row in that order. *)
+  let emit_for r ~s ~rn select_nth =
     let row = ctx.rows.(r) in
     let v =
       match kind with
@@ -777,24 +805,17 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
       | Sel_nth (n, from_last) ->
           let i = if from_last then s - n else n - 1 in
           if i >= 0 && i < s then value_of_pos (select_nth i) else Value.Null
-      | Sel_lead (off, _) | Sel_lag (off, _) ->
-          let off = match kind with Sel_lag _ -> -off | _ -> off in
-          let target = rn () + off in
+      | Sel_lead _ | Sel_lag _ ->
+          let target = rn + Option.get shift in
           if target >= 0 && target < s then value_of_pos (select_nth target) else default row
     in
     out.(row) <- v
   in
   match algorithm with
-  | Auto | Mst | Mst_no_cascade ->
+  | Auto | Mst | Mst_no_cascade -> begin
       let sample = if algorithm = Mst_no_cascade then 0 else ctx.sample in
-      let getro i = enc.Rank_encode.row_codes.(Remap.position rm i) in
-      (* permutation of filtered positions in function order = §4.5 Fig. 6 *)
-      let sel_perm () =
-        let keys = Array.init m getro in
-        let permf = Array.init m (fun i -> i) in
-        Introsort.sort_pairs ~key:keys ~payload:permf;
-        permf
-      in
+      let order_pass = lazy (selection_order enc rm ~with_before:(shift <> None)) in
+      let sel_perm () = fst (Lazy.force order_pass) in
       let sel_tree =
         Build_cache.count_tree ctx.cache ~algo:(mst_tag algorithm) ~cls:Build_cache.Select_perm ~order ~qual ~sample
           ~maintain:(mst_maintain ctx ~sample sel_perm)
@@ -802,40 +823,51 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
             let p = sel_perm () in
             governed_mst ctx ~sample ~n:m ~get:(Array.get p) ~arr:(fun () -> p))
       in
-      let cnt_tree =
-        if needs_rn then
-          Some
-            (Build_cache.count_tree ctx.cache ~algo:(mst_tag algorithm) ~cls:Build_cache.Row_codes ~order ~qual ~sample
-               ~maintain:(mst_maintain ctx ~sample (fun () -> Lazy.force fro))
-               (fun () ->
-                 governed_mst ctx ~sample ~n:m ~get:getro ~arr:(fun () -> Lazy.force fro)))
-        else None
-      in
-      Task_pool.parallel_for ctx.pool ~lo:0 ~hi:(np ctx) ~chunk:ctx.task_size (fun lo hi ->
-          let scratch = Mstw.create_scratch () in
-          for r = lo to hi - 1 do
-            let ranges = mapped_ranges ctx rm r in
-            let s = covered_of ranges in
-            emit_for r ~s
-              ~select_nth:(fun nth ->
-                Remap.position rm (Mstw.select sel_tree ~scratch ~ranges ~nth))
-              ~rn:(fun () ->
-                Mstw.count_ranges (Option.get cnt_tree) ~ranges
-                  ~less_than:enc.Rank_encode.row_codes.(r))
-          done)
+      match shift with
+      | Some d ->
+          (* LEAD/LAG: frame row rn + d is the (d+1)-th frame row met from
+             the row's start [before.(r)] upwards (a row in its own frame is
+             met first), or for d < 0 the |d|-th met below it *)
+          let before = snd (Lazy.force order_pass) in
+          let forward = d >= 0 in
+          let k = if forward then d else -d - 1 in
+          Task_pool.parallel_for ctx.pool ~lo:0 ~hi:(np ctx) ~chunk:ctx.task_size (fun lo hi ->
+              let scratch = Mstw.create_scratch () in
+              for r = lo to hi - 1 do
+                let i =
+                  Mstw.neighbour sel_tree ~scratch ~ranges:(mapped_ranges ctx rm r) ~from:before.(r)
+                    ~k ~forward
+                in
+                let row = ctx.rows.(r) in
+                out.(row) <- (if i < 0 then default row else value_of_pos (Remap.position rm i))
+              done)
+      | None ->
+          Task_pool.parallel_for ctx.pool ~lo:0 ~hi:(np ctx) ~chunk:ctx.task_size (fun lo hi ->
+              let scratch = Mstw.create_scratch () in
+              let ranges = ref [||] in
+              let select_nth nth =
+                Remap.position rm (Mstw.select sel_tree ~scratch ~ranges:!ranges ~nth)
+              in
+              for r = lo to hi - 1 do
+                ranges := mapped_ranges ctx rm r;
+                emit_for r ~s:(covered_of !ranges) ~rn:0 select_nth
+              done)
+    end
   | Naive ->
       let fro = Lazy.force fro in
       Task_pool.parallel_for ctx.pool ~lo:0 ~hi:(np ctx) ~chunk:ctx.task_size (fun lo hi ->
           let scratch = Array.make (max m 1) 0 in
+          let ranges = ref [||] in
+          let select_nth nth =
+            enc.Rank_encode.permutation.(Naive.select_kth fro ~scratch ~ranges:!ranges ~k:nth)
+          in
           for r = lo to hi - 1 do
-            let ranges = mapped_ranges ctx rm r in
-            let s = covered_of ranges in
-            emit_for r ~s
-              ~select_nth:(fun nth ->
-                let code = Naive.select_kth fro ~scratch ~ranges ~k:nth in
-                enc.Rank_encode.permutation.(code))
-              ~rn:(fun () ->
-                Naive.count_less fro ~ranges ~less_than:enc.Rank_encode.row_codes.(r))
+            ranges := mapped_ranges ctx rm r;
+            let rn =
+              if shift = None then 0
+              else Naive.count_less fro ~ranges:!ranges ~less_than:enc.Rank_encode.row_codes.(r)
+            in
+            emit_for r ~s:(covered_of !ranges) ~rn select_nth
           done)
   | Incremental | Incremental_serial ->
       let fro = Lazy.force fro in
@@ -843,26 +875,25 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
         ~serial:(algorithm = Incremental_serial)
         ~make_state:(fun () ->
           let sw = Inc.Sorted_window.create () in
+          let select_nth nth = enc.Rank_encode.permutation.(Inc.Sorted_window.select sw nth) in
           ( (fun p -> Inc.Sorted_window.add sw fro.(p)),
             (fun p -> Inc.Sorted_window.remove sw fro.(p)),
             (fun r ->
-              let s = Inc.Sorted_window.size sw in
-              emit_for r ~s
-                ~select_nth:(fun nth ->
-                  enc.Rank_encode.permutation.(Inc.Sorted_window.select sw nth))
-                ~rn:(fun () -> Inc.Sorted_window.rank sw enc.Rank_encode.row_codes.(r))),
+              let rn =
+                if shift = None then 0 else Inc.Sorted_window.rank sw enc.Rank_encode.row_codes.(r)
+              in
+              emit_for r ~s:(Inc.Sorted_window.size sw) ~rn select_nth),
             fun () -> Inc.Sorted_window.clear sw ))
   | Order_statistic ->
       let fro = Lazy.force fro in
       incremental_drive ctx rm ~serial:false ~make_state:(fun () ->
           let ost = Ost.create () in
+          let select_nth nth = enc.Rank_encode.permutation.(Ost.select ost nth) in
           ( (fun p -> Ost.insert ost fro.(p)),
             (fun p -> Ost.remove ost fro.(p)),
             (fun r ->
-              let s = Ost.size ost in
-              emit_for r ~s
-                ~select_nth:(fun nth -> enc.Rank_encode.permutation.(Ost.select ost nth))
-                ~rn:(fun () -> Ost.rank ost enc.Rank_encode.row_codes.(r))),
+              let rn = if shift = None then 0 else Ost.rank ost enc.Rank_encode.row_codes.(r) in
+              emit_for r ~s:(Ost.size ost) ~rn select_nth),
             fun () -> Ost.clear ost ))
   | Segment_tree -> unsupported "percentiles/value functions do not use segment trees"
 

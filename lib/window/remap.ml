@@ -31,6 +31,7 @@ let footprint_bytes t =
 let filtered_count t = Array.length t.positions
 let qualifies t r = t.prefix.(r + 1) > t.prefix.(r)
 let position t i = t.positions.(i)
+let rank t r = t.prefix.(r)
 
 let map_range t (lo, hi) = if t.identity then (lo, hi) else (t.prefix.(lo), t.prefix.(hi))
 

@@ -21,6 +21,10 @@ val qualifies : t -> int -> bool
 val position : t -> int -> int
 (** Partition position of the [i]-th qualifying row. *)
 
+val rank : t -> int -> int
+(** Number of qualifying rows before partition position [r]: the filtered
+    position of [r] when it qualifies (inverse of {!position}). *)
+
 val map_range : t -> int * int -> int * int
 (** Frame range in partition positions → range in filtered positions. *)
 

@@ -230,6 +230,37 @@ let test_distinct_build_spans () =
         true
         (in_order [ "arg_ids"; "prev"; "mst.distinct" ] kinds))
 
+(* A LEAD with its own ORDER BY probes the selection tree alone: forced
+   onto the MST, its item builds the [mst.select] tree and no [mst.row]
+   count tree. *)
+let test_lead_builds_one_tree () =
+  let pool = Task_pool.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Task_pool.shutdown pool)
+    (fun () ->
+      let n = 500 in
+      let table =
+        Table.create
+          [
+            ("ts", Column.ints (Array.init n (fun i -> i)));
+            ("x", Column.ints (Array.init n (fun i -> i * 7 mod 40)));
+          ]
+      in
+      let _, tr =
+        Sql.explain_analyze_trace ~pool ~evaluator:Holistic_window.Evaluator_choice.Mst
+          ~tables:[ ("t", table) ]
+          "select lead(x order by x) over (order by ts rows between 5 preceding and 5 following) from t"
+      in
+      let trees =
+        List.filter_map
+          (fun (s : Obs.span) ->
+            match List.assoc_opt "kind" s.Obs.args with
+            | Some k when s.Obs.name = "build" && String.starts_with ~prefix:"mst." k -> Some k
+            | _ -> None)
+          tr.Obs.spans
+      in
+      Alcotest.(check (list string)) "one selection tree" [ "mst.select" ] trees)
+
 let test_totals () =
   let (), tr =
     Obs.with_capture (fun () ->
@@ -924,6 +955,7 @@ let () =
           Alcotest.test_case "overlapping captures on two domains" `Quick test_overlapping_captures;
           Alcotest.test_case "worker spans under their submitter" `Quick test_worker_spans_parented;
           Alcotest.test_case "distinct builds under the item span" `Quick test_distinct_build_spans;
+          Alcotest.test_case "lead builds one tree" `Quick test_lead_builds_one_tree;
           Alcotest.test_case "query log inside an outer capture" `Quick
             test_query_log_in_outer_capture;
         ] );

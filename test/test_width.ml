@@ -249,6 +249,86 @@ let test_leaf_scan_parity () =
     [ 4; 32 ]
 
 (* ------------------------------------------------------------------ *)
+(* Neighbour search                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The (k+1)-th element in [ranges], scanning from base position [from]
+   upwards, or from [from - 1] downwards; -1 when there is none. *)
+let brute_neighbour a ranges ~from ~k ~forward =
+  let step i = if forward then i + 1 else i - 1 in
+  let rec go i k =
+    if i < 0 || i >= Array.length a then -1
+    else if in_ranges ranges a.(i) then if k = 0 then a.(i) else go (step i) (k - 1)
+    else go (step i) k
+  in
+  go (if forward then from else from - 1) k
+
+(* Zero to three disjoint ascending value ranges over [0, vmax], some of
+   them empty. *)
+let disjoint_value_ranges rng vmax =
+  let at = ref 0 in
+  Array.init (Rng.int rng 4) (fun _ ->
+      let lo = !at + Rng.int rng (1 + (vmax / 4)) in
+      let hi = lo + if Rng.int rng 4 = 0 then 0 else Rng.int rng (1 + (vmax / 3)) in
+      at := hi;
+      (lo, hi))
+
+let neighbour_case =
+  QCheck.make
+    ~print:(fun (seed, n, f, k, perm) ->
+      Printf.sprintf "seed=%d n=%d f=%d k=%d permutation=%b" seed n f k perm)
+    QCheck.Gen.(
+      let* seed = int_bound 1_000_000 in
+      let* n = oneof [ int_bound 70; int_bound 1_200 ] in
+      let* f = oneofl [ 2; 3; 32 ] in
+      let* k = oneofl [ 0; 1; 32 ] in
+      let* perm = bool in
+      return (seed, n, f, k, perm))
+
+(* Every width, built directly and run-stacked onto a tree of a prefix,
+   against the brute-force scan; one scratch serves every probe. *)
+let neighbour_agrees =
+  QCheck.Test.make ~name:"neighbour equals a brute-force scan" ~count:300 neighbour_case
+    (fun (seed, n, f, sample, perm) ->
+      let rng = Rng.create seed in
+      let a =
+        if perm then List.hd (operands n) else Array.init n (fun _ -> Rng.int rng (max 1 (n / 3)))
+      in
+      let scratch = W.create_scratch () in
+      let ok = ref true in
+      List.iter
+        (fun (w, wname) ->
+          let choice = W.Force w in
+          let full = W.create ~pool:Shared_pool.pool ~fanout:f ~sample ~choice a in
+          let n0 = Rng.int rng (n + 1) in
+          let stacked =
+            W.try_extend ~fanout:f ~sample ~choice
+              (W.create ~pool:Shared_pool.pool ~fanout:f ~sample ~choice (Array.sub a 0 n0))
+              a
+          in
+          if stacked = None then begin
+            Printf.eprintf "neighbour: %s-bit append from %d rows declined\n" wname n0;
+            ok := false
+          end;
+          List.iter
+            (fun (tree, t) ->
+              for _ = 1 to 30 do
+                let ranges = disjoint_value_ranges rng n in
+                let from = Rng.int rng (n + 1) and forward = Rng.bool rng in
+                let k = Rng.int rng (3 + (brute_cvr a ranges / 2)) in
+                let expect = brute_neighbour a ranges ~from ~k ~forward in
+                let got = W.neighbour t ~scratch ~ranges ~from ~k ~forward in
+                if got <> expect then begin
+                  Printf.eprintf "neighbour %s-bit %s: from=%d k=%d forward=%b got %d expect %d\n"
+                    wname tree from k forward got expect;
+                  ok := false
+                end
+              done)
+            (("created", full) :: Option.to_list (Option.map (fun t -> ("appended", t)) stacked)))
+        forced_widths;
+      !ok)
+
+(* ------------------------------------------------------------------ *)
 (* Allocation: probes allocate no words                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -259,9 +339,9 @@ let minor_words f =
   f ();
   Gc.minor_words () -. before
 
-(* 1 000 calls each of count, count_ranges and select, after a warm-up
-   that grows the select scratch, allocate exactly the words of the same
-   loop without the probe: nothing. *)
+(* 1 000 calls each of count, count_ranges, select and neighbour, after a
+   warm-up that grows the probe scratch, allocate exactly the words of the
+   same loop without the probe: nothing. *)
 let test_probes_allocate_nothing () =
   let n = 5_000 and calls = 1_000 in
   let a = List.hd (operands n) in
@@ -281,6 +361,7 @@ let test_probes_allocate_nothing () =
   let nth =
     Array.init calls (fun i -> Rng.int rng (max 1 (brute_cvr a holed.(i))))
   in
+  let from = Array.init calls (fun _ -> Rng.int rng (n + 1)) in
   List.iter
     (fun sample ->
       List.iter
@@ -303,19 +384,32 @@ let test_probes_allocate_nothing () =
               sink := !sink + W.select t ~scratch ~ranges:holed.(i) ~nth:nth.(i)
             done
           in
+          let neighbour () =
+            for i = 0 to calls - 1 do
+              sink :=
+                !sink
+                + W.neighbour t ~scratch ~ranges:holed.(i) ~from:from.(i) ~k:(nth.(i) land 7)
+                    ~forward:(i land 1 = 0)
+            done
+          in
           let empty () =
             for i = 0 to calls - 1 do
               sink := !sink + th.(i)
             done
           in
-          List.iter (fun f -> f ()) [ count; count_ranges; select; empty ];
+          List.iter (fun f -> f ()) [ count; count_ranges; select; neighbour; empty ];
           let base = minor_words empty in
           List.iter
             (fun (name, f) ->
               Alcotest.(check (float 0.))
                 (Printf.sprintf "%s words, %s-bit, sample %d" name wname sample)
                 base (minor_words f))
-            [ ("count", count); ("count_ranges", count_ranges); ("select", select) ])
+            [
+              ("count", count);
+              ("count_ranges", count_ranges);
+              ("select", select);
+              ("neighbour", neighbour);
+            ])
         forced_widths)
     [ 32; 0 ]
 
@@ -427,6 +521,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest widths_agree;
           Alcotest.test_case "leaf-scan boundaries" `Quick test_leaf_scan_parity;
+          QCheck_alcotest.to_alcotest neighbour_agrees;
         ] );
       ("allocation", [ Alcotest.test_case "probes allocate nothing" `Quick test_probes_allocate_nothing ]);
       ( "boundaries",

@@ -526,6 +526,20 @@ let has_exclusion (over : Window_spec.t) =
   | Some f -> f.Window_spec.exclusion <> Window_spec.Exclude_no_others
   | None -> false
 
+(* Every expected (name, column) pair against the engine's table. *)
+let check_columns ~seed expected got =
+  List.iter
+    (fun (name, exp) ->
+      let col = Table.column got name in
+      Array.iteri
+        (fun i e ->
+          let g = Column.get col i in
+          if not (value_eq e g) then
+            Alcotest.failf "seed %d: %s row %d: oracle=%s engine=%s" seed name i
+              (Value.to_string e) (Value.to_string g))
+        exp)
+    expected
+
 let compare_against_oracle ~algorithm seed =
   let rng = Rng.create seed in
   let n = 1 + Rng.int rng 36 in
@@ -554,22 +568,60 @@ let compare_against_oracle ~algorithm seed =
       table
       [ { Window_plan.spec = over; items } ]
   in
-  List.iter
-    (fun (name, exp) ->
-      let col = Table.column got name in
-      Array.iteri
-        (fun i e ->
-          let g = Column.get col i in
-          if not (value_eq e g) then
-            Alcotest.failf "seed %d: %s row %d: oracle=%s engine=%s" seed name i
-              (Value.to_string e) (Value.to_string g))
-        exp)
-    expected
+  check_columns ~seed expected got
 
 let mst_vs_oracle seed () = compare_against_oracle ~algorithm:Wf.Mst seed
 let auto_vs_oracle seed () = compare_against_oracle ~algorithm:Wf.Auto seed
 let nocascade_vs_oracle seed () = compare_against_oracle ~algorithm:Wf.Mst_no_cascade seed
 let naive_vs_oracle seed () = compare_against_oracle ~algorithm:Wf.Naive seed
+
+(* LEAD/LAG with their own ORDER BY on a forced tree backend, against
+   [Reference]: offsets 0-3 both ways, a default, IGNORE NULLS and FILTER,
+   under each frame exclusion in turn. Up to 300 rows, so small fanouts
+   give trees of several levels and the neighbour search climbs. *)
+let lead_lag_vs_reference algorithm seed () =
+  let rng = Rng.create seed in
+  let n = 1 + Rng.int rng 300 in
+  let table = make_table rng n in
+  let base = random_over rng in
+  let exclusion =
+    [| Window_spec.Exclude_no_others; Exclude_current_row; Exclude_group; Exclude_ties |].(seed mod 4)
+  in
+  let frame = { (random_frame rng) with Window_spec.exclusion } in
+  let frame =
+    if frame.Window_spec.mode = Window_spec.Range && List.length base.Window_spec.order_by <> 1 then
+      { frame with Window_spec.mode = Window_spec.Rows }
+    else frame
+  in
+  let over = { base with Window_spec.frame = Some frame } in
+  let order = forder rng and filter = Some Expr.(Gt (Col "k", Const (Value.Int 1))) in
+  let default = Expr.Const (Value.Float (-1.0)) in
+  let items =
+    List.concat_map
+      (fun offset ->
+        let name f = Printf.sprintf "%s%d" f offset in
+        [
+          Wf.lead ~algorithm ~order ~offset ~name:(name "ld") (Expr.Col "v");
+          Wf.lag ~algorithm ~order ~offset ~default ~name:(name "lg") (Expr.Col "v");
+          Wf.lead ~algorithm ~order ~offset ~ignore_nulls:true ~default ~name:(name "ldn")
+            (Expr.Col "v");
+          Wf.lag ~algorithm ~order ~offset ~ignore_nulls:true ~name:(name "lgn") (Expr.Col "v");
+          Wf.lead ~algorithm ~order ~offset ?filter ~name:(name "ldf") (Expr.Col "v");
+          Wf.lag ~algorithm ~order ~offset ?filter ~ignore_nulls:true ~default ~name:(name "lgf")
+            (Expr.Col "v");
+        ])
+      [ 0; 1; 2; 3 ]
+  in
+  let clauses = [ { Window_plan.spec = over; items } ] in
+  let expected = Reference.run table clauses in
+  let got =
+    Window_plan.run ~pool:Shared_pool.pool
+      ~fanout:[| 2; 3; 4; 32 |].(Rng.int rng 4)
+      ~sample:[| 1; 3; 32 |].(Rng.int rng 3)
+      ~task_size:(1 + Rng.int rng 40)
+      table clauses
+  in
+  check_columns ~seed expected got
 
 (* incremental / OST support neither exclusion nor every function; check the
    supported subset on exclusion-free frames *)
@@ -815,6 +867,9 @@ let () =
       ("oracle-auto", oracle_cases "auto" auto_vs_oracle);
       ("oracle-no-cascade", oracle_cases "nocascade" nocascade_vs_oracle);
       ("oracle-naive", oracle_cases "naive" naive_vs_oracle);
+      ( "lead-lag",
+        oracle_cases "mst" (lead_lag_vs_reference Wf.Mst)
+        @ oracle_cases "mst-no-cascade" (lead_lag_vs_reference Wf.Mst_no_cascade) );
       ("oracle-incremental", oracle_cases "incremental" (incremental_vs_oracle Wf.Incremental));
       ( "oracle-incremental-serial",
         oracle_cases "incremental-serial" (incremental_vs_oracle Wf.Incremental_serial) );
