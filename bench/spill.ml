@@ -5,8 +5,8 @@
    ways: ungoverned (the historical in-memory path), governed with no
    budget (to measure the accounted in-memory peak), and governed with a
    budget of a quarter of that peak — forcing the sort through spilled
-   OVC run files and the rank item's merge sort trees through streamed
-   construction.
+   OVC run files. The rank item's merge sort trees are built in memory
+   either way: the governor governs sorts only.
 
    Correctness is a hard failure, checked before anything is timed: the
    capped run must produce bit-identical columns (floats compared by

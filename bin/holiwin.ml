@@ -168,11 +168,11 @@ let query_cmd =
   in
   let mem_limit =
     Arg.(value & opt (some string) None & info [ "mem-limit" ] ~docv:"BYTES"
-           ~doc:"Bound the window operator's working set: sorts spill to disk \
-                 runs and index builds stream when the budget would overflow, \
-                 with bit-identical results. Accepts bytes with an optional \
-                 K/M/G suffix (e.g. 64M), or $(b,spill) to force every sort \
-                 out of core. $(b,HOLIWIN_MEM_LIMIT) is the same knob as an \
+           ~doc:"Bound the window operator's sorts: they spill to disk runs \
+                 when the budget would overflow, with bit-identical results; \
+                 structures are always built in memory. Accepts bytes with \
+                 an optional K/M/G suffix (e.g. 64M), or $(b,spill) to force \
+                 every sort out of core. $(b,HOLIWIN_MEM_LIMIT) is the same knob as an \
                  environment variable.")
   in
   let timing = Arg.(value & flag & info [ "time" ] ~doc:"Print execution time.") in

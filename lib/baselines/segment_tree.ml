@@ -54,51 +54,6 @@ module Make (M : MONOID) = struct
     end
 end
 
-module Float_sum = struct
-  module T = Make (struct
-    type t = float
-
-    let identity = 0.0
-    let combine = ( +. )
-  end)
-
-  type t = T.t
-
-  let create a = T.create (Array.length a) (fun i -> a.(i))
-  let query = T.query
-  let footprint_bytes = T.footprint_bytes
-end
-
-module Float_min = struct
-  module T = Make (struct
-    type t = float
-
-    let identity = infinity
-    let combine a b = if a <= b then a else b
-  end)
-
-  type t = T.t
-
-  let create a = T.create (Array.length a) (fun i -> a.(i))
-  let query = T.query
-  let footprint_bytes = T.footprint_bytes
-end
-
-module Float_max = struct
-  module T = Make (struct
-    type t = float
-
-    let identity = neg_infinity
-    let combine a b = if a >= b then a else b
-  end)
-
-  type t = T.t
-
-  let create a = T.create (Array.length a) (fun i -> a.(i))
-  let query = T.query
-  let footprint_bytes = T.footprint_bytes
-end
-
 module Int_sum = struct
   module T = Make (struct
     type t = int

@@ -31,34 +31,6 @@ module Make (M : MONOID) : sig
       repo-wide memory-accounting contract. *)
 end
 
-module Float_sum : sig
-  type t
-
-  val create : float array -> t
-  val query : t -> lo:int -> hi:int -> float
-  val footprint_bytes : t -> int
-end
-
-module Float_min : sig
-  type t
-
-  val create : float array -> t
-  val query : t -> lo:int -> hi:int -> float
-  (** [infinity] on an empty range. *)
-
-  val footprint_bytes : t -> int
-end
-
-module Float_max : sig
-  type t
-
-  val create : float array -> t
-  val query : t -> lo:int -> hi:int -> float
-  (** [neg_infinity] on an empty range. *)
-
-  val footprint_bytes : t -> int
-end
-
 module Int_sum : sig
   type t
 

@@ -55,22 +55,3 @@ module Make (M : MONOID) = struct
         if prefix > 0 then acc := M.combine !acc t.prefixes.(level).(base + prefix - 1));
     !acc
 end
-
-module Float_sum = struct
-  module Sum = Make (struct
-    type t = float
-
-    let identity = 0.0
-    let combine = ( +. )
-  end)
-
-  type t = Sum.t
-
-  let create ~pool ?fanout ?sample ~keys ~values () =
-    if Array.length keys <> Array.length values then
-      invalid_arg "Annotated_mst.Float_sum.create: length mismatch";
-    Sum.create ~pool ?fanout ?sample ~keys ~value:(fun i -> values.(i)) ()
-
-  let query = Sum.query
-  let footprint_bytes = Sum.footprint_bytes
-end

@@ -49,20 +49,3 @@ module Make (M : MONOID) : sig
   (** Tree element bytes plus the reachable words of the per-run prefix
       aggregates — the repo-wide memory-accounting contract. *)
 end
-
-(** Float-SUM instantiation (SUM/AVG DISTINCT fast path). *)
-module Float_sum : sig
-  type t
-
-  val create :
-    pool:Holistic_parallel.Task_pool.t ->
-    ?fanout:int ->
-    ?sample:int ->
-    keys:int array ->
-    values:float array ->
-    unit ->
-    t
-
-  val query : t -> lo:int -> hi:int -> less_than:int -> float
-  val footprint_bytes : t -> int
-end

@@ -12,7 +12,6 @@ type scratch = Mst_template.scratch
 let create_scratch = Mst_template.create_scratch
 
 let create = T.create
-let create_stream = T.create_stream
 let append = T.append
 let length = T.length
 let fanout = T.fanout

@@ -48,15 +48,6 @@ val create :
     position each element came from, which {!Annotated_mst} needs to attach
     aggregate annotations. The input array is copied. *)
 
-val create_stream : ?fanout:int -> ?sample:int -> n:int -> fill:(int array -> pos:int -> len:int -> unit) -> unit -> t
-(** Out-of-core construction: streams the [n] leaves in chunks through
-    [fill buf ~pos ~len] (write values for positions [pos..pos+len-1]
-    into [buf.(0..len-1)]) and merges each level through storage-backed
-    write-behind buffers — no full operand array and no wide shadow
-    buffers are ever materialised. Sequential. Bit-identical to
-    [create] of the same leaves with the same knobs.
-    @raise Invalid_argument on values outside the storage range. *)
-
 val append : t -> int array -> t option
 (** [append t a] incrementally maintains the tree for the grown leaf array
     [a] (whose first [length t] elements must equal the existing leaves) by

@@ -22,17 +22,15 @@ module type S = sig
   val width_bits : int
   val bytes_per_element : int
 
-  val min_value : int
   val max_value : int
-  (** Inclusive range of storable values. Tree lengths must also stay within
-      [max_value]: merge-cursor states count elements of a run. *)
+  (** Largest storable value. Tree lengths must stay within it: merge-cursor
+      states count elements of a run. *)
 
   val create : int -> buf
   (** Contents unspecified; every slot is written before it is read. *)
 
   val length : buf -> int
   val get : buf -> int -> int
-  val set : buf -> int -> int -> unit
 
   val lower_bound : buf -> lo:int -> hi:int -> int -> int
   (** Position of the first element in the sorted segment [\[lo, hi)] that is
@@ -50,7 +48,7 @@ module type S = sig
 
   (* The build phase merges through plain [int array] views so its inner
      loop stays monomorphic (one bulk call per run chunk instead of one
-     functor-indirected [get]/[set] per element). Word-width storage exposes
+     functor-indirected call per element). Word-width storage exposes
      its underlying array directly; narrow widths are staged through scratch
      with the two blits below. *)
 
@@ -78,12 +76,10 @@ module Int63 : S with type buf = int array = struct
   let name = "Mst"
   let width_bits = 64
   let bytes_per_element = 8
-  let min_value = min_int
   let max_value = max_int
   let create n = Array.make n 0
   let length = Array.length
   let get = Array.unsafe_get
-  let set = Array.unsafe_set
   let lower_bound = Bs.lower_bound
 
   let count_below (a : buf) ~lo ~hi x =

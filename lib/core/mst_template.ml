@@ -232,111 +232,6 @@ module Make (S : Mst_storage.S) = struct
       done
     end
 
-  (* [merge_one_run] over accessor closures instead of [int array] views:
-     the out-of-core build path, where neither the wide shadows nor a
-     materialised operand array exist. [src_get] reads level j-1 straight
-     from storage; [dst_put]/[cur_put] are sequential buffered writers
-     into level j / its cursor states. Merge logic, tie-breaking and
-     sampled-state placement are identical to [merge_one_run], so the
-     output is bit-identical; only the element transport differs. *)
-  let merge_one_run_gen ~sc ~src_get ~dst_put ~cur_put ~state_base ~fanout ~sample ~run_base
-      ~run_len ~child_stride =
-    let nc = ((run_len - 1) / child_stride) + 1 in
-    let kk = ref 1 in
-    while !kk < nc do
-      kk := !kk * 2
-    done;
-    let kk = !kk in
-    let cur = sc.cur and cbase = sc.cbase and clen = sc.clen in
-    let lval = sc.lval and lkey = sc.lkey and node = sc.node in
-    let sbase = run_base and dbase = run_base in
-    for c = 0 to kk - 1 do
-      if c < nc then begin
-        let len = min child_stride (run_len - (c * child_stride)) in
-        cur.(c) <- 0;
-        cbase.(c) <- sbase + (c * child_stride);
-        clen.(c) <- len;
-        if len > 0 then begin
-          lval.(c) <- src_get (sbase + (c * child_stride));
-          lkey.(c) <- c
-        end
-        else begin
-          lval.(c) <- max_int;
-          lkey.(c) <- kk + c
-        end
-      end
-      else begin
-        lval.(c) <- max_int;
-        lkey.(c) <- kk + c
-      end
-    done;
-    let less a b = lval.(a) < lval.(b) || (lval.(a) = lval.(b) && lkey.(a) < lkey.(b)) in
-    let w = sc.winners in
-    for c = 0 to kk - 1 do
-      w.(kk + c) <- c
-    done;
-    for i = kk - 1 downto 1 do
-      let a = w.(2 * i) and b = w.((2 * i) + 1) in
-      if less a b then begin
-        w.(i) <- a;
-        node.(i) <- b
-      end
-      else begin
-        w.(i) <- b;
-        node.(i) <- a
-      end
-    done;
-    let winner = ref (if kk = 1 then 0 else w.(1)) in
-    let winner_val = ref lval.(!winner) in
-    let state = ref state_base in
-    let until_record = ref 0 in
-    for emitted = 0 to run_len - 1 do
-      if sample > 0 then begin
-        if !until_record = 0 then begin
-          let b = !state in
-          for c = 0 to nc - 1 do
-            cur_put (b + c) (Array.unsafe_get cur c)
-          done;
-          state := b + fanout;
-          until_record := sample
-        end;
-        decr until_record
-      end;
-      let c = !winner in
-      dst_put (dbase + emitted) !winner_val;
-      let cc = Array.unsafe_get cur c + 1 in
-      Array.unsafe_set cur c cc;
-      if cc < Array.unsafe_get clen c then
-        Array.unsafe_set lval c (src_get (Array.unsafe_get cbase c + cc))
-      else begin
-        Array.unsafe_set lval c max_int;
-        Array.unsafe_set lkey c (kk + c)
-      end;
-      let wc = ref c in
-      let wv = ref (Array.unsafe_get lval c) in
-      let wk = ref (Array.unsafe_get lkey c) in
-      let i = ref ((kk + c) lsr 1) in
-      while !i >= 1 do
-        let l = Array.unsafe_get node !i in
-        let lv = Array.unsafe_get lval l in
-        if lv < !wv || (lv = !wv && Array.unsafe_get lkey l < !wk) then begin
-          Array.unsafe_set node !i !wc;
-          wc := l;
-          wv := lv;
-          wk := Array.unsafe_get lkey l
-        end;
-        i := !i lsr 1
-      done;
-      winner := !wc;
-      winner_val := !wv
-    done;
-    if sample > 0 && !until_record = 0 then begin
-      let b = !state in
-      for c = 0 to nc - 1 do
-        cur_put (b + c) (Array.unsafe_get cur c)
-      done
-    end
-
   let check_knobs fn ~n ~fanout ~sample =
     if fanout < 2 then invalid_arg (Printf.sprintf "%s.%s: fanout must be >= 2" S.name fn);
     if sample < 0 then invalid_arg (Printf.sprintf "%s.%s: sample must be >= 0" S.name fn);
@@ -346,11 +241,11 @@ module Make (S : Mst_storage.S) = struct
 
   let range_msg fn = Printf.sprintf "%s.%s: value exceeds %d-bit storage range" S.name fn S.width_bits
 
-  (* The level geometry of an [n]-leaf tree, shared by [create],
-     [create_stream] and [append]:
-     height [h] (smallest h with fanout^h >= n), [stride.(j)] = fanout^j,
-     [spr.(j)] sampled states per run of level j+1 and [states.(j)] the
-     length of level j+1's cursor array (all zero when [sample = 0]). *)
+  (* The level geometry of an [n]-leaf tree, shared by [create] and
+     [append]: height [h] (smallest h with fanout^h >= n), [stride.(j)] =
+     fanout^j, [spr.(j)] sampled states per run of level j+1 and
+     [states.(j)] the length of level j+1's cursor array (all zero when
+     [sample = 0]). *)
   let geometry ~n ~fanout ~sample =
     let h = ref 0 and s = ref 1 in
     while !s < n do
@@ -462,100 +357,6 @@ module Make (S : Mst_storage.S) = struct
       end
     done;
     { n; fanout; sample; levels; payloads; stride; cursors; spr }
-
-  (* ------------------------------------------------------------------ *)
-  (* Streamed (out-of-core) construction                                 *)
-  (* ------------------------------------------------------------------ *)
-
-  (* Chunk size of the streamed build's transient buffers: the leaf fill
-     chunk and each level's write-behind buffers. *)
-  let stream_chunk = 65536
-
-  let create_stream ?(fanout = 32) ?(sample = 32) ~n ~fill () =
-    check_knobs "create_stream" ~n ~fanout ~sample;
-    if n < 0 then invalid_arg (S.name ^ ".create_stream: negative length");
-    let range_msg = range_msg "create_stream" in
-    let h, stride, spr, states = geometry ~n ~fanout ~sample in
-    let levels = Array.init (h + 1) (fun _ -> S.create n) in
-    let cursors = Array.map S.create states in
-    (* cursor storage is only partially covered by real states (nc <=
-       fanout slots per state); [create]'s paths leave the rest zero, so
-       pre-zero it here for bit-identical buffers *)
-    let zero_fill dst =
-      let len = S.length dst in
-      if len > 0 then begin
-        let z = Array.make (min stream_chunk len) 0 in
-        let p = ref 0 in
-        while !p < len do
-          let l = min (Array.length z) (len - !p) in
-          S.blit_from_ints z ~pos:0 dst ~dst_pos:!p ~len:l;
-          p := !p + l
-        done
-      end
-    in
-    Array.iter zero_fill cursors;
-    (* stream the leaves in chunks, validating the range that
-       [blit_from_ints] deliberately does not *)
-    if n > 0 then begin
-      let chunk = Array.make (min stream_chunk n) 0 in
-      let pos = ref 0 in
-      while !pos < n do
-        let len = min (Array.length chunk) (n - !pos) in
-        fill chunk ~pos:!pos ~len;
-        for i = 0 to len - 1 do
-          let v = Array.unsafe_get chunk i in
-          if v < S.min_value || v > S.max_value then invalid_arg range_msg
-        done;
-        S.blit_from_ints chunk ~pos:0 levels.(0) ~dst_pos:!pos ~len;
-        pos := !pos + len
-      done
-    end;
-    (* write-behind buffered storage writer: indices must be
-       non-decreasing; unwritten slots inside a flushed span go out as
-       zeros (matching [create]'s zeroed gaps) *)
-    let make_writer dst =
-      let wcap = min stream_chunk (max 1 (S.length dst)) in
-      let buf = Array.make wcap 0 in
-      let base = ref (-1) and hi = ref 0 in
-      let flush () =
-        if !base >= 0 && !hi > !base then
-          S.blit_from_ints buf ~pos:0 dst ~dst_pos:!base ~len:(!hi - !base);
-        base := -1
-      in
-      let put idx v =
-        if !base < 0 || idx - !base >= wcap then begin
-          flush ();
-          Array.fill buf 0 wcap 0;
-          base := idx;
-          hi := idx
-        end;
-        buf.(idx - !base) <- v;
-        if idx + 1 > !hi then hi := idx + 1
-      in
-      (put, flush)
-    in
-    let sc = make_merge_scratch fanout in
-    for j = 1 to h do
-      let l = stride.(j) in
-      let nruns = ((n - 1) / l) + 1 in
-      let src = levels.(j - 1) in
-      let src_get i = S.get src i in
-      let dst_put, dst_flush = make_writer levels.(j) in
-      let cur_put, cur_flush =
-        if sample = 0 then ((fun _ _ -> ()), fun () -> ()) else make_writer cursors.(j - 1)
-      in
-      let spr_j = spr.(j - 1) in
-      for r = 0 to nruns - 1 do
-        let run_base = r * l in
-        let run_len = min l (n - run_base) in
-        merge_one_run_gen ~sc ~src_get ~dst_put ~cur_put
-          ~state_base:(r * spr_j * fanout)
-          ~fanout ~sample ~run_base ~run_len ~child_stride:stride.(j - 1)
-      done;
-      dst_flush ();
-      cur_flush ()
-    done;
-    { n; fanout; sample; levels; payloads = None; stride; cursors; spr }
 
   (* ------------------------------------------------------------------ *)
   (* Run-stacking append (incremental maintenance)                       *)

@@ -40,34 +40,21 @@ let width_for ~n ~min_value ~max_value =
 
 (* The width [choice] selects for an operand: the narrowest fit, or the
    forced width widened just enough to fit. *)
-let select_width choice ~n ~min_value ~max_value =
-  let fit = width_for ~n ~min_value ~max_value in
-  match choice with Auto -> fit | Force w -> if rank w >= rank fit then w else fit
-
-let value_bounds a =
+let width_of_operand choice a =
   let mn = ref 0 and mx = ref 0 in
   for i = 0 to Array.length a - 1 do
     let v = Array.unsafe_get a i in
     if v < !mn then mn := v;
     if v > !mx then mx := v
   done;
-  (!mn, !mx)
-
-let width_of_operand choice a =
-  let min_value, max_value = value_bounds a in
-  select_width choice ~n:(Array.length a) ~min_value ~max_value
+  let fit = width_for ~n:(Array.length a) ~min_value:!mn ~max_value:!mx in
+  match choice with Auto -> fit | Force w -> if rank w >= rank fit then w else fit
 
 let create ~pool ?fanout ?sample ?(choice = Auto) a =
   match width_of_operand choice a with
   | W16 -> T16 (M16.create ~pool ?fanout ?sample a)
   | W32 -> T32 (M32.create ~pool ?fanout ?sample a)
   | W64 -> T64 (Mst.create ~pool ?fanout ?sample a)
-
-let create_stream ?fanout ?sample ?(choice = Auto) ~n ~min_value ~max_value ~fill () =
-  match select_width choice ~n ~min_value ~max_value with
-  | W16 -> T16 (M16.create_stream ?fanout ?sample ~n ~fill ())
-  | W32 -> T32 (M32.create_stream ?fanout ?sample ~n ~fill ())
-  | W64 -> T64 (Mst.create_stream ?fanout ?sample ~n ~fill ())
 
 let width = function T16 _ -> W16 | T32 _ -> W32 | T64 _ -> W64
 

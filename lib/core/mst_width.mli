@@ -47,23 +47,6 @@ val create :
 (** Builds at the width selected by [choice] (default [Auto]) after a
     single scan for the operand's value bounds. *)
 
-val create_stream :
-  ?fanout:int ->
-  ?sample:int ->
-  ?choice:choice ->
-  n:int ->
-  min_value:int ->
-  max_value:int ->
-  fill:(int array -> pos:int -> len:int -> unit) ->
-  unit ->
-  t
-(** Out-of-core construction ({!Mst.create_stream} under width
-    selection): the operand is streamed in chunks through [fill], so its
-    value bounds cannot be scanned and must be supplied. To reproduce
-    {!create}'s width choice exactly, clamp the scanned bounds into the
-    zero-origin [create] uses: [min_value = min real_min 0],
-    [max_value = max real_max 0]. *)
-
 val try_extend : ?fanout:int -> ?sample:int -> ?choice:choice -> t -> int array -> t option
 (** [try_extend t a] maintains [t] incrementally for the grown operand [a]
     (run-stacking append; see {!Mst.append}). [None] — with no rebuild

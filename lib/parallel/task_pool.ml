@@ -226,8 +226,10 @@ let wait t b =
    end);
   raise_batch_error b
 
+(* A single task runs on the caller too: submitting it would only add a
+   wake-up and a wait around the same work. *)
 let run_list t tasks =
-  if t.n = 1 || inside t then begin
+  if t.n = 1 || inside t || List.compare_length_with tasks 1 <= 0 then begin
     let b = new_batch () in
     List.iter (fun task -> exec_inline t b task) tasks;
     raise_batch_error b

@@ -46,7 +46,8 @@ val run_list : t -> (unit -> unit) list -> unit
     concurrently, and returns when the last one finishes. If one or more
     tasks raise, the first exception observed is re-raised in the caller
     after all tasks have completed. Called from inside a task of the same
-    pool, the whole list runs inline (see reentrancy above). *)
+    pool, the whole list runs inline (see reentrancy above); so does a
+    list of one task. *)
 
 type batch
 (** An in-flight group of tasks: its own queue, pending count and

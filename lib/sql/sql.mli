@@ -40,11 +40,11 @@ val query :
     running its sorts, builds and probes on the caller's [pool].
     [evaluator] forces every window item onto one backend (strict; see
     {!Holistic_window.Window_plan.run}); [governor] bounds the
-    window stage's working set — sorts spill to disk runs and index builds
-    stream under pressure, with bit-identical results (caller-owned; see
-    {!Holistic_window.Mem_governor}); [session] is a persistent structure
-    store consulted and refilled when the FROM table is the session's
-    table and no WHERE clause filters it — bind it with
+    window stage's sorts — they spill to disk runs under pressure, with
+    bit-identical results, while structures are built in memory
+    (caller-owned; see {!Holistic_window.Mem_governor}); [session] is a
+    persistent structure store consulted and refilled when the FROM table
+    is the session's table and no WHERE clause filters it — bind it with
     [~tables:[ (name, Session.table s) ]]; [query_log] receives one
     {!Query_stats.t} record per statement: {!Query_stats.of_trace} of the
     one run {!explain_analyze_trace} would make (a capture open around the

@@ -43,6 +43,10 @@ let unsupported what =
    even when [ctx.sample] is 0. *)
 let mst_tag = function Mst_no_cascade -> "mst-no-cascade" | _ -> "mst"
 
+(* Build callback for cached MSTs: the tree over [a] at the plan's knobs. *)
+let mst_build ctx ~sample a =
+  Mstw.create ~pool:ctx.pool ~fanout:ctx.fanout ~sample ~choice:ctx.width a
+
 (* [maintain] callback for cached MSTs: run-stack the grown leaf array
    onto the stale tree ({!Mstw.try_extend}); [leaf] is a thunk because the
    grown operand is only needed when the entry is actually stale. *)
@@ -51,37 +55,6 @@ let mst_maintain ctx ~sample leaf old =
   match Mstw.try_extend ~fanout:ctx.fanout ~sample ~choice:ctx.width old a with
   | Some t -> Some (t, Printf.sprintf "+%d rows" (Array.length a - Mstw.length old))
   | None -> None
-
-(* Governed MST construction. When the governor says the in-memory build's
-   transients (operand array plus a sorted copy, ~16 B/row) would overrun
-   the budget, the tree is built by streaming its leaves level-by-level
-   ({!Mstw.create_stream}): [get] supplies elements one at a time so the
-   operand array is never materialized on that path. Value bounds
-   accumulate from 0 exactly like [Mst_width.value_bounds], so width
-   selection — and therefore the tree — is bit-identical to [Mstw.create]
-   over [arr ()]. *)
-let governed_mst ctx ~sample ~n ~get ~arr =
-  let stream =
-    match ctx.gov with
-    | Some g -> n > 0 && Mem_governor.stream_builds g ~bytes:(16 * n)
-    | None -> false
-  in
-  if not stream then Mstw.create ~pool:ctx.pool ~fanout:ctx.fanout ~sample ~choice:ctx.width (arr ())
-  else begin
-    let mn = ref 0 and mx = ref 0 in
-    for i = 0 to n - 1 do
-      let v = get i in
-      if v < !mn then mn := v;
-      if v > !mx then mx := v
-    done;
-    Mstw.create_stream ~fanout:ctx.fanout ~sample ~choice:ctx.width ~n ~min_value:!mn
-      ~max_value:!mx
-      ~fill:(fun chunk ~pos ~len ->
-        for i = 0 to len - 1 do
-          chunk.(i) <- get (pos + i)
-        done)
-      ()
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Shared preprocessing helpers                                        *)
@@ -382,9 +355,7 @@ let eval_distinct_count ctx ~arg ~filter ~algorithm ~out =
       let tree =
         Build_cache.distinct_tree ctx.cache ~algo:(mst_tag algorithm) ~arg ~qual ~sample
           ~maintain:(mst_maintain ctx ~sample (fun () -> prev))
-          (fun () ->
-            governed_mst ctx ~sample ~n:(Array.length prev) ~get:(Array.get prev)
-              ~arr:(fun () -> prev))
+          (fun () -> mst_build ctx ~sample prev)
       in
       let next =
         if Frame.exclusion ctx.frame = Window_spec.Exclude_no_others then [||] else next_of prev
@@ -580,8 +551,8 @@ let eval_rank_family ctx ~variant ~order ~filter ~algorithm ~out =
   let qual = { Build_cache.filter; extra = Build_cache.Ex_none } in
   let rm = qualify ctx qual in
   let m = Remap.filtered_count rm in
-  (* Lazy so the streamed (out-of-core) MST build path never materializes
-     the filtered code arrays it doesn't probe with. *)
+  (* Lazy: a variant reads only one of the two, and a cached tree needs
+     neither. *)
   let frank = lazy (Array.init m (fun i -> enc.Rank_encode.rank_codes.(Remap.position rm i))) in
   let frow = lazy (Array.init m (fun i -> enc.Rank_encode.row_codes.(Remap.position rm i))) in
   let emit r v = out.(ctx.rows.(r)) <- v in
@@ -628,15 +599,12 @@ let eval_rank_family ctx ~variant ~order ~filter ~algorithm ~out =
   | Dense_v, _ -> unsupported "dense_rank supports Auto/Mst/Naive"
   | _, (Auto | Mst | Mst_no_cascade) ->
       let sample = if algorithm = Mst_no_cascade then 0 else ctx.sample in
-      let getr i = enc.Rank_encode.rank_codes.(Remap.position rm i) in
-      let getw i = enc.Rank_encode.row_codes.(Remap.position rm i) in
       let tree_rank =
         if needs_rank then
           Some
             (Build_cache.count_tree ctx.cache ~algo:(mst_tag algorithm) ~cls:Build_cache.Rank_codes ~order ~qual ~sample
                ~maintain:(mst_maintain ctx ~sample (fun () -> Lazy.force frank))
-               (fun () ->
-                 governed_mst ctx ~sample ~n:m ~get:getr ~arr:(fun () -> Lazy.force frank)))
+               (fun () -> mst_build ctx ~sample (Lazy.force frank)))
         else None
       in
       let tree_row =
@@ -644,8 +612,7 @@ let eval_rank_family ctx ~variant ~order ~filter ~algorithm ~out =
           Some
             (Build_cache.count_tree ctx.cache ~algo:(mst_tag algorithm) ~cls:Build_cache.Row_codes ~order ~qual ~sample
                ~maintain:(mst_maintain ctx ~sample (fun () -> Lazy.force frow))
-               (fun () ->
-                 governed_mst ctx ~sample ~n:m ~get:getw ~arr:(fun () -> Lazy.force frow)))
+               (fun () -> mst_build ctx ~sample (Lazy.force frow)))
         else None
       in
       probe ctx (fun r ->
@@ -819,9 +786,7 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
       let sel_tree =
         Build_cache.count_tree ctx.cache ~algo:(mst_tag algorithm) ~cls:Build_cache.Select_perm ~order ~qual ~sample
           ~maintain:(mst_maintain ctx ~sample sel_perm)
-          (fun () ->
-            let p = sel_perm () in
-            governed_mst ctx ~sample ~n:m ~get:(Array.get p) ~arr:(fun () -> p))
+          (fun () -> mst_build ctx ~sample (sel_perm ()))
       in
       match shift with
       | Some d ->

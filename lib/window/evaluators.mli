@@ -22,10 +22,9 @@ type ctx = {
       (** per-partition structure cache shared by every item evaluated over
           [rows] — encodings and trees are built once per structural key *)
   gov : Mem_governor.t option;
-      (** memory governor: when set, large MST builds stream their leaves
-          ({!Holistic_core.Mst_width.create_stream}) whenever
-          {!Mem_governor.stream_builds} says the materialized operand would
-          overrun the budget *)
+      (** unread: the governor decides sorts only ({!Mem_governor.plan_sort}),
+          and every structure is built in memory. Kept because external
+          harnesses construct [ctx]. *)
 }
 
 val encode : ctx -> Sort_spec.t -> Holistic_core.Rank_encode.t

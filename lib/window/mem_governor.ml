@@ -1,7 +1,7 @@
-(* Memory governor: accounted-footprint tracking plus per-stage spill
-   decisions. The accounting covers what the engine's own meters cover —
-   encoded key words, sort transients, structure bytes — so decisions are
-   deterministic for a given query and budget, independent of GC state. *)
+(* Memory governor: accounted-footprint tracking plus per-sort spill
+   decisions. The accounting covers encoded key words and sort transients,
+   so decisions are deterministic for a given query and budget, independent
+   of GC state. *)
 
 exception Budget_too_small of string
 
@@ -95,11 +95,6 @@ let plan_sort g ~n ~nwords ~multi_run =
                         b nruns n (8 * n) (nruns * 16 * per_entry)));
               Sort_spill { run_rows; read_entries = min read_entries 65536 }
             end)
-
-let stream_builds g ~bytes =
-  match g.g_policy with
-  | Always_spill -> true
-  | Auto -> ( match g.g_budget with None -> false | Some b -> g.g_live + bytes > b)
 
 let spill_dir g =
   match g.g_spill_dir with

@@ -1,14 +1,16 @@
 (** Footprint-driven memory governor for out-of-core execution.
 
     A governor tracks the engine's accounted live bytes against an
-    optional budget and decides, per stage, whether the stage runs in
+    optional budget and decides, per sort, whether the sort runs in
     memory (the exact historical path) or spills to disk. With no
     governor — or a budget that the working set fits under — every
     decision is [Sort_in_memory] and execution, spans and goldens are
     byte-identical to the in-memory engine.
 
-    Budgets govern the {e accounted} working set (key words, sort
-    transients, structure bytes), not the process RSS. *)
+    Budgets govern the {e accounted} working set (key words and sort
+    transients), not the process RSS. Sorts are the only governed stage:
+    structures (merge sort trees and the rest) are always built in memory
+    and are not charged. *)
 
 exception Budget_too_small of string
 (** The budget is below the minimum working set of a required stage.
@@ -17,7 +19,7 @@ exception Budget_too_small of string
 type policy =
   | Auto  (** spill only when the accounted working set exceeds the budget *)
   | Always_spill
-      (** force every spillable stage down the spill path regardless of
+      (** force every sort down the spill path regardless of
           footprint — the differential-testing mode behind
           [HOLIWIN_MEM_LIMIT=spill] *)
 
@@ -57,12 +59,6 @@ val plan_sort : t -> n:int -> nwords:int -> multi_run:bool -> sort_plan
     arrays of [n]). Raises {!Budget_too_small} when even the spill
     path's minimum working set (run formation chunks, then output
     permutation + per-run read buffers) exceeds the budget. *)
-
-val stream_builds : t -> bytes:int -> bool
-(** Whether a structure build that would materialise [bytes] of operand
-    array should stream its leaves instead (chunked
-    [Mst_*.create_stream]). True under [Always_spill], or when charging
-    [bytes] would exceed the budget. *)
 
 (** {2 Spill files} *)
 

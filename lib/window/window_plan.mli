@@ -87,9 +87,9 @@ val run :
     surfaced in EXPLAIN ANALYZE ([choose] spans with the rejected
     candidates' predicted costs, and an [evaluator] arg on item spans).
 
-    [?governor] bounds the plan's working set: stage sorts spill to disk
-    runs and large MST builds stream their leaves whenever
-    {!Mem_governor} says the in-memory path would overrun the budget.  The
+    [?governor] bounds the plan's sorts: a stage sort spills to disk runs
+    whenever {!Mem_governor} says the in-memory sort would overrun the
+    budget. Structures are always built in memory, uncharged.  The
     governor stays owned by the caller (create it once, {!Mem_governor.cleanup}
     it when done); its accounted live bytes are back to their starting
     value when the run returns or raises.  Without one the plan runs

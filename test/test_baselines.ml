@@ -90,15 +90,37 @@ let test_ost_clear () =
 (* Segment trees                                                       *)
 (* ------------------------------------------------------------------ *)
 
+module Float_sum = Seg.Make (struct
+  type t = float
+
+  let identity = 0.0
+  let combine = ( +. )
+end)
+
+module Float_min = Seg.Make (struct
+  type t = float
+
+  let identity = infinity
+  let combine a b = if a <= b then a else b
+end)
+
+module Float_max = Seg.Make (struct
+  type t = float
+
+  let identity = neg_infinity
+  let combine a b = if a >= b then a else b
+end)
+
 let segment_tree_oracle =
   QCheck.Test.make ~name:"segment tree queries match folds" ~count:300
     QCheck.(list (float_range (-100.) 100.))
     (fun l ->
       let a = Array.of_list l in
       let n = Array.length a in
-      let sum = Seg.Float_sum.create a in
-      let mn = Seg.Float_min.create a in
-      let mx = Seg.Float_max.create a in
+      let leaf i = a.(i) in
+      let sum = Float_sum.create n leaf in
+      let mn = Float_min.create n leaf in
+      let mx = Float_max.create n leaf in
       let ok = ref true in
       for lo = -1 to n do
         let hi = min n (lo + 7) in
@@ -108,9 +130,9 @@ let segment_tree_oracle =
           if a.(i) < !bmin then bmin := a.(i);
           if a.(i) > !bmax then bmax := a.(i)
         done;
-        if abs_float (Seg.Float_sum.query sum ~lo ~hi -. !bsum) > 1e-6 then ok := false;
-        if Seg.Float_min.query mn ~lo ~hi <> !bmin then ok := false;
-        if Seg.Float_max.query mx ~lo ~hi <> !bmax then ok := false
+        if abs_float (Float_sum.query sum ~lo ~hi -. !bsum) > 1e-6 then ok := false;
+        if Float_min.query mn ~lo ~hi <> !bmin then ok := false;
+        if Float_max.query mx ~lo ~hi <> !bmax then ok := false
       done;
       !ok)
 

@@ -242,6 +242,13 @@ let distinct_frame_identity =
 (* Annotated trees (§4.3)                                              *)
 (* ------------------------------------------------------------------ *)
 
+module Float_sum = Ann.Make (struct
+  type t = float
+
+  let identity = 0.0
+  let combine = ( +. )
+end)
+
 let annotated_sum_oracle =
   QCheck.Test.make ~name:"annotated tree computes SUM DISTINCT" ~count:200 tree_case
     (fun (a, f, k) ->
@@ -249,7 +256,10 @@ let annotated_sum_oracle =
       QCheck.assume (n > 0);
       let prev = Prev.compute ~pool:Shared_pool.pool a in
       let values = Array.map (fun v -> float_of_int (v * 3)) a in
-      let ann = Ann.Float_sum.create ~pool:Shared_pool.pool ~fanout:f ~sample:k ~keys:prev ~values () in
+      let ann =
+        Float_sum.create ~pool:Shared_pool.pool ~fanout:f ~sample:k ~keys:prev
+          ~value:(fun i -> values.(i)) ()
+      in
       let rng = Rng.create (n + f) in
       let ok = ref true in
       for _ = 1 to 20 do
@@ -262,7 +272,7 @@ let annotated_sum_oracle =
           done;
           IS.fold (fun v acc -> acc +. float_of_int (v * 3)) !s 0.0
         in
-        if abs_float (Ann.Float_sum.query ann ~lo ~hi ~less_than:(lo + 1) -. expect) > 1e-9 then
+        if abs_float (Float_sum.query ann ~lo ~hi ~less_than:(lo + 1) -. expect) > 1e-9 then
           ok := false
       done;
       !ok)

@@ -468,12 +468,12 @@ let forced_case ~pool rng idx ~seed =
     Evaluator_choice.all
 
 (* Out-of-core equivalence: the same case run under a memory governor —
-   spilled sort runs, streamed MST builds — must produce bit-identical
-   columns (floats compared by bits, NaNs included) and identical plan
-   statistics. FUZZ_MEM_LIMIT picks the budget: the default "spill"
-   forces every sort out of core regardless of size (the only way to
-   engage the spill machinery on these tiny tables), K/M/G-suffixed
-   bytes run the real budget arithmetic. *)
+   spilled sort runs; structures are built in memory either way — must
+   produce bit-identical columns (floats compared by bits, NaNs included)
+   and identical plan statistics. FUZZ_MEM_LIMIT picks the budget: the
+   default "spill" forces every sort out of core regardless of size (the
+   only way to engage the spill machinery on these tiny tables),
+   K/M/G-suffixed bytes run the real budget arithmetic. *)
 let mem_limit_case ~pool ~limit rng idx ~seed =
   let rng = Rng.split rng in
   let table = gen_table rng in

@@ -57,6 +57,31 @@ let test_exception_first_only () =
    with Boom -> ());
   Task_pool.shutdown pool
 
+let test_single_task_on_caller () =
+  (* a list of one task runs on the calling domain, not on a worker, and
+     still counts as a pool task; errors and reuse keep the batch contract *)
+  let pool = Task_pool.create 2 in
+  Fun.protect
+    ~finally:(fun () -> Task_pool.shutdown pool)
+    (fun () ->
+      let caller = (Domain.self () :> int) in
+      let ran_on = ref (-1) in
+      let (), tr =
+        Obs.with_capture (fun () ->
+            Task_pool.run_list pool [ (fun () -> ran_on := (Domain.self () :> int)) ])
+      in
+      Alcotest.(check int) "ran on the caller" caller !ran_on;
+      Alcotest.(check (option int)) "counted as one task" (Some 1)
+        (List.assoc_opt "pool.tasks" tr.Obs.counters);
+      (try
+         Task_pool.run_list pool [ (fun () -> raise Boom) ];
+         Alcotest.fail "expected exception"
+       with Boom -> ());
+      Task_pool.run_list pool [];
+      let ok = ref false in
+      Task_pool.run_list pool [ (fun () -> ok := true) ];
+      Alcotest.(check bool) "pool reusable" true !ok)
+
 let test_parallel_for_exception () =
   let pool = Task_pool.create 2 in
   let covered = Array.make 100 0 in
@@ -232,6 +257,7 @@ let () =
           Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
           Alcotest.test_case "exception propagation (inline pool)" `Quick test_exception_inline;
           Alcotest.test_case "first exception only" `Quick test_exception_first_only;
+          Alcotest.test_case "single task runs on the caller" `Quick test_single_task_on_caller;
           Alcotest.test_case "parallel_for exception" `Quick test_parallel_for_exception;
           Alcotest.test_case "stats consistent across errors" `Quick
             test_exception_stats_consistent;

@@ -1,7 +1,6 @@
 (* Out-of-core execution: run-file format and fault injection, the memory
-   governor's budget arithmetic, spilled sorts vs the in-memory sorter,
-   streamed MST construction vs the in-memory build, and the governed
-   no-op path's golden equivalence.
+   governor's budget arithmetic, spilled sorts vs the in-memory sorter, and
+   the governed no-op path's golden equivalence.
 
    The run-file fault hooks (ENOSPC, short write, checksum corruption) are
    process-wide; every test that arms one resets it in a finally. *)
@@ -13,8 +12,6 @@ module Task_pool = Holistic_parallel.Task_pool
 module Parallel_sort = Holistic_sort.Parallel_sort
 module Multiway = Holistic_sort.Multiway
 module Obs = Holistic_obs.Obs
-module Mstw = Holistic_core.Mst_width
-module Mst = Holistic_core.Mst
 module Sql = Holistic_sql.Sql
 
 let contains sub s =
@@ -422,17 +419,6 @@ let test_governor_plan_sort () =
       Alcotest.(check bool) "message names the budget" true (contains "memory budget" msg)
   | _ -> Alcotest.fail "impossible budget produced a plan"
 
-let test_governor_stream_builds () =
-  let g = Mem_governor.create ~policy:Mem_governor.Always_spill () in
-  Alcotest.(check bool) "always-spill streams" true (Mem_governor.stream_builds g ~bytes:8);
-  let g = Mem_governor.create () in
-  Alcotest.(check bool) "no budget never streams" false
-    (Mem_governor.stream_builds g ~bytes:(1 lsl 40));
-  let g = Mem_governor.create ~budget:1000 () in
-  Mem_governor.charge g 600;
-  Alcotest.(check bool) "fits in budget" false (Mem_governor.stream_builds g ~bytes:300);
-  Alcotest.(check bool) "overruns budget" true (Mem_governor.stream_builds g ~bytes:500)
-
 let test_governor_parse_limit () =
   let check_parse s expected_budget expected_policy =
     let budget, policy = Mem_governor.parse_limit s in
@@ -464,95 +450,6 @@ let test_governor_spill_dir () =
   Mem_governor.cleanup g;
   Alcotest.(check bool) "dir removed with contents" false (Sys.file_exists dir);
   Mem_governor.cleanup g (* idempotent *)
-
-(* ------------------------------------------------------------------ *)
-(* Streamed MST construction                                           *)
-(* ------------------------------------------------------------------ *)
-
-let fill_of a chunk ~pos ~len = Array.blit a pos chunk 0 len
-
-let probe_equal ~msg rng t_mem t_str n =
-  Alcotest.(check bool) (msg ^ ": width") true (Mstw.width t_mem = Mstw.width t_str);
-  let scratch = Mstw.create_scratch () in
-  for _ = 1 to 200 do
-    let lo = Rng.int rng (n + 1) in
-    let hi = lo + Rng.int rng (n + 1 - lo) in
-    let v = Rng.int rng (n + 2) in
-    Alcotest.(check int)
-      (Printf.sprintf "%s: count [%d,%d) < %d" msg lo hi v)
-      (Mstw.count t_mem ~lo ~hi ~less_than:v)
-      (Mstw.count t_str ~lo ~hi ~less_than:v);
-    (* select/count_value_ranges take half-open *value* ranges *)
-    let vlo = Rng.int rng (n + 2) in
-    let vhi = vlo + Rng.int rng (n + 2 - vlo) in
-    let ranges = [| (vlo, vhi) |] in
-    let m = Mstw.count_value_ranges t_mem ~ranges in
-    Alcotest.(check int)
-      (Printf.sprintf "%s: count_value_ranges [%d,%d)" msg vlo vhi)
-      m
-      (Mstw.count_value_ranges t_str ~ranges);
-    if m > 0 then begin
-      let nth = Rng.int rng m in
-      Alcotest.(check int)
-        (Printf.sprintf "%s: select %d of values [%d,%d)" msg nth vlo vhi)
-        (Mstw.select t_mem ~scratch ~ranges ~nth)
-        (Mstw.select t_str ~scratch ~ranges ~nth)
-    end
-  done
-
-let test_mst_stream_identity () =
-  let rng = Rng.create 41 in
-  List.iter
-    (fun (n, hi, fanout, sample, choice, label) ->
-      let a = Array.init n (fun _ -> Rng.int rng (max hi 1)) in
-      let mn = min 0 (Array.fold_left min 0 a) in
-      let mx = max 0 (Array.fold_left max 0 a) in
-      let t_mem = Mstw.create ~pool:Shared_pool.pool ~fanout ~sample ~choice a in
-      let t_str =
-        Mstw.create_stream ~fanout ~sample ~choice ~n ~min_value:mn ~max_value:mx
-          ~fill:(fill_of a) ()
-      in
-      probe_equal ~msg:label rng t_mem t_str n)
-    [
-      (0, 1, 32, 32, Mstw.Auto, "empty");
-      (1, 1, 32, 32, Mstw.Auto, "singleton");
-      (100, 50, 2, 0, Mstw.Auto, "fanout2 nosample");
-      (1000, 900, 4, 7, Mstw.Auto, "fanout4 sample7");
-      (1000, 1000, 32, 32, Mstw.Auto, "w16 default");
-      (5000, 70_000, 32, 32, Mstw.Auto, "w32 via range");
-      (2000, 100, 32, 32, Mstw.Force Mstw.W32, "forced w32");
-      (2000, 100, 5, 32, Mstw.Force Mstw.W64, "forced w64");
-      (70_000, 100, 16, 16, Mstw.Auto, "w32 via count");
-    ]
-
-let test_mst_stream_64 () =
-  (* the 64-bit template directly, values outside any narrow width *)
-  let rng = Rng.create 43 in
-  let n = 3000 in
-  let a = Array.init n (fun _ -> Rng.int_in rng (-1_000_000) 1_000_000) in
-  let t_mem = Mst.create ~pool:Shared_pool.pool ~fanout:8 ~sample:8 a in
-  let t_str = Mst.create_stream ~fanout:8 ~sample:8 ~n ~fill:(fill_of a) () in
-  for _ = 1 to 300 do
-    let lo = Rng.int rng (n + 1) in
-    let hi = lo + Rng.int rng (n + 1 - lo) in
-    let v = Rng.int_in rng (-1_100_000) 1_100_000 in
-    Alcotest.(check int) "count"
-      (Mst.count t_mem ~lo ~hi ~less_than:v)
-      (Mst.count t_str ~lo ~hi ~less_than:v)
-  done
-
-let test_mst_stream_range_check () =
-  (* streamed narrow builds validate chunk values like the array builds *)
-  match
-    Mstw.create_stream ~n:4 ~min_value:0 ~max_value:10
-      ~fill:(fun chunk ~pos ~len ->
-        for i = 0 to len - 1 do
-          chunk.(i) <- (if pos + i = 3 then 1 lsl 40 else i)
-        done)
-      ()
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "streamed W16 build accepted an out-of-range value"
 
 (* ------------------------------------------------------------------ *)
 (* Governed no-op path: goldens unchanged                              *)
@@ -667,6 +564,44 @@ let test_spilled_golden () =
       Alcotest.(check bool) "spill counters" true (contains "sort.spill_bytes" report);
       check_bits_identical plain spilled)
 
+let test_spilled_mst_golden () =
+  (* forced spilling governs the sorts only: merge sort trees are still
+     built in memory, charged nothing, and give the ungoverned bits *)
+  let pool = Task_pool.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Task_pool.shutdown pool)
+    (fun () ->
+      let rng = Rng.create 67 in
+      let table = sample_table rng 500 in
+      let query =
+        "select percentile_disc(0.5 order by v) over (partition by g order by k rows between 7 \
+         preceding and 3 following) as m, lead(v order by v) over (partition by g order by k rows \
+         between 4 preceding and 4 following) as l, rank(order by v) over (partition by g order \
+         by k) as r from t"
+      in
+      let evaluator = Holistic_window.Evaluator_choice.Mst in
+      let plain = Sql.query ~pool ~evaluator ~tables:[ ("t", table) ] query in
+      let governor = Mem_governor.create ~policy:Mem_governor.Always_spill () in
+      let spilled, tr =
+        Fun.protect
+          ~finally:(fun () -> Mem_governor.cleanup governor)
+          (fun () ->
+            Sql.explain_analyze_trace ~pool ~evaluator ~governor ~tables:[ ("t", table) ] query)
+      in
+      let trees =
+        List.filter
+          (fun (s : Obs.span) ->
+            s.Obs.name = "build"
+            && match List.assoc_opt "kind" s.Obs.args with
+               | Some k -> String.starts_with ~prefix:"mst." k
+               | None -> false)
+          tr.Obs.spans
+      in
+      Alcotest.(check bool) "trees built" true (trees <> []);
+      Alcotest.(check bool) "sorts spilled" true (fst (Mem_governor.totals governor) > 0);
+      Alcotest.(check int) "nothing left charged" 0 (Mem_governor.live governor);
+      check_bits_identical plain spilled)
+
 let test_budget_too_small_sql () =
   let pool = Task_pool.create 1 in
   Fun.protect
@@ -730,21 +665,15 @@ let () =
         [
           Alcotest.test_case "charge/release/peak" `Quick test_governor_accounting;
           Alcotest.test_case "plan_sort decisions" `Quick test_governor_plan_sort;
-          Alcotest.test_case "stream_builds decisions" `Quick test_governor_stream_builds;
           Alcotest.test_case "parse_limit" `Quick test_governor_parse_limit;
           Alcotest.test_case "spill dir lifecycle" `Quick test_governor_spill_dir;
-        ] );
-      ( "mst-stream",
-        [
-          Alcotest.test_case "create_stream = create across widths/knobs" `Quick
-            test_mst_stream_identity;
-          Alcotest.test_case "64-bit template streamed" `Quick test_mst_stream_64;
-          Alcotest.test_case "range validation" `Quick test_mst_stream_range_check;
         ] );
       ( "end-to-end",
         [
           Alcotest.test_case "no-op governed run keeps goldens" `Quick test_noop_golden;
           Alcotest.test_case "forced spill tags spans, same bits" `Quick test_spilled_golden;
+          Alcotest.test_case "forced spill builds trees in memory, same bits" `Quick
+            test_spilled_mst_golden;
           Alcotest.test_case "budget below working set errors" `Quick test_budget_too_small_sql;
           Alcotest.test_case "spill fault releases governor charges" `Quick
             test_spill_fault_releases;

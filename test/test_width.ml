@@ -244,9 +244,9 @@ let test_leaf_scan_parity () =
                         [ [| (lo, hi) |]; holed ])
                     ranges)
                 forced_widths)
-            [ 32; 0 ])
+            [ 32; 7; 0 ])
         (operands n))
-    [ 4; 32 ]
+    [ 2; 4; 5; 32 ]
 
 (* ------------------------------------------------------------------ *)
 (* Neighbour search                                                    *)
@@ -499,6 +499,12 @@ let test_width_dispatch () =
   let wide = Array.init 50 (fun i -> 65530 + i) in
   let widened = W.create ~pool:Shared_pool.pool ~choice:(W.Force W.W16) wide in
   Alcotest.(check bool) "forced 16 widens to 32" true (W.width widened = W.W32);
+  (* a length past 65535 disqualifies the 16-bit tree even for small values *)
+  let long = Array.init 70_000 (fun i -> (i * 7919) mod 100) in
+  let long_auto = W.create ~pool:Shared_pool.pool ~fanout:16 ~sample:16 long in
+  Alcotest.(check bool) "auto picks 32-bit by length" true (W.width long_auto = W.W32);
+  Alcotest.(check int) "32-bit by length counts" (brute_count long 1_000 69_000 50)
+    (W.count long_auto ~lo:1_000 ~hi:69_000 ~less_than:50);
   let t64 = Mst.create ~pool:Shared_pool.pool a in
   let rng = Rng.create 991 in
   let ok = ref true in
@@ -513,6 +519,54 @@ let test_width_dispatch () =
   Alcotest.(check bool) "dispatch parity across forced widths" true !ok;
   Alcotest.(check bool) "narrow dispatch is smaller" true
     (W.footprint_bytes auto < W.footprint_bytes forced64)
+
+(* Empty and singleton operands at every width, automatic and forced. *)
+let test_tiny_trees () =
+  let scratch = W.create_scratch () in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun choice ->
+          let t = W.create ~pool:Shared_pool.pool ~choice a in
+          let n = Array.length a and ranges = [| (0, 10) |] in
+          Alcotest.(check int) "tiny length" n (W.length t);
+          Alcotest.(check int) "tiny count" (brute_count a 0 n 6) (W.count t ~lo:0 ~hi:n ~less_than:6);
+          Alcotest.(check int) "tiny count_value_ranges" (brute_cvr a ranges)
+            (W.count_value_ranges t ~ranges);
+          Alcotest.(check int) "tiny neighbour"
+            (brute_neighbour a ranges ~from:0 ~k:0 ~forward:true)
+            (W.neighbour t ~scratch ~ranges ~from:0 ~k:0 ~forward:true);
+          if n > 0 then
+            Alcotest.(check int) "singleton select" a.(0) (W.select t ~scratch ~ranges ~nth:0))
+        (W.Auto :: List.map (fun (w, _) -> W.Force w) forced_widths))
+    [ [||]; [| 5 |] ]
+
+(* Signed values: the 64-bit tree and the automatic choice (the 32-bit
+   tree, whose storage is signed) agree with a scan on every probe. *)
+let test_signed_64 () =
+  let rng = Rng.create 43 in
+  let n = 3000 in
+  let a = Array.init n (fun _ -> Rng.int_in rng (-1_000_000) 1_000_000) in
+  let t = Mst.create ~pool:Shared_pool.pool ~fanout:8 ~sample:8 a in
+  let auto = W.create ~pool:Shared_pool.pool ~fanout:8 ~sample:8 a in
+  Alcotest.(check bool) "auto picks 32-bit for signed values" true (W.width auto = W.W32);
+  let scratch = Mst.create_scratch () in
+  for _ = 1 to 300 do
+    let lo = Rng.int rng (n + 1) in
+    let hi = lo + Rng.int rng (n + 1 - lo) in
+    let v = Rng.int_in rng (-1_100_000) 1_100_000 in
+    Alcotest.(check int) "count" (brute_count a lo hi v) (Mst.count t ~lo ~hi ~less_than:v);
+    Alcotest.(check int) "auto count" (brute_count a lo hi v) (W.count auto ~lo ~hi ~less_than:v);
+    let vlo = Rng.int_in rng (-1_100_000) 1_100_000 in
+    let ranges = [| (vlo, vlo + Rng.int rng 600_000) |] in
+    let m = brute_cvr a ranges in
+    Alcotest.(check int) "count_value_ranges" m (Mst.count_value_ranges t ~ranges);
+    if m > 0 then begin
+      let nth = Rng.int rng m in
+      Alcotest.(check (option int)) "select" (brute_select a ranges nth)
+        (Some (Mst.select t ~scratch ~ranges ~nth))
+    end
+  done
 
 let () =
   Alcotest.run "width"
@@ -533,5 +587,7 @@ let () =
         [
           Alcotest.test_case "width_for rule" `Quick test_width_for;
           Alcotest.test_case "dispatch and forcing" `Quick test_width_dispatch;
+          Alcotest.test_case "empty and singleton trees" `Quick test_tiny_trees;
+          Alcotest.test_case "64-bit tree over signed values" `Quick test_signed_64;
         ] );
     ]
