@@ -20,13 +20,6 @@ module Ost = Holistic_baselines.Order_statistic_tree
 module Seg = Holistic_baselines.Segment_tree
 module Rng = Holistic_util.Rng
 
-module Int_sum = Seg.Make (struct
-  type t = int
-
-  let identity = 0
-  let combine = ( + )
-end)
-
 (* Matches the Window_plan defaults the model is consulted under. *)
 let fanout = 32
 
@@ -67,13 +60,13 @@ let run ~rows () =
   let mst_probe_ns = 0.5 *. (probe w_small +. probe w_large) in
 
   (* Segment tree: build per row; probe per row per log2 n. *)
-  let seg_build_ns = per_op ~reps:3 ~ops:n (fun () -> Int_sum.create n (fun i -> data.(i))) in
-  let seg = Int_sum.create n (fun i -> data.(i)) in
+  let seg_build_ns = per_op ~reps:3 ~ops:n (fun () -> Seg.create ~identity:0 ~combine:( + ) n (fun i -> data.(i))) in
+  let seg = Seg.create ~identity:0 ~combine:( + ) n (fun i -> data.(i)) in
   let seg_probe_ns =
     per_op ~reps:3 ~ops:(int_of_float (float_of_int n *. log2f n)) (fun () ->
         let acc = ref 0 in
         for i = 0 to n - 1 do
-          acc := !acc + Int_sum.query seg ~lo:(max 0 (i - w_large)) ~hi:(i + 1)
+          acc := !acc + Seg.query seg ~lo:(max 0 (i - w_large)) ~hi:(i + 1)
         done;
         acc)
   in

@@ -39,31 +39,31 @@ let make_table rng ~rows ~partitions =
       ("x", Column.floats x);
     ]
 
-(* [force] pins each item; [None] leaves everything on Auto so the plan
-   consults the cost model.  The pinned spellings are exactly the
-   {!Cost_model.legacy_default}s for these four items. *)
+(* [force] pins each item; otherwise every item is unpinned so the plan
+   consults the cost model.  The pinned backends are exactly the
+   {!Evaluator_choice.default}s for these four items. *)
 let clauses ?(force = false) () =
   let grp = Expr.Col "grp" in
   let by_k = [ Sort_spec.asc (Expr.Col "k") ] in
   let back n = Window_spec.rows_between (Window_spec.preceding n) Window_spec.Current_row in
   let over frame = Window_spec.over ~partition_by:[ grp ] ~order_by:by_k ~frame () in
-  let pin a = if force then a else Wf.Auto in
+  let pin a = if force then Some a else None in
   [
     {
       Window_plan.spec = over (back 19);
-      items = [ Wf.count ~algorithm:(pin Wf.Mst) ~distinct:true ~name:"dc" (Expr.Col "v") ];
+      items = [ Wf.count ?algorithm:(pin Wf.Mst) ~distinct:true ~name:"dc" (Expr.Col "v") ];
     };
     {
       Window_plan.spec = over (back 49);
-      items = [ Wf.median ~algorithm:(pin Wf.Mst) ~name:"med" (Expr.Col "x") ];
+      items = [ Wf.median ?algorithm:(pin Wf.Mst) ~name:"med" (Expr.Col "x") ];
     };
     {
       Window_plan.spec = over (back 99);
-      items = [ Wf.rank ~algorithm:(pin Wf.Mst) ~name:"r" [] ];
+      items = [ Wf.rank ?algorithm:(pin Wf.Mst) ~name:"r" [] ];
     };
     {
       Window_plan.spec = over (back 399);
-      items = [ Wf.sum ~algorithm:(pin Wf.Segment_tree) ~name:"s" (Expr.Col "x") ];
+      items = [ Wf.sum ?algorithm:(pin Wf.Segment_tree) ~name:"s" (Expr.Col "x") ];
     };
   ]
 

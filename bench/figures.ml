@@ -448,7 +448,7 @@ let table1 ~base () =
 let ext_dense_rank ~scale () =
   H.section "Extension: framed DENSE_RANK, range tree vs naive (paper 4.4)";
   let sizes = List.map (fun n -> int_of_float (float_of_int n *. scale)) [ 5_000; 10_000; 20_000; 50_000; 100_000 ] in
-  let item alg = Wf.dense_rank ~algorithm:alg ~name:"x" price_order in
+  let item alg = Wf.dense_rank ?algorithm:alg ~name:"x" price_order in
   let tables = List.map (fun n -> (n, Tpch.lineitem ~rows:n ())) sizes in
   let rows_out =
     List.map
@@ -459,7 +459,7 @@ let ext_dense_rank ~scale () =
               run_one table over (item alg))
         in
         name :: List.map (fun ((n, _), o) -> H.throughput_cell ~n o) series)
-      [ ("range-tree", Wf.Auto); ("naive", Wf.Naive) ]
+      [ ("range-tree", None); ("naive", Some Wf.Naive) ]
   in
   H.print_table ~header:("algorithm" :: List.map (fun (n, _) -> string_of_int n) tables) ~rows:rows_out;
   H.note "O(n (log n)^2) time and space: flat-ish throughput, heavier than the 2-d MST functions"

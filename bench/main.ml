@@ -109,8 +109,23 @@ let run names scale quick budget =
           names
   in
   let t0 = Unix.gettimeofday () in
-  List.iter (fun (_, f) -> f ()) chosen;
-  Printf.printf "\nTotal bench time: %.1f s\n" (Unix.gettimeofday () -. t0)
+  (* one failing experiment does not stop the rest from writing their
+     reports; the run still exits nonzero when any failed *)
+  let failed =
+    List.filter_map
+      (fun (name, f) ->
+        match f () with
+        | () -> None
+        | exception e ->
+            Printf.eprintf "experiment %s failed: %s\n%!" name (Printexc.to_string e);
+            Some name)
+      chosen
+  in
+  Printf.printf "\nTotal bench time: %.1f s\n" (Unix.gettimeofday () -. t0);
+  if failed <> [] then begin
+    Printf.eprintf "failed experiments: %s\n" (String.concat ", " failed);
+    exit 1
+  end
 
 let cmd =
   let doc = "Regenerate the paper's tables and figures" in

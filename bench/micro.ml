@@ -14,7 +14,10 @@ let n = 100_000
 let keys = lazy (Scenarios.uniform_ints ~n ~bound:n ())
 let tree = lazy (Mst.create ~pool:(Harness.pool ()) (Lazy.force keys))
 let prev_tree = lazy (Mst.create ~pool:(Harness.pool ()) (Prev.compute ~pool:(Harness.pool ()) (Lazy.force keys)))
-let seg = lazy (Seg.Int_sum.create (Lazy.force keys))
+let seg =
+  lazy
+    (let a = Lazy.force keys in
+     Seg.create ~identity:0 ~combine:( + ) (Array.length a) (fun i -> a.(i)))
 
 let counter = ref 0
 
@@ -71,7 +74,7 @@ let tests =
       (Staged.stage (fun () ->
            let t = Lazy.force seg in
            let lo, hi = next_frame () in
-           Seg.Int_sum.query t ~lo ~hi));
+           Seg.query t ~lo ~hi));
     (* Fig. 14: Algorithm 1 preprocessing over 100k values *)
     Test.make ~name:"fig14/prev-occurrence-100k"
       (Staged.stage (fun () -> Prev.compute ~pool:(Harness.pool ()) (Lazy.force keys)));

@@ -7,34 +7,16 @@
     left-to-right combination order is preserved, and no inverse is
     required. *)
 
-module type MONOID = sig
-  type t
+type 'a t
 
-  val identity : t
-  val combine : t -> t -> t
-end
+val create : identity:'a -> combine:('a -> 'a -> 'a) -> int -> (int -> 'a) -> 'a t
+(** [create ~identity ~combine n leaf] builds the tree over leaves
+    [leaf 0 .. leaf (n-1)] under the monoid ([identity], [combine]). *)
 
-module Make (M : MONOID) : sig
-  type t
+val query : 'a t -> lo:int -> hi:int -> 'a
+(** Aggregate of leaves [\[lo, hi)], clamped to [\[0, n)]; identity when
+    empty. *)
 
-  val create : int -> (int -> M.t) -> t
-  (** [create n leaf] builds the tree over leaves [leaf 0 .. leaf (n-1)]. *)
-
-  val length : t -> int
-
-  val query : t -> lo:int -> hi:int -> M.t
-  (** Aggregate of leaves [\[lo, hi)], clamped to [\[0, n)]; identity when
-      empty. *)
-
-  val footprint_bytes : t -> int
-  (** Reachable bytes of the node array (boxed payloads included) — the
-      repo-wide memory-accounting contract. *)
-end
-
-module Int_sum : sig
-  type t
-
-  val create : int array -> t
-  val query : t -> lo:int -> hi:int -> int
-  val footprint_bytes : t -> int
-end
+val footprint_bytes : 'a t -> int
+(** Reachable bytes of the node array (boxed payloads included) — the
+    repo-wide memory-accounting contract. *)

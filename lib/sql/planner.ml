@@ -339,7 +339,7 @@ let run_with_stats ~pool ?evaluator ?governor ?session ~tables (q : Ast.query) =
       let item =
         Wf.make
           ?filter:(Option.map (lower_expr table) w.Ast.filter)
-          ~name (lower_call table w)
+          ?algorithm:evaluator ~name (lower_call table w)
       in
       match List.find_opt (fun (s, _) -> s = spec) !clauses with
       | Some (_, items) -> items := item :: !items
@@ -358,7 +358,7 @@ let run_with_stats ~pool ?evaluator ?governor ?session ~tables (q : Ast.query) =
          through to the stateless path untouched. *)
       Obs.span "sql.window" (fun () ->
           let t, st =
-            Window_plan.run_with_stats ~pool ?evaluator ?governor ?session table clauses
+            Window_plan.run_with_stats ~pool ?governor ?session table clauses
           in
           plan_stats := Some st;
           t)

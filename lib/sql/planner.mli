@@ -20,12 +20,13 @@ val run :
   tables:(string * Table.t) list ->
   Ast.query ->
   Table.t
-(** Executes the query on the caller's [pool]; [evaluator] forces every window item onto one
+(** Executes the query on the caller's [pool]; [evaluator] pins every lowered window item to one
     backend, strictly — an unsupported (function, backend) pair raises
     (for the CLI's --evaluator flag; see
     {!Holistic_window.Window_plan.run}); [governor] bounds the window
-    stage's working set, spilling sorts and streaming builds under
-    pressure (caller-owned; see {!Holistic_window.Mem_governor});
+    stage's sorts, which spill to disk runs under pressure, while
+    structures are built in memory (caller-owned; see
+    {!Holistic_window.Mem_governor});
     [session] is a persistent
     structure store consulted when the query's FROM table is the session's
     table and no WHERE clause filters it (see

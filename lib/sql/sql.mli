@@ -38,7 +38,7 @@ val query :
   Table.t
 (** Parses and executes one SELECT statement against the named tables,
     running its sorts, builds and probes on the caller's [pool].
-    [evaluator] forces every window item onto one backend (strict; see
+    [evaluator] pins every window item to one backend (strict; see
     {!Holistic_window.Window_plan.run}); [governor] bounds the
     window stage's sorts — they spill to disk runs under pressure, with
     bit-identical results, while structures are built in memory

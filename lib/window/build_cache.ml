@@ -6,46 +6,8 @@ module Rank_encode = Holistic_core.Rank_encode
 module Range_tree = Holistic_core.Range_tree
 module Seg = Holistic_baselines.Segment_tree
 
-(* ------------------------------------------------------------------ *)
-(* Monoids shared by the evaluators (owned here so the cache can store  *)
-(* the instantiated tree types without a dependency cycle).             *)
-(* ------------------------------------------------------------------ *)
-
-module Value_monoid_sum = struct
-  type t = Value.t
-
-  let identity = Value.Null
-  let combine a b = if Value.is_null a then b else if Value.is_null b then a else Value.add a b
-end
-
-module Value_monoid_min = struct
-  type t = Value.t
-
-  let identity = Value.Null
-
-  let combine a b =
-    if Value.is_null a then b
-    else if Value.is_null b then a
-    else if Value.compare_sql ~nulls_last:true a b <= 0 then a
-    else b
-end
-
-module Value_monoid_max = struct
-  type t = Value.t
-
-  let identity = Value.Null
-
-  let combine a b =
-    if Value.is_null a then b
-    else if Value.is_null b then a
-    else if Value.compare_sql ~nulls_last:true a b >= 0 then a
-    else b
-end
-
-module Vsum_seg = Seg.Make (Value_monoid_sum)
-module Vmin_seg = Seg.Make (Value_monoid_min)
-module Vmax_seg = Seg.Make (Value_monoid_max)
-
+(* The annotated tree's monoid is owned here so the cache can store the
+   instantiated tree type without a dependency cycle. *)
 module Sum_count_monoid = struct
   type t = float * int
 
@@ -92,7 +54,6 @@ let unfiltered = { filter = None; extra = Ex_none }
 type codes_class = Rank_codes | Row_codes | Select_perm
 
 type seg_class = Seg_sum | Seg_min | Seg_max
-type seg_tree = Sum_tree of Vsum_seg.t | Min_tree of Vmin_seg.t | Max_tree of Vmax_seg.t
 
 (* All keys are pure ASTs ([Expr.t] / [Sort_spec.t]) compared structurally,
    which is exactly the sharing rule: two items share a build iff their
@@ -126,13 +87,13 @@ type t = {
   encodes : (Sort_spec.t, Rank_encode.t) guarded;
   remaps : (qual, Remap.t) guarded;
   peers : (Sort_spec.t, int array * int array) guarded;
-  count_trees : (string * codes_class * Sort_spec.t * qual * int, Mstw.t) guarded;
-  range_trees : (string * Sort_spec.t * qual * int, Range_tree.t) guarded;
+  count_trees : (codes_class * Sort_spec.t * qual * int, Mstw.t) guarded;
+  range_trees : (Sort_spec.t * qual * int, Range_tree.t) guarded;
   arg_ids : (Expr.t * qual, int array) guarded;
   prev_arrays : (Expr.t * qual, int array) guarded;
-  distinct_trees : (string * Expr.t * qual * int, Mstw.t) guarded;
-  annotated_trees : (string * Expr.t * qual * int, Sum_count_mst.t) guarded;
-  seg_trees : (seg_class * Expr.t * qual, seg_tree) guarded;
+  distinct_trees : (Expr.t * qual * int, Mstw.t) guarded;
+  annotated_trees : (Expr.t * qual * int, Sum_count_mst.t) guarded;
+  seg_trees : (seg_class * Expr.t * qual, Value.t Seg.t) guarded;
 }
 
 let create ?counters () =
@@ -171,11 +132,6 @@ let c_struct_bytes = Obs.Counter.make ~help:"Bytes of auxiliary query structures
 (* per-structure footprints (repo-wide memory-accounting contract) *)
 let int_array_bytes a = 8 * (1 + Array.length a)
 let peers_bytes (a, b) = 8 * (3 + 2 + Array.length a + Array.length b)
-
-let seg_tree_bytes = function
-  | Sum_tree s -> Vsum_seg.footprint_bytes s
-  | Min_tree s -> Vmin_seg.footprint_bytes s
-  | Max_tree s -> Vmax_seg.footprint_bytes s
 
 let built ~bytes v =
   (* called inside the build span, so the footprint lands on it; [bytes]
@@ -253,31 +209,29 @@ let encode t ?maintain ~order build =
 let remap t ~qual build = memo ~kind:"remap" ~bytes:Remap.footprint_bytes t t.remaps qual build
 let peers t ~order build = memo ~kind:"peers" ~bytes:peers_bytes t t.peers order build
 
-(* Structure keys carry the evaluator that built them ([algo], the
-   [Evaluator_choice.to_string] spelling): two items share a tree only when
-   the planner resolved them to the same backend.  Segment trees have one
-   backend, so their keys carry none. *)
-let count_tree t ~algo ?maintain ~cls ~order ~qual ~sample build =
+(* Only the [Mst] backend builds these trees ([Mst_no_cascade] runs as
+   [Mst] at sample 0), so the sample in each key tells them apart. *)
+let count_tree t ?maintain ~cls ~order ~qual ~sample build =
   let kind = match cls with Rank_codes -> "mst.rank" | Row_codes -> "mst.row" | Select_perm -> "mst.select" in
-  memo_tree ~kind ~bytes:Mstw.footprint_bytes ?maintain t t.count_trees (algo, cls, order, qual, sample) build
+  memo_tree ~kind ~bytes:Mstw.footprint_bytes ?maintain t t.count_trees (cls, order, qual, sample) build
 
-let range_tree t ~algo ~order ~qual ~sample build =
-  memo_tree ~kind:"range_tree" ~bytes:Range_tree.footprint_bytes t t.range_trees
-    (algo, order, qual, sample) build
+let range_tree t ~order ~qual ~sample build =
+  memo_tree ~kind:"range_tree" ~bytes:Range_tree.footprint_bytes t t.range_trees (order, qual, sample)
+    build
 
 let arg_ids t ~arg ~qual build = memo ~kind:"arg_ids" ~bytes:int_array_bytes t t.arg_ids (arg, qual) build
 let prev_array t ~arg ~qual build = memo ~kind:"prev" ~bytes:int_array_bytes t t.prev_arrays (arg, qual) build
 
-let distinct_tree t ~algo ?maintain ~arg ~qual ~sample build =
+let distinct_tree t ?maintain ~arg ~qual ~sample build =
   memo_tree ~kind:"mst.distinct" ~bytes:Mstw.footprint_bytes ?maintain t t.distinct_trees
-    (algo, arg, qual, sample) build
+    (arg, qual, sample) build
 
-let annotated_tree t ~algo ~arg ~qual ~sample build =
+let annotated_tree t ~arg ~qual ~sample build =
   memo_tree ~kind:"mst.annotated" ~bytes:Sum_count_mst.footprint_bytes t t.annotated_trees
-    (algo, arg, qual, sample) build
+    (arg, qual, sample) build
 
 let seg_tree t ~cls ~arg ~qual build =
-  memo_tree ~kind:"segment_tree" ~bytes:seg_tree_bytes t t.seg_trees (cls, arg, qual) build
+  memo_tree ~kind:"segment_tree" ~bytes:Seg.footprint_bytes t t.seg_trees (cls, arg, qual) build
 
 let footprint_bytes t =
   let sum bytes g =
@@ -295,4 +249,4 @@ let footprint_bytes t =
   + sum int_array_bytes t.prev_arrays
   + sum Mstw.footprint_bytes t.distinct_trees
   + sum Sum_count_mst.footprint_bytes t.annotated_trees
-  + sum seg_tree_bytes t.seg_trees
+  + sum Seg.footprint_bytes t.seg_trees

@@ -27,34 +27,6 @@ module Rank_encode = Holistic_core.Rank_encode
 module Range_tree = Holistic_core.Range_tree
 module Seg = Holistic_baselines.Segment_tree
 
-(** Monoids and tree functor instances shared by the evaluators (owned here
-    so cached trees have a home module without a dependency cycle). *)
-
-module Value_monoid_sum : sig
-  type t = Value.t
-
-  val identity : t
-  val combine : t -> t -> t
-end
-
-module Value_monoid_min : sig
-  type t = Value.t
-
-  val identity : t
-  val combine : t -> t -> t
-end
-
-module Value_monoid_max : sig
-  type t = Value.t
-
-  val identity : t
-  val combine : t -> t -> t
-end
-
-module Vsum_seg : module type of Seg.Make (Value_monoid_sum)
-module Vmin_seg : module type of Seg.Make (Value_monoid_min)
-module Vmax_seg : module type of Seg.Make (Value_monoid_max)
-
 module Sum_count_monoid : sig
   type t = float * int
 
@@ -103,7 +75,7 @@ type codes_class = Rank_codes | Row_codes | Select_perm
     positions (§4.5 Fig. 6). *)
 
 type seg_class = Seg_sum | Seg_min | Seg_max
-type seg_tree = Sum_tree of Vsum_seg.t | Min_tree of Vmin_seg.t | Max_tree of Vmax_seg.t
+(** Which monoid a cached segment tree combines its argument values under. *)
 
 type t
 
@@ -133,11 +105,9 @@ val advance : t -> unit
     the build span); [None] — or no callback — falls back to the build
     thunk (provenance [rebuilt(stale)]).
 
-    MST-family tree keys additionally carry [algo] — the
-    {!Evaluator_choice.to_string} spelling of the backend the structure
-    was resolved to — so items the planner sent to different backends
-    never alias each other's trees.  Segment trees have one backend and
-    no [algo]. *)
+    Only the [Mst] backend builds MST-family trees ([Mst_no_cascade]
+    runs as [Mst] at sample 0), so their keys carry the sample and no
+    backend. *)
 
 val encode :
   t ->
@@ -152,27 +122,27 @@ val peers :
   t -> order:Sort_spec.t -> (unit -> int array * int array) -> int array * int array
 
 val count_tree :
-  t -> algo:string -> ?maintain:(Mstw.t -> (Mstw.t * string) option) ->
+  t -> ?maintain:(Mstw.t -> (Mstw.t * string) option) ->
   cls:codes_class -> order:Sort_spec.t -> qual:qual -> sample:int ->
   (unit -> Mstw.t) -> Mstw.t
 
 val range_tree :
-  t -> algo:string -> order:Sort_spec.t -> qual:qual -> sample:int ->
+  t -> order:Sort_spec.t -> qual:qual -> sample:int ->
   (unit -> Range_tree.t) -> Range_tree.t
 
 val arg_ids : t -> arg:Expr.t -> qual:qual -> (unit -> int array) -> int array
 val prev_array : t -> arg:Expr.t -> qual:qual -> (unit -> int array) -> int array
 
 val distinct_tree :
-  t -> algo:string -> ?maintain:(Mstw.t -> (Mstw.t * string) option) ->
+  t -> ?maintain:(Mstw.t -> (Mstw.t * string) option) ->
   arg:Expr.t -> qual:qual -> sample:int -> (unit -> Mstw.t) -> Mstw.t
 
 val annotated_tree :
-  t -> algo:string -> arg:Expr.t -> qual:qual -> sample:int ->
+  t -> arg:Expr.t -> qual:qual -> sample:int ->
   (unit -> Sum_count_mst.t) -> Sum_count_mst.t
 
 val seg_tree :
-  t -> cls:seg_class -> arg:Expr.t -> qual:qual -> (unit -> seg_tree) -> seg_tree
+  t -> cls:seg_class -> arg:Expr.t -> qual:qual -> (unit -> Value.t Seg.t) -> Value.t Seg.t
 
 val footprint_bytes : t -> int
 (** Total bytes held by every structure currently cached — the sum of the

@@ -2,7 +2,7 @@
    per-clause algorithm choice as a planning decision).  Every eligible
    backend gets a predicted per-partition evaluation time in nanoseconds
    from a handful of per-primitive unit costs; [choose] picks the cheapest
-   but only leaves the legacy default when the predicted total saving
+   but only leaves [Evaluator_choice.default] when the predicted total saving
    across all partitions clears [choice_floor_ns] — small inputs keep the
    exact historical plans (and their sharing counters, EXPLAIN goldens and
    fuzz behaviour) by construction.
@@ -34,7 +34,7 @@ type constants = {
 (* calibrate-v2, fitted on the CI baseline host (see EXPERIMENTS.md):
    bench/calibrate.ml, n = 262144, frames 64/4096.  The floor is sized so
    that sub-millisecond plans (unit tests, EXPLAIN goldens, the fuzz
-   corpus) never leave the legacy defaults: the largest predicted saving
+   corpus) never leave [Evaluator_choice.default]: the largest predicted saving
    on a ~600-row input is a few hundred microseconds. *)
 let default =
   {
@@ -163,17 +163,10 @@ let cost ?(sunk = []) c (i : inputs) name =
 (* Choice                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* What the planner picked before this model existed — the tie-keeper, and
-   the pick whenever the predicted saving is inside the floor. *)
-let legacy_default (cls : Ec.func_class) ~holed =
-  match cls with
-  | Ec.C_plain_agg -> Ec.Segment_tree
-  | Ec.C_mode -> if holed then Ec.Naive else Ec.Incremental
-  | _ -> Ec.Mst
-
-(* The serial/no-cascade variants exist for the benchmark sweeps and the
-   forced knobs; Auto never picks them (same answers, strictly dominated
-   cost under the model). *)
+(* [Mst_no_cascade] (MST at sample 0) and [Incremental_serial]
+   (incremental as one task) are reached only by pinned items; an unpinned
+   item never resolves to them (same answers, strictly dominated cost
+   under the model). *)
 let auto_candidates = [ Ec.Mst; Ec.Segment_tree; Ec.Naive; Ec.Incremental; Ec.Order_statistic ]
 
 type decision = {
@@ -183,7 +176,7 @@ type decision = {
 }
 
 let choose ?sunk c (i : inputs) =
-  let default = legacy_default i.cls ~holed:i.holed in
+  let default = Ec.default i.cls ~holed:i.holed in
   let cands = List.filter (fun n -> Ec.supports n i.cls ~holed:i.holed) auto_candidates in
   let cands = if List.mem default cands then cands else default :: cands in
   let scores = List.map (fun n -> (n, cost ?sunk c i n)) cands in

@@ -1,5 +1,5 @@
 (** Calibrated per-clause evaluator cost model.  [Window_plan] resolves
-    every [Auto] item through {!choose} once per (stage, item) before
+    every unpinned item through {!choose} once per (stage, item) before
     evaluation; the constants are fitted by [bench/calibrate.ml] and
     committed in {!default} as a versioned table.  Decisions are
     deterministic functions of the inputs below — in particular they do
@@ -23,7 +23,7 @@ type constants = {
   ost_update_ns : float;  (** per counted-B-tree op per log2 frame *)
   choice_floor_ns : float;
       (** predicted total saving (over all partitions) required before the
-          choice leaves {!legacy_default}; keeps small inputs on the exact
+          choice leaves {!Evaluator_choice.default}; keeps small inputs on the exact
           historical plans *)
 }
 
@@ -54,10 +54,6 @@ val cost : ?sunk:Evaluator_choice.name list -> constants -> inputs -> Evaluator_
     (a {!Session} carried it across queries): their build term is treated
     as spent, leaving only probe cost. *)
 
-val legacy_default : Evaluator_choice.func_class -> holed:bool -> Evaluator_choice.name
-(** The pre-cost-model pick: segment tree for plain aggregates,
-    incremental (naive when holed) for MODE, MST for everything else. *)
-
 type decision = {
   chosen : Evaluator_choice.name;
   default : Evaluator_choice.name;
@@ -66,7 +62,7 @@ type decision = {
 }
 
 val choose : ?sunk:Evaluator_choice.name list -> constants -> inputs -> decision
-(** The cheapest eligible backend, kept at {!legacy_default} unless the
+(** The cheapest eligible backend, kept at {!Evaluator_choice.default} unless the
     predicted total saving clears [choice_floor_ns].  [sunk] as in
     {!cost}: an already-cached structure's build cost is sunk, which can
     flip the choice towards reusing it. *)

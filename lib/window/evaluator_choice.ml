@@ -1,13 +1,14 @@
-(* First-class names for the evaluation backends and their capability
-   matrix.  This is the planning-time view of the
-   evaluator zoo: [Window_plan] classifies every item, asks [supports] which
-   backends can run it, and (for Auto items) lets [Cost_model] pick among
-   them.  The evaluator bodies in [Evaluators] stay keyed on
-   [Window_func.algorithm]; [to_algorithm]/[of_algorithm] translate. *)
+(* The evaluation backends by name, the one (backend, function-class)
+   capability table and the one default.  [Window_plan] classifies every
+   item, checks a pinned backend with [supports] and resolves an unpinned
+   one through [Cost_model], which starts from [default];
+   [Evaluators.eval_item] checks the same table and takes the same default
+   at its entry, so a backend runs a class exactly when [supports] says it
+   does. *)
 
 open Window_func
 
-type name =
+type name = Window_func.backend =
   | Mst
   | Mst_no_cascade
   | Naive
@@ -40,24 +41,7 @@ let of_string s =
   | "segment-tree" -> Some Segment_tree
   | _ -> None
 
-let to_algorithm = function
-  | Mst -> Window_func.Mst
-  | Mst_no_cascade -> Window_func.Mst_no_cascade
-  | Naive -> Window_func.Naive
-  | Incremental -> Window_func.Incremental
-  | Incremental_serial -> Window_func.Incremental_serial
-  | Order_statistic -> Window_func.Order_statistic
-  | Segment_tree -> Window_func.Segment_tree
-
-let of_algorithm = function
-  | Window_func.Auto -> None
-  | Window_func.Mst -> Some Mst
-  | Window_func.Mst_no_cascade -> Some Mst_no_cascade
-  | Window_func.Naive -> Some Naive
-  | Window_func.Incremental -> Some Incremental
-  | Window_func.Incremental_serial -> Some Incremental_serial
-  | Window_func.Order_statistic -> Some Order_statistic
-  | Window_func.Segment_tree -> Some Segment_tree
+let to_algorithm nm = Some nm
 
 (* ------------------------------------------------------------------ *)
 (* Function classes                                                    *)
@@ -97,37 +81,36 @@ let class_to_string = function
   | C_dense_rank -> "dense_rank"
   | C_select -> "percentile/value function"
 
-(* Mirrors the dispatch matrix in [Evaluators] exactly: a (backend, class)
-   pair is supported iff the evaluator body implements it; every other
-   pair is an [unsupported] arm there.  Backends driven through
+(* A (backend, class) pair is supported iff the evaluator body implements
+   it.  The no-cascade and serial variants run as settings of [Mst] and
+   [Incremental], so they share their rows.  Backends driven through
    [Evaluators.incremental_drive] cannot evaluate frames with exclusion
    holes; [holed] gates them out. *)
-let supports name cls ~holed =
+let rec supports name cls ~holed =
+  match name, cls with
+  | Mst_no_cascade, _ -> supports Mst cls ~holed
+  | Incremental_serial, _ -> supports Incremental cls ~holed
+  | _, C_trivial_count -> true (* remap + prefix counts; no per-backend structure *)
+  | _, C_plain_agg -> ( match name with Segment_tree | Naive -> true | _ -> false)
+  | _, (C_distinct_sum_avg | C_dense_rank) -> ( match name with Mst | Naive -> true | _ -> false)
+  | _, C_distinct_count -> (
+      match name with Mst | Naive -> true | Incremental -> not holed | _ -> false)
+  | _, C_mode -> ( match name with Naive -> true | Incremental -> not holed | _ -> false)
+  | _, C_rank -> ( match name with Mst | Naive -> true | Order_statistic -> not holed | _ -> false)
+  | _, C_select -> (
+      match name with
+      | Mst | Naive -> true
+      | Incremental | Order_statistic -> not holed
+      | _ -> false)
+
+(* What the planner picked before the cost model existed: the tie-keeper,
+   the pick whenever the predicted saving is inside the floor, and the
+   backend of an item that reaches the evaluators unpinned. *)
+let default cls ~holed =
   match cls with
-  | C_trivial_count -> true (* remap + prefix counts; no per-backend structure *)
-  | C_plain_agg -> ( match name with Segment_tree | Naive -> true | _ -> false)
-  | C_distinct_count -> (
-      match name with
-      | Mst | Mst_no_cascade | Naive -> true
-      | Incremental | Incremental_serial -> not holed
-      | Order_statistic | Segment_tree -> false)
-  | C_distinct_sum_avg -> ( match name with Mst | Mst_no_cascade | Naive -> true | _ -> false)
-  | C_mode -> (
-      match name with
-      | Naive -> true
-      | Incremental | Incremental_serial -> not holed
-      | _ -> false)
-  | C_rank -> (
-      match name with
-      | Mst | Mst_no_cascade | Naive -> true
-      | Order_statistic -> not holed
-      | _ -> false)
-  | C_dense_rank -> ( match name with Mst | Mst_no_cascade | Naive -> true | _ -> false)
-  | C_select -> (
-      match name with
-      | Mst | Mst_no_cascade | Naive -> true
-      | Incremental | Incremental_serial | Order_statistic -> not holed
-      | Segment_tree -> false)
+  | C_plain_agg -> Segment_tree
+  | C_mode -> if holed then Naive else Incremental
+  | _ -> Mst
 
 let supported_names cls ~holed = List.filter (fun n -> supports n cls ~holed) all
 

@@ -7,16 +7,10 @@ module Range_tree = Holistic_core.Range_tree
 module Ost = Holistic_baselines.Order_statistic_tree
 module Inc = Holistic_baselines.Incremental
 module Naive = Holistic_baselines.Naive
+module Seg = Holistic_baselines.Segment_tree
+module Ec = Evaluator_choice
 open Window_func
 
-(* Monoids and tree instances live in Build_cache (so cached trees have a
-   home module); aliased here for the evaluator bodies. *)
-module Value_monoid_sum = Build_cache.Value_monoid_sum
-module Value_monoid_min = Build_cache.Value_monoid_min
-module Value_monoid_max = Build_cache.Value_monoid_max
-module Vsum_seg = Build_cache.Vsum_seg
-module Vmin_seg = Build_cache.Vmin_seg
-module Vmax_seg = Build_cache.Vmax_seg
 module Sum_count_mst = Build_cache.Sum_count_mst
 
 type ctx = {
@@ -35,24 +29,21 @@ type ctx = {
 
 let np ctx = Array.length ctx.rows
 
-let unsupported what =
-  invalid_arg (Printf.sprintf "Window: unsupported function/algorithm combination (%s)" what)
-
-(* Cache-key tag for the MST-family structures: the cascade-free variant
-   builds different trees (sample 0) and must not alias the cascaded ones
-   even when [ctx.sample] is 0. *)
-let mst_tag = function Mst_no_cascade -> "mst-no-cascade" | _ -> "mst"
+(* The catch-all arm of every evaluator body: [eval_item] admits only the
+   (backend, class) pairs [Evaluator_choice.supports] lists, and runs the
+   no-cascade and serial variants as [Mst] and [Incremental]. *)
+let excluded_at_entry () = assert false
 
 (* Build callback for cached MSTs: the tree over [a] at the plan's knobs. *)
-let mst_build ctx ~sample a =
-  Mstw.create ~pool:ctx.pool ~fanout:ctx.fanout ~sample ~choice:ctx.width a
+let mst_build ctx a =
+  Mstw.create ~pool:ctx.pool ~fanout:ctx.fanout ~sample:ctx.sample ~choice:ctx.width a
 
 (* [maintain] callback for cached MSTs: run-stack the grown leaf array
    onto the stale tree ({!Mstw.try_extend}); [leaf] is a thunk because the
    grown operand is only needed when the entry is actually stale. *)
-let mst_maintain ctx ~sample leaf old =
+let mst_maintain ctx leaf old =
   let a = leaf () in
-  match Mstw.try_extend ~fanout:ctx.fanout ~sample ~choice:ctx.width old a with
+  match Mstw.try_extend ~fanout:ctx.fanout ~sample:ctx.sample ~choice:ctx.width old a with
   | Some t -> Some (t, Printf.sprintf "+%d rows" (Array.length a - Mstw.length old))
   | None -> None
 
@@ -129,19 +120,15 @@ let probe ctx f =
       done)
 
 (* Task-based driver for incremental competitors: each chunk of [task_size]
-   output rows rebuilds its state from scratch (§3.2). *)
-let incremental_drive ctx rm ~serial ~make_state =
+   output rows rebuilds its state from scratch (§3.2).  Frames with
+   exclusion holes never reach it ([Evaluator_choice.supports]). *)
+let incremental_drive ctx rm ~make_state =
   let m = Remap.filtered_count rm in
-  if Frame.exclusion ctx.frame <> Window_spec.Exclude_no_others then
-    unsupported "incremental algorithms cannot evaluate frames with exclusion holes";
-  let run lo hi =
-    let add, remove, result, reset = make_state () in
-    Inc.Frame_driver.run ~n:m
-      ~frame:(fun r -> Remap.map_range rm (Frame.start_ ctx.frame r, Frame.end_ ctx.frame r))
-      ~add ~remove ~result ~reset ~lo ~hi
-  in
-  if serial then run 0 (np ctx)
-  else Task_pool.parallel_for ctx.pool ~lo:0 ~hi:(np ctx) ~chunk:ctx.task_size run
+  Task_pool.parallel_for ctx.pool ~lo:0 ~hi:(np ctx) ~chunk:ctx.task_size (fun lo hi ->
+      let add, remove, result, reset = make_state () in
+      Inc.Frame_driver.run ~n:m
+        ~frame:(fun r -> Remap.map_range rm (Frame.start_ ctx.frame r, Frame.end_ ctx.frame r))
+        ~add ~remove ~result ~reset ~lo ~hi)
 
 (* Access to an argument expression's values, with unboxed column fast
    paths. Positions are partition positions. (NULL tests live in [qualify]'s
@@ -251,74 +238,50 @@ let to_float_v = function
   | Value.Float x -> x
   | v -> invalid_arg ("Window: AVG of non-numeric value " ^ Value.to_string v)
 
+(* The monoids of the plain aggregates, NULL as identity. *)
+let sum_v a b = if Value.is_null a then b else if Value.is_null b then a else Value.add a b
+
+let min_v a b =
+  if Value.is_null a then b
+  else if Value.is_null b then a
+  else if Value.compare_sql ~nulls_last:true a b <= 0 then a
+  else b
+
+let max_v a b =
+  if Value.is_null a then b
+  else if Value.is_null b then a
+  else if Value.compare_sql ~nulls_last:true a b >= 0 then a
+  else b
+
 let eval_plain_agg ctx ~kind ~arg ~acc ~qual ~rm ~algorithm ~out =
   let m = Remap.filtered_count rm in
   let value_f i = acc.value_at (Remap.position rm i) in
-  let emit r v = out.(ctx.rows.(r)) <- v in
+  let cls, combine =
+    match kind with
+    | Sum | Avg -> (Build_cache.Seg_sum, sum_v)
+    | Min -> (Build_cache.Seg_min, min_v)
+    | Max -> (Build_cache.Seg_max, max_v)
+    | Count | Count_star -> excluded_at_entry ()
+  in
+  (* [s] combines the frame's values; AVG divides it by their count *)
+  let emit r ranges s =
+    out.(ctx.rows.(r)) <-
+      (if kind <> Avg then s
+       else
+         let cnt = covered_of ranges in
+         if cnt = 0 then Value.Null else Value.Float (to_float_v s /. float_of_int cnt))
+  in
   match algorithm with
-  | Auto | Segment_tree -> begin
-      match kind with
-      | Sum | Avg ->
-          let tree =
-            match
-              Build_cache.seg_tree ctx.cache ~cls:Build_cache.Seg_sum ~arg ~qual (fun () ->
-                  Build_cache.Sum_tree (Vsum_seg.create m value_f))
-            with
-            | Build_cache.Sum_tree t -> t
-            | _ -> assert false
-          in
-          probe ctx (fun r ->
-              let ranges = mapped_ranges ctx rm r in
-              let s =
-                Array.fold_left
-                  (fun a (lo, hi) -> Value_monoid_sum.combine a (Vsum_seg.query tree ~lo ~hi))
-                  Value.Null ranges
-              in
-              if kind = Sum then emit r s
-              else begin
-                let cnt = covered_of ranges in
-                emit r (if cnt = 0 then Value.Null else Value.Float (to_float_v s /. float_of_int cnt))
-              end)
-      | Min ->
-          let tree =
-            match
-              Build_cache.seg_tree ctx.cache ~cls:Build_cache.Seg_min ~arg ~qual (fun () ->
-                  Build_cache.Min_tree (Vmin_seg.create m value_f))
-            with
-            | Build_cache.Min_tree t -> t
-            | _ -> assert false
-          in
-          probe ctx (fun r ->
-              let ranges = mapped_ranges ctx rm r in
-              emit r
-                (Array.fold_left
-                   (fun a (lo, hi) -> Value_monoid_min.combine a (Vmin_seg.query tree ~lo ~hi))
-                   Value.Null ranges))
-      | Max ->
-          let tree =
-            match
-              Build_cache.seg_tree ctx.cache ~cls:Build_cache.Seg_max ~arg ~qual (fun () ->
-                  Build_cache.Max_tree (Vmax_seg.create m value_f))
-            with
-            | Build_cache.Max_tree t -> t
-            | _ -> assert false
-          in
-          probe ctx (fun r ->
-              let ranges = mapped_ranges ctx rm r in
-              emit r
-                (Array.fold_left
-                   (fun a (lo, hi) -> Value_monoid_max.combine a (Vmax_seg.query tree ~lo ~hi))
-                   Value.Null ranges))
-      | Count | Count_star -> assert false
-    end
-  | Naive ->
-      let combine =
-        match kind with
-        | Sum | Avg -> Value_monoid_sum.combine
-        | Min -> Value_monoid_min.combine
-        | Max -> Value_monoid_max.combine
-        | Count | Count_star -> assert false
+  | Segment_tree ->
+      let tree =
+        Build_cache.seg_tree ctx.cache ~cls ~arg ~qual (fun () ->
+            Seg.create ~identity:Value.Null ~combine m value_f)
       in
+      probe ctx (fun r ->
+          let ranges = mapped_ranges ctx rm r in
+          emit r ranges
+            (Array.fold_left (fun a (lo, hi) -> combine a (Seg.query tree ~lo ~hi)) Value.Null ranges))
+  | Naive ->
       probe ctx (fun r ->
           let ranges = mapped_ranges ctx rm r in
           let s = ref Value.Null in
@@ -328,13 +291,8 @@ let eval_plain_agg ctx ~kind ~arg ~acc ~qual ~rm ~algorithm ~out =
                 s := combine !s (value_f i)
               done)
             ranges;
-          if kind = Avg then begin
-            let cnt = covered_of ranges in
-            emit r (if cnt = 0 then Value.Null else Value.Float (to_float_v !s /. float_of_int cnt))
-          end
-          else emit r !s)
-  | Mst | Mst_no_cascade | Incremental | Incremental_serial | Order_statistic ->
-      unsupported "plain aggregates support Auto/Segment_tree/Naive"
+          emit r ranges !s)
+  | _ -> excluded_at_entry ()
 
 (* ------------------------------------------------------------------ *)
 (* DISTINCT aggregates                                                 *)
@@ -347,15 +305,14 @@ let eval_distinct_count ctx ~arg ~filter ~algorithm ~out =
   let ids = Build_cache.arg_ids ctx.cache ~arg ~qual (fun () -> acc.ids_filtered rm) in
   let emit r v = out.(ctx.rows.(r)) <- Value.Int v in
   match algorithm with
-  | Auto | Mst | Mst_no_cascade ->
-      let sample = if algorithm = Mst_no_cascade then 0 else ctx.sample in
+  | Mst ->
       let prev =
         Build_cache.prev_array ctx.cache ~arg ~qual (fun () -> Prev.compute ~pool:ctx.pool ids)
       in
       let tree =
-        Build_cache.distinct_tree ctx.cache ~algo:(mst_tag algorithm) ~arg ~qual ~sample
-          ~maintain:(mst_maintain ctx ~sample (fun () -> prev))
-          (fun () -> mst_build ctx ~sample prev)
+        Build_cache.distinct_tree ctx.cache ~arg ~qual ~sample:ctx.sample
+          ~maintain:(mst_maintain ctx (fun () -> prev))
+          (fun () -> mst_build ctx prev)
       in
       let next =
         if Frame.exclusion ctx.frame = Window_spec.Exclude_no_others then [||] else next_of prev
@@ -378,16 +335,14 @@ let eval_distinct_count ctx ~arg ~filter ~algorithm ~out =
           emit r v)
   | Naive ->
       probe ctx (fun r -> emit r (Naive.distinct_count ids ~ranges:(mapped_ranges ctx rm r)))
-  | Incremental | Incremental_serial ->
-      incremental_drive ctx rm
-        ~serial:(algorithm = Incremental_serial)
-        ~make_state:(fun () ->
+  | Incremental ->
+      incremental_drive ctx rm ~make_state:(fun () ->
           let dc = Inc.Distinct_count.create () in
           ( (fun p -> Inc.Distinct_count.add dc ids.(p)),
             (fun p -> Inc.Distinct_count.remove dc ids.(p)),
             (fun r -> emit r (Inc.Distinct_count.count dc)),
             fun () -> Inc.Distinct_count.clear dc ))
-  | Order_statistic | Segment_tree -> unsupported "distinct count"
+  | _ -> excluded_at_entry ()
 
 let eval_distinct_sum_avg ctx ~kind ~arg ~filter ~algorithm ~out =
   let acc = arg_access ctx arg in
@@ -403,14 +358,13 @@ let eval_distinct_sum_avg ctx ~kind ~arg ~filter ~algorithm ~out =
        else Value.Float (s /. float_of_int c))
   in
   match algorithm with
-  | Auto | Mst | Mst_no_cascade ->
-      let sample = if algorithm = Mst_no_cascade then 0 else ctx.sample in
+  | Mst ->
       let prev =
         Build_cache.prev_array ctx.cache ~arg ~qual (fun () -> Prev.compute ~pool:ctx.pool ids)
       in
       let tree =
-        Build_cache.annotated_tree ctx.cache ~algo:(mst_tag algorithm) ~arg ~qual ~sample (fun () ->
-            Sum_count_mst.create ~pool:ctx.pool ~fanout:ctx.fanout ~sample ~keys:prev
+        Build_cache.annotated_tree ctx.cache ~arg ~qual ~sample:ctx.sample (fun () ->
+            Sum_count_mst.create ~pool:ctx.pool ~fanout:ctx.fanout ~sample:ctx.sample ~keys:prev
               ~value:(fun i -> (fvals.(i), 1))
               ())
       in
@@ -447,8 +401,7 @@ let eval_distinct_sum_avg ctx ~kind ~arg ~filter ~algorithm ~out =
             ranges;
           let s = Hashtbl.fold (fun _ v a -> a +. v) seen 0.0 in
           emit r (s, Hashtbl.length seen))
-  | Incremental | Incremental_serial | Order_statistic | Segment_tree ->
-      unsupported "distinct sum/avg supports Auto/Mst/Naive"
+  | _ -> excluded_at_entry ()
 
 let eval_aggregate ctx ~kind ~arg ~distinct ~filter ~algorithm ~out =
   match kind, arg with
@@ -467,7 +420,7 @@ let eval_aggregate ctx ~kind ~arg ~distinct ~filter ~algorithm ~out =
       let qual = { Build_cache.filter; extra = Build_cache.Ex_nonnull e } in
       let rm = qualify ctx qual in
       eval_plain_agg ctx ~kind ~arg:e ~acc ~qual ~rm ~algorithm ~out
-  | _ -> unsupported "aggregate without argument"
+  | _ -> invalid_arg "Window: unsupported function/algorithm combination (aggregate without argument)"
 
 (* ------------------------------------------------------------------ *)
 (* Windowed MODE (extension; Wesley & Xu's third holistic aggregate)   *)
@@ -490,14 +443,8 @@ let eval_mode ctx ~arg ~filter ~algorithm ~out =
   let emit r id_opt =
     out.(ctx.rows.(r)) <- (match id_opt with None -> Value.Null | Some id -> value_of_id id)
   in
-  let holed = Frame.exclusion ctx.frame <> Window_spec.Exclude_no_others in
-  let algorithm =
-    match algorithm with
-    | Auto -> if holed then Naive else Incremental
-    | a -> a
-  in
   match algorithm with
-  | Naive | Auto ->
+  | Naive ->
       probe ctx (fun r ->
           let ranges = mapped_ranges ctx rm r in
           let counts = Hashtbl.create 16 in
@@ -517,17 +464,14 @@ let eval_mode ctx ~arg ~filter ~algorithm ~out =
               done)
             ranges;
           emit r (Option.map snd !best))
-  | Incremental | Incremental_serial ->
-      incremental_drive ctx rm
-        ~serial:(algorithm = Incremental_serial)
-        ~make_state:(fun () ->
+  | Incremental ->
+      incremental_drive ctx rm ~make_state:(fun () ->
           let st = Inc.Mode.create () in
           ( (fun p -> Inc.Mode.add st ids.(p)),
             (fun p -> Inc.Mode.remove st ids.(p)),
             (fun r -> emit r (Inc.Mode.mode st ~better)),
             fun () -> Inc.Mode.clear st ))
-  | Mst | Mst_no_cascade | Order_statistic | Segment_tree ->
-      unsupported "mode supports Auto/Naive/Incremental (no known O(n log n) range-mode index)"
+  | _ -> excluded_at_entry ()
 
 (* ------------------------------------------------------------------ *)
 (* Rank functions (§4.4)                                               *)
@@ -570,12 +514,11 @@ let eval_rank_family ctx ~variant ~order ~filter ~algorithm ~out =
   let needs_rank = match variant with Rank_v | Percent_rank_v | Cume_dist_v -> true | _ -> false in
   let needs_row = match variant with Row_number_v | Ntile_v _ -> true | _ -> false in
   match variant, algorithm with
-  | Dense_v, (Auto | Mst | Mst_no_cascade) ->
-      let sample = if algorithm = Mst_no_cascade then 0 else ctx.sample in
+  | Dense_v, Mst ->
       let frank = Lazy.force frank in
       let rt =
-        Build_cache.range_tree ctx.cache ~algo:(mst_tag algorithm) ~order ~qual ~sample (fun () ->
-            Range_tree.create ~pool:ctx.pool ~fanout:ctx.fanout ~sample frank)
+        Build_cache.range_tree ctx.cache ~order ~qual ~sample:ctx.sample (fun () ->
+            Range_tree.create ~pool:ctx.pool ~fanout:ctx.fanout ~sample:ctx.sample frank)
       in
       probe ctx (fun r ->
           let ranges = mapped_ranges ctx rm r in
@@ -596,23 +539,22 @@ let eval_rank_family ctx ~variant ~order ~filter ~algorithm ~out =
       probe ctx (fun r ->
           let ranges = mapped_ranges ctx rm r in
           emit r (Value.Int (Naive.distinct_below frank ~ranges ~key:enc.Rank_encode.rank_codes.(r) + 1)))
-  | Dense_v, _ -> unsupported "dense_rank supports Auto/Mst/Naive"
-  | _, (Auto | Mst | Mst_no_cascade) ->
-      let sample = if algorithm = Mst_no_cascade then 0 else ctx.sample in
+  | Dense_v, _ -> excluded_at_entry ()
+  | _, Mst ->
       let tree_rank =
         if needs_rank then
           Some
-            (Build_cache.count_tree ctx.cache ~algo:(mst_tag algorithm) ~cls:Build_cache.Rank_codes ~order ~qual ~sample
-               ~maintain:(mst_maintain ctx ~sample (fun () -> Lazy.force frank))
-               (fun () -> mst_build ctx ~sample (Lazy.force frank)))
+            (Build_cache.count_tree ctx.cache ~cls:Build_cache.Rank_codes ~order ~qual ~sample:ctx.sample
+               ~maintain:(mst_maintain ctx (fun () -> Lazy.force frank))
+               (fun () -> mst_build ctx (Lazy.force frank)))
         else None
       in
       let tree_row =
         if needs_row then
           Some
-            (Build_cache.count_tree ctx.cache ~algo:(mst_tag algorithm) ~cls:Build_cache.Row_codes ~order ~qual ~sample
-               ~maintain:(mst_maintain ctx ~sample (fun () -> Lazy.force frow))
-               (fun () -> mst_build ctx ~sample (Lazy.force frow)))
+            (Build_cache.count_tree ctx.cache ~cls:Build_cache.Row_codes ~order ~qual ~sample:ctx.sample
+               ~maintain:(mst_maintain ctx (fun () -> Lazy.force frow))
+               (fun () -> mst_build ctx (Lazy.force frow)))
         else None
       in
       probe ctx (fun r ->
@@ -654,7 +596,7 @@ let eval_rank_family ctx ~variant ~order ~filter ~algorithm ~out =
       let own r =
         if needs_row then enc.Rank_encode.row_codes.(r) else enc.Rank_encode.rank_codes.(r)
       in
-      incremental_drive ctx rm ~serial:false ~make_state:(fun () ->
+      incremental_drive ctx rm ~make_state:(fun () ->
           let ost = Ost.create () in
           ( (fun p -> Ost.insert ost codes.(p)),
             (fun p -> Ost.remove ost codes.(p)),
@@ -665,8 +607,7 @@ let eval_rank_family ctx ~variant ~order ~filter ~algorithm ~out =
               if variant = Cume_dist_v then finish r ~cnt_less:0 ~cnt_le:cnt_less ~rn0:0 ~s
               else finish r ~cnt_less ~cnt_le:0 ~rn0:cnt_less ~s),
             fun () -> Ost.clear ost ))
-  | _, (Incremental | Incremental_serial | Segment_tree) ->
-      unsupported "rank functions support Auto/Mst/Naive/Order_statistic"
+  | _ -> excluded_at_entry ()
 
 (* ------------------------------------------------------------------ *)
 (* Percentiles, value functions, LEAD/LAG (§4.5, §4.6)                 *)
@@ -779,14 +720,13 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
     out.(row) <- v
   in
   match algorithm with
-  | Auto | Mst | Mst_no_cascade -> begin
-      let sample = if algorithm = Mst_no_cascade then 0 else ctx.sample in
+  | Mst -> begin
       let order_pass = lazy (selection_order enc rm ~with_before:(shift <> None)) in
       let sel_perm () = fst (Lazy.force order_pass) in
       let sel_tree =
-        Build_cache.count_tree ctx.cache ~algo:(mst_tag algorithm) ~cls:Build_cache.Select_perm ~order ~qual ~sample
-          ~maintain:(mst_maintain ctx ~sample sel_perm)
-          (fun () -> mst_build ctx ~sample (sel_perm ()))
+        Build_cache.count_tree ctx.cache ~cls:Build_cache.Select_perm ~order ~qual ~sample:ctx.sample
+          ~maintain:(mst_maintain ctx sel_perm)
+          (fun () -> mst_build ctx (sel_perm ()))
       in
       match shift with
       | Some d ->
@@ -834,11 +774,9 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
             in
             emit_for r ~s:(covered_of !ranges) ~rn select_nth
           done)
-  | Incremental | Incremental_serial ->
+  | Incremental ->
       let fro = Lazy.force fro in
-      incremental_drive ctx rm
-        ~serial:(algorithm = Incremental_serial)
-        ~make_state:(fun () ->
+      incremental_drive ctx rm ~make_state:(fun () ->
           let sw = Inc.Sorted_window.create () in
           let select_nth nth = enc.Rank_encode.permutation.(Inc.Sorted_window.select sw nth) in
           ( (fun p -> Inc.Sorted_window.add sw fro.(p)),
@@ -851,7 +789,7 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
             fun () -> Inc.Sorted_window.clear sw ))
   | Order_statistic ->
       let fro = Lazy.force fro in
-      incremental_drive ctx rm ~serial:false ~make_state:(fun () ->
+      incremental_drive ctx rm ~make_state:(fun () ->
           let ost = Ost.create () in
           let select_nth nth = enc.Rank_encode.permutation.(Ost.select ost nth) in
           ( (fun p -> Ost.insert ost fro.(p)),
@@ -860,14 +798,30 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
               let rn = if shift = None then 0 else Ost.rank ost enc.Rank_encode.row_codes.(r) in
               emit_for r ~s:(Ost.size ost) ~rn select_nth),
             fun () -> Ost.clear ost ))
-  | Segment_tree -> unsupported "percentiles/value functions do not use segment trees"
+  | _ -> excluded_at_entry ()
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The one place the backend is decided for the bodies: an unpinned item
+   takes [Evaluator_choice.default], a pair outside
+   [Evaluator_choice.supports] is rejected with the plan's own message,
+   and the two variants run as settings of another backend — no cascading
+   is [Mst] at sample 0, serial incremental is [Incremental] with the
+   whole partition as its one task. *)
 let eval_item ctx (item : Window_func.t) ~out =
-  let filter = item.filter and algorithm = item.algorithm in
+  let cls = Ec.classify item in
+  let holed = Frame.exclusion ctx.frame <> Window_spec.Exclude_no_others in
+  let backend = match item.algorithm with Some b -> b | None -> Ec.default cls ~holed in
+  if not (Ec.supports backend cls ~holed) then invalid_arg (Ec.unsupported_message backend cls ~holed);
+  let ctx, algorithm =
+    match backend with
+    | Mst_no_cascade -> ({ ctx with sample = 0 }, Mst)
+    | Incremental_serial -> ({ ctx with task_size = max 1 (np ctx) }, Incremental)
+    | b -> (ctx, b)
+  in
+  let filter = item.filter in
   match item.func with
   | Aggregate { kind; arg; distinct } -> eval_aggregate ctx ~kind ~arg ~distinct ~filter ~algorithm ~out
   | Rank order -> eval_rank_family ctx ~variant:Rank_v ~order ~filter ~algorithm ~out

@@ -31,11 +31,16 @@ val encode : ctx -> Sort_spec.t -> Holistic_core.Rank_encode.t
 (** [encode ctx order]: the partition's rank encoding under [order] (§5.1),
     memoized in [ctx.cache]. An [order] that is a prefix of
     [ctx.window_order] — rows are already in it — reads its codes off the
-    peer groups; a single plain int/date/float column (either direction,
-    NULLs included) sorts unboxed; anything else sorts with the comparator.
-    Every path yields the encoding of the stable comparator sort. *)
+    peer groups; every other order is compiled into {!Key_codec} words
+    over the partition's rows and sorted on them.  Both paths yield the
+    encoding of the stable sort under [order]. *)
 
 val eval_item : ctx -> Window_func.t -> out:Value.t array -> unit
 (** Evaluates one window function over the partition, writing results into
-    [out] at the rows' original indices.
-    @raise Invalid_argument for unsupported function/algorithm pairs. *)
+    [out] at the rows' original indices.  An item with no algorithm runs
+    on {!Evaluator_choice.default}; [Mst_no_cascade] runs as [Mst] at
+    sample 0 and [Incremental_serial] as [Incremental] with the partition
+    as its one task.
+    @raise Invalid_argument with {!Evaluator_choice.unsupported_message}
+      when {!Evaluator_choice.supports} rejects the (backend, function)
+      pair. *)

@@ -1,7 +1,6 @@
 open Holistic_storage
 
-type algorithm =
-  | Auto
+type backend =
   | Mst
   | Mst_no_cascade
   | Naive
@@ -31,9 +30,9 @@ type func =
   | Lag of int * Expr.t option * value_func
   | Mode of Expr.t
 
-type t = { func : func; filter : Expr.t option; algorithm : algorithm; name : string }
+type t = { func : func; filter : Expr.t option; algorithm : backend option; name : string }
 
-let make ?filter ?(algorithm = Auto) ~name func = { func; filter; algorithm; name }
+let make ?filter ?algorithm ~name func = { func; filter; algorithm; name }
 
 let aggregate ?filter ?algorithm ~name kind arg distinct =
   make ?filter ?algorithm ~name (Aggregate { kind; arg; distinct })

@@ -5,9 +5,10 @@
 
 open Holistic_storage
 
-(** Which evaluation algorithm to use; the benchmark harness sweeps these. *)
-type algorithm =
-  | Auto  (** merge sort tree family (range tree for DENSE_RANK, segment tree for plain aggregates) *)
+(** An evaluation backend; the benchmark harness sweeps these.  Two of the
+    seven are settings of another: [Mst_no_cascade] is [Mst] at sampling
+    rate 0 and [Incremental_serial] is [Incremental] run as one task. *)
+type backend =
   | Mst  (** merge sort tree with fractional cascading *)
   | Mst_no_cascade
       (** merge sort tree, cascading disabled — the "segment tree of sorted
@@ -55,56 +56,58 @@ type func =
 type t = {
   func : func;
   filter : Expr.t option;  (** FILTER (WHERE …), §4.7 *)
-  algorithm : algorithm;
+  algorithm : backend option;
+      (** the item's backend; [None] lets the plan decide
+          ({!Evaluator_choice.default} or the cost model) *)
   name : string;  (** output column name *)
 }
 
-val make : ?filter:Expr.t -> ?algorithm:algorithm -> name:string -> func -> t
+val make : ?filter:Expr.t -> ?algorithm:backend -> name:string -> func -> t
 
 (** Convenience constructors. *)
 
-val count_star : ?filter:Expr.t -> ?algorithm:algorithm -> name:string -> unit -> t
-val count : ?filter:Expr.t -> ?algorithm:algorithm -> ?distinct:bool -> name:string -> Expr.t -> t
-val sum : ?filter:Expr.t -> ?algorithm:algorithm -> ?distinct:bool -> name:string -> Expr.t -> t
-val avg : ?filter:Expr.t -> ?algorithm:algorithm -> ?distinct:bool -> name:string -> Expr.t -> t
-val min_ : ?filter:Expr.t -> ?algorithm:algorithm -> name:string -> Expr.t -> t
-val max_ : ?filter:Expr.t -> ?algorithm:algorithm -> name:string -> Expr.t -> t
-val rank : ?filter:Expr.t -> ?algorithm:algorithm -> name:string -> Sort_spec.t -> t
-val dense_rank : ?filter:Expr.t -> ?algorithm:algorithm -> name:string -> Sort_spec.t -> t
-val row_number : ?filter:Expr.t -> ?algorithm:algorithm -> name:string -> Sort_spec.t -> t
-val percent_rank : ?filter:Expr.t -> ?algorithm:algorithm -> name:string -> Sort_spec.t -> t
-val cume_dist : ?filter:Expr.t -> ?algorithm:algorithm -> name:string -> Sort_spec.t -> t
-val ntile : ?filter:Expr.t -> ?algorithm:algorithm -> name:string -> int -> Sort_spec.t -> t
+val count_star : ?filter:Expr.t -> ?algorithm:backend -> name:string -> unit -> t
+val count : ?filter:Expr.t -> ?algorithm:backend -> ?distinct:bool -> name:string -> Expr.t -> t
+val sum : ?filter:Expr.t -> ?algorithm:backend -> ?distinct:bool -> name:string -> Expr.t -> t
+val avg : ?filter:Expr.t -> ?algorithm:backend -> ?distinct:bool -> name:string -> Expr.t -> t
+val min_ : ?filter:Expr.t -> ?algorithm:backend -> name:string -> Expr.t -> t
+val max_ : ?filter:Expr.t -> ?algorithm:backend -> name:string -> Expr.t -> t
+val rank : ?filter:Expr.t -> ?algorithm:backend -> name:string -> Sort_spec.t -> t
+val dense_rank : ?filter:Expr.t -> ?algorithm:backend -> name:string -> Sort_spec.t -> t
+val row_number : ?filter:Expr.t -> ?algorithm:backend -> name:string -> Sort_spec.t -> t
+val percent_rank : ?filter:Expr.t -> ?algorithm:backend -> name:string -> Sort_spec.t -> t
+val cume_dist : ?filter:Expr.t -> ?algorithm:backend -> name:string -> Sort_spec.t -> t
+val ntile : ?filter:Expr.t -> ?algorithm:backend -> name:string -> int -> Sort_spec.t -> t
 
-val median : ?filter:Expr.t -> ?algorithm:algorithm -> name:string -> Expr.t -> t
+val median : ?filter:Expr.t -> ?algorithm:backend -> name:string -> Expr.t -> t
 (** [percentile_disc 0.5] ordered by the expression ascending. *)
 
-val mode : ?filter:Expr.t -> ?algorithm:algorithm -> name:string -> Expr.t -> t
+val mode : ?filter:Expr.t -> ?algorithm:backend -> name:string -> Expr.t -> t
 
 val percentile_disc :
-  ?filter:Expr.t -> ?algorithm:algorithm -> name:string -> float -> Sort_spec.t -> t
+  ?filter:Expr.t -> ?algorithm:backend -> name:string -> float -> Sort_spec.t -> t
 
 val percentile_cont :
-  ?filter:Expr.t -> ?algorithm:algorithm -> name:string -> float -> Sort_spec.t -> t
+  ?filter:Expr.t -> ?algorithm:backend -> name:string -> float -> Sort_spec.t -> t
 
 val first_value :
-  ?filter:Expr.t -> ?algorithm:algorithm -> ?ignore_nulls:bool -> ?order:Sort_spec.t ->
+  ?filter:Expr.t -> ?algorithm:backend -> ?ignore_nulls:bool -> ?order:Sort_spec.t ->
   name:string -> Expr.t -> t
 
 val last_value :
-  ?filter:Expr.t -> ?algorithm:algorithm -> ?ignore_nulls:bool -> ?order:Sort_spec.t ->
+  ?filter:Expr.t -> ?algorithm:backend -> ?ignore_nulls:bool -> ?order:Sort_spec.t ->
   name:string -> Expr.t -> t
 
 val nth_value :
-  ?filter:Expr.t -> ?algorithm:algorithm -> ?ignore_nulls:bool -> ?order:Sort_spec.t ->
+  ?filter:Expr.t -> ?algorithm:backend -> ?ignore_nulls:bool -> ?order:Sort_spec.t ->
   ?from_last:bool -> name:string -> int -> Expr.t -> t
 
 val lead :
-  ?filter:Expr.t -> ?algorithm:algorithm -> ?ignore_nulls:bool -> ?order:Sort_spec.t ->
+  ?filter:Expr.t -> ?algorithm:backend -> ?ignore_nulls:bool -> ?order:Sort_spec.t ->
   ?offset:int -> ?default:Expr.t -> name:string -> Expr.t -> t
 
 val lag :
-  ?filter:Expr.t -> ?algorithm:algorithm -> ?ignore_nulls:bool -> ?order:Sort_spec.t ->
+  ?filter:Expr.t -> ?algorithm:backend -> ?ignore_nulls:bool -> ?order:Sort_spec.t ->
   ?offset:int -> ?default:Expr.t -> name:string -> Expr.t -> t
 
 val class_name : t -> string

@@ -223,11 +223,12 @@ let holed_spec (spec : Window_spec.t) =
    its [algorithm] pinned plus the backend tag for the item span; plain
    COUNT and COUNT star are structure-free and resolve to no backend.
 
-   Precedence: an explicit item algorithm wins over the [?evaluator]
-   knob, which wins over the cost model.  Both forced picks are strict:
-   an unsupported (function, backend) pair is an error, so the backend an
-   item span reports is the one that ran. *)
-let resolve_item ~evaluator ~sunk ~(model : Cost_model.constants) ~rows_avg ~nparts
+   An item pinned to a backend (its algorithm, which the SQL front end
+   also sets for a forced evaluator) keeps it, strictly: an unsupported
+   (function, backend) pair is an error, so the backend an item span
+   reports is the one that ran.  An unpinned item goes to the cost
+   model. *)
+let resolve_item ~sunk ~(model : Cost_model.constants) ~rows_avg ~nparts
     ~task_size ~fanout (spec : Window_spec.t) (item : Window_func.t) =
   let module Ec = Evaluator_choice in
   match Ec.classify item with
@@ -235,12 +236,7 @@ let resolve_item ~evaluator ~sunk ~(model : Cost_model.constants) ~rows_avg ~npa
   | cls ->
       let holed = holed_spec spec in
       let chosen =
-        let forced =
-          match Ec.of_algorithm item.Window_func.algorithm with
-          | Some _ as f -> f
-          | None -> evaluator
-        in
-        match forced with
+        match item.Window_func.algorithm with
         | Some f ->
             if Ec.supports f cls ~holed then f
             else invalid_arg (Ec.unsupported_message f cls ~holed)
@@ -288,7 +284,7 @@ let resolve_item ~evaluator ~sunk ~(model : Cost_model.constants) ~rows_avg ~npa
             d.Cost_model.chosen
       in
       Obs.Counter.incr (List.assoc chosen c_evaluator);
-      ( { item with Window_func.algorithm = Ec.to_algorithm chosen },
+      ( { item with Window_func.algorithm = Some chosen },
         Some (Ec.to_string chosen) )
 
 let exprs_to_string exprs = String.concat ", " (List.map Expr.to_string exprs)
@@ -302,7 +298,7 @@ let order_permutation ~pool table ~over =
    one the plan is the exact historical in-memory plan, with identical
    spans and goldens. *)
 let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
-    ?(task_size = Task_pool.default_task_size) ?evaluator ?governor:gov ?session table clauses =
+    ?(task_size = Task_pool.default_task_size) ?governor:gov ?session table clauses =
   let n = Table.nrows table in
   (* a session only applies to queries over exactly its table — a plan over
      any other table (e.g. a WHERE-filtered copy) runs stateless *)
@@ -473,14 +469,11 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
                             | _ -> []
                           in
                           let ((item', _) as resolved) =
-                            resolve_item ~evaluator ~sunk ~model:Cost_model.default
+                            resolve_item ~sunk ~model:Cost_model.default
                               ~rows_avg:(if nparts = 0 then 0 else n / nparts)
                               ~nparts ~task_size ~fanout c.spec item
                           in
-                          (match
-                             ( sess_stage,
-                               Evaluator_choice.of_algorithm item'.Window_func.algorithm )
-                           with
+                          (match (sess_stage, item'.Window_func.algorithm) with
                           | Some (_, algs), Some nm -> Hashtbl.replace algs okey nm
                           | _ -> ());
                           (resolved, out))
@@ -662,5 +655,5 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
   List.iter (fun (c, field) -> Obs.Counter.add c (field stats)) plan_counters;
   (table', stats)
 
-let run ~pool ?fanout ?sample ?task_size ?evaluator ?governor ?session table clauses =
-  fst (run_with_stats ~pool ?fanout ?sample ?task_size ?evaluator ?governor ?session table clauses)
+let run ~pool ?fanout ?sample ?task_size ?governor ?session table clauses =
+  fst (run_with_stats ~pool ?fanout ?sample ?task_size ?governor ?session table clauses)

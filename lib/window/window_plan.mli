@@ -61,7 +61,6 @@ val run :
   ?fanout:int ->
   ?sample:int ->
   ?task_size:int ->
-  ?evaluator:Evaluator_choice.name ->
   ?governor:Mem_governor.t ->
   ?session:Session.t ->
   Table.t ->
@@ -77,12 +76,10 @@ val run :
     trees use the narrowest storage width the partition's rank encoding
     fits ({!Holistic_core.Mst_width.Auto}, §5.1).
 
-    Items whose algorithm is [Auto] are resolved to a concrete backend per
-    (stage, item) through {!Cost_model.choose}; [?evaluator] forces the
-    backend of those items instead.  An explicit item algorithm wins over
-    [?evaluator].  Both forced picks reject unsupported (function,
-    backend) pairs with [Invalid_argument] ({!Evaluator_choice.supports}).
-    Every
+    Items with no algorithm are resolved to a concrete backend per
+    (stage, item) through {!Cost_model.choose}.  An item pinned to a
+    backend keeps it, strictly: an unsupported (function, backend) pair
+    raises [Invalid_argument] ({!Evaluator_choice.supports}).  Every
     resolution bumps the [plan.evaluator.<name>] counter once and is
     surfaced in EXPLAIN ANALYZE ([choose] spans with the rejected
     candidates' predicted costs, and an [evaluator] arg on item spans).
@@ -112,7 +109,6 @@ val run_with_stats :
   ?fanout:int ->
   ?sample:int ->
   ?task_size:int ->
-  ?evaluator:Evaluator_choice.name ->
   ?governor:Mem_governor.t ->
   ?session:Session.t ->
   Table.t ->

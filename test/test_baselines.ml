@@ -90,27 +90,6 @@ let test_ost_clear () =
 (* Segment trees                                                       *)
 (* ------------------------------------------------------------------ *)
 
-module Float_sum = Seg.Make (struct
-  type t = float
-
-  let identity = 0.0
-  let combine = ( +. )
-end)
-
-module Float_min = Seg.Make (struct
-  type t = float
-
-  let identity = infinity
-  let combine a b = if a <= b then a else b
-end)
-
-module Float_max = Seg.Make (struct
-  type t = float
-
-  let identity = neg_infinity
-  let combine a b = if a >= b then a else b
-end)
-
 let segment_tree_oracle =
   QCheck.Test.make ~name:"segment tree queries match folds" ~count:300
     QCheck.(list (float_range (-100.) 100.))
@@ -118,9 +97,9 @@ let segment_tree_oracle =
       let a = Array.of_list l in
       let n = Array.length a in
       let leaf i = a.(i) in
-      let sum = Float_sum.create n leaf in
-      let mn = Float_min.create n leaf in
-      let mx = Float_max.create n leaf in
+      let sum = Seg.create ~identity:0.0 ~combine:( +. ) n leaf in
+      let mn = Seg.create ~identity:infinity ~combine:(fun a b -> if a <= b then a else b) n leaf in
+      let mx = Seg.create ~identity:neg_infinity ~combine:(fun a b -> if a >= b then a else b) n leaf in
       let ok = ref true in
       for lo = -1 to n do
         let hi = min n (lo + 7) in
@@ -130,31 +109,24 @@ let segment_tree_oracle =
           if a.(i) < !bmin then bmin := a.(i);
           if a.(i) > !bmax then bmax := a.(i)
         done;
-        if abs_float (Float_sum.query sum ~lo ~hi -. !bsum) > 1e-6 then ok := false;
-        if Float_min.query mn ~lo ~hi <> !bmin then ok := false;
-        if Float_max.query mx ~lo ~hi <> !bmax then ok := false
+        if abs_float (Seg.query sum ~lo ~hi -. !bsum) > 1e-6 then ok := false;
+        if Seg.query mn ~lo ~hi <> !bmin then ok := false;
+        if Seg.query mx ~lo ~hi <> !bmax then ok := false
       done;
       !ok)
 
 (* a non-commutative monoid: string concatenation preserves leaf order *)
-module Concat = Seg.Make (struct
-  type t = string
-
-  let identity = ""
-  let combine = ( ^ )
-end)
-
 let test_segment_tree_order () =
   let words = [| "a"; "b"; "c"; "d"; "e"; "f"; "g" |] in
-  let t = Concat.create 7 (fun i -> words.(i)) in
-  Alcotest.(check string) "left-to-right" "bcdef" (Concat.query t ~lo:1 ~hi:6);
-  Alcotest.(check string) "full" "abcdefg" (Concat.query t ~lo:0 ~hi:7);
-  Alcotest.(check string) "empty" "" (Concat.query t ~lo:3 ~hi:3)
+  let t = Seg.create ~identity:"" ~combine:( ^ ) 7 (fun i -> words.(i)) in
+  Alcotest.(check string) "left-to-right" "bcdef" (Seg.query t ~lo:1 ~hi:6);
+  Alcotest.(check string) "full" "abcdefg" (Seg.query t ~lo:0 ~hi:7);
+  Alcotest.(check string) "empty" "" (Seg.query t ~lo:3 ~hi:3)
 
 let test_segment_tree_int_sum () =
-  let t = Seg.Int_sum.create (Array.init 100 (fun i -> i)) in
-  Alcotest.(check int) "sum" (100 * 99 / 2) (Seg.Int_sum.query t ~lo:0 ~hi:100);
-  Alcotest.(check int) "clamped" (100 * 99 / 2) (Seg.Int_sum.query t ~lo:(-5) ~hi:200)
+  let t = Seg.create ~identity:0 ~combine:( + ) 100 (fun i -> i) in
+  Alcotest.(check int) "sum" (100 * 99 / 2) (Seg.query t ~lo:0 ~hi:100);
+  Alcotest.(check int) "clamped" (100 * 99 / 2) (Seg.query t ~lo:(-5) ~hi:200)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental state (Wesley & Xu)                                     *)

@@ -1,7 +1,7 @@
 (* The cost-based evaluator choice: model shape (monotonicity, the decision
-   floor, legacy defaults), crossover direction checked against measured
+   floor, the defaults), crossover direction checked against measured
    wall time at two sizes, forced-choice parity across frame kinds and
-   exclusions through [Window_plan.run ?evaluator], and the strict
+   exclusions through [Window_plan.run] with pinned items, and the strict
    rejection of unsupported (function, backend) pairs. *)
 
 open Holistic_storage
@@ -10,6 +10,9 @@ module Wf = Window_func
 module Ws = Window_spec
 module Ec = Evaluator_choice
 module Cost = Cost_model
+
+(* Every item pinned to backend [ev]: the forced-evaluator shape. *)
+let pin ev items = List.map (fun (it : Wf.t) -> { it with Wf.algorithm = Some ev }) items
 module Rng = Holistic_util.Rng
 module Obs = Holistic_obs.Obs
 module Task_pool = Holistic_parallel.Task_pool
@@ -78,14 +81,14 @@ let test_floor_and_default () =
   Alcotest.(check bool) "scores cover chosen+default" true
     (List.mem_assoc big.Cost.chosen big.Cost.scores
     && List.mem_assoc big.Cost.default big.Cost.scores);
-  (* legacy defaults *)
+  (* the defaults *)
   Alcotest.(check bool) "plain agg default" true
-    (Cost.legacy_default Ec.C_plain_agg ~holed:false = Ec.Segment_tree);
+    (Ec.default Ec.C_plain_agg ~holed:false = Ec.Segment_tree);
   Alcotest.(check bool) "mode default" true
-    (Cost.legacy_default Ec.C_mode ~holed:false = Ec.Incremental);
+    (Ec.default Ec.C_mode ~holed:false = Ec.Incremental);
   Alcotest.(check bool) "holed mode default" true
-    (Cost.legacy_default Ec.C_mode ~holed:true = Ec.Naive);
-  Alcotest.(check bool) "rank default" true (Cost.legacy_default Ec.C_rank ~holed:false = Ec.Mst)
+    (Ec.default Ec.C_mode ~holed:true = Ec.Naive);
+  Alcotest.(check bool) "rank default" true (Ec.default Ec.C_rank ~holed:false = Ec.Mst)
 
 let test_estimate_frame () =
   let back n = Ws.rows_between (Ws.preceding n) Ws.Current_row in
@@ -138,8 +141,8 @@ let test_crossover () =
           in
           let growing = Ws.over ~order_by:[ Sort_spec.asc (Expr.Col "ts") ] () in
           let run over ev =
-            Window_plan.run ~pool ~evaluator:ev table
-              [ { Window_plan.spec = over; items = [ Wf.rank ~name:"r" [] ] } ]
+            Window_plan.run ~pool table
+              [ { Window_plan.spec = over; items = pin ev [ Wf.rank ~name:"r" [] ] } ]
           in
           List.iter
             (fun (label, over, fast, slow) ->
@@ -253,7 +256,7 @@ let test_forced_parity () =
               in
               if items <> [] then begin
                 let out =
-                  Window_plan.run ~pool ~evaluator:ev table [ { Window_plan.spec = over; items } ]
+                  Window_plan.run ~pool table [ { Window_plan.spec = over; items = pin ev items } ]
                 in
                 List.iter
                   (fun (it : Wf.t) ->
@@ -296,9 +299,10 @@ let test_rejections () =
       let over = Ws.over ~order_by:[ Sort_spec.asc (Expr.Col "k") ] () in
       (* a segment tree cannot evaluate rank: strict knob, clear message *)
       check_invalid_arg ~substring:"does not support rank" (fun () ->
-          Window_plan.run ~pool ~evaluator:Ec.Segment_tree table
-            [ { Window_plan.spec = over; items = [ Wf.rank ~name:"r" [] ] } ]);
+          Window_plan.run ~pool table
+            [ { Window_plan.spec = over; items = pin Ec.Segment_tree [ Wf.rank ~name:"r" [] ] } ]);
       (* incremental backends cannot cross exclusion holes *)
+      let dc = Wf.count ~distinct:true ~name:"dc" (Expr.Col "k") in
       let holed =
         Ws.over
           ~order_by:[ Sort_spec.asc (Expr.Col "k") ]
@@ -306,12 +310,12 @@ let test_rejections () =
           ()
       in
       check_invalid_arg ~substring:"exclusion holes" (fun () ->
-          Window_plan.run ~pool ~evaluator:Ec.Incremental table
-            [ { Window_plan.spec = holed; items = [ Wf.count ~distinct:true ~name:"dc" (Expr.Col "k") ] } ]);
+          Window_plan.run ~pool table
+            [ { Window_plan.spec = holed; items = pin Ec.Incremental [ dc ] } ]);
       (* ...but the same pair without holes runs fine *)
       ignore
-        (Window_plan.run ~pool ~evaluator:Ec.Incremental table
-           [ { Window_plan.spec = over; items = [ Wf.count ~distinct:true ~name:"dc" (Expr.Col "k") ] } ]))
+        (Window_plan.run ~pool table
+           [ { Window_plan.spec = over; items = pin Ec.Incremental [ dc ] } ]))
 
 let test_name_round_trip () =
   List.iter
@@ -320,11 +324,12 @@ let test_name_round_trip () =
         (Ec.to_string nm ^ " round-trips")
         true
         (Ec.of_string (Ec.to_string nm) = Some nm
-        && Ec.of_algorithm (Ec.to_algorithm nm) = Some nm))
+        && Ec.to_algorithm nm = Some nm))
     Ec.all;
   Alcotest.(check bool) "underscores accepted" true (Ec.of_string "mst_no_cascade" = Some Ec.Mst_no_cascade);
   Alcotest.(check bool) "ost alias" true (Ec.of_string "order-statistic" = Some Ec.Order_statistic);
-  Alcotest.(check bool) "auto is not a backend" true (Ec.of_algorithm Wf.Auto = None)
+  Alcotest.(check bool) "an unpinned item has no backend" true
+    ((Wf.rank ~name:"r" []).Wf.algorithm = None)
 
 (* A cached structure's build cost is sunk (a session kept it across
    queries): with a data-dependent frame (incremental drivers priced out)

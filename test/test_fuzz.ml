@@ -174,37 +174,37 @@ let gen_local_order rng = if Rng.bool rng then [] else [ gen_key rng ]
 let gen_item rng ~name =
   let filter = gen_filter rng in
   (* Naive is a universally supported engine algorithm; everything else is
-     Auto (which itself dispatches to trees / incremental states). *)
-  let algorithm = if Rng.int rng 5 = 0 then Wf.Naive else Wf.Auto in
+     unpinned (the plan dispatches it to trees / incremental states). *)
+  let algorithm = if Rng.int rng 5 = 0 then Some Wf.Naive else None in
   let order = gen_local_order rng in
   let ign rng = Rng.int rng 3 = 0 in
   match Rng.int rng 17 with
-  | 0 -> Wf.count_star ?filter ~algorithm ~name ()
-  | 1 -> Wf.count ?filter ~algorithm ~name (any_col rng)
-  | 2 -> Wf.count ?filter ~algorithm ~distinct:true ~name (any_col rng)
-  | 3 -> Wf.sum ?filter ~algorithm ~distinct:(Rng.bool rng) ~name (num_col rng)
-  | 4 -> Wf.avg ?filter ~algorithm ~distinct:(Rng.bool rng) ~name (num_col rng)
-  | 5 -> Wf.min_ ?filter ~algorithm ~name (any_col rng)
-  | 6 -> Wf.max_ ?filter ~algorithm ~name (any_col rng)
+  | 0 -> Wf.count_star ?filter ?algorithm ~name ()
+  | 1 -> Wf.count ?filter ?algorithm ~name (any_col rng)
+  | 2 -> Wf.count ?filter ?algorithm ~distinct:true ~name (any_col rng)
+  | 3 -> Wf.sum ?filter ?algorithm ~distinct:(Rng.bool rng) ~name (num_col rng)
+  | 4 -> Wf.avg ?filter ?algorithm ~distinct:(Rng.bool rng) ~name (num_col rng)
+  | 5 -> Wf.min_ ?filter ?algorithm ~name (any_col rng)
+  | 6 -> Wf.max_ ?filter ?algorithm ~name (any_col rng)
   | 7 -> Wf.mode ?filter ~name (any_col rng)
-  | 8 -> Wf.rank ?filter ~algorithm ~name order
-  | 9 -> Wf.dense_rank ?filter ~algorithm ~name order
-  | 10 -> Wf.row_number ?filter ~algorithm ~name order
+  | 8 -> Wf.rank ?filter ?algorithm ~name order
+  | 9 -> Wf.dense_rank ?filter ?algorithm ~name order
+  | 10 -> Wf.row_number ?filter ?algorithm ~name order
   | 11 ->
-      if Rng.bool rng then Wf.percent_rank ?filter ~algorithm ~name order
-      else Wf.cume_dist ?filter ~algorithm ~name order
-  | 12 -> Wf.ntile ?filter ~algorithm ~name (1 + Rng.int rng 4) order
+      if Rng.bool rng then Wf.percent_rank ?filter ?algorithm ~name order
+      else Wf.cume_dist ?filter ?algorithm ~name order
+  | 12 -> Wf.ntile ?filter ?algorithm ~name (1 + Rng.int rng 4) order
   | 13 ->
       let p = percentiles.(Rng.int rng (Array.length percentiles)) in
       let o = [ gen_key rng ] in
-      if Rng.bool rng then Wf.percentile_disc ?filter ~algorithm ~name p o
-      else Wf.percentile_cont ?filter ~algorithm ~name p o
+      if Rng.bool rng then Wf.percentile_disc ?filter ?algorithm ~name p o
+      else Wf.percentile_cont ?filter ?algorithm ~name p o
   | 14 ->
       if Rng.bool rng then
-        Wf.first_value ?filter ~algorithm ~ignore_nulls:(ign rng) ~order ~name (any_col rng)
-      else Wf.last_value ?filter ~algorithm ~ignore_nulls:(ign rng) ~order ~name (any_col rng)
+        Wf.first_value ?filter ?algorithm ~ignore_nulls:(ign rng) ~order ~name (any_col rng)
+      else Wf.last_value ?filter ?algorithm ~ignore_nulls:(ign rng) ~order ~name (any_col rng)
   | 15 ->
-      Wf.nth_value ?filter ~algorithm ~ignore_nulls:(ign rng) ~order ~from_last:(Rng.bool rng)
+      Wf.nth_value ?filter ?algorithm ~ignore_nulls:(ign rng) ~order ~from_last:(Rng.bool rng)
         ~name (1 + Rng.int rng 3) (any_col rng)
   | _ ->
       let arg_col = order_cols.(Rng.int rng (Array.length order_cols)) in
@@ -224,7 +224,7 @@ let gen_item rng ~name =
                  | _ -> Value.Date (Value.date_of_ymd 2024 2 1)))
       in
       let mk = if Rng.bool rng then Wf.lead else Wf.lag in
-      mk ?filter ~algorithm ~ignore_nulls:(ign rng) ~order ~offset:(Rng.int rng 4) ?default ~name
+      mk ?filter ?algorithm ~ignore_nulls:(ign rng) ~order ~offset:(Rng.int rng 4) ?default ~name
         (Expr.Col arg_col)
 
 let partition_pool = [| []; [ Expr.Col "g" ]; [ Expr.Col "s" ]; [ Expr.Col "g"; Expr.Col "k" ] |]
@@ -315,7 +315,7 @@ let table_to_string table =
 let describe table clauses =
   String.concat "\n" (List.map clause_to_string clauses) ^ "\n" ^ table_to_string table
 
-(* [force_backend nm] pins every eligible Auto item onto backend [nm]
+(* [force_backend nm] pins every eligible unpinned item onto backend [nm]
    ([Evaluator_choice.supports] decides eligibility, so ineligible items
    keep their cost-based pick). *)
 let force_backend nm (clauses : Window_plan.clause list) =
@@ -331,7 +331,7 @@ let force_backend nm (clauses : Window_plan.clause list) =
         Window_plan.items =
           List.map
             (fun (it : Wf.t) ->
-              if it.Wf.algorithm = Wf.Auto && Evaluator_choice.supports nm (Evaluator_choice.classify it) ~holed
+              if it.Wf.algorithm = None && Evaluator_choice.supports nm (Evaluator_choice.classify it) ~holed
               then { it with Wf.algorithm = Evaluator_choice.to_algorithm nm }
               else it)
             c.items;
@@ -431,7 +431,7 @@ let determinism_case ~pools rng idx ~seed =
         rest
 
 (* Forced-choice: re-run each case once per backend with every eligible
-   Auto item pinned to it.  Any two backends that claim a (class, frame)
+   unpinned item pinned to it.  Any two backends that claim a (class, frame)
    cell must agree bit-for-bit — the generator's float column holds dyadic
    halves, so even SUM/AVG are exact under every summation order and the
    comparison needs no tolerance. *)

@@ -282,14 +282,14 @@ let test_build_cache_unit () =
     Holistic_core.Mst_width.create ~pool:Shared_pool.pool [| 0; 1; 0; 2 |]
   in
   let qual = Build_cache.unfiltered in
-  let t1 = Build_cache.count_tree cache ~algo:"mst" ~cls:Build_cache.Rank_codes ~order:by_ts ~qual ~sample:32 build in
-  let t2 = Build_cache.count_tree cache ~algo:"mst" ~cls:Build_cache.Rank_codes ~order:by_ts ~qual ~sample:32 build in
+  let t1 = Build_cache.count_tree cache ~cls:Build_cache.Rank_codes ~order:by_ts ~qual ~sample:32 build in
+  let t2 = Build_cache.count_tree cache ~cls:Build_cache.Rank_codes ~order:by_ts ~qual ~sample:32 build in
   Alcotest.(check int) "second lookup hits" 1 !builds;
   Alcotest.(check bool) "same tree shared" true (t1 == t2);
   (* distinct class, order or sample each miss *)
-  ignore (Build_cache.count_tree cache ~algo:"mst" ~cls:Build_cache.Row_codes ~order:by_ts ~qual ~sample:32 build);
-  ignore (Build_cache.count_tree cache ~algo:"mst" ~cls:Build_cache.Rank_codes ~order:by_ts_k ~qual ~sample:32 build);
-  ignore (Build_cache.count_tree cache ~algo:"mst" ~cls:Build_cache.Rank_codes ~order:by_ts ~qual ~sample:0 build);
+  ignore (Build_cache.count_tree cache ~cls:Build_cache.Row_codes ~order:by_ts ~qual ~sample:32 build);
+  ignore (Build_cache.count_tree cache ~cls:Build_cache.Rank_codes ~order:by_ts_k ~qual ~sample:32 build);
+  ignore (Build_cache.count_tree cache ~cls:Build_cache.Rank_codes ~order:by_ts ~qual ~sample:0 build);
   Alcotest.(check int) "three more builds" 4 !builds;
   Alcotest.(check int) "counter tracks tree builds" 4 (Build_cache.tree_build_count counters);
   let encodes = ref 0 in
@@ -338,8 +338,8 @@ let test_first_appearance_error_order () =
       (contains (message [ bad_rank; bad_mode ]) "incremental does not support rank function")
   done
 
-(* An explicit item algorithm is checked against the capability matrix
-   like [?evaluator]: MST has no plain-aggregate implementation, so it is
+(* An explicit item algorithm is checked against the capability table:
+   MST has no plain-aggregate implementation, so it is
    rejected instead of silently running (and being reported as) another
    backend. *)
 let test_explicit_algorithm_strict () =

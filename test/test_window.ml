@@ -549,8 +549,8 @@ let compare_against_oracle ~algorithm seed =
     List.map
       (fun (it : Wf.t) ->
         (* items the backend does not implement (MODE and plain aggregates
-           under the tree passes) keep Auto *)
-        match Evaluator_choice.of_algorithm algorithm with
+           under the tree passes) stay unpinned *)
+        match algorithm with
         | Some nm
           when not
                  (Evaluator_choice.supports nm (Evaluator_choice.classify it)
@@ -570,10 +570,10 @@ let compare_against_oracle ~algorithm seed =
   in
   check_columns ~seed expected got
 
-let mst_vs_oracle seed () = compare_against_oracle ~algorithm:Wf.Mst seed
-let auto_vs_oracle seed () = compare_against_oracle ~algorithm:Wf.Auto seed
-let nocascade_vs_oracle seed () = compare_against_oracle ~algorithm:Wf.Mst_no_cascade seed
-let naive_vs_oracle seed () = compare_against_oracle ~algorithm:Wf.Naive seed
+let mst_vs_oracle seed () = compare_against_oracle ~algorithm:(Some Wf.Mst) seed
+let auto_vs_oracle seed () = compare_against_oracle ~algorithm:None seed
+let nocascade_vs_oracle seed () = compare_against_oracle ~algorithm:(Some Wf.Mst_no_cascade) seed
+let naive_vs_oracle seed () = compare_against_oracle ~algorithm:(Some Wf.Naive) seed
 
 (* LEAD/LAG with their own ORDER BY on a forced tree backend, against
    [Reference]: offsets 0-3 both ways, a default, IGNORE NULLS and FILTER,
@@ -845,6 +845,121 @@ let test_unsupported_combination () =
        false
      with Invalid_argument _ -> true)
 
+(* The capability table is the dispatch: for every backend x one item per
+   function class x a plain and a holed frame, [Evaluators.eval_item]
+   called directly (as perfbench's replay does) raises exactly
+   [Evaluator_choice.unsupported_message] when [supports] says no, and
+   otherwise writes, bit for bit, the column the plan computes for the
+   same pinned item.  An unpinned item runs on the default, no cascading
+   is MST at sample 0 and serial incremental is incremental. *)
+module Ec = Evaluator_choice
+
+let class_item : Ec.func_class -> Wf.t = function
+  | Ec.C_trivial_count -> Wf.count_star ~name:"c" ()
+  | Ec.C_plain_agg -> Wf.sum ~name:"c" (Expr.Col "v")
+  | Ec.C_distinct_count -> Wf.count ~distinct:true ~name:"c" (Expr.Col "k")
+  | Ec.C_distinct_sum_avg -> Wf.avg ~distinct:true ~name:"c" (Expr.Col "k")
+  | Ec.C_mode -> Wf.mode ~name:"c" (Expr.Col "k")
+  | Ec.C_rank -> Wf.cume_dist ~name:"c" [ Sort_spec.asc (Expr.Col "v") ]
+  | Ec.C_dense_rank -> Wf.dense_rank ~name:"c" [ Sort_spec.desc (Expr.Col "v") ]
+  | Ec.C_select -> Wf.median ~name:"c" (Expr.Col "v")
+
+let all_classes =
+  Ec.
+    [
+      C_trivial_count; C_plain_agg; C_distinct_count; C_distinct_sum_avg; C_mode; C_rank;
+      C_dense_rank; C_select;
+    ]
+
+let bits_eq a b =
+  match a, b with
+  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+let test_capability_is_dispatch () =
+  let pool = Shared_pool.pool in
+  let table = make_table (Rng.create 11) 80 in
+  let n = Table.nrows table in
+  List.iter
+    (fun holed ->
+      let exclusion = if holed then Window_spec.Exclude_current_row else Window_spec.Exclude_no_others in
+      let over =
+        Window_spec.over
+          ~order_by:[ Sort_spec.asc (Expr.Col "ts") ]
+          ~frame:(Window_spec.rows_between ~exclusion (Window_spec.preceding 4) (Window_spec.following 2))
+          ()
+      in
+      let rows, _ = Window_plan.order_permutation ~pool table ~over in
+      let peers = Frame.peers table over.Window_spec.order_by rows in
+      let frame = Frame.compute ~peers table ~spec:over ~rows in
+      let direct item =
+        let ctx =
+          {
+            Evaluators.table;
+            pool;
+            rows;
+            frame;
+            window_order = over.Window_spec.order_by;
+            fanout = 32;
+            sample = 32;
+            task_size = Holistic_parallel.Task_pool.default_task_size;
+            width = Holistic_core.Mst_width.Auto;
+            cache = Build_cache.create ();
+            gov = None;
+          }
+        in
+        let out = Array.make n Value.Null in
+        Evaluators.eval_item ctx item ~out;
+        out
+      in
+      let planned ?sample ?task_size (item : Wf.t) =
+        let t =
+          Window_plan.run ~pool ?sample ?task_size table [ { Window_plan.spec = over; items = [ item ] } ]
+        in
+        let c = Table.column t item.Wf.name in
+        Array.init n (Column.get c)
+      in
+      List.iter
+        (fun cls ->
+          let item = class_item cls in
+          let pin nm = { item with Wf.algorithm = Some nm } in
+          let label what =
+            Printf.sprintf "%s, %s%s" (Ec.class_to_string cls) what (if holed then ", holed" else "")
+          in
+          let same what a b =
+            Array.iteri
+              (fun i x ->
+                if not (bits_eq x b.(i)) then
+                  Alcotest.failf "%s row %d: %s vs %s" (label what) i (Value.to_string x)
+                    (Value.to_string b.(i)))
+              a
+          in
+          Alcotest.(check bool) (label "classified") true (Ec.classify item = cls);
+          List.iter
+            (fun nm ->
+              match direct (pin nm) with
+              | out ->
+                  if not (Ec.supports nm cls ~holed) then
+                    Alcotest.failf "%s ran, but the table rejects it" (label (Ec.to_string nm));
+                  same (Ec.to_string nm) out (planned (pin nm))
+              | exception Invalid_argument msg ->
+                  if Ec.supports nm cls ~holed then
+                    Alcotest.failf "%s raised %s" (label (Ec.to_string nm)) msg;
+                  Alcotest.(check string)
+                    (label (Ec.to_string nm))
+                    (Ec.unsupported_message nm cls ~holed)
+                    msg)
+            Ec.all;
+          same "unpinned = default" (direct item) (direct (pin (Ec.default cls ~holed)));
+          if Ec.supports Ec.Mst cls ~holed then
+            same "mst-no-cascade = mst at sample 0" (direct (pin Ec.Mst_no_cascade))
+              (planned ~sample:0 (pin Ec.Mst));
+          if Ec.supports Ec.Incremental cls ~holed then
+            same "incremental-serial = incremental" (direct (pin Ec.Incremental_serial))
+              (planned ~task_size:7 (pin Ec.Incremental)))
+        all_classes)
+    [ false; true ]
+
 let oracle_cases algorithm mk =
   List.init 60 (fun i ->
       Alcotest.test_case (Printf.sprintf "%s seed %d" algorithm i) `Quick (mk (i * 37)))
@@ -862,6 +977,7 @@ let () =
           Alcotest.test_case "non-constant bounds (stock orders)" `Quick test_stock_orders_shape;
           Alcotest.test_case "multi-domain determinism" `Quick test_multi_domain_determinism;
           Alcotest.test_case "unsupported combination" `Quick test_unsupported_combination;
+          Alcotest.test_case "capability table is the dispatch" `Quick test_capability_is_dispatch;
         ] );
       ("oracle-mst", oracle_cases "mst" mst_vs_oracle);
       ("oracle-auto", oracle_cases "auto" auto_vs_oracle);
