@@ -207,7 +207,8 @@ let encode t ?maintain ~order build =
     ?maintain ~cnt:t.counters ~epoch:t.epoch t.encodes order build
 
 let remap t ~qual build = memo ~kind:"remap" ~bytes:Remap.footprint_bytes t t.remaps qual build
-let peers t ~order build = memo ~kind:"peers" ~bytes:peers_bytes t t.peers order build
+let peers t ?maintain ~order build =
+  memo ~kind:"peers" ~bytes:peers_bytes ?maintain t t.peers order build
 
 (* Only the [Mst] backend builds these trees ([Mst_no_cascade] runs as
    [Mst] at sample 0), so the sample in each key tells them apart. *)

@@ -119,7 +119,8 @@ val encode :
 val remap : t -> qual:qual -> (unit -> Remap.t) -> Remap.t
 
 val peers :
-  t -> order:Sort_spec.t -> (unit -> int array * int array) -> int array * int array
+  t -> ?maintain:(int array * int array -> ((int array * int array) * string) option) ->
+  order:Sort_spec.t -> (unit -> int array * int array) -> int array * int array
 
 val count_tree :
   t -> ?maintain:(Mstw.t -> (Mstw.t * string) option) ->

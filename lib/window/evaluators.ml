@@ -74,6 +74,16 @@ let qualify ctx (qual : Build_cache.qual) =
               (match filt with None -> true | Some f -> Expr.to_bool (f ctx.rows.(r)))
               && match extra with None -> true | Some g -> g r))
 
+(* The partition's peer groups under [order], memoized in [cache]. A stale
+   entry (the partition grew in order under a session) is extended from
+   the start of its last old group instead of rescanned. *)
+let peers cache table order rows =
+  Build_cache.peers cache ~order
+    ~maintain:(fun old ->
+      let grown = Printf.sprintf "+%d rows" (Array.length rows - Array.length (fst old)) in
+      Some (Frame.extend_peers table order rows old, grown))
+    (fun () -> Frame.peers table order rows)
+
 let effective_order ctx spec = if spec = [] then ctx.window_order else spec
 
 (* Integer preprocessing of an ORDER BY over the partition (§5.1 Fig. 8).
@@ -101,9 +111,7 @@ let encode ctx order =
       if Sort_spec.is_prefix order ctx.window_order then
         (* [ctx.rows] is in window order, hence in [order]: the (key,
            position) sort would return the identity *)
-        let peer_start, _ =
-          Build_cache.peers ctx.cache ~order (fun () -> Frame.peers ctx.table order ctx.rows)
-        in
+        let peer_start, _ = peers ctx.cache ctx.table order ctx.rows in
         Rank_encode.of_peers peer_start
       else
         let kc = Lazy.force words in
@@ -112,19 +120,52 @@ let encode ctx order =
 let mapped_ranges ctx rm r = Remap.map_ranges rm (Frame.ranges ctx.frame r)
 let covered_of ranges = Array.fold_left (fun acc (lo, hi) -> acc + hi - lo) 0 ranges
 
-(* Embarrassingly parallel probe phase over the partition's rows. *)
-let probe ctx f =
-  Task_pool.parallel_for ctx.pool ~lo:0 ~hi:(np ctx) ~chunk:ctx.task_size (fun lo hi ->
+(* The one probe driver. [at] lists the partition positions to answer as
+   sorted, disjoint half-open ranges: the whole partition for a plain
+   evaluation, only the rows an append affected for a session re-query.
+   The ranges are cut into tasks of [task_size] answered rows each; a task
+   calls [body lo hi] once per piece of a range it holds, so over one full
+   range the tasks are the historical fixed-size chunks. Sliding backends
+   rebuild their state at every [lo], so a range start is just another
+   chunk start. *)
+let drive ctx at body =
+  let tasks = ref [] and cur = ref [] and fill = ref 0 in
+  let flush () =
+    if !cur <> [] then begin
+      tasks := List.rev !cur :: !tasks;
+      cur := [];
+      fill := 0
+    end
+  in
+  Array.iter
+    (fun (lo, hi) ->
+      let pos = ref lo in
+      while !pos < hi do
+        let take = min (hi - !pos) (ctx.task_size - !fill) in
+        cur := (!pos, !pos + take) :: !cur;
+        fill := !fill + take;
+        pos := !pos + take;
+        if !fill = ctx.task_size then flush ()
+      done)
+    at;
+  flush ();
+  let tasks = Array.of_list (List.rev !tasks) in
+  Task_pool.parallel_for ctx.pool ~lo:0 ~hi:(Array.length tasks) ~chunk:1 (fun t _ ->
+      List.iter (fun (lo, hi) -> body lo hi) tasks.(t))
+
+(* Embarrassingly parallel probe phase over the rows in [at]. *)
+let probe ctx at f =
+  drive ctx at (fun lo hi ->
       for r = lo to hi - 1 do
         f r
       done)
 
-(* Task-based driver for incremental competitors: each chunk of [task_size]
-   output rows rebuilds its state from scratch (§3.2).  Frames with
-   exclusion holes never reach it ([Evaluator_choice.supports]). *)
-let incremental_drive ctx rm ~make_state =
+(* Task-based driver for incremental competitors: each piece of output
+   rows rebuilds its state from scratch (§3.2).  Frames with exclusion
+   holes never reach it ([Evaluator_choice.supports]). *)
+let incremental_drive ctx at rm ~make_state =
   let m = Remap.filtered_count rm in
-  Task_pool.parallel_for ctx.pool ~lo:0 ~hi:(np ctx) ~chunk:ctx.task_size (fun lo hi ->
+  drive ctx at (fun lo hi ->
       let add, remove, result, reset = make_state () in
       Inc.Frame_driver.run ~n:m
         ~frame:(fun r -> Remap.map_range rm (Frame.start_ ctx.frame r, Frame.end_ ctx.frame r))
@@ -253,7 +294,7 @@ let max_v a b =
   else if Value.compare_sql ~nulls_last:true a b >= 0 then a
   else b
 
-let eval_plain_agg ctx ~kind ~arg ~acc ~qual ~rm ~algorithm ~out =
+let eval_plain_agg ctx ~at ~kind ~arg ~acc ~qual ~rm ~algorithm ~out =
   let m = Remap.filtered_count rm in
   let value_f i = acc.value_at (Remap.position rm i) in
   let cls, combine =
@@ -277,12 +318,12 @@ let eval_plain_agg ctx ~kind ~arg ~acc ~qual ~rm ~algorithm ~out =
         Build_cache.seg_tree ctx.cache ~cls ~arg ~qual (fun () ->
             Seg.create ~identity:Value.Null ~combine m value_f)
       in
-      probe ctx (fun r ->
+      probe ctx at (fun r ->
           let ranges = mapped_ranges ctx rm r in
           emit r ranges
             (Array.fold_left (fun a (lo, hi) -> combine a (Seg.query tree ~lo ~hi)) Value.Null ranges))
   | Naive ->
-      probe ctx (fun r ->
+      probe ctx at (fun r ->
           let ranges = mapped_ranges ctx rm r in
           let s = ref Value.Null in
           Array.iter
@@ -298,7 +339,7 @@ let eval_plain_agg ctx ~kind ~arg ~acc ~qual ~rm ~algorithm ~out =
 (* DISTINCT aggregates                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let eval_distinct_count ctx ~arg ~filter ~algorithm ~out =
+let eval_distinct_count ctx ~at ~arg ~filter ~algorithm ~out =
   let acc = arg_access ctx arg in
   let qual = { Build_cache.filter; extra = Build_cache.Ex_nonnull arg } in
   let rm = qualify ctx qual in
@@ -317,7 +358,7 @@ let eval_distinct_count ctx ~arg ~filter ~algorithm ~out =
       let next =
         if Frame.exclusion ctx.frame = Window_spec.Exclude_no_others then [||] else next_of prev
       in
-      probe ctx (fun r ->
+      probe ctx at (fun r ->
           let ranges = mapped_ranges ctx rm r in
           let v =
             match Array.length ranges with
@@ -334,9 +375,9 @@ let eval_distinct_count ctx ~arg ~filter ~algorithm ~out =
           in
           emit r v)
   | Naive ->
-      probe ctx (fun r -> emit r (Naive.distinct_count ids ~ranges:(mapped_ranges ctx rm r)))
+      probe ctx at (fun r -> emit r (Naive.distinct_count ids ~ranges:(mapped_ranges ctx rm r)))
   | Incremental ->
-      incremental_drive ctx rm ~make_state:(fun () ->
+      incremental_drive ctx at rm ~make_state:(fun () ->
           let dc = Inc.Distinct_count.create () in
           ( (fun p -> Inc.Distinct_count.add dc ids.(p)),
             (fun p -> Inc.Distinct_count.remove dc ids.(p)),
@@ -344,7 +385,7 @@ let eval_distinct_count ctx ~arg ~filter ~algorithm ~out =
             fun () -> Inc.Distinct_count.clear dc ))
   | _ -> excluded_at_entry ()
 
-let eval_distinct_sum_avg ctx ~kind ~arg ~filter ~algorithm ~out =
+let eval_distinct_sum_avg ctx ~at ~kind ~arg ~filter ~algorithm ~out =
   let acc = arg_access ctx arg in
   let qual = { Build_cache.filter; extra = Build_cache.Ex_nonnull arg } in
   let rm = qualify ctx qual in
@@ -371,7 +412,7 @@ let eval_distinct_sum_avg ctx ~kind ~arg ~filter ~algorithm ~out =
       let next =
         if Frame.exclusion ctx.frame = Window_spec.Exclude_no_others then [||] else next_of prev
       in
-      probe ctx (fun r ->
+      probe ctx at (fun r ->
           let ranges = mapped_ranges ctx rm r in
           let v =
             match Array.length ranges with
@@ -390,7 +431,7 @@ let eval_distinct_sum_avg ctx ~kind ~arg ~filter ~algorithm ~out =
           in
           emit r v)
   | Naive ->
-      probe ctx (fun r ->
+      probe ctx at (fun r ->
           let ranges = mapped_ranges ctx rm r in
           let seen = Hashtbl.create 16 in
           Array.iter
@@ -403,30 +444,30 @@ let eval_distinct_sum_avg ctx ~kind ~arg ~filter ~algorithm ~out =
           emit r (s, Hashtbl.length seen))
   | _ -> excluded_at_entry ()
 
-let eval_aggregate ctx ~kind ~arg ~distinct ~filter ~algorithm ~out =
+let eval_aggregate ctx ~at ~kind ~arg ~distinct ~filter ~algorithm ~out =
   match kind, arg with
   | Count_star, _ ->
       let rm = qualify ctx { Build_cache.filter; extra = Build_cache.Ex_none } in
-      probe ctx (fun r -> out.(ctx.rows.(r)) <- Value.Int (covered_of (mapped_ranges ctx rm r)))
+      probe ctx at (fun r -> out.(ctx.rows.(r)) <- Value.Int (covered_of (mapped_ranges ctx rm r)))
   | Count, Some e when not distinct ->
       let rm = qualify ctx { Build_cache.filter; extra = Build_cache.Ex_nonnull e } in
-      probe ctx (fun r -> out.(ctx.rows.(r)) <- Value.Int (covered_of (mapped_ranges ctx rm r)))
-  | Count, Some e -> eval_distinct_count ctx ~arg:e ~filter ~algorithm ~out
+      probe ctx at (fun r -> out.(ctx.rows.(r)) <- Value.Int (covered_of (mapped_ranges ctx rm r)))
+  | Count, Some e -> eval_distinct_count ctx ~at ~arg:e ~filter ~algorithm ~out
   | (Sum | Avg), Some e when distinct ->
-      eval_distinct_sum_avg ctx ~kind ~arg:e ~filter ~algorithm ~out
+      eval_distinct_sum_avg ctx ~at ~kind ~arg:e ~filter ~algorithm ~out
   | (Sum | Avg | Min | Max), Some e ->
       (* MIN/MAX DISTINCT ≡ MIN/MAX *)
       let acc = arg_access ctx e in
       let qual = { Build_cache.filter; extra = Build_cache.Ex_nonnull e } in
       let rm = qualify ctx qual in
-      eval_plain_agg ctx ~kind ~arg:e ~acc ~qual ~rm ~algorithm ~out
+      eval_plain_agg ctx ~at ~kind ~arg:e ~acc ~qual ~rm ~algorithm ~out
   | _ -> invalid_arg "Window: unsupported function/algorithm combination (aggregate without argument)"
 
 (* ------------------------------------------------------------------ *)
 (* Windowed MODE (extension; Wesley & Xu's third holistic aggregate)   *)
 (* ------------------------------------------------------------------ *)
 
-let eval_mode ctx ~arg ~filter ~algorithm ~out =
+let eval_mode ctx ~at ~arg ~filter ~algorithm ~out =
   let acc = arg_access ctx arg in
   let qual = { Build_cache.filter; extra = Build_cache.Ex_nonnull arg } in
   let rm = qualify ctx qual in
@@ -445,7 +486,7 @@ let eval_mode ctx ~arg ~filter ~algorithm ~out =
   in
   match algorithm with
   | Naive ->
-      probe ctx (fun r ->
+      probe ctx at (fun r ->
           let ranges = mapped_ranges ctx rm r in
           let counts = Hashtbl.create 16 in
           let best = ref None in
@@ -465,7 +506,7 @@ let eval_mode ctx ~arg ~filter ~algorithm ~out =
             ranges;
           emit r (Option.map snd !best))
   | Incremental ->
-      incremental_drive ctx rm ~make_state:(fun () ->
+      incremental_drive ctx at rm ~make_state:(fun () ->
           let st = Inc.Mode.create () in
           ( (fun p -> Inc.Mode.add st ids.(p)),
             (fun p -> Inc.Mode.remove st ids.(p)),
@@ -489,7 +530,7 @@ let ntile_bucket ~buckets ~s ~rn0 =
   in
   b + 1
 
-let eval_rank_family ctx ~variant ~order ~filter ~algorithm ~out =
+let eval_rank_family ctx ~at ~variant ~order ~filter ~algorithm ~out =
   let order = effective_order ctx order in
   let enc = encode ctx order in
   let qual = { Build_cache.filter; extra = Build_cache.Ex_none } in
@@ -520,7 +561,7 @@ let eval_rank_family ctx ~variant ~order ~filter ~algorithm ~out =
         Build_cache.range_tree ctx.cache ~order ~qual ~sample:ctx.sample (fun () ->
             Range_tree.create ~pool:ctx.pool ~fanout:ctx.fanout ~sample:ctx.sample frank)
       in
-      probe ctx (fun r ->
+      probe ctx at (fun r ->
           let ranges = mapped_ranges ctx rm r in
           let key = enc.Rank_encode.rank_codes.(r) in
           let v =
@@ -536,7 +577,7 @@ let eval_rank_family ctx ~variant ~order ~filter ~algorithm ~out =
           emit r (Value.Int (v + 1)))
   | Dense_v, Naive ->
       let frank = Lazy.force frank in
-      probe ctx (fun r ->
+      probe ctx at (fun r ->
           let ranges = mapped_ranges ctx rm r in
           emit r (Value.Int (Naive.distinct_below frank ~ranges ~key:enc.Rank_encode.rank_codes.(r) + 1)))
   | Dense_v, _ -> excluded_at_entry ()
@@ -557,7 +598,7 @@ let eval_rank_family ctx ~variant ~order ~filter ~algorithm ~out =
                (fun () -> mst_build ctx (Lazy.force frow)))
         else None
       in
-      probe ctx (fun r ->
+      probe ctx at (fun r ->
           let ranges = mapped_ranges ctx rm r in
           let s = covered_of ranges in
           let code = enc.Rank_encode.rank_codes.(r) in
@@ -578,7 +619,7 @@ let eval_rank_family ctx ~variant ~order ~filter ~algorithm ~out =
   | _, Naive ->
       let frank = if needs_rank then Lazy.force frank else [||] in
       let frow = if needs_row then Lazy.force frow else [||] in
-      probe ctx (fun r ->
+      probe ctx at (fun r ->
           let ranges = mapped_ranges ctx rm r in
           let s = covered_of ranges in
           let code = enc.Rank_encode.rank_codes.(r) in
@@ -596,7 +637,7 @@ let eval_rank_family ctx ~variant ~order ~filter ~algorithm ~out =
       let own r =
         if needs_row then enc.Rank_encode.row_codes.(r) else enc.Rank_encode.rank_codes.(r)
       in
-      incremental_drive ctx rm ~make_state:(fun () ->
+      incremental_drive ctx at rm ~make_state:(fun () ->
           let ost = Ost.create () in
           ( (fun p -> Ost.insert ost codes.(p)),
             (fun p -> Ost.remove ost codes.(p)),
@@ -647,7 +688,7 @@ let selection_order (enc : Rank_encode.t) rm ~with_before =
     (sel, before)
   end
 
-let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~out =
+let eval_select_family ctx ~at ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~out =
   let order = effective_order ctx order in
   let enc = encode ctx order in
   let acc = arg_access ctx arg in
@@ -736,7 +777,7 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
           let before = snd (Lazy.force order_pass) in
           let forward = d >= 0 in
           let k = if forward then d else -d - 1 in
-          Task_pool.parallel_for ctx.pool ~lo:0 ~hi:(np ctx) ~chunk:ctx.task_size (fun lo hi ->
+          drive ctx at (fun lo hi ->
               let scratch = Mstw.create_scratch () in
               for r = lo to hi - 1 do
                 let i =
@@ -747,7 +788,7 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
                 out.(row) <- (if i < 0 then default row else value_of_pos (Remap.position rm i))
               done)
       | None ->
-          Task_pool.parallel_for ctx.pool ~lo:0 ~hi:(np ctx) ~chunk:ctx.task_size (fun lo hi ->
+          drive ctx at (fun lo hi ->
               let scratch = Mstw.create_scratch () in
               let ranges = ref [||] in
               let select_nth nth =
@@ -760,7 +801,7 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
     end
   | Naive ->
       let fro = Lazy.force fro in
-      Task_pool.parallel_for ctx.pool ~lo:0 ~hi:(np ctx) ~chunk:ctx.task_size (fun lo hi ->
+      drive ctx at (fun lo hi ->
           let scratch = Array.make (max m 1) 0 in
           let ranges = ref [||] in
           let select_nth nth =
@@ -776,7 +817,7 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
           done)
   | Incremental ->
       let fro = Lazy.force fro in
-      incremental_drive ctx rm ~make_state:(fun () ->
+      incremental_drive ctx at rm ~make_state:(fun () ->
           let sw = Inc.Sorted_window.create () in
           let select_nth nth = enc.Rank_encode.permutation.(Inc.Sorted_window.select sw nth) in
           ( (fun p -> Inc.Sorted_window.add sw fro.(p)),
@@ -789,7 +830,7 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
             fun () -> Inc.Sorted_window.clear sw ))
   | Order_statistic ->
       let fro = Lazy.force fro in
-      incremental_drive ctx rm ~make_state:(fun () ->
+      incremental_drive ctx at rm ~make_state:(fun () ->
           let ost = Ost.create () in
           let select_nth nth = enc.Rank_encode.permutation.(Ost.select ost nth) in
           ( (fun p -> Ost.insert ost fro.(p)),
@@ -800,6 +841,25 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
             fun () -> Ost.clear ost ))
   | _ -> excluded_at_entry ()
 
+(* Whether each row's answer depends on its frame's rows and its own key
+   alone, bit for bit, whatever the partition's length — what a session
+   needs to keep an old row's cached answer after an in-order append.
+   Float sums over a tree are the exception: a segment tree's and an
+   annotated merge sort tree's shapes follow the partition's length, and
+   with them the order in which node sums add up, which moves the last
+   ulp.  Integer sums are exact in any order, and the naive backend adds
+   a frame's values in frame order. *)
+let frame_local table (item : Window_func.t) =
+  match item.func with
+  | Aggregate { kind = Sum | Avg; arg = Some e; _ } when item.algorithm <> Some Naive -> (
+      match e with
+      | Expr.Col name -> (
+          match Column.data (Table.column table name) with
+          | Column.Ints _ | Column.Dates _ -> true
+          | _ -> false)
+      | _ -> false)
+  | _ -> true
+
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -809,8 +869,10 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
    [Evaluator_choice.supports] is rejected with the plan's own message,
    and the two variants run as settings of another backend — no cascading
    is [Mst] at sample 0, serial incremental is [Incremental] with the
-   whole partition as its one task. *)
-let eval_item ctx (item : Window_func.t) ~out =
+   whole partition as its one task.  [at] lists the partition positions
+   to answer (see [drive]); every structure is built or maintained over
+   the whole partition whatever [at] holds. *)
+let eval_item_at ctx (item : Window_func.t) ~at ~out =
   let cls = Ec.classify item in
   let holed = Frame.exclusion ctx.frame <> Window_spec.Exclude_no_others in
   let backend = match item.algorithm with Some b -> b | None -> Ec.default cls ~holed in
@@ -823,20 +885,20 @@ let eval_item ctx (item : Window_func.t) ~out =
   in
   let filter = item.filter in
   match item.func with
-  | Aggregate { kind; arg; distinct } -> eval_aggregate ctx ~kind ~arg ~distinct ~filter ~algorithm ~out
-  | Rank order -> eval_rank_family ctx ~variant:Rank_v ~order ~filter ~algorithm ~out
-  | Dense_rank order -> eval_rank_family ctx ~variant:Dense_v ~order ~filter ~algorithm ~out
-  | Row_number order -> eval_rank_family ctx ~variant:Row_number_v ~order ~filter ~algorithm ~out
-  | Percent_rank order -> eval_rank_family ctx ~variant:Percent_rank_v ~order ~filter ~algorithm ~out
-  | Cume_dist order -> eval_rank_family ctx ~variant:Cume_dist_v ~order ~filter ~algorithm ~out
-  | Ntile (b, order) -> eval_rank_family ctx ~variant:(Ntile_v b) ~order ~filter ~algorithm ~out
+  | Aggregate { kind; arg; distinct } -> eval_aggregate ctx ~at ~kind ~arg ~distinct ~filter ~algorithm ~out
+  | Rank order -> eval_rank_family ctx ~at ~variant:Rank_v ~order ~filter ~algorithm ~out
+  | Dense_rank order -> eval_rank_family ctx ~at ~variant:Dense_v ~order ~filter ~algorithm ~out
+  | Row_number order -> eval_rank_family ctx ~at ~variant:Row_number_v ~order ~filter ~algorithm ~out
+  | Percent_rank order -> eval_rank_family ctx ~at ~variant:Percent_rank_v ~order ~filter ~algorithm ~out
+  | Cume_dist order -> eval_rank_family ctx ~at ~variant:Cume_dist_v ~order ~filter ~algorithm ~out
+  | Ntile (b, order) -> eval_rank_family ctx ~at ~variant:(Ntile_v b) ~order ~filter ~algorithm ~out
   | Percentile_disc (p, order) ->
       let arg =
         match order with
         | k :: _ -> k.Sort_spec.expr
         | [] -> invalid_arg "Window: percentile_disc requires an ORDER BY expression"
       in
-      eval_select_family ctx ~kind:(Sel_percentile_disc p) ~arg ~order ~ignore_nulls:false ~filter
+      eval_select_family ctx ~at ~kind:(Sel_percentile_disc p) ~arg ~order ~ignore_nulls:false ~filter
         ~algorithm ~out
   | Percentile_cont (p, order) ->
       let arg =
@@ -844,19 +906,21 @@ let eval_item ctx (item : Window_func.t) ~out =
         | k :: _ -> k.Sort_spec.expr
         | [] -> invalid_arg "Window: percentile_cont requires an ORDER BY expression"
       in
-      eval_select_family ctx ~kind:(Sel_percentile_cont p) ~arg ~order ~ignore_nulls:false ~filter
+      eval_select_family ctx ~at ~kind:(Sel_percentile_cont p) ~arg ~order ~ignore_nulls:false ~filter
         ~algorithm ~out
   | First_value { arg; order; ignore_nulls } ->
-      eval_select_family ctx ~kind:Sel_first ~arg ~order ~ignore_nulls ~filter ~algorithm ~out
+      eval_select_family ctx ~at ~kind:Sel_first ~arg ~order ~ignore_nulls ~filter ~algorithm ~out
   | Last_value { arg; order; ignore_nulls } ->
-      eval_select_family ctx ~kind:Sel_last ~arg ~order ~ignore_nulls ~filter ~algorithm ~out
+      eval_select_family ctx ~at ~kind:Sel_last ~arg ~order ~ignore_nulls ~filter ~algorithm ~out
   | Nth_value (n, from_last, { arg; order; ignore_nulls }) ->
-      eval_select_family ctx ~kind:(Sel_nth (n, from_last)) ~arg ~order ~ignore_nulls ~filter
+      eval_select_family ctx ~at ~kind:(Sel_nth (n, from_last)) ~arg ~order ~ignore_nulls ~filter
         ~algorithm ~out
   | Lead (off, default, { arg; order; ignore_nulls }) ->
-      eval_select_family ctx ~kind:(Sel_lead (off, default)) ~arg ~order ~ignore_nulls ~filter
+      eval_select_family ctx ~at ~kind:(Sel_lead (off, default)) ~arg ~order ~ignore_nulls ~filter
         ~algorithm ~out
   | Lag (off, default, { arg; order; ignore_nulls }) ->
-      eval_select_family ctx ~kind:(Sel_lag (off, default)) ~arg ~order ~ignore_nulls ~filter
+      eval_select_family ctx ~at ~kind:(Sel_lag (off, default)) ~arg ~order ~ignore_nulls ~filter
         ~algorithm ~out
-  | Mode arg -> eval_mode ctx ~arg ~filter ~algorithm ~out
+  | Mode arg -> eval_mode ctx ~at ~arg ~filter ~algorithm ~out
+
+let eval_item ctx item ~out = eval_item_at ctx item ~at:[| (0, np ctx) |] ~out

@@ -27,6 +27,11 @@ type ctx = {
           harnesses construct [ctx]. *)
 }
 
+val peers : Build_cache.t -> Table.t -> Sort_spec.t -> int array -> int array * int array
+(** [peers cache table order rows]: {!Frame.peers} of the partition,
+    memoized in [cache]; a stale entry (the partition was extended in
+    order under a session) is maintained by {!Frame.extend_peers}. *)
+
 val encode : ctx -> Sort_spec.t -> Holistic_core.Rank_encode.t
 (** [encode ctx order]: the partition's rank encoding under [order] (§5.1),
     memoized in [ctx.cache]. An [order] that is a prefix of
@@ -44,3 +49,19 @@ val eval_item : ctx -> Window_func.t -> out:Value.t array -> unit
     @raise Invalid_argument with {!Evaluator_choice.unsupported_message}
       when {!Evaluator_choice.supports} rejects the (backend, function)
       pair. *)
+
+val frame_local : Table.t -> Window_func.t -> bool
+(** Whether every row's answer from {!eval_item} is a function of the
+    row's frame and its own key alone, bit for bit, whatever the
+    partition's length — so that a session may keep an old row's answer
+    after an in-order append.  False only for SUM and AVG of a non-integer
+    argument on a tree backend: the tree's shape, and so the order its
+    float sums add up in, follows the partition's length. *)
+
+val eval_item_at : ctx -> Window_func.t -> at:(int * int) array -> out:Value.t array -> unit
+(** [eval_item_at ctx item ~at ~out] is {!eval_item} answering only the
+    partition positions in [at] — sorted, disjoint half-open ranges —
+    and leaving every other row of [out] as it was.  Structures are built
+    (or maintained) over the whole partition as for {!eval_item}; only the
+    probes are restricted, cut into tasks of [ctx.task_size] answered
+    rows.  [eval_item] is [eval_item_at] over [\[| (0, np) |\]]. *)

@@ -74,6 +74,23 @@ let peers table order_by rows =
   end;
   (peer_start, peer_end)
 
+(* Peers of a partition extended in order: [rows] holds the old rows,
+   unmoved, ahead of the appended ones, so every peer group that ends
+   before the last old group is unchanged. Only the suffix from the last
+   old group's start is rescanned, since appended rows may tie with it. *)
+let extend_peers table order_by rows (old_start, old_end) =
+  let np = Array.length rows and k = Array.length old_start in
+  let from = if k = 0 then 0 else old_start.(k - 1) in
+  let tail_start, tail_end = peers table order_by (Array.sub rows from (np - from)) in
+  let peer_start = Array.make np 0 and peer_end = Array.make np np in
+  Array.blit old_start 0 peer_start 0 from;
+  Array.blit old_end 0 peer_end 0 from;
+  for r = from to np - 1 do
+    peer_start.(r) <- from + tail_start.(r - from);
+    peer_end.(r) <- from + tail_end.(r - from)
+  done;
+  (peer_start, peer_end)
+
 (* ------------------------------------------------------------------ *)
 (* Offsets                                                             *)
 (* ------------------------------------------------------------------ *)

@@ -31,6 +31,13 @@ val peers : Table.t -> Sort_spec.t -> int array -> int array * int array
 (** [(peer_start, peer_end)] per partition position for the given window
     ORDER BY — shareable across every frame with the same ORDER BY. *)
 
+val extend_peers :
+  Table.t -> Sort_spec.t -> int array -> int array * int array -> int array * int array
+(** [extend_peers table order_by rows old] is [peers table order_by rows]
+    when [old] is the peers of a prefix of [rows] (a partition extended in
+    order): groups before the prefix's last one are copied, and only the
+    rows from that group's start on are rescanned. *)
+
 val size : t -> int
 (** Number of rows in the partition. *)
 

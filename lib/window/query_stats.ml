@@ -20,6 +20,8 @@ type t = {
   cache_misses : int;
   cache_maintained : int;
   cache_rebuilt : int;
+  cache_probed_rows : int;
+  cache_copied_rows : int;
   evaluators : (string * int) list;
   alloc_w : int;
   promoted_w : int;
@@ -85,6 +87,8 @@ let of_trace ~sql ~session_epoch ~rows_in ~plan result (trace : Obs.trace) =
     cache_misses = d "cache.miss";
     cache_maintained = d "cache.maintained";
     cache_rebuilt = d "cache.rebuilt";
+    cache_probed_rows = d "cache.probed_rows";
+    cache_copied_rows = d "cache.copied_rows";
     evaluators;
     alloc_w = from_root (fun s -> s.Obs.alloc_w);
     promoted_w = from_root (fun s -> s.Obs.promoted_w);
@@ -138,6 +142,8 @@ let to_json_line r =
                ("misses", r.cache_misses);
                ("maintained", r.cache_maintained);
                ("rebuilt", r.cache_rebuilt);
+               ("probed_rows", r.cache_probed_rows);
+               ("copied_rows", r.cache_copied_rows);
              ] );
          ("evaluators", ints r.evaluators);
          ("gc", ints [ ("alloc_w", r.alloc_w); ("promoted_w", r.promoted_w); ("majors", r.majors) ]);
@@ -147,6 +153,8 @@ let to_json_line r =
 let get_int ctx = function
   | Some (Json.J_int v) -> v
   | _ -> failwith (Printf.sprintf "qlog: missing or non-int %s" ctx)
+
+let opt_int ctx = function None -> 0 | v -> get_int ctx v
 
 let get_string ctx = function
   | Some (Json.J_string v) -> v
@@ -205,6 +213,9 @@ let of_json_line line =
     cache_misses = get_int "cache.misses" (member "misses" cache);
     cache_maintained = get_int "cache.maintained" (member "maintained" cache);
     cache_rebuilt = get_int "cache.rebuilt" (member "rebuilt" cache);
+    (* added to holiwin-qlog/1 later: older lines read as 0 *)
+    cache_probed_rows = opt_int "cache.probed_rows" (member "probed_rows" cache);
+    cache_copied_rows = opt_int "cache.copied_rows" (member "copied_rows" cache);
     evaluators;
     alloc_w = get_int "gc.alloc_w" (member "alloc_w" gc);
     promoted_w = get_int "gc.promoted_w" (member "promoted_w" gc);

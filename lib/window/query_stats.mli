@@ -36,6 +36,12 @@ type t = {
   cache_misses : int;
   cache_maintained : int;
   cache_rebuilt : int;
+  cache_probed_rows : int;
+      (** session item rows answered by probing ([cache.probed_rows]) *)
+  cache_copied_rows : int;
+      (** session item rows copied from cached output columns
+          ([cache.copied_rows]); both read as 0 from log lines written
+          before they existed *)
   evaluators : (string * int) list;
       (** per-backend [plan.evaluator.*] deltas, non-zero entries only,
           sorted by backend name *)

@@ -176,13 +176,13 @@ let full_sort ?gov pool table ~pids ~order =
 (* The persistent structure store                                      *)
 (* ------------------------------------------------------------------ *)
 
-type status = Reused | Extended of int | Rebuilt
+type status = Reused | Extended | Rebuilt
 
 type okey = Window_spec.t * Window_func.func * Expr.t option
 
 type part = {
   cache : Build_cache.t;
-  outputs : (okey, Value.t array) Hashtbl.t;
+  outputs : (okey * Window_func.backend option, Value.t array) Hashtbl.t;
   mutable status : status;
 }
 
@@ -308,8 +308,11 @@ let store s ~pb ~order ~perm ~boundaries =
    total order — so the part is reused outright.  A longer slice is an
    in-order extension iff every appended row sorts strictly after the old
    rows; then the old caches are kept and marked stale for incremental
-   maintenance.  Out-of-order appends (a new row interleaving among old
-   ones) invalidate precisely that partition. *)
+   maintenance, and the cached outputs are kept as they are: an output of
+   length [k] answers the slice's first [k] rows, which the extension did
+   not move (the plan probes only the rows an append can affect and
+   copies the rest).  Out-of-order appends (a new row interleaving among
+   old ones) invalidate precisely that partition. *)
 let classify_append s ~pids ~old_perm ~old_b ~old_parts ~perm ~boundaries ~n_old =
   let counters = s.counters in
   let rebuilt () =
@@ -345,8 +348,7 @@ let classify_append s ~pids ~old_perm ~old_b ~old_parts ~perm ~boundaries ~n_old
             if !in_order then begin
               let part = old_parts.(op) in
               Build_cache.advance part.cache;
-              Hashtbl.reset part.outputs;
-              part.status <- Extended old_len;
+              part.status <- Extended;
               s.tally_extended <- s.tally_extended + 1;
               part
             end
@@ -558,7 +560,7 @@ let stats s =
           (fun p ->
             match p.status with
             | Reused -> incr r
-            | Extended _ -> incr x
+            | Extended -> incr x
             | Rebuilt -> incr b)
           e.parts;
         {

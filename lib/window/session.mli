@@ -16,8 +16,11 @@
       as a second run (the parallel sort's own OVC loser-tree merge);
       partitions whose new rows all sort after their old rows keep their
       caches, marked stale for the accessors' incremental [maintain]
-      callbacks (rank-encode extension, MST run-stacking); out-of-order
-      appends invalidate exactly the partitions they interleave into;
+      callbacks (rank-encode extension, MST run-stacking, peer-group
+      rescans from the last old group), and keep their cached outputs,
+      which the next query completes by probing only the rows whose frame
+      reaches a new row; out-of-order appends invalidate exactly the
+      partitions they interleave into;
     - {b evictions} filter the permutation and renumber the survivors —
       no re-sort at all — keeping every untouched partition's caches and
       cached outputs.
@@ -62,9 +65,9 @@ val full_sort :
 
 type status =
   | Reused  (** slice untouched since last query: outputs and caches valid *)
-  | Extended of int
-      (** in-order append: first [k] rows unchanged, caches stale but
-          incrementally maintainable *)
+  | Extended
+      (** in-order append: the old rows lead the slice unmoved, caches
+          stale but incrementally maintainable *)
   | Rebuilt  (** fresh or invalidated: nothing to reuse *)
 
 type okey = Window_spec.t * Window_func.func * Expr.t option
@@ -73,8 +76,18 @@ type okey = Window_spec.t * Window_func.func * Expr.t option
 
 type part = {
   cache : Build_cache.t;
-  outputs : (okey, Value.t array) Hashtbl.t;  (** values in slice order *)
+  outputs : (okey * Window_func.backend option, Value.t array) Hashtbl.t;
+      (** finished item outputs, values in slice order, keyed on the item
+          and the backend that computed it: backends agree on every answer
+          but the last ulp of a float sum, which each adds up in its own
+          order.  An output is valid for exactly its own length: an array
+          of length [k] holds the answers of the first [k] rows of the
+          part's current slice.  In-order appends keep it (the slice grows
+          behind it); any mutation that moves or removes a row of the
+          slice leaves a fresh part with no outputs. *)
   mutable status : status;
+      (** what the last mutation did to the part; introspection and the
+          cost model's sunk builds read it, output reuse does not *)
 }
 
 type t

@@ -287,6 +287,51 @@ let resolve_item ~sunk ~(model : Cost_model.constants) ~rows_avg ~nparts
       ( { item with Window_func.algorithm = Some chosen },
         Some (Ec.to_string chosen) )
 
+(* Session provenance of item rows: answered by a probe, or copied from a
+   cached output column.  Counted under a session only, so a stateless
+   plan's counters are unchanged. *)
+let c_rows_probed =
+  Obs.Counter.make ~help:"Session item rows answered by probing" "cache.probed_rows"
+
+let c_rows_copied =
+  Obs.Counter.make ~help:"Session item rows copied from a cached output column" "cache.copied_rows"
+
+(* The rows a cached output of length [k] cannot answer, as sorted,
+   disjoint half-open ranges of partition positions: row [r] is affected
+   iff [r >= k], or its base frame ends past [k], or its peer group does.
+
+   Why every other row keeps its cached answer.  The output was computed
+   when the partition held its first [k] rows, and an in-order append only
+   adds rows that sort after all of them, leaving the old rows at their
+   positions.  A non-empty frame that ends at most at [k] therefore has
+   the same start, the same rows and the same exclusion holes as before:
+   ROWS, RANGE and GROUPS bounds of an old row are read off old rows only
+   (positions, keys and peer groups below [k]), and with its peer group
+   also ending at most at [k] no hole reaches a new row.  An empty frame
+   stays empty.  Every function reads only its frame's rows and the row's
+   own key ([Reference.frame_ranges]), so the answer is the cached one —
+   bit for bit wherever {!Evaluators.frame_local} holds; a float sum over
+   a tree, whose shape follows the partition's length, probes every row.
+   The set is not a suffix: per-row FOLLOWING offsets give non-monotonic
+   frames (paper Fig. 12), so an old row far back may reach a new row
+   while its neighbours do not. *)
+let affected frame ~k =
+  let np = Frame.size frame in
+  let acc = ref [] and open_at = ref (-1) in
+  for r = 0 to min k np - 1 do
+    let hit = Frame.end_ frame r > k || Frame.peer_end frame r > k in
+    if hit && !open_at < 0 then open_at := r
+    else if (not hit) && !open_at >= 0 then begin
+      acc := (!open_at, r) :: !acc;
+      open_at := -1
+    end
+  done;
+  let tail = if !open_at >= 0 then !open_at else k in
+  if tail < np then acc := (tail, np) :: !acc;
+  Array.of_list (List.rev !acc)
+
+let covered at = Array.fold_left (fun n (lo, hi) -> n + hi - lo) 0 at
+
 let exprs_to_string exprs = String.concat ", " (List.map Expr.to_string exprs)
 
 let order_permutation ~pool table ~over =
@@ -517,8 +562,7 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
                             [ ("order", Sort_spec.to_string spec.Window_spec.order_by) ])
                           (fun () ->
                             let peers =
-                              Build_cache.peers cache ~order:spec.Window_spec.order_by
-                                (fun () -> Frame.peers table spec.Window_spec.order_by rows)
+                              Evaluators.peers cache table spec.Window_spec.order_by rows
                             in
                             Frame.compute ~peers table ~spec ~rows)
                       in
@@ -548,38 +592,71 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
                                   Evaluators.eval_item ctx item ~out))
                             outs
                       | Some part ->
-                          (* session path: an untouched partition serves an
-                             item straight from its cached output column —
-                             no frame, no structures, no probes; anything
-                             else evaluates (maintaining stale structures
-                             through the cache's callbacks) and deposits
-                             its output for the next query *)
+                          (* session path: each item decides on the length
+                             of its cached output column (see [affected]):
+                             a full column is copied with no frame, no
+                             structures and no probes; a shorter one, kept
+                             across in-order appends, probes only the
+                             affected rows and copies the rest; no column
+                             evaluates every row.  Structures are built or
+                             maintained through the cache's callbacks, and
+                             the completed column is kept for the next
+                             query. *)
                           let len = Array.length rows in
                           let frame = lazy (compute_frame ()) in
                           List.iter
                             (fun (((item : Window_func.t), ev), out) ->
                               let okey =
-                                (spec, item.Window_func.func, item.Window_func.filter)
+                                ( (spec, item.Window_func.func, item.Window_func.filter),
+                                  item.Window_func.algorithm )
                               in
-                              let hit =
-                                if part.Session.status = Session.Reused then
-                                  Hashtbl.find_opt part.Session.outputs okey
-                                else None
+                              let copy vals ~lo ~hi =
+                                for r = lo to hi - 1 do
+                                  out.(rows.(r)) <- vals.(r)
+                                done
                               in
-                              match hit with
-                              | Some vals ->
+                              let keep () =
+                                Hashtbl.replace part.Session.outputs okey
+                                  (Array.init len (fun r -> out.(rows.(r))))
+                              in
+                              match Hashtbl.find_opt part.Session.outputs okey with
+                              | Some vals when Array.length vals = len ->
                                   Obs.span "item"
                                     ~args:(item_args item ev (Some ("cache", "reused(outputs)")))
+                                    (fun () -> copy vals ~lo:0 ~hi:len);
+                                  Obs.Counter.add c_rows_copied len
+                              | Some vals
+                                when Array.length vals < len && Evaluators.frame_local table item
+                                ->
+                                  let frame = Lazy.force frame in
+                                  let at = affected frame ~k:(Array.length vals) in
+                                  let probed = covered at in
+                                  Obs.span "item"
+                                    ~args:
+                                      (item_args item ev
+                                         (Some
+                                            ( "cache",
+                                              Printf.sprintf "maintained(probed=%d of %d)" probed
+                                                len )))
                                     (fun () ->
-                                      for r = 0 to len - 1 do
-                                        out.(rows.(r)) <- vals.(r)
-                                      done)
-                              | None ->
+                                      Evaluators.eval_item_at (mk_ctx frame) item ~at ~out;
+                                      (* the gaps between affected ranges
+                                         keep their cached answers *)
+                                      let prev = ref 0 in
+                                      Array.iter
+                                        (fun (lo, hi) ->
+                                          copy vals ~lo:!prev ~hi:lo;
+                                          prev := hi)
+                                        at);
+                                  keep ();
+                                  Obs.Counter.add c_rows_probed probed;
+                                  Obs.Counter.add c_rows_copied (len - probed)
+                              | _ ->
                                   Obs.span "item" ~args:(item_args item ev None) (fun () ->
                                       Evaluators.eval_item (mk_ctx (Lazy.force frame)) item
                                         ~out);
-                                  Hashtbl.replace part.Session.outputs okey
-                                    (Array.init len (fun r -> out.(rows.(r)))))
+                                  keep ();
+                                  Obs.Counter.add c_rows_probed len)
                             outs)
                     smembers;
                   match spart with

@@ -100,9 +100,13 @@ val run :
     table (any other table — e.g. a WHERE-filtered copy — runs stateless):
     stage sorts, per-partition caches and finished item outputs are read
     from and written back to the store, and the cost model treats cached
-    structures' build cost as sunk.  Sort and item spans gain a [cache]
-    arg carrying the provenance ([reused(epoch=k)] / [maintained(±n
-    rows)] / [rebuilt(reason)] / [reused(outputs)]). *)
+    structures' build cost as sunk.  After an in-order append an item
+    probes only the rows whose frame reaches a new row and copies the
+    rest from its cached output.  Sort and item spans gain a [cache] arg
+    carrying the provenance ([reused(epoch=k)] / [maintained(±n rows)] /
+    [rebuilt(reason)] on sorts, [reused(outputs)] /
+    [maintained(probed=p of n)] on items), and the capture counts
+    [cache.probed_rows] and [cache.copied_rows]. *)
 
 val run_with_stats :
   pool:Holistic_parallel.Task_pool.t ->

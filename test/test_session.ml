@@ -131,7 +131,8 @@ let num_col rng = Expr.Col num_cols.(Rng.int rng (Array.length num_cols))
 let gen_item rng ~name =
   let filter = gen_filter rng in
   let order = if Rng.bool rng then [] else [ gen_key rng ] in
-  match Rng.int rng 12 with
+  let ignore_nulls = Rng.int rng 3 = 0 in
+  match Rng.int rng 18 with
   | 0 -> Wf.count_star ?filter ~name ()
   | 1 -> Wf.count ?filter ~distinct:true ~name (any_col rng)
   | 2 -> Wf.sum ?filter ~distinct:(Rng.bool rng) ~name (num_col rng)
@@ -145,8 +146,21 @@ let gen_item rng ~name =
       let p = [| 0.0; 0.25; 0.5; 0.9; 1.0 |].(Rng.int rng 5) in
       if Rng.bool rng then Wf.percentile_disc ?filter ~name p [ gen_key rng ]
       else Wf.percentile_cont ?filter ~name p [ gen_key rng ]
-  | 10 -> Wf.first_value ?filter ~order ~name (any_col rng)
-  | _ -> Wf.ntile ?filter ~name (1 + Rng.int rng 4) order
+  | 10 -> Wf.first_value ?filter ~ignore_nulls ~order ~name (any_col rng)
+  | 11 -> Wf.ntile ?filter ~name (1 + Rng.int rng 4) order
+  | 12 -> Wf.last_value ?filter ~ignore_nulls ~order ~name (any_col rng)
+  | 13 ->
+      Wf.nth_value ?filter ~ignore_nulls ~order ~from_last:(Rng.bool rng) ~name
+        (1 + Rng.int rng 3) (any_col rng)
+  | 14 | 15 ->
+      (* LEAD/LAG with and without their own ORDER BY, IGNORE NULLS and a
+         default (the argument read at the current row: same type) *)
+      let mk = if Rng.bool rng then Wf.lead else Wf.lag in
+      let arg = any_col rng in
+      let default = if Rng.bool rng then Some arg else None in
+      mk ?filter ~ignore_nulls ~order ~offset:(Rng.int rng 4) ?default ~name arg
+  | 16 -> Wf.cume_dist ?filter ~name order
+  | _ -> if Rng.bool rng then Wf.row_number ?filter ~name order else Wf.avg ?filter ~name (num_col rng)
 
 let partition_pool = [| []; [ Expr.Col "g" ]; [ Expr.Col "s" ]; [ Expr.Col "g"; Expr.Col "k" ] |]
 
@@ -316,6 +330,215 @@ let test_fuzz () =
       done)
 
 (* ------------------------------------------------------------------ *)
+(* In-order append fuzz                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The leg that reaches partial output reuse: a re-query after an
+   in-order append probes only the rows whose frame, peer group or
+   exclusion holes reach a new row and copies every other row's cached
+   answer.  Its tables carry a time column [t] with few distinct values,
+   so peer groups are wide, and every ORDER BY leads with [t] ascending.
+   An in-order delta draws [t] from the table's current maximum and just
+   above it, so its rows sort after every old row of their partition —
+   exact ties with the last old key included, which the row-id tie-break
+   settles in the delta's favour unless a second ORDER BY key puts a tied
+   row ahead (then the store sees an interleaving append). *)
+
+let with_time rng ~lo table =
+  let n = Table.nrows table in
+  let table =
+    Table.add_column table "t" (Column.ints (Array.init n (fun _ -> Rng.int_in rng lo (lo + 2))))
+  in
+  (* values whose sums round: the order a sum adds up in shows *)
+  Table.add_column table "x" (Column.floats (Array.init n (fun _ -> Rng.float rng 100.)))
+
+let max_time table =
+  match Column.data (Table.column table "t") with
+  | Column.Ints a -> Array.fold_left max 0 a
+  | _ -> assert false
+
+let time_key = Sort_spec.asc (Expr.Col "t")
+
+(* FOLLOWING offsets as often as PRECEDING ones, constant or per row *)
+let gen_io_bound rng =
+  match Rng.int rng 7 with
+  | 0 -> Ws.Unbounded_preceding
+  | 1 | 2 -> Ws.Preceding (gen_offset rng)
+  | 3 -> Ws.Current_row
+  | 4 | 5 -> Ws.Following (gen_offset rng)
+  | _ -> Ws.Unbounded_following
+
+(* RANGE only over the lone int key [t]; GROUPS and ROWS over any order *)
+let gen_io_frame rng ~ranged =
+  let exclusion = gen_exclusion rng in
+  let lo = gen_io_bound rng and hi = gen_io_bound rng in
+  match Rng.int rng 5 with
+  | 0 -> None
+  | 1 when ranged -> Some (Ws.range_between ~exclusion lo hi)
+  | 1 | 2 -> Some (Ws.groups_between ~exclusion lo hi)
+  | _ -> Some (Ws.rows_between ~exclusion lo hi)
+
+(* Half the items pinned to a random backend that can run them, so the
+   restricted probes run on every backend, sliding ones included. *)
+let gen_pinned_item rng ~name ~holed =
+  let item =
+    if Rng.int rng 4 > 0 then gen_item rng ~name
+    else
+      let filter = gen_filter rng and distinct = Rng.bool rng in
+      (if Rng.bool rng then Wf.sum else Wf.avg) ?filter ~distinct ~name (Expr.Col "x")
+  in
+  let cls = Evaluator_choice.classify item in
+  match List.filter (fun b -> Evaluator_choice.supports b cls ~holed) Evaluator_choice.all with
+  | backends when backends <> [] && Rng.bool rng ->
+      { item with Wf.algorithm = Some (List.nth backends (Rng.int rng (List.length backends))) }
+  | _ -> item
+
+let gen_io_items rng ~names (spec : Ws.t) =
+  let holed =
+    match spec.Ws.frame with
+    | Some f -> f.Ws.exclusion <> Ws.Exclude_no_others
+    | None -> false
+  in
+  List.init (1 + Rng.int rng 2) (fun _ ->
+      let name = Printf.sprintf "w%d" !names in
+      incr names;
+      gen_pinned_item rng ~name ~holed)
+
+let gen_io_clauses rng ~names =
+  List.init (1 + Rng.int rng 3) (fun _ ->
+      let partition_by = partition_pool.(Rng.int rng (Array.length partition_pool)) in
+      let order_by =
+        match Rng.int rng 5 with
+        | 0 -> []
+        | 1 | 2 -> [ time_key ]
+        | _ -> [ time_key; gen_key rng ]
+      in
+      let spec =
+        { Ws.partition_by; order_by; frame = gen_io_frame rng ~ranged:(order_by = [ time_key ]) }
+      in
+      { Window_plan.spec; items = gen_io_items rng ~names spec })
+
+(* Query shapes for one case: a second shape either draws its own
+   clauses or re-uses the first one's OVER clauses with other items, so
+   the two share every stage but not their cached outputs. *)
+let gen_io_shapes rng =
+  let names = ref 0 in
+  let first = gen_io_clauses rng ~names in
+  match Rng.int rng 3 with
+  | 0 -> [| first |]
+  | 1 -> [| first; gen_io_clauses rng ~names |]
+  | _ ->
+      let sibling =
+        List.map
+          (fun (c : Window_plan.clause) -> { c with Window_plan.items = gen_io_items rng ~names c.spec })
+          first
+      in
+      [| first; sibling |]
+
+let partial_reuse_spans (trace : Holistic_obs.Obs.trace) =
+  List.length
+    (List.filter
+       (fun (sp : Holistic_obs.Obs.span) ->
+         sp.Holistic_obs.Obs.name = "item"
+         &&
+         match List.assoc_opt "cache" sp.Holistic_obs.Obs.args with
+         | Some c -> String.starts_with ~prefix:"maintained(probed=" c
+         | None -> false)
+       trace.Holistic_obs.Obs.spans)
+
+let run_in_order_case ~pool ~partial rng idx ~seed =
+  let rng = Rng.split rng in
+  let session = Session.create ~pool (with_time rng ~lo:0 (gen_table rng)) in
+  let shapes = gen_io_shapes rng in
+  (* small tasks cut the affected ranges into several pieces per task and
+     several tasks per partition *)
+  let task_size = [| 1; 3; 7; Task_pool.default_task_size |].(Rng.int rng 4) in
+  let ops = ref [ Printf.sprintf "task_size %d" task_size ] in
+  let trace () =
+    Printf.sprintf "FUZZ_SEED=%d in-order case %d after [%s]" seed idx
+      (String.concat "; " (List.rev !ops))
+  in
+  let append ~in_order =
+    let table = Session.table session in
+    let top = max_time table in
+    let lo = if in_order then top else max 0 (top - 3) in
+    let delta = with_time rng ~lo (gen_delta rng) in
+    ops :=
+      Printf.sprintf "%s %d" (if in_order then "append" else "append_interleaved") (Table.nrows delta)
+      :: !ops;
+    Session.append_rows session delta
+  in
+  let query () =
+    let clauses = shapes.(Rng.int rng (Array.length shapes)) in
+    let table = Session.table session in
+    let ctx () =
+      Printf.sprintf "%s\n%s\n%s" (trace ())
+        (String.concat "\n" (List.map clause_to_string clauses))
+        (table_to_string table)
+    in
+    let actual, spans =
+      try Holistic_obs.Obs.with_capture (fun () -> Window_plan.run ~pool ~task_size ~session table clauses)
+      with e -> Alcotest.failf "%s: session run raised %s" (ctx ()) (Printexc.to_string e)
+    in
+    partial := !partial + partial_reuse_spans spans;
+    let expected = Window_plan.run ~pool ~task_size table clauses in
+    check_identical ~ctx expected actual
+  in
+  ops := "query" :: !ops;
+  query ();
+  for _ = 1 to 2 + Rng.int rng 5 do
+    match Rng.int rng 10 with
+    | 0 | 1 | 2 ->
+        append ~in_order:true;
+        ops := "query" :: !ops;
+        query ()
+    | 3 | 4 ->
+        (* two or three appends between queries *)
+        for _ = 1 to 2 + Rng.int rng 2 do
+          append ~in_order:true
+        done;
+        ops := "query" :: !ops;
+        query ()
+    | 5 -> append ~in_order:false
+    | 6 ->
+        let table = Session.table session in
+        if Rng.bool rng then begin
+          let k = Rng.int rng (1 + (Table.nrows table / 4)) in
+          ops := Printf.sprintf "evict_prefix %d" k :: !ops;
+          Session.evict_prefix session k
+        end
+        else begin
+          ops := "evict_where" :: !ops;
+          Session.evict_where session (gen_evict_pred rng table)
+        end
+    | _ ->
+        ops := "query" :: !ops;
+        query ()
+  done;
+  ops := "query" :: !ops;
+  query ()
+
+let test_fuzz_in_order () =
+  let seed = env_int "FUZZ_SEED" 20240809 in
+  let cases = env_int "FUZZ_CASES" 350 in
+  let domains = env_int "HOLIWIN_DOMAINS" 1 in
+  let pool = Task_pool.create domains in
+  Fun.protect
+    ~finally:(fun () -> Task_pool.shutdown pool)
+    (fun () ->
+      let rng = Rng.create (seed + 1) in
+      let only = env_int "FUZZ_ONLY" (-1) in
+      let partial = ref 0 in
+      for idx = 0 to cases - 1 do
+        if only >= 0 && idx <> only then ignore (Rng.split rng)
+        else run_in_order_case ~pool ~partial rng idx ~seed
+      done;
+      (* the leg exists to reach partial reuse: most cases must *)
+      if only < 0 && !partial < cases then
+        Alcotest.failf "FUZZ_SEED=%d: only %d item(s) over %d cases re-used a partial output" seed
+          !partial cases)
+
+(* ------------------------------------------------------------------ *)
 (* Directed maintenance and reuse checks                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -446,6 +669,61 @@ let test_output_reuse () =
       Alcotest.(check int) "sort reused" 1 s2.Window_plan.session_sorts;
       check_identical ~ctx:(fun () -> "output_reuse") r1 r2)
 
+(* A re-query after an in-order append of [d] rows probes only the rows
+   whose frame reaches a new row: the [d] new ones under a backward-only
+   ROWS frame, and [f] old ones more under [f] FOLLOWING.  The item span
+   reports it, and the capture counts probed and copied rows. *)
+let test_partial_probe () =
+  let pool = Task_pool.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Task_pool.shutdown pool)
+    (fun () ->
+      let n = 1000 and d = 37 in
+      let clause following =
+        {
+          Window_plan.spec =
+            {
+              Ws.partition_by = [];
+              order_by = [ Sort_spec.asc (Expr.Col "k") ];
+              frame = Some (Ws.rows_between (Ws.preceding 20) following);
+            };
+          items =
+            [
+              Wf.rank ~name:"r" [];
+              Wf.percentile_disc ~name:"med" 0.5 [ Sort_spec.asc (Expr.Col "v") ];
+            ];
+        }
+      in
+      List.iter
+        (fun (label, following, extra) ->
+          let clauses = [ clause following ] in
+          let session = Session.create ~pool (directed_table n) in
+          ignore (Window_plan.run ~pool ~session (Session.table session) clauses);
+          Session.append_rows session (directed_delta ~base:n d);
+          let table = Session.table session in
+          let actual, trace =
+            Holistic_obs.Obs.with_capture (fun () -> Window_plan.run ~pool ~session table clauses)
+          in
+          let tags =
+            List.filter_map
+              (fun (sp : Holistic_obs.Obs.span) ->
+                if sp.Holistic_obs.Obs.name = "item" then List.assoc_opt "cache" sp.Holistic_obs.Obs.args
+                else None)
+              trace.Holistic_obs.Obs.spans
+          in
+          let want = Printf.sprintf "maintained(probed=%d of %d)" (d + extra) (n + d) in
+          Alcotest.(check (list string)) (label ^ ": item spans") [ want; want ] tags;
+          let counter name =
+            Option.value ~default:0 (List.assoc_opt name trace.Holistic_obs.Obs.counters)
+          in
+          Alcotest.(check int) (label ^ ": probed rows") (2 * (d + extra)) (counter "cache.probed_rows");
+          Alcotest.(check int) (label ^ ": copied rows") (2 * (n - extra)) (counter "cache.copied_rows");
+          check_identical
+            ~ctx:(fun () -> "partial probe, " ^ label)
+            (Window_plan.run ~pool table clauses)
+            actual)
+        [ ("backward-only", Ws.Current_row, 0); ("3 following", Ws.following 3, 3) ])
+
 (* Bulk prefix eviction compacts the cached state without re-sorting;
    queries after it stay bit-identical to a rebuild. *)
 let test_evict () =
@@ -514,8 +792,18 @@ let test_sql_session () =
   in
   Alcotest.(check bool) "provenance tag rendered" true
     (contains "cache=reused" || contains "cache=maintained");
+  (* right after an in-order append, EXPLAIN ANALYZE shows the items
+     probing only the affected rows *)
+  Sql.session_append session (directed_delta ~base:576 8);
+  let report = Sql.render_analyze q (Sql.explain_analyze_trace ~pool:Shared_pool.pool ~session ~tables:(tables ()) q) in
+  let contains sub =
+    let n = String.length report and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub report i m = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "partial probe rendered" true (contains "cache=maintained(probed=1 of 73)");
   Sql.session_evict session "k < 100";
-  Alcotest.(check int) "rows evicted" 476 (Table.nrows (Sql.session_table session));
+  Alcotest.(check int) "rows evicted" 484 (Table.nrows (Sql.session_table session));
   check_identical ~ctx:(fun () -> "sql after evict") (oracle ()) (via_session ());
   Alcotest.check_raises "malformed predicate"
     (Sql.Semantic_error "unknown column \"nope\"")
@@ -528,11 +816,15 @@ let () =
         [
           Alcotest.test_case "in-order append maintains" `Quick test_extend_append;
           Alcotest.test_case "unchanged table reuses outputs" `Quick test_output_reuse;
+          Alcotest.test_case "in-order append probes affected rows" `Quick test_partial_probe;
           Alcotest.test_case "bulk eviction compacts" `Quick test_evict;
           Alcotest.test_case "foreign table stays stateless" `Quick test_foreign_table;
           Alcotest.test_case "sql session front door" `Quick test_sql_session;
           Alcotest.test_case "residual-only order maintains" `Quick test_residual_order_append;
         ] );
       ( "fuzz",
-        [ Alcotest.test_case "insert/evict scripts vs rebuild" `Slow test_fuzz ] );
+        [
+          Alcotest.test_case "insert/evict scripts vs rebuild" `Slow test_fuzz;
+          Alcotest.test_case "in-order append scripts vs rebuild" `Slow test_fuzz_in_order;
+        ] );
     ]

@@ -253,6 +253,51 @@ let test_qlog_roundtrip () =
   Alcotest.(check int) "seq increments" 1 plain.Qs.seq;
   Sys.remove path
 
+(* The record's cache object counts session item rows: every row probed
+   on the first query, then after an in-order append only the new rows
+   (the frame looks back only) while the rest are copied.  A line written
+   before these two fields existed still reads, as 0. *)
+let test_qlog_session_rows () =
+  (* MIN reads one value of its frame, so every backend the cost model
+     may pick answers an old row as before *)
+  let sql =
+    "select min(v) over (partition by g order by v rows between 3 preceding and current row) from t"
+  in
+  let path = Filename.temp_file "holiwin_qlog_rows" ".jsonl" in
+  let sink = Qs.Log.open_ path in
+  let session = Sql.session_create ~pool:Shared_pool.pool (small_table 200) in
+  ignore (session_query sink session sql);
+  Sql.session_append session
+    (Table.create
+       [
+         ("g", Column.ints (Array.init 12 (fun i -> i mod 4)));
+         ("v", Column.floats (Array.init 12 (fun i -> float_of_int (200 + i))));
+       ]);
+  ignore (session_query sink session sql);
+  Qs.Log.close sink;
+  let records = Qs.Log.load path in
+  Sys.remove path;
+  let rows r = (r.Qs.cache_probed_rows, r.Qs.cache_copied_rows) in
+  Alcotest.(check (list (pair int int))) "probed, copied" [ (200, 0); (12, 200) ] (List.map rows records);
+  let line = Qs.to_json_line (List.nth records 1) in
+  let older =
+    match Holistic_util.Json.parse line with
+    | Holistic_util.Json.J_obj kvs ->
+        Holistic_util.Json.J_obj
+          (List.map
+             (fun (k, v) ->
+               match (k, v) with
+               | "cache", Holistic_util.Json.J_obj c ->
+                   ( k,
+                     Holistic_util.Json.J_obj
+                       (List.filter (fun (f, _) -> f <> "probed_rows" && f <> "copied_rows") c) )
+               | _ -> (k, v))
+             kvs)
+    | _ -> Alcotest.fail "record is not an object"
+  in
+  Alcotest.(check (pair int int)) "older line reads 0" (0, 0)
+    (rows (Qs.of_json_line (Holistic_util.Json.to_string older)))
+
 let test_qlog_schema_guard () =
   (match Qs.of_json_line "{\"schema\":\"holiwin-qlog/9\",\"seq\":0}" with
   | exception Failure _ -> ()
@@ -426,6 +471,7 @@ let () =
         [
           Alcotest.test_case "jsonl round-trip" `Quick test_qlog_roundtrip;
           Alcotest.test_case "schema guard" `Quick test_qlog_schema_guard;
+          Alcotest.test_case "session probed and copied rows" `Quick test_qlog_session_rows;
           Alcotest.test_case "rotation boundary" `Quick test_qlog_rotation;
           Alcotest.test_case "1000-query session" `Quick test_qlog_thousand_query_session;
           Alcotest.test_case "matches explain analyze" `Quick test_qlog_matches_explain_analyze;

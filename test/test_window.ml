@@ -964,6 +964,83 @@ let oracle_cases algorithm mk =
   List.init 60 (fun i ->
       Alcotest.test_case (Printf.sprintf "%s seed %d" algorithm i) `Quick (mk (i * 37)))
 
+(* The probe driver answers exactly the rows it is given: for every
+   backend x function class (plus LEAD with its own ORDER BY and an
+   IGNORE NULLS value function) x a plain and a holed frame,
+   [Evaluators.eval_item_at] over random sorted, disjoint ranges, cut into
+   tasks of 3 rows, writes bit for bit what [eval_item] writes on those
+   rows and leaves every other row as it was. *)
+let test_eval_item_at () =
+  let pool = Shared_pool.pool in
+  let rng = Rng.create 12 in
+  let table = make_table rng 90 in
+  let n = Table.nrows table in
+  let unset = Value.String "unset" in
+  List.iter
+    (fun holed ->
+      let exclusion = if holed then Window_spec.Exclude_ties else Window_spec.Exclude_no_others in
+      let over =
+        Window_spec.over
+          ~order_by:[ Sort_spec.asc (Expr.Col "ts") ]
+          ~frame:(Window_spec.rows_between ~exclusion (Window_spec.preceding 5) (Window_spec.following 3))
+          ()
+      in
+      let rows, _ = Window_plan.order_permutation ~pool table ~over in
+      let peers = Frame.peers table over.Window_spec.order_by rows in
+      let frame = Frame.compute ~peers table ~spec:over ~rows in
+      let ctx task_size =
+        {
+          Evaluators.table;
+          pool;
+          rows;
+          frame;
+          window_order = over.Window_spec.order_by;
+          fanout = 4;
+          sample = 2;
+          task_size;
+          width = Holistic_core.Mst_width.Auto;
+          cache = Build_cache.create ();
+          gov = None;
+        }
+      in
+      let items =
+        List.map class_item all_classes
+        @ [
+            Wf.lead ~order:[ Sort_spec.desc (Expr.Col "v") ] ~offset:2 ~name:"c" (Expr.Col "k");
+            Wf.last_value ~ignore_nulls:true ~name:"c" (Expr.Col "v");
+          ]
+      in
+      List.iter
+        (fun (item : Wf.t) ->
+          let cls = Ec.classify item in
+          List.iter
+            (fun nm ->
+              if Ec.supports nm cls ~holed then begin
+                let item = { item with Wf.algorithm = Some nm } in
+                let full = Array.make n Value.Null in
+                Evaluators.eval_item (ctx Holistic_parallel.Task_pool.default_task_size) item ~out:full;
+                for _ = 1 to 4 do
+                  let cuts = List.sort_uniq compare (List.init 6 (fun _ -> Rng.int rng (n + 1))) in
+                  let rec pairs = function a :: b :: rest -> (a, b) :: pairs rest | _ -> [] in
+                  let at = Array.of_list (pairs cuts) in
+                  let inside r = Array.exists (fun (lo, hi) -> r >= lo && r < hi) at in
+                  let out = Array.make n unset in
+                  Evaluators.eval_item_at (ctx 3) item ~at ~out;
+                  Array.iteri
+                    (fun r row ->
+                      let want = if inside r then full.(row) else unset in
+                      if not (bits_eq want out.(row)) then
+                        Alcotest.failf "%s on %s%s, position %d: %s, want %s"
+                          (Ec.class_to_string cls) (Ec.to_string nm)
+                          (if holed then ", holed" else "")
+                          r (Value.to_string out.(row)) (Value.to_string want))
+                    rows
+                done
+              end)
+            Ec.all)
+        items)
+    [ false; true ]
+
 let () =
   Alcotest.run "window"
     [
@@ -978,6 +1055,7 @@ let () =
           Alcotest.test_case "multi-domain determinism" `Quick test_multi_domain_determinism;
           Alcotest.test_case "unsupported combination" `Quick test_unsupported_combination;
           Alcotest.test_case "capability table is the dispatch" `Quick test_capability_is_dispatch;
+          Alcotest.test_case "eval_item_at answers exactly its ranges" `Quick test_eval_item_at;
         ] );
       ("oracle-mst", oracle_cases "mst" mst_vs_oracle);
       ("oracle-auto", oracle_cases "auto" auto_vs_oracle);
