@@ -54,9 +54,17 @@ let peers words tie =
   let keys = Multiway.compare_keys words tie in
   fun i j -> keys i j = 0
 
+let of_sorted ~pool ~words ?tie permutation =
+  of_sorted_permutation ~pool (Array.length permutation) permutation ~ties:(peers words tie)
+
 let of_words ~pool ~words ?tie n =
   let permutation, _ = Parallel_sort.sort_encoded pool ~n ~words ?tie () in
-  of_sorted_permutation ~pool n permutation ~ties:(peers words tie)
+  of_sorted ~pool ~words ?tie permutation
+
+let of_codes ~pool slots ~span =
+  let permutation = Multiway.sort_slots slots ~span in
+  of_sorted_permutation ~pool (Array.length slots) permutation ~ties:(fun i j ->
+      Array.unsafe_get slots i = Array.unsafe_get slots j)
 
 let of_cmp ~pool n ~cmp =
   let permutation = Introsort.sort_indices_by n ~cmp in

@@ -34,6 +34,20 @@ val of_words :
     ({!Holistic_sort.Parallel_sort.sort_encoded}); two rows are peers when
     all their words are equal and [tie] returns 0. *)
 
+val of_sorted :
+  pool:Holistic_parallel.Task_pool.t -> words:int array array -> ?tie:(int -> int -> int) -> int array -> t
+(** [of_sorted ~pool ~words ?tie permutation] is {!of_words} given its
+    sort: [permutation] lists rows [0..n-1] sorted by [words], [tie] and
+    row id, and is kept as the encoding's permutation. *)
+
+val of_codes : pool:Holistic_parallel.Task_pool.t -> int array -> span:int -> t
+(** [of_codes ~pool slots ~span] encodes rows [0..n-1] whose order is the
+    one exact key word [slots] (every slot in [\[0, span)], e.g.
+    {!Holistic_storage.Key_codec.code_slots} over a coded column): a
+    stable counting sort ({!Holistic_sort.Multiway.sort_slots}) in
+    O(n + span), bit-identical to [of_words ~words:[| slots |] n]. Worth it
+    when [span] is at most about [n]. *)
+
 val of_peers : int array -> t
 (** [of_peers peer_start] encodes rows that are already sorted by the
     ordering, given each row's peer-group start ([peer_start.(r)] is the

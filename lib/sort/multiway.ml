@@ -60,6 +60,24 @@ let sort_range mw ~lo ~hi =
     Introsort.sort_pairs_tie_range ~key:mw.key0 ~payload:mw.payload ~tie:(deep_compare mw) ~lo
       ~hi
 
+(* Stable counting sort: bucket starts are the prefix sums of the slot
+   counts, and rows are placed in ascending row id. *)
+let sort_slots slots ~span =
+  let n = Array.length slots in
+  let start = Array.make (span + 1) 0 in
+  Array.iter (fun s -> start.(s + 1) <- start.(s + 1) + 1) slots;
+  for s = 1 to span do
+    start.(s) <- start.(s) + start.(s - 1)
+  done;
+  let perm = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let s = Array.unsafe_get slots i in
+    let p = start.(s) in
+    Array.unsafe_set perm p i;
+    start.(s) <- p + 1
+  done;
+  perm
+
 (* Global comparison counters for the OVC merge: [decided] compares
    settled by the codes alone, [scanned] compares that had to read key
    words. Accumulated locally per merge and flushed once, so parallel

@@ -6,7 +6,8 @@
     paper's §5.2: runs are split at global ranks so that independent
     output segments can be merged by independent tasks), the plan's
     partial sorts, a session's append maintenance, the rank encoder's
-    delta sort and the spilled sort's run formation and merge. All of them
+    delta sort, the spilled sort's run formation and merge, and the
+    counting sort over a coded column's one word. All of them
     order rows by one strict total order — key words, then the residual,
     then ascending row id — so their outputs agree bit for bit. *)
 
@@ -56,6 +57,12 @@ val sort_range : multiword -> lo:int -> hi:int -> unit
     [payload] together by {!compare_positions}: the one segment sort.
     [key0] is compared unboxed; key0 ties descend into {!deep_compare}
     (no deep words and no residual: straight to the row id). *)
+
+val sort_slots : int array -> span:int -> int array
+(** [sort_slots slots ~span] is the permutation of rows [0..n-1] sorted
+    by the one word [slots], every slot in [\[0, span)], ties by ascending
+    row id: the order a sort of [slots] as the only key word gives, by a
+    stable counting sort in O(n + span). *)
 
 val merge_multiword :
   mw:multiword ->

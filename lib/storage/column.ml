@@ -124,8 +124,8 @@ let take t rows =
         m')
       t.nulls
   in
-  (* gathered codes keep string order and stay one-to-one on the distinct
-     strings; they are just no longer dense *)
+  (* gathered codes keep the column's order and stay one-to-one on the
+     distinct values; they are just no longer dense *)
   { data; nulls; codes = Atomic.make (Option.map gather (Atomic.get t.codes)) }
 
 (* Concatenation for the session append path: same-typed payloads are
@@ -248,21 +248,41 @@ let string_ranks n get is_null =
   done;
   codes
 
-(* Computed outside any lock: two domains may both densify on first use,
-   but only the first [compare_and_set] publishes, and every caller returns
-   the published array. *)
+(* Publishes [fresh] unless another caller already did; every caller
+   returns the published array. *)
+let publish t fresh =
+  if Atomic.compare_and_set t.codes None (Some fresh) then fresh
+  else match Atomic.get t.codes with Some codes -> codes | None -> assert false
+
+(* Strings densify on first use, outside any lock: two domains may both
+   densify, but only the first [compare_and_set] publishes. Every other
+   type only holds the codes a finished sort left behind ({!adopt_ranks}). *)
 let order_codes t =
-  match Atomic.get t.codes with
-  | Some codes -> codes
-  | None -> (
-      let a =
-        match t.data with
-        | Strings a -> a
-        | _ -> invalid_arg "Column.order_codes: not a string column"
-      in
-      let fresh = string_ranks (Array.length a) (fun i -> a.(i)) (is_null t) in
-      if Atomic.compare_and_set t.codes None (Some fresh) then fresh
-      else match Atomic.get t.codes with Some codes -> codes | None -> assert false)
+  match (Atomic.get t.codes, t.data) with
+  | (Some _ as codes), _ -> codes
+  | None, Strings a -> Some (publish t (string_ranks (Array.length a) (fun i -> a.(i)) (is_null t)))
+  | None, (Ints _ | Floats _ | Bools _ | Dates _) -> None
+
+(* NULL rows sit at one end of a key order, so the non-NULL ranks form one
+   interval [lo, hi]: shifting it to 0 (ASC) or mirroring it (DESC) gives
+   the ascending dense codes in place. *)
+let adopt_ranks t ~desc ranks =
+  if Array.length ranks <> length t then invalid_arg "Column.adopt_ranks: length mismatch";
+  if Atomic.get t.codes = None then begin
+    let lo = ref max_int and hi = ref min_int in
+    Array.iteri
+      (fun i r ->
+        if not (is_null t i) then begin
+          if r < !lo then lo := r;
+          if r > !hi then hi := r
+        end)
+      ranks;
+    let lo = !lo and hi = !hi in
+    Array.iteri
+      (fun i r -> Array.unsafe_set ranks i (if is_null t i then 0 else if desc then hi - r else r - lo))
+      ranks;
+    ignore (publish t ranks)
+  end
 
 (* The memo cell — the record field and its Atomic block, 3 words — is
    left out, so a column without codes weighs what it did before the memo

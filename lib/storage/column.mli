@@ -38,9 +38,9 @@ val float_at : t -> int -> float
 val take : t -> int array -> t
 (** [take c rows] gathers the given row indices into a fresh column
     (projection/selection support for the SQL layer). When [c] already
-    holds {!order_codes}, the new column gets them gathered too: they
-    still follow string order and stay one-to-one on the distinct
-    strings, but are no longer dense. *)
+    holds {!order_codes}, of any type, the new column gets them gathered
+    too: they still follow the column's order and stay one-to-one on the
+    distinct values, but are no longer dense. *)
 
 val append : t -> t -> t
 (** [append a b] concatenates two columns (the session-layer append path).
@@ -69,18 +69,33 @@ val string_ranks : int -> (int -> string) -> (int -> bool) -> int array
     [0..n-1]: row [i]'s code is the rank of [get i] among the distinct
     strings of the rows where [is_null] fails, in [String.compare] order
     (equal strings share a code). Codes of NULL rows are unspecified, and
-    [get] is never called on them. The one string densifier: {!order_codes}
-    memoizes it per column, and expression keys call it directly. *)
+    [get] is never called on them. The one densifier: {!order_codes}
+    memoizes it per string column, and expression keys call it directly. *)
 
-val order_codes : t -> int array
-(** [order_codes c] is one int code per row of a string column whose
-    [Int.compare] order equals [String.compare] order on the non-NULL rows
-    (equal strings share a code; NULL rows hold unused codes): the
-    {!string_ranks} of the column, or their gather when [c] came from
-    {!take} on a column that had them. Computed on first use and kept in
-    the column, so every later call — from any domain — returns the same
-    array. The array is shared and must not be written to.
-    @raise Invalid_argument if [c] is not a string column. *)
+val order_codes : t -> int array option
+(** [order_codes c] is the column's order codes, when it holds them: one
+    int per row whose [Int.compare] order is the column's ascending key
+    order on the non-NULL rows — [String.compare] for strings,
+    [Stdlib.compare] for floats (NaN below every number, [-0. = +0.]),
+    integer order for ints, dates and bools. Equal values share a code and
+    the codes are dense ranks [0..d-1]; NULL rows hold 0, and DESC and
+    NULLS FIRST/LAST are the key codec's to apply. A string column
+    densifies on first use ({!string_ranks}). Any other column only holds
+    codes after a sort of all its rows left them behind ({!adopt_ranks}):
+    [None] until then, because numeric codes never cost a sort of their
+    own. {!take} gathers existing codes (no longer dense) and {!append}
+    drops them. Once published, every later call — from any domain —
+    returns the same array; it is shared and must not be written to. *)
+
+val adopt_ranks : t -> desc:bool -> int array -> unit
+(** [adopt_ranks c ~desc ranks] publishes order codes for a column that
+    holds none, from a finished sort of all its rows by the column alone:
+    [ranks.(i)] is row [i]'s dense peer-group ordinal in that sort (DESC
+    when [desc]; the NULL rows, all at one end, form a group of their
+    own). [ranks] is rewritten into the codes in O(n) and kept. A column
+    that already holds codes is left as it is, so when two domains adopt at
+    once one array is published. @raise Invalid_argument on a length
+    mismatch. *)
 
 val memo_cell_bytes : int
 (** Bytes every column spends on its (possibly empty) {!order_codes} cell;

@@ -172,6 +172,13 @@ let raws_of_values n vals nulls_first desc =
     else Some raws
   end
 
+(* Every column holding order codes takes one arm, whatever its type:
+   the shared memo is read in place for ASC over the whole table, else
+   gathered or DESC-flipped into a fresh array. *)
+let coded_raw ~nulls ?rows ~desc nulls_first memo =
+  let codes = int_codes ?rows ~desc memo in
+  { codes; nulls; nulls_first; exact = true; owned = codes != memo }
+
 let raws_of_key ~n ?rows table (key : Sort_spec.key) =
   let desc = key.direction = Sort_spec.Desc in
   let nulls_first = not (Sort_spec.nulls_last_flag key) in
@@ -180,22 +187,17 @@ let raws_of_key ~n ?rows table (key : Sort_spec.key) =
       match Table.column_opt table name with
       | Some c -> begin
           let nulls = gather_mask rows (Column.null_mask c) in
-          match Column.data c with
-          | Column.Ints a | Column.Dates a ->
+          match (Column.order_codes c, Column.data c) with
+          | Some memo, _ -> Some [ coded_raw ~nulls ?rows ~desc nulls_first memo ]
+          | None, (Column.Ints a | Column.Dates a) ->
               let codes = int_codes ?rows ~desc a in
               Some (exact ~owned:(codes != a) codes nulls nulls_first)
-          | Column.Bools a ->
+          | None, Column.Bools a ->
               let bit row = Bool.to_int a.(row) in
               let codes = match rows with None -> Array.map Bool.to_int a | Some r -> Array.map bit r in
               Some (exact (int_codes ~desc codes) nulls nulls_first)
-          | Column.Floats a -> Some (float_raws ~n ?rows a nulls nulls_first desc)
-          | Column.Strings _ ->
-              (* the column's shared memo: read in place for ASC over the
-                 whole table, else gathered or DESC-flipped into a fresh
-                 array *)
-              let memo = Column.order_codes c in
-              let codes = int_codes ?rows ~desc memo in
-              Some (exact ~owned:(codes != memo) codes nulls nulls_first)
+          | None, Column.Floats a -> Some (float_raws ~n ?rows a nulls nulls_first desc)
+          | None, Column.Strings _ -> assert false (* densified on first use *)
         end
       | None ->
           (* unknown column: fail exactly like the comparator path *)
@@ -209,6 +211,39 @@ let raws_of_key ~n ?rows table (key : Sort_spec.key) =
 (* ------------------------------------------------------------------ *)
 (* Greedy word packing                                                 *)
 (* ------------------------------------------------------------------ *)
+
+(* The span of a raw when its codes can be range-normalised into a
+   bounded slot, [None] when the key needs a word of its own. *)
+let span_of ~n r =
+  let codes = r.codes and nulls = r.nulls in
+  let mn = ref max_int and mx = ref min_int and seen = ref false in
+  for i = 0 to n - 1 do
+    if not (is_null nulls i) then begin
+      seen := true;
+      let c = Array.unsafe_get codes i in
+      if c < !mn then mn := c;
+      if c > !mx then mx := c
+    end
+  done;
+  if not !seen then Some (1, 0)
+  else
+    let d = !mx - !mn in
+    (* d wraps negative whenever the true span exceeds the int range *)
+    if d < 0 || d > max_int - 2 then None
+    else Some ((d + 1 + if has_nulls r then 1 else 0), !mn)
+
+(* [w.(i) * scale + slot i], slots in [0, span) with NULLs in the first or
+   last one; scale 0 starts a fresh word (which may be [r.codes] itself:
+   slot [i] reads [codes.(i)] before [w.(i)] is set) *)
+let fill_slots ~n r ~span ~base w scale =
+  let codes = r.codes and nulls = r.nulls in
+  let shift = if has_nulls r && r.nulls_first then 1 else 0 in
+  let null_slot = if r.nulls_first then 0 else span - 1 in
+  let off = shift - base in
+  for i = 0 to n - 1 do
+    let slot = if is_null nulls i then null_slot else Array.unsafe_get codes i + off in
+    Array.unsafe_set w i ((Array.unsafe_get w i * scale) + slot)
+  done
 
 let compile_over ~n ?rows ?pids sources =
   let total = List.length sources in
@@ -231,51 +266,20 @@ let compile_over ~n ?rows ?pids sources =
     words_rev := w :: !words_rev;
     in_word0 := false
   in
-  (* Returns the span of a raw when its codes can be range-normalised into
-     a bounded slot, [None] when the key needs a word of its own. *)
-  let span_of r =
-    let codes = r.codes and nulls = r.nulls in
-    let mn = ref max_int and mx = ref min_int and seen = ref false in
-    for i = 0 to n - 1 do
-      if not (is_null nulls i) then begin
-        seen := true;
-        let c = Array.unsafe_get codes i in
-        if c < !mn then mn := c;
-        if c > !mx then mx := c
-      end
-    done;
-    if not !seen then Some (1, 0)
-    else
-      let d = !mx - !mn in
-      (* d wraps negative whenever the true span exceeds the int range *)
-      if d < 0 || d > max_int - 2 then None
-      else Some ((d + 1 + if has_nulls r then 1 else 0), !mn)
-  in
   let pack_raw r =
-    let codes = r.codes and nulls = r.nulls in
-    match span_of r with
+    let codes = r.codes in
+    match span_of ~n r with
     | Some (span, base) ->
         if span > 1 then begin
-          let shift = if has_nulls r && r.nulls_first then 1 else 0 in
-          let null_slot = if r.nulls_first then 0 else span - 1 in
-          (* [w.(i) * scale + slot i]; scale 0 starts a fresh word (which may be
-       [codes] itself: slot [i] reads [codes.(i)] before [w.(i)] is set) *)
-          let fill w scale =
-            let off = shift - base in
-            for i = 0 to n - 1 do
-              let slot = if is_null nulls i then null_slot else Array.unsafe_get codes i + off in
-              Array.unsafe_set w i ((Array.unsafe_get w i * scale) + slot)
-            done
-          in
           match !cur with
           | Some w when !cap <= max_int / span ->
-              fill w span;
+              fill_slots ~n r ~span ~base w span;
               cap := !cap * span;
               if !in_word0 then pid_div := Option.map (fun d -> d * span) !pid_div
           | _ ->
               flush ();
               let w = if r.owned then codes else Array.make n 0 in
-              fill w 0;
+              fill_slots ~n r ~span ~base w 0;
               cur := Some w;
               cap := span
         end
@@ -283,6 +287,7 @@ let compile_over ~n ?rows ?pids sources =
         (* Full-range codes take a word of their own: NULLs map to the
            extreme sentinels, and a (rare) sentinel collision with a real
            code demotes the key to a coarsening. *)
+        let nulls = r.nulls in
         if has_nulls r then begin
           let sentinel = if r.nulls_first then min_int else max_int in
           let w = if r.owned then codes else Array.make n 0 in
@@ -371,3 +376,38 @@ let compile_sources ~n ?pids sources = compile_over ~n ?pids sources
 let compile ?pids ?rows table spec =
   let n = match rows with None -> Table.nrows table | Some r -> Array.length r in
   compile_over ~n ?rows ?pids (List.map (fun key -> { table; key }) spec)
+
+(* ------------------------------------------------------------------ *)
+(* Order codes: read as one small word, left behind by whole sorts     *)
+(* ------------------------------------------------------------------ *)
+
+(* The column a one-key order sorts by, when the key is a plain column. *)
+let key_column table = function
+  | [ ({ Sort_spec.expr = Expr.Col name; _ } as key) ] ->
+      Option.map (fun c -> (c, key)) (Table.column_opt table name)
+  | _ -> None
+
+(* The word [compile] packs for a one-key order over a coded column: the
+   codes through [rows], DESC-flipped, with NULLs in a slot of their own
+   at the placed end — when its span is at most the row count. *)
+let code_slots ?rows table spec =
+  match key_column table spec with
+  | None -> None
+  | Some (c, key) ->
+      Option.bind (Column.order_codes c) (fun memo ->
+          let n = match rows with None -> Column.length c | Some r -> Array.length r in
+          let nulls = gather_mask rows (Column.null_mask c) in
+          let desc = key.Sort_spec.direction = Sort_spec.Desc in
+          let r = coded_raw ~nulls ?rows ~desc (not (Sort_spec.nulls_last_flag key)) memo in
+          match span_of ~n r with
+          | Some (span, base) when span <= n ->
+              let w = if r.owned then r.codes else Array.make n 0 in
+              fill_slots ~n r ~span ~base w 0;
+              Some (w, span)
+          | _ -> None)
+
+let offer_codes table spec ranks =
+  match key_column table spec with
+  | Some (c, key) when Column.order_codes c = None ->
+      Column.adopt_ranks c ~desc:(key.Sort_spec.direction = Sort_spec.Desc) (ranks ())
+  | _ -> ()

@@ -12,8 +12,10 @@
     - floats via a sign-magnitude bit flip matching [Stdlib.compare]
       (nan lowest, [-0. = +0.]), one word when all low bits are even, else
       a high word plus a one-bit word;
-    - bools as 0/1, strings via a one-time densified rank of the distinct
-      set;
+    - bools as 0/1;
+    - a column holding {!Column.order_codes} — every string column, and
+      any other column once a sort of all its rows left them behind — as
+      its codes, whatever its type;
     - NULLS FIRST/LAST as an extra slot (packed keys) or an extreme
       sentinel (full-range keys);
     - small-range keys are packed greedily into shared words, so a
@@ -51,7 +53,7 @@ val compile : ?pids:int array -> ?rows:int array -> Table.t -> Sort_spec.t -> t
     in any order) the compile covers [Array.length rows] rows and word
     entry [i] — like [pids.(i)] and the residual's row argument [i] —
     describes table row [rows.(i)]: only the key columns are gathered
-    (strings through {!Column.order_codes}), an expression key is
+    (coded columns through {!Column.order_codes}), an expression key is
     evaluated once per listed row, and the sort order equals that of a
     compile over [Table.gather table rows]. @raise Not_found for unknown
     columns, like [Sort_spec.comparator]. *)
@@ -60,3 +62,29 @@ val compile_sources : n:int -> ?pids:int array -> source list -> t
 (** Generalisation of {!compile} where each key resolves against its own
     table (all of [n] rows). *)
 
+
+(** {2 Order codes}
+
+    A one-key order over a plain column can be served from the column's
+    {!Column.order_codes}; a sort of all of a table's rows by such a key
+    leaves them behind for the column when it had none. *)
+
+val code_slots : ?rows:int array -> Table.t -> Sort_spec.t -> (int array * int) option
+(** [code_slots ?rows table spec], for a one-key [spec] over a column
+    holding order codes, is [Some (slots, span)]: the single exact word a
+    {!compile} of the same arguments sorts by, every slot in [\[0, span)]
+    — the codes (gathered through [rows]) with DESC mirrored and NULLs in
+    their own first or last slot — when [span] is at most the row count,
+    as it always is over all of a column's rows. [None] for any other
+    spec, an uncoded column, or codes spread wider than the rows (a
+    {!Column.take} of a coded column can leave them so): {!compile} then
+    reads the codes as that one word. The array may be the column's
+    shared codes: treat it as read-only. *)
+
+val offer_codes : Table.t -> Sort_spec.t -> (unit -> int array) -> unit
+(** [offer_codes table spec ranks] hands a one-key [spec]'s column, when
+    it holds no order codes yet, the ranks of a finished sort of all of
+    [table]'s rows by [spec] ({!Column.adopt_ranks}; [ranks ()] is row
+    [i]'s dense peer-group ordinal in the sort order). It forces [ranks]
+    only then, so a sort that leaves codes behind costs one O(n) pass and
+    never a sort of its own. *)

@@ -90,14 +90,19 @@ let effective_order ctx spec = if spec = [] then ctx.window_order else spec
    Memoized on the effective ORDER BY: rank + percent_rank + median over one
    named window encode once. An order the partition is already sorted by
    (a prefix of the window order: every rank-family item, every value
-   function without its own ORDER BY) reads its codes off the peer groups;
-   any other order is compiled into key words over the partition's rows
-   and sorted on them. A stale encoding (the partition was extended in
-   order under a session) extends instead of rebuilding: the prefix rows
-   are untouched, so codes and permutation carry over and only the
-   appended suffix is sorted and coded; [extend_words] itself verifies the
-   suffix sorts after the prefix and declines otherwise, and the rebuild
-   that follows reuses the words compiled for the attempt. *)
+   function without its own ORDER BY) reads its codes off the peer groups.
+   A one-key order over a column holding order codes gathers them through
+   the partition's rows and counting-sorts them when their span is at most
+   the partition's size; any other order (and codes spread wider) is
+   compiled into key words over the partition's rows and sorted on them,
+   and when that sorted a whole table by one uncoded column, the column
+   keeps the rank codes as its order codes. A stale encoding (the
+   partition was extended in order under a session) extends instead of
+   rebuilding: the prefix rows are untouched, so codes and permutation
+   carry over and only the appended suffix is sorted and coded;
+   [extend_words] itself verifies the suffix sorts after the prefix and
+   declines otherwise, and the rebuild that follows reuses the words
+   compiled for the attempt. *)
 let encode ctx order =
   let n = np ctx in
   let words = lazy (Key_codec.compile ~rows:ctx.rows ctx.table order) in
@@ -114,8 +119,19 @@ let encode ctx order =
         let peer_start, _ = peers ctx.cache ctx.table order ctx.rows in
         Rank_encode.of_peers peer_start
       else
-        let kc = Lazy.force words in
-        Rank_encode.of_words ~pool:ctx.pool ~words:kc.Key_codec.words ?tie:kc.Key_codec.residual n)
+        match Key_codec.code_slots ~rows:ctx.rows ctx.table order with
+        | Some (slots, span) -> Rank_encode.of_codes ~pool:ctx.pool slots ~span
+        | None ->
+            let kc = Lazy.force words in
+            let enc =
+              Rank_encode.of_words ~pool:ctx.pool ~words:kc.Key_codec.words ?tie:kc.Key_codec.residual n
+            in
+            if n = Table.nrows ctx.table then
+              Key_codec.offer_codes ctx.table order (fun () ->
+                  let ranks = Array.make n 0 in
+                  Array.iteri (fun i row -> ranks.(row) <- enc.Rank_encode.rank_codes.(i)) ctx.rows;
+                  ranks);
+            enc)
 
 let mapped_ranges ctx rm r = Remap.map_ranges rm (Frame.ranges ctx.frame r)
 let covered_of ranges = Array.fold_left (fun acc (lo, hi) -> acc + hi - lo) 0 ranges

@@ -1,4 +1,8 @@
-type t = { prefix : int array; positions : int array; identity : bool }
+(* The identity holds no arrays: every unfiltered item asks for one on
+   every evaluation, and it is never cached. *)
+type t =
+  | All of int
+  | Subset of { prefix : int array; positions : int array; identity : bool }
 
 let create ~np ~qualifies =
   let prefix = Array.make (np + 1) 0 in
@@ -16,29 +20,28 @@ let create ~np ~qualifies =
       incr j
     end
   done;
-  { prefix; positions; identity = !count = np }
+  Subset { prefix; positions; identity = !count = np }
 
-let all np =
-  {
-    prefix = Array.init (np + 1) (fun i -> i);
-    positions = Array.init np (fun i -> i);
-    identity = true;
-  }
+let all np = All np
 
-let footprint_bytes t =
-  8 * (3 + 1 + Array.length t.prefix + 1 + Array.length t.positions)
+let footprint_bytes = function
+  | All _ -> 0
+  | Subset { prefix; positions; _ } -> 8 * (3 + 1 + Array.length prefix + 1 + Array.length positions)
 
-let filtered_count t = Array.length t.positions
-let qualifies t r = t.prefix.(r + 1) > t.prefix.(r)
-let position t i = t.positions.(i)
-let rank t r = t.prefix.(r)
+let filtered_count = function All np -> np | Subset s -> Array.length s.positions
+let qualifies t r = match t with All _ -> true | Subset s -> s.prefix.(r + 1) > s.prefix.(r)
+let position t i = match t with All _ -> i | Subset s -> s.positions.(i)
+let rank t r = match t with All _ -> r | Subset s -> s.prefix.(r)
 
-let map_range t (lo, hi) = if t.identity then (lo, hi) else (t.prefix.(lo), t.prefix.(hi))
+let map_range t ((lo, hi) as range) =
+  match t with
+  | All _ | Subset { identity = true; _ } -> range
+  | Subset s -> (s.prefix.(lo), s.prefix.(hi))
 
 let map_ranges t ranges =
-  if t.identity then ranges
-  else begin
-    let mapped = Array.map (map_range t) ranges in
-    if Array.for_all (fun (lo, hi) -> lo < hi) mapped then mapped
-    else Array.of_list (List.filter (fun (lo, hi) -> lo < hi) (Array.to_list mapped))
-  end
+  match t with
+  | All _ | Subset { identity = true; _ } -> ranges
+  | Subset _ ->
+      let mapped = Array.map (map_range t) ranges in
+      if Array.for_all (fun (lo, hi) -> lo < hi) mapped then mapped
+      else Array.of_list (List.filter (fun (lo, hi) -> lo < hi) (Array.to_list mapped))

@@ -8,11 +8,12 @@ type t
 val create : np:int -> qualifies:(int -> bool) -> t
 
 val all : int -> t
-(** Identity remap over [np] rows (no filtering). *)
+(** Identity remap over [np] rows (no filtering). It holds no arrays and
+    answers like [create ~np ~qualifies:(fun _ -> true)]. *)
 
 val footprint_bytes : t -> int
 (** Bytes held by the prefix and position arrays (incl. headers) — the
-    repo-wide memory-accounting contract. *)
+    repo-wide memory-accounting contract; 0 for {!all}. *)
 
 val filtered_count : t -> int
 

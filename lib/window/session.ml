@@ -3,6 +3,7 @@ module Obs = Holistic_obs.Obs
 module Task_pool = Holistic_parallel.Task_pool
 module Multiway = Holistic_sort.Multiway
 module Parallel_sort = Holistic_sort.Parallel_sort
+module Rank_encode = Holistic_core.Rank_encode
 
 (* ------------------------------------------------------------------ *)
 (* Partition keys and full sorts (shared with Window_plan)             *)
@@ -80,27 +81,33 @@ let boundaries_of_key0 ~key0 ~divisor n =
   done;
   b
 
-(* Every full sort goes through the key codec: partition ids become the
-   leading component of word 0, ORDER BY keys become the remaining words,
-   and the parallel run-sort/OVC-merge machinery does the rest. A sort
-   counts as comparator-path only when the codec produced no words at all
-   (nothing but closure comparisons) — the regression the stats guard
-   against. Returns [(perm, partition boundaries, comparator_path)]. *)
-let full_sort ?gov pool table ~pids ~order =
-  let n = Table.nrows table in
-  let kc = Key_codec.compile ?pids table order in
-  let words = kc.Key_codec.words in
+type sort_path = Codes | Encoded | Comparator
+
+let sort_path_name = function Codes -> "codes" | Encoded -> "encoded" | Comparator -> "comparator"
+
+(* A sort through key words: partition ids are the leading component of
+   word 0 ([pid_divisor]), ORDER BY keys the remaining words, and the
+   parallel run-sort/OVC-merge machinery does the rest. With [span], the
+   one word is a coded column's slots (Key_codec.code_slots) and the
+   in-memory sort is a stable counting sort over them: no merge, and its
+   permutation and bucket starts fit the in-memory model's transients. A
+   sort counts as comparator-path only when the codec produced no words at
+   all (nothing but closure comparisons) — the regression the stats guard
+   against. *)
+let sort_words ?gov ?span ?pid_divisor pool ~n ~words ?tie () =
   let nwords = Array.length words in
-  let tie = kc.Key_codec.residual in
-  let comparator_path = nwords = 0 && tie <> None in
+  let path = if nwords = 0 && tie <> None then Comparator else Encoded in
   let in_memory () =
-    let perm, key0 = Parallel_sort.sort_encoded pool ~n ~words ?tie () in
-    let boundaries =
-      match kc.Key_codec.pid_divisor with
-      | None -> [| 0; n |]
-      | Some divisor -> boundaries_of_key0 ~key0 ~divisor n
-    in
-    (perm, boundaries, comparator_path)
+    match span with
+    | Some span -> (Multiway.sort_slots words.(0) ~span, [| 0; n |], Codes)
+    | None ->
+        let perm, key0 = Parallel_sort.sort_encoded pool ~n ~words ?tie () in
+        let boundaries =
+          match pid_divisor with
+          | None -> [| 0; n |]
+          | Some divisor -> boundaries_of_key0 ~key0 ~divisor n
+        in
+        (perm, boundaries, path)
   in
   match gov with
   | None -> in_memory ()
@@ -122,7 +129,7 @@ let full_sort ?gov pool table ~pids ~order =
       Fun.protect ~finally:(fun () -> Mem_governor.release g !held) @@ fun () ->
       let c_words = 8 * nwords * n in
       charge c_words;
-      let multi_run = Task_pool.size pool > 1 && n > Task_pool.default_task_size in
+      let multi_run = span = None && Task_pool.size pool > 1 && n > Task_pool.default_task_size in
       match Mem_governor.plan_sort g ~n ~nwords ~multi_run with
       | Mem_governor.Sort_in_memory ->
           let need = (16 * n) + if multi_run then 16 * n else 0 in
@@ -139,7 +146,7 @@ let full_sort ?gov pool table ~pids ~order =
           charge c_form;
           let interior = ref [] in
           let on_key0 =
-            match kc.Key_codec.pid_divisor with
+            match pid_divisor with
             | None -> None
             | Some divisor ->
                 let prev = ref 0 in
@@ -166,11 +173,31 @@ let full_sort ?gov pool table ~pids ~order =
           let boundaries =
             if n = 0 then [| 0; 0 |]
             else
-              match kc.Key_codec.pid_divisor with
+              match pid_divisor with
               | None -> [| 0; n |]
               | Some _ -> Array.of_list (0 :: List.rev (n :: !interior))
           in
-          (perm, boundaries, comparator_path))
+          (perm, boundaries, path))
+
+(* A one-key order over an unpartitioned table whose column holds order
+   codes sorts their slots, by counting in memory. Every other order is
+   compiled into key words, and when that sorted all of an unpartitioned
+   table by one uncoded column, the column keeps the ranks as its order
+   codes: one O(n) pass, no sort. Returns [(perm, partition boundaries,
+   path)]. *)
+let full_sort ?gov pool table ~pids ~order =
+  let n = Table.nrows table in
+  match if pids = None then Key_codec.code_slots table order else None with
+  | Some (slots, span) -> sort_words ?gov ~span pool ~n ~words:[| slots |] ()
+  | None ->
+      let kc = Key_codec.compile ?pids table order in
+      let words = kc.Key_codec.words and tie = kc.Key_codec.residual in
+      let ((perm, _, _) as sorted) =
+        sort_words ?gov ?pid_divisor:kc.Key_codec.pid_divisor pool ~n ~words ?tie ()
+      in
+      if pids = None then
+        Key_codec.offer_codes table order (fun () -> (Rank_encode.of_sorted ~pool ~words ?tie perm).rank_codes);
+      sorted
 
 (* ------------------------------------------------------------------ *)
 (* The persistent structure store                                      *)

@@ -46,20 +46,34 @@ val boundaries_of_key0 : key0:int array -> divisor:int -> int -> int array
 (** Partition boundary offsets read off the sorted leading key word (the
     partition component is [word / divisor]). *)
 
+type sort_path =
+  | Codes  (** a counting sort over a one-key order's column codes *)
+  | Encoded  (** key words through the parallel run sort and OVC merge *)
+  | Comparator  (** no key word at all: the residual comparator alone *)
+
+val sort_path_name : sort_path -> string
+
 val full_sort :
   ?gov:Mem_governor.t ->
   Task_pool.t ->
   Table.t ->
   pids:int array option ->
   order:Sort_spec.t ->
-  int array * int array * bool
-(** [(perm, boundaries, comparator_path)] — the plan's from-scratch
-    (partition, order) sort through the key codec. With a governor the
-    encoded key words and the chosen path's transients are charged
-    against its budget, and the sort runs out of core
-    ({!Parallel_sort.sort_encoded_spill}, partition boundaries detected
-    on the merge stream) whenever {!Mem_governor.plan_sort} says so;
-    without one the historical in-memory path runs unchanged. *)
+  int array * int array * sort_path
+(** [(perm, boundaries, path)] — the plan's from-scratch (partition,
+    order) sort. A one-key order over an unpartitioned table whose column
+    holds {!Column.order_codes} is a stable counting sort over them
+    ({!Key_codec.code_slots}, {!Holistic_sort.Multiway.sort_slots}) when
+    their span is at most the row count; any other sort goes through the
+    key codec, and when it sorted an unpartitioned table by one uncoded
+    column, the column adopts the ranks as its codes
+    ({!Key_codec.offer_codes}). Both give the same permutation. With a
+    governor the key words (a counting sort's one slot word among them)
+    and the chosen path's transients are charged against its budget, and
+    the sort runs out of core ({!Parallel_sort.sort_encoded_spill},
+    partition boundaries detected on the merge stream, path [Encoded])
+    whenever {!Mem_governor.plan_sort} says so; without one the
+    historical in-memory path runs unchanged. *)
 
 (** {2 The store} *)
 

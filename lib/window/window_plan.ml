@@ -393,7 +393,7 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
             (fun (order, smembers) ->
               incr n_stages;
               reused_sorts := !reused_sorts + List.length smembers - 1;
-              let sort_kind = ref "" and sort_comp = ref false and sort_cache = ref "" in
+              let sort_kind = ref "" and sort_path = ref Session.Encoded and sort_cache = ref "" in
               let sort_spill = ref "" in
               let session_hit =
                 match session with
@@ -406,7 +406,7 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
                     [
                       ("order", Sort_spec.to_string order);
                       ("kind", !sort_kind);
-                      ("path", if !sort_comp then "comparator" else "encoded");
+                      ("path", Session.sort_path_name !sort_path);
                       ("rows", string_of_int n);
                     ]
                     @ (if !sort_cache = "" then [] else [ ("cache", !sort_cache) ])
@@ -426,11 +426,11 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
                     | None ->
                       (match !base with
                     | None ->
-                        let perm, b, comp = full_sort ?gov pool table ~pids ~order in
+                        let perm, b, path = full_sort ?gov pool table ~pids ~order in
                         incr full_sorts;
-                        if comp then incr comparator_sorts;
+                        if path = Session.Comparator then incr comparator_sorts;
                         sort_kind := "full";
-                        sort_comp := comp;
+                        sort_path := path;
                         base := Some (perm, b);
                         (perm, b)
                     | Some (bperm, bnds) ->
@@ -439,10 +439,10 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
                              cover the whole array anyway, so sort independently
                              and keep the parallel path *)
                           incr full_sorts;
-                          let perm, _, comp = full_sort ?gov pool table ~pids ~order in
-                          if comp then incr comparator_sorts;
+                          let perm, _, path = full_sort ?gov pool table ~pids ~order in
+                          if path = Session.Comparator then incr comparator_sorts;
                           sort_kind := "full(global)";
-                          sort_comp := comp;
+                          sort_path := path;
                           (perm, bnds)
                         end
                         else begin
@@ -452,7 +452,7 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
                           in
                           if comp then incr comparator_sorts;
                           sort_kind := "partial";
-                          sort_comp := comp;
+                          sort_path := if comp then Session.Comparator else Session.Encoded;
                           (perm, bnds)
                         end)
                     in

@@ -425,15 +425,15 @@ let test_order_code_memo () =
     let n = 1 + Rng.int rng 300 in
     let c = random_column n in
     compile_thrice label c;
-    let codes = Column.order_codes c in
-    Alcotest.(check bool) (label ^ ": one shared array") true (codes == Column.order_codes c);
+    let codes = Option.get (Column.order_codes c) in
+    Alcotest.(check bool) (label ^ ": one shared array") true (Option.get (Column.order_codes c) == codes);
     List.iter
       (fun rows ->
         let t = Column.take c rows in
         let sub = Printf.sprintf "%s/take %d" label (Array.length rows) in
         compile_thrice sub t;
         (* gathered from the parent, not densified afresh *)
-        let gathered = Column.order_codes t in
+        let gathered = Option.get (Column.order_codes t) in
         Array.iteri
           (fun j i ->
             if (not (Column.is_null t j)) && gathered.(j) <> codes.(i) then
@@ -453,12 +453,148 @@ let test_order_code_memo () =
         (fun i -> match Column.get a i with Value.String s -> s | _ -> assert false)
         (Column.is_null a)
     in
-    let got = Column.order_codes a in
+    let got = Option.get (Column.order_codes a) in
     for i = 0 to na - 1 do
       if (not (Column.is_null a i)) && got.(i) <> fresh.(i) then
         Alcotest.failf "%s/append: row %d holds code %d, dense rank is %d" label i got.(i) fresh.(i)
     done
   done
+
+(* Order codes for every type, read three ways — a code-served
+   whole-column sort ([Session.full_sort] once the first sort left the
+   codes behind), [Key_codec.code_slots] + [Rank_encode.of_codes], and
+   [Key_codec.compile] reading the codes — each bit-identical to the words
+   of an uncoded copy of the column through [Parallel_sort.sort_encoded] /
+   [Rank_encode.of_words], under every direction and NULL placement; also
+   after [Column.take] (codes gathered, no longer dense: [code_slots]
+   declines when they spread wider than the rows, at least once here) and
+   [Column.append] (codes dropped, then rebuilt by the next whole-column
+   sort). The codes themselves are the dense ranks of the values. *)
+let test_order_code_paths () =
+  let rng = Rng.create 53 in
+  let pool = Task_pool.create 2 in
+  Fun.protect ~finally:(fun () -> Task_pool.shutdown pool) @@ fun () ->
+  let module Session = Holistic_window.Session in
+  let orders =
+    List.concat_map
+      (fun nulls -> [ [ Sort_spec.asc ~nulls (Expr.Col "c") ]; [ Sort_spec.desc ~nulls (Expr.Col "c") ] ])
+      [ Sort_spec.Nulls_first; Sort_spec.Nulls_last ]
+  in
+  let random_data kind n =
+    match kind with
+    | `Int -> Column.Ints (Array.init n (fun _ -> Rng.int_in rng (-20) 20))
+    | `Date -> Column.Dates (Array.init n (fun _ -> 19_000 + Rng.int rng 40))
+    | `Float ->
+        Column.Floats
+          (Array.init n (fun _ ->
+               if Rng.int rng 2 = 0 then special_floats.(Rng.int rng (Array.length special_floats))
+               else float_of_int (Rng.int rng 16) /. 4.))
+    | `String -> Column.Strings (Array.init n (fun _ -> string_pool.(Rng.int rng (Array.length string_pool))))
+  in
+  let random_column kind n = Column.make ?nulls:(null_mask rng n 5) (random_data kind n) in
+  (* the same values and NULLs, without codes: the words path *)
+  let uncoded c =
+    let data =
+      match Column.data c with
+      | Column.Strings a -> Column.Strings (Array.copy a)
+      | d -> d
+    in
+    Column.make ?nulls:(Column.null_mask c) data
+  in
+  let table c = Table.create [ ("c", c) ] in
+  let words_perm c spec =
+    let t = table (uncoded c) in
+    let kc = Key_codec.compile t spec in
+    fst
+      (Parallel_sort.sort_encoded pool ~task_size:16 ~n:(Table.nrows t) ~words:kc.Key_codec.words
+         ?tie:kc.Key_codec.residual ())
+  in
+  let check_dense label c =
+    match Column.order_codes c with
+    | None -> Alcotest.failf "%s: no codes" label
+    | Some codes ->
+        let t = table (uncoded c) in
+        let perm = expected_perm t [ Sort_spec.asc ~nulls:Sort_spec.Nulls_last (Expr.Col "c") ] in
+        let cmp = Sort_spec.comparator t [ Sort_spec.asc (Expr.Col "c") ] in
+        let next = ref 0 in
+        Array.iteri
+          (fun k row ->
+            if not (Column.is_null c row) then begin
+              if k > 0 && cmp perm.(k - 1) row <> 0 then incr next;
+              if codes.(row) <> !next then
+                Alcotest.failf "%s: row %d holds code %d, its dense rank is %d" label row codes.(row)
+                  !next
+            end)
+          perm
+  in
+  (* every read of the codes against the words of the uncoded copy *)
+  let declined = ref 0 in
+  let check_reads ~dense label c =
+    let t = table c in
+    let n = Column.length c in
+    List.iter
+      (fun spec ->
+        let label = Printf.sprintf "%s/%s" label (Sort_spec.to_string spec) in
+        let expect = words_perm c spec in
+        let perm, _, path = Session.full_sort pool t ~pids:None ~order:spec in
+        Alcotest.(check (array int)) (label ^ ": whole-column sort") expect perm;
+        let served = Key_codec.code_slots t spec <> None in
+        if dense && not served then Alcotest.failf "%s: dense codes are not served" label;
+        if not served then incr declined;
+        Alcotest.(check bool) (label ^ ": counting sort iff served") served (path = Session.Codes);
+        check_parity pool ~task_size:16 t spec label;
+        List.iter
+          (fun rows ->
+            let m = Array.length rows in
+            let ref_kc = Key_codec.compile ~rows (table (uncoded c)) spec in
+            let expect =
+              Rank_encode.of_words ~pool ~words:ref_kc.Key_codec.words ?tie:ref_kc.Key_codec.residual m
+            in
+            (* what [Evaluators.encode] runs: the counting sort when the
+               slots are served, else the words [compile] reads off the
+               codes *)
+            let got =
+              match Key_codec.code_slots ~rows t spec with
+              | Some (slots, span) ->
+                  if span > m then Alcotest.failf "%s: span %d over %d rows" label span m;
+                  Rank_encode.of_codes ~pool slots ~span
+              | None ->
+                  let kc = Key_codec.compile ~rows t spec in
+                  Rank_encode.of_words ~pool ~words:kc.Key_codec.words ?tie:kc.Key_codec.residual m
+            in
+            let arrays (e : Rank_encode.t) = [ e.rank_codes; e.row_codes; e.permutation ] in
+            Alcotest.(check (list (array int))) (label ^ ": codes = of_words") (arrays expect) (arrays got))
+          [ Array.init n Fun.id; random_rows rng n ])
+      orders
+  in
+  List.iter
+    (fun (kind, name) ->
+      for iter = 0 to 9 do
+        let label = Printf.sprintf "%s %d" name iter in
+        let n = 1 + Rng.int rng 200 in
+        let c = random_column kind n in
+        (* the first whole-column sort, in a random order, leaves the codes *)
+        let first = List.nth orders (Rng.int rng 4) in
+        let expect = words_perm c first in
+        let perm, _, path = Session.full_sort pool (table c) ~pids:None ~order:first in
+        Alcotest.(check (array int)) (label ^ ": first sort") expect perm;
+        if kind <> `String then
+          Alcotest.(check bool) (label ^ ": first sort sorts the words") true (path = Session.Encoded);
+        check_dense label c;
+        check_reads ~dense:true label c;
+        let rows = Array.init (Rng.int rng (n + 1)) (fun _ -> Rng.int rng n) in
+        let taken = Column.take c rows in
+        check_reads ~dense:false (label ^ "/take") taken;
+        let a = Column.append c (random_column kind (1 + Rng.int rng 40)) in
+        if kind <> `String then
+          Alcotest.(check bool) (label ^ ": append drops the codes") true (Column.order_codes a = None);
+        let perm, _, _ = Session.full_sort pool (table a) ~pids:None ~order:first in
+        Alcotest.(check (array int)) (label ^ "/append: first sort") (words_perm a first) perm;
+        check_dense (label ^ "/append") a;
+        check_reads ~dense:true (label ^ "/append") a
+      done)
+    [ (`Int, "int"); (`Date, "date"); (`Float, "float"); (`String, "string") ];
+  Alcotest.(check bool) "sparse codes after take reach compile" true (!declined > 0)
 
 (* A single nullable int/float column (NaN, -0. and +0. included) encodes
    like the comparator sort under every direction and NULL placement.  The partition is every other
@@ -639,6 +775,7 @@ let () =
           Alcotest.test_case "codec coverage shape" `Quick test_codec_shape;
           Alcotest.test_case "string densification" `Quick test_string_ranks;
           Alcotest.test_case "order-code memo" `Quick test_order_code_memo;
+          Alcotest.test_case "order codes of every type" `Quick test_order_code_paths;
           Alcotest.test_case "nullable fast-key encode" `Quick test_nullable_fast_key_encode;
           Alcotest.test_case "extend_words against the comparator" `Quick test_extend_words;
         ] );

@@ -872,10 +872,12 @@ let untimed counters =
    under captures that are open at the same time.  Each trace counts
    exactly what its statement counts when run alone, and together they
    account for every increment of the process-wide registry (idle
-   pool.wait_ns belongs to no capture). *)
+   pool.wait_ns belongs to no capture).  Each run gets a fresh table: a
+   sort of all of a table's rows leaves order codes in its column, so a
+   second run over the same table would count less work. *)
 let test_concurrent_captures () =
   let n = 3000 in
-  let big =
+  let big () =
     Table.create
       [
         ("g", Column.ints (Array.init n (fun i -> i mod 5)));
@@ -886,7 +888,7 @@ let test_concurrent_captures () =
     "select median(x) over (partition by g order by x rows between 5 preceding and current row) \
      as m, count(*) over (order by x) as c from t"
   in
-  let statements = [| ([ ("t", table ()) ], q1); ([ ("t", big) ], qb) |] in
+  let statements = [| ((fun () -> [ ("t", table ()) ]), q1); ((fun () -> [ ("t", big ()) ]), qb) |] in
   let with_own_pool f =
     let pool = Task_pool.create 1 in
     Fun.protect ~finally:(fun () -> Task_pool.shutdown pool) (fun () -> f pool)
@@ -895,12 +897,14 @@ let test_concurrent_captures () =
     Array.map
       (fun (tables, q) ->
         with_own_pool (fun pool ->
+            let tables = tables () in
             (snd (Obs.with_capture (fun () -> ignore (Sql.query ~pool ~tables q)))).Obs.counters))
       statements
   in
   let opened = barrier 2 and ran = barrier 2 in
   let captured i () =
     let tables, q = statements.(i) in
+    let tables = tables () in
     with_own_pool (fun pool ->
         snd
           (Obs.with_capture (fun () ->

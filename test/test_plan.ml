@@ -381,6 +381,59 @@ let test_repeated_runs_identical () =
   let a = run () and b = run () in
   Alcotest.(check bool) "identical across runs" true (a = b)
 
+(* The identity remap holds no arrays, yet answers every question like
+   the remap of a predicate every row passes. *)
+let test_identity_remap () =
+  let rng = Rng.create 17 in
+  List.iter
+    (fun np ->
+      let all = Remap.all np and full = Remap.create ~np ~qualifies:(fun _ -> true) in
+      let label = Printf.sprintf "np=%d" np in
+      Alcotest.(check int) (label ^ ": no arrays") 0 (Remap.footprint_bytes all);
+      Alcotest.(check int) (label ^ ": count") (Remap.filtered_count full) (Remap.filtered_count all);
+      for r = 0 to np - 1 do
+        Alcotest.(check bool) (label ^ ": qualifies") (Remap.qualifies full r) (Remap.qualifies all r);
+        Alcotest.(check int) (label ^ ": rank") (Remap.rank full r) (Remap.rank all r);
+        Alcotest.(check int) (label ^ ": position") (Remap.position full r) (Remap.position all r)
+      done;
+      Alcotest.(check int) (label ^ ": rank of the end") (Remap.rank full np) (Remap.rank all np);
+      let ranges =
+        Array.init (Rng.int rng 4) (fun _ ->
+            let lo = Rng.int rng (np + 1) in
+            (lo, lo + Rng.int rng (np - lo + 1)))
+      in
+      Alcotest.(check (array (pair int int))) (label ^ ": ranges") (Remap.map_ranges full ranges)
+        (Remap.map_ranges all ranges);
+      Array.iter
+        (fun range ->
+          Alcotest.(check (pair int int)) (label ^ ": range") (Remap.map_range full range)
+            (Remap.map_range all range))
+        ranges)
+    [ 0; 1; 2; 7; 100 ]
+
+(* A whole-table encode of an order that is not the window's leaves the
+   rank codes behind as the column's order codes; a later encode of the
+   same column (whole-table, or per partition) reads them and answers
+   exactly as over a fresh, uncoded table. *)
+let test_encode_leaves_codes () =
+  let fresh () = make_table (Rng.create 23) 500 in
+  let q =
+    "select rank(order by x desc) over (order by ts) as r, percentile_disc(0.5 order by x) over \
+     (partition by grp order by ts) as p from t"
+  in
+  let run table = Sql.query ~pool:Shared_pool.pool ~tables:[ ("t", table) ] q in
+  let cells t =
+    List.map
+      (fun (_, c) -> Array.init (Table.nrows t) (fun i -> Value.to_string (Column.get c i)))
+      (Table.columns t)
+  in
+  let t = fresh () in
+  Alcotest.(check bool) "no codes before" true (Column.order_codes (Table.column t "x") = None);
+  let first = run t in
+  Alcotest.(check bool) "the encode left codes" true (Column.order_codes (Table.column t "x") <> None);
+  Alcotest.(check (list (array string))) "coded run = first run" (cells first) (cells (run t));
+  Alcotest.(check (list (array string))) "first run = a fresh table's" (cells (run (fresh ()))) (cells first)
+
 let () =
   Alcotest.run "window_plan"
     [
@@ -395,6 +448,8 @@ let () =
           Alcotest.test_case "one encode per named window" `Quick test_one_encode_for_named_window;
           Alcotest.test_case "partial-sort stats" `Quick test_partial_sort_stats;
           Alcotest.test_case "build cache memoization" `Quick test_build_cache_unit;
+          Alcotest.test_case "identity remap" `Quick test_identity_remap;
+          Alcotest.test_case "encode leaves order codes" `Quick test_encode_leaves_codes;
         ] );
       ( "determinism",
         [

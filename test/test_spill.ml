@@ -616,6 +616,44 @@ let test_budget_too_small_sql () =
       | _ -> Alcotest.fail "100-byte budget executed a 10k-row sort");
       Alcotest.(check int) "key words released after the refusal" 0 (Mem_governor.live governor))
 
+(* A one-key stage sort that a column's order codes serve (every string
+   column; a numeric one once a sort of all its rows left codes) is
+   governed like any other: a tiny budget refuses it, and forced spilling
+   spills it and gives the ungoverned bits. *)
+let test_code_sort_governed () =
+  let pool = Task_pool.create 1 in
+  Fun.protect ~finally:(fun () -> Task_pool.shutdown pool) @@ fun () ->
+  let rng = Rng.create 71 in
+  let n = 10_000 in
+  let table =
+    Table.create
+      [
+        ("s", Column.strings (Array.init n (fun _ -> Printf.sprintf "s%03d" (Rng.int rng 300))));
+        ("k", Column.ints (Array.init n (fun _ -> Rng.int rng 500)));
+      ]
+  in
+  List.iter
+    (fun (col, query) ->
+      (* the ungoverned run leaves [k]'s codes behind; [s] has them anyway *)
+      let plain = Sql.query ~pool ~tables:[ ("t", table) ] query in
+      let order = [ Sort_spec.desc (Expr.Col col) ] in
+      Alcotest.(check bool) (col ^ ": served by codes") true (Key_codec.code_slots table order <> None);
+      let tight = Mem_governor.create ~budget:100 () in
+      (match Sql.query ~pool ~governor:tight ~tables:[ ("t", table) ] query with
+      | exception Mem_governor.Budget_too_small _ -> ()
+      | _ -> Alcotest.failf "%s: 100-byte budget executed a 10k-row sort" col);
+      Alcotest.(check int) (col ^ ": released after the refusal") 0 (Mem_governor.live tight);
+      let governor = Mem_governor.create ~policy:Mem_governor.Always_spill () in
+      Fun.protect ~finally:(fun () -> Mem_governor.cleanup governor) @@ fun () ->
+      let spilled = Sql.query ~pool ~governor ~tables:[ ("t", table) ] query in
+      Alcotest.(check bool) (col ^ ": spilled") true (fst (Mem_governor.totals governor) > 0);
+      Alcotest.(check int) (col ^ ": nothing left charged") 0 (Mem_governor.live governor);
+      check_bits_identical plain spilled)
+    [
+      ("s", "select rank() over (order by s desc) as r from t");
+      ("k", "select rank() over (order by k desc) as r from t");
+    ]
+
 (* An IO fault inside a governed spilled sort surfaces as Run_file.Error
    and leaves the caller's governor with nothing charged, so the next
    statement under the same governor plans from a clean slate. *)
@@ -675,6 +713,7 @@ let () =
           Alcotest.test_case "forced spill builds trees in memory, same bits" `Quick
             test_spilled_mst_golden;
           Alcotest.test_case "budget below working set errors" `Quick test_budget_too_small_sql;
+          Alcotest.test_case "code-served sorts are governed" `Quick test_code_sort_governed;
           Alcotest.test_case "spill fault releases governor charges" `Quick
             test_spill_fault_releases;
         ] );

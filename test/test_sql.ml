@@ -409,31 +409,51 @@ let test_sql_count_star_and_aliases () =
 (* Concurrent callers                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* A string column densifies on its first sort and keeps the codes, so
-   two queries sorting a fresh table at the same time race to publish
-   them.  Both must return what a serial run returns, and the column must
-   end up holding exactly one codes array. *)
+(* A string column densifies on its first sort and keeps the codes, and
+   a numeric column keeps the ranks of its first sort of all the table's
+   rows as its codes, so two queries sorting a fresh table at the same
+   time race to publish them.  Both must return what a serial run
+   returns, and each column must end up holding exactly one codes array,
+   equal to the serial run's. *)
 let test_concurrent_first_sort () =
   let module Rng = Holistic_util.Rng in
   let module Bitset = Holistic_util.Bitset in
   let n = 20_000 in
   let rng = Rng.create 41 in
-  let nulls = Bitset.create n in
-  for i = 0 to n - 1 do
-    if Rng.int rng 9 = 0 then Bitset.set nulls i
-  done;
+  let mask () =
+    let m = Bitset.create n in
+    for i = 0 to n - 1 do
+      if Rng.int rng 9 = 0 then Bitset.set m i
+    done;
+    m
+  in
+  let nulls = mask () and inulls = mask () and fnulls = mask () in
   let strs =
     Array.init n (fun _ -> Printf.sprintf "2026-%02d-%05d" (Rng.int rng 12) (Rng.int rng 3_000))
   in
   let g = Array.init n (fun _ -> Rng.int rng 7) in
   let x = Array.init n (fun i -> i) in
+  let ints = Array.init n (fun _ -> Rng.int_in rng (-500) 500) in
+  let specials = [| Float.nan; -0.; 0.; infinity; neg_infinity |] in
+  let floats =
+    Array.init n (fun _ ->
+        if Rng.int rng 4 = 0 then specials.(Rng.int rng (Array.length specials))
+        else float_of_int (Rng.int rng 2_000) /. 8.)
+  in
+  let coded =
+    [
+      ("s", fun () -> Column.make ~nulls (Column.Strings strs));
+      ("i", fun () -> Column.make ~nulls:inulls (Column.Ints ints));
+      ("f", fun () -> Column.make ~nulls:fnulls (Column.Floats floats));
+    ]
+  in
   let fresh () =
-    Table.create
-      [ ("g", Column.ints g); ("s", Column.make ~nulls (Column.Strings strs)); ("x", Column.ints x) ]
+    Table.create ([ ("g", Column.ints g); ("x", Column.ints x) ] @ List.map (fun (c, mk) -> (c, mk ())) coded)
   in
   let q =
     "select s, g, rank() over (partition by g order by s desc) as r, row_number() over (order by \
-     s nulls first, x) as rn from t order by s nulls last, x"
+     s nulls first, x) as rn, count(*) over (order by i desc) as ci, count(*) over (order by f \
+     nulls first) as cf from t order by s nulls last, x"
   in
   let run table = Sql.query ~pool:Shared_pool.pool ~tables:[ ("t", table) ] q in
   let serial_table = fresh () in
@@ -464,15 +484,19 @@ let test_concurrent_first_sort () =
     let theirs = Domain.join other in
     same (label ^ ", calling domain") mine;
     same (label ^ ", spawned domain") theirs;
-    let col = Table.column table "s" in
-    let codes = Column.order_codes col in
-    Alcotest.(check bool) (label ^ ": one published array") true (codes == Column.order_codes col);
-    Alcotest.(check (array int)) (label ^ ": serial codes")
-      (Column.order_codes (Table.column serial_table "s")) codes;
-    Alcotest.(check int) (label ^ ": the column holds one codes array")
-      (Column.footprint_bytes (Column.make ~nulls (Column.Strings strs))
-      + (8 * Obj.reachable_words (Obj.repr (Some codes))))
-      (Column.footprint_bytes col)
+    List.iter
+      (fun (name, mk) ->
+        let label = Printf.sprintf "%s, column %s" label name in
+        let col = Table.column table name in
+        let codes = Option.get (Column.order_codes col) in
+        Alcotest.(check bool) (label ^ ": one published array") true
+          (Option.get (Column.order_codes col) == codes);
+        Alcotest.(check (array int)) (label ^ ": serial codes")
+          (Option.get (Column.order_codes (Table.column serial_table name))) codes;
+        Alcotest.(check int) (label ^ ": the column holds one codes array")
+          (Column.footprint_bytes (mk ()) + (8 * Obj.reachable_words (Obj.repr (Some codes))))
+          (Column.footprint_bytes col))
+      coded
   done
 
 let () =
