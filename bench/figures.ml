@@ -267,7 +267,8 @@ let fig13 ~rows () =
    query under the MST evaluator: each span's self time (its duration
    minus its children's), keyed by name and [kind] arg.  The sort spans
    count both the frame-order sort and the value sort inside
-   build{kind=prev}; the item's self time is its probes. *)
+   build{kind=prev}; the item's self time is its probes.  The argument
+   has no NULLs, so no filter remap is built. *)
 let fig14_query = "select count(distinct l_partkey) over (order by l_shipdate) from lineitem"
 
 let fig14_phases =
@@ -278,7 +279,6 @@ let fig14_phases =
     ("sort.merge", "sort merge (frame order, values)");
     ("frame", "frame bounds");
     ("build{kind=peers}", "peer groups");
-    ("build{kind=remap}", "filter remap");
     ("build{kind=arg_ids}", "populate value array");
     ("build{kind=prev}", "compute prevIdcs");
     ("build{kind=mst.distinct}", "build merge sort tree");

@@ -32,13 +32,12 @@ type timing = { best : float; mean : float; stddev : float; runs : int }
 
 (* [?hist] names an [Obs.Histogram] that each rep's duration (ns) is
    recorded into, so bench reports can carry the distribution. *)
-let time_best ?hist ~reps f =
+let timing_of ?hist ts =
   let h = Option.map (Obs.Histogram.make ~help:"Benchmark repetition wall times (ns)") hist in
-  let reps = max 1 reps in
-  let ts = Array.init reps (fun _ -> time f) in
   Array.iter
     (fun t -> Option.iter (fun h -> Obs.Histogram.add h (int_of_float (t *. 1e9))) h)
     ts;
+  let reps = Array.length ts in
   let best = Array.fold_left min ts.(0) ts in
   let mean = Array.fold_left ( +. ) 0.0 ts /. float_of_int reps in
   let var =
@@ -46,6 +45,20 @@ let time_best ?hist ~reps f =
     /. float_of_int reps
   in
   { best; mean; stddev = sqrt var; runs = reps }
+
+let time_best ?hist ~reps f = timing_of ?hist (Array.init (max 1 reps) (fun _ -> time f))
+
+(* Two arms of a ratio timed in turn, A B A B ..., so a drift of the host
+   lands on both arms alike instead of on whichever ran second; each arm
+   keeps its own best of [reps]. *)
+let time_best_pair ?hist_a ?hist_b ~reps fa fb =
+  let reps = max 1 reps in
+  let ta = Array.make reps 0.0 and tb = Array.make reps 0.0 in
+  for i = 0 to reps - 1 do
+    ta.(i) <- time fa;
+    tb.(i) <- time fb
+  done;
+  (timing_of ?hist:hist_a ta, timing_of ?hist:hist_b tb)
 
 let gc_settle () =
   Gc.full_major ();

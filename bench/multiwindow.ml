@@ -162,10 +162,10 @@ let run ~rows () =
       H.note "clause %d alone: %.3f s" (i + 1) t)
     cs;
   H.gc_settle ();
-  let plan_t = H.time_best ~hist:"bench.plan_ns" ~reps:3 (fun () -> Sql.query ~pool ~evaluator:Ec.Mst ~tables:[ ("t", table) ] query) in
-  H.gc_settle ();
-  let per_clause_t =
-    H.time_best ~hist:"bench.per_clause_ns" ~reps:3 (fun () -> run_per_clause ~pool table cs)
+  let plan_t, per_clause_t =
+    H.time_best_pair ~hist_a:"bench.plan_ns" ~hist_b:"bench.per_clause_ns" ~reps:3
+      (fun () -> Sql.query ~pool ~evaluator:Ec.Mst ~tables:[ ("t", table) ] query)
+      (fun () -> run_per_clause ~pool table cs)
   in
   let plan_s = plan_t.H.best and per_clause_s = per_clause_t.H.best in
   let speedup = per_clause_s /. plan_s in

@@ -245,41 +245,52 @@ let refill_child t node i =
     i
   end
 
-(* Delete one occurrence of [key], guaranteed present in [node]'s subtree;
-   [node] is the root or holds >= deg keys. *)
+(* Delete one occurrence of [key] from [node]'s subtree, [node] being the
+   root or holding >= deg keys; [false] when the key is absent. The one
+   descent decrements every subtree count on its path and learns of an
+   absent key only at the leaf, so each level restores its own count on
+   the way back up. The borrows and merges it made stay: each leaves a
+   valid tree on its own. *)
 let rec delete_sub t node key =
   node.total <- node.total - 1;
   let i = lower_bound_keys node key in
-  if i < node.nkeys && node.keys.(i) = key then begin
-    if is_leaf node then remove_key_at node i
-    else begin
-      let y = node.children.(i) and z = node.children.(i + 1) in
-      if y.nkeys >= t.deg then begin
-        let pred = subtree_max y in
-        node.keys.(i) <- pred;
-        delete_sub t y pred
-      end
-      else if z.nkeys >= t.deg then begin
-        let succ = subtree_min z in
-        node.keys.(i) <- succ;
-        delete_sub t z succ
+  let found =
+    if i < node.nkeys && node.keys.(i) = key then begin
+      if is_leaf node then begin
+        remove_key_at node i;
+        true
       end
       else begin
-        merge_children node i;
-        delete_sub t node.children.(i) key
+        let y = node.children.(i) and z = node.children.(i + 1) in
+        if y.nkeys >= t.deg then begin
+          let pred = subtree_max y in
+          node.keys.(i) <- pred;
+          delete_sub t y pred
+        end
+        else if z.nkeys >= t.deg then begin
+          let succ = subtree_min z in
+          node.keys.(i) <- succ;
+          delete_sub t z succ
+        end
+        else begin
+          merge_children node i;
+          delete_sub t node.children.(i) key
+        end
       end
     end
-  end
-  else begin
-    assert (not (is_leaf node));
-    let i = refill_child t node i in
-    delete_sub t node.children.(i) key
-  end
+    else if is_leaf node then false
+    else begin
+      let i = refill_child t node i in
+      delete_sub t node.children.(i) key
+    end
+  in
+  if not found then node.total <- node.total + 1;
+  found
 
 let remove t key =
-  if not (mem t key) then raise Not_found;
-  delete_sub t t.root key;
-  if t.root.nkeys = 0 && not (is_leaf t.root) then t.root <- t.root.children.(0)
+  let found = delete_sub t t.root key in
+  if t.root.nkeys = 0 && not (is_leaf t.root) then t.root <- t.root.children.(0);
+  if not found then raise Not_found
 
 (* ------------------------------------------------------------------ *)
 (* Memory accounting                                                   *)

@@ -33,8 +33,9 @@ val merge_appended : Multiway.multiword -> n_old:int -> int array * int array
     two runs one {!Multiway.merge_multiword}. Returns fresh
     [(perm, sorted_key0)] as {!sort_encoded} does — the same arrays a
     from-scratch sort of all the rows would give, since both runs follow
-    its strict total order. Sequential: appends are small next to the
-    table. [mw]'s suffix is sorted in place. *)
+    its strict total order. Sequential: a session append merges one
+    partition's old rows with its delta this way. [mw]'s suffix is sorted
+    in place. *)
 
 val sort_encoded_spill :
   n:int ->

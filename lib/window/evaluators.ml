@@ -53,10 +53,14 @@ let mst_maintain ctx leaf old =
 
 (* Qualifying-row remap for a structural predicate key; memoized per
    partition so items with equal FILTER / NULL-skipping predicates scan the
-   partition once. *)
+   partition once. Skipping the NULLs of a column without a null mask
+   keeps every row: the identity, with nothing to build. *)
 let qualify ctx (qual : Build_cache.qual) =
   match qual with
   | { Build_cache.filter = None; extra = Build_cache.Ex_none } -> Remap.all (np ctx)
+  | { Build_cache.filter = None; extra = Build_cache.Ex_nonnull (Expr.Col name) }
+    when Column.null_mask (Table.column ctx.table name) = None ->
+      Remap.all (np ctx)
   | _ ->
       Build_cache.remap ctx.cache ~qual (fun () ->
           let filt = Option.map (Expr.compile ctx.table) qual.Build_cache.filter in

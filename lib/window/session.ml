@@ -383,53 +383,213 @@ let classify_append s ~pids ~old_perm ~old_b ~old_parts ~perm ~boundaries ~n_old
           end
           else rebuilt ())
 
-(* Maintain one stage order under an append: gather the new codec's
-   leading word through the old permutation (run 1), then sort the
-   appended suffix (run 2) and merge the two runs with the sort layer's
-   one segment sort and loser tree.  Both runs are sorted under the
-   codec's strict total order — words, residual, ascending row id — which
-   is the full sort's order, so the merged permutation is bit-identical
-   to sorting the appended table from scratch; a residual-only order
-   (no words) merges on an all-zero leading word.  The O(n) adjacency
-   check guards the old-prefix invariant (it can break when a bulk
-   eviction reordered hash-densified partition labels); any failure falls
-   back to a full sort, which the slice classifier then salvages
-   partition by partition. *)
-let maintain_append s entry ~pids ~order ~n_old ~n =
-  let table = s.table in
-  let kc = Key_codec.compile ?pids table order in
-  let rows = Array.make n 0 in
-  Array.blit entry.perm 0 rows 0 n_old;
-  for i = n_old to n - 1 do
-    rows.(i) <- i
-  done;
-  let mw = Multiway.of_words ~words:kc.Key_codec.words ?tie:kc.Key_codec.residual rows in
-  let sorted = ref true in
-  (try
-     for i = 1 to n_old - 1 do
-       if Multiway.compare_positions mw (i - 1) i > 0 then begin
-         sorted := false;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  let merged = if !sorted then Some (Parallel_sort.merge_appended mw ~n_old) else None in
-  let perm, boundaries, prov =
-    match merged with
-    | Some (perm, key0) ->
-        let b =
-          match kc.Key_codec.pid_divisor with
-          | None -> [| 0; n |]
-          | Some divisor -> boundaries_of_key0 ~key0 ~divisor n
-        in
-        (perm, b, Printf.sprintf "maintained(+%d rows)" (n - n_old))
-    | None ->
-        let perm, b, _ = full_sort s.pool table ~pids ~order in
-        (perm, b, "rebuilt(order)")
+(* One partition of the appended table: an old partition [old] with the
+   delta rows of its label (none when the append left it alone), or the
+   delta rows of a label the delta brings in. Delta rows are listed in
+   ascending row id. *)
+type slice = { old : int; (* -1: a new label *) delta : int array }
+
+(* The slices of the appended table, or [None] when the refreshed labels
+   no longer ascend over the old partitions: an eviction can renumber
+   first-appearance labels, and then the old permutation is not in the
+   partition order a full sort gives. Within a partition the old order
+   always holds, since it never reads a label. O(partitions + delta). *)
+let plan_slices ~pids ~old_perm ~old_b ~n_old ~n =
+  let label row = match pids with None -> 0 | Some ids -> ids.(row) in
+  (* an empty table stores one empty slice (or none): nothing to keep *)
+  let olds =
+    Array.of_list
+      (List.filter (fun p -> old_b.(p + 1) > old_b.(p)) (List.init (Array.length old_b - 1) Fun.id))
   in
-  let parts =
-    classify_append s ~pids ~old_perm:entry.perm ~old_b:entry.boundaries
-      ~old_parts:entry.parts ~perm ~boundaries ~n_old
+  let labels = Array.map (fun p -> label old_perm.(old_b.(p))) olds in
+  let nold = Array.length olds in
+  let ascending = ref true in
+  for i = 1 to nold - 1 do
+    if labels.(i - 1) >= labels.(i) then ascending := false
+  done;
+  if not !ascending then None
+  else begin
+    let groups = Hashtbl.create 16 in
+    for row = n - 1 downto n_old do
+      let l = label row in
+      Hashtbl.replace groups l (row :: Option.value ~default:[] (Hashtbl.find_opt groups l))
+    done;
+    let delta l = match Hashtbl.find_opt groups l with Some rows -> Array.of_list rows | None -> [||] in
+    let is_old l =
+      let i = Holistic_util.Binary_search.lower_bound labels ~lo:0 ~hi:nold l in
+      i < nold && labels.(i) = l
+    in
+    let fresh =
+      List.sort Int.compare (Hashtbl.fold (fun l _ acc -> if is_old l then acc else l :: acc) groups [])
+    in
+    let slices = ref [] in
+    let rec go i fresh =
+      match fresh with
+      | l :: rest when i = nold || l < labels.(i) ->
+          slices := { old = -1; delta = delta l } :: !slices;
+          go i rest
+      | _ when i < nold ->
+          slices := { old = olds.(i); delta = delta labels.(i) } :: !slices;
+          go (i + 1) fresh
+      | _ -> ()
+    in
+    go 0 fresh;
+    Some (Array.of_list (List.rev !slices))
+  end
+
+(* A touched slice's rows keyed for the splice: [mw] views compile
+   positions [0, m) of [rows] (table row ids), of which [\[0, split)] are
+   already in order and [\[split, m)] are the delta rows still to sort.
+   Positions order like their table rows: the old rows come first in
+   their sorted order, the delta rows after them in ascending row id, so
+   a tie on every key falls to the smaller row id either way. *)
+type keyed = { rows : int array; mw : Multiway.multiword; split : int }
+
+type fill =
+  | Copy of int  (** an untouched old partition, blitted *)
+  | After of int * keyed
+      (** every delta row sorts after the old partition's last row,
+          which is [rows.(0)] *)
+  | Merge of keyed  (** old rows, if any, interleaved with the delta *)
+
+let keyed table order rows ~split =
+  let kc = Key_codec.compile ~rows table order in
+  let mw =
+    Multiway.of_words ~words:kc.Key_codec.words ?tie:kc.Key_codec.residual
+      (Array.init (Array.length rows) Fun.id)
+  in
+  { rows; mw; split }
+
+(* Key only the touched slices: the last old row and the delta, and only
+   when a delta row sorts before that row, the whole old partition. *)
+let key_slices table order ~old_perm ~old_b slices =
+  let keyed_rows = ref 0 in
+  let key rows ~split =
+    keyed_rows := !keyed_rows + Array.length rows;
+    keyed table order rows ~split
+  in
+  let fills =
+    Array.map
+      (fun { old; delta } ->
+        if old < 0 then Merge (key delta ~split:0)
+        else if Array.length delta = 0 then Copy old
+        else begin
+          let lo = old_b.(old) and hi = old_b.(old + 1) in
+          let k = key (Array.append [| old_perm.(hi - 1) |] delta) ~split:1 in
+          let cmp = Multiway.compare_positions k.mw in
+          let after = ref true in
+          for j = 1 to Array.length k.rows - 1 do
+            if cmp 0 j > 0 then after := false
+          done;
+          if !after then After (old, k)
+          else Merge (key (Array.append (Array.sub old_perm lo (hi - lo)) delta) ~split:(hi - lo))
+        end)
+      slices
+  in
+  (fills, !keyed_rows)
+
+(* Sort each keyed delta with the one segment sort, merge it with the old
+   rows through the one loser tree where they interleave, and copy every
+   untouched partition at its shifted offset. *)
+let splice ~old_perm ~old_b ~boundaries ~n fills =
+  let perm = Array.make n 0 in
+  (* a typed loop: [Array.blit] into a major-heap array goes through the
+     write barrier per element, ints or not *)
+  let copy_old op ~at =
+    let lo = old_b.(op) in
+    for i = 0 to old_b.(op + 1) - lo - 1 do
+      Array.unsafe_set perm (at + i) (Array.unsafe_get old_perm (lo + i))
+    done
+  in
+  (* sorted compile positions [from ..] of a keyed slice, as table rows *)
+  let emit rows payload ~from ~at =
+    for i = from to Array.length rows - 1 do
+      perm.(at + i - from) <- rows.(payload.(i))
+    done
+  in
+  Array.iteri
+    (fun p fill ->
+      let at = boundaries.(p) in
+      match fill with
+      | Copy op -> copy_old op ~at
+      | After (op, k) ->
+          copy_old op ~at;
+          let len = old_b.(op + 1) - old_b.(op) in
+          Multiway.sort_range k.mw ~lo:1 ~hi:(Array.length k.rows);
+          emit k.rows k.mw.Multiway.payload ~from:1 ~at:(at + len)
+      | Merge { rows; mw; split = 0 } ->
+          Multiway.sort_range mw ~lo:0 ~hi:(Array.length rows);
+          emit rows mw.Multiway.payload ~from:0 ~at
+      | Merge { rows; mw; split } ->
+          let payload, _ = Parallel_sort.merge_appended mw ~n_old:split in
+          emit rows payload ~from:0 ~at)
+    fills;
+  perm
+
+(* Maintain one stage order under an append, at the cost of what the delta
+   touches: group the delta by partition label, key only the touched
+   partitions' rows ({!key_slices}), splice the sorted delta in and blit
+   every other partition. Every step follows the full sort's strict total
+   order — partition label, key words, residual, ascending row id — so
+   the permutation and boundaries are bit-identical to sorting the
+   appended table from scratch. When the refreshed labels no longer
+   ascend over the old partitions, the order falls back to a full sort,
+   which {!classify_append} then salvages partition by partition. *)
+let maintain_append s entry ~pids ~order ~n_old ~n =
+  let table = s.table and old_perm = entry.perm and old_b = entry.boundaries in
+  let span name ?(args = fun () -> []) f = Obs.span ("session." ^ name) ~args f in
+  let planned =
+    span "boundaries" (fun () ->
+        Option.map
+          (fun slices ->
+            let boundaries = Array.make (Array.length slices + 1) 0 in
+            Array.iteri
+              (fun p { old; delta } ->
+                let len = if old < 0 then 0 else old_b.(old + 1) - old_b.(old) in
+                boundaries.(p + 1) <- boundaries.(p) + len + Array.length delta)
+              slices;
+            (slices, boundaries))
+          (plan_slices ~pids ~old_perm ~old_b ~n_old ~n))
+  in
+  let perm, boundaries, parts, prov =
+    match planned with
+    | Some (slices, boundaries) ->
+        let keyed_rows = ref 0 in
+        let fills =
+          span "compile"
+            ~args:(fun () -> [ ("keyed_rows", string_of_int !keyed_rows) ])
+            (fun () ->
+              let fills, k = key_slices table order ~old_perm ~old_b slices in
+              keyed_rows := k;
+              fills)
+        in
+        let perm = span "splice" (fun () -> splice ~old_perm ~old_b ~boundaries ~n fills) in
+        let parts =
+          span "classify" (fun () ->
+              Array.map
+                (function
+                  | Copy op ->
+                      s.tally_reused <- s.tally_reused + 1;
+                      entry.parts.(op)
+                  | After (op, _) ->
+                      let part = entry.parts.(op) in
+                      Build_cache.advance part.cache;
+                      part.status <- Extended;
+                      s.tally_extended <- s.tally_extended + 1;
+                      part
+                  | Merge _ ->
+                      s.tally_rebuilt <- s.tally_rebuilt + 1;
+                      fresh_part s.counters Rebuilt)
+                fills)
+        in
+        (perm, boundaries, parts, Printf.sprintf "maintained(+%d rows)" (n - n_old))
+    | None ->
+        let perm, boundaries, _ = span "sort" (fun () -> full_sort s.pool table ~pids ~order) in
+        let parts =
+          span "classify" (fun () ->
+              classify_append s ~pids ~old_perm ~old_b ~old_parts:entry.parts ~perm ~boundaries ~n_old)
+        in
+        (perm, boundaries, parts, "rebuilt(order)")
   in
   entry.perm <- perm;
   entry.boundaries <- boundaries;
@@ -448,8 +608,9 @@ let append_rows s delta =
       (fun () ->
         (* refresh every cached partition-id array on the appended table
            first (entries share them), then maintain each stage order *)
-        let pbs = Hashtbl.fold (fun pb _ acc -> pb :: acc) s.pids [] in
-        List.iter (fun pb -> Hashtbl.replace s.pids pb (partition_ids s.pool s.table pb)) pbs;
+        Obs.span "session.pids" (fun () ->
+            let pbs = Hashtbl.fold (fun pb _ acc -> pb :: acc) s.pids [] in
+            List.iter (fun pb -> Hashtbl.replace s.pids pb (partition_ids s.pool s.table pb)) pbs);
         Hashtbl.iter
           (fun (pb, order) entry ->
             let pids = pids_for s ~pb ~compute:(fun () -> partition_ids s.pool s.table pb) in
@@ -466,7 +627,7 @@ let append_rows s delta =
    (the final tie-break is ascending row id, and the renumbering keeps
    relative id order), so the filtered permutation is exactly what a full
    sort of the evicted table would produce — up to the order of
-   hash-densified partition labels, which the next append's adjacency
+   hash-densified partition labels, which the next append's label
    guard re-checks.  Partitions keep their relative order, so the new
    boundaries are survivor-count prefix sums; a partition that lost no
    rows keeps its caches and outputs (structures index slice positions

@@ -12,8 +12,10 @@
     Mutations maintain rather than invalidate wherever the result is
     {e bit-identical} to a from-scratch rebuild:
 
-    - {b appends} merge the sorted new rows into the existing permutation
-      as a second run (the parallel sort's own OVC loser-tree merge);
+    - {b appends} splice the sorted new rows into the partitions they
+      touch (the sort layer's one segment sort, and its OVC loser tree
+      where new rows interleave with old ones) and copy every other
+      partition, so an append costs what its delta touches;
       partitions whose new rows all sort after their old rows keep their
       caches, marked stale for the accessors' incremental [maintain]
       callbacks (rank-encode extension, MST run-stacking, peer-group

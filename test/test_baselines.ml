@@ -51,6 +51,51 @@ let test_ost_remove_absent () =
   Alcotest.check_raises "remove absent" Not_found (fun () -> Ost.remove t 7);
   Alcotest.(check int) "unchanged" 1 (Ost.size t)
 
+(* An absent key is found absent only at the leaf, after the one descent
+   has decremented the counts on its path and refilled thin children on
+   the way: the counts must come back and the borrows and merges must
+   leave a valid tree.  Small degrees make every descent restructure. *)
+let test_ost_remove_absent_deep () =
+  let rng = Rng.create 29 in
+  List.iter
+    (fun deg ->
+      let t = Ost.create ~min_degree:deg () in
+      let model = ref [] in
+      let check ctx =
+        Ost.check_invariants t;
+        let arr = Array.of_list (List.sort compare !model) in
+        Alcotest.(check int) (ctx ^ ": size") (Array.length arr) (Ost.size t);
+        Array.iteri (fun i v -> if Ost.select t i <> v then Alcotest.failf "%s: select %d" ctx i) arr;
+        for k = -2 to 202 do
+          let want = Array.fold_left (fun acc x -> if x < k then acc + 1 else acc) 0 arr in
+          if Ost.rank t k <> want then Alcotest.failf "%s: rank %d" ctx k
+        done
+      in
+      for _ = 1 to 300 do
+        let v = 2 * Rng.int rng 101 in
+        Ost.insert t v;
+        model := v :: !model
+      done;
+      for step = 1 to 400 do
+        match Rng.int rng 3 with
+        | 0 ->
+            let v = 2 * Rng.int rng 101 in
+            Ost.insert t v;
+            model := v :: !model
+        | 1 -> (
+            match !model with
+            | [] -> ()
+            | v :: rest ->
+                Ost.remove t v;
+                model := rest)
+        | _ ->
+            (* odd keys and keys outside the stored range are never present *)
+            let v = match Rng.int rng 3 with 0 -> -1 | 1 -> 201 | _ -> (2 * Rng.int rng 100) + 1 in
+            Alcotest.check_raises "absent key" Not_found (fun () -> Ost.remove t v);
+            check (Printf.sprintf "deg %d step %d remove %d" deg step v)
+      done)
+    [ 2; 3; 16 ]
+
 let test_ost_duplicates_heavy () =
   let t = Ost.create ~min_degree:2 () in
   for _ = 1 to 500 do
@@ -287,6 +332,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest ost_model_test;
           Alcotest.test_case "remove absent" `Quick test_ost_remove_absent;
+          Alcotest.test_case "remove absent in a deep tree" `Quick test_ost_remove_absent_deep;
           Alcotest.test_case "duplicate heavy" `Quick test_ost_duplicates_heavy;
           Alcotest.test_case "select bounds" `Quick test_ost_select_bounds;
           Alcotest.test_case "clear" `Quick test_ost_clear;

@@ -716,7 +716,6 @@ sql.query # ms - # kw
           build {kind=encode} x2 # ms 240 B # kw
           build {kind=mst.rank} x2 # ms 152 B # kw
         item {name=s1, func=sum, evaluator=segment-tree} x2 # ms - # kw
-          build {kind=remap} x2 # ms 192 B # kw
           build {kind=segment_tree} x2 # ms 272 B # kw
         frame {order=x, s} x2 # ms - # kw
           build {kind=peers} x2 # ms 176 B # kw
@@ -725,8 +724,8 @@ sql.query # ms - # kw
   sql.project {columns=3} # ms - # kw
 counters
   cache.hit 4
-  cache.miss 12
-  mem.structure_bytes 1208
+  cache.miss 10
+  mem.structure_bytes 1016
   plan.evaluator.mst 1
   plan.evaluator.segment-tree 1
   plan.full_sorts 1

@@ -809,6 +809,202 @@ let test_sql_session () =
     (Sql.Semantic_error "unknown column \"nope\"")
     (fun () -> Sql.session_evict session "nope < 1")
 
+(* ------------------------------------------------------------------ *)
+(* Directed splice legs                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* An append splices the sorted delta into the partitions it touches and
+   copies every other one.  Each leg checks the maintained stage bit for
+   bit against a stateless full sort of the appended table — permutation
+   and boundaries — and checks how the append classified its parts. *)
+
+let splice_rows ~g ~k =
+  let strs = [| "x"; "yy"; "a"; "q"; "mm" |] in
+  Table.create
+    [
+      ("g", Column.ints g);
+      ("k", Column.ints k);
+      (* thirds: the float key needs a second word for its low bits *)
+      ("v", Column.floats (Array.map (fun k -> float_of_int (k * 7 mod 101) /. 3.) k));
+      ("s", Column.strings (Array.map (fun k -> strs.(abs k mod 5)) k));
+    ]
+
+let status_name = function Session.Reused -> "R" | Session.Extended -> "X" | Session.Rebuilt -> "B"
+
+(* The stored stage of [(pb, order)] against a full sort of a code-free
+   copy of the session's table (a full sort may leave order codes behind
+   in the columns it sorts, which would change what the next append
+   reads); returns the provenance and the parts' statuses. *)
+let check_stage ~pool ~ctx session ~pb ~order =
+  let table = Session.table session in
+  let copy = Table.append table (Table.gather table [||]) in
+  match Session.lookup session ~pb ~order with
+  | None -> Alcotest.failf "%s: stage not stored" ctx
+  | Some (perm, boundaries, parts, prov, _) ->
+      let pids = Session.partition_ids pool copy pb in
+      let perm0, b0, _ = Session.full_sort pool copy ~pids ~order in
+      Alcotest.(check (array int)) (ctx ^ ": permutation") perm0 perm;
+      Alcotest.(check (array int)) (ctx ^ ": boundaries") b0 boundaries;
+      (prov, String.concat "" (Array.to_list (Array.map (fun p -> status_name p.Session.status) parts)))
+
+(* A session holding one stage of [(pb, order)]; [append] applies a delta,
+   checks the stage, its provenance and part statuses ("R" reused, "X"
+   extended, "B" rebuilt, in partition order), then a query's results. *)
+let splice_session ~pool ~pb ~order table =
+  let clauses =
+    [
+      {
+        Window_plan.spec =
+          { Ws.partition_by = pb; order_by = order; frame = Some (Ws.rows_between (Ws.preceding 2) Ws.Current_row) };
+        items = [ Wf.row_number ~name:"rn" []; Wf.count_star ~name:"c" () ];
+      };
+    ]
+  in
+  let session = Session.create ~pool table in
+  let query ctx =
+    let table = Session.table session in
+    check_identical ~ctx:(fun () -> ctx) (Window_plan.run ~pool table clauses)
+      (Window_plan.run ~pool ~session table clauses)
+  in
+  query "first query";
+  let append ~ctx ~prov ~statuses delta =
+    Session.append_rows session delta;
+    let got_prov, got = check_stage ~pool ~ctx session ~pb ~order in
+    let want_prov =
+      if prov = `Maintained then Printf.sprintf "maintained(+%d rows)" (Table.nrows delta) else "rebuilt(order)"
+    in
+    Alcotest.(check string) (ctx ^ ": provenance") want_prov got_prov;
+    Alcotest.(check string) (ctx ^ ": part statuses") statuses got;
+    query ctx
+  in
+  (session, append)
+
+let by_k = [ Sort_spec.asc (Expr.Col "k") ]
+
+let test_splice_partitions () =
+  let pool = Task_pool.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Task_pool.shutdown pool)
+    (fun () ->
+      let n = 60 in
+      (* labels 10, 20, 30 *)
+      let table = splice_rows ~g:(Array.init n (fun i -> 10 * (1 + (i mod 3)))) ~k:(Array.init n Fun.id) in
+      let _, append = splice_session ~pool ~pb:[ Expr.Col "g" ] ~order:by_k table in
+      append ~ctx:"in order into 10 and 30" ~prov:`Maintained ~statuses:"XRX"
+        (splice_rows ~g:[| 30; 10; 30 |] ~k:[| 100; 101; 102 |]);
+      append ~ctx:"back-dated into 20" ~prov:`Maintained ~statuses:"RBR"
+        (splice_rows ~g:[| 20; 20 |] ~k:[| 200; 5 |]);
+      (* a tie on the key with the partition's last row sorts after it:
+         the new row's id is larger *)
+      append ~ctx:"tie with the last row" ~prov:`Maintained ~statuses:"XRR"
+        (splice_rows ~g:[| 10 |] ~k:[| 101 |]);
+      append ~ctx:"new labels before, between and after" ~prov:`Maintained ~statuses:"BRBXBRB"
+        (splice_rows ~g:[| 35; 15; 5; 20; 25; 5 |] ~k:[| 1; 2; 3; 300; 4; 0 |]))
+
+(* Partition ids of a string column number the values in first-appearance
+   order.  Evicting the first row renumbers them, so the old partitions'
+   labels no longer ascend: the next append must sort the order afresh
+   and salvage the parts the delta left alone. *)
+let test_splice_relabel () =
+  let pool = Task_pool.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Task_pool.shutdown pool)
+    (fun () ->
+      let n = 30 in
+      (* s cycles x, yy, a, q, mm: partitions in label order x, yy, a, q, mm *)
+      let table = splice_rows ~g:(Array.make n 0) ~k:(Array.init n Fun.id) in
+      let session, append = splice_session ~pool ~pb:[ Expr.Col "s" ] ~order:by_k table in
+      Session.evict_prefix session 1;
+      (* now yy comes first; "mm" (k = 4) gets an in-order row *)
+      append ~ctx:"after relabelling" ~prov:`Rebuilt ~statuses:"RRRXB"
+        (splice_rows ~g:[| 0 |] ~k:[| 104 |]);
+      append ~ctx:"labels ascend again" ~prov:`Maintained ~statuses:"RRRRX"
+        (splice_rows ~g:[| 0 |] ~k:[| 100 |]))
+
+let test_splice_unpartitioned () =
+  let pool = Task_pool.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Task_pool.shutdown pool)
+    (fun () ->
+      let n = 50 in
+      let table = splice_rows ~g:(Array.make n 0) ~k:(Array.init n (fun i -> 2 * i)) in
+      let _, append = splice_session ~pool ~pb:[] ~order:by_k table in
+      append ~ctx:"in order" ~prov:`Maintained ~statuses:"X" (splice_rows ~g:[| 0; 0 |] ~k:[| 500; 400 |]);
+      append ~ctx:"back-dated" ~prov:`Maintained ~statuses:"B" (splice_rows ~g:[| 0; 0 |] ~k:[| 501; 7 |]))
+
+(* Orders of several key words, of the residual alone (an interval key
+   compiles to no word) and of a string key (whose order codes
+   [Column.append] drops), in order and back-dated. *)
+let test_splice_orders () =
+  let pool = Task_pool.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Task_pool.shutdown pool)
+    (fun () ->
+      let n = 48 in
+      let table = splice_rows ~g:(Array.init n (fun i -> i mod 2)) ~k:(Array.init n Fun.id) in
+      let days = Expr.Mul (Expr.Col "k", Expr.Const (Value.Interval { Value.months = 0; days = 1 })) in
+      let multi = [ Sort_spec.asc (Expr.Col "v"); Sort_spec.desc (Expr.Col "k") ] in
+      let pids = Session.partition_ids pool table [ Expr.Col "g" ] in
+      Alcotest.(check bool) "several key words" true
+        (Array.length (Key_codec.compile ?pids table multi).Key_codec.words >= 2);
+      Alcotest.(check int) "residual only" 0
+        (Array.length (Key_codec.compile table [ Sort_spec.asc days ]).Key_codec.words);
+      List.iter
+        (fun (name, order, late, early) ->
+          let _, append = splice_session ~pool ~pb:[ Expr.Col "g" ] ~order table in
+          append ~ctx:(name ^ ", in order") ~prov:`Maintained ~statuses:"XR" (splice_rows ~g:[| 0 |] ~k:[| late |]);
+          append ~ctx:(name ^ ", back-dated") ~prov:`Maintained ~statuses:"RB"
+            (splice_rows ~g:[| 1 |] ~k:[| early |]))
+        [
+          (* v = (k * 7 mod 101) / 3 is at most 99/3 over the table and
+             100/3 at k = 72; k = 0 gives 0, the least *)
+          ("multi-word", multi, 72, 0);
+          ("residual only", [ Sort_spec.asc days ], 1000, -1);
+          (* s cycles x, yy, a, q, mm with |k|: "yy" is the largest
+             string, "a" the smallest *)
+          ("string key", [ Sort_spec.asc (Expr.Col "s"); Sort_spec.asc (Expr.Col "k") ], 1001, -2);
+        ])
+
+(* A traced append shows one child span per phase, and an in-order append
+   keys only its delta and the last old row of each partition it touches:
+   a one-row append into 51 500 rows over 85 groups keys 2 rows. *)
+let test_append_phases () =
+  let pool = Task_pool.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Task_pool.shutdown pool)
+    (fun () ->
+      let n = 51_500 and groups = 85 in
+      let table = splice_rows ~g:(Array.init n (fun i -> i * 7 mod groups)) ~k:(Array.init n Fun.id) in
+      let pb = [ Expr.Col "g" ] in
+      let session, _ = splice_session ~pool ~pb ~order:by_k table in
+      let module Obs = Holistic_obs.Obs in
+      let (), trace = Obs.with_capture (fun () -> Session.append_rows session (splice_rows ~g:[| 3 |] ~k:[| n |])) in
+      let root =
+        match List.filter (fun (sp : Obs.span) -> sp.Obs.name = "session.append") trace.Obs.spans with
+        | [ sp ] -> sp
+        | _ -> Alcotest.fail "one session.append span"
+      in
+      let children =
+        List.filter_map
+          (fun (sp : Obs.span) -> if sp.Obs.parent = root.Obs.id then Some sp.Obs.name else None)
+          trace.Obs.spans
+      in
+      Alcotest.(check (list string)) "phase spans"
+        [ "session.pids"; "session.boundaries"; "session.compile"; "session.splice"; "session.classify" ]
+        children;
+      let keyed =
+        List.find_map
+          (fun (sp : Obs.span) ->
+            if sp.Obs.name = "session.compile" then Option.map int_of_string (List.assoc_opt "keyed_rows" sp.Obs.args)
+            else None)
+          trace.Obs.spans
+      in
+      let old_rows = (n / groups) + 1 in
+      Alcotest.(check bool) "keyed rows within the delta and the touched partition" true
+        (match keyed with Some k -> k <= 1 + old_rows && k < 1_000 | None -> false);
+      Alcotest.(check (option int)) "keyed: the delta row and the last old row" (Some 2) keyed;
+      ignore (check_stage ~pool ~ctx:"large append" session ~pb ~order:by_k))
+
 let () =
   Alcotest.run "session"
     [
@@ -821,6 +1017,11 @@ let () =
           Alcotest.test_case "foreign table stays stateless" `Quick test_foreign_table;
           Alcotest.test_case "sql session front door" `Quick test_sql_session;
           Alcotest.test_case "residual-only order maintains" `Quick test_residual_order_append;
+          Alcotest.test_case "splice into touched partitions" `Quick test_splice_partitions;
+          Alcotest.test_case "relabelled partitions re-sort" `Quick test_splice_relabel;
+          Alcotest.test_case "splice without partitions" `Quick test_splice_unpartitioned;
+          Alcotest.test_case "splice multi-word, residual, string" `Quick test_splice_orders;
+          Alcotest.test_case "append phases and keyed rows" `Quick test_append_phases;
         ] );
       ( "fuzz",
         [
