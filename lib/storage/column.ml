@@ -136,15 +136,9 @@ let append a b =
   let nulls =
     match a.nulls, b.nulls with
     | None, None -> None
-    | _ ->
-        let m = Bitset.create (n1 + n2) in
-        for i = 0 to n1 - 1 do
-          if is_null a i then Bitset.set m i
-        done;
-        for i = 0 to n2 - 1 do
-          if is_null b i then Bitset.set m (n1 + i)
-        done;
-        Some m
+    | ma, mb ->
+        let mask n = function Some m -> m | None -> Bitset.create n in
+        Some (Bitset.append (mask n1 ma) (mask n2 mb))
   in
   match a.data, b.data with
   | Ints x, Ints y -> make ?nulls (Ints (Array.append x y))
@@ -164,21 +158,18 @@ let dense_numbering size =
         Hashtbl.add table v id;
         id
 
-let distinct_ids t =
-  let n = length t in
-  let null_id = min_int in
-  match t.data, t.nulls with
-  | Ints a, None -> Array.copy a
-  | Dates a, None -> Array.copy a
-  | Ints a, Some m -> Array.init n (fun i -> if Bitset.get m i then null_id else a.(i))
-  | Dates a, Some m -> Array.init n (fun i -> if Bitset.get m i then null_id else a.(i))
-  | Bools a, _ -> Array.init n (fun i -> if is_null t i then null_id else if a.(i) then 1 else 0)
-  | Floats a, _ ->
-      let id = dense_numbering (2 * n) in
-      Array.init n (fun i -> if is_null t i then null_id else id a.(i))
-  | Strings a, _ ->
-      let id = dense_numbering (2 * n) in
-      Array.init n (fun i -> if is_null t i then null_id else id a.(i))
+(* Ranks by sorting row positions: equal keys end up adjacent, so one
+   pass numbers the runs. *)
+let ranks cmp keys =
+  let n = Array.length keys in
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> cmp (Array.unsafe_get keys i) (Array.unsafe_get keys j)) order;
+  let r = Array.make n 0 in
+  for k = 1 to n - 1 do
+    let p = order.(k - 1) and i = order.(k) in
+    r.(i) <- (if cmp keys.(p) keys.(i) = 0 then r.(p) else r.(p) + 1)
+  done;
+  r
 
 (* Densified rank of the distinct string set: dense codes both pack
    tighter and make the merge's OVC ties cheap. Byte order matches
@@ -262,6 +253,16 @@ let order_codes t =
   | (Some _ as codes), _ -> codes
   | None, Strings a -> Some (publish t (string_ranks (Array.length a) (fun i -> a.(i)) (is_null t)))
   | None, (Ints _ | Floats _ | Bools _ | Dates _) -> None
+
+let distinct_ids t =
+  let n = length t in
+  let with_nulls ids = Array.init n (fun i -> if is_null t i then min_int else ids.(i)) in
+  match t.data, t.nulls with
+  | (Ints a | Dates a), None -> Array.copy a
+  | (Ints a | Dates a), Some _ -> with_nulls a
+  | Bools a, _ -> with_nulls (Array.map Bool.to_int a)
+  | Floats a, _ -> with_nulls (ranks Float.compare a)
+  | Strings _, _ -> with_nulls (Option.get (order_codes t))
 
 (* NULL rows sit at one end of a key order, so the non-NULL ranks form one
    interval [lo, hi]: shifting it to 0 (ASC) or mirroring it (DESC) gives

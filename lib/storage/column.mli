@@ -56,13 +56,22 @@ val dense_numbering : int -> 'a -> int
     together and [nan] equals [nan]. [size] is the initial hash table
     size. *)
 
+val ranks : ('a -> 'a -> int) -> 'a array -> int array
+(** [ranks cmp keys] gives each key its dense rank under [cmp]: keys equal
+    under [cmp] share a rank, and ranks run [0..d-1] in ascending key
+    order. O(n log n) comparisons. *)
+
 val distinct_ids : t -> int array
-(** Dense integer equality keys: two rows receive the same id iff their
-    values are SQL-equal (NULLs all share one id; callers filter NULLs for
-    NULL-ignoring semantics). For [Ints]/[Dates] columns this is the raw
-    value; other types go through an exact hash table, so — unlike the
-    paper's sort-the-hashes shortcut (§6.7) — hash collisions cannot corrupt
-    distinct counts. *)
+(** Order-preserving integer equality keys: two rows receive the same id
+    iff their values are equal, and ids ascend with the value. NULLs all
+    share [min_int], below every other id (callers filter NULLs for
+    NULL-ignoring semantics). [Ints]/[Dates] give the raw value, [Bools]
+    0 and 1, [Strings] their {!order_codes} ([String.compare] order) and
+    [Floats] their {!ranks} under [Float.compare] (every NaN equal and
+    below every number, [-0. = +0.]). Ids are exact — unlike the paper's
+    sort-the-hashes shortcut (§6.7), no hash collision can merge two
+    values — and, as a monotone image of the value, any subset or
+    superset of the rows keeps their relative order. *)
 
 val string_ranks : int -> (int -> string) -> (int -> bool) -> int array
 (** [string_ranks n get is_null] densifies a string key over rows

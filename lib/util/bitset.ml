@@ -63,6 +63,20 @@ let union a b =
   done;
   r
 
+(* [a]'s bytes are copied whole (its padding bits are clear), and each
+   byte of [b] is shifted into place across at most two bytes. *)
+let append a b =
+  let r = create (a.n + b.n) in
+  Bytes.blit a.words 0 r.words 0 (Bytes.length a.words);
+  let base = a.n lsr 3 and shift = a.n land 7 in
+  for j = 0 to Bytes.length b.words - 1 do
+    let v = Char.code (Bytes.unsafe_get b.words j) lsl shift in
+    let at = base + j in
+    Bytes.unsafe_set r.words at (Char.unsafe_chr (Char.code (Bytes.unsafe_get r.words at) lor (v land 0xff)));
+    if v > 0xff then Bytes.unsafe_set r.words (at + 1) (Char.unsafe_chr (v lsr 8))
+  done;
+  r
+
 let gather t rows =
   let n = Array.length rows in
   let r = create n in

@@ -27,6 +27,10 @@ val union : t -> t -> t
 (** [union a b] is a fresh bitset with the elementwise OR; capacities must
     match. *)
 
+val append : t -> t -> t
+(** [append a b] is a fresh bitset of capacity [length a + length b]
+    whose first [length a] bits are [a]'s and whose rest are [b]'s. *)
+
 val gather : t -> int array -> t
 (** [gather t rows] is a fresh bitset of capacity [Array.length rows]
     whose bit [i] is bit [rows.(i)] of [t]. *)

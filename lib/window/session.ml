@@ -14,16 +14,17 @@ module Rank_encode = Holistic_core.Rank_encode
    a maintained permutation is only valid if it equals what [full_sort]
    would have produced from scratch.  [Window_plan] aliases them. *)
 
-(* Integer partition keys from the PARTITION BY expressions: two rows get
-   equal keys iff every expression agrees. Per-column keys are computed
-   column-at-a-time (no per-row list allocation, and the expression phase
-   parallelises over the pool); multi-column keys are packed after
-   densifying each side, so the combine is pure integer arithmetic. The
-   stdlib [Hashtbl] compares with polymorphic equality, which preserves the
-   SQL-ish grouping of the old row-key path (NULLs group together, [nan]
-   equals [nan]). *)
-let densify a = Array.map (Column.dense_numbering 256) a
-
+(* Integer partition keys from the PARTITION BY expressions: a strictly
+   monotone image of the key tuple under one fixed total order, so two
+   rows get equal keys iff every expression agrees, and the keys of any
+   subset or superset of the rows keep their relative order. Per-column
+   keys are {!Column.distinct_ids} (raw values for int-like columns);
+   an expression key is ranked over its distinct values under
+   [Stdlib.compare], which groups as SQL partitioning does (NULLs
+   together, every NaN together, [-0. = +0.]) and keeps [Int 1] apart
+   from [Float 1.]. Multi-column keys pack dense ranks of each side, so
+   the combine is pure integer arithmetic; the expression phase
+   parallelises over the pool. *)
 let partition_ids pool table exprs =
   let n = Table.nrows table in
   match exprs with
@@ -31,10 +32,7 @@ let partition_ids pool table exprs =
   | _ ->
       let key_of_expr e =
         match e with
-        | Expr.Col name ->
-            (* exact per-column equality keys; raw values for int-like
-               columns, so no hash table at all on this path *)
-            Column.distinct_ids (Table.column table name)
+        | Expr.Col name -> Column.distinct_ids (Table.column table name)
         | _ ->
             let f = Expr.compile table e in
             let vals = Array.make n Value.Null in
@@ -43,18 +41,19 @@ let partition_ids pool table exprs =
                 for i = lo to hi - 1 do
                   Array.unsafe_set vals i (f i)
                 done);
-            densify vals
+            Column.ranks Stdlib.compare vals
       in
       let ids =
         match List.map key_of_expr exprs with
         | [] -> assert false
         | [ k ] -> k
         | k :: rest ->
-            (* pack pairwise: densified ids are < n, so [a * n + b] is
-               collision-free and stays well inside 63-bit range *)
+            (* pack pairwise, lexicographically: dense ranks are < n, so
+               [a * n + b] is collision-free and stays well inside 63-bit
+               range *)
             List.fold_left
               (fun acc k ->
-                let a = densify acc and b = densify k in
+                let a = Column.ranks Int.compare acc and b = Column.ranks Int.compare k in
                 Array.init n (fun i -> (a.(i) * n) + b.(i)))
               k rest
       in
@@ -316,6 +315,8 @@ let lookup s ~pb ~order =
       e.prov <- "";
       Some (e.perm, e.boundaries, e.parts, prov, e.algs)
 
+let stages s = Hashtbl.fold (fun (pb, order) e acc -> (pb, order, e.perm, e.boundaries) :: acc) s.entries []
+
 let store s ~pb ~order ~perm ~boundaries =
   let nparts = Array.length boundaries - 1 in
   let parts = Array.init nparts (fun _ -> fresh_part s.counters Rebuilt) in
@@ -328,114 +329,54 @@ let store s ~pb ~order ~perm ~boundaries =
 (* Append maintenance                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Match every partition of the new permutation to its old counterpart by
-   partition-id label (ids recomputed on the appended table are valid for
-   old rows too: their values did not change).  A slice whose length is
-   unchanged is exactly the old slice — the label's old rows, in the same
-   total order — so the part is reused outright.  A longer slice is an
-   in-order extension iff every appended row sorts strictly after the old
-   rows; then the old caches are kept and marked stale for incremental
-   maintenance, and the cached outputs are kept as they are: an output of
-   length [k] answers the slice's first [k] rows, which the extension did
-   not move (the plan probes only the rows an append can affect and
-   copies the rest).  Out-of-order appends (a new row interleaving among
-   old ones) invalidate precisely that partition. *)
-let classify_append s ~pids ~old_perm ~old_b ~old_parts ~perm ~boundaries ~n_old =
-  let counters = s.counters in
-  let rebuilt () =
-    s.tally_rebuilt <- s.tally_rebuilt + 1;
-    fresh_part counters Rebuilt
-  in
-  let label row = match pids with None -> 0 | Some ids -> ids.(row) in
-  let old_nparts = Array.length old_b - 1 in
-  let old_index = Hashtbl.create (2 * old_nparts) in
-  for p = 0 to old_nparts - 1 do
-    (* an empty table stores one empty slice — nothing to match against *)
-    if old_b.(p + 1) > old_b.(p) then Hashtbl.replace old_index (label old_perm.(old_b.(p))) p
-  done;
-  let nparts = Array.length boundaries - 1 in
-  Array.init nparts (fun p ->
-      let lo = boundaries.(p) and hi = boundaries.(p + 1) in
-      if hi = lo then rebuilt ()
-      else
-      match Hashtbl.find_opt old_index (label perm.(lo)) with
-      | None -> rebuilt ()
-      | Some op ->
-          let old_len = old_b.(op + 1) - old_b.(op) in
-          let len = hi - lo in
-          if len = old_len then begin
-            s.tally_reused <- s.tally_reused + 1;
-            old_parts.(op)
-          end
-          else if len > old_len then begin
-            let in_order = ref true in
-            for k = lo to lo + old_len - 1 do
-              if perm.(k) >= n_old then in_order := false
-            done;
-            if !in_order then begin
-              let part = old_parts.(op) in
-              Build_cache.advance part.cache;
-              part.status <- Extended;
-              s.tally_extended <- s.tally_extended + 1;
-              part
-            end
-            else rebuilt ()
-          end
-          else rebuilt ())
-
 (* One partition of the appended table: an old partition [old] with the
    delta rows of its label (none when the append left it alone), or the
    delta rows of a label the delta brings in. Delta rows are listed in
    ascending row id. *)
 type slice = { old : int; (* -1: a new label *) delta : int array }
 
-(* The slices of the appended table, or [None] when the refreshed labels
-   no longer ascend over the old partitions: an eviction can renumber
-   first-appearance labels, and then the old permutation is not in the
-   partition order a full sort gives. Within a partition the old order
-   always holds, since it never reads a label. O(partitions + delta). *)
+(* The slices of the appended table. Partition labels are a monotone
+   image of the key ({!partition_ids}), so the old partitions' refreshed
+   labels still ascend, and within a partition the old order always
+   holds, since it never reads a label. O(partitions + delta). *)
 let plan_slices ~pids ~old_perm ~old_b ~n_old ~n =
   let label row = match pids with None -> 0 | Some ids -> ids.(row) in
-  (* an empty table stores one empty slice (or none): nothing to keep *)
+  (* an empty table stores one empty slice: nothing to keep *)
   let olds =
     Array.of_list
       (List.filter (fun p -> old_b.(p + 1) > old_b.(p)) (List.init (Array.length old_b - 1) Fun.id))
   in
   let labels = Array.map (fun p -> label old_perm.(old_b.(p))) olds in
   let nold = Array.length olds in
-  let ascending = ref true in
   for i = 1 to nold - 1 do
-    if labels.(i - 1) >= labels.(i) then ascending := false
+    assert (labels.(i - 1) < labels.(i))
   done;
-  if not !ascending then None
-  else begin
-    let groups = Hashtbl.create 16 in
-    for row = n - 1 downto n_old do
-      let l = label row in
-      Hashtbl.replace groups l (row :: Option.value ~default:[] (Hashtbl.find_opt groups l))
-    done;
-    let delta l = match Hashtbl.find_opt groups l with Some rows -> Array.of_list rows | None -> [||] in
-    let is_old l =
-      let i = Holistic_util.Binary_search.lower_bound labels ~lo:0 ~hi:nold l in
-      i < nold && labels.(i) = l
-    in
-    let fresh =
-      List.sort Int.compare (Hashtbl.fold (fun l _ acc -> if is_old l then acc else l :: acc) groups [])
-    in
-    let slices = ref [] in
-    let rec go i fresh =
-      match fresh with
-      | l :: rest when i = nold || l < labels.(i) ->
-          slices := { old = -1; delta = delta l } :: !slices;
-          go i rest
-      | _ when i < nold ->
-          slices := { old = olds.(i); delta = delta labels.(i) } :: !slices;
-          go (i + 1) fresh
-      | _ -> ()
-    in
-    go 0 fresh;
-    Some (Array.of_list (List.rev !slices))
-  end
+  let groups = Hashtbl.create 16 in
+  for row = n - 1 downto n_old do
+    let l = label row in
+    Hashtbl.replace groups l (row :: Option.value ~default:[] (Hashtbl.find_opt groups l))
+  done;
+  let delta l = match Hashtbl.find_opt groups l with Some rows -> Array.of_list rows | None -> [||] in
+  let is_old l =
+    let i = Holistic_util.Binary_search.lower_bound labels ~lo:0 ~hi:nold l in
+    i < nold && labels.(i) = l
+  in
+  let fresh =
+    List.sort Int.compare (Hashtbl.fold (fun l _ acc -> if is_old l then acc else l :: acc) groups [])
+  in
+  let slices = ref [] in
+  let rec go i fresh =
+    match fresh with
+    | l :: rest when i = nold || l < labels.(i) ->
+        slices := { old = -1; delta = delta l } :: !slices;
+        go i rest
+    | _ when i < nold ->
+        slices := { old = olds.(i); delta = delta labels.(i) } :: !slices;
+        go (i + 1) fresh
+    | _ -> ()
+  in
+  go 0 fresh;
+  Array.of_list (List.rev !slices)
 
 (* A touched slice's rows keyed for the splice: [mw] views compile
    positions [0, m) of [rows] (table row ids), of which [\[0, split)] are
@@ -532,69 +473,60 @@ let splice ~old_perm ~old_b ~boundaries ~n fills =
    every other partition. Every step follows the full sort's strict total
    order — partition label, key words, residual, ascending row id — so
    the permutation and boundaries are bit-identical to sorting the
-   appended table from scratch. When the refreshed labels no longer
-   ascend over the old partitions, the order falls back to a full sort,
-   which {!classify_append} then salvages partition by partition. *)
+   appended table from scratch. The classification falls out of the
+   splice: a copied partition is reused, one extended in order keeps its
+   caches (marked stale for incremental maintenance) and its cached
+   outputs, which answer the slice's first rows the extension did not
+   move; an interleaved or new partition is rebuilt. *)
 let maintain_append s entry ~pids ~order ~n_old ~n =
   let table = s.table and old_perm = entry.perm and old_b = entry.boundaries in
   let span name ?(args = fun () -> []) f = Obs.span ("session." ^ name) ~args f in
-  let planned =
+  let slices, boundaries =
     span "boundaries" (fun () ->
-        Option.map
-          (fun slices ->
-            let boundaries = Array.make (Array.length slices + 1) 0 in
-            Array.iteri
-              (fun p { old; delta } ->
-                let len = if old < 0 then 0 else old_b.(old + 1) - old_b.(old) in
-                boundaries.(p + 1) <- boundaries.(p) + len + Array.length delta)
-              slices;
-            (slices, boundaries))
-          (plan_slices ~pids ~old_perm ~old_b ~n_old ~n))
+        let slices = plan_slices ~pids ~old_perm ~old_b ~n_old ~n in
+        let boundaries = Array.make (Array.length slices + 1) 0 in
+        Array.iteri
+          (fun p { old; delta } ->
+            let len = if old < 0 then 0 else old_b.(old + 1) - old_b.(old) in
+            boundaries.(p + 1) <- boundaries.(p) + len + Array.length delta)
+          slices;
+        (slices, boundaries))
   in
-  let perm, boundaries, parts, prov =
-    match planned with
-    | Some (slices, boundaries) ->
-        let keyed_rows = ref 0 in
-        let fills =
-          span "compile"
-            ~args:(fun () -> [ ("keyed_rows", string_of_int !keyed_rows) ])
-            (fun () ->
-              let fills, k = key_slices table order ~old_perm ~old_b slices in
-              keyed_rows := k;
-              fills)
-        in
-        let perm = span "splice" (fun () -> splice ~old_perm ~old_b ~boundaries ~n fills) in
-        let parts =
-          span "classify" (fun () ->
-              Array.map
-                (function
-                  | Copy op ->
-                      s.tally_reused <- s.tally_reused + 1;
-                      entry.parts.(op)
-                  | After (op, _) ->
-                      let part = entry.parts.(op) in
-                      Build_cache.advance part.cache;
-                      part.status <- Extended;
-                      s.tally_extended <- s.tally_extended + 1;
-                      part
-                  | Merge _ ->
-                      s.tally_rebuilt <- s.tally_rebuilt + 1;
-                      fresh_part s.counters Rebuilt)
-                fills)
-        in
-        (perm, boundaries, parts, Printf.sprintf "maintained(+%d rows)" (n - n_old))
-    | None ->
-        let perm, boundaries, _ = span "sort" (fun () -> full_sort s.pool table ~pids ~order) in
-        let parts =
-          span "classify" (fun () ->
-              classify_append s ~pids ~old_perm ~old_b ~old_parts:entry.parts ~perm ~boundaries ~n_old)
-        in
-        (perm, boundaries, parts, "rebuilt(order)")
+  let keyed_rows = ref 0 in
+  let fills =
+    span "compile"
+      ~args:(fun () -> [ ("keyed_rows", string_of_int !keyed_rows) ])
+      (fun () ->
+        let fills, k = key_slices table order ~old_perm ~old_b slices in
+        keyed_rows := k;
+        fills)
   in
-  entry.perm <- perm;
+  entry.perm <- span "splice" (fun () -> splice ~old_perm ~old_b ~boundaries ~n fills);
   entry.boundaries <- boundaries;
-  entry.parts <- parts;
-  entry.prov <- prov
+  entry.parts <-
+    span "classify" (fun () ->
+        Array.map
+          (function
+            | Copy op ->
+                s.tally_reused <- s.tally_reused + 1;
+                entry.parts.(op)
+            | After (op, _) ->
+                let part = entry.parts.(op) in
+                Build_cache.advance part.cache;
+                part.status <- Extended;
+                s.tally_extended <- s.tally_extended + 1;
+                part
+            | Merge _ ->
+                s.tally_rebuilt <- s.tally_rebuilt + 1;
+                fresh_part s.counters Rebuilt)
+          fills);
+  entry.prov <- Printf.sprintf "maintained(+%d rows)" (n - n_old)
+
+(* Recompute every cached partition-id array on the mutated table
+   (entries share them). *)
+let refresh_pids s =
+  let pbs = Hashtbl.fold (fun pb _ acc -> pb :: acc) s.pids [] in
+  List.iter (fun pb -> Hashtbl.replace s.pids pb (partition_ids s.pool s.table pb)) pbs
 
 let append_rows s delta =
   let n_old = Table.nrows s.table in
@@ -606,11 +538,7 @@ let append_rows s delta =
     Obs.span "session.append"
       ~args:(fun () -> [ ("rows", string_of_int dn); ("total", string_of_int n) ])
       (fun () ->
-        (* refresh every cached partition-id array on the appended table
-           first (entries share them), then maintain each stage order *)
-        Obs.span "session.pids" (fun () ->
-            let pbs = Hashtbl.fold (fun pb _ acc -> pb :: acc) s.pids [] in
-            List.iter (fun pb -> Hashtbl.replace s.pids pb (partition_ids s.pool s.table pb)) pbs);
+        Obs.span "session.pids" (fun () -> refresh_pids s);
         Hashtbl.iter
           (fun (pb, order) entry ->
             let pids = pids_for s ~pb ~compute:(fun () -> partition_ids s.pool s.table pb) in
@@ -625,13 +553,13 @@ let append_rows s delta =
 (* Eviction never re-sorts: filtering a sorted permutation and renumbering
    the surviving row ids monotonically preserves the codec's total order
    (the final tie-break is ascending row id, and the renumbering keeps
-   relative id order), so the filtered permutation is exactly what a full
-   sort of the evicted table would produce — up to the order of
-   hash-densified partition labels, which the next append's label
-   guard re-checks.  Partitions keep their relative order, so the new
-   boundaries are survivor-count prefix sums; a partition that lost no
-   rows keeps its caches and outputs (structures index slice positions
-   and row values, both unchanged), one that lost any row is rebuilt. *)
+   relative id order), and the refreshed partition labels keep the
+   survivors' relative order, so the filtered permutation is exactly what
+   a full sort of the evicted table would produce.  Partitions keep their
+   relative order, so the new boundaries are survivor-count prefix sums;
+   a partition that lost no rows keeps its caches and outputs (structures
+   index slice positions and row values, both unchanged), one that lost
+   any row is rebuilt. *)
 let apply_evict s keep =
   let n_old = Array.length keep in
   let kept = Array.fold_left (fun acc k -> if k then acc + 1 else acc) 0 keep in
@@ -652,8 +580,7 @@ let apply_evict s keep =
       ~args:(fun () ->
         [ ("rows", string_of_int (n_old - kept)); ("total", string_of_int kept) ])
       (fun () ->
-        let pbs = Hashtbl.fold (fun pb _ acc -> pb :: acc) s.pids [] in
-        List.iter (fun pb -> Hashtbl.replace s.pids pb (partition_ids s.pool s.table pb)) pbs;
+        refresh_pids s;
         Hashtbl.iter
           (fun _ entry ->
             let old_perm = entry.perm and old_b = entry.boundaries in
@@ -679,8 +606,10 @@ let apply_evict s keep =
                   if !c > 0 then incr surviving;
                   !c)
             in
-            let boundaries = Array.make (!surviving + 1) 0 in
-            let parts = Array.make !surviving (fresh_part s.counters Rebuilt) in
+            (* an emptied table keeps one empty slice, as a full sort does *)
+            let nparts = max 1 !surviving in
+            let boundaries = Array.make (nparts + 1) 0 in
+            let parts = Array.make nparts (fresh_part s.counters Rebuilt) in
             let idx = ref 0 and off = ref 0 in
             for p = 0 to old_nparts - 1 do
               if surv.(p) > 0 then begin
@@ -698,7 +627,7 @@ let apply_evict s keep =
                 incr idx
               end
             done;
-            boundaries.(!surviving) <- kept;
+            boundaries.(nparts) <- kept;
             entry.perm <- perm;
             entry.boundaries <- boundaries;
             entry.parts <- parts;

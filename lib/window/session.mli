@@ -27,6 +27,10 @@
       no re-sort at all — keeping every untouched partition's caches and
       cached outputs.
 
+    After every append and every eviction each stored stage equals
+    {!full_sort} of the current table: partition labels follow the key
+    order ({!partition_ids}), so no mutation reorders partitions.
+
     Sessions are single-threaded between queries: mutations must not
     overlap a running {!Window_plan.run}. *)
 
@@ -40,9 +44,16 @@ module Task_pool = Holistic_parallel.Task_pool
     the plan aliases them. *)
 
 val partition_ids : Task_pool.t -> Table.t -> Expr.t list -> int array option
-(** Dense integer partition keys for the PARTITION BY expressions: equal
-    iff every expression agrees ([None] for an empty list — one global
-    partition). *)
+(** Integer partition keys for the PARTITION BY expressions ([None] for
+    an empty list — one global partition): two rows' keys are equal iff
+    every expression agrees, and they compare as the key tuples do under
+    one fixed total order — lexicographic over the expressions, each
+    column by {!Column.distinct_ids} and each other expression by
+    [Stdlib.compare] on its values (NULLs together, every NaN together,
+    [-0. = +0.], [Int 1] apart from [Float 1.]). So the keys of any subset
+    ({!Table.gather}) or superset ({!Table.append}) of the rows keep their
+    relative order, and a stored stage's partitions stay in the order a
+    fresh sort gives after every append and eviction. *)
 
 val boundaries_of_key0 : key0:int array -> divisor:int -> int -> int array
 (** Partition boundary offsets read off the sorted leading key word (the
@@ -139,10 +150,16 @@ val lookup :
   option
 (** The stored stage for [(pb, order)], if any: permutation, boundaries,
     per-partition state, a provenance tag for the stage's sort span
-    ([maintained(+n rows)] / [maintained(-n rows)] / [rebuilt(reason)]
-    right after a mutation, [reused(epoch=k)] thereafter) and the
+    ([maintained(+n rows)] / [maintained(-n rows)] right after a
+    mutation, [reused(epoch=k)] thereafter) and the
     per-item backend memo from the previous query (those structures are
     cached, so the cost model treats their build cost as sunk). *)
+
+val stages : t -> (Expr.t list * Sort_spec.t * int array * int array) list
+(** Every stored stage as [(pb, order, perm, boundaries)], in no set
+    order, leaving the provenance tags {!lookup} consumes alone. After
+    every append and every eviction each equals {!full_sort} of the
+    current table. *)
 
 val store :
   t ->

@@ -103,8 +103,8 @@ val run :
     structures' build cost as sunk.  After an in-order append an item
     probes only the rows whose frame reaches a new row and copies the
     rest from its cached output.  Sort and item spans gain a [cache] arg
-    carrying the provenance ([reused(epoch=k)] / [maintained(±n rows)] /
-    [rebuilt(reason)] on sorts, [reused(outputs)] /
+    carrying the provenance ([reused(epoch=k)] / [maintained(±n rows)]
+    on sorts, [rebuilt(stale)] on builds, [reused(outputs)] /
     [maintained(probed=p of n)] on items), and the capture counts
     [cache.probed_rows] and [cache.copied_rows]. *)
 

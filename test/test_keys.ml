@@ -326,6 +326,104 @@ let test_window_boundaries () =
     done
   done
 
+(* ------------------------------------------------------------------ *)
+(* Partition ids                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every column type with NULLs; floats with NaN, both zeros and a 1.0 an
+   Int 1 must stay apart from in a mixed expression key.  Ints stay clear
+   of [min_int], the NULL label of int-like columns. *)
+let pid_table rng n =
+  let nulls () = null_mask rng n 4 in
+  let floats = [| Float.nan; -0.; 0.; 1.; -1.5; 2.; infinity |] in
+  Table.create
+    [
+      ("i", Column.make ?nulls:(nulls ()) (Column.Ints (Array.init n (fun _ -> Rng.int_in rng (-2) 3))));
+      ( "f",
+        Column.make ?nulls:(nulls ())
+          (Column.Floats (Array.init n (fun _ -> floats.(Rng.int rng (Array.length floats))))) );
+      ( "s",
+        Column.make ?nulls:(nulls ())
+          (Column.Strings (Array.init n (fun _ -> string_pool.(Rng.int rng (Array.length string_pool))))) );
+      ("b", Column.make ?nulls:(nulls ()) (Column.Bools (Array.init n (fun _ -> Rng.bool rng))));
+      ("d", Column.make ?nulls:(nulls ()) (Column.Dates (Array.init n (fun _ -> Rng.int rng 5))));
+    ]
+
+let pid_keys =
+  [
+    [ Expr.Col "i" ];
+    [ Expr.Col "f" ];
+    [ Expr.Col "s" ];
+    [ Expr.Col "b" ];
+    [ Expr.Col "d" ];
+    [ Expr.Col "s"; Expr.Col "f" ];
+    [ Expr.Add (Expr.Col "i", Expr.Const (Value.Int 1)) ];
+    (* Int and Float values in one key *)
+    [ Expr.Case ([ (Expr.Ge (Expr.Col "i", Expr.Const (Value.Int 0)), Expr.Col "i") ], Some (Expr.Col "f")) ];
+  ]
+
+(* The first-appearance numbering partition ids once were, over each
+   row's tuple of key values: the reference for their equality classes. *)
+let first_appearance keys =
+  let seen = Hashtbl.create 64 in
+  Array.map
+    (fun k ->
+      match Hashtbl.find_opt seen k with
+      | Some id -> id
+      | None ->
+          let id = Hashtbl.length seen in
+          Hashtbl.add seen k id;
+          id)
+    keys
+
+let row_keys table pb =
+  let fs = List.map (Expr.compile table) pb in
+  Array.init (Table.nrows table) (fun i -> List.map (fun f -> f i) fs)
+
+let sign c = Int.compare c 0
+
+(* Partition ids equal the old numbering's classes and order like the key
+   tuples under [Stdlib.compare] (NULL lowest, NaN below every number,
+   [-0. = +0.], lexicographic over the expressions); a gathered subset and
+   an appended superset keep their relative order. *)
+let test_partition_ids () =
+  let pool = Task_pool.create 1 in
+  Fun.protect ~finally:(fun () -> Task_pool.shutdown pool) @@ fun () ->
+  let rng = Rng.create 3030 in
+  let ids_of table pb = Option.get (Holistic_window.Session.partition_ids pool table pb) in
+  for round = 0 to 59 do
+    let n = Rng.int rng 70 in
+    let table = pid_table rng n in
+    List.iter
+      (fun pb ->
+        let ctx = Printf.sprintf "round %d, (%s)" round (String.concat ", " (List.map Expr.to_string pb)) in
+        let ids = ids_of table pb and keys = row_keys table pb in
+        let reference = first_appearance keys in
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            if (ids.(i) = ids.(j)) <> (reference.(i) = reference.(j)) then
+              Alcotest.failf "%s: rows %d and %d grouped unlike the reference" ctx i j;
+            if sign (Int.compare ids.(i) ids.(j)) <> sign (compare keys.(i) keys.(j)) then
+              Alcotest.failf "%s: ids of rows %d and %d do not ascend with the key" ctx i j
+          done
+        done;
+        let keeps_order ~what ids' pos =
+          Array.iteri
+            (fun a ra ->
+              Array.iteri
+                (fun b rb ->
+                  if sign (Int.compare ids'.(a) ids'.(b)) <> sign (Int.compare ids.(ra) ids.(rb)) then
+                    Alcotest.failf "%s: %s moves rows %d and %d" ctx what ra rb)
+                pos)
+            pos
+        in
+        let rows = Array.init (Rng.int rng (n + 1)) (fun _ -> Rng.int rng n) in
+        keeps_order ~what:"a gathered subset" (ids_of (Table.gather table rows) pb) rows;
+        let superset = Table.append table (pid_table rng (Rng.int rng 30)) in
+        keeps_order ~what:"an appended superset" (ids_of superset pb) (Array.init n Fun.id))
+      pid_keys
+  done
+
 (* String densification against the obvious reference: sort the distinct
    non-NULL strings, a row's code is its string's index.  Then the same
    columns through the codec under every direction and NULL placement. *)
@@ -774,6 +872,7 @@ let () =
         [
           Alcotest.test_case "codec coverage shape" `Quick test_codec_shape;
           Alcotest.test_case "string densification" `Quick test_string_ranks;
+          Alcotest.test_case "partition ids order like the key" `Quick test_partition_ids;
           Alcotest.test_case "order-code memo" `Quick test_order_code_memo;
           Alcotest.test_case "order codes of every type" `Quick test_order_code_paths;
           Alcotest.test_case "nullable fast-key encode" `Quick test_nullable_fast_key_encode;

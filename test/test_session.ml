@@ -162,7 +162,15 @@ let gen_item rng ~name =
   | 16 -> Wf.cume_dist ?filter ~name order
   | _ -> if Rng.bool rng then Wf.row_number ?filter ~name order else Wf.avg ?filter ~name (num_col rng)
 
-let partition_pool = [| []; [ Expr.Col "g" ]; [ Expr.Col "s" ]; [ Expr.Col "g"; Expr.Col "k" ] |]
+let partition_pool =
+  [|
+    [];
+    [ Expr.Col "g" ];
+    [ Expr.Col "s" ];
+    [ Expr.Col "f" ];
+    [ Expr.Add (Expr.Col "k", Expr.Const (Value.Int 1)) ];
+    [ Expr.Col "g"; Expr.Col "k" ];
+  |]
 
 let gen_clauses rng =
   let nclauses = 1 + Rng.int rng 3 in
@@ -262,6 +270,32 @@ let table_to_string table =
   done;
   Buffer.contents buf
 
+(* A copy of [table] without order codes: a full sort may leave codes
+   behind in the columns it sorts, which would change what the session's
+   next append reads. *)
+let code_free table = Table.append table (Table.gather table [||])
+
+(* A stage's permutation and boundaries against a stateless full sort of
+   [table] by [(pb, order)]. *)
+let check_sorted ~pool ~ctx table ~pb ~order perm boundaries =
+  let pids = Session.partition_ids pool table pb in
+  let perm0, b0, _ = Session.full_sort pool table ~pids ~order in
+  Alcotest.(check (array int)) (ctx ^ ": permutation") perm0 perm;
+  Alcotest.(check (array int)) (ctx ^ ": boundaries") b0 boundaries
+
+(* Every stored stage equals a fresh sort after every mutation. *)
+let check_stages ~pool ~ctx session =
+  let table = code_free (Session.table session) in
+  List.iter
+    (fun (pb, order, perm, boundaries) ->
+      let ctx =
+        Printf.sprintf "%s: stage (%s) by %s" ctx
+          (String.concat ", " (List.map Expr.to_string pb))
+          (Sort_spec.to_string order)
+      in
+      check_sorted ~pool ~ctx table ~pb ~order perm boundaries)
+    (Session.stages session)
+
 let run_case ~pool rng idx ~seed =
   let rng = Rng.split rng in
   let session = Session.create ~pool (gen_table rng) in
@@ -294,7 +328,8 @@ let run_case ~pool rng idx ~seed =
     | 0 ->
         let delta = gen_delta rng in
         ops := Printf.sprintf "append %d" (Table.nrows delta) :: !ops;
-        Session.append_rows session delta
+        Session.append_rows session delta;
+        check_stages ~pool ~ctx:(trace ()) session
     | 1 ->
         let table = Session.table session in
         if Rng.bool rng then begin
@@ -305,7 +340,8 @@ let run_case ~pool rng idx ~seed =
         else begin
           ops := "evict_where" :: !ops;
           Session.evict_where session (gen_evict_pred rng table)
-        end
+        end;
+        check_stages ~pool ~ctx:(trace ()) session
     | _ ->
         ops := "query" :: !ops;
         query ()
@@ -466,7 +502,8 @@ let run_in_order_case ~pool ~partial rng idx ~seed =
     ops :=
       Printf.sprintf "%s %d" (if in_order then "append" else "append_interleaved") (Table.nrows delta)
       :: !ops;
-    Session.append_rows session delta
+    Session.append_rows session delta;
+    check_stages ~pool ~ctx:(trace ()) session
   in
   let query () =
     let clauses = shapes.(Rng.int rng (Array.length shapes)) in
@@ -510,7 +547,8 @@ let run_in_order_case ~pool ~partial rng idx ~seed =
         else begin
           ops := "evict_where" :: !ops;
           Session.evict_where session (gen_evict_pred rng table)
-        end
+        end;
+        check_stages ~pool ~ctx:(trace ()) session
     | _ ->
         ops := "query" :: !ops;
         query ()
@@ -831,20 +869,13 @@ let splice_rows ~g ~k =
 
 let status_name = function Session.Reused -> "R" | Session.Extended -> "X" | Session.Rebuilt -> "B"
 
-(* The stored stage of [(pb, order)] against a full sort of a code-free
-   copy of the session's table (a full sort may leave order codes behind
-   in the columns it sorts, which would change what the next append
-   reads); returns the provenance and the parts' statuses. *)
+(* The stored stage of [(pb, order)] against a full sort ({!check_sorted});
+   returns the provenance and the parts' statuses. *)
 let check_stage ~pool ~ctx session ~pb ~order =
-  let table = Session.table session in
-  let copy = Table.append table (Table.gather table [||]) in
   match Session.lookup session ~pb ~order with
   | None -> Alcotest.failf "%s: stage not stored" ctx
   | Some (perm, boundaries, parts, prov, _) ->
-      let pids = Session.partition_ids pool copy pb in
-      let perm0, b0, _ = Session.full_sort pool copy ~pids ~order in
-      Alcotest.(check (array int)) (ctx ^ ": permutation") perm0 perm;
-      Alcotest.(check (array int)) (ctx ^ ": boundaries") b0 boundaries;
+      check_sorted ~pool ~ctx (code_free (Session.table session)) ~pb ~order perm boundaries;
       (prov, String.concat "" (Array.to_list (Array.map (fun p -> status_name p.Session.status) parts)))
 
 (* A session holding one stage of [(pb, order)]; [append] applies a delta,
@@ -867,17 +898,16 @@ let splice_session ~pool ~pb ~order table =
       (Window_plan.run ~pool ~session table clauses)
   in
   query "first query";
-  let append ~ctx ~prov ~statuses delta =
+  let append ~ctx ~statuses delta =
     Session.append_rows session delta;
     let got_prov, got = check_stage ~pool ~ctx session ~pb ~order in
-    let want_prov =
-      if prov = `Maintained then Printf.sprintf "maintained(+%d rows)" (Table.nrows delta) else "rebuilt(order)"
-    in
-    Alcotest.(check string) (ctx ^ ": provenance") want_prov got_prov;
+    Alcotest.(check string) (ctx ^ ": provenance")
+      (Printf.sprintf "maintained(+%d rows)" (Table.nrows delta))
+      got_prov;
     Alcotest.(check string) (ctx ^ ": part statuses") statuses got;
     query ctx
   in
-  (session, append)
+  (session, query, append)
 
 let by_k = [ Sort_spec.asc (Expr.Col "k") ]
 
@@ -889,37 +919,41 @@ let test_splice_partitions () =
       let n = 60 in
       (* labels 10, 20, 30 *)
       let table = splice_rows ~g:(Array.init n (fun i -> 10 * (1 + (i mod 3)))) ~k:(Array.init n Fun.id) in
-      let _, append = splice_session ~pool ~pb:[ Expr.Col "g" ] ~order:by_k table in
-      append ~ctx:"in order into 10 and 30" ~prov:`Maintained ~statuses:"XRX"
+      let _, _, append = splice_session ~pool ~pb:[ Expr.Col "g" ] ~order:by_k table in
+      append ~ctx:"in order into 10 and 30" ~statuses:"XRX"
         (splice_rows ~g:[| 30; 10; 30 |] ~k:[| 100; 101; 102 |]);
-      append ~ctx:"back-dated into 20" ~prov:`Maintained ~statuses:"RBR"
+      append ~ctx:"back-dated into 20" ~statuses:"RBR"
         (splice_rows ~g:[| 20; 20 |] ~k:[| 200; 5 |]);
       (* a tie on the key with the partition's last row sorts after it:
          the new row's id is larger *)
-      append ~ctx:"tie with the last row" ~prov:`Maintained ~statuses:"XRR"
+      append ~ctx:"tie with the last row" ~statuses:"XRR"
         (splice_rows ~g:[| 10 |] ~k:[| 101 |]);
-      append ~ctx:"new labels before, between and after" ~prov:`Maintained ~statuses:"BRBXBRB"
+      append ~ctx:"new labels before, between and after" ~statuses:"BRBXBRB"
         (splice_rows ~g:[| 35; 15; 5; 20; 25; 5 |] ~k:[| 1; 2; 3; 300; 4; 0 |]))
 
-(* Partition ids of a string column number the values in first-appearance
-   order.  Evicting the first row renumbers them, so the old partitions'
-   labels no longer ascend: the next append must sort the order afresh
-   and salvage the parts the delta left alone. *)
-let test_splice_relabel () =
+(* Partition ids of a string column follow the string order, so evicting
+   a partition's first row keeps the partitions in key order (a, mm, q,
+   x, yy): the filtered stage equals a fresh sort right after the
+   eviction, and the next append splices into it. *)
+let test_evict_keeps_order () =
   let pool = Task_pool.create 1 in
   Fun.protect
     ~finally:(fun () -> Task_pool.shutdown pool)
     (fun () ->
       let n = 30 in
-      (* s cycles x, yy, a, q, mm: partitions in label order x, yy, a, q, mm *)
+      (* s cycles x, yy, a, q, mm with k *)
       let table = splice_rows ~g:(Array.make n 0) ~k:(Array.init n Fun.id) in
-      let session, append = splice_session ~pool ~pb:[ Expr.Col "s" ] ~order:by_k table in
+      let pb = [ Expr.Col "s" ] in
+      let session, query, append = splice_session ~pool ~pb ~order:by_k table in
       Session.evict_prefix session 1;
-      (* now yy comes first; "mm" (k = 4) gets an in-order row *)
-      append ~ctx:"after relabelling" ~prov:`Rebuilt ~statuses:"RRRXB"
-        (splice_rows ~g:[| 0 |] ~k:[| 104 |]);
-      append ~ctx:"labels ascend again" ~prov:`Maintained ~statuses:"RRRRX"
-        (splice_rows ~g:[| 0 |] ~k:[| 100 |]))
+      let prov, statuses = check_stage ~pool ~ctx:"after the eviction" session ~pb ~order:by_k in
+      Alcotest.(check string) "eviction provenance" "maintained(-1 rows)" prov;
+      (* "x" lost its first row *)
+      Alcotest.(check string) "eviction part statuses" "RRRBR" statuses;
+      query "after the eviction";
+      (* "mm" (k = 104) gets an in-order row *)
+      append ~ctx:"append after the eviction" ~statuses:"RXRRR" (splice_rows ~g:[| 0 |] ~k:[| 104 |]);
+      append ~ctx:"second append" ~statuses:"RRRXR" (splice_rows ~g:[| 0 |] ~k:[| 100 |]))
 
 let test_splice_unpartitioned () =
   let pool = Task_pool.create 1 in
@@ -928,9 +962,9 @@ let test_splice_unpartitioned () =
     (fun () ->
       let n = 50 in
       let table = splice_rows ~g:(Array.make n 0) ~k:(Array.init n (fun i -> 2 * i)) in
-      let _, append = splice_session ~pool ~pb:[] ~order:by_k table in
-      append ~ctx:"in order" ~prov:`Maintained ~statuses:"X" (splice_rows ~g:[| 0; 0 |] ~k:[| 500; 400 |]);
-      append ~ctx:"back-dated" ~prov:`Maintained ~statuses:"B" (splice_rows ~g:[| 0; 0 |] ~k:[| 501; 7 |]))
+      let _, _, append = splice_session ~pool ~pb:[] ~order:by_k table in
+      append ~ctx:"in order" ~statuses:"X" (splice_rows ~g:[| 0; 0 |] ~k:[| 500; 400 |]);
+      append ~ctx:"back-dated" ~statuses:"B" (splice_rows ~g:[| 0; 0 |] ~k:[| 501; 7 |]))
 
 (* Orders of several key words, of the residual alone (an interval key
    compiles to no word) and of a string key (whose order codes
@@ -951,9 +985,9 @@ let test_splice_orders () =
         (Array.length (Key_codec.compile table [ Sort_spec.asc days ]).Key_codec.words);
       List.iter
         (fun (name, order, late, early) ->
-          let _, append = splice_session ~pool ~pb:[ Expr.Col "g" ] ~order table in
-          append ~ctx:(name ^ ", in order") ~prov:`Maintained ~statuses:"XR" (splice_rows ~g:[| 0 |] ~k:[| late |]);
-          append ~ctx:(name ^ ", back-dated") ~prov:`Maintained ~statuses:"RB"
+          let _, _, append = splice_session ~pool ~pb:[ Expr.Col "g" ] ~order table in
+          append ~ctx:(name ^ ", in order") ~statuses:"XR" (splice_rows ~g:[| 0 |] ~k:[| late |]);
+          append ~ctx:(name ^ ", back-dated") ~statuses:"RB"
             (splice_rows ~g:[| 1 |] ~k:[| early |]))
         [
           (* v = (k * 7 mod 101) / 3 is at most 99/3 over the table and
@@ -976,7 +1010,7 @@ let test_append_phases () =
       let n = 51_500 and groups = 85 in
       let table = splice_rows ~g:(Array.init n (fun i -> i * 7 mod groups)) ~k:(Array.init n Fun.id) in
       let pb = [ Expr.Col "g" ] in
-      let session, _ = splice_session ~pool ~pb ~order:by_k table in
+      let session, _, _ = splice_session ~pool ~pb ~order:by_k table in
       let module Obs = Holistic_obs.Obs in
       let (), trace = Obs.with_capture (fun () -> Session.append_rows session (splice_rows ~g:[| 3 |] ~k:[| n |])) in
       let root =
@@ -1018,7 +1052,7 @@ let () =
           Alcotest.test_case "sql session front door" `Quick test_sql_session;
           Alcotest.test_case "residual-only order maintains" `Quick test_residual_order_append;
           Alcotest.test_case "splice into touched partitions" `Quick test_splice_partitions;
-          Alcotest.test_case "relabelled partitions re-sort" `Quick test_splice_relabel;
+          Alcotest.test_case "eviction keeps the partition order" `Quick test_evict_keeps_order;
           Alcotest.test_case "splice without partitions" `Quick test_splice_unpartitioned;
           Alcotest.test_case "splice multi-word, residual, string" `Quick test_splice_orders;
           Alcotest.test_case "append phases and keyed rows" `Quick test_append_phases;

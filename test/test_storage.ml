@@ -91,7 +91,46 @@ let test_distinct_ids () =
     (ids.(0) <> ids.(1) && ids.(0) <> ids.(3) && ids.(1) <> ids.(3));
   let ints = Column.ints [| 7; 7; 9 |] in
   Alcotest.(check (array int)) "int fast path is raw values" [| 7; 7; 9 |]
-    (Column.distinct_ids ints)
+    (Column.distinct_ids ints);
+  Alcotest.(check bool) "ids ascend with the value" true (ids.(0) < ids.(1) && ids.(1) < ids.(3));
+  let strs = Column.of_values [| Value.String "b"; Value.Null; Value.String "a"; Value.String "b" |] in
+  let ids = Column.distinct_ids strs in
+  Alcotest.(check bool) "string ids ascend, NULL lowest" true
+    (ids.(1) = min_int && ids.(1) < ids.(2) && ids.(2) < ids.(0) && ids.(0) = ids.(3))
+
+(* [Column.append]'s NULL mask against the per-row definition: lengths
+   off a multiple of 8, either side or both without a mask. A side is its
+   per-row NULL flags and whether it carries a mask at all. *)
+let append_nulls =
+  let side = QCheck.(pair (list_of_size Gen.(int_bound 40) bool) bool) in
+  QCheck.Test.make ~name:"append NULL mask matches per-row" ~count:500 (QCheck.pair side side)
+    (fun ((fa, ma), (fb, mb)) ->
+      let column flags masked =
+        let n = List.length flags in
+        let nulls =
+          if masked then begin
+            let m = Bitset.create n in
+            List.iteri (fun i null -> if null then Bitset.set m i) flags;
+            Some m
+          end
+          else None
+        in
+        Column.make ?nulls (Column.Ints (Array.init n Fun.id))
+      in
+      let a = column fa ma and b = column fb mb in
+      let c = Column.append a b in
+      let na = Column.length a in
+      Column.length c = na + Column.length b
+      && Option.is_some (Column.null_mask c) = (ma || mb)
+      && List.for_all
+           (fun i -> Column.is_null c i = if i < na then Column.is_null a i else Column.is_null b (i - na))
+           (List.init (Column.length c) Fun.id)
+      (* no stray bit past the last row *)
+      && Option.fold ~none:true
+           ~some:(fun m ->
+             let nulls flags masked = if masked then List.length (List.filter Fun.id flags) else 0 in
+             Bitset.count m = nulls fa ma + nulls fb mb)
+           (Column.null_mask c))
 
 (* A column without order codes weighs what the memo-less layout did: a
    two-field record over the same data and NULL mask.  Codes, once
@@ -290,6 +329,7 @@ let () =
           Alcotest.test_case "null masks" `Quick test_column_nulls;
           Alcotest.test_case "of_values" `Quick test_of_values;
           Alcotest.test_case "distinct ids" `Quick test_distinct_ids;
+          QCheck_alcotest.to_alcotest append_nulls;
           Alcotest.test_case "footprint and order codes" `Quick test_footprint_memo;
         ] );
       ( "table",
