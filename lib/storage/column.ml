@@ -7,9 +7,22 @@ type data =
   | Bools of bool array
   | Dates of int array
 
-(* [codes] memoizes {!order_codes}: filled at most once, by the first
-   caller to publish, and read-only afterwards. *)
-type t = { data : data; nulls : Bitset.t option; codes : int array option Atomic.t }
+(* A column is a view of its first [len] rows over a buffer that may hold
+   more: [data] and the bytes of [nulls] are the buffer, and the rest is
+   room. Every view over one buffer shares [claimed], the buffer's
+   high-water mark: the rows some view has written. The view whose [len]
+   equals the mark owns the room and claims a delta's rows with one
+   compare-and-set ({!append}); a shorter, older view never reads past
+   its [len], so later rows never reach it. [codes] memoizes
+   {!order_codes}: filled at most once, by the first caller to publish,
+   and read-only afterwards. *)
+type t = {
+  data : data;
+  nulls : Bitset.t option;
+  len : int;
+  claimed : int Atomic.t;
+  codes : int array option Atomic.t;
+}
 
 let data_length = function
   | Ints a -> Array.length a
@@ -18,19 +31,79 @@ let data_length = function
   | Bools a -> Array.length a
   | Dates a -> Array.length a
 
-let make ?nulls data =
-  (match nulls with
-  | Some mask when Bitset.length mask <> data_length data ->
-      invalid_arg "Column.make: null mask length mismatch"
-  | _ -> ());
-  { data; nulls; codes = Atomic.make None }
+(* A buffer of [d]'s type and [cap] rows; the unused ones read as a
+   constant. *)
+let alloc_like d cap =
+  match d with
+  | Ints _ -> Ints (Array.make cap 0)
+  | Dates _ -> Dates (Array.make cap 0)
+  | Floats _ -> Floats (Array.create_float cap)
+  | Strings _ -> Strings (Array.make cap "")
+  | Bools _ -> Bools (Array.make cap false)
 
-let length t = data_length t.data
-let data t = t.data
+let blit src pos dst at n =
+  match (src, dst) with
+  | Ints s, Ints d | Dates s, Dates d -> Array.blit s pos d at n
+  | Floats s, Floats d -> Array.blit s pos d at n
+  | Strings s, Strings d -> Array.blit s pos d at n
+  | Bools s, Bools d -> Array.blit s pos d at n
+  | _ -> invalid_arg "Column.blit: type mismatch"
+
+let same_type a b =
+  match (a, b) with
+  | Ints _, Ints _ | Floats _, Floats _ | Strings _, Strings _ | Bools _, Bools _ | Dates _, Dates _ -> true
+  | _ -> false
+
+(* The capacity of a buffer that expects appends: about half again for a
+   copy that {!append} makes, so appends cost amortised O(delta); an
+   eighth for a gather ({!take}), enough for the appends between two
+   evictions of a sliding window without charging every eviction the
+   larger room. *)
+let appended_room n = n + (n lsr 1) + 8
+let gathered_room n = n + (n lsr 3) + 8
+
+let make ?nulls data =
+  let len = data_length data in
+  (match nulls with
+  | Some mask when Bitset.length mask <> len -> invalid_arg "Column.make: null mask length mismatch"
+  | _ -> ());
+  { data; nulls; len; claimed = Atomic.make len; codes = Atomic.make None }
+
+let length t = t.len
+let buffer t = t.data
+
+let data t =
+  if data_length t.data = t.len then t.data
+  else begin
+    let d = alloc_like t.data t.len in
+    blit t.data 0 d 0 t.len;
+    d
+  end
+
+let has_room t =
+  data_length t.data > t.len
+  || match t.nulls with Some m -> Bitset.capacity m > t.len + 7 | None -> false
+
+let trim t =
+  if not (has_room t) then t
+  else
+    {
+      data = data t;
+      nulls = Option.map Bitset.copy t.nulls;
+      len = t.len;
+      claimed = Atomic.make t.len;
+      codes = t.codes;
+    }
+
 let null_mask t = t.nulls
 let is_null t i = match t.nulls with None -> false | Some m -> Bitset.get m i
 
+(* The buffer's bounds are not the view's: rows past [len] are room, or
+   a longer view's. *)
+let check t i = if i < 0 || i >= t.len then invalid_arg "index out of bounds"
+
 let get t i =
+  check t i;
   if is_null t i then Value.Null
   else
     match t.data with
@@ -98,6 +171,7 @@ let of_values values =
   make ?nulls:(if !has_null then Some nulls else None) data
 
 let float_at t i =
+  check t i;
   if is_null t i then nan
   else
     match t.data with
@@ -106,47 +180,86 @@ let float_at t i =
     | Dates a -> float_of_int a.(i)
     | Strings _ | Bools _ -> invalid_arg "Column.float_at: non-numeric column"
 
-let take t rows =
-  let gather : 'a. 'a array -> 'a array = fun a -> Array.map (fun i -> a.(i)) rows in
+(* One loop per type, so no float is boxed; [rows] are checked against
+   the view's length once, up front. *)
+let take ?(room = false) t rows =
+  let k = Array.length rows in
+  for j = 0 to k - 1 do
+    check t (Array.unsafe_get rows j)
+  done;
+  let cap = if room then gathered_room k else k in
+  let gather_ints cap a =
+    let r = Array.make cap 0 in
+    for j = 0 to k - 1 do
+      Array.unsafe_set r j (Array.unsafe_get a (Array.unsafe_get rows j))
+    done;
+    r
+  in
   let data =
     match t.data with
-    | Ints a -> Ints (gather a)
-    | Floats a -> Floats (gather a)
-    | Strings a -> Strings (gather a)
-    | Bools a -> Bools (gather a)
-    | Dates a -> Dates (gather a)
+    | Ints a -> Ints (gather_ints cap a)
+    | Dates a -> Dates (gather_ints cap a)
+    | Floats a ->
+        let r = Array.create_float cap in
+        for j = 0 to k - 1 do
+          Array.unsafe_set r j (Array.unsafe_get a (Array.unsafe_get rows j))
+        done;
+        Floats r
+    | Strings a ->
+        let r = Array.make cap "" in
+        for j = 0 to k - 1 do
+          Array.unsafe_set r j (Array.unsafe_get a (Array.unsafe_get rows j))
+        done;
+        Strings r
+    | Bools a ->
+        let r = Array.make cap false in
+        for j = 0 to k - 1 do
+          Array.unsafe_set r j (Array.unsafe_get a (Array.unsafe_get rows j))
+        done;
+        Bools r
   in
-  let nulls =
-    Option.map
-      (fun m ->
-        let m' = Bitset.create (Array.length rows) in
-        Array.iteri (fun j i -> if Bitset.get m i then Bitset.set m' j) rows;
-        m')
-      t.nulls
-  in
+  let nulls = Option.map (fun m -> Bitset.gather ~capacity:cap m rows) t.nulls in
   (* gathered codes keep the column's order and stay one-to-one on the
      distinct values; they are just no longer dense *)
-  { data; nulls; codes = Atomic.make (Option.map gather (Atomic.get t.codes)) }
+  let codes = Option.map (gather_ints k) (Atomic.get t.codes) in
+  { data; nulls; len = k; claimed = Atomic.make k; codes = Atomic.make codes }
 
-(* Concatenation for the session append path: same-typed payloads are
-   blitted; an Ints/Floats mix (or a typeless all-NULL prefix) follows
-   [of_values]'s numeric-promotion rules via the boxed fallback. *)
+(* Concatenation for the session append path. Same-typed payloads go into
+   [a]'s room when [a] owns it, else into a fresh buffer with room; an
+   Ints/Floats mix (or a typeless all-NULL prefix) follows [of_values]'s
+   numeric-promotion rules via the boxed fallback. *)
 let append a b =
-  let n1 = length a and n2 = length b in
-  let nulls =
-    match a.nulls, b.nulls with
-    | None, None -> None
-    | ma, mb ->
-        let mask n = function Some m -> m | None -> Bitset.create n in
-        Some (Bitset.append (mask n1 ma) (mask n2 mb))
+  let n1 = a.len and n2 = b.len in
+  let n = n1 + n2 in
+  let mask len = function Some m -> m | None -> Bitset.create len in
+  let fits =
+    n <= data_length a.data && match a.nulls with Some m -> n <= Bitset.capacity m | None -> true
   in
-  match a.data, b.data with
-  | Ints x, Ints y -> make ?nulls (Ints (Array.append x y))
-  | Floats x, Floats y -> make ?nulls (Floats (Array.append x y))
-  | Strings x, Strings y -> make ?nulls (Strings (Array.append x y))
-  | Bools x, Bools y -> make ?nulls (Bools (Array.append x y))
-  | Dates x, Dates y -> make ?nulls (Dates (Array.append x y))
-  | _ -> of_values (Array.init (n1 + n2) (fun i -> if i < n1 then get a i else get b (i - n1)))
+  if not (same_type a.data b.data) then
+    of_values (Array.init n (fun i -> if i < n1 then get a i else get b (i - n1)))
+  else if fits && Atomic.compare_and_set a.claimed n1 n then begin
+    (* the rows past [n1] are ours now: nobody has written them *)
+    blit b.data 0 a.data n1 n2;
+    let nulls =
+      match (a.nulls, b.nulls) with
+      | None, None -> None
+      | Some m, mb -> Some (Bitset.extend m (mask n2 mb))
+      | None, Some mb -> Some (Bitset.append ~capacity:(data_length a.data) (Bitset.create n1) mb)
+    in
+    { data = a.data; nulls; len = n; claimed = a.claimed; codes = Atomic.make None }
+  end
+  else begin
+    let cap = appended_room n in
+    let data = alloc_like a.data cap in
+    blit a.data 0 data 0 n1;
+    blit b.data 0 data n1 n2;
+    let nulls =
+      match (a.nulls, b.nulls) with
+      | None, None -> None
+      | ma, mb -> Some (Bitset.append ~capacity:cap (mask n1 ma) (mask n2 mb))
+    in
+    { data; nulls; len = n; claimed = Atomic.make n; codes = Atomic.make None }
+  end
 
 let dense_numbering size =
   let table = Hashtbl.create size in
@@ -251,18 +364,38 @@ let publish t fresh =
 let order_codes t =
   match (Atomic.get t.codes, t.data) with
   | (Some _ as codes), _ -> codes
-  | None, Strings a -> Some (publish t (string_ranks (Array.length a) (fun i -> a.(i)) (is_null t)))
+  | None, Strings a -> Some (publish t (string_ranks t.len (fun i -> a.(i)) (is_null t)))
   | None, (Ints _ | Floats _ | Bools _ | Dates _) -> None
 
 let distinct_ids t =
-  let n = length t in
-  let with_nulls ids = Array.init n (fun i -> if is_null t i then min_int else ids.(i)) in
+  let n = t.len in
+  let with_nulls id = Array.init n (fun i -> if is_null t i then min_int else id i) in
   match t.data, t.nulls with
-  | (Ints a | Dates a), None -> Array.copy a
-  | (Ints a | Dates a), Some _ -> with_nulls a
-  | Bools a, _ -> with_nulls (Array.map Bool.to_int a)
-  | Floats a, _ -> with_nulls (ranks Float.compare a)
-  | Strings _, _ -> with_nulls (Option.get (order_codes t))
+  | (Ints a | Dates a), None -> Array.sub a 0 n
+  | (Ints a | Dates a), Some _ ->
+      let holds_min_int = ref false in
+      for i = 0 to n - 1 do
+        if a.(i) = min_int && not (is_null t i) then holds_min_int := true
+      done;
+      if not !holds_min_int then with_nulls (fun i -> a.(i))
+      else
+        (* NULL's [min_int] would merge with the value: rank the rows,
+           NULL lowest *)
+        ranks
+          (fun i j ->
+            match (is_null t i, is_null t j) with
+            | true, true -> 0
+            | true, false -> -1
+            | false, true -> 1
+            | false, false -> Int.compare a.(i) a.(j))
+          (Array.init n Fun.id)
+  | Bools a, _ -> with_nulls (fun i -> Bool.to_int a.(i))
+  | Floats a, _ ->
+      let r = ranks Float.compare (if Array.length a = n then a else Array.sub a 0 n) in
+      with_nulls (fun i -> r.(i))
+  | Strings _, _ ->
+      let codes = Option.get (order_codes t) in
+      with_nulls (fun i -> codes.(i))
 
 (* NULL rows sit at one end of a key order, so the non-NULL ranks form one
    interval [lo, hi]: shifting it to 0 (ASC) or mirroring it (DESC) gives
@@ -285,9 +418,11 @@ let adopt_ranks t ~desc ranks =
     ignore (publish t ranks)
   end
 
-(* The memo cell — the record field and its Atomic block, 3 words — is
-   left out, so a column without codes weighs what it did before the memo
-   existed; published codes count. *)
-let memo_cell_bytes = 24
+(* The bookkeeping — the memo cell (its field and its Atomic block), the
+   length field and the high-water mark (its field and its Atomic block),
+   7 words — is left out, so a column without codes weighs what its data
+   and mask do; published codes count. A view with room weighs what a
+   copy of exactly its rows would: the room is the next append's. *)
+let bookkeeping_bytes = 56
 
-let footprint_bytes c = (8 * Obj.reachable_words (Obj.repr c)) - memo_cell_bytes
+let footprint_bytes c = (8 * Obj.reachable_words (Obj.repr (trim c))) - bookkeeping_bytes

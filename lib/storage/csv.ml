@@ -1,7 +1,7 @@
 module Bitset = Holistic_util.Bitset
 
 let type_name c =
-  match Column.data c with
+  match Column.buffer c with
   | Column.Ints _ -> "int"
   | Column.Floats _ -> "float"
   | Column.Strings _ -> "string"
@@ -27,7 +27,7 @@ let quote s =
 let cell c i =
   if Column.is_null c i then ""
   else
-    match Column.data c with
+    match Column.buffer c with
     | Column.Ints a -> string_of_int a.(i)
     | Column.Floats a -> Printf.sprintf "%.17g" a.(i)
     | Column.Strings a -> quote a.(i)

@@ -22,7 +22,8 @@ type t = {
    correct coarsening (code < implies value <), so its word remains useful
    for run sorting and OVC merging while the residual decides ties.
    [owned] codes were made by this compile, so packing may overwrite them
-   in place; the others alias column storage. *)
+   in place; the others alias column storage, which may run past the
+   compile's [n] rows (a column's room). *)
 type raw = {
   codes : int array;
   nulls : Bitset.t option; (* None = no NULL rows *)
@@ -42,12 +43,13 @@ let gather_mask rows mask =
   let mask = match (rows, mask) with Some r, Some m -> Some (Bitset.gather m r) | _ -> mask in
   match mask with Some m when Bitset.count m > 0 -> mask | _ -> None
 
-(* Int codes in key order: [lnot] for DESC. ASC over the whole table
-   aliases [a]: words are read-only downstream. *)
-let int_codes ?rows ~desc (a : int array) =
+(* Int codes of the [n] rows in key order: [lnot] for DESC. ASC over the
+   whole table aliases [a], which may run past [n] (a column's buffer):
+   raws are read-only downstream and read only their first [n] entries. *)
+let int_codes ~n ?rows ~desc (a : int array) =
   match (rows, desc) with
   | None, false -> a
-  | None, true -> Array.map lnot a
+  | None, true -> Array.init n (fun i -> lnot (Array.unsafe_get a i))
   | Some r, false -> Array.map (fun row -> a.(row)) r
   | Some r, true -> Array.map (fun row -> lnot a.(row)) r
 
@@ -141,7 +143,7 @@ let raws_of_values n vals nulls_first desc =
     + (if !has_date then 1 else 0)
     + if !has_int || !has_float then 1 else 0
   in
-  let ints f = exact (int_codes ~desc (Array.map f vals)) nulls nulls_first in
+  let ints f = exact (int_codes ~n ~desc (Array.map f vals)) nulls nulls_first in
   if !has_other || classes > 1 then None
   else if classes = 0 then
     (* all NULL: a constant key *)
@@ -150,7 +152,7 @@ let raws_of_values n vals nulls_first desc =
   else if !has_string then begin
     let get i = match vals.(i) with Value.String s -> s | _ -> "" in
     let codes = Column.string_ranks n get (is_null nulls) in
-    Some (exact (int_codes ~desc codes) nulls nulls_first)
+    Some (exact (int_codes ~n ~desc codes) nulls nulls_first)
   end
   else if !has_date then Some (ints (function Value.Date d -> d | _ -> 0))
   else if not !has_float then Some (ints (function Value.Int v -> v | _ -> 0))
@@ -175,8 +177,8 @@ let raws_of_values n vals nulls_first desc =
 (* Every column holding order codes takes one arm, whatever its type:
    the shared memo is read in place for ASC over the whole table, else
    gathered or DESC-flipped into a fresh array. *)
-let coded_raw ~nulls ?rows ~desc nulls_first memo =
-  let codes = int_codes ?rows ~desc memo in
+let coded_raw ~n ~nulls ?rows ~desc nulls_first memo =
+  let codes = int_codes ~n ?rows ~desc memo in
   { codes; nulls; nulls_first; exact = true; owned = codes != memo }
 
 let raws_of_key ~n ?rows table (key : Sort_spec.key) =
@@ -187,15 +189,15 @@ let raws_of_key ~n ?rows table (key : Sort_spec.key) =
       match Table.column_opt table name with
       | Some c -> begin
           let nulls = gather_mask rows (Column.null_mask c) in
-          match (Column.order_codes c, Column.data c) with
-          | Some memo, _ -> Some [ coded_raw ~nulls ?rows ~desc nulls_first memo ]
+          match (Column.order_codes c, Column.buffer c) with
+          | Some memo, _ -> Some [ coded_raw ~n ~nulls ?rows ~desc nulls_first memo ]
           | None, (Column.Ints a | Column.Dates a) ->
-              let codes = int_codes ?rows ~desc a in
+              let codes = int_codes ~n ?rows ~desc a in
               Some (exact ~owned:(codes != a) codes nulls nulls_first)
           | None, Column.Bools a ->
               let bit row = Bool.to_int a.(row) in
-              let codes = match rows with None -> Array.map Bool.to_int a | Some r -> Array.map bit r in
-              Some (exact (int_codes ~desc codes) nulls nulls_first)
+              let codes = match rows with None -> Array.init n bit | Some r -> Array.map bit r in
+              Some (exact (int_codes ~n ~desc codes) nulls nulls_first)
           | None, Column.Floats a -> Some (float_raws ~n ?rows a nulls nulls_first desc)
           | None, Column.Strings _ -> assert false (* densified on first use *)
         end
@@ -303,7 +305,9 @@ let compile_over ~n ?rows ?pids sources =
           emit_direct w;
           if !collided then raise Exit
         end
-        else emit_direct codes
+        else
+          (* an aliased column buffer may run past [n]; a word may not *)
+          emit_direct (if Array.length codes = n then codes else Array.sub codes 0 n)
   in
   (* The partition ids are a virtual leading key without NULLs. Word 0 is
      forced to exist even for a single partition (span 1) so that
@@ -398,7 +402,7 @@ let code_slots ?rows table spec =
           let n = match rows with None -> Column.length c | Some r -> Array.length r in
           let nulls = gather_mask rows (Column.null_mask c) in
           let desc = key.Sort_spec.direction = Sort_spec.Desc in
-          let r = coded_raw ~nulls ?rows ~desc (not (Sort_spec.nulls_last_flag key)) memo in
+          let r = coded_raw ~n ~nulls ?rows ~desc (not (Sort_spec.nulls_last_flag key)) memo in
           match span_of ~n r with
           | Some (span, base) when span <= n ->
               let w = if r.owned then r.codes else Array.make n 0 in

@@ -26,8 +26,8 @@ let add_column t name c =
 
 let columns t = t.columns
 
-let gather t rows =
-  { columns = List.map (fun (name, c) -> (name, Column.take c rows)) t.columns;
+let gather ?room t rows =
+  { columns = List.map (fun (name, c) -> (name, Column.take ?room c rows)) t.columns;
     nrows = Array.length rows }
 
 let append t delta =
@@ -54,8 +54,13 @@ let print ?(max_rows = 20) ?(out = stdout) t =
   List.iter (fun row -> Printf.fprintf out "%s\n" (line row)) rows;
   if shown < t.nrows then Printf.fprintf out "... (%d rows total)\n" t.nrows
 
+(* Columns with room are measured as their trims, one trim per distinct
+   column, so shared columns still count once. *)
 let footprint_bytes t =
-  let distinct =
-    List.fold_left (fun acc (_, c) -> if List.memq c acc then acc else c :: acc) [] t.columns
+  let trims =
+    List.fold_left
+      (fun acc (_, c) -> if List.mem_assq c acc then acc else (c, Column.trim c) :: acc)
+      [] t.columns
   in
-  (8 * Obj.reachable_words (Obj.repr t)) - (Column.memo_cell_bytes * List.length distinct)
+  let trimmed = { t with columns = List.map (fun (n, c) -> (n, List.assq c trims)) t.columns } in
+  (8 * Obj.reachable_words (Obj.repr trimmed)) - (Column.bookkeeping_bytes * List.length trims)

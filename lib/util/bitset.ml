@@ -1,10 +1,17 @@
+(* [words] may run past the bytes [n] needs: that room belongs to whoever
+   grows the buffer ({!extend}), so every reader stops at bit [n] and
+   never trusts the bits above it. *)
 type t = { words : Bytes.t; n : int }
 
-let create n =
+let bytes_for n = (n + 7) / 8
+
+let create ?capacity n =
   if n < 0 then invalid_arg "Bitset.create";
-  { words = Bytes.make ((n + 7) / 8) '\000'; n }
+  let cap = match capacity with Some c -> max c n | None -> n in
+  { words = Bytes.make (bytes_for cap) '\000'; n }
 
 let length t = t.n
+let capacity t = Bytes.length t.words * 8
 
 let check t i = if i < 0 || i >= t.n then invalid_arg "Bitset: index out of bounds"
 
@@ -26,60 +33,100 @@ let get t i =
 
 let unsafe_get t i = Char.code (Bytes.unsafe_get t.words (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let clear_all t = Bytes.fill t.words 0 (Bytes.length t.words) '\000'
+(* The bits of the last, partial byte that belong to [t]. *)
+let tail_mask t = (1 lsl (t.n land 7)) - 1
 
-let set_all t =
-  Bytes.fill t.words 0 (Bytes.length t.words) '\255';
-  (* Clear the padding bits of the last byte so that [count] stays exact. *)
-  for i = t.n to (Bytes.length t.words * 8) - 1 do
-    let b = i lsr 3 in
-    Bytes.unsafe_set t.words b
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.words b) land lnot (1 lsl (i land 7))))
-  done
+(* Sets (or clears) bits [0, n): whole bytes by fill, the partial last
+   byte bit by bit, so no bit past [n] changes. *)
+let fill t v =
+  let full = t.n lsr 3 in
+  Bytes.fill t.words 0 full (if v then '\255' else '\000');
+  if t.n land 7 <> 0 then begin
+    let c = Char.code (Bytes.unsafe_get t.words full) in
+    let m = tail_mask t in
+    Bytes.unsafe_set t.words full (Char.unsafe_chr (if v then c lor m else c land lnot m))
+  end
+
+let clear_all t = fill t false
+let set_all t = fill t true
 
 let popcount_byte =
   let tbl = Array.make 256 0 in
   for i = 1 to 255 do
     tbl.(i) <- tbl.(i lsr 1) + (i land 1)
   done;
-  fun c -> Array.unsafe_get tbl (Char.code c)
+  fun c -> Array.unsafe_get tbl c
 
 let count t =
+  let full = t.n lsr 3 in
   let acc = ref 0 in
-  for b = 0 to Bytes.length t.words - 1 do
-    acc := !acc + popcount_byte (Bytes.unsafe_get t.words b)
+  for b = 0 to full - 1 do
+    acc := !acc + popcount_byte (Char.code (Bytes.unsafe_get t.words b))
   done;
-  !acc
+  if t.n land 7 = 0 then !acc
+  else !acc + popcount_byte (Char.code (Bytes.unsafe_get t.words full) land tail_mask t)
 
-let copy t = { words = Bytes.copy t.words; n = t.n }
+(* A fresh bitset of [t]'s bits with room for [cap] in all: only [t]'s
+   own bytes are copied, and the bits past [t.n] in its last one are
+   cleared. *)
+let copy_into ~cap t =
+  let r = create ~capacity:cap t.n in
+  let nb = bytes_for t.n in
+  Bytes.blit t.words 0 r.words 0 nb;
+  if t.n land 7 <> 0 then
+    Bytes.unsafe_set r.words (nb - 1)
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get r.words (nb - 1)) land tail_mask t));
+  r
+
+let copy t = copy_into ~cap:t.n t
 
 let union a b =
   if a.n <> b.n then invalid_arg "Bitset.union: capacity mismatch";
   let r = copy a in
-  for i = 0 to Bytes.length r.words - 1 do
+  for i = 0 to bytes_for a.n - 1 do
     Bytes.unsafe_set r.words i
       (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get a.words i) lor Char.code (Bytes.unsafe_get b.words i)))
+         (Char.code (Bytes.unsafe_get r.words i) lor Char.code (Bytes.unsafe_get b.words i)))
   done;
+  (* [b]'s bits past [n] in the last byte came along with the OR *)
+  if a.n land 7 <> 0 then begin
+    let last = a.n lsr 3 in
+    Bytes.unsafe_set r.words last
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get r.words last) land tail_mask a))
+  end;
   r
 
-(* [a]'s bytes are copied whole (its padding bits are clear), and each
-   byte of [b] is shifted into place across at most two bytes. *)
-let append a b =
-  let r = create (a.n + b.n) in
-  Bytes.blit a.words 0 r.words 0 (Bytes.length a.words);
+(* [b]'s bits are ORed into [a]'s bytes from bit [a.n] on, each byte of
+   [b] shifted into place across at most two bytes; the bits there must
+   be clear. [b]'s last byte is masked to its own bits first. *)
+let extend a b =
+  let n = a.n + b.n in
+  if n > capacity a then invalid_arg "Bitset.extend: no room";
   let base = a.n lsr 3 and shift = a.n land 7 in
-  for j = 0 to Bytes.length b.words - 1 do
-    let v = Char.code (Bytes.unsafe_get b.words j) lsl shift in
-    let at = base + j in
-    Bytes.unsafe_set r.words at (Char.unsafe_chr (Char.code (Bytes.unsafe_get r.words at) lor (v land 0xff)));
-    if v > 0xff then Bytes.unsafe_set r.words (at + 1) (Char.unsafe_chr (v lsr 8))
+  let nb = bytes_for b.n in
+  for j = 0 to nb - 1 do
+    let c = Char.code (Bytes.unsafe_get b.words j) in
+    let c = if j = nb - 1 && b.n land 7 <> 0 then c land tail_mask b else c in
+    if c <> 0 then begin
+      let v = c lsl shift in
+      let at = base + j in
+      Bytes.unsafe_set a.words at
+        (Char.unsafe_chr (Char.code (Bytes.unsafe_get a.words at) lor (v land 0xff)));
+      if v > 0xff then
+        Bytes.unsafe_set a.words (at + 1)
+          (Char.unsafe_chr (Char.code (Bytes.unsafe_get a.words (at + 1)) lor (v lsr 8)))
+    end
   done;
-  r
+  { words = a.words; n }
 
-let gather t rows =
+let append ?capacity a b =
+  let n = a.n + b.n in
+  let cap = match capacity with Some c -> max c n | None -> n in
+  extend (copy_into ~cap a) b
+
+let gather ?capacity t rows =
   let n = Array.length rows in
-  let r = create n in
+  let r = create ?capacity n in
   for i = 0 to n - 1 do
     let row = rows.(i) in
     if row < 0 || row >= t.n then invalid_arg "Bitset: index out of bounds";

@@ -225,7 +225,7 @@ let arg_access ctx e =
   | Expr.Col name -> begin
       let c = Table.column ctx.table name in
       let value_at r = Column.get c ctx.rows.(r) in
-      match Column.data c with
+      match Column.buffer c with
       | Column.Ints a | Column.Dates a ->
           {
             value_at;
@@ -874,7 +874,7 @@ let frame_local table (item : Window_func.t) =
   | Aggregate { kind = Sum | Avg; arg = Some e; _ } when item.algorithm <> Some Naive -> (
       match e with
       | Expr.Col name -> (
-          match Column.data (Table.column table name) with
+          match Column.buffer (Table.column table name) with
           | Column.Ints _ | Column.Dates _ -> true
           | _ -> false)
       | _ -> false)

@@ -33,7 +33,7 @@ let mark_changes table (key : Sort_spec.key) rows flags =
   | Expr.Col name ->
       let c = Table.column table name in
       let differ : int -> int -> bool =
-        match Column.data c with
+        match Column.buffer c with
         | Column.Ints a | Column.Dates a -> fun i j -> a.(i) <> a.(j)
         | Column.Floats a -> fun i j -> Float.compare a.(i) a.(j) <> 0
         | Column.Strings a -> fun i j -> not (String.equal a.(i) a.(j))
@@ -106,7 +106,7 @@ let source table e =
   | Expr.Const v -> Const v
   | Expr.Col name -> (
       let c = Table.column table name in
-      match Column.data c, Column.null_mask c with
+      match Column.buffer c, Column.null_mask c with
       | Column.Ints a, None -> Int_col a
       | Column.Ints a, Some m when Bitset.count m = 0 -> Int_col a
       | _ -> Eval (Expr.compile table e))
@@ -173,7 +173,7 @@ let range_keys table (key : Sort_spec.key) rows =
         | Some m -> Array.fold_left (fun n row -> if Bitset.get m row then n + 1 else n) 0 rows
       in
       let keys =
-        match Column.data c with
+        match Column.buffer c with
         | Column.Ints a -> Int_keys (ints (gather a))
         | Column.Dates a -> Date_keys (ints (gather a))
         | Column.Floats a ->

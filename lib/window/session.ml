@@ -533,6 +533,8 @@ let append_rows s delta =
   let dn = Table.nrows delta in
   if dn > 0 then begin
     let n = n_old + dn in
+    (* only the delta's rows are written while the session's table owns
+       its columns' room ({!Table.append}) *)
     s.table <- Table.append s.table delta;
     s.epoch <- s.epoch + 1;
     Obs.span "session.append"
@@ -574,7 +576,8 @@ let apply_evict s keep =
         incr j
       end
     done;
-    s.table <- Table.gather s.table kept_rows;
+    (* with room, so the next append writes only its delta *)
+    s.table <- Table.gather ~room:true s.table kept_rows;
     s.epoch <- s.epoch + 1;
     Obs.span "session.evict"
       ~args:(fun () ->

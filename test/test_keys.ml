@@ -331,8 +331,8 @@ let test_window_boundaries () =
 (* ------------------------------------------------------------------ *)
 
 (* Every column type with NULLs; floats with NaN, both zeros and a 1.0 an
-   Int 1 must stay apart from in a mixed expression key.  Ints stay clear
-   of [min_int], the NULL label of int-like columns. *)
+   Int 1 must stay apart from in a mixed expression key.  Ints stay in a
+   small range; [boundary_table] holds the ends of the int range. *)
 let pid_table rng n =
   let nulls () = null_mask rng n 4 in
   let floats = [| Float.nan; -0.; 0.; 1.; -1.5; 2.; infinity |] in
@@ -382,47 +382,79 @@ let row_keys table pb =
 
 let sign c = Int.compare c 0
 
+(* Int and date keys at both ends of the int range, next to NULLs:
+   [min_int] is what an int-like column's NULLs are labelled, unless the
+   column holds it. *)
+let boundary_table keys =
+  let n = Array.length keys in
+  let nulls = Bitset.create n in
+  Array.iteri (fun i k -> if k = None then Bitset.set nulls i) keys;
+  let v = Array.map (Option.value ~default:0) keys in
+  Table.create
+    [
+      ("i", Column.make ~nulls (Column.Ints v));
+      ("f", Column.floats (Array.map (fun x -> float_of_int (x land 3)) v));
+      ("s", Column.strings (Array.map (fun x -> string_of_int (x land 3)) v));
+      ("b", Column.make (Column.Bools (Array.map (fun x -> x land 1 = 0) v)));
+      ("d", Column.make ~nulls (Column.Dates v));
+    ]
+
 (* Partition ids equal the old numbering's classes and order like the key
    tuples under [Stdlib.compare] (NULL lowest, NaN below every number,
-   [-0. = +0.], lexicographic over the expressions); a gathered subset and
-   an appended superset keep their relative order. *)
+   [-0. = +0.], lexicographic over the expressions); a gathered subset
+   ([rows]) and an appended superset keep their relative order. *)
+let check_partition_ids ~ctx ~ids_of table pb ~rows ~superset =
+  let n = Table.nrows table in
+  let ids = ids_of table pb and keys = row_keys table pb in
+  let reference = first_appearance keys in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if (ids.(i) = ids.(j)) <> (reference.(i) = reference.(j)) then
+        Alcotest.failf "%s: rows %d and %d grouped unlike the reference" ctx i j;
+      if sign (Int.compare ids.(i) ids.(j)) <> sign (compare keys.(i) keys.(j)) then
+        Alcotest.failf "%s: ids of rows %d and %d do not ascend with the key" ctx i j
+    done
+  done;
+  let keeps_order ~what ids' pos =
+    Array.iteri
+      (fun a ra ->
+        Array.iteri
+          (fun b rb ->
+            if sign (Int.compare ids'.(a) ids'.(b)) <> sign (Int.compare ids.(ra) ids.(rb)) then
+              Alcotest.failf "%s: %s moves rows %d and %d" ctx what ra rb)
+          pos)
+      pos
+  in
+  keeps_order ~what:"a gathered subset" (ids_of (Table.gather table rows) pb) rows;
+  keeps_order ~what:"an appended superset" (ids_of superset pb) (Array.init n Fun.id)
+
 let test_partition_ids () =
   let pool = Task_pool.create 1 in
   Fun.protect ~finally:(fun () -> Task_pool.shutdown pool) @@ fun () ->
   let rng = Rng.create 3030 in
   let ids_of table pb = Option.get (Holistic_window.Session.partition_ids pool table pb) in
+  let expr_list pb = String.concat ", " (List.map Expr.to_string pb) in
   for round = 0 to 59 do
     let n = Rng.int rng 70 in
     let table = pid_table rng n in
     List.iter
       (fun pb ->
-        let ctx = Printf.sprintf "round %d, (%s)" round (String.concat ", " (List.map Expr.to_string pb)) in
-        let ids = ids_of table pb and keys = row_keys table pb in
-        let reference = first_appearance keys in
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            if (ids.(i) = ids.(j)) <> (reference.(i) = reference.(j)) then
-              Alcotest.failf "%s: rows %d and %d grouped unlike the reference" ctx i j;
-            if sign (Int.compare ids.(i) ids.(j)) <> sign (compare keys.(i) keys.(j)) then
-              Alcotest.failf "%s: ids of rows %d and %d do not ascend with the key" ctx i j
-          done
-        done;
-        let keeps_order ~what ids' pos =
-          Array.iteri
-            (fun a ra ->
-              Array.iteri
-                (fun b rb ->
-                  if sign (Int.compare ids'.(a) ids'.(b)) <> sign (Int.compare ids.(ra) ids.(rb)) then
-                    Alcotest.failf "%s: %s moves rows %d and %d" ctx what ra rb)
-                pos)
-            pos
-        in
+        let ctx = Printf.sprintf "round %d, (%s)" round (expr_list pb) in
         let rows = Array.init (Rng.int rng (n + 1)) (fun _ -> Rng.int rng n) in
-        keeps_order ~what:"a gathered subset" (ids_of (Table.gather table rows) pb) rows;
         let superset = Table.append table (pid_table rng (Rng.int rng 30)) in
-        keeps_order ~what:"an appended superset" (ids_of superset pb) (Array.init n Fun.id))
+        check_partition_ids ~ctx ~ids_of table pb ~rows ~superset)
       pid_keys
-  done
+  done;
+  let table =
+    boundary_table
+      [| Some min_int; Some 5; None; Some max_int; Some min_int; None; Some 0; Some max_int; Some (-1) |]
+  in
+  let superset = Table.append table (boundary_table [| None; Some min_int; Some max_int; Some 7 |]) in
+  List.iter
+    (fun pb ->
+      let ctx = Printf.sprintf "ends of the int range, (%s)" (expr_list pb) in
+      check_partition_ids ~ctx ~ids_of table pb ~rows:[| 2; 0; 3; 5; 4 |] ~superset)
+    pid_keys
 
 (* String densification against the obvious reference: sort the distinct
    non-NULL strings, a row's code is its string's index.  Then the same

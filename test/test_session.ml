@@ -296,6 +296,39 @@ let check_stages ~pool ~ctx session =
       check_sorted ~pool ~ctx table ~pb ~order perm boundaries)
     (Session.stages session)
 
+(* Every table a session handed out keeps reading its own rows after
+   later appends and evictions, however its columns' buffers are shared
+   with the newer tables: its values, its length and its NULL counts. *)
+let column_state c =
+  ( Array.init (Column.length c) (Column.get c),
+    Option.map Bitset.count (Column.null_mask c) )
+
+let snapshot table = (table, List.map (fun (_, c) -> column_state c) (Table.columns table))
+
+let check_snapshots ~ctx snapshots =
+  List.iteri
+    (fun k (table, state) ->
+      List.iter2
+        (fun (name, c) (values, nulls) ->
+          let values', nulls' = column_state c in
+          if
+            nulls <> nulls'
+            || Array.length values <> Array.length values'
+            || not (Array.for_all2 value_identical values values')
+          then Alcotest.failf "%s: table %d back, column %s no longer reads its own rows" ctx k name)
+        (Table.columns table) state)
+    snapshots
+
+(* The checks after every mutation: every stored stage equals a fresh
+   sort, and every table the session held before still reads its own
+   rows. *)
+let checks_after_mutation ~pool session =
+  let snapshots = ref [ snapshot (Session.table session) ] in
+  fun ~ctx ->
+    check_stages ~pool ~ctx session;
+    snapshots := snapshot (Session.table session) :: !snapshots;
+    check_snapshots ~ctx !snapshots
+
 let run_case ~pool rng idx ~seed =
   let rng = Rng.split rng in
   let session = Session.create ~pool (gen_table rng) in
@@ -307,6 +340,7 @@ let run_case ~pool rng idx ~seed =
     Printf.sprintf "FUZZ_SEED=%d case %d after [%s]" seed idx
       (String.concat "; " (List.rev !ops))
   in
+  let mutated = checks_after_mutation ~pool session in
   let query () =
     let clauses = shapes.(Rng.int rng (Array.length shapes)) in
     let table = Session.table session in
@@ -329,7 +363,7 @@ let run_case ~pool rng idx ~seed =
         let delta = gen_delta rng in
         ops := Printf.sprintf "append %d" (Table.nrows delta) :: !ops;
         Session.append_rows session delta;
-        check_stages ~pool ~ctx:(trace ()) session
+        mutated ~ctx:(trace ())
     | 1 ->
         let table = Session.table session in
         if Rng.bool rng then begin
@@ -341,7 +375,7 @@ let run_case ~pool rng idx ~seed =
           ops := "evict_where" :: !ops;
           Session.evict_where session (gen_evict_pred rng table)
         end;
-        check_stages ~pool ~ctx:(trace ()) session
+        mutated ~ctx:(trace ())
     | _ ->
         ops := "query" :: !ops;
         query ()
@@ -494,6 +528,7 @@ let run_in_order_case ~pool ~partial rng idx ~seed =
     Printf.sprintf "FUZZ_SEED=%d in-order case %d after [%s]" seed idx
       (String.concat "; " (List.rev !ops))
   in
+  let mutated = checks_after_mutation ~pool session in
   let append ~in_order =
     let table = Session.table session in
     let top = max_time table in
@@ -503,7 +538,7 @@ let run_in_order_case ~pool ~partial rng idx ~seed =
       Printf.sprintf "%s %d" (if in_order then "append" else "append_interleaved") (Table.nrows delta)
       :: !ops;
     Session.append_rows session delta;
-    check_stages ~pool ~ctx:(trace ()) session
+    mutated ~ctx:(trace ())
   in
   let query () =
     let clauses = shapes.(Rng.int rng (Array.length shapes)) in
@@ -548,7 +583,7 @@ let run_in_order_case ~pool ~partial rng idx ~seed =
           ops := "evict_where" :: !ops;
           Session.evict_where session (gen_evict_pred rng table)
         end;
-        check_stages ~pool ~ctx:(trace ()) session
+        mutated ~ctx:(trace ())
     | _ ->
         ops := "query" :: !ops;
         query ()
@@ -787,6 +822,85 @@ let test_evict () =
       Session.evict_where session (fun _ -> true);
       Alcotest.(check int) "empty" 0 (Table.nrows (Session.table session));
       ignore (Window_plan.run ~pool ~session (Session.table session) directed_clauses))
+
+(* Two sessions over one table with room append in turn: the first
+   append claims the room, the other session's copies, and from then on
+   each writes into its own buffer. Both answer like a fresh query, and
+   the shared table keeps reading its own rows. *)
+let test_two_sessions_one_table () =
+  let pool = Task_pool.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Task_pool.shutdown pool)
+    (fun () ->
+      let table = Table.append (directed_table 1000) (directed_delta ~base:1000 10) in
+      let shared = snapshot table in
+      let s1 = Session.create ~pool table and s2 = Session.create ~pool table in
+      let buffer t = Column.buffer (Table.column t "k") in
+      let shares a b = match (a, b) with Column.Ints x, Column.Ints y -> x == y | _ -> false in
+      let answers label s =
+        let t = Session.table s in
+        check_identical
+          ~ctx:(fun () -> label)
+          (Window_plan.run ~pool t directed_clauses)
+          (Window_plan.run ~pool ~session:s t directed_clauses)
+      in
+      answers "first session, before" s1;
+      answers "second session, before" s2;
+      let s2_buffer = ref None in
+      for round = 0 to 3 do
+        let base = 1010 + (round * 40) in
+        Session.append_rows s1 (directed_delta ~base 20);
+        Session.append_rows s2 (directed_delta ~base:(base + 20) 20);
+        if round = 0 then begin
+          Alcotest.(check bool) "the first session writes in place" true
+            (shares (buffer (Session.table s1)) (buffer table));
+          Alcotest.(check bool) "the second one copies" false
+            (shares (buffer (Session.table s2)) (buffer table));
+          s2_buffer := Some (buffer (Session.table s2))
+        end;
+        let label = Printf.sprintf "round %d" round in
+        answers (label ^ ", first session") s1;
+        answers (label ^ ", second session") s2;
+        check_snapshots ~ctx:label [ shared ]
+      done;
+      Alcotest.(check bool) "then the second session writes in place too" true
+        (shares (buffer (Session.table s2)) (Option.get !s2_buffer));
+      Alcotest.(check int) "each session has its rows" (1010 + 80) (Table.nrows (Session.table s1));
+      Alcotest.(check int) "and so has the shared table" 1010 (Table.nrows table))
+
+(* Appending to a table with room costs the delta: 64 rows allocate the
+   same number of words onto 10 000 rows as onto 40 000. *)
+let test_append_words () =
+  let tbl n =
+    let nulls = Bitset.create n in
+    for i = 0 to n - 1 do
+      if i mod 7 = 0 then Bitset.set nulls i
+    done;
+    Table.create
+      [
+        ("i", Column.ints (Array.init n Fun.id));
+        ("f", Column.make ~nulls (Column.Floats (Array.init n float_of_int)));
+        ("s", Column.strings (Array.init n string_of_int));
+      ]
+  in
+  (* [Gc.minor_words] is exact at any point, where [Gc.counters]' minor
+     count can lag; large arrays go straight to the major heap *)
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let words n =
+    let t = Table.append (tbl n) (tbl 1) in
+    let delta = tbl 64 in
+    let before = allocated () in
+    let t' = Table.append t delta in
+    let after = allocated () in
+    Alcotest.(check int) "rows" (n + 65) (Table.nrows t');
+    int_of_float (after -. before)
+  in
+  let small = words 10_000 and large = words 40_000 in
+  Alcotest.(check int) "same words at n and 4n" small large;
+  Alcotest.(check bool) (Printf.sprintf "%d words: no column copied" small) true (small < 1_000)
 
 (* A session passed alongside a table it does not own must stay inert:
    stateless execution, no session stats, no state mutation. *)
@@ -1049,6 +1163,8 @@ let () =
           Alcotest.test_case "in-order append probes affected rows" `Quick test_partial_probe;
           Alcotest.test_case "bulk eviction compacts" `Quick test_evict;
           Alcotest.test_case "foreign table stays stateless" `Quick test_foreign_table;
+          Alcotest.test_case "two sessions append to one table" `Quick test_two_sessions_one_table;
+          Alcotest.test_case "append with room costs the delta" `Quick test_append_words;
           Alcotest.test_case "sql session front door" `Quick test_sql_session;
           Alcotest.test_case "residual-only order maintains" `Quick test_residual_order_append;
           Alcotest.test_case "splice into touched partitions" `Quick test_splice_partitions;

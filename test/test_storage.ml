@@ -96,7 +96,21 @@ let test_distinct_ids () =
   let strs = Column.of_values [| Value.String "b"; Value.Null; Value.String "a"; Value.String "b" |] in
   let ids = Column.distinct_ids strs in
   Alcotest.(check bool) "string ids ascend, NULL lowest" true
-    (ids.(1) = min_int && ids.(1) < ids.(2) && ids.(2) < ids.(0) && ids.(0) = ids.(3))
+    (ids.(1) = min_int && ids.(1) < ids.(2) && ids.(2) < ids.(0) && ids.(0) = ids.(3));
+  (* NULL's id never merges with a value's, at either end of the range *)
+  List.iter
+    (fun (label, make) ->
+      let nulls = Bitset.create 6 in
+      Bitset.set nulls 2;
+      let ids = Column.distinct_ids (Column.make ~nulls (make [| min_int; 5; 0; max_int; min_int; max_int |])) in
+      Alcotest.(check bool) (label ^ ": NULL apart from min_int") true (ids.(2) <> ids.(0));
+      Alcotest.(check bool) (label ^ ": NULL lowest, then ascending") true
+        (ids.(2) < ids.(0) && ids.(0) < ids.(1) && ids.(1) < ids.(3));
+      Alcotest.(check bool) (label ^ ": equal values share ids") true (ids.(0) = ids.(4) && ids.(3) = ids.(5));
+      Alcotest.(check (array int)) (label ^ ": max_int without min_int keeps raw values")
+        [| 1; 5; min_int; max_int; 1; max_int |]
+        (Column.distinct_ids (Column.make ~nulls (make [| 1; 5; 0; max_int; 1; max_int |]))))
+    [ ("ints", fun a -> Column.Ints a); ("dates", fun a -> Column.Dates a) ]
 
 (* [Column.append]'s NULL mask against the per-row definition: lengths
    off a multiple of 8, either side or both without a mask. A side is its
@@ -184,6 +198,54 @@ let test_table_footprint_memo () =
   Alcotest.(check int) "codes count once computed"
     (before + (8 * Obj.reachable_words (Obj.repr (Some codes))))
     (Table.footprint_bytes t)
+
+let int_rows t name = Array.init (Table.nrows t) (fun i -> Column.get (Table.column t name) i)
+
+let same_buffer a b =
+  match (Column.buffer a, Column.buffer b) with
+  | Column.Ints x, Column.Ints y -> x == y
+  | Column.Strings x, Column.Strings y -> x == y
+  | _ -> false
+
+(* A table owns its buffers' room only while it is the longest table over
+   them: the first append from it writes in place, a second append from
+   it copies, and every table keeps reading its own rows. *)
+let test_append_ownership () =
+  let tbl xs =
+    let nulls = Bitset.create (Array.length xs) in
+    Array.iteri (fun i x -> if x < 0 then Bitset.set nulls i) xs;
+    Table.create
+      [ ("i", Column.make ~nulls (Column.Ints xs)); ("s", Column.strings (Array.map string_of_int xs)) ]
+  in
+  let rows t = Array.map Value.to_string (int_rows t "i") in
+  let check label expected t =
+    Alcotest.(check (array string)) label expected (rows t);
+    Alcotest.(check int) (label ^ ": NULL count")
+      (Array.fold_left (fun k v -> if v = "NULL" then k + 1 else k) 0 expected)
+      (match Column.null_mask (Table.column t "i") with Some m -> Bitset.count m | None -> 0)
+  in
+  let fresh = tbl [| 1; -2; 3 |] in
+  let base = Table.append fresh (tbl [| 4 |]) in
+  Alcotest.(check bool) "a table without room copies" false
+    (same_buffer (Table.column fresh "i") (Table.column base "i"));
+  let a = Table.append base (tbl [| -5 |]) in
+  let b = Table.append base (tbl [| 6 |]) in
+  let a' = Table.append a (tbl [| 7; -8 |]) in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ ": the first append writes in place") true
+        (same_buffer (Table.column base name) (Table.column a name));
+      Alcotest.(check bool) (name ^ ": the second one copies") false
+        (same_buffer (Table.column base name) (Table.column b name));
+      Alcotest.(check bool) (name ^ ": the newest table owns the room") true
+        (same_buffer (Table.column a name) (Table.column a' name)))
+    [ "i"; "s" ];
+  check "the older table" [| "1"; "NULL"; "3"; "4" |] base;
+  check "the first append" [| "1"; "NULL"; "3"; "4"; "NULL" |] a;
+  check "the second append" [| "1"; "NULL"; "3"; "4"; "6" |] b;
+  check "the append after it" [| "1"; "NULL"; "3"; "4"; "NULL"; "7"; "NULL" |] a';
+  Alcotest.(check (array string)) "data is exact" [| "1"; "-2"; "3"; "4"; "-5" |]
+    (match Column.data (Table.column a "s") with Column.Strings x -> x | _ -> [||])
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
@@ -336,6 +398,7 @@ let () =
         [
           Alcotest.test_case "create/access" `Quick test_table;
           Alcotest.test_case "footprint and order codes" `Quick test_table_footprint_memo;
+          Alcotest.test_case "append owns the room once" `Quick test_append_ownership;
         ] );
       ( "expr",
         [

@@ -58,6 +58,47 @@ let test_bitset_union_iter () =
   Bitset.iter_set u (fun i -> collected := i :: !collected);
   Alcotest.(check (list int)) "union members" [ 1; 5; 13 ] (List.rev !collected)
 
+(* Two bitsets over one buffer: [a], 13 bits with room, and [b], [a]
+   extended in place by 20 bits, three of them in [a]'s last byte. Every
+   reader of [a] stops at its own 13 bits, and so does every writer. *)
+let test_bitset_shared_buffer () =
+  let members t =
+    let l = ref [] in
+    Bitset.iter_set t (fun i -> l := i :: !l);
+    List.rev !l
+  in
+  let a = Bitset.create ~capacity:64 13 in
+  Bitset.set a 2;
+  Bitset.set a 12;
+  let delta = Bitset.create 20 in
+  List.iter (Bitset.set delta) [ 0; 1; 2; 10; 19 ];
+  let b = Bitset.extend a delta in
+  Alcotest.(check int) "longer length" 33 (Bitset.length b);
+  Alcotest.(check (list int)) "longer members" [ 2; 12; 13; 14; 15; 23; 32 ] (members b);
+  Alcotest.(check int) "longer count" 7 (Bitset.count b);
+  Alcotest.(check int) "shorter length" 13 (Bitset.length a);
+  Alcotest.(check (list int)) "shorter members" [ 2; 12 ] (members a);
+  Alcotest.(check int) "count stops at the length" 2 (Bitset.count a);
+  let c = Bitset.copy a in
+  Alcotest.(check int) "copy stops at the length" 2 (Bitset.count c);
+  Alcotest.(check bool) "copy has no room" true (Bitset.capacity c < 13 + 8);
+  Alcotest.(check (list int)) "append stops at the length" [ 2; 12 ]
+    (members (Bitset.append a (Bitset.create 5)));
+  Alcotest.(check (list int)) "union stops at the length" [ 2; 12 ]
+    (members (Bitset.union a (Bitset.create 13)));
+  Alcotest.(check (list int)) "gather" [ 0; 1 ] (members (Bitset.gather a [| 12; 2; 0 |]));
+  Alcotest.check_raises "gather past the length" (Invalid_argument "Bitset: index out of bounds")
+    (fun () -> ignore (Bitset.gather a [| 13 |]));
+  Alcotest.check_raises "get past the length" (Invalid_argument "Bitset: index out of bounds")
+    (fun () -> ignore (Bitset.get a 13));
+  Alcotest.check_raises "extend past the capacity" (Invalid_argument "Bitset.extend: no room")
+    (fun () -> ignore (Bitset.extend b (Bitset.create 32)));
+  Bitset.set_all a;
+  Alcotest.(check int) "set_all writes its own bits" 13 (Bitset.count a);
+  Alcotest.(check int) "set_all leaves the longer bits" 18 (Bitset.count b);
+  Bitset.clear_all a;
+  Alcotest.(check (list int)) "clear_all leaves the longer bits" [ 13; 14; 15; 23; 32 ] (members b)
+
 let test_int_vec () =
   let v = Int_vec.create () in
   for i = 0 to 99 do
@@ -108,6 +149,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_bitset_basic;
           Alcotest.test_case "bounds" `Quick test_bitset_bounds;
           Alcotest.test_case "union/iter" `Quick test_bitset_union_iter;
+          Alcotest.test_case "two lengths over one buffer" `Quick test_bitset_shared_buffer;
         ] );
       ("int_vec", [ Alcotest.test_case "basic" `Quick test_int_vec ]);
       ( "rng",
