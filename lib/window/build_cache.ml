@@ -7,12 +7,14 @@ module Range_tree = Holistic_core.Range_tree
 module Seg = Holistic_baselines.Segment_tree
 
 (* The annotated tree's monoid is owned here so the cache can store the
-   instantiated tree type without a dependency cycle. *)
+   instantiated tree type without a dependency cycle. Int values sum
+   exactly in the first component, as a plain SUM does; any other value
+   sums in the float. *)
 module Sum_count_monoid = struct
-  type t = float * int
+  type t = int * float * int
 
-  let identity = (0.0, 0)
-  let combine (a, b) (c, d) = (a +. c, b + d)
+  let identity = (0, 0.0, 0)
+  let combine (a, b, c) (d, e, f) = (a + d, b +. e, c + f)
 end
 
 module Sum_count_mst = Annotated.Make (Sum_count_monoid)

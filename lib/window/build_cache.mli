@@ -28,7 +28,8 @@ module Range_tree = Holistic_core.Range_tree
 module Seg = Holistic_baselines.Segment_tree
 
 module Sum_count_monoid : sig
-  type t = float * int
+  type t = int * float * int
+  (** int sum (exact, as a plain SUM), float sum and count *)
 
   val identity : t
   val combine : t -> t -> t

@@ -11,6 +11,7 @@ module Seg = Holistic_baselines.Segment_tree
 module Ec = Evaluator_choice
 open Window_func
 
+module Sum_count = Build_cache.Sum_count_monoid
 module Sum_count_mst = Build_cache.Sum_count_mst
 
 type ctx = {
@@ -411,8 +412,14 @@ let eval_distinct_sum_avg ctx ~at ~kind ~arg ~filter ~algorithm ~out =
   let rm = qualify ctx qual in
   let ids = Build_cache.arg_ids ctx.cache ~arg ~qual (fun () -> acc.ids_filtered rm) in
   let m = Remap.filtered_count rm in
-  let fvals = Array.init m (fun i -> acc.float_at (Remap.position rm i)) in
-  let emit r (s, c) =
+  (* an int value sums exactly, as in a plain SUM; any other as a float *)
+  let vals =
+    Array.init m (fun i ->
+        let p = Remap.position rm i in
+        match acc.value_at p with Value.Int x -> (x, 0.0, 1) | _ -> (0, acc.float_at p, 1))
+  in
+  let emit r (si, sf, c) =
+    let s = sf +. float_of_int si in
     out.(ctx.rows.(r)) <-
       (if c = 0 then Value.Null
        else if kind = Sum then Value.Float s
@@ -426,8 +433,7 @@ let eval_distinct_sum_avg ctx ~at ~kind ~arg ~filter ~algorithm ~out =
       let tree =
         Build_cache.annotated_tree ctx.cache ~arg ~qual ~sample:ctx.sample (fun () ->
             Sum_count_mst.create ~pool:ctx.pool ~fanout:ctx.fanout ~sample:ctx.sample ~keys:prev
-              ~value:(fun i -> (fvals.(i), 1))
-              ())
+              ~value:(Array.get vals) ())
       in
       let next =
         if Frame.exclusion ctx.frame = Window_spec.Exclude_no_others then [||] else next_of prev
@@ -436,18 +442,20 @@ let eval_distinct_sum_avg ctx ~at ~kind ~arg ~filter ~algorithm ~out =
           let ranges = mapped_ranges ctx rm r in
           let v =
             match Array.length ranges with
-            | 0 -> (0.0, 0)
+            | 0 -> Sum_count.identity
             | 1 ->
                 let lo, hi = ranges.(0) in
                 Sum_count_mst.query tree ~lo ~hi ~less_than:(lo + 1)
             | _ ->
                 let span_lo, span_hi = span_of ranges in
-                let s, c = Sum_count_mst.query tree ~lo:span_lo ~hi:span_hi ~less_than:(span_lo + 1) in
-                let corr_s = ref 0.0 and corr_c = ref 0 in
+                let si, sf, c =
+                  Sum_count_mst.query tree ~lo:span_lo ~hi:span_hi ~less_than:(span_lo + 1)
+                in
+                let corr = ref Sum_count.identity in
                 iter_hole_orphans prev next ranges ~on_orphan:(fun p ->
-                    corr_s := !corr_s +. fvals.(p);
-                    incr corr_c);
-                (s -. !corr_s, c - !corr_c)
+                    corr := Sum_count.combine !corr vals.(p));
+                let ci, cf, cc = !corr in
+                (si - ci, sf -. cf, c - cc)
           in
           emit r v)
   | Naive ->
@@ -457,11 +465,10 @@ let eval_distinct_sum_avg ctx ~at ~kind ~arg ~filter ~algorithm ~out =
           Array.iter
             (fun (lo, hi) ->
               for i = lo to hi - 1 do
-                if not (Hashtbl.mem seen ids.(i)) then Hashtbl.add seen ids.(i) fvals.(i)
+                if not (Hashtbl.mem seen ids.(i)) then Hashtbl.add seen ids.(i) vals.(i)
               done)
             ranges;
-          let s = Hashtbl.fold (fun _ v a -> a +. v) seen 0.0 in
-          emit r (s, Hashtbl.length seen))
+          emit r (Hashtbl.fold (fun _ v a -> Sum_count.combine a v) seen Sum_count.identity))
   | _ -> excluded_at_entry ()
 
 let eval_aggregate ctx ~at ~kind ~arg ~distinct ~filter ~algorithm ~out =

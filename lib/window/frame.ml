@@ -115,21 +115,21 @@ let source table e =
 let negative_offset () = invalid_arg "Frame: negative frame offset"
 
 let decode_offset = function
-  | Value.Int k when k >= 0 -> k
-  | Value.Int _ -> negative_offset ()
+  | Value.Int k -> k
   | _ -> invalid_arg "Frame: ROWS/GROUPS offsets must be non-negative integers"
 
 (* The ROWS/GROUPS offset of a bound, per table row: a constant is
-   decoded once, and raises (if invalid) only when a row asks for it. *)
-let offset table = function
+   decoded once, and raises (if invalid) only when a row asks for it. An
+   offset past the partition's [np] rows reaches as far as [np + 1] does,
+   so capping it keeps the position arithmetic from wrapping. *)
+let offset table ~np bound =
+  let cap k = if k >= 0 then Int.min k (np + 1) else negative_offset () in
+  match bound with
   | Preceding e | Following e -> (
       match source table e with
-      | Const v -> fun _ -> decode_offset v
-      | Int_col a ->
-          fun row ->
-            let k = a.(row) in
-            if k >= 0 then k else negative_offset ()
-      | Eval f -> fun row -> decode_offset (f row))
+      | Const v -> fun _ -> cap (decode_offset v)
+      | Int_col a -> fun row -> cap a.(row)
+      | Eval f -> fun row -> cap (decode_offset (f row)))
   | Unbounded_preceding | Current_row | Unbounded_following -> fun _ -> 0
 
 (* ------------------------------------------------------------------ *)
@@ -273,7 +273,13 @@ let range_bound table (key : Sort_spec.key) rows keys ~lo ~hi ~upper ~preceding 
              done;
              float_seek fk ~desc ~lo ~hi ~upper cell)
         in
-        ( (fun d r -> seek (if preceding then k.(r) - d else k.(r) + d)),
+        ( (fun d r ->
+            (* a target past either end of the int range is past every key *)
+            let x = k.(r) in
+            let t = if preceding then x - d else x + d in
+            if (if preceding then d < 0 else d > 0) && t < x then hi
+            else if (if preceding then d > 0 else d < 0) && t > x then lo
+            else seek t),
           (fun d r ->
             if is_date then mismatch r (Value.Float d)
             else begin
@@ -344,7 +350,7 @@ let compute ?peers:precomputed table ~spec ~rows =
   if np > 0 then begin
     match frame.mode with
     | Rows ->
-        let s_off = offset table frame.start_bound and e_off = offset table frame.end_bound in
+        let s_off = offset table ~np frame.start_bound and e_off = offset table ~np frame.end_bound in
         for r = 0 to np - 1 do
           let row = rows.(r) in
           start_.(r) <-
@@ -376,7 +382,7 @@ let compute ?peers:precomputed table ~spec ~rows =
           gstarts.(gidx.(r)) <- peer_start.(r);
           gends.(gidx.(r)) <- peer_end.(r)
         done;
-        let s_off = offset table frame.start_bound and e_off = offset table frame.end_bound in
+        let s_off = offset table ~np frame.start_bound and e_off = offset table ~np frame.end_bound in
         for r = 0 to np - 1 do
           let row = rows.(r) in
           let g = gidx.(r) in

@@ -16,7 +16,6 @@ type t = {
   mutable g_live : int;
   mutable g_peak : int;
   mutable g_spill_dir : string option;
-  mutable g_last_spill : (int * int) option;
   mutable g_total_runs : int;
   mutable g_total_bytes : int;
 }
@@ -32,7 +31,6 @@ let create ?budget ?(policy = Auto) ?dir () =
     g_live = 0;
     g_peak = 0;
     g_spill_dir = None;
-    g_last_spill = None;
     g_total_runs = 0;
     g_total_bytes = 0;
   }
@@ -119,14 +117,8 @@ let cleanup g =
        with _ -> ())
 
 let note_spill g ~runs ~bytes =
-  g.g_last_spill <- Some (runs, bytes);
   g.g_total_runs <- g.g_total_runs + runs;
   g.g_total_bytes <- g.g_total_bytes + bytes
-
-let take_last_spill g =
-  let r = g.g_last_spill in
-  g.g_last_spill <- None;
-  r
 
 let totals g = (g.g_total_runs, g.g_total_bytes)
 

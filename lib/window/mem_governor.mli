@@ -69,12 +69,11 @@ val cleanup : t -> unit
 (** Removes the spill directory and anything left in it. Never raises;
     safe to call repeatedly. *)
 
-(** {2 Spill provenance} *)
+(** {2 Spill totals} *)
 
 val note_spill : t -> runs:int -> bytes:int -> unit
-val take_last_spill : t -> (int * int) option
-(** [(runs, bytes)] of the most recent spill since the last take — the
-    hook EXPLAIN ANALYZE uses to tag the owning span. *)
+(** Adds one spilled sort to {!totals}. The sort itself reports its
+    spill to its caller ({!Session.sort}). *)
 
 val totals : t -> int * int
 (** Cumulative [(runs, bytes)] spilled through this governor. *)

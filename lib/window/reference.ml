@@ -86,9 +86,11 @@ let peers_of table (order : Sort_spec.t) rows =
   end;
   (peer_start, peer_end)
 
-let eval_offset table expr row =
+(* An offset past the partition's [np] rows reaches as far as [np + 1]
+   does; capping it keeps the position arithmetic from wrapping. *)
+let eval_offset table expr row ~np =
   match Expr.eval table expr row with
-  | Value.Int k when k >= 0 -> k
+  | Value.Int k when k >= 0 -> min k (np + 1)
   | _ -> invalid_arg "Frame: bad ROWS/GROUPS offset"
 
 (* Covered position ranges per partition position: resolved frame bounds,
@@ -110,16 +112,16 @@ let frame_ranges table (spec : Window_spec.t) rows (peer_start, peer_end) =
         start_.(r) <-
           (match frame.start_bound with
           | Unbounded_preceding -> 0
-          | Preceding e -> r - eval_offset table e row
+          | Preceding e -> r - eval_offset table e row ~np
           | Current_row -> r
-          | Following e -> r + eval_offset table e row
+          | Following e -> r + eval_offset table e row ~np
           | Unbounded_following -> np);
         end_.(r) <-
           (match frame.end_bound with
           | Unbounded_preceding -> 0
-          | Preceding e -> r - eval_offset table e row + 1
+          | Preceding e -> r - eval_offset table e row ~np + 1
           | Current_row -> r + 1
-          | Following e -> r + eval_offset table e row + 1
+          | Following e -> r + eval_offset table e row ~np + 1
           | Unbounded_following -> np)
       done
   | Groups ->
@@ -141,10 +143,10 @@ let frame_ranges table (spec : Window_spec.t) rows (peer_start, peer_end) =
           | Unbounded_preceding -> 0
           | Current_row -> if is_start then peer_start.(r) else peer_end.(r)
           | Preceding e ->
-              let k = eval_offset table e row in
+              let k = eval_offset table e row ~np in
               if g - k < 0 then 0 else if is_start then gstart.(g - k) else gend.(g - k)
           | Following e ->
-              let k = eval_offset table e row in
+              let k = eval_offset table e row ~np in
               if g + k >= ngroups then np
               else if is_start then gstart.(g + k)
               else gend.(g + k)
@@ -190,14 +192,9 @@ let frame_ranges table (spec : Window_spec.t) rows (peer_start, peer_end) =
         done;
         !p
       in
-      let first_geq target =
-        scan_first (fun p ->
-            if desc then cmpv vals.(p) target <= 0 else cmpv vals.(p) target >= 0)
-      in
-      let past_leq target =
-        scan_first (fun p ->
-            if desc then cmpv vals.(p) target < 0 else cmpv vals.(p) target > 0)
-      in
+      (* [vs p] compares row [p]'s key with a target *)
+      let first_geq vs = scan_first (fun p -> if desc then vs p <= 0 else vs p >= 0) in
+      let past_leq vs = scan_first (fun p -> if desc then vs p < 0 else vs p > 0) in
       (* The offset types [Frame] searches with, by the partition's
          non-NULL key values: numbers take numbers, dates take days and
          intervals, and any other key takes none. A misfit raises only
@@ -217,7 +214,16 @@ let frame_ranges table (spec : Window_spec.t) rows (peer_start, peer_end) =
         let back = if desc then not towards_preceding else towards_preceding in
         let target = if back then Value.sub v d else Value.add v d in
         if not (fits d) then invalid_arg "Frame: RANGE offset type does not match the ORDER BY key";
-        target
+        (* integer arithmetic that leaves the int range puts the target
+           above or below every key *)
+        match v, d, target with
+        | (Value.Int x | Value.Date x), Value.Int y, (Value.Int t | Value.Date t)
+          when (if back then y < 0 else y > 0) && t < x ->
+            fun _ -> -1
+        | (Value.Int x | Value.Date x), Value.Int y, (Value.Int t | Value.Date t)
+          when (if back then y > 0 else y < 0) && t > x ->
+            fun _ -> 1
+        | _ -> fun p -> cmpv vals.(p) target
       in
       for r = 0 to np - 1 do
         let row = rows.(r) in
@@ -445,7 +451,7 @@ let eval_item table (spec : Window_spec.t) rows ranges_of (item : Window_func.t)
     List.iter
       (fun p ->
         let v = argf rows.(p) in
-        if not (Hashtbl.mem seen v) then Hashtbl.add seen v (value_to_float v))
+        if not (Hashtbl.mem seen v) then Hashtbl.add seen v ())
       cov;
     seen
   in
@@ -461,7 +467,14 @@ let eval_item table (spec : Window_spec.t) rows ranges_of (item : Window_func.t)
           let c = Hashtbl.length reps in
           if c = 0 then Value.Null
           else begin
-            let s = Hashtbl.fold (fun _ f acc -> acc +. f) reps 0.0 in
+            (* ints sum exactly, as in a plain SUM *)
+            let si, sf =
+              Hashtbl.fold
+                (fun v () (si, sf) ->
+                  match v with Value.Int x -> (si + x, sf) | v -> (si, sf +. value_to_float v))
+                reps (0, 0.0)
+            in
+            let s = sf +. float_of_int si in
             if kind = Sum then Value.Float s else Value.Float (s /. float_of_int c)
           end)
   | Aggregate { kind = (Sum | Avg | Min | Max) as kind; arg = Some e; _ } ->

@@ -12,7 +12,7 @@ module Rank_encode = Holistic_core.Rank_encode
 (* These live here — below the plan — because the session's mutation
    paths must reproduce the plan's sorts and partition keys bit for bit:
    a maintained permutation is only valid if it equals what [full_sort]
-   would have produced from scratch.  [Window_plan] aliases them. *)
+   would have produced from scratch. *)
 
 (* Integer partition keys from the PARTITION BY expressions: a strictly
    monotone image of the key tuple under one fixed total order, so two
@@ -84,6 +84,13 @@ type sort_path = Codes | Encoded | Comparator
 
 let sort_path_name = function Codes -> "codes" | Encoded -> "encoded" | Comparator -> "comparator"
 
+type sorted = {
+  perm : int array;
+  boundaries : int array;
+  path : sort_path;
+  spill : (int * int) option;
+}
+
 (* A sort through key words: partition ids are the leading component of
    word 0 ([pid_divisor]), ORDER BY keys the remaining words, and the
    parallel run-sort/OVC-merge machinery does the rest. With [span], the
@@ -92,13 +99,14 @@ let sort_path_name = function Codes -> "codes" | Encoded -> "encoded" | Comparat
    permutation and bucket starts fit the in-memory model's transients. A
    sort counts as comparator-path only when the codec produced no words at
    all (nothing but closure comparisons) — the regression the stats guard
-   against. *)
+   against. A spilled sort reports its [(runs, bytes)] in [spill]. *)
 let sort_words ?gov ?span ?pid_divisor pool ~n ~words ?tie () =
   let nwords = Array.length words in
   let path = if nwords = 0 && tie <> None then Comparator else Encoded in
   let in_memory () =
     match span with
-    | Some span -> (Multiway.sort_slots words.(0) ~span, [| 0; n |], Codes)
+    | Some span ->
+        { perm = Multiway.sort_slots words.(0) ~span; boundaries = [| 0; n |]; path = Codes; spill = None }
     | None ->
         let perm, key0 = Parallel_sort.sort_encoded pool ~n ~words ?tie () in
         let boundaries =
@@ -106,7 +114,7 @@ let sort_words ?gov ?span ?pid_divisor pool ~n ~words ?tie () =
           | None -> [| 0; n |]
           | Some divisor -> boundaries_of_key0 ~key0 ~divisor n
         in
-        (perm, boundaries, path)
+        { perm; boundaries; path; spill = None }
   in
   match gov with
   | None -> in_memory ()
@@ -176,27 +184,29 @@ let sort_words ?gov ?span ?pid_divisor pool ~n ~words ?tie () =
               | None -> [| 0; n |]
               | Some _ -> Array.of_list (0 :: List.rev (n :: !interior))
           in
-          (perm, boundaries, path))
+          { perm; boundaries; path; spill = Some (runs, bytes) })
 
 (* A one-key order over an unpartitioned table whose column holds order
    codes sorts their slots, by counting in memory. Every other order is
    compiled into key words, and when that sorted all of an unpartitioned
    table by one uncoded column, the column keeps the ranks as its order
-   codes: one O(n) pass, no sort. Returns [(perm, partition boundaries,
-   path)]. *)
-let full_sort ?gov pool table ~pids ~order =
+   codes: one O(n) pass, no sort. *)
+let sort ?gov pool table ~pids ~order =
   let n = Table.nrows table in
   match if pids = None then Key_codec.code_slots table order else None with
   | Some (slots, span) -> sort_words ?gov ~span pool ~n ~words:[| slots |] ()
   | None ->
       let kc = Key_codec.compile ?pids table order in
       let words = kc.Key_codec.words and tie = kc.Key_codec.residual in
-      let ((perm, _, _) as sorted) =
-        sort_words ?gov ?pid_divisor:kc.Key_codec.pid_divisor pool ~n ~words ?tie ()
-      in
+      let sorted = sort_words ?gov ?pid_divisor:kc.Key_codec.pid_divisor pool ~n ~words ?tie () in
       if pids = None then
-        Key_codec.offer_codes table order (fun () -> (Rank_encode.of_sorted ~pool ~words ?tie perm).rank_codes);
+        Key_codec.offer_codes table order (fun () ->
+            (Rank_encode.of_sorted ~pool ~words ?tie sorted.perm).rank_codes);
       sorted
+
+let full_sort ?gov pool table ~pids ~order =
+  let s = sort ?gov pool table ~pids ~order in
+  (s.perm, s.boundaries, s.path)
 
 (* ------------------------------------------------------------------ *)
 (* The persistent structure store                                      *)
@@ -212,7 +222,7 @@ type part = {
   mutable status : status;
 }
 
-type entry = {
+type stored = {
   mutable perm : int array;
   mutable boundaries : int array;
   mutable parts : part array;
@@ -230,7 +240,7 @@ type t = {
   pool : Task_pool.t;
   counters : Build_cache.counters;
   pids : (Expr.t list, int array option) Hashtbl.t;
-  entries : (Expr.t list * Sort_spec.t, entry) Hashtbl.t;
+  entries : (Expr.t list * Sort_spec.t, stored) Hashtbl.t;
   (* how mutations classified stage partitions over the session's
      lifetime: kept outright / extended in order / built from scratch
      (first builds included).  Monotone — the introspection and gauge
@@ -313,7 +323,7 @@ let lookup s ~pb ~order =
         if e.prov = "" then Printf.sprintf "reused(epoch=%d)" s.epoch else e.prov
       in
       e.prov <- "";
-      Some (e.perm, e.boundaries, e.parts, prov, e.algs)
+      Some { e with prov }
 
 let stages s = Hashtbl.fold (fun (pb, order) e acc -> (pb, order, e.perm, e.boundaries) :: acc) s.entries []
 
@@ -674,7 +684,7 @@ type stats = {
 let stats s =
   let keys =
     Hashtbl.fold
-      (fun (pb, order) (e : entry) acc ->
+      (fun (pb, order) (e : stored) acc ->
         let r = ref 0 and x = ref 0 and b = ref 0 in
         Array.iter
           (fun p ->

@@ -40,8 +40,7 @@ module Task_pool = Holistic_parallel.Task_pool
 (** {2 Shared sort primitives}
 
     The plan's partition-key computation and full sort live here, below
-    {!Window_plan}, because maintenance must reproduce them bit for bit;
-    the plan aliases them. *)
+    {!Window_plan}, because maintenance must reproduce them bit for bit. *)
 
 val partition_ids : Task_pool.t -> Table.t -> Expr.t list -> int array option
 (** Integer partition keys for the PARTITION BY expressions ([None] for
@@ -66,16 +65,18 @@ type sort_path =
 
 val sort_path_name : sort_path -> string
 
-val full_sort :
-  ?gov:Mem_governor.t ->
-  Task_pool.t ->
-  Table.t ->
-  pids:int array option ->
-  order:Sort_spec.t ->
-  int array * int array * sort_path
-(** [(perm, boundaries, path)] — the plan's from-scratch (partition,
-    order) sort. A one-key order over an unpartitioned table whose column
-    holds {!Column.order_codes} is a stable counting sort over them
+type sorted = {
+  perm : int array;
+  boundaries : int array;  (** partition offsets, plus a trailing row count *)
+  path : sort_path;
+  spill : (int * int) option;  (** [(runs, bytes)] when the sort spilled *)
+}
+
+val sort :
+  ?gov:Mem_governor.t -> Task_pool.t -> Table.t -> pids:int array option -> order:Sort_spec.t -> sorted
+(** The plan's from-scratch (partition, order) sort. A one-key order
+    over an unpartitioned table whose column holds
+    {!Column.order_codes} is a stable counting sort over them
     ({!Key_codec.code_slots}, {!Holistic_sort.Multiway.sort_slots}) when
     their span is at most the row count; any other sort goes through the
     key codec, and when it sorted an unpartitioned table by one uncoded
@@ -85,8 +86,17 @@ val full_sort :
     and the chosen path's transients are charged against its budget, and
     the sort runs out of core ({!Parallel_sort.sort_encoded_spill},
     partition boundaries detected on the merge stream, path [Encoded])
-    whenever {!Mem_governor.plan_sort} says so; without one the
-    historical in-memory path runs unchanged. *)
+    whenever {!Mem_governor.plan_sort} says so, and reports what it
+    spilled in [spill]; without one the sort runs in memory. *)
+
+val full_sort :
+  ?gov:Mem_governor.t ->
+  Task_pool.t ->
+  Table.t ->
+  pids:int array option ->
+  order:Sort_spec.t ->
+  int array * int array * sort_path
+(** {!sort} as [(perm, boundaries, path)]. *)
 
 (** {2 The store} *)
 
@@ -138,22 +148,24 @@ val pids_for : t -> pb:Expr.t list -> compute:(unit -> int array option) -> int 
     remembering them on first request; mutations refresh every cached
     array on the new table. *)
 
-val lookup :
-  t ->
-  pb:Expr.t list ->
-  order:Sort_spec.t ->
-  (int array
-  * int array
-  * part array
-  * string
-  * (okey, Evaluator_choice.name) Hashtbl.t)
-  option
-(** The stored stage for [(pb, order)], if any: permutation, boundaries,
-    per-partition state, a provenance tag for the stage's sort span
-    ([maintained(+n rows)] / [maintained(-n rows)] right after a
-    mutation, [reused(epoch=k)] thereafter) and the
-    per-item backend memo from the previous query (those structures are
-    cached, so the cost model treats their build cost as sunk). *)
+(** One stored stage; only mutations of the session change it. *)
+type stored = private {
+  mutable perm : int array;
+  mutable boundaries : int array;
+  mutable parts : part array;  (** per-partition state *)
+  mutable prov : string;
+      (** provenance tag for the stage's sort span: [maintained(+n rows)] /
+          [maintained(-n rows)] right after a mutation, [reused(epoch=k)]
+          thereafter *)
+  algs : (okey, Evaluator_choice.name) Hashtbl.t;
+      (** the per-item backend memo from the previous query: those
+          structures are cached, so the cost model treats their build cost
+          as sunk *)
+}
+
+val lookup : t -> pb:Expr.t list -> order:Sort_spec.t -> stored option
+(** A copy of the stored stage for [(pb, order)], if any, carrying the
+    provenance tag, which the store's own entry then drops. *)
 
 val stages : t -> (Expr.t list * Sort_spec.t * int array * int array) list
 (** Every stored stage as [(pb, order, perm, boundaries)], in no set

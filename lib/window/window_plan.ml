@@ -18,14 +18,8 @@ type stats = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Partition keys and full sorts                                       *)
+(* Stage sorts                                                         *)
 (* ------------------------------------------------------------------ *)
-
-(* These moved to {!Session}: the store's mutation paths must reproduce
-   the plan's partition keys and sorts bit for bit, so both layers share
-   one definition (the session sits below the plan). *)
-let partition_ids = Session.partition_ids
-let full_sort = Session.full_sort
 
 (* Partial-sort sharing (Cao et al., arXiv:1208.0086): a stage whose
    partitioning matches an earlier sort re-sorts only within the inherited
@@ -64,21 +58,69 @@ let partial_sort pool table ~base_perm ~boundaries ~order =
       for p = plo to phi - 1 do
         Multiway.sort_range mw ~lo:boundaries.(p) ~hi:boundaries.(p + 1)
       done);
-  (perm, comparator_path)
+  (perm, if comparator_path then Session.Comparator else Session.Encoded)
+
+(* How a stage got its order: sorted from scratch (under one global
+   partition, after an earlier stage), re-sorted within the partitions of
+   an earlier stage, or read from the session store with its provenance. *)
+type sort_kind = Full | Full_global | Partial | Stored of string
+
+(* What one stage sort did, for the plan, its stats and its span. *)
+type stage_sort = {
+  perm : int array;
+  boundaries : int array;
+  kind : sort_kind;
+  path : Session.sort_path;
+  spill : (int * int) option;
+}
+
+(* The one stage sort. A stage the session store holds sorts nothing. The
+   first stage of a partition group sorts from scratch, and every later
+   one re-sorts within its partitions, except under one global partition,
+   where a "partial" re-sort would cover the whole array anyway: that one
+   sorts independently and keeps the parallel path. *)
+let sort_stage ?gov pool table ~pids ~order ~base ~(stored : Session.stored option) =
+  let full kind =
+    let s = Session.sort ?gov pool table ~pids ~order in
+    { perm = s.Session.perm; boundaries = s.boundaries; kind; path = s.path; spill = s.spill }
+  in
+  match (stored, base) with
+  | Some st, _ ->
+      { perm = st.perm; boundaries = st.boundaries; kind = Stored st.prov; path = Encoded; spill = None }
+  | None, None -> full Full
+  | None, Some (_, bnds) when pids = None -> { (full Full_global) with boundaries = bnds }
+  | None, Some (bperm, bnds) ->
+      let perm, path = partial_sort pool table ~base_perm:bperm ~boundaries:bnds ~order in
+      { perm; boundaries = bnds; kind = Partial; path; spill = None }
+
+let sort_args ~order ~rows s =
+  [
+    ("order", Sort_spec.to_string order);
+    ( "kind",
+      match s.kind with
+      | Full -> "full"
+      | Full_global -> "full(global)"
+      | Partial -> "partial"
+      | Stored _ -> "session" );
+    ("path", Session.sort_path_name s.path);
+    ("rows", string_of_int rows);
+  ]
+  @ (match s.kind with Stored prov -> [ ("cache", prov) ] | _ -> [])
+  @
+  match s.spill with
+  | Some (runs, bytes) -> [ ("spilled", Printf.sprintf "(runs=%d, %s)" runs (Obs.human_bytes bytes)) ]
+  | None -> []
 
 (* ------------------------------------------------------------------ *)
 (* Stage grouping                                                      *)
 (* ------------------------------------------------------------------ *)
-
-let dedup_orders orders =
-  List.fold_left (fun acc o -> if List.mem o acc then acc else o :: acc) [] orders |> List.rev
 
 (* Stage orders for one partition group: the orders that are not a strict
    prefix of another requested order, in first-appearance order. Every
    clause is then assigned to the first stage whose order covers its own
    ({!Sort_spec.is_prefix}) and reuses the stage's permutation outright. *)
 let stage_orders orders =
-  let uniq = dedup_orders orders in
+  let uniq = List.rev (List.fold_left (fun acc o -> if List.mem o acc then acc else o :: acc) [] orders) in
   List.filter (fun o -> not (List.exists (fun o' -> o' <> o && Sort_spec.is_prefix o o') uniq)) uniq
 
 (* The scheduling policy, factored out so that reference implementations
@@ -132,10 +174,6 @@ let schedule clauses =
         stages = List.map (fun (o, ms) -> { order = o; members = ms }) stages;
       })
     (schedule_by (fun c -> c) clauses)
-
-(* ------------------------------------------------------------------ *)
-(* The plan                                                            *)
-(* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
 (* Morsel-driven partition evaluation                                   *)
@@ -274,12 +312,7 @@ let resolve_item ~sunk ~(model : Cost_model.constants) ~rows_avg ~nparts
                          d.Cost_model.scores) );
                 ]
                 @
-                if sunk = [] then []
-                else
-                  [
-                    ( "sunk",
-                      String.concat "," (List.map Ec.to_string sunk) );
-                  ])
+                if sunk = [] then [] else [ ("sunk", String.concat "," (List.map Ec.to_string sunk)) ])
               (fun () -> ());
             d.Cost_model.chosen
       in
@@ -332,18 +365,22 @@ let affected frame ~k =
 
 let covered at = Array.fold_left (fun n (lo, hi) -> n + hi - lo) 0 at
 
+let item_args (item : Window_func.t) ev cache () =
+  [ ("name", item.name); ("func", Window_func.class_name item) ]
+  @ Option.to_list (Option.map (fun e -> ("evaluator", e)) ev)
+  @ Option.to_list (Option.map (fun c -> ("cache", c)) cache)
+
 let exprs_to_string exprs = String.concat ", " (List.map Expr.to_string exprs)
 
 let order_permutation ~pool table ~over =
-  let pids = partition_ids pool table over.Window_spec.partition_by in
-  let perm, boundaries, _ = full_sort pool table ~pids ~order:over.Window_spec.order_by in
-  (perm, boundaries)
+  let pids = Session.partition_ids pool table over.Window_spec.partition_by in
+  let s = Session.sort pool table ~pids ~order:over.Window_spec.order_by in
+  (s.Session.perm, s.Session.boundaries)
 
 (* [governor] is owned by the caller (spill directory included); without
-   one the plan is the exact historical in-memory plan, with identical
-   spans and goldens. *)
-let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
-    ?(task_size = Task_pool.default_task_size) ?governor:gov ?session table clauses =
+   one every sort runs in memory. *)
+let run_with_stats ~pool ?(fanout = 32) ?(task_size = Task_pool.default_task_size) ?governor:gov
+    ?session table clauses =
   let n = Table.nrows table in
   (* a session only applies to queries over exactly its table — a plan over
      any other table (e.g. a WHERE-filtered copy) runs stateless *)
@@ -383,9 +420,10 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
             Obs.span "partition_ids"
               ~args:(fun () -> [ ("by", exprs_to_string pb) ])
               (fun () ->
+                let compute () = Session.partition_ids pool table pb in
                 match session with
-                | Some s -> Session.pids_for s ~pb ~compute:(fun () -> partition_ids pool table pb)
-                | None -> partition_ids pool table pb)
+                | Some s -> Session.pids_for s ~pb ~compute
+                | None -> compute ())
           in
           incr partition_passes;
           let base = ref None in
@@ -393,101 +431,46 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
             (fun (order, smembers) ->
               incr n_stages;
               reused_sorts := !reused_sorts + List.length smembers - 1;
-              let sort_kind = ref "" and sort_path = ref Session.Encoded and sort_cache = ref "" in
-              let sort_spill = ref "" in
-              let session_hit =
-                match session with
-                | Some s -> Session.lookup s ~pb ~order
-                | None -> None
+              let stored =
+                match session with Some s -> Session.lookup s ~pb ~order | None -> None
               in
-              let perm, boundaries =
+              let sorted = ref None in
+              let s =
                 Obs.span "sort"
                   ~args:(fun () ->
-                    [
-                      ("order", Sort_spec.to_string order);
-                      ("kind", !sort_kind);
-                      ("path", Session.sort_path_name !sort_path);
-                      ("rows", string_of_int n);
-                    ]
-                    @ (if !sort_cache = "" then [] else [ ("cache", !sort_cache) ])
-                    @ if !sort_spill = "" then [] else [ ("spilled", !sort_spill) ])
+                    match !sorted with
+                    | Some s -> sort_args ~order ~rows:n s
+                    | None -> [ ("order", Sort_spec.to_string order); ("rows", string_of_int n) ])
                   (fun () ->
-                    let ((perm, boundaries) as result) =
-                      match session_hit with
-                    | Some (perm, b, _, prov, _) ->
-                        (* the store already holds this stage's permutation,
-                           maintained under every mutation since it was
-                           built — no sort at all *)
-                        incr session_sorts;
-                        sort_kind := "session";
-                        sort_cache := prov;
-                        if !base = None then base := Some (perm, b);
-                        (perm, b)
-                    | None ->
-                      (match !base with
-                    | None ->
-                        let perm, b, path = full_sort ?gov pool table ~pids ~order in
-                        incr full_sorts;
-                        if path = Session.Comparator then incr comparator_sorts;
-                        sort_kind := "full";
-                        sort_path := path;
-                        base := Some (perm, b);
-                        (perm, b)
-                    | Some (bperm, bnds) ->
-                        if pids = None then begin
-                          (* single global partition: a "partial" re-sort would
-                             cover the whole array anyway, so sort independently
-                             and keep the parallel path *)
-                          incr full_sorts;
-                          let perm, _, path = full_sort ?gov pool table ~pids ~order in
-                          if path = Session.Comparator then incr comparator_sorts;
-                          sort_kind := "full(global)";
-                          sort_path := path;
-                          (perm, bnds)
-                        end
-                        else begin
-                          incr partial_sorts;
-                          let perm, comp =
-                            partial_sort pool table ~base_perm:bperm ~boundaries:bnds ~order
-                          in
-                          if comp then incr comparator_sorts;
-                          sort_kind := "partial";
-                          sort_path := if comp then Session.Comparator else Session.Encoded;
-                          (perm, bnds)
-                        end)
-                    in
-                    (match gov with
-                    | Some g -> (
-                        match Mem_governor.take_last_spill g with
-                        | Some (runs, bytes) ->
-                            sort_spill :=
-                              Printf.sprintf "(runs=%d, %s)" runs (Obs.human_bytes bytes)
-                        | None -> ())
-                    | None -> ());
+                    let s = sort_stage ?gov pool table ~pids ~order ~base:!base ~stored in
+                    sorted := Some s;
                     (* sort-stage working set: the permutation plus the
                        partition boundary array this stage holds onto *)
                     Obs.record_bytes (fun () ->
-                        8 * (2 + Array.length perm + Array.length boundaries));
-                    result)
+                        8 * (2 + Array.length s.perm + Array.length s.boundaries));
+                    s)
               in
+              incr
+                (match s.kind with
+                | Full | Full_global -> full_sorts
+                | Partial -> partial_sorts
+                | Stored _ -> session_sorts);
+              if s.path = Session.Comparator then incr comparator_sorts;
+              let perm = s.perm and boundaries = s.boundaries in
+              if !base = None then base := Some (perm, boundaries);
               let nparts = Array.length boundaries - 1 in
               (* the session-side state of this stage: per-partition caches
                  and finished outputs (from the lookup, or registered fresh
                  on a miss) plus the per-item backend memo *)
               let sess_stage =
-                match session with
-                | None -> None
-                | Some s -> (
-                    match session_hit with
-                    | Some (_, _, parts, _, algs) -> Some (parts, algs)
-                    | None -> Some (Session.store s ~pb ~order ~perm ~boundaries))
+                match (session, stored) with
+                | None, _ -> None
+                | Some _, Some st -> Some (st.Session.parts, st.Session.algs)
+                | Some s, None -> Some (Session.store s ~pb ~order ~perm ~boundaries)
               in
               let structures_cached =
                 match sess_stage with
-                | Some (parts, _) ->
-                    Array.exists
-                      (fun (p : Session.part) -> p.Session.status <> Session.Rebuilt)
-                      parts
+                | Some (parts, _) -> Array.exists (fun (p : Session.part) -> p.status <> Rebuilt) parts
                 | None -> false
               in
               (* resolve every item of the stage to a concrete backend
@@ -507,10 +490,8 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
                           in
                           let sunk =
                             match sess_stage with
-                            | Some (_, algs) when structures_cached -> (
-                                match Hashtbl.find_opt algs okey with
-                                | Some nm -> [ nm ]
-                                | None -> [])
+                            | Some (_, algs) when structures_cached ->
+                                Option.to_list (Hashtbl.find_opt algs okey)
                             | _ -> []
                           in
                           let ((item', _) as resolved) =
@@ -534,146 +515,120 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
                   let rows =
                     if plo = 0 && phi = n then perm else Array.sub perm plo (phi - plo)
                   in
-                  let spart =
-                    match sess_stage with
-                    | Some (parts, _) -> Some parts.(p)
-                    | None -> None
-                  in
+                  let len = Array.length rows in
+                  let spart = Option.map (fun (parts, _) -> parts.(p)) sess_stage in
+                  let outputs = Option.map (fun (part : Session.part) -> part.outputs) spart in
                   let cache =
-                    match spart with
-                    | Some part -> part.Session.cache
-                    | None -> Build_cache.create ~counters ()
+                    match spart with Some part -> part.cache | None -> Build_cache.create ~counters ()
                   in
-                  let item_args (item : Window_func.t) ev extra () =
-                    let base =
-                      [ ("name", item.name); ("func", Window_func.class_name item) ]
-                    in
-                    let base =
-                      match ev with None -> base | Some e -> base @ [ ("evaluator", e) ]
-                    in
-                    match extra with None -> base | Some kv -> base @ [ kv ]
-                  in
+                  (* Each item decides on the length of its cached output
+                     column (see [affected]): a full column is copied with
+                     no frame, no structures and no probes; a shorter one,
+                     kept across in-order appends, probes only the affected
+                     rows and copies the rest; no column (always, without a
+                     session) evaluates every row.  Structures are built or
+                     maintained through the cache's callbacks, and under a
+                     session the completed column is kept for the next
+                     query.  The clause's frame is computed before its item
+                     spans whenever some item needs it. *)
                   List.iter
                     (fun (c, outs) ->
                       let spec = c.spec in
-                      let compute_frame () =
-                        Obs.span "frame"
-                          ~args:(fun () ->
-                            [ ("order", Sort_spec.to_string spec.Window_spec.order_by) ])
-                          (fun () ->
-                            let peers =
-                              Evaluators.peers cache table spec.Window_spec.order_by rows
-                            in
-                            Frame.compute ~peers table ~spec ~rows)
+                      let outs =
+                        List.map
+                          (fun ((((item : Window_func.t), _), _) as o) ->
+                            let okey = ((spec, item.func, item.filter), item.algorithm) in
+                            (o, okey, Option.bind outputs (fun t -> Hashtbl.find_opt t okey)))
+                          outs
                       in
-                      let mk_ctx frame =
+                      let frame =
+                        lazy
+                          (Obs.span "frame"
+                             ~args:(fun () ->
+                               [ ("order", Sort_spec.to_string spec.Window_spec.order_by) ])
+                             (fun () ->
+                               let peers =
+                                 Evaluators.peers cache table spec.Window_spec.order_by rows
+                               in
+                               Frame.compute ~peers table ~spec ~rows))
+                      in
+                      if
+                        List.exists
+                          (fun (_, _, cached) ->
+                            match cached with Some vals -> Array.length vals <> len | None -> true)
+                          outs
+                      then ignore (Lazy.force frame);
+                      let ctx () =
                         {
                           Evaluators.table;
                           pool;
                           rows;
-                          frame;
+                          frame = Lazy.force frame;
                           window_order = spec.Window_spec.order_by;
                           fanout;
-                          sample;
+                          sample = 32;
                           task_size;
                           width = Holistic_core.Mst_width.Auto;
                           cache;
                           gov;
                         }
                       in
-                      match spart with
-                      | None ->
-                          (* stateless path: identical span structure and
-                             evaluation order to the historical engine *)
-                          let ctx = mk_ctx (compute_frame ()) in
-                          List.iter
-                            (fun (((item : Window_func.t), ev), out) ->
+                      List.iter
+                        (fun ((((item : Window_func.t), ev), out), okey, cached) ->
+                          let copy vals ~lo ~hi =
+                            for r = lo to hi - 1 do
+                              out.(rows.(r)) <- vals.(r)
+                            done
+                          in
+                          let keep () =
+                            Option.iter
+                              (fun t -> Hashtbl.replace t okey (Array.init len (fun r -> out.(rows.(r)))))
+                              outputs
+                          in
+                          match cached with
+                          | Some vals when Array.length vals = len ->
+                              Obs.span "item"
+                                ~args:(item_args item ev (Some "reused(outputs)"))
+                                (fun () -> copy vals ~lo:0 ~hi:len);
+                              Obs.Counter.add c_rows_copied len
+                          | Some vals
+                            when Array.length vals < len && Evaluators.frame_local table item ->
+                              let at = affected (Lazy.force frame) ~k:(Array.length vals) in
+                              let probed = covered at in
+                              Obs.span "item"
+                                ~args:
+                                  (item_args item ev
+                                     (Some (Printf.sprintf "maintained(probed=%d of %d)" probed len)))
+                                (fun () ->
+                                  Evaluators.eval_item_at (ctx ()) item ~at ~out;
+                                  (* the gaps between affected ranges keep
+                                     their cached answers *)
+                                  let prev = ref 0 in
+                                  Array.iter
+                                    (fun (lo, hi) ->
+                                      copy vals ~lo:!prev ~hi:lo;
+                                      prev := hi)
+                                    at);
+                              keep ();
+                              Obs.Counter.add c_rows_probed probed;
+                              Obs.Counter.add c_rows_copied (len - probed)
+                          | _ ->
                               Obs.span "item" ~args:(item_args item ev None) (fun () ->
-                                  Evaluators.eval_item ctx item ~out))
-                            outs
-                      | Some part ->
-                          (* session path: each item decides on the length
-                             of its cached output column (see [affected]):
-                             a full column is copied with no frame, no
-                             structures and no probes; a shorter one, kept
-                             across in-order appends, probes only the
-                             affected rows and copies the rest; no column
-                             evaluates every row.  Structures are built or
-                             maintained through the cache's callbacks, and
-                             the completed column is kept for the next
-                             query. *)
-                          let len = Array.length rows in
-                          let frame = lazy (compute_frame ()) in
-                          List.iter
-                            (fun (((item : Window_func.t), ev), out) ->
-                              let okey =
-                                ( (spec, item.Window_func.func, item.Window_func.filter),
-                                  item.Window_func.algorithm )
-                              in
-                              let copy vals ~lo ~hi =
-                                for r = lo to hi - 1 do
-                                  out.(rows.(r)) <- vals.(r)
-                                done
-                              in
-                              let keep () =
-                                Hashtbl.replace part.Session.outputs okey
-                                  (Array.init len (fun r -> out.(rows.(r))))
-                              in
-                              match Hashtbl.find_opt part.Session.outputs okey with
-                              | Some vals when Array.length vals = len ->
-                                  Obs.span "item"
-                                    ~args:(item_args item ev (Some ("cache", "reused(outputs)")))
-                                    (fun () -> copy vals ~lo:0 ~hi:len);
-                                  Obs.Counter.add c_rows_copied len
-                              | Some vals
-                                when Array.length vals < len && Evaluators.frame_local table item
-                                ->
-                                  let frame = Lazy.force frame in
-                                  let at = affected frame ~k:(Array.length vals) in
-                                  let probed = covered at in
-                                  Obs.span "item"
-                                    ~args:
-                                      (item_args item ev
-                                         (Some
-                                            ( "cache",
-                                              Printf.sprintf "maintained(probed=%d of %d)" probed
-                                                len )))
-                                    (fun () ->
-                                      Evaluators.eval_item_at (mk_ctx frame) item ~at ~out;
-                                      (* the gaps between affected ranges
-                                         keep their cached answers *)
-                                      let prev = ref 0 in
-                                      Array.iter
-                                        (fun (lo, hi) ->
-                                          copy vals ~lo:!prev ~hi:lo;
-                                          prev := hi)
-                                        at);
-                                  keep ();
-                                  Obs.Counter.add c_rows_probed probed;
-                                  Obs.Counter.add c_rows_copied (len - probed)
-                              | _ ->
-                                  Obs.span "item" ~args:(item_args item ev None) (fun () ->
-                                      Evaluators.eval_item (mk_ctx (Lazy.force frame)) item
-                                        ~out);
-                                  keep ();
-                                  Obs.Counter.add c_rows_probed len)
-                            outs)
+                                  Evaluators.eval_item (ctx ()) item ~out);
+                              keep ();
+                              if Option.is_some outputs then Obs.Counter.add c_rows_probed len)
+                        outs)
                     smembers;
-                  match spart with
-                  | Some part -> part.Session.status <- Session.Reused
-                  | None -> ()
+                  Option.iter (fun (part : Session.part) -> part.status <- Session.Reused) spart
                 end
               in
               Obs.span "eval"
                 ~args:(fun () ->
-                  [
-                    ("order", Sort_spec.to_string order);
-                    ("partitions", string_of_int nparts);
-                  ])
+                  [ ("order", Sort_spec.to_string order); ("partitions", string_of_int nparts) ])
                 (fun () ->
                   if Task_pool.size pool = 1 then
-                    (* the sequential path: identical span structure and
-                       evaluation order to the historical engine *)
+                    (* one domain: partitions in order on the caller,
+                       with no morsel spans *)
                     for p = 0 to nparts - 1 do
                       eval_partition p
                     done
@@ -732,5 +687,5 @@ let run_with_stats ~pool ?(fanout = 32) ?(sample = 32)
   List.iter (fun (c, field) -> Obs.Counter.add c (field stats)) plan_counters;
   (table', stats)
 
-let run ~pool ?fanout ?sample ?task_size ?governor ?session table clauses =
-  fst (run_with_stats ~pool ?fanout ?sample ?task_size ?governor ?session table clauses)
+let run ~pool ?fanout ?task_size ?governor ?session table clauses =
+  fst (run_with_stats ~pool ?fanout ?task_size ?governor ?session table clauses)

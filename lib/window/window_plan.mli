@@ -59,7 +59,6 @@ type stats = {
 val run :
   pool:Holistic_parallel.Task_pool.t ->
   ?fanout:int ->
-  ?sample:int ->
   ?task_size:int ->
   ?governor:Mem_governor.t ->
   ?session:Session.t ->
@@ -70,11 +69,11 @@ val run :
     input table extended with one column per item (named by the item), in
     the original row order. A single OVER clause is the one-element list
     [[ { spec = over; items } ]]. Sorts, builds and partition morsels run
-    on [pool], which the caller owns. [fanout]/[sample] are the merge-sort-tree
-    parameters (default 32/32, §6.6); [task_size] the morsel size (default
-    {!Holistic_parallel.Task_pool.default_task_size}, §5.5). Merge sort
-    trees use the narrowest storage width the partition's rank encoding
-    fits ({!Holistic_core.Mst_width.Auto}, §5.1).
+    on [pool], which the caller owns. [fanout] is the merge sort trees'
+    fanout (default 32, §6.6; their pointer sampling is 32); [task_size]
+    the morsel size (default {!Holistic_parallel.Task_pool.default_task_size},
+    §5.5). Merge sort trees use the narrowest storage width the
+    partition's rank encoding fits ({!Holistic_core.Mst_width.Auto}, §5.1).
 
     Items with no algorithm are resolved to a concrete backend per
     (stage, item) through {!Cost_model.choose}.  An item pinned to a
@@ -111,7 +110,6 @@ val run :
 val run_with_stats :
   pool:Holistic_parallel.Task_pool.t ->
   ?fanout:int ->
-  ?sample:int ->
   ?task_size:int ->
   ?governor:Mem_governor.t ->
   ?session:Session.t ->

@@ -598,6 +598,54 @@ let test_allocation_pin () =
   Alcotest.(check (float 0.)) "ROWS pre/fol: minor words independent of rows" rows_a rows_b;
   Alcotest.(check (float 0.)) "RANGE 7 days: minor words independent of rows" range_a range_b
 
+(* Offsets that reach past either end of the int range: a FOLLOWING offset
+   up to [max_int] caps at the partition's end instead of wrapping (ROWS
+   and GROUPS), and a RANGE target that leaves the int range lies past
+   every key, both directions. The engine's bounds are checked by hand
+   and its row counts against the oracle's. *)
+let test_int_range_ends () =
+  let g = [| min_int; -1; 0; max_int |] in
+  let table = Table.create [ ("g", Column.ints g) ] in
+  let np = Array.length g in
+  let max_off = Expr.Const (Value.Int max_int) in
+  let check label frame dir expected =
+    let order = [ dir (Expr.Col "g") ] in
+    let rows = if order = [ Sort_spec.desc (Expr.Col "g") ] then [| 3; 2; 1; 0 |] else [| 0; 1; 2; 3 |] in
+    let spec = Window_spec.over ~order_by:order ~frame () in
+    let f = Frame.compute table ~spec ~rows in
+    Alcotest.(check (array ip)) label expected (Array.init np (fun r -> (Frame.start_ f r, Frame.end_ f r)));
+    let clauses = [ { Window_plan.spec; items = [ Window_func.count_star ~name:"c" () ] } ] in
+    let pool = Holistic_parallel.Task_pool.create 1 in
+    let got = Window_plan.run ~pool table clauses in
+    Holistic_parallel.Task_pool.shutdown pool;
+    List.iter
+      (fun (_, expect) ->
+        Array.iteri
+          (fun i v ->
+            Alcotest.(check string) (label ^ ": count vs oracle") (Value.to_string v)
+              (Value.to_string (Column.get (Table.column got "c") i)))
+          expect)
+      (Reference.run table clauses)
+  in
+  let asc e = Sort_spec.asc e and desc e = Sort_spec.desc e in
+  let open Window_spec in
+  check "ROWS to max_int following" (rows_between Current_row (Following max_off)) asc
+    [| (0, 4); (1, 4); (2, 4); (3, 4) |];
+  check "ROWS from max_int following" (rows_between (Following max_off) Unbounded_following) asc
+    [| (4, 4); (4, 4); (4, 4); (4, 4) |];
+  check "GROUPS to max_int following" (groups_between Current_row (Following max_off)) asc
+    [| (0, 4); (1, 4); (2, 4); (3, 4) |];
+  check "RANGE 1 preceding" (range_between (preceding 1) Current_row) asc
+    [| (0, 1); (1, 2); (1, 3); (3, 4) |];
+  check "RANGE 1 following" (range_between Current_row (following 1)) asc
+    [| (0, 1); (1, 3); (2, 3); (3, 4) |];
+  check "RANGE 1 preceding, descending" (range_between (preceding 1) Current_row) desc
+    [| (0, 1); (1, 2); (1, 3); (3, 4) |];
+  check "RANGE 1 following, descending" (range_between Current_row (following 1)) desc
+    [| (0, 1); (1, 3); (2, 3); (3, 4) |];
+  check "RANGE max_int both ways" (range_between (Preceding max_off) (Following max_off)) asc
+    [| (0, 2); (0, 3); (1, 4); (2, 4) |]
+
 let () =
   Alcotest.run "frame"
     [
@@ -632,6 +680,7 @@ let () =
         [
           Alcotest.test_case "errors only when a row asks" `Quick test_offset_errors;
           Alcotest.test_case "RANGE type mismatch as the reference" `Quick test_range_type_mismatch;
+          Alcotest.test_case "past the ends of the int range" `Quick test_int_range_ends;
         ] );
       ("oracle", [ Alcotest.test_case "bounds vs linear scan" `Quick test_bounds_oracle ]);
       ("allocation", [ Alcotest.test_case "no per-row minor words" `Quick test_allocation_pin ]);

@@ -43,6 +43,13 @@ let gen_nulls rng n =
     if !any then Some b else None
   end
 
+(* [g] is a partition key, an order key, an offset and a SUM/AVG
+   argument: about one row in 40 holds [min_int] or [max_int], which reach
+   the partition labels, the packing of [g; k] labels, frame offset
+   arithmetic and integer sums. *)
+let gen_g rng =
+  match Rng.int rng 80 with 0 -> min_int | 1 -> max_int | _ -> Rng.int_in rng 0 3
+
 let gen_table rng =
   let n = 1 + Rng.int rng 60 in
   let ints lo hi = Array.init n (fun _ -> Rng.int_in rng lo hi) in
@@ -50,7 +57,7 @@ let gen_table rng =
   let base_date = Value.date_of_ymd 2024 1 15 in
   Table.create
     [
-      ("g", Column.ints (ints 0 3));
+      ("g", Column.ints (Array.init n (fun _ -> gen_g rng)));
       ("k", Column.make ?nulls:(gen_nulls rng n) (Column.Ints (ints (-3) 8)));
       ( "f",
         (* dyadic halves keep SUM/AVG exact; the occasional NaN exercises
@@ -86,9 +93,10 @@ let gen_key rng =
   { Sort_spec.expr; direction; nulls }
 
 (* ROWS/GROUPS offsets: non-negative constants or a data-dependent,
-   NULL-free non-negative column. *)
+   NULL-free non-negative expression (up to [max_int]). *)
 let gen_offset rng =
-  if Rng.int rng 4 = 0 then Expr.Col "g" else Expr.Const (Value.Int (Rng.int rng 4))
+  if Rng.int rng 4 = 0 then Expr.Greatest [ Expr.Col "g"; Expr.Const (Value.Int 0) ]
+  else Expr.Const (Value.Int (Rng.int rng 4))
 
 let gen_rows_groups_bound rng =
   match Rng.int rng 6 with

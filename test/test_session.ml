@@ -51,13 +51,20 @@ let gen_float rng =
   | 1 -> -0.0
   | _ -> float_of_int (Rng.int_in rng (-4) 7) /. 2.0
 
+(* [g] is a partition key, an order key, an offset and a SUM/AVG
+   argument: about one row in 40 holds [min_int] or [max_int], which reach
+   the partition labels, the packing of [g; k] labels, frame offset
+   arithmetic and integer sums. *)
+let gen_g rng =
+  match Rng.int rng 80 with 0 -> min_int | 1 -> max_int | _ -> Rng.int_in rng 0 3
+
 let gen_rows rng n =
   let ints lo hi = Array.init n (fun _ -> Rng.int_in rng lo hi) in
   let pool = [| "a"; "b"; "c"; "dd"; "e" |] in
   let base_date = Value.date_of_ymd 2024 1 15 in
   Table.create
     [
-      ("g", Column.ints (ints 0 3));
+      ("g", Column.ints (Array.init n (fun _ -> gen_g rng)));
       ("k", Column.make ?nulls:(gen_nulls rng n) (Column.Ints (ints (-3) 8)));
       ( "f",
         Column.make ?nulls:(gen_nulls rng n) (Column.Floats (Array.init n (fun _ -> gen_float rng)))
@@ -90,7 +97,8 @@ let gen_key rng =
   { Sort_spec.expr; direction; nulls }
 
 let gen_offset rng =
-  if Rng.int rng 4 = 0 then Expr.Col "g" else Expr.Const (Value.Int (Rng.int rng 4))
+  if Rng.int rng 4 = 0 then Expr.Greatest [ Expr.Col "g"; Expr.Const (Value.Int 0) ]
+  else Expr.Const (Value.Int (Rng.int rng 4))
 
 let gen_bound rng =
   match Rng.int rng 6 with
@@ -714,10 +722,10 @@ let test_residual_order_append () =
         (fun (label, delta) ->
           Session.append_rows session delta;
           (match Session.lookup session ~pb:[] ~order with
-          | Some (_, _, _, prov, _) ->
+          | Some st ->
               Alcotest.(check string) (label ^ ": stage order maintained")
                 (Printf.sprintf "maintained(+%d rows)" (Table.nrows delta))
-                prov
+                st.Session.prov
           | None -> Alcotest.failf "%s: stage not stored" label);
           let table = Session.table session in
           check_identical
@@ -988,9 +996,11 @@ let status_name = function Session.Reused -> "R" | Session.Extended -> "X" | Ses
 let check_stage ~pool ~ctx session ~pb ~order =
   match Session.lookup session ~pb ~order with
   | None -> Alcotest.failf "%s: stage not stored" ctx
-  | Some (perm, boundaries, parts, prov, _) ->
-      check_sorted ~pool ~ctx (code_free (Session.table session)) ~pb ~order perm boundaries;
-      (prov, String.concat "" (Array.to_list (Array.map (fun p -> status_name p.Session.status) parts)))
+  | Some st ->
+      check_sorted ~pool ~ctx (code_free (Session.table session)) ~pb ~order st.Session.perm
+        st.Session.boundaries;
+      ( st.Session.prov,
+        String.concat "" (Array.to_list (Array.map (fun p -> status_name p.Session.status) st.Session.parts)) )
 
 (* A session holding one stage of [(pb, order)]; [append] applies a delta,
    checks the stage, its provenance and part statuses ("R" reused, "X"
@@ -1153,6 +1163,31 @@ let test_append_phases () =
       Alcotest.(check (option int)) "keyed: the delta row and the last old row" (Some 2) keyed;
       ignore (check_stage ~pool ~ctx:"large append" session ~pb ~order:by_k))
 
+(* Stateless and session plans share one item loop: the first query
+   through a fresh session traces the same span tree (names and nesting)
+   as the same query run stateless, the frame ahead of the item spans in
+   both. *)
+let test_one_item_loop () =
+  let pool = Task_pool.create 1 in
+  Fun.protect ~finally:(fun () -> Task_pool.shutdown pool) @@ fun () ->
+  let module Obs = Holistic_obs.Obs in
+  let tree (trace : Obs.trace) =
+    let rec render (sp : Obs.span) =
+      let kids = List.filter (fun (c : Obs.span) -> c.Obs.parent = sp.Obs.id) trace.Obs.spans in
+      sp.Obs.name
+      ^ if kids = [] then "" else "(" ^ String.concat " " (List.map render kids) ^ ")"
+    in
+    String.concat " "
+      (List.map render (List.filter (fun (sp : Obs.span) -> sp.Obs.parent < 0) trace.Obs.spans))
+  in
+  let table = directed_table 256 in
+  let _, stateless = Obs.with_capture (fun () -> Window_plan.run ~pool table directed_clauses) in
+  let session = Session.create ~pool table in
+  let _, first =
+    Obs.with_capture (fun () -> Window_plan.run ~pool ~session table directed_clauses)
+  in
+  Alcotest.(check string) "one span tree" (tree stateless) (tree first)
+
 let () =
   Alcotest.run "session"
     [
@@ -1172,6 +1207,7 @@ let () =
           Alcotest.test_case "splice without partitions" `Quick test_splice_unpartitioned;
           Alcotest.test_case "splice multi-word, residual, string" `Quick test_splice_orders;
           Alcotest.test_case "append phases and keyed rows" `Quick test_append_phases;
+          Alcotest.test_case "one item loop, one span tree" `Quick test_one_item_loop;
         ] );
       ( "fuzz",
         [

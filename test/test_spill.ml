@@ -374,10 +374,7 @@ let test_governor_accounting () =
   Mem_governor.charge g 100;
   Alcotest.(check int) "peak unmoved below" 800 (Mem_governor.peak g);
   Mem_governor.note_spill g ~runs:3 ~bytes:4096;
-  Alcotest.(check (option (pair int int)))
-    "last spill" (Some (3, 4096))
-    (Mem_governor.take_last_spill g);
-  Alcotest.(check (option (pair int int))) "taken" None (Mem_governor.take_last_spill g);
+  Alcotest.(check (pair int int)) "totals" (3, 4096) (Mem_governor.totals g);
   Mem_governor.note_spill g ~runs:2 ~bytes:1000;
   Alcotest.(check (pair int int)) "totals accumulate" (5, 5096) (Mem_governor.totals g)
 
@@ -654,6 +651,31 @@ let test_code_sort_governed () =
       ("k", "select rank() over (order by k desc) as r from t");
     ]
 
+(* A sort reports its own spill: after a spilled [Session.full_sort]
+   under a governor, a plan under the same governor whose one sort fits
+   in memory tags no sort span as spilled. *)
+let test_spill_not_stale () =
+  let pool = Task_pool.create 1 in
+  Fun.protect ~finally:(fun () -> Task_pool.shutdown pool) @@ fun () ->
+  let rng = Rng.create 73 in
+  (* 20 000 rows overrun a 400 kB budget in memory; 100 rows fit *)
+  let governor = Mem_governor.create ~budget:400_000 () in
+  Fun.protect ~finally:(fun () -> Mem_governor.cleanup governor) @@ fun () ->
+  let large = sample_table rng 20_000 and small = sample_table rng 100 in
+  ignore
+    (Session.full_sort ~gov:governor pool large ~pids:None ~order:[ Sort_spec.asc (Expr.Col "k") ]);
+  Alcotest.(check bool) "the large sort spilled" true (fst (Mem_governor.totals governor) > 0);
+  let totals = Mem_governor.totals governor in
+  let query = "select rank() over (order by k) as r from t" in
+  let _, tr = Sql.explain_analyze_trace ~pool ~governor ~tables:[ ("t", small) ] query in
+  let sorts = List.filter (fun (s : Obs.span) -> s.Obs.name = "sort") tr.Obs.spans in
+  Alcotest.(check int) "one sort" 1 (List.length sorts);
+  List.iter
+    (fun (s : Obs.span) ->
+      Alcotest.(check (option string)) "no spilled arg" None (List.assoc_opt "spilled" s.Obs.args))
+    sorts;
+  Alcotest.(check (pair int int)) "the small sort spilled nothing" totals (Mem_governor.totals governor)
+
 (* An IO fault inside a governed spilled sort surfaces as Run_file.Error
    and leaves the caller's governor with nothing charged, so the next
    statement under the same governor plans from a clean slate. *)
@@ -714,6 +736,7 @@ let () =
             test_spilled_mst_golden;
           Alcotest.test_case "budget below working set errors" `Quick test_budget_too_small_sql;
           Alcotest.test_case "code-served sorts are governed" `Quick test_code_sort_governed;
+          Alcotest.test_case "a sort reports only its own spill" `Quick test_spill_not_stale;
           Alcotest.test_case "spill fault releases governor charges" `Quick
             test_spill_fault_releases;
         ] );
