@@ -145,13 +145,13 @@ let run ~rows () =
   (* evict phase: drop one cold partition wholesale — survivors renumber,
      nothing re-sorts, untouched partitions keep their outputs *)
   let victim = partitions - 1 in
-  let grp = Table.column (Session.table session) "grp" in
   let before = Table.nrows (Session.table session) in
   H.gc_settle ();
   let evict_s =
     H.time (fun () ->
-        Session.evict_where session (fun r ->
-            match Column.get grp r with Value.Int g -> g = victim | _ -> false))
+        Session.evict session
+          (Expr.select (Session.table session)
+             (Expr.Eq (Expr.Col "grp", Expr.Const (Value.Int victim)))))
   in
   let after = Table.nrows (Session.table session) in
   H.note "evicted partition %d: %d rows dropped in %.4f s" victim (before - after) evict_s;

@@ -277,13 +277,11 @@ let run_with_stats ~pool ?evaluator ?governor ?session ~tables (q : Ast.query) =
           Obs.span "sql.where"
             ~args:(fun () -> [ ("in", string_of_int before); ("out", string_of_int !kept) ])
             (fun () ->
-              let f = Expr.compile table (lower_expr table pred) in
-              let keep = ref [] in
-              for i = before - 1 downto 0 do
-                if Expr.to_bool (f i) then keep := i :: !keep
-              done;
-              let keep = Array.of_list !keep in
-              kept := Array.length keep;
+              let mask = Expr.select table (lower_expr table pred) in
+              let keep = Array.make (Holistic_util.Bitset.count mask) 0 in
+              Holistic_util.Bitset.iter_set mask (fun i ->
+                  keep.(!kept) <- i;
+                  incr kept);
               let filtered = Table.gather table keep in
               Obs.record_bytes (fun () -> Table.footprint_bytes filtered);
               filtered)

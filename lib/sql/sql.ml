@@ -62,8 +62,7 @@ let session_evict session src =
   let pred =
     try Planner.lower_expr table ast with Planner.Error msg -> raise (Semantic_error msg)
   in
-  let f = Holistic_storage.Expr.compile table pred in
-  Session.evict_where session (fun row -> Holistic_storage.Expr.to_bool (f row))
+  Session.evict session (Holistic_storage.Expr.select table pred)
 
 let rec expr_to_string (e : Ast.expr) =
   match e with

@@ -78,10 +78,13 @@ val session_append : Session.t -> Table.t -> unit
 
 val session_evict : Session.t -> string -> unit
 (** [session_evict s pred] parses [pred] as a scalar predicate over the
-    session table's columns (e.g. ["ts < date '2024-01-01'"]) and bulk-
-    evicts every row it selects, compacting the cached structures in place;
-    see {!Holistic_window.Session.evict_where}.
-    @raise Parse_error / Semantic_error on a malformed predicate. *)
+    session table's columns (e.g. ["ts < date '2024-01-01'"]), evaluates
+    it one column at a time ({!Holistic_storage.Expr.select}) and
+    bulk-evicts every row where it is TRUE, compacting the cached
+    structures in place; see {!Holistic_window.Session.evict}.
+    @raise Parse_error / Semantic_error on a malformed predicate.
+    @raise Invalid_argument on a non-boolean one, as WHERE does; the
+    session is then unchanged. *)
 
 val explain : string -> string
 (** Parses the statement and renders the recognised structure (for the CLI

@@ -180,13 +180,16 @@ let float_at t i =
     | Dates a -> float_of_int a.(i)
     | Strings _ | Bools _ -> invalid_arg "Column.float_at: non-numeric column"
 
-(* One loop per type, so no float is boxed; [rows] are checked against
-   the view's length once, up front. *)
-let take ?(room = false) t rows =
+let check_rows len rows =
+  for j = 0 to Array.length rows - 1 do
+    let i = Array.unsafe_get rows j in
+    if i < 0 || i >= len then invalid_arg "index out of bounds"
+  done
+
+(* One loop per type, so no float is boxed; the caller has checked
+   [rows] against the view's length. *)
+let gather ~room t rows =
   let k = Array.length rows in
-  for j = 0 to k - 1 do
-    check t (Array.unsafe_get rows j)
-  done;
   let cap = if room then gathered_room k else k in
   let gather_ints cap a =
     let r = Array.make cap 0 in
@@ -223,6 +226,15 @@ let take ?(room = false) t rows =
      distinct values; they are just no longer dense *)
   let codes = Option.map (gather_ints k) (Atomic.get t.codes) in
   { data; nulls; len = k; claimed = Atomic.make k; codes = Atomic.make codes }
+
+let take ?(room = false) t rows =
+  check_rows t.len rows;
+  gather ~room t rows
+
+(* The rows are checked once, against the shortest column. *)
+let take_all ?(room = false) cols rows =
+  check_rows (List.fold_left (fun len c -> min len c.len) max_int cols) rows;
+  List.map (fun c -> gather ~room c rows) cols
 
 (* Concatenation for the session append path. Same-typed payloads go into
    [a]'s room when [a] owns it, else into a fresh buffer with room; an

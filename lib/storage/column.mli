@@ -79,6 +79,12 @@ val take : ?room:bool -> t -> int array -> t
     too: they still follow the column's order and stay one-to-one on the
     distinct values, but are no longer dense. *)
 
+val take_all : ?room:bool -> t list -> int array -> t list
+(** [take_all cols rows] is [List.map (fun c -> take c rows) cols], with
+    the rows checked once for all the columns rather than once per
+    column. @raise Invalid_argument for a row past any column's
+    {!length}. *)
+
 val append : t -> t -> t
 (** [append a b] concatenates two columns (the session-layer append path).
     Same-typed payloads blit: only [b]'s rows when [a] owns its buffer's

@@ -43,4 +43,17 @@ val to_bool : Value.t -> bool
 (** SQL predicate truth: [Bool true] is true; NULL and [Bool false] are
     not. @raise Invalid_argument for non-boolean non-NULL values. *)
 
+val select : Table.t -> ?rows:int array -> t -> Holistic_util.Bitset.t
+(** [select table ?rows e] evaluates the predicate [e] on the given rows
+    (default: every row of [table]) and returns the positions where it is
+    TRUE: bit [i] is set iff [to_bool (compile table e rows.(i))]. It
+    evaluates one column at a time: a comparison of a column with a
+    constant is one typed loop over the column's buffer, a NULL test of a
+    column reads its mask, and [And]/[Or]/[Not] combine TRUE and FALSE
+    masks by three-valued logic; any other subtree is compiled and
+    evaluated row by row. It raises what the row-at-a-time loop raises at
+    its first failing row: @raise Invalid_argument for a non-boolean
+    predicate (as {!to_bool}) or a row out of bounds, and @raise Not_found
+    for an unknown column. *)
+
 val to_string : t -> string

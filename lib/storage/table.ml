@@ -27,8 +27,8 @@ let add_column t name c =
 let columns t = t.columns
 
 let gather ?room t rows =
-  { columns = List.map (fun (name, c) -> (name, Column.take ?room c rows)) t.columns;
-    nrows = Array.length rows }
+  let taken = Column.take_all ?room (List.map snd t.columns) rows in
+  { columns = List.map2 (fun (name, _) c -> (name, c)) t.columns taken; nrows = Array.length rows }
 
 let append t delta =
   if column_names t <> column_names delta then

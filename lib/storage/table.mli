@@ -23,7 +23,9 @@ val columns : t -> (string * Column.t) list
 val gather : ?room:bool -> t -> int array -> t
 (** Row selection: the table restricted to (and reordered by) the given row
     indices, in fresh columns; with [~room:true] they have room to grow
-    ({!Column.take}), for a table that later {!append}s. *)
+    ({!Column.take}), for a table that later {!append}s. The indices are
+    checked once for all the columns ({!Column.take_all}).
+    @raise Invalid_argument for an index outside [0, nrows). *)
 
 val append : t -> t -> t
 (** [append t delta] concatenates [delta]'s rows below [t]'s. Both tables

@@ -80,20 +80,40 @@ let copy_into ~cap t =
 
 let copy t = copy_into ~cap:t.n t
 
-let union a b =
-  if a.n <> b.n then invalid_arg "Bitset.union: capacity mismatch";
-  let r = copy a in
-  for i = 0 to bytes_for a.n - 1 do
+(* A fresh bitset of [a]'s length whose byte [i] is [f] of byte [i] of
+   [a] and of [b]; the bits past [n] in the last byte are cleared, so
+   neither operand's room leaks in. *)
+let bytewise name f a b =
+  if a.n <> b.n then invalid_arg name;
+  let r = create a.n in
+  let nb = bytes_for a.n in
+  for i = 0 to nb - 1 do
     Bytes.unsafe_set r.words i
       (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get r.words i) lor Char.code (Bytes.unsafe_get b.words i)))
+         (f (Char.code (Bytes.unsafe_get a.words i)) (Char.code (Bytes.unsafe_get b.words i))
+         land 0xff))
   done;
-  (* [b]'s bits past [n] in the last byte came along with the OR *)
-  if a.n land 7 <> 0 then begin
-    let last = a.n lsr 3 in
-    Bytes.unsafe_set r.words last
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get r.words last) land tail_mask a))
-  end;
+  if a.n land 7 <> 0 then
+    Bytes.unsafe_set r.words (nb - 1)
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get r.words (nb - 1)) land tail_mask a));
+  r
+
+let union a b = bytewise "Bitset.union: length mismatch" ( lor ) a b
+let inter a b = bytewise "Bitset.inter: length mismatch" ( land ) a b
+let complement a = bytewise "Bitset.complement" (fun x _ -> lnot x) a a
+
+(* Eight bits are gathered into one byte before it is written. *)
+let init n f =
+  let r = create n in
+  let acc = ref 0 in
+  for i = 0 to n - 1 do
+    if f i then acc := !acc lor (1 lsl (i land 7));
+    if i land 7 = 7 then begin
+      Bytes.unsafe_set r.words (i lsr 3) (Char.unsafe_chr !acc);
+      acc := 0
+    end
+  done;
+  if n land 7 <> 0 then Bytes.unsafe_set r.words (n lsr 3) (Char.unsafe_chr !acc);
   r
 
 (* [b]'s bits are ORed into [a]'s bytes from bit [a.n] on, each byte of

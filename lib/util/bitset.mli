@@ -34,9 +34,20 @@ val count : t -> int
 val copy : t -> t
 (** A fresh bitset of the same length and bits, without room. *)
 
+val init : int -> (int -> bool) -> t
+(** [init n f] is a fresh bitset of length [n] whose bit [i] is [f i],
+    called for [i = 0 .. n-1] in order. *)
+
 val union : t -> t -> t
 (** [union a b] is a fresh bitset with the elementwise OR; lengths must
     match. *)
+
+val inter : t -> t -> t
+(** [inter a b] is a fresh bitset with the elementwise AND; lengths must
+    match. *)
+
+val complement : t -> t
+(** A fresh bitset of the same length with every bit flipped. *)
 
 val append : ?capacity:int -> t -> t -> t
 (** [append a b] is a fresh bitset of length [length a + length b] whose

@@ -64,7 +64,7 @@ let qualify ctx (qual : Build_cache.qual) =
       Remap.all (np ctx)
   | _ ->
       Build_cache.remap ctx.cache ~qual (fun () ->
-          let filt = Option.map (Expr.compile ctx.table) qual.Build_cache.filter in
+          let filt = Option.map (Expr.select ctx.table ~rows:ctx.rows) qual.Build_cache.filter in
           let extra =
             match qual.Build_cache.extra with
             | Build_cache.Ex_none -> None
@@ -76,7 +76,7 @@ let qualify ctx (qual : Build_cache.qual) =
                 Some (fun r -> not (Value.is_null (f ctx.rows.(r))))
           in
           Remap.create ~np:(np ctx) ~qualifies:(fun r ->
-              (match filt with None -> true | Some f -> Expr.to_bool (f ctx.rows.(r)))
+              (match filt with None -> true | Some m -> Holistic_util.Bitset.unsafe_get m r)
               && match extra with None -> true | Some g -> g r))
 
 (* The partition's peer groups under [order], memoized in [cache]. A stale

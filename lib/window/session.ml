@@ -1,4 +1,5 @@
 open Holistic_storage
+module Bitset = Holistic_util.Bitset
 module Obs = Holistic_obs.Obs
 module Task_pool = Holistic_parallel.Task_pool
 module Multiway = Holistic_sort.Multiway
@@ -571,16 +572,20 @@ let append_rows s delta =
    relative order, so the new boundaries are survivor-count prefix sums;
    a partition that lost no rows keeps its caches and outputs (structures
    index slice positions and row values, both unchanged), one that lost
-   any row is rebuilt. *)
-let apply_evict s keep =
-  let n_old = Array.length keep in
-  let kept = Array.fold_left (fun acc k -> if k then acc + 1 else acc) 0 keep in
+   any row is rebuilt.  Each stored order is walked once, partition by
+   partition: the loop that writes a partition's renumbered survivors
+   also counts them. *)
+let evict s gone =
+  let n_old = Table.nrows s.table in
+  if Bitset.length gone <> n_old then invalid_arg "Session.evict: mask length mismatch";
+  let kept = n_old - Bitset.count gone in
   if kept < n_old then begin
+    (* [rn.(row)] is a survivor's new row id, -1 for an evicted row *)
     let rn = Array.make n_old (-1) in
     let kept_rows = Array.make kept 0 in
     let j = ref 0 in
     for i = 0 to n_old - 1 do
-      if keep.(i) then begin
+      if not (Bitset.unsafe_get gone i) then begin
         rn.(i) <- !j;
         kept_rows.(!j) <- i;
         incr j
@@ -599,36 +604,22 @@ let apply_evict s keep =
             let old_perm = entry.perm and old_b = entry.boundaries in
             let old_nparts = Array.length old_b - 1 in
             let perm = Array.make kept 0 in
-            let k = ref 0 in
-            Array.iter
-              (fun row ->
-                if keep.(row) then begin
-                  perm.(!k) <- rn.(row);
-                  incr k
-                end)
-              old_perm;
-            (* survivors per old partition; surviving partitions keep
-               their relative order, so boundaries are prefix sums *)
-            let surviving = ref 0 in
-            let surv =
-              Array.init old_nparts (fun p ->
-                  let c = ref 0 in
-                  for q = old_b.(p) to old_b.(p + 1) - 1 do
-                    if keep.(old_perm.(q)) then incr c
-                  done;
-                  if !c > 0 then incr surviving;
-                  !c)
-            in
-            (* an emptied table keeps one empty slice, as a full sort does *)
-            let nparts = max 1 !surviving in
-            let boundaries = Array.make (nparts + 1) 0 in
-            let parts = Array.make nparts (fresh_part s.counters Rebuilt) in
-            let idx = ref 0 and off = ref 0 in
+            let boundaries = Array.make (max 1 old_nparts + 1) 0 in
+            let parts = Array.make (max 1 old_nparts) (fresh_part s.counters Rebuilt) in
+            let k = ref 0 and idx = ref 0 in
             for p = 0 to old_nparts - 1 do
-              if surv.(p) > 0 then begin
-                boundaries.(!idx) <- !off;
+              let off = !k in
+              for q = old_b.(p) to old_b.(p + 1) - 1 do
+                let r = rn.(old_perm.(q)) in
+                if r >= 0 then begin
+                  perm.(!k) <- r;
+                  incr k
+                end
+              done;
+              if !k > off then begin
+                boundaries.(!idx) <- off;
                 parts.(!idx) <-
-                  (if surv.(p) = old_b.(p + 1) - old_b.(p) then begin
+                  (if !k - off = old_b.(p + 1) - old_b.(p) then begin
                      s.tally_reused <- s.tally_reused + 1;
                      entry.parts.(p)
                    end
@@ -636,26 +627,18 @@ let apply_evict s keep =
                      s.tally_rebuilt <- s.tally_rebuilt + 1;
                      fresh_part s.counters Rebuilt
                    end);
-                off := !off + surv.(p);
                 incr idx
               end
             done;
+            (* an emptied table keeps one empty slice, as a full sort does *)
+            let nparts = max 1 !idx in
             boundaries.(nparts) <- kept;
             entry.perm <- perm;
-            entry.boundaries <- boundaries;
-            entry.parts <- parts;
+            entry.boundaries <- Array.sub boundaries 0 (nparts + 1);
+            entry.parts <- Array.sub parts 0 nparts;
             entry.prov <- Printf.sprintf "maintained(-%d rows)" (n_old - kept))
           s.entries)
   end
-
-let evict_where s pred =
-  let n = Table.nrows s.table in
-  apply_evict s (Array.init n (fun i -> not (pred i)))
-
-let evict_prefix s k =
-  let n = Table.nrows s.table in
-  let k = max 0 (min k n) in
-  apply_evict s (Array.init n (fun i -> i >= k))
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)

@@ -188,11 +188,14 @@ val append_rows : t -> Table.t -> unit
     incrementally maintain every stored stage.
     @raise Invalid_argument on column mismatch, like {!Table.append}. *)
 
-val evict_where : t -> (int -> bool) -> unit
-(** Evict every row whose {e current} row id satisfies the predicate. *)
-
-val evict_prefix : t -> int -> unit
-(** Evict the first [k] rows (clamped to the table size). *)
+val evict : t -> Holistic_util.Bitset.t -> unit
+(** [evict s gone] evicts the rows set in [gone], a mask over the
+    {e current} table's rows — the mask {!Expr.select} returns for an
+    eviction predicate. Every stored order is walked once: the survivors
+    are renumbered in order, no row is re-sorted, and a partition that
+    lost no row keeps its caches and outputs; the table keeps room for the
+    next append. @raise Invalid_argument when the mask's length is not the
+    table's row count. *)
 
 val footprint_bytes : t -> int
 (** Approximate bytes held by the store: permutations, boundaries, cached

@@ -197,16 +197,75 @@ let gen_clauses rng =
       in
       { Window_plan.spec; items })
 
-let gen_evict_pred rng table =
-  let e =
-    match Rng.int rng 4 with
-    | 0 -> Expr.Lt (Expr.Col "k", Expr.Const (Value.Int (Rng.int_in rng (-3) 8)))
-    | 1 -> Expr.Gt (Expr.Col "f", Expr.Const (Value.Float (gen_float rng)))
-    | 2 -> Expr.Eq (Expr.Col "g", Expr.Const (Value.Int (Rng.int rng 4)))
-    | _ -> Expr.Is_null (Expr.Col "s")
+(* Eviction predicates reach every typed loop of [Expr.select] in both
+   operand orders, with boundary constants ([min_int], [max_int], NaN,
+   [-0.]) and an Int column against a Float, its NULL tests, its mask
+   algebra through AND / OR / NOT, and the row-at-a-time fallback (an
+   arithmetic operand). *)
+let rec gen_evict_pred rng depth =
+  let int_const () =
+    match Rng.int rng 6 with 0 -> min_int | 1 -> max_int | _ -> Rng.int_in rng (-3) 8
   in
-  let f = Expr.compile table e in
-  fun row -> Expr.to_bool (f row)
+  let float_const () =
+    match Rng.int rng 5 with 0 -> Float.nan | 1 -> -0.0 | _ -> gen_float rng
+  in
+  let leaf () =
+    let operand, k =
+      match Rng.int rng 7 with
+      | 0 -> (Expr.Col "k", Value.Int (int_const ()))
+      | 1 -> (Expr.Col "g", Value.Int (int_const ()))
+      | 2 -> (Expr.Col "f", Value.Float (float_const ()))
+      | 3 -> (Expr.Col "k", Value.Float (float_const ()))
+      | 4 -> (Expr.Col "s", Value.String [| ""; "a"; "c"; "dd"; "e" |].(Rng.int rng 5))
+      | 5 -> (Expr.Col "d", Value.Date (Value.date_of_ymd 2024 1 (15 + Rng.int rng 15)))
+      | _ -> (Expr.Add (Expr.Col "k", Expr.Const (Value.Int 1)), Value.Int (int_const ()))
+    in
+    let cmp a b =
+      match Rng.int rng 6 with
+      | 0 -> Expr.Eq (a, b)
+      | 1 -> Expr.Ne (a, b)
+      | 2 -> Expr.Lt (a, b)
+      | 3 -> Expr.Le (a, b)
+      | 4 -> Expr.Gt (a, b)
+      | _ -> Expr.Ge (a, b)
+    in
+    match Rng.int rng 8 with
+    | 0 -> Expr.Is_null operand
+    | 1 -> Expr.Is_not_null operand
+    | 2 | 3 -> cmp (Expr.Const k) operand
+    | _ -> cmp operand (Expr.Const k)
+  in
+  if depth = 0 || Rng.int rng 3 > 0 then leaf ()
+  else
+    match Rng.int rng 3 with
+    | 0 -> Expr.And (gen_evict_pred rng (depth - 1), gen_evict_pred rng (depth - 1))
+    | 1 -> Expr.Or (gen_evict_pred rng (depth - 1), gen_evict_pred rng (depth - 1))
+    | _ -> Expr.Not (gen_evict_pred rng (depth - 1))
+
+(* One eviction: a prefix of at most [max_prefix] rows, or the rows a
+   random predicate selects. The mask comes from [Expr.select], checked
+   against the row-at-a-time evaluation on the session's table, whose
+   columns have room past their length once it was evicted from. *)
+let evict_step rng session ~ops ~ctx ~max_prefix =
+  let table = Session.table session in
+  let n = Table.nrows table in
+  if Rng.bool rng then begin
+    let k = Rng.int rng (max_prefix + 1) in
+    ops := Printf.sprintf "evict_prefix %d" k :: !ops;
+    Session.evict session (Bitset.init n (fun i -> i < k))
+  end
+  else begin
+    let e = gen_evict_pred rng 2 in
+    ops := ("evict where " ^ Expr.to_string e) :: !ops;
+    let gone = Expr.select table e in
+    let f = Expr.compile table e in
+    for i = 0 to n - 1 do
+      if Bitset.get gone i <> Expr.to_bool (f i) then
+        Alcotest.failf "%s: row %d: Expr.select disagrees with the row-at-a-time predicate"
+          (ctx ()) i
+    done;
+    Session.evict session gone
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)
@@ -373,16 +432,8 @@ let run_case ~pool rng idx ~seed =
         Session.append_rows session delta;
         mutated ~ctx:(trace ())
     | 1 ->
-        let table = Session.table session in
-        if Rng.bool rng then begin
-          let k = Rng.int rng (Table.nrows table + 1) in
-          ops := Printf.sprintf "evict_prefix %d" k :: !ops;
-          Session.evict_prefix session k
-        end
-        else begin
-          ops := "evict_where" :: !ops;
-          Session.evict_where session (gen_evict_pred rng table)
-        end;
+        evict_step rng session ~ops ~ctx:trace
+          ~max_prefix:(Table.nrows (Session.table session));
         mutated ~ctx:(trace ())
     | _ ->
         ops := "query" :: !ops;
@@ -581,16 +632,8 @@ let run_in_order_case ~pool ~partial rng idx ~seed =
         query ()
     | 5 -> append ~in_order:false
     | 6 ->
-        let table = Session.table session in
-        if Rng.bool rng then begin
-          let k = Rng.int rng (1 + (Table.nrows table / 4)) in
-          ops := Printf.sprintf "evict_prefix %d" k :: !ops;
-          Session.evict_prefix session k
-        end
-        else begin
-          ops := "evict_where" :: !ops;
-          Session.evict_where session (gen_evict_pred rng table)
-        end;
+        evict_step rng session ~ops ~ctx:trace
+          ~max_prefix:(Table.nrows (Session.table session) / 4);
         mutated ~ctx:(trace ())
     | _ ->
         ops := "query" :: !ops;
@@ -814,7 +857,8 @@ let test_evict () =
     (fun () ->
       let session = Session.create ~pool (directed_table 2048) in
       ignore (Window_plan.run ~pool ~session (Session.table session) directed_clauses);
-      Session.evict_prefix session 512;
+      let evict e = Session.evict session (Expr.select (Session.table session) e) in
+      evict (Expr.Lt (Expr.Col "k", Expr.Const (Value.Int 512)));
       Alcotest.(check int) "rows evicted" (2048 - 512) (Table.nrows (Session.table session));
       Alcotest.(check int) "epoch advanced" 1 (Session.epoch session);
       let table = Session.table session in
@@ -827,7 +871,7 @@ let test_evict () =
         (Window_plan.run ~pool table directed_clauses)
         actual;
       (* evict everything: the store must survive an empty table *)
-      Session.evict_where session (fun _ -> true);
+      evict (Expr.Const (Value.Bool true));
       Alcotest.(check int) "empty" 0 (Table.nrows (Session.table session));
       ignore (Window_plan.run ~pool ~session (Session.table session) directed_clauses))
 
@@ -1069,7 +1113,8 @@ let test_evict_keeps_order () =
       let table = splice_rows ~g:(Array.make n 0) ~k:(Array.init n Fun.id) in
       let pb = [ Expr.Col "s" ] in
       let session, query, append = splice_session ~pool ~pb ~order:by_k table in
-      Session.evict_prefix session 1;
+      Session.evict session
+        (Expr.select (Session.table session) (Expr.Lt (Expr.Col "k", Expr.Const (Value.Int 1))));
       let prov, statuses = check_stage ~pool ~ctx:"after the eviction" session ~pb ~order:by_k in
       Alcotest.(check string) "eviction provenance" "maintained(-1 rows)" prov;
       (* "x" lost its first row *)

@@ -1,6 +1,11 @@
 open Holistic_storage
 module Bitset = Holistic_util.Bitset
 
+let bits_list b =
+  let l = ref [] in
+  Bitset.iter_set b (fun i -> l := i :: !l);
+  !l
+
 let v = Alcotest.testable (fun fmt x -> Format.pp_print_string fmt (Value.to_string x)) Value.equal
 
 (* ------------------------------------------------------------------ *)
@@ -181,6 +186,11 @@ let test_table () =
   Alcotest.(check (list string)) "names" [ "a"; "b" ] (Table.column_names t);
   Alcotest.check v "cell" (Value.String "y") (Column.get (Table.column t "b") 1);
   Alcotest.check_raises "unknown column" Not_found (fun () -> ignore (Table.column t "zz"));
+  (* a view's rows end at its length, whatever its buffer holds past it *)
+  let g = Table.gather ~room:true t [| 1; 0 |] in
+  ignore (Table.append g t);
+  Alcotest.check_raises "gather past the view's length" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (Table.gather g [| 0; 2 |]));
   Alcotest.check_raises "ragged" (Invalid_argument "Table.create: column \"b\" has 1 rows, expected 2")
     (fun () -> ignore (Table.create [ ("a", Column.ints [| 1; 2 |]); ("b", Column.ints [| 1 |]) ]));
   Alcotest.check_raises "duplicate name" (Invalid_argument "Table.create: duplicate column name")
@@ -305,6 +315,130 @@ let test_mod () =
   Alcotest.check v "mod by zero" Value.Null
     (Expr.eval table Expr.(Mod (Col "x", Const (Value.Int 0))) 0)
 
+(* [Expr.select] against the row-at-a-time loop, [Expr.compile] then
+   [Expr.to_bool] row by row, on random predicate trees: comparisons of
+   a column with a constant in both operand orders (matching and mixed
+   types, NULL constants), NULL tests, AND / OR / NOT, bare boolean and
+   non-boolean leaves, and arithmetic operands that take the row-at-a-time
+   fallback and may raise. The columns hold NULLs, NaN, [+-0.], [+-inf],
+   [min_int] / [max_int], [""] and ints beyond 2^53 that meet Float
+   constants; they are views with room, some over a buffer a longer table
+   has written past their length, and the rows are either all of them or
+   a random multiset of row ids. Both sides must give the same rows, or
+   raise the same exception. *)
+let test_select_differential () =
+  let rng = Holistic_util.Rng.create 20261020 in
+  let module Rng = Holistic_util.Rng in
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  let big = 1 lsl 53 in
+  let ints = [| min_int; max_int; 0; -1; 1; 2; big; big + 1; -big - 1; 7 |] in
+  let floats =
+    [| Float.nan; -0.0; 0.0; Float.infinity; Float.neg_infinity; 1.5; -2.0; 2.0; float_of_int big |]
+  in
+  let strings = [| ""; "a"; "ab"; "b" |] in
+  let dates = [| 0; 1; -1; 10_000 |] in
+  let nulls n =
+    if Rng.bool rng then None
+    else Some (Bitset.init n (fun _ -> Rng.int rng 4 = 0))
+  in
+  let gen_table n =
+    Table.create
+      [
+        ("i", Column.make ?nulls:(nulls n) (Column.Ints (Array.init n (fun _ -> pick ints))));
+        ("f", Column.make ?nulls:(nulls n) (Column.Floats (Array.init n (fun _ -> pick floats))));
+        ("s", Column.make ?nulls:(nulls n) (Column.Strings (Array.init n (fun _ -> pick strings))));
+        ("b", Column.make ?nulls:(nulls n) (Column.Bools (Array.init n (fun _ -> Rng.bool rng))));
+        ("d", Column.make ?nulls:(nulls n) (Column.Dates (Array.init n (fun _ -> pick dates))));
+      ]
+  in
+  let const () =
+    match Rng.int rng 7 with
+    | 0 -> Value.Null
+    | 1 | 2 -> Value.Int (pick ints)
+    | 3 -> Value.Float (pick floats)
+    | 4 -> Value.String (pick strings)
+    | 5 -> Value.Bool (Rng.bool rng)
+    | _ -> Value.Date (pick dates)
+  in
+  let column () = Expr.Col (pick [| "i"; "f"; "s"; "b"; "d" |]) in
+  let operand () =
+    match Rng.int rng 5 with
+    | 0 -> Expr.Add (column (), Expr.Const (Value.Int 1))
+    | 1 -> Expr.Neg (Expr.Const (const ()))
+    | _ -> column ()
+  in
+  let cmp a b =
+    match Rng.int rng 6 with
+    | 0 -> Expr.Eq (a, b)
+    | 1 -> Expr.Ne (a, b)
+    | 2 -> Expr.Lt (a, b)
+    | 3 -> Expr.Le (a, b)
+    | 4 -> Expr.Gt (a, b)
+    | _ -> Expr.Ge (a, b)
+  in
+  let rec pred depth =
+    match Rng.int rng (if depth = 0 then 7 else 10) with
+    | 0 | 1 | 2 -> cmp (operand ()) (Expr.Const (const ()))
+    | 3 -> cmp (Expr.Const (const ())) (operand ())
+    | 4 -> if Rng.bool rng then Expr.Is_null (operand ()) else Expr.Is_not_null (operand ())
+    | 5 -> column ()
+    | 6 -> if Rng.bool rng then cmp (column ()) (column ()) else Expr.Const (const ())
+    | 7 -> Expr.And (pred (depth - 1), pred (depth - 1))
+    | 8 -> Expr.Or (pred (depth - 1), pred (depth - 1))
+    | _ -> Expr.Not (pred (depth - 1))
+  in
+  let outcome f = match f () with bits -> Ok (List.rev (bits_list bits)) | exception e -> Error e in
+  for case = 1 to 300 do
+    let n = Rng.int rng 40 in
+    let base = gen_table n in
+    (* a view with room, and sometimes one whose buffer a longer table
+       has since written past its length *)
+    let table = Table.gather ~room:true base (Array.init n Fun.id) in
+    if Rng.bool rng then ignore (Table.append table (gen_table (1 + Rng.int rng 5)));
+    let rows =
+      if n = 0 || Rng.bool rng then None
+      else Some (Array.init (Rng.int rng (2 * n)) (fun _ -> Rng.int rng n))
+    in
+    let ids = match rows with None -> Array.init n Fun.id | Some r -> r in
+    for _ = 1 to 20 do
+      let e = pred 3 in
+      let expected =
+        outcome (fun () ->
+            let f = Expr.compile table e in
+            Bitset.init (Array.length ids) (fun j -> Expr.to_bool (f ids.(j))))
+      in
+      let actual = outcome (fun () -> Expr.select table ?rows e) in
+      let show = function
+        | Ok l -> String.concat "," (List.map string_of_int l)
+        | Error e -> Printexc.to_string e
+      in
+      if expected <> actual then
+        Alcotest.failf "case %d, %s%s: select gives [%s], row at a time [%s]" case
+          (Expr.to_string e)
+          (if rows = None then "" else " over rows")
+          (show actual) (show expected)
+    done
+  done
+
+(* A non-boolean predicate is the same error through WHERE and through a
+   session eviction. *)
+let test_select_non_boolean () =
+  let module Sql = Holistic_sql.Sql in
+  let pool = Shared_pool.pool in
+  let t () = Table.create [ ("k", Column.ints [| 1; 2; 3 |]) ] in
+  List.iter
+    (fun (pred, msg) ->
+      let err = Invalid_argument msg in
+      Alcotest.check_raises ("where " ^ pred) err (fun () ->
+          ignore (Sql.query ~pool ~tables:[ ("t", t ()) ] ("select k from t where " ^ pred)));
+      let session = Sql.session_create ~pool (t ()) in
+      Alcotest.check_raises ("evict " ^ pred) err (fun () -> Sql.session_evict session pred);
+      Alcotest.(check int) ("nothing evicted by " ^ pred) 3 (Table.nrows (Sql.session_table session)))
+    [
+      ("k + 1", "Expr.to_bool: non-boolean value");
+      ("k = 1 or not k", "Expr: NOT on non-boolean");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* CSV                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -406,6 +540,9 @@ let () =
           Alcotest.test_case "three-valued logic" `Quick test_three_valued_logic;
           Alcotest.test_case "mod" `Quick test_mod;
           Alcotest.test_case "case/abs/greatest/least" `Quick test_case_abs_extremes;
+          Alcotest.test_case "select equals the row-at-a-time predicate" `Quick
+            test_select_differential;
+          Alcotest.test_case "non-boolean predicates" `Quick test_select_non_boolean;
         ] );
       ( "csv",
         [

@@ -86,6 +86,11 @@ let test_bitset_shared_buffer () =
     (members (Bitset.append a (Bitset.create 5)));
   Alcotest.(check (list int)) "union stops at the length" [ 2; 12 ]
     (members (Bitset.union a (Bitset.create 13)));
+  Alcotest.(check (list int)) "inter stops at the length" [ 12 ]
+    (members (Bitset.inter a (Bitset.init 13 (fun i -> i > 2))));
+  Alcotest.(check (list int)) "complement stops at the length" [ 0; 1; 3; 4; 5; 6; 7; 8; 9; 10; 11 ]
+    (members (Bitset.complement a));
+  Alcotest.(check (list int)) "init" [ 0; 3; 6; 9 ] (members (Bitset.init 10 (fun i -> i mod 3 = 0)));
   Alcotest.(check (list int)) "gather" [ 0; 1 ] (members (Bitset.gather a [| 12; 2; 0 |]));
   Alcotest.check_raises "gather past the length" (Invalid_argument "Bitset: index out of bounds")
     (fun () -> ignore (Bitset.gather a [| 13 |]));
